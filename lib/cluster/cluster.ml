@@ -280,7 +280,7 @@ let retire t ~vm_id =
 
      pause source worker -> drain window -> place on destination pool
      -> attach destination server -> replay record log + restore
-     buffers ([Host.cl_silo_transfer]) -> seed destination cursor +
+     buffers ([Silo.transfer]) -> seed destination cursor +
      carry reply log -> move the router flow across routers
      ([Router.transfer_flow]) -> detach source -> move recorder /
      IOMMU bookkeeping.
@@ -333,15 +333,15 @@ let migrate_tenant t ~vm_id ~dest =
           let router_end, server_end = Transport.direct t.engine in
           ignore (Server.attach_vm dst_srv ~vm_id ~ep:server_end);
           let bytes =
-            Host.cl_silo_transfer ~recorder ~src_srv
-              ~src_kd:src_host.Host.kds.(src_dev) ~dst_srv
-              ~dst_kd:dst_host.Host.kds.(dst_dev)
-              ~iommu:(Hashtbl.find_opt src_host.Host.iommus vm_id)
-              ~dst_dma:(Gpu.dma (Pool.gpu dst_pool dst_dev))
-              ~suspend_recording:(fun () ->
-                Hashtbl.remove src_host.Host.recorders vm_id)
-              ~resume_recording:(fun () -> ())
-              ~vm_id
+            (Ava_core.Silo.transfer Ava_core.Cl_handlers.live ~recorder ~vm_id
+               ~src:src_srv ~dst:dst_srv
+               ?sva:
+                 (Option.map
+                    (fun iommu -> (iommu, Gpu.dma (Pool.gpu dst_pool dst_dev)))
+                    (Hashtbl.find_opt src_host.Host.iommus vm_id))
+               ~suspend:(fun () -> Hashtbl.remove src_host.Host.recorders vm_id)
+               ~resume:ignore)
+              .Ava_core.Silo.bytes
           in
           (* Cursor + reply log + re-steer in one synchronous step (no
              suspension points), same reasoning as [Pool.migrate_vm]. *)

@@ -105,7 +105,7 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
     unknown tenant, already mid-migration, or [dest] is its host).
     Sequence: claim the VM on the source pool, pause + drain, place on
     the destination host's pool, replay the record log and restore
-    buffers onto it ({!Host.cl_silo_transfer}), seed the destination
+    buffers onto it ({!Ava_core.Silo.transfer}), seed the destination
     cursor and carry the reply log, move the guest's router flow across
     routers, detach the source.  The guest keeps its stub, transport
     and seq stream throughout.  Must run inside a simulation process.

@@ -145,7 +145,22 @@ let api t = t.plan_api
 
 (* --- runtime queries (driven by actual argument values) ---------------- *)
 
-(* [env] binds scalar parameter names to their runtime values. *)
+(* [env] binds scalar parameter names to their runtime values.  The env
+   of one invocation binds each [Pass_scalar] parameter to its argument,
+   read through [to_int].  Total: an argument list shorter or longer than
+   the parameter list binds the common prefix. *)
+let scalar_env plan ~to_int args =
+  let rec go env params args =
+    match (params, args) with
+    | (name, Pass_scalar) :: params, v :: args -> (
+        match to_int v with
+        | Some n -> go ((name, n) :: env) params args
+        | None -> go env params args)
+    | _ :: params, _ :: args -> go env params args
+    | [], _ | _, [] -> env
+  in
+  go [] plan.cp_params args
+
 let eval_len env e =
   match eval_expr env e with Ok v -> Stdlib.max 0 v | Error _ -> 0
 
@@ -221,3 +236,15 @@ let resource_estimate plan ~env name =
   match List.assoc_opt name plan.cp_resources with
   | None -> None
   | Some e -> Some (eval_len env e)
+
+(* Cost units of one invocation, the currency of the router's WFQ,
+   quotas and device-time accounting and of the server's TDR budget: the
+   spec's device-time estimate, else its bus bytes at 64 B a unit, else
+   one unit. *)
+let call_cost plan ~env =
+  match resource_estimate plan ~env "device_time" with
+  | Some c -> float_of_int (Stdlib.max 1 c)
+  | None -> (
+      match resource_estimate plan ~env "bus_bytes" with
+      | Some b -> float_of_int (Stdlib.max 1 (b / 64))
+      | None -> 1.0)

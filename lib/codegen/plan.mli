@@ -59,6 +59,13 @@ val api : t -> string
 (** {1 Runtime queries} — driven by actual argument values; [env] binds
     scalar parameter names. *)
 
+val scalar_env :
+  call_plan -> to_int:('v -> int option) -> 'v list -> (string * int) list
+(** The env of one invocation: every [Pass_scalar] parameter bound to its
+    marshalled argument (read through [to_int]; unreadable values are
+    left unbound).  Total: on an arity mismatch the common prefix of
+    parameters and arguments is bound. *)
+
 val request_bytes : call_plan -> env:(string * int) list -> int
 (** Marshalled request payload: scalars/handles plus in-buffers. *)
 
@@ -75,3 +82,7 @@ val is_sync : call_plan -> env:(string * int) list -> bool
 val resource_estimate :
   call_plan -> env:(string * int) list -> string -> int option
 (** The named resource estimate for one invocation, if declared. *)
+
+val call_cost : call_plan -> env:(string * int) list -> float
+(** Cost units of one invocation: the [device_time] estimate, else
+    [bus_bytes / 64], else 1 (each floored at 1). *)

@@ -27,33 +27,11 @@ let make_state ?swap kd ~vm_id =
   let api, native = Ava_simcl.Native.create ~client:vm_id kd in
   { api; native; swap }
 
-(* Reply helpers. *)
-let err e : int * Wire.value * Wire.value list =
-  (error_to_code e, Wire.Unit, [])
+include Silo.Handler (struct
+  type error = Ava_simcl.Types.error
 
-let ok_unit = (0, Wire.Unit, [])
-let ok_ret ret outs = (0, ret, outs)
-
-let unknown_handle = (Server.status_unknown_handle, Wire.Unit, [])
-
-exception Unknown_handle = Server.Unknown_handle
-
-let resolve ctx v =
-  match Server.Ctx.resolve ctx v with
-  | Some h -> h
-  | None -> raise Unknown_handle
-
-let resolve_list ctx vs = List.map (resolve ctx) vs
-
-(* Wrap a handler body: argument/handle failures become statuses, never
-   exceptions escaping into the server core. *)
-let guard f ctx st args =
-  match f ctx st args with
-  | result -> result
-  | exception Unknown_handle -> unknown_handle
-  | exception Bad_args -> (Server.status_bad_arguments, Wire.Unit, [])
-
-let of_result r k = match r with Ok v -> k v | Error e -> err e
+  let to_code = error_to_code
+end)
 
 (* Swap keys combine VM id and host handle so one manager can serve all
    VMs sharing the device. *)
@@ -76,14 +54,33 @@ let swap_remove ctx st host =
   | None -> ()
   | Some sw -> Swap.remove sw ~key:(swap_key ctx host)
 
-(* Bind a freshly created host object to a new virtual id. *)
-let bind_fresh ctx ~host =
-  let vid = Server.Ctx.fresh ctx in
-  Server.Ctx.bind ctx ~guest:vid ~host;
-  vid
+(* Live-object accessors for migration: device buffers, moved over the
+   owning device's DMA path. *)
+let live =
+  let kd st = Ava_simcl.Native.kdriver st.native in
+  let find st host = Ava_simcl.Native.find_mem st.native host in
+  {
+    Silo.alloc_fn = "clCreateBuffer";
+    size_arg = 2;
+    quiesce = (fun st -> Ava_simcl.Native.quiesce st.native);
+    read =
+      (fun st ~host ~size ->
+        Option.map
+          (fun buf ->
+            Ava_simcl.Kdriver.read_buffer (kd st) ~buf ~offset:0 ~len:size)
+          (find st host));
+    write =
+      (fun st ~host data ->
+        Option.map
+          (fun buf ->
+            Ava_simcl.Kdriver.write_buffer (kd st) ~buf ~offset:0 ~src:data;
+            Bytes.length data)
+          (find st host));
+  }
 
 let register server =
-  let reg name f = Server.register server name (guard f) in
+  let reg = Server.register server in
+  let one_handle name f = reg name (on_handle (fun st -> f st.api)) in
 
   (* --- platform / device ----------------------------------------------- *)
   reg "clGetPlatformIDs" (fun _ctx st args ->
@@ -129,21 +126,8 @@ let register server =
             (fun host -> ok_ret (h (bind_fresh ctx ~host)) [ i 0 ])
       | _ -> raise Bad_args);
 
-  reg "clRetainContext" (fun ctx st args ->
-      match args with
-      | [ c ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clRetainContext (resolve ctx (to_h c))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
-
-  reg "clReleaseContext" (fun ctx st args ->
-      match args with
-      | [ c ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clReleaseContext (resolve ctx (to_h c))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clRetainContext" (fun (module CL) -> CL.clRetainContext);
+  one_handle "clReleaseContext" (fun (module CL) -> CL.clReleaseContext);
 
   reg "clGetContextInfo" (fun ctx st args ->
       match args with
@@ -165,21 +149,10 @@ let register server =
             (fun host -> ok_ret (h (bind_fresh ctx ~host)) [ i 0 ])
       | _ -> raise Bad_args);
 
-  reg "clRetainCommandQueue" (fun ctx st args ->
-      match args with
-      | [ q ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clRetainCommandQueue (resolve ctx (to_h q)))
-            (fun () -> ok_unit)
-      | _ -> raise Bad_args);
-
-  reg "clReleaseCommandQueue" (fun ctx st args ->
-      match args with
-      | [ q ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clReleaseCommandQueue (resolve ctx (to_h q)))
-            (fun () -> ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clRetainCommandQueue" (fun (module CL) ->
+      CL.clRetainCommandQueue);
+  one_handle "clReleaseCommandQueue" (fun (module CL) ->
+      CL.clReleaseCommandQueue);
 
   reg "clGetCommandQueueInfo" (fun ctx st args ->
       match args with
@@ -203,13 +176,7 @@ let register server =
               ok_ret (h (bind_fresh ctx ~host)) [ i 0 ])
       | _ -> raise Bad_args);
 
-  reg "clRetainMemObject" (fun ctx st args ->
-      match args with
-      | [ m ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clRetainMemObject (resolve ctx (to_h m))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clRetainMemObject" (fun (module CL) -> CL.clRetainMemObject);
 
   reg "clReleaseMemObject" (fun ctx st args ->
       match args with
@@ -258,21 +225,8 @@ let register server =
             (fun log -> ok_ret (i 0) [ b (Bytes.of_string log) ])
       | _ -> raise Bad_args);
 
-  reg "clRetainProgram" (fun ctx st args ->
-      match args with
-      | [ p ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clRetainProgram (resolve ctx (to_h p))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
-
-  reg "clReleaseProgram" (fun ctx st args ->
-      match args with
-      | [ p ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clReleaseProgram (resolve ctx (to_h p))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clRetainProgram" (fun (module CL) -> CL.clRetainProgram);
+  one_handle "clReleaseProgram" (fun (module CL) -> CL.clReleaseProgram);
 
   (* --- kernels ------------------------------------------------------------------ *)
   reg "clCreateKernel" (fun ctx st args ->
@@ -285,21 +239,8 @@ let register server =
             (fun host -> ok_ret (h (bind_fresh ctx ~host)) [ i 0 ])
       | _ -> raise Bad_args);
 
-  reg "clRetainKernel" (fun ctx st args ->
-      match args with
-      | [ k ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clRetainKernel (resolve ctx (to_h k))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
-
-  reg "clReleaseKernel" (fun ctx st args ->
-      match args with
-      | [ k ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clReleaseKernel (resolve ctx (to_h k))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clRetainKernel" (fun (module CL) -> CL.clRetainKernel);
+  one_handle "clReleaseKernel" (fun (module CL) -> CL.clReleaseKernel);
 
   reg "clSetKernelArg" (fun ctx st args ->
       match args with
@@ -453,19 +394,8 @@ let register server =
       | _ -> raise Bad_args);
 
   (* --- synchronization ----------------------------------------------------------------- *)
-  reg "clFlush" (fun ctx st args ->
-      match args with
-      | [ q ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clFlush (resolve ctx (to_h q))) (fun () -> ok_unit)
-      | _ -> raise Bad_args);
-
-  reg "clFinish" (fun ctx st args ->
-      match args with
-      | [ q ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clFinish (resolve ctx (to_h q))) (fun () -> ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "clFlush" (fun (module CL) -> CL.clFlush);
+  one_handle "clFinish" (fun (module CL) -> CL.clFinish);
 
   reg "clWaitForEvents" (fun ctx st args ->
       match args with
@@ -494,10 +424,4 @@ let register server =
             (fun v -> ok_ret (i 0) [ i v ])
       | _ -> raise Bad_args);
 
-  reg "clReleaseEvent" (fun ctx st args ->
-      match args with
-      | [ ev ] ->
-          let module CL = (val st.api) in
-          of_result (CL.clReleaseEvent (resolve ctx (to_h ev))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args)
+  one_handle "clReleaseEvent" (fun (module CL) -> CL.clReleaseEvent)

@@ -16,5 +16,9 @@ type state = {
 val make_state :
   ?swap:Ava_remoting.Swap.t -> Ava_simcl.Kdriver.t -> vm_id:int -> state
 
+val live : state Silo.live
+(** Live objects are device buffers ([clCreateBuffer]), read and written
+    over the owning device's DMA path. *)
+
 val register : state Ava_remoting.Server.t -> unit
 (** Install all 39 handlers. *)

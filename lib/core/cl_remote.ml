@@ -21,60 +21,19 @@ module Message = Ava_remoting.Message
 open Ava_simcl.Types
 open Codec
 
-let cl_true = 1
-let cl_false = 0
+include Silo.Guest (struct
+  type error = Ava_simcl.Types.error
 
-let bool_int b = if b then cl_true else cl_false
+  let of_code = error_of_code
+  let failure msg = Remoting_failure msg
+end)
+
+let bool_int b = if b then 1 else 0
 
 type t = { stub : Stub.t }
 
-let status_error code = error_of_code code
-
-(* Finish a synchronous invocation: deferred async errors outrank the
-   current call's (successful) result. *)
-let finish stub result parse =
-  match result with
-  | Error msg -> Error (Remoting_failure msg)
-  | Ok None -> assert false
-  | Ok (Some (reply : Message.reply)) -> (
-      match Stub.take_deferred_error stub with
-      | Some (_fn, code) -> Error (status_error code)
-      | None ->
-          if reply.Message.reply_status <> 0 then
-            Error (status_error reply.Message.reply_status)
-          else parse reply)
-
-(* Fire an asynchronously forwarded call; per the paper it returns
-   success immediately. *)
-let fire stub ?on_reply ~fn ~env ~args ok =
-  match Stub.invoke stub ?on_reply ~fn ~env ~args with
-  | Error msg -> Error (Remoting_failure msg)
-  | Ok None -> Ok ok
-  | Ok (Some (reply : Message.reply)) ->
-      (* The plan judged this invocation synchronous after all. *)
-      if reply.Message.reply_status <> 0 then
-        Error (status_error reply.Message.reply_status)
-      else Ok ok
-
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
-
-let ret_unit (_ : Message.reply) = Ok ()
-
-let ret_handle (reply : Message.reply) =
-  match reply.Message.reply_ret with
-  | Wire.Handle _ as v -> (
-      (* Range-checked: a handle that doesn't fit a native int is a
-         marshalling error, not a silently wrapped id. *)
-      match Wire.to_int v with
-      | Some n -> Ok n
-      | None -> Error (Remoting_failure "handle out of int range"))
-  | _ -> Error (Remoting_failure "expected handle return")
-
-let out_exn reply n =
-  match List.nth_opt reply.Message.reply_outs n with
-  | Some v -> v
-  | None -> raise Bad_args
+(* A blob out-parameter read as a string. *)
+let to_str v = Bytes.to_string (to_b v)
 
 let create stub =
   let t = { stub } in
@@ -82,143 +41,109 @@ let create stub =
     (* --- platform / device ------------------------------------------- *)
 
     let clGetPlatformIDs () =
-      sync t.stub ~fn:"clGetPlatformIDs"
-        ~env:[ ("num_entries", 16) ]
-        ~args:[ i 16; u; u ]
-        (fun reply -> Ok (to_l (out_exn reply 0)))
+      sync t.stub ~fn:"clGetPlatformIDs" ~args:[ i 16; u; u ] (ret_out to_l 0)
 
     let clGetPlatformInfo p info =
       sync t.stub ~fn:"clGetPlatformInfo"
-        ~env:[ ("param_name", platform_info_to_int info); ("value_size", 256) ]
         ~args:[ h p; i (platform_info_to_int info); i 256; u ]
-        (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
+        (ret_out to_str 0)
 
     let clGetDeviceIDs p ty =
       sync t.stub ~fn:"clGetDeviceIDs"
-        ~env:
-          [ ("device_type", device_type_to_int ty); ("num_entries", 16) ]
         ~args:[ h p; i (device_type_to_int ty); i 16; u; u ]
-        (fun reply -> Ok (to_l (out_exn reply 0)))
+        (ret_out to_l 0)
 
     let clGetDeviceInfo d info =
       sync t.stub ~fn:"clGetDeviceInfo"
-        ~env:[ ("param_name", device_info_to_int info); ("value_size", 256) ]
         ~args:[ h d; i (device_info_to_int info); i 256; u ]
-        (fun reply -> Ok (decode_info (to_b (out_exn reply 0))))
+        (ret_out (fun v -> decode_info (to_b v)) 0)
 
     (* --- contexts ------------------------------------------------------ *)
 
     let clCreateContext devices =
       sync t.stub ~fn:"clCreateContext"
-        ~env:[ ("num_devices", List.length devices) ]
         ~args:[ l devices; i (List.length devices); u ]
         ret_handle
 
-    let clRetainContext c =
-      fire t.stub ~fn:"clRetainContext" ~env:[] ~args:[ h c ] ()
-
-    let clReleaseContext c =
-      fire t.stub ~fn:"clReleaseContext" ~env:[] ~args:[ h c ] ()
+    let clRetainContext c = fire t.stub ~fn:"clRetainContext" ~args:[ h c ] ()
+    let clReleaseContext c = fire t.stub ~fn:"clReleaseContext" ~args:[ h c ] ()
 
     let clGetContextInfo c =
-      sync t.stub ~fn:"clGetContextInfo" ~env:[] ~args:[ h c; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"clGetContextInfo" ~args:[ h c; u ] (ret_out to_i 0)
 
     (* --- command queues ------------------------------------------------ *)
 
     let clCreateCommandQueue c d ~profiling =
       let props = if profiling then 2 else 0 in
-      sync t.stub ~fn:"clCreateCommandQueue"
-        ~env:[ ("properties", props) ]
-        ~args:[ h c; h d; i props; u ]
+      sync t.stub ~fn:"clCreateCommandQueue" ~args:[ h c; h d; i props; u ]
         ret_handle
 
     let clRetainCommandQueue q =
-      fire t.stub ~fn:"clRetainCommandQueue" ~env:[] ~args:[ h q ] ()
+      fire t.stub ~fn:"clRetainCommandQueue" ~args:[ h q ] ()
 
     let clReleaseCommandQueue q =
-      fire t.stub ~fn:"clReleaseCommandQueue" ~env:[] ~args:[ h q ] ()
+      fire t.stub ~fn:"clReleaseCommandQueue" ~args:[ h q ] ()
 
     let clGetCommandQueueInfo q =
-      sync t.stub ~fn:"clGetCommandQueueInfo" ~env:[] ~args:[ h q; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"clGetCommandQueueInfo" ~args:[ h q; u ] (ret_out to_i 0)
 
     (* --- memory objects ------------------------------------------------ *)
 
     let clCreateBuffer c ~size =
-      sync t.stub ~fn:"clCreateBuffer"
-        ~env:[ ("flags", 0); ("size", size) ]
-        ~args:[ h c; i 0; i size; u ]
-        ret_handle
+      sync t.stub ~fn:"clCreateBuffer" ~args:[ h c; i 0; i size; u ] ret_handle
 
     let clRetainMemObject m =
-      fire t.stub ~fn:"clRetainMemObject" ~env:[] ~args:[ h m ] ()
+      fire t.stub ~fn:"clRetainMemObject" ~args:[ h m ] ()
 
     let clReleaseMemObject m =
-      fire t.stub ~fn:"clReleaseMemObject" ~env:[] ~args:[ h m ] ()
+      fire t.stub ~fn:"clReleaseMemObject" ~args:[ h m ] ()
 
     let clGetMemObjectInfo m =
-      sync t.stub ~fn:"clGetMemObjectInfo" ~env:[] ~args:[ h m; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"clGetMemObjectInfo" ~args:[ h m; u ] (ret_out to_i 0)
 
     (* --- programs ------------------------------------------------------ *)
 
     let clCreateProgramWithSource c ~source =
       sync t.stub ~fn:"clCreateProgramWithSource"
-        ~env:[ ("source_size", String.length source) ]
-        ~args:
-          [ h c; b (Bytes.of_string source); i (String.length source); u ]
+        ~args:[ h c; b (Bytes.of_string source); i (String.length source); u ]
         ret_handle
 
     let clBuildProgram p ~options =
       sync t.stub ~fn:"clBuildProgram"
-        ~env:[ ("options_size", String.length options) ]
         ~args:[ h p; b (Bytes.of_string options); i (String.length options) ]
         ret_unit
 
     let clGetProgramBuildInfo p =
-      sync t.stub ~fn:"clGetProgramBuildInfo"
-        ~env:[ ("value_size", 4096) ]
-        ~args:[ h p; i 4096; u ]
-        (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
+      sync t.stub ~fn:"clGetProgramBuildInfo" ~args:[ h p; i 4096; u ]
+        (ret_out to_str 0)
 
-    let clRetainProgram p =
-      fire t.stub ~fn:"clRetainProgram" ~env:[] ~args:[ h p ] ()
-
-    let clReleaseProgram p =
-      fire t.stub ~fn:"clReleaseProgram" ~env:[] ~args:[ h p ] ()
+    let clRetainProgram p = fire t.stub ~fn:"clRetainProgram" ~args:[ h p ] ()
+    let clReleaseProgram p = fire t.stub ~fn:"clReleaseProgram" ~args:[ h p ] ()
 
     (* --- kernels -------------------------------------------------------- *)
 
     let clCreateKernel p ~name =
       sync t.stub ~fn:"clCreateKernel"
-        ~env:[ ("kernel_name_size", String.length name) ]
         ~args:[ h p; b (Bytes.of_string name); i (String.length name); u ]
         ret_handle
 
-    let clRetainKernel k =
-      fire t.stub ~fn:"clRetainKernel" ~env:[] ~args:[ h k ] ()
-
-    let clReleaseKernel k =
-      fire t.stub ~fn:"clReleaseKernel" ~env:[] ~args:[ h k ] ()
+    let clRetainKernel k = fire t.stub ~fn:"clRetainKernel" ~args:[ h k ] ()
+    let clReleaseKernel k = fire t.stub ~fn:"clReleaseKernel" ~args:[ h k ] ()
 
     (* The paper's flagship async example: forwarded without waiting. *)
     let clSetKernelArg k ~index arg =
       let payload = encode_kernel_arg arg in
       fire t.stub ~fn:"clSetKernelArg"
-        ~env:[ ("arg_index", index); ("arg_size", Bytes.length payload) ]
         ~args:[ h k; i index; i (Bytes.length payload); b payload ]
         ()
 
     let clGetKernelInfo k =
-      sync t.stub ~fn:"clGetKernelInfo"
-        ~env:[ ("value_size", 256) ]
-        ~args:[ h k; i 256; u ]
-        (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
+      sync t.stub ~fn:"clGetKernelInfo" ~args:[ h k; i 256; u ]
+        (ret_out to_str 0)
 
     let clGetKernelWorkGroupInfo k d =
-      sync t.stub ~fn:"clGetKernelWorkGroupInfo" ~env:[] ~args:[ h k; h d; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"clGetKernelWorkGroupInfo" ~args:[ h k; h d; u ]
+        (ret_out to_i 0)
 
     (* --- enqueue operations --------------------------------------------- *)
 
@@ -234,12 +159,6 @@ let create stub =
         ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
       fire t.stub ~fn:"clEnqueueNDRangeKernel"
-        ~env:
-          [
-            ("global_work_size", global_work_size);
-            ("local_work_size", local_work_size);
-            ("num_events_in_wait_list", List.length wait_list);
-          ]
         ~args:
           [
             h q; h k; i global_work_size; i local_work_size;
@@ -250,7 +169,6 @@ let create stub =
     let clEnqueueTask q k ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
       fire t.stub ~fn:"clEnqueueTask"
-        ~env:[ ("num_events_in_wait_list", List.length wait_list) ]
         ~args:[ h q; h k; i (List.length wait_list); l wait_list; ev ]
         gid
 
@@ -258,14 +176,6 @@ let create stub =
         =
       let ev, gid = event_arg ~want_event in
       let dst = Bytes.make (Stdlib.max 0 size) '\000' in
-      let env =
-        [
-          ("blocking_read", bool_int blocking);
-          ("offset", offset);
-          ("size", size);
-          ("num_events_in_wait_list", List.length wait_list);
-        ]
-      in
       let args =
         [
           h q; h m; i (bool_int blocking); i offset; i size; u;
@@ -280,48 +190,31 @@ let create stub =
         | _ -> ()
       in
       if blocking then
-        sync t.stub ~fn:"clEnqueueReadBuffer" ~env ~args (fun reply ->
+        sync t.stub ~fn:"clEnqueueReadBuffer" ~args (fun reply ->
             blit reply;
             Ok (dst, gid))
       else
         (* Asynchronously forwarded: the data lands in [dst] when the
            reply arrives; callers must wait on the event or clFinish. *)
-        fire t.stub ~on_reply:blit ~fn:"clEnqueueReadBuffer" ~env ~args
-          (dst, gid)
+        fire t.stub ~on_reply:blit ~fn:"clEnqueueReadBuffer" ~args (dst, gid)
 
     let clEnqueueWriteBuffer q m ~blocking ~offset ~src ~wait_list ~want_event
         =
       let ev, gid = event_arg ~want_event in
-      let size = Bytes.length src in
-      let env =
-        [
-          ("blocking_write", bool_int blocking);
-          ("offset", offset);
-          ("size", size);
-          ("num_events_in_wait_list", List.length wait_list);
-        ]
-      in
       let args =
         [
-          h q; h m; i (bool_int blocking); i offset; i size; b (Bytes.copy src);
-          i (List.length wait_list); l wait_list; ev;
+          h q; h m; i (bool_int blocking); i offset; i (Bytes.length src);
+          b (Bytes.copy src); i (List.length wait_list); l wait_list; ev;
         ]
       in
       if blocking then
-        sync t.stub ~fn:"clEnqueueWriteBuffer" ~env ~args (fun _ -> Ok gid)
-      else fire t.stub ~fn:"clEnqueueWriteBuffer" ~env ~args gid
+        sync t.stub ~fn:"clEnqueueWriteBuffer" ~args (fun _ -> Ok gid)
+      else fire t.stub ~fn:"clEnqueueWriteBuffer" ~args gid
 
     let clEnqueueCopyBuffer q ~src ~dst ~src_offset ~dst_offset ~size
         ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
       fire t.stub ~fn:"clEnqueueCopyBuffer"
-        ~env:
-          [
-            ("src_offset", src_offset);
-            ("dst_offset", dst_offset);
-            ("size", size);
-            ("num_events_in_wait_list", List.length wait_list);
-          ]
         ~args:
           [
             h q; h src; h dst; i src_offset; i dst_offset; i size;
@@ -333,13 +226,6 @@ let create stub =
         =
       let ev, gid = event_arg ~want_event in
       fire t.stub ~fn:"clEnqueueFillBuffer"
-        ~env:
-          [
-            ("pattern", Char.code pattern);
-            ("offset", offset);
-            ("size", size);
-            ("num_events_in_wait_list", List.length wait_list);
-          ]
         ~args:
           [
             h q; h m; i (Char.code pattern); i offset; i size;
@@ -349,31 +235,26 @@ let create stub =
 
     (* --- synchronization ------------------------------------------------ *)
 
-    let clFlush q = fire t.stub ~fn:"clFlush" ~env:[] ~args:[ h q ] ()
-
-    let clFinish q =
-      sync t.stub ~fn:"clFinish" ~env:[] ~args:[ h q ] ret_unit
+    let clFlush q = fire t.stub ~fn:"clFlush" ~args:[ h q ] ()
+    let clFinish q = sync t.stub ~fn:"clFinish" ~args:[ h q ] ret_unit
 
     let clWaitForEvents events =
       sync t.stub ~fn:"clWaitForEvents"
-        ~env:[ ("num_events", List.length events) ]
         ~args:[ i (List.length events); l events ]
         ret_unit
 
     (* --- events ---------------------------------------------------------- *)
 
     let clGetEventInfo ev =
-      sync t.stub ~fn:"clGetEventInfo" ~env:[] ~args:[ h ev; u ]
-        (fun reply -> Ok (event_status_of_int (to_i (out_exn reply 0))))
+      sync t.stub ~fn:"clGetEventInfo" ~args:[ h ev; u ]
+        (ret_out (fun v -> event_status_of_int (to_i v)) 0)
 
     let clGetEventProfilingInfo ev info =
       sync t.stub ~fn:"clGetEventProfilingInfo"
-        ~env:[ ("param_name", profiling_info_to_int info) ]
         ~args:[ h ev; i (profiling_info_to_int info); u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+        (ret_out to_i 0)
 
-    let clReleaseEvent ev =
-      fire t.stub ~fn:"clReleaseEvent" ~env:[] ~args:[ h ev ] ()
+    let clReleaseEvent ev = fire t.stub ~fn:"clReleaseEvent" ~args:[ h ev ] ()
   end in
   ((module M : Ava_simcl.Api.S), t)
 

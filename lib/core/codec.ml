@@ -15,8 +15,10 @@ let b bytes = Wire.Blob bytes
 let s str = Wire.Str str
 let l handles = Wire.List (List.map h handles)
 
-(* Alias the server's canonical exception so the dispatch loop's narrow
-   catch classifies marshalling failures without a per-handler guard. *)
+(* Alias the server's canonical exception: handlers raise it and
+   {!Ava_remoting.Server.classify_exn} turns it into a counted
+   rejection; guest parses raise it and {!Silo.Guest} turns it into the
+   silo's failure error. *)
 exception Bad_args = Ava_remoting.Server.Bad_args
 
 (* Range-checked: an [I64]/[Handle] outside the native [int] range is a

@@ -47,6 +47,157 @@ let technique_to_string = function
   | Ava k -> "ava/" ^ Transport.kind_to_string k
   | User_rpc -> "user-rpc"
 
+(* --- shared assembly ------------------------------------------------------ *)
+
+(* Strip every async annotation: the unoptimized specification of the
+   §5 ablation (every call waits for its reply). *)
+let sync_everything (spec : Ava_spec.Ast.api_spec) =
+  {
+    spec with
+    Ava_spec.Ast.fns =
+      List.map
+        (fun f -> { f with Ava_spec.Ast.f_sync = Ava_spec.Ast.Sync })
+        spec.Ava_spec.Ast.fns;
+  }
+
+let load_plan ?(sync_only = false) name load =
+  let spec = load () in
+  let spec = if sync_only then sync_everything spec else spec in
+  match Plan.compile spec with
+  | Ok plan -> (spec, plan)
+  | Error e -> failwith (name ^ " plan compilation failed: " ^ e)
+
+let load_cl_plan ?sync_only () =
+  load_plan ?sync_only "simcl" Ava_spec.Specs.load_simcl
+
+let load_nc_plan () = load_plan "mvnc" Ava_spec.Specs.load_mvnc
+let load_qa_plan () = load_plan "qat" Ava_spec.Specs.load_qat
+let load_st_plan () = load_plan "simst" Ava_spec.Specs.load_simst
+
+(* The server half of a TDR policy: [reset] recovers the device the
+   server fronts; [wedged_by] (when the device can tell) names the
+   client wedging it, so blame lands on the culprit. *)
+let server_tdr ?wedged_by ~reset tdr =
+  Option.map
+    (fun tp ->
+      {
+        Server.tdr_factor = tp.tp_factor;
+        tdr_min_ns = tp.tp_min_ns;
+        tdr_reset = (fun ~vm_id:_ -> reset tp);
+        tdr_wedged_by = wedged_by;
+      })
+    tdr
+
+(* Record successfully executed calls per the spec's record classes.
+   One hook closure per server, so [Server.Ctx.last_fresh] reads the
+   right per-server context in a pooled host. *)
+let install_recorder_hook server ~plan ~recorders =
+  Server.set_call_hook server (fun ~vm_id ~status c ->
+      if status = 0 then
+        match
+          (Hashtbl.find_opt recorders vm_id, Plan.find plan c.Ava_remoting.Message.call_fn)
+        with
+        | Some recorder, Some call_plan ->
+            let allocated =
+              match call_plan.Plan.cp_record with
+              | Ava_spec.Ast.Object_alloc ->
+                  Option.map
+                    (fun ctx -> Server.Ctx.last_fresh ctx)
+                    (Server.vm_ctx server ~vm_id)
+              | _ -> None
+            in
+            Migrate.observe ?allocated recorder call_plan c
+        | _ -> ())
+
+(* The pool's transfer closure, for every pooled silo: both servers
+   belong to one host, so the recorder table is shared and recording is
+   suspended by pulling the entry for the replay window.  [sva] names
+   the VM's IOMMU and the destination's DMA engine, if SVA is armed. *)
+let pool_transfer live ~recorders ~servers ~sva ~vm_id ~src ~dst =
+  let recorder =
+    match Hashtbl.find_opt recorders vm_id with
+    | Some r -> r
+    | None -> invalid_arg "Host.pool_transfer: unknown vm"
+  in
+  (Silo.transfer ?sva:(sva ~vm_id ~dst) live ~recorder ~vm_id
+     ~src:servers.(src) ~dst:servers.(dst)
+     ~suspend:(fun () -> Hashtbl.remove recorders vm_id)
+     ~resume:(fun () -> Hashtbl.replace recorders vm_id recorder))
+    .Silo.bytes
+
+(* The server end of a guest attach plus the guest's stub.  [sva] arms
+   resolution through the VM's IOMMU, charged to the fronted device's
+   DMA engine.  The stub half of the transfer cache is armed iff the
+   server store is bounded above zero, with the stub's max cacheable
+   blob matching the store capacity so an oversized payload can never
+   NAK forever. *)
+let attach_stub ?batch_limit ?retry ?sva ?obs engine ~server ~plan ~vm_id
+    ~server_end ~guest_end =
+  ignore (Server.attach_vm server ~vm_id ~ep:server_end);
+  Option.iter
+    (fun (iommu, dma) -> Server.set_sva server ~vm_id ~iommu ~dma)
+    sva;
+  let cache =
+    match Server.cache_capacity server with
+    | 0 -> None
+    | capacity -> Some (Stub.cache_for_capacity capacity)
+  in
+  Stub.create ?batch_limit ?retry ?cache ?sva:(Option.map fst sva) ?obs engine
+    ~vm_id ~plan ~ep:guest_end
+
+(* The AvA attach shared by every silo, over two hops.  Hop 1: guest <->
+   router over the chosen transport.  Faults live here — the hop that
+   crosses a ring/socket/network in a real deployment — and so does
+   doorbell coalescing, on the ring's send side (the direction whose
+   notify is a hypercall).  Hop 2: router <-> server over a host-internal
+   queue.  Returns the guest's stub. *)
+let attach_ava ?faults ?doorbell ?rate_per_s ?weight ?quota_cost
+    ?quota_window ?breaker ?breaker_statuses ?backend ?batch_limit ?retry ?sva
+    ?obs engine ~hv ~router ~server ~plan ~kind vm =
+  let guest_end, router_guest_end =
+    Transport.make kind engine ~virt:(Ava_hv.Hypervisor.virt hv)
+  in
+  Option.iter (fun f -> Faults.wrap f (guest_end, router_guest_end)) faults;
+  (match (doorbell, kind) with
+  | Some cfg, Transport.Shm_ring -> Transport.set_doorbell ~cfg guest_end
+  | _ -> ());
+  let router_server_end, server_end = Transport.direct engine in
+  ignore
+    (Router.attach_vm ?rate_per_s ?weight ?quota_cost ?quota_window ?breaker
+       ?breaker_statuses ?backend router vm ~guest_side:router_guest_end
+       ~server_side:router_server_end);
+  attach_stub ?batch_limit ?retry ?sva ?obs engine ~server ~plan
+    ~vm_id:(Ava_hv.Vm.id vm) ~server_end ~guest_end
+
+(* Retire a guest from the whole stack: pool residency (or the classic
+   server entry), circuit breaker, silo-specific [release], record log.
+   Idempotent — retiring an unknown or already-retired VM returns
+   [false] — and validated: a VM mid-migration is refused (retry after
+   the migration completes).  The caller must ensure the VM has no
+   in-flight calls; its worker dies with its inbox. *)
+let retire ~pool ~server ~router ~recorders ~release vm_id =
+  let ok =
+    match pool with
+    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
+        Pool.retire_vm pool ~vm_id
+    | _ -> (
+        (* Classic host — or a pooled host's User_rpc guest, which
+           bypasses placement and lives on device 0's server. *)
+        match Server.vm_ctx server ~vm_id with
+        | Some _ ->
+            Server.detach_vm server ~vm_id;
+            (* User_rpc guests have no router flow to clear. *)
+            (try Router.clear_breaker router ~vm_id
+             with Invalid_argument _ -> ());
+            true
+        | None -> false)
+  in
+  if ok then begin
+    release ();
+    Hashtbl.remove recorders vm_id
+  end;
+  ok
+
 (* --- SimCL hosts --------------------------------------------------------- *)
 
 type cl_host = {
@@ -80,184 +231,6 @@ type cl_guest = {
   g_technique : technique;
 }
 
-(* Strip every async annotation: the unoptimized specification of the
-   §5 ablation (every call waits for its reply). *)
-let sync_everything (spec : Ava_spec.Ast.api_spec) =
-  {
-    spec with
-    Ava_spec.Ast.fns =
-      List.map
-        (fun f -> { f with Ava_spec.Ast.f_sync = Ava_spec.Ast.Sync })
-        spec.Ava_spec.Ast.fns;
-  }
-
-let load_cl_plan ?(sync_only = false) () =
-  let spec = Ava_spec.Specs.load_simcl () in
-  let spec = if sync_only then sync_everything spec else spec in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("simcl plan compilation failed: " ^ e)
-
-(* Record successfully executed calls per the spec's record classes.
-   One hook closure per server, so [Server.Ctx.last_fresh] reads the
-   right per-server context in a pooled host. *)
-let install_recorder_hook server ~plan ~recorders =
-  Server.set_call_hook server (fun ~vm_id ~status c ->
-      if status = 0 then
-        match
-          (Hashtbl.find_opt recorders vm_id, Plan.find plan c.Ava_remoting.Message.call_fn)
-        with
-        | Some recorder, Some call_plan ->
-            let allocated =
-              match call_plan.Plan.cp_record with
-              | Ava_spec.Ast.Object_alloc ->
-                  Option.map
-                    (fun ctx -> Server.Ctx.last_fresh ctx)
-                    (Server.vm_ctx server ~vm_id)
-              | _ -> None
-            in
-            Migrate.observe ?allocated recorder call_plan c
-        | _ -> ())
-
-(* Live clCreateBuffer allocations still in a record log, with sizes
-   recovered from the recorded arguments.  (Private copy of
-   [Migration.live_buffers]; that module sits above this one in the
-   dependency order.) *)
-let pool_live_buffers recorder =
-  List.filter_map
-    (fun (r : Migrate.recorded) ->
-      if String.equal r.Migrate.rc_fn "clCreateBuffer" then
-        match (r.Migrate.rc_primary, r.Migrate.rc_args) with
-        | Some vid, [ _ctx; _flags; Ava_remoting.Wire.I64 size; _err ] ->
-            Some (vid, Int64.to_int size)
-        | _ -> None
-      else None)
-    (Migrate.replay_log recorder)
-
-(* The cross-server silo copy: snapshot live buffers off the source
-   device, replay the record log into the (freshly attached) destination
-   silo re-binding each object to its original virtual id, then restore
-   buffer contents — the same procedure as [Migration.migrate], but
-   across two servers instead of one server's state swap.  Generic over
-   *which* host each server belongs to: the pool uses it between two
-   devices of one host, the cluster tier between devices of two hosts.
-   [iommu]/[dst_dma] re-point SVA at the destination device;
-   [suspend_recording]/[resume_recording] bracket the replay (which must
-   not re-record itself — the hooks consult the caller's recorder
-   tables).  Must run inside a simulation process. *)
-let cl_silo_transfer ~recorder ~(src_srv : Cl_handlers.state Server.t)
-    ~src_kd ~(dst_srv : Cl_handlers.state Server.t) ~dst_kd ~iommu ~dst_dma
-    ~suspend_recording ~resume_recording ~vm_id =
-  let require = function
-    | Some x -> x
-    | None -> invalid_arg "Host.cl_silo_transfer: vm not attached"
-  in
-  let src_ctx = require (Server.vm_ctx src_srv ~vm_id) in
-  let src_state = require (Server.vm_state src_srv ~vm_id) in
-  let dst_ctx = require (Server.vm_ctx dst_srv ~vm_id) in
-  let dst_state = require (Server.vm_state dst_srv ~vm_id) in
-  (* The destination context is fresh, so its id counter would re-mint
-     ids the replay is about to re-bind originals onto; reserve the
-     source's whole range first. *)
-  Server.Ctx.reserve dst_ctx (Server.Ctx.next_vid src_ctx);
-  (* The content store belongs to the source front-end; the guest's
-     stale refs heal through the cache-miss NAK/resend path. *)
-  Server.flush_cache src_srv ~vm_id;
-  (* SVA: the guest's pinned regions survive (its memory didn't move),
-     but the source device's cached translations must die and resolution
-     must re-point at the destination device — one batched shootdown,
-     then every region refaults on first access from the new device. *)
-  (match iommu with
-  | Some iommu ->
-      Iommu.quiesce iommu;
-      Server.clear_sva src_srv ~vm_id;
-      Server.set_sva dst_srv ~vm_id ~iommu ~dma:dst_dma
-  | None -> ());
-  (* The drain window paused the worker, but a kernel the source device
-     already accepted is still running and writes its outputs only at
-     completion — snapshot now and the destination inherits pre-kernel
-     bytes (a clean tenant then reads back wrong results after a
-     mid-workload rebalance).  Wait for the silo's queues first. *)
-  Ava_simcl.Native.quiesce src_state.Cl_handlers.native;
-  let bytes_moved = ref 0 in
-  let snapshot =
-    List.filter_map
-      (fun (vid, size) ->
-        match Server.Ctx.resolve src_ctx vid with
-        | None -> None
-        | Some host_mem -> (
-            match
-              Ava_simcl.Native.find_mem src_state.Cl_handlers.native host_mem
-            with
-            | None -> None
-            | Some buf ->
-                let data =
-                  Ava_simcl.Kdriver.read_buffer src_kd ~buf ~offset:0
-                    ~len:size
-                in
-                bytes_moved := !bytes_moved + size;
-                Some (vid, data)))
-      (pool_live_buffers recorder)
-  in
-  (* Replay with recording suspended so it doesn't re-record itself. *)
-  suspend_recording ();
-  List.iter
-    (fun (r : Migrate.recorded) ->
-      let call =
-        {
-          Ava_remoting.Message.call_seq = 0;
-          call_vm = vm_id;
-          call_fn = r.Migrate.rc_fn;
-          call_args = r.Migrate.rc_args;
-        }
-      in
-      ignore (Server.execute_direct dst_srv ~vm_id call);
-      match (r.Migrate.rc_class, r.Migrate.rc_primary) with
-      | Ava_spec.Ast.Object_alloc, Some orig_vid -> (
-          let fresh_vid = Server.Ctx.last_fresh dst_ctx in
-          if fresh_vid <> orig_vid then
-            match Server.Ctx.resolve dst_ctx fresh_vid with
-            | Some host_h ->
-                Server.Ctx.forget dst_ctx fresh_vid;
-                Server.Ctx.bind dst_ctx ~guest:orig_vid ~host:host_h
-            | None -> ())
-      | _ -> ())
-    (Migrate.replay_log recorder);
-  resume_recording ();
-  List.iter
-    (fun (vid, data) ->
-      match Server.Ctx.resolve dst_ctx vid with
-      | None -> ()
-      | Some host_mem -> (
-          match
-            Ava_simcl.Native.find_mem dst_state.Cl_handlers.native host_mem
-          with
-          | None -> ()
-          | Some buf ->
-              Ava_simcl.Kdriver.write_buffer dst_kd ~buf ~offset:0 ~src:data;
-              bytes_moved := !bytes_moved + Bytes.length data))
-    snapshot;
-  !bytes_moved
-
-(* The pool's transfer closure: both servers belong to one host, so the
-   recorder table is shared and recording is suspended by pulling the
-   entry for the replay window. *)
-let pool_transfer ~recorders ~(servers : Cl_handlers.state Server.t array)
-    ~(kds : Ava_simcl.Kdriver.t array) ~iommus ~(gpus : Gpu.t array) ~vm_id
-    ~src ~dst =
-  let recorder =
-    match Hashtbl.find_opt recorders vm_id with
-    | Some r -> r
-    | None -> invalid_arg "Host.pool_transfer: unknown vm"
-  in
-  cl_silo_transfer ~recorder ~src_srv:servers.(src) ~src_kd:kds.(src)
-    ~dst_srv:servers.(dst) ~dst_kd:kds.(dst)
-    ~iommu:(Hashtbl.find_opt iommus vm_id)
-    ~dst_dma:(Gpu.dma gpus.(dst))
-    ~suspend_recording:(fun () -> Hashtbl.remove recorders vm_id)
-    ~resume_recording:(fun () -> Hashtbl.replace recorders vm_id recorder)
-    ~vm_id
-
 (* [swap_capacity] enables swapping with the given device-memory budget
    in bytes; [swap_page_granularity] switches the data movement from one
    transfer per buffer object to one per 4 KiB page (the page/chunk-based
@@ -286,113 +259,82 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
   if devices < 1 then invalid_arg "create_cl_host: devices must be >= 1";
   let pooled = devices > 1 || placement <> None || rebalance <> None in
   let trace = Ava_sim.Trace.create ~enabled:tracing () in
-  if not pooled then begin
-    let gpu = Gpu.create ~timing:gpu_timing ?devfault:devfaults engine in
-    let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
-    let spec, plan = load_cl_plan ~sync_only () in
-    let kd = Ava_simcl.Kdriver.create gpu in
-    (* Server-side watchdog: on overrun, reset the one physical GPU all
-       VM silos share.  Wedged work is failed; queued survivors keep
-       draining (Windows-TDR semantics), so innocents see only a blip. *)
-    let server_tdr =
-      Option.map
-        (fun tp ->
-          let policy = if tp.tp_poison then `Poison else `Preserve in
-          {
-            Server.tdr_factor = tp.tp_factor;
-            tdr_min_ns = tp.tp_min_ns;
-            tdr_reset = (fun ~vm_id:_ -> Gpu.reset ~policy gpu);
-            tdr_wedged_by = Some (fun () -> Gpu.wedged_by gpu);
-          })
-        tdr
-    in
-    let swap =
-      Option.map
-        (fun capacity ->
-          let dma_move ~key:_ ~bytes =
-            if swap_page_granularity then begin
-              (* One descriptor + transfer per page: the per-operation
-                 setup cost is paid (size / 4K) times. *)
-              let pages = (bytes + 4095) / 4096 in
-              for _ = 1 to pages do
-                Dma.transfer (Gpu.dma gpu) ~bytes:4096
-              done
-            end
-            else Dma.transfer (Gpu.dma gpu) ~bytes
-          in
-          Swap.create ~capacity ~evict:dma_move ~restore:dma_move)
-        swap_capacity
-    in
+  if pooled && swap_capacity <> None then
+    invalid_arg "create_cl_host: swapping requires a single-device host";
+  let gpus =
+    Array.init devices (fun _ ->
+        Gpu.create ~timing:gpu_timing ?devfault:devfaults engine)
+  in
+  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
+  let spec, plan = load_cl_plan ~sync_only () in
+  let kds = Array.map Ava_simcl.Kdriver.create gpus in
+  let swap =
+    Option.map
+      (fun capacity ->
+        let dma_move ~key:_ ~bytes =
+          if swap_page_granularity then begin
+            (* One descriptor + transfer per page: the per-operation
+               setup cost is paid (size / 4K) times. *)
+            let pages = (bytes + 4095) / 4096 in
+            for _ = 1 to pages do
+              Dma.transfer (Gpu.dma gpus.(0)) ~bytes:4096
+            done
+          end
+          else Dma.transfer (Gpu.dma gpus.(0)) ~bytes
+        in
+        Swap.create ~capacity ~evict:dma_move ~restore:dma_move)
+      swap_capacity
+  in
+  let recorders = Hashtbl.create 8 in
+  (* One API server per device.  Its watchdog resets (and blames through)
+     its own board: wedged work is failed, queued survivors keep
+     draining (Windows-TDR semantics), so innocents see only a blip.  A
+     classic host's lone server stays unpooled ([device_id] -1). *)
+  let make_server i =
+    let gpu = gpus.(i) in
     let server =
-      Server.create ~trace ~cache_capacity:transfer_cache ?tdr:server_tdr ?obs
-        engine ~plan ~make_state:(Cl_handlers.make_state ?swap kd)
+      Server.create ~trace ~cache_capacity:transfer_cache
+        ?tdr:
+          (server_tdr tdr
+             ~wedged_by:(fun () -> Gpu.wedged_by gpu)
+             ~reset:(fun tp ->
+               Gpu.reset
+                 ~policy:(if tp.tp_poison then `Poison else `Preserve)
+                 gpu))
+        ?obs
+        ~device_id:(if pooled then i else -1)
+        engine ~plan
+        ~make_state:(Cl_handlers.make_state ?swap kds.(i))
     in
     Cl_handlers.register server;
-    let router = Router.create ~trace ?obs engine ~virt ~plan in
-    let recorders = Hashtbl.create 8 in
     install_recorder_hook server ~plan ~recorders;
-    { engine; gpu; hv; plan; spec; router; server; kd; kds = [| kd |]; swap;
-      recorders; trace; obs; pool = None; sva; doorbell;
-      iommus = Hashtbl.create 8 }
-  end
-  else begin
-    if swap_capacity <> None then
-      invalid_arg "create_cl_host: swapping requires a single-device host";
-    let placement = Option.value placement ~default:Pool.Round_robin in
-    (* One GPU + kernel driver + API server per pool device; each
-       server's TDR watchdog resets (and blames through) its own
-       board. *)
-    let gpus =
-      Array.init devices (fun _ ->
-          Gpu.create ~timing:gpu_timing ?devfault:devfaults engine)
-    in
-    let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
-    let spec, plan = load_cl_plan ~sync_only () in
-    let kds = Array.map Ava_simcl.Kdriver.create gpus in
-    let recorders = Hashtbl.create 8 in
-    let servers =
-      Array.init devices (fun i ->
-          let gpu = gpus.(i) in
-          let server_tdr =
-            Option.map
-              (fun tp ->
-                let policy = if tp.tp_poison then `Poison else `Preserve in
-                {
-                  Server.tdr_factor = tp.tp_factor;
-                  tdr_min_ns = tp.tp_min_ns;
-                  tdr_reset = (fun ~vm_id:_ -> Gpu.reset ~policy gpu);
-                  tdr_wedged_by = Some (fun () -> Gpu.wedged_by gpu);
-                })
-              tdr
-          in
-          let server =
-            Server.create ~trace ~cache_capacity:transfer_cache
-              ?tdr:server_tdr ?obs ~device_id:i engine ~plan
-              ~make_state:(Cl_handlers.make_state kds.(i))
-          in
-          Cl_handlers.register server;
-          install_recorder_hook server ~plan ~recorders;
-          server)
-    in
-    let router = Router.create ~trace ?obs engine ~virt ~plan in
-    let iommus = Hashtbl.create 8 in
-    let pool =
-      Pool.create ~trace engine ~router ~placement
-        ~transfer:(pool_transfer ~recorders ~servers ~kds ~iommus ~gpus)
-        (Array.to_list
-           (Array.init devices (fun i -> (gpus.(i), servers.(i)))))
-    in
-    Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
-    { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
-      kd = kds.(0); kds; swap = None; recorders; trace; obs;
-      pool = Some pool; sva; doorbell; iommus }
-  end
+    server
+  in
+  let servers = Array.init devices make_server in
+  let router = Router.create ~trace ?obs engine ~virt ~plan in
+  let iommus = Hashtbl.create 8 in
+  let pool =
+    if not pooled then None
+    else begin
+      let pool =
+        Pool.create ~trace engine ~router
+          ~placement:(Option.value placement ~default:Pool.Round_robin)
+          ~transfer:
+            (pool_transfer Cl_handlers.live ~recorders ~servers
+               ~sva:(fun ~vm_id ~dst ->
+                 Option.map
+                   (fun iommu -> (iommu, Gpu.dma gpus.(dst)))
+                   (Hashtbl.find_opt iommus vm_id)))
+          (Array.to_list (Array.mapi (fun i gpu -> (gpu, servers.(i))) gpus))
+      in
+      Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
+      Some pool
+    end
+  in
+  { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
+    kd = kds.(0); kds; swap; recorders; trace; obs; pool; sva; doorbell;
+    iommus }
 
-(* Attach one guest VM with the chosen technique and policies.
-   [batching] enables rCUDA-style API batching in the guest stub.
-   [faults] installs fault hooks on the guest-facing link (the hop that
-   crosses a real transport); [retry] arms the stub's retransmission
-   watchdog — deploy them together for a recoverable lossy stack. *)
 (* Reply statuses that count against a SimCL VM's error budget: the
    server's device-lost verdict (TDR fired mid-call) and the CL-level
    CL_DEVICE_NOT_AVAILABLE a later clFinish reports for a kernel the
@@ -403,18 +345,15 @@ let cl_fault_statuses =
     Ava_simcl.Types.error_to_code Ava_simcl.Types.Device_not_available;
   ]
 
+(* Attach one guest VM with the chosen technique and policies.
+   [batching] enables rCUDA-style API batching in the guest stub.
+   [faults] installs fault hooks on the guest-facing link (the hop that
+   crosses a real transport); [retry] arms the stub's retransmission
+   watchdog — deploy them together for a recoverable lossy stack. *)
 let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
     ?retry ?faults ?rate_per_s ?weight ?quota_cost ?quota_window ?breaker
     ?footprint ?device t ~name =
   let batch_limit = if batching then 16 else 1 in
-  (* Arm the stub half of the transfer cache iff the server store is
-     bounded above zero; the stub's max cacheable blob matches the store
-     capacity so an oversized payload can never NAK forever. *)
-  let cache =
-    match Server.cache_capacity t.server with
-    | 0 -> None
-    | capacity -> Some (Stub.cache_for_capacity capacity)
-  in
   let vm = Ava_hv.Hypervisor.create_vm t.hv ~name in
   let vm_id = Ava_hv.Vm.id vm in
   Hashtbl.replace t.recorders vm_id (Migrate.create ());
@@ -431,18 +370,27 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
   in
   (* Dedicated-device techniques pin a pool device ([device], default
      0); on a classic host there is only the one GPU. *)
-  let pinned_gpu () =
-    match t.pool with
-    | Some pool -> Pool.gpu pool (Option.value device ~default:0)
-    | None -> t.gpu
+  let pool_gpu d =
+    match t.pool with Some pool -> Pool.gpu pool d | None -> t.gpu
+  in
+  let sva_on gpu = Option.map (fun i -> (i, Gpu.dma gpu)) iommu in
+  let remoted stub =
+    let api, _ = Cl_remote.create stub in
+    { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
   in
   match technique with
   | Passthrough ->
-      let kd = Ava_hv.Hypervisor.attach_passthrough t.hv ~vm (pinned_gpu ()) in
+      let kd =
+        Ava_hv.Hypervisor.attach_passthrough t.hv ~vm
+          (pool_gpu (Option.value device ~default:0))
+      in
       let api, _ = Ava_simcl.Native.create kd in
       { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
   | Full_virt ->
-      let kd = Ava_hv.Hypervisor.attach_fullvirt t.hv ~vm (pinned_gpu ()) in
+      let kd =
+        Ava_hv.Hypervisor.attach_fullvirt t.hv ~vm
+          (pool_gpu (Option.value device ~default:0))
+      in
       let api, _ = Ava_simcl.Native.create kd in
       { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
   | User_rpc ->
@@ -452,23 +400,12 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
       let guest_end, server_end =
         Transport.user_rpc t.engine ~virt:(Ava_hv.Hypervisor.virt t.hv)
       in
-      (match faults with
-      | Some f -> Faults.wrap f (guest_end, server_end)
-      | None -> ());
-      ignore (Server.attach_vm t.server ~vm_id ~ep:server_end);
-      Option.iter
-        (fun i ->
-          Server.set_sva t.server ~vm_id ~iommu:i ~dma:(Gpu.dma t.gpu))
-        iommu;
-      let stub =
-        Stub.create ~batch_limit ?retry ?cache ?sva:iommu ?obs:t.obs t.engine
-          ~vm_id ~plan:t.plan ~ep:guest_end
-      in
-      let api, remote = Cl_remote.create stub in
-      ignore remote;
-      { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
+      Option.iter (fun f -> Faults.wrap f (guest_end, server_end)) faults;
+      remoted
+        (attach_stub ~batch_limit ?retry ?sva:(sva_on t.gpu) ?obs:t.obs
+           t.engine ~server:t.server ~plan:t.plan ~vm_id ~server_end
+           ~guest_end)
   | Ava kind ->
-      let virt = Ava_hv.Hypervisor.virt t.hv in
       (* Pooled: the placement policy (or an explicit [device] pin)
          picks the backend; its server executes this VM's calls. *)
       let backend, server =
@@ -478,43 +415,12 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
             (d, Pool.server pool d)
         | None -> (0, t.server)
       in
-      (* Hop 1: guest <-> router over the chosen transport.  Faults live
-         here — the hop that crosses a ring/socket/network in a real
-         deployment; the router <-> server queue is host-internal. *)
-      let guest_end, router_guest_end = Transport.make kind t.engine ~virt in
-      (match faults with
-      | Some f -> Faults.wrap f (guest_end, router_guest_end)
-      | None -> ());
-      (* Doorbell coalescing lives on the guest's ring send side — the
-         direction whose notify is a hypercall.  Other transports (and
-         the host-internal router↔server queue) keep eager notifies. *)
-      (match (t.doorbell, kind) with
-      | Some cfg, Transport.Shm_ring -> Transport.set_doorbell ~cfg guest_end
-      | _ -> ());
-      (* Hop 2: router <-> server over a host-internal queue. *)
-      let router_server_end, server_end = Transport.direct t.engine in
-      ignore
-        (Router.attach_vm ?rate_per_s ?weight:(Option.map Fun.id weight)
+      remoted
+        (attach_ava ?faults ?doorbell:t.doorbell ?rate_per_s ?weight
            ?quota_cost ?quota_window ?breaker
-           ~breaker_statuses:cl_fault_statuses ~backend t.router vm
-           ~guest_side:router_guest_end ~server_side:router_server_end);
-      ignore (Server.attach_vm server ~vm_id ~ep:server_end);
-      Option.iter
-        (fun i ->
-          let backend_gpu =
-            match t.pool with
-            | Some pool -> Pool.gpu pool backend
-            | None -> t.gpu
-          in
-          Server.set_sva server ~vm_id ~iommu:i ~dma:(Gpu.dma backend_gpu))
-        iommu;
-      let stub =
-        Stub.create ~batch_limit ?retry ?cache ?sva:iommu ?obs:t.obs t.engine
-          ~vm_id ~plan:t.plan ~ep:guest_end
-      in
-      let api, remote = Cl_remote.create stub in
-      ignore remote;
-      { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
+           ~breaker_statuses:cl_fault_statuses ~backend ~batch_limit ?retry
+           ?sva:(sva_on (pool_gpu backend)) ?obs:t.obs t.engine ~hv:t.hv
+           ~router:t.router ~server ~plan:t.plan ~kind vm)
 
 (* A bare-metal SimCL stack: the native baseline every relative number in
    the evaluation is normalized to. *)
@@ -526,39 +432,16 @@ let native_cl ?(gpu_timing = Timing.gtx1080) engine =
 
 let recorder t ~vm_id = Hashtbl.find_opt t.recorders vm_id
 
-(* Retire a guest from the whole stack: pool residency (or the classic
-   server entry), circuit breaker, IOMMU pins, record log.  Idempotent
-   — retiring an unknown or already-retired VM returns [false] — and
-   validated: a VM mid-migration is refused (retry after the migration
-   completes).  The caller must ensure the VM has no in-flight calls;
-   its worker dies with its inbox.  Must run inside a simulation
+(* As [retire], plus the VM's IOMMU pins.  Must run inside a simulation
    process (the IOMMU teardown charges a shootdown). *)
 let retire_cl_vm t ~vm_id =
-  let ok =
-    match t.pool with
-    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
-        Pool.retire_vm pool ~vm_id
-    | _ -> (
-        (* Classic host — or a pooled host's User_rpc guest, which
-           bypasses placement and lives on device 0's server. *)
-        match Server.vm_ctx t.server ~vm_id with
-        | Some _ ->
-            Server.detach_vm t.server ~vm_id;
-            (* User_rpc guests have no router flow to clear. *)
-            (try Router.clear_breaker t.router ~vm_id
-             with Invalid_argument _ -> ());
-            true
-        | None -> false)
-  in
-  if ok then begin
-    (match Hashtbl.find_opt t.iommus vm_id with
-    | Some iommu ->
-        Iommu.release_all iommu;
-        Hashtbl.remove t.iommus vm_id
-    | None -> ());
-    Hashtbl.remove t.recorders vm_id
-  end;
-  ok
+  retire ~pool:t.pool ~server:t.server ~router:t.router ~recorders:t.recorders
+    vm_id ~release:(fun () ->
+      match Hashtbl.find_opt t.iommus vm_id with
+      | Some iommu ->
+          Iommu.release_all iommu;
+          Hashtbl.remove t.iommus vm_id
+      | None -> ())
 
 (* --- MVNC hosts ----------------------------------------------------------- *)
 
@@ -584,12 +467,6 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-let load_nc_plan () =
-  let spec = Ava_spec.Specs.load_mvnc () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("mvnc plan compilation failed: " ^ e)
-
 let create_nc_host ?(virt = Timing.default_virt)
     ?(ncs_timing = Timing.movidius) ?(transfer_cache = 0) ?(sva = false)
     ?doorbell ?devfaults ?tdr ?obs engine =
@@ -597,22 +474,12 @@ let create_nc_host ?(virt = Timing.default_virt)
   let hv = Ava_hv.Hypervisor.create ~virt engine in
   let _spec, plan = load_nc_plan () in
   (* NCS recovery = re-enumerate the stick: loaded graphs are gone, the
-     guest re-allocates through the normal API path. *)
-  let server_tdr =
-    Option.map
-      (fun tp ->
-        {
-          Server.tdr_factor = tp.tp_factor;
-          tdr_min_ns = tp.tp_min_ns;
-          tdr_reset = (fun ~vm_id:_ -> Ncs.reset dev);
-          (* Single-owner USB device: no cross-VM wedge to blame. *)
-          tdr_wedged_by = None;
-        })
-      tdr
-  in
+     guest re-allocates through the normal API path.  Single-owner USB
+     device: no cross-VM wedge to blame. *)
   let server =
-    Server.create ~cache_capacity:transfer_cache ?tdr:server_tdr ?obs engine
-      ~plan ~make_state:(Nc_handlers.make_state dev)
+    Server.create ~cache_capacity:transfer_cache
+      ?tdr:(server_tdr tdr ~reset:(fun _ -> Ncs.reset dev))
+      ?obs engine ~plan ~make_state:(Nc_handlers.make_state dev)
   in
   Nc_handlers.register server;
   let router = Router.create ?obs engine ~virt ~plan in
@@ -644,38 +511,21 @@ let nc_fault_statuses =
 let add_nc_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker t
     ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.nc_hv ~name in
-  let vm_id = Ava_hv.Vm.id vm in
-  let virt = Ava_hv.Hypervisor.virt t.nc_hv in
-  let guest_end, router_guest_end = Transport.make transport t.nc_engine ~virt in
-  (match (t.nc_doorbell, transport) with
-  | Some cfg, Transport.Shm_ring -> Transport.set_doorbell ~cfg guest_end
-  | _ -> ());
-  let router_server_end, server_end = Transport.direct t.nc_engine in
-  ignore
-    (Router.attach_vm ?rate_per_s ?weight ?breaker
-       ~breaker_statuses:nc_fault_statuses t.nc_router vm
-       ~guest_side:router_guest_end ~server_side:router_server_end);
-  ignore (Server.attach_vm t.nc_server ~vm_id ~ep:server_end);
-  let iommu =
+  let sva =
     match (t.nc_sva, t.nc_dma) with
     | true, Some dma ->
-        let i = Iommu.create t.nc_engine in
-        Hashtbl.replace t.nc_iommus vm_id i;
-        Server.set_sva t.nc_server ~vm_id ~iommu:i ~dma;
-        Some i
+        let iommu = Iommu.create t.nc_engine in
+        Hashtbl.replace t.nc_iommus (Ava_hv.Vm.id vm) iommu;
+        Some (iommu, dma)
     | _ -> None
   in
-  let cache =
-    match Server.cache_capacity t.nc_server with
-    | 0 -> None
-    | capacity -> Some (Stub.cache_for_capacity capacity)
-  in
   let stub =
-    Stub.create ?cache ?sva:iommu ?obs:t.nc_obs t.nc_engine ~vm_id
-      ~plan:t.nc_plan ~ep:guest_end
+    attach_ava ?doorbell:t.nc_doorbell ?rate_per_s ?weight ?breaker
+      ~breaker_statuses:nc_fault_statuses ?sva ?obs:t.nc_obs t.nc_engine
+      ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
+      ~kind:transport vm
   in
-  let api, remote = Nc_remote.create stub in
-  ignore remote;
+  let api, _ = Nc_remote.create stub in
   { ng_vm = vm; ng_api = api; ng_stub = Some stub }
 
 let native_nc ?(ncs_timing = Timing.movidius) engine =
@@ -701,12 +551,6 @@ type qa_guest = {
   qg_stub : Stub.t option;
 }
 
-let load_qa_plan () =
-  let spec = Ava_spec.Specs.load_qat () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("qat plan compilation failed: " ^ e)
-
 let create_qa_host ?(virt = Timing.default_virt)
     ?(qat_timing = Ava_simqa.Device.dh895xcc) ?obs engine =
   let dev = Ava_simqa.Device.create ~timing:qat_timing engine in
@@ -729,19 +573,12 @@ let create_qa_host ?(virt = Timing.default_virt)
 
 let add_qa_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.qa_hv ~name in
-  let vm_id = Ava_hv.Vm.id vm in
-  let virt = Ava_hv.Hypervisor.virt t.qa_hv in
-  let guest_end, router_guest_end = Transport.make transport t.qa_engine ~virt in
-  let router_server_end, server_end = Transport.direct t.qa_engine in
-  ignore
-    (Router.attach_vm ?rate_per_s ?weight t.qa_router vm
-       ~guest_side:router_guest_end ~server_side:router_server_end);
-  ignore (Server.attach_vm t.qa_server ~vm_id ~ep:server_end);
   let stub =
-    Stub.create ?obs:t.qa_obs t.qa_engine ~vm_id ~plan:t.qa_plan ~ep:guest_end
+    attach_ava ?rate_per_s ?weight ?obs:t.qa_obs t.qa_engine ~hv:t.qa_hv
+      ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan ~kind:transport
+      vm
   in
-  let api, remote = Qa_remote.create stub in
-  ignore remote;
+  let api, _ = Qa_remote.create stub in
   { qg_vm = vm; qg_api = api; qg_stub = Some stub }
 
 let native_qa ?(qat_timing = Ava_simqa.Device.dh895xcc) engine =
@@ -771,12 +608,6 @@ type st_guest = {
   sg_stub : Stub.t option;
 }
 
-let load_st_plan () =
-  let spec = Ava_spec.Specs.load_simst () in
-  match Plan.compile spec with
-  | Ok plan -> (spec, plan)
-  | Error e -> failwith ("simst plan compilation failed: " ^ e)
-
 (* Heterogeneous fleets: the capability tag picks the device model.  The
    SimST API runs on all three — what differs is the timing profile, so
    capability-aware placement is measurable, not cosmetic. *)
@@ -795,109 +626,6 @@ let st_phys cap dev =
     ph_kill = (fun () -> Ava_simst.Device.kill dev);
     ph_gpu = None;
   }
-
-(* Live stMemAlloc allocations still in a record log, sizes recovered
-   from the recorded arguments (layout: [out placeholder; size]). *)
-let st_live_mems recorder =
-  List.filter_map
-    (fun (r : Migrate.recorded) ->
-      if String.equal r.Migrate.rc_fn "stMemAlloc" then
-        match (r.Migrate.rc_primary, r.Migrate.rc_args) with
-        | Some vid, [ _out; Ava_remoting.Wire.I64 size ] ->
-            Some (vid, Int64.to_int size)
-        | _ -> None
-      else None)
-    (Migrate.replay_log recorder)
-
-(* The cross-server SimST silo copy, the stream-silo analogue of
-   [cl_silo_transfer]: quiesce every stream (an enqueue the source
-   already accepted writes its outputs only at completion), snapshot
-   live device memory, replay the record log into the destination
-   re-binding originals, restore contents.  Only object lifetimes are
-   recorded — enqueue-shaped calls are [no_record]; after the quiesce
-   all streams are idle and all events complete, which is exactly the
-   state freshly replayed objects have. *)
-let st_silo_transfer ~recorder ~(src_srv : St_handlers.state Server.t)
-    ~(dst_srv : St_handlers.state Server.t) ~suspend_recording
-    ~resume_recording ~vm_id =
-  let require = function
-    | Some x -> x
-    | None -> invalid_arg "Host.st_silo_transfer: vm not attached"
-  in
-  let src_ctx = require (Server.vm_ctx src_srv ~vm_id) in
-  let src_state = require (Server.vm_state src_srv ~vm_id) in
-  let dst_ctx = require (Server.vm_ctx dst_srv ~vm_id) in
-  let dst_state = require (Server.vm_state dst_srv ~vm_id) in
-  Server.Ctx.reserve dst_ctx (Server.Ctx.next_vid src_ctx);
-  Server.flush_cache src_srv ~vm_id;
-  Ava_simst.Native.quiesce src_state.St_handlers.native;
-  let bytes_moved = ref 0 in
-  let snapshot =
-    List.filter_map
-      (fun (vid, size) ->
-        match Server.Ctx.resolve src_ctx vid with
-        | None -> None
-        | Some host_mem -> (
-            match
-              Ava_simst.Native.find_mem src_state.St_handlers.native host_mem
-            with
-            | None -> None
-            | Some buf ->
-                bytes_moved := !bytes_moved + size;
-                Some (vid, Bytes.copy buf)))
-      (st_live_mems recorder)
-  in
-  suspend_recording ();
-  List.iter
-    (fun (r : Migrate.recorded) ->
-      let call =
-        {
-          Ava_remoting.Message.call_seq = 0;
-          call_vm = vm_id;
-          call_fn = r.Migrate.rc_fn;
-          call_args = r.Migrate.rc_args;
-        }
-      in
-      ignore (Server.execute_direct dst_srv ~vm_id call);
-      match (r.Migrate.rc_class, r.Migrate.rc_primary) with
-      | Ava_spec.Ast.Object_alloc, Some orig_vid -> (
-          let fresh_vid = Server.Ctx.last_fresh dst_ctx in
-          if fresh_vid <> orig_vid then
-            match Server.Ctx.resolve dst_ctx fresh_vid with
-            | Some host_h ->
-                Server.Ctx.forget dst_ctx fresh_vid;
-                Server.Ctx.bind dst_ctx ~guest:orig_vid ~host:host_h
-            | None -> ())
-      | _ -> ())
-    (Migrate.replay_log recorder);
-  resume_recording ();
-  List.iter
-    (fun (vid, data) ->
-      match Server.Ctx.resolve dst_ctx vid with
-      | None -> ()
-      | Some host_mem -> (
-          match
-            Ava_simst.Native.find_mem dst_state.St_handlers.native host_mem
-          with
-          | None -> ()
-          | Some buf ->
-              let len = min (Bytes.length data) (Bytes.length buf) in
-              Bytes.blit data 0 buf 0 len;
-              bytes_moved := !bytes_moved + len))
-    snapshot;
-  !bytes_moved
-
-let st_pool_transfer ~recorders ~(servers : St_handlers.state Server.t array)
-    ~vm_id ~src ~dst =
-  let recorder =
-    match Hashtbl.find_opt recorders vm_id with
-    | Some r -> r
-    | None -> invalid_arg "Host.st_pool_transfer: unknown vm"
-  in
-  st_silo_transfer ~recorder ~src_srv:servers.(src) ~dst_srv:servers.(dst)
-    ~suspend_recording:(fun () -> Hashtbl.remove recorders vm_id)
-    ~resume_recording:(fun () -> Hashtbl.replace recorders vm_id recorder)
-    ~vm_id
 
 (* [fleet] is the capability tag per pool device; a one-device
    [Cap_stream] fleet with no placement or rebalance builds the classic
@@ -934,44 +662,38 @@ let create_st_host ?(virt = Timing.default_virt)
     server
   in
   let router = Router.create ~trace ?obs engine ~virt ~plan in
-  if not pooled then
-    {
-      st_engine = engine;
-      st_hv = hv;
-      st_plan = plan;
-      st_spec = spec;
-      st_router = router;
-      st_server = make_server 0;
-      st_devs = devs;
-      st_recorders = recorders;
-      st_trace = trace;
-      st_obs = obs;
-      st_pool = None;
-    }
-  else begin
-    let servers = Array.init (Array.length devs) make_server in
-    let pool =
-      Pool.create_het ~trace engine ~router
-        ~placement:(Option.value placement ~default:Pool.Round_robin)
-        ~transfer:(st_pool_transfer ~recorders ~servers)
-        (Array.to_list
-           (Array.mapi (fun i cap -> (st_phys cap devs.(i), servers.(i))) caps))
-    in
-    Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
-    {
-      st_engine = engine;
-      st_hv = hv;
-      st_plan = plan;
-      st_spec = spec;
-      st_router = router;
-      st_server = servers.(0);
-      st_devs = devs;
-      st_recorders = recorders;
-      st_trace = trace;
-      st_obs = obs;
-      st_pool = Some pool;
-    }
-  end
+  let servers, pool =
+    if not pooled then ([| make_server 0 |], None)
+    else begin
+      let servers = Array.init (Array.length devs) make_server in
+      let pool =
+        Pool.create_het ~trace engine ~router
+          ~placement:(Option.value placement ~default:Pool.Round_robin)
+          ~transfer:
+            (pool_transfer St_handlers.live ~recorders ~servers
+               ~sva:(fun ~vm_id:_ ~dst:_ -> None))
+          (Array.to_list
+             (Array.mapi
+                (fun i cap -> (st_phys cap devs.(i), servers.(i)))
+                caps))
+      in
+      Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
+      (servers, Some pool)
+    end
+  in
+  {
+    st_engine = engine;
+    st_hv = hv;
+    st_plan = plan;
+    st_spec = spec;
+    st_router = router;
+    st_server = servers.(0);
+    st_devs = devs;
+    st_recorders = recorders;
+    st_trace = trace;
+    st_obs = obs;
+    st_pool = pool;
+  }
 
 (* SimST fault budget: server device-lost plus the ST-level device-lost
    a killed accelerator reports. *)
@@ -987,8 +709,7 @@ let st_fault_statuses =
 let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
     ?requires ?footprint ?device t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.st_hv ~name in
-  let vm_id = Ava_hv.Vm.id vm in
-  Hashtbl.replace t.st_recorders vm_id (Migrate.create ());
+  Hashtbl.replace t.st_recorders (Ava_hv.Vm.id vm) (Migrate.create ());
   let backend, server =
     match t.st_pool with
     | Some pool ->
@@ -996,39 +717,18 @@ let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
         (d, Pool.server pool d)
     | None -> (0, t.st_server)
   in
-  let virt = Ava_hv.Hypervisor.virt t.st_hv in
-  let guest_end, router_guest_end = Transport.make transport t.st_engine ~virt in
-  let router_server_end, server_end = Transport.direct t.st_engine in
-  ignore
-    (Router.attach_vm ?rate_per_s ?weight ?breaker
-       ~breaker_statuses:st_fault_statuses ~backend t.st_router vm
-       ~guest_side:router_guest_end ~server_side:router_server_end);
-  ignore (Server.attach_vm server ~vm_id ~ep:server_end);
   let stub =
-    Stub.create ?obs:t.st_obs t.st_engine ~vm_id ~plan:t.st_plan ~ep:guest_end
+    attach_ava ?rate_per_s ?weight ?breaker
+      ~breaker_statuses:st_fault_statuses ~backend ?obs:t.st_obs t.st_engine
+      ~hv:t.st_hv ~router:t.st_router ~server ~plan:t.st_plan ~kind:transport
+      vm
   in
-  let api, remote = St_remote.create stub in
-  ignore remote;
+  let api, _ = St_remote.create stub in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
 
-(* Retire a SimST guest: pool residency (or the classic server entry),
-   circuit breaker, record log.  Same contract as {!retire_cl_vm}. *)
 let retire_st_vm t ~vm_id =
-  let ok =
-    match t.st_pool with
-    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
-        Pool.retire_vm pool ~vm_id
-    | _ -> (
-        match Server.vm_ctx t.st_server ~vm_id with
-        | Some _ ->
-            Server.detach_vm t.st_server ~vm_id;
-            (try Router.clear_breaker t.st_router ~vm_id
-             with Invalid_argument _ -> ());
-            true
-        | None -> false)
-  in
-  if ok then Hashtbl.remove t.st_recorders vm_id;
-  ok
+  retire ~pool:t.st_pool ~server:t.st_server ~router:t.st_router
+    ~recorders:t.st_recorders ~release:ignore vm_id
 
 let native_st ?(st_timing = Ava_simst.Device.sm_stream) engine =
   let dev = Ava_simst.Device.create ~timing:st_timing engine in

@@ -188,29 +188,6 @@ val native_cl :
 
 val recorder : cl_host -> vm_id:int -> Migrate.t option
 
-val cl_silo_transfer :
-  recorder:Migrate.t ->
-  src_srv:Cl_handlers.state Server.t ->
-  src_kd:Ava_simcl.Kdriver.t ->
-  dst_srv:Cl_handlers.state Server.t ->
-  dst_kd:Ava_simcl.Kdriver.t ->
-  iommu:Iommu.t option ->
-  dst_dma:Dma.t ->
-  suspend_recording:(unit -> unit) ->
-  resume_recording:(unit -> unit) ->
-  vm_id:int ->
-  int
-(** The cross-server SimCL silo copy behind every migration: snapshot
-    live buffers off the source device, replay the record log into the
-    (freshly attached) destination silo re-binding objects to their
-    original virtual ids, restore buffer contents; returns bytes moved.
-    Generic over which host each server belongs to — the pool uses it
-    between two devices of one host, the cluster tier
-    ({!Ava_cluster.Cluster.migrate_tenant}) between devices of two
-    hosts.  [suspend_recording]/[resume_recording] bracket the replay
-    so it does not re-record itself.  Must run inside a simulation
-    process. *)
-
 val retire_cl_vm : cl_host -> vm_id:int -> bool
 (** Retire a guest from the whole stack: pool residency (or the classic
     server entry), circuit breaker, IOMMU pins ({!Iommu.release_all}),

@@ -2,7 +2,8 @@
 
    Procedure (the guest quiesces first, e.g. with clFinish):
    1. suspend the VM's API-server worker;
-   2. synthesize reads of all live device buffers into host memory;
+   2. drain the silo's queues, then synthesize reads of all live device
+      buffers into host memory;
    3. stand up a fresh silo state on the destination device and replay
       the recorded calls (global config, live allocations and their
       modifications), re-binding each object to its original virtual id
@@ -15,8 +16,6 @@
 
 module Server = Ava_remoting.Server
 module Migrate = Ava_remoting.Migrate
-module Message = Ava_remoting.Message
-module Wire = Ava_remoting.Wire
 
 open Ava_sim
 
@@ -35,126 +34,41 @@ let pp_report ppf r =
     Time.pp r.pause_ns r.replayed_calls r.buffers_restored r.bytes_copied
     r.log_recorded r.log_pruned
 
-(* Live buffers: clCreateBuffer allocations still in the log, with their
-   sizes recovered from the recorded arguments. *)
-let live_buffers recorder =
-  List.filter_map
-    (fun (r : Migrate.recorded) ->
-      if String.equal r.Migrate.rc_fn "clCreateBuffer" then
-        match (r.Migrate.rc_primary, r.Migrate.rc_args) with
-        | Some vid, [ _ctx; _flags; Wire.I64 size; _err ] ->
-            Some (vid, Int64.to_int size)
-        | _ -> None
-      else None)
-    (Migrate.replay_log recorder)
-
 (* Must run inside a simulation process. *)
 let migrate (host : Host.cl_host) ~vm_id ~dest_kd =
   let engine = host.Host.engine in
+  let server = host.Host.server in
   let recorder =
     match Host.recorder host ~vm_id with
     | Some r -> r
     | None -> invalid_arg "Migration.migrate: unknown vm"
   in
   let ctx =
-    match Server.vm_ctx host.Host.server ~vm_id with
+    match Server.vm_ctx server ~vm_id with
     | Some c -> c
     | None -> invalid_arg "Migration.migrate: vm not attached to server"
   in
-  let old_state =
-    match Server.vm_state host.Host.server ~vm_id with
-    | Some s -> s
-    | None -> invalid_arg "Migration.migrate: vm has no server state"
-  in
   let started = Engine.now engine in
-  Server.pause_vm host.Host.server ~vm_id;
-  (* The transfer-cache content store belongs to the source silo's
-     front-end: it does not follow the VM.  Flush it; the guest's stale
-     refs heal transparently through the cache-miss NAK/resend path. *)
-  Server.flush_cache host.Host.server ~vm_id;
-
-  (* 2. Snapshot: synthesized device-to-host copies of live buffers. *)
-  let bytes_copied = ref 0 in
-  let snapshot =
-    List.filter_map
-      (fun (vid, size) ->
-        match Server.Ctx.resolve ctx vid with
-        | None -> None
-        | Some host_mem -> (
-            match
-              Ava_simcl.Native.find_mem old_state.Cl_handlers.native host_mem
-            with
-            | None -> None
-            | Some buf ->
-                let data =
-                  Ava_simcl.Kdriver.read_buffer host.Host.kd ~buf ~offset:0
-                    ~len:size
-                in
-                bytes_copied := !bytes_copied + size;
-                Some (vid, data)))
-      (live_buffers recorder)
+  Server.pause_vm server ~vm_id;
+  (* Steps 2-4 are the silo kit's transfer with [src == dst]: the swap to
+     a fresh silo on the destination device happens between snapshot and
+     replay, while recording is suspended. *)
+  let moved =
+    Silo.transfer Cl_handlers.live ~recorder ~vm_id ~src:server ~dst:server
+      ~suspend:(fun () ->
+        Hashtbl.remove host.Host.recorders vm_id;
+        ignore
+          (Server.replace_state server ~vm_id
+             (Cl_handlers.make_state dest_kd ~vm_id));
+        Server.Ctx.clear ctx)
+      ~resume:(fun () -> Hashtbl.replace host.Host.recorders vm_id recorder)
   in
-
-  (* 3. Fresh silo on the destination; replay with id re-binding.
-     Recording is suspended so the replay doesn't re-record itself. *)
-  Hashtbl.remove host.Host.recorders vm_id;
-  let new_state = Cl_handlers.make_state dest_kd ~vm_id in
-  ignore (Server.replace_state host.Host.server ~vm_id new_state);
-  Server.Ctx.clear ctx;
-  let replayed = ref 0 in
-  List.iter
-    (fun (r : Migrate.recorded) ->
-      let call =
-        {
-          Message.call_seq = 0;
-          call_vm = vm_id;
-          call_fn = r.Migrate.rc_fn;
-          call_args = r.Migrate.rc_args;
-        }
-      in
-      let _status, _ret, _outs =
-        Server.execute_direct host.Host.server ~vm_id call
-      in
-      incr replayed;
-      (* Re-bind the re-created object to its original virtual id. *)
-      match (r.Migrate.rc_class, r.Migrate.rc_primary) with
-      | Ava_spec.Ast.Object_alloc, Some orig_vid ->
-          let fresh_vid = Server.Ctx.last_fresh ctx in
-          if fresh_vid <> orig_vid then begin
-            match Server.Ctx.resolve ctx fresh_vid with
-            | Some host_h ->
-                Server.Ctx.forget ctx fresh_vid;
-                Server.Ctx.bind ctx ~guest:orig_vid ~host:host_h
-            | None -> ()
-          end
-      | _ -> ())
-    (Migrate.replay_log recorder);
-  Hashtbl.replace host.Host.recorders vm_id recorder;
-
-  (* 4. Restore buffer contents on the destination device. *)
-  let restored = ref 0 in
-  List.iter
-    (fun (vid, data) ->
-      match Server.Ctx.resolve ctx vid with
-      | None -> ()
-      | Some host_mem -> (
-          match
-            Ava_simcl.Native.find_mem new_state.Cl_handlers.native host_mem
-          with
-          | None -> ()
-          | Some buf ->
-              Ava_simcl.Kdriver.write_buffer dest_kd ~buf ~offset:0 ~src:data;
-              bytes_copied := !bytes_copied + Bytes.length data;
-              incr restored))
-    snapshot;
-
-  (* 5. Resume. *)
-  Server.resume_vm host.Host.server ~vm_id;
+  Server.resume_vm server ~vm_id;
   {
     pause_ns = Engine.now engine - started;
-    replayed_calls = !replayed;
-    buffers_restored = !restored;
-    bytes_copied = !bytes_copied;
+    replayed_calls = moved.Silo.replayed;
+    buffers_restored = moved.Silo.restored;
+    bytes_copied = moved.Silo.bytes;
     log_recorded = Migrate.recorded_count recorder;
     log_pruned = Migrate.pruned_count recorder;
   }

@@ -1,11 +1,12 @@
 (** VM migration for SimCL guests (§4.3).
 
     Procedure (the guest quiesces first, e.g. with [clFinish]): suspend
-    the VM's API-server worker; synthesize reads of all live device
-    buffers; stand up a fresh silo state on the destination device and
-    replay the recorded calls, re-binding each object to its original
-    virtual id so guest-held handles stay valid; restore buffer
-    contents; resume.  The guest library never notices. *)
+    the VM's API-server worker; drain its queues and synthesize reads of
+    all live device buffers; stand up a fresh silo state on the
+    destination device and replay the recorded calls, re-binding each
+    object to its original virtual id so guest-held handles stay valid;
+    restore buffer contents; resume.  The guest library never
+    notices. *)
 
 open Ava_sim
 
@@ -19,9 +20,6 @@ type report = {
 }
 
 val pp_report : Format.formatter -> report -> unit
-
-val live_buffers : Ava_remoting.Migrate.t -> (int * int) list
-(** Live buffer allocations in the log: (virtual id, size). *)
 
 val migrate :
   Host.cl_host -> vm_id:int -> dest_kd:Ava_simcl.Kdriver.t -> report

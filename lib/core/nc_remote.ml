@@ -1,115 +1,66 @@
 (* The AvA-generated guest library for MVNC (Movidius NCSDK). *)
 
 module Stub = Ava_remoting.Stub
-module Wire = Ava_remoting.Wire
-module Message = Ava_remoting.Message
 
 open Ava_simnc.Types
 open Codec
 
+include Silo.Guest (struct
+  type error = status
+
+  let of_code = status_of_code
+  let failure _ = General_error
+end)
+
 type t = { stub : Stub.t }
-
-let status_error code = status_of_code code
-
-let finish stub result parse =
-  match result with
-  | Error _ -> Error General_error
-  | Ok None -> assert false
-  | Ok (Some (reply : Message.reply)) -> (
-      match Stub.take_deferred_error stub with
-      | Some (_fn, code) -> Error (status_error code)
-      | None ->
-          if reply.Message.reply_status <> 0 then
-            Error (status_error reply.Message.reply_status)
-          else parse reply)
-
-let fire stub ~fn ~env ~args ok =
-  match Stub.invoke stub ~fn ~env ~args with
-  | Error _ -> Error General_error
-  | Ok None -> Ok ok
-  | Ok (Some (reply : Message.reply)) ->
-      if reply.Message.reply_status <> 0 then
-        Error (status_error reply.Message.reply_status)
-      else Ok ok
-
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
-
-let out_exn (reply : Message.reply) n =
-  match List.nth_opt reply.Message.reply_outs n with
-  | Some v -> v
-  | None -> raise Bad_args
 
 let create stub =
   let t = { stub } in
   let module M = struct
     let mvncGetDeviceName ~index =
-      sync t.stub ~fn:"mvncGetDeviceName"
-        ~env:[ ("index", index); ("name_size", 64) ]
-        ~args:[ i index; u; i 64 ]
-        (fun reply -> Ok (Bytes.to_string (to_b (out_exn reply 0))))
+      sync t.stub ~fn:"mvncGetDeviceName" ~args:[ i index; u; i 64 ]
+        (ret_out (fun v -> Bytes.to_string (to_b v)) 0)
 
     let mvncOpenDevice ~name =
       sync t.stub ~fn:"mvncOpenDevice"
-        ~env:[ ("name_size", String.length name) ]
         ~args:[ b (Bytes.of_string name); i (String.length name); u ]
-        (fun reply ->
-          match reply.Message.reply_ret with
-          | Wire.Handle _ as v -> (
-              match Wire.to_int v with
-              | Some n -> Ok n
-              | None -> Error General_error)
-          | _ -> Error General_error)
+        ret_handle
 
     let mvncCloseDevice d =
-      sync t.stub ~fn:"mvncCloseDevice" ~env:[] ~args:[ h d ] (fun _ -> Ok ())
+      sync t.stub ~fn:"mvncCloseDevice" ~args:[ h d ] ret_unit
 
     let mvncAllocateGraph d ~graph_data =
       sync t.stub ~fn:"mvncAllocateGraph"
-        ~env:[ ("graph_data_size", Bytes.length graph_data) ]
         ~args:[ h d; u; b (Bytes.copy graph_data); i (Bytes.length graph_data) ]
-        (fun reply ->
-          match reply.Message.reply_ret with
-          | Wire.Handle _ as v -> (
-              match Wire.to_int v with
-              | Some n -> Ok n
-              | None -> Error General_error)
-          | _ -> Error General_error)
+        ret_handle
 
     let mvncDeallocateGraph g =
-      sync t.stub ~fn:"mvncDeallocateGraph" ~env:[] ~args:[ h g ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"mvncDeallocateGraph" ~args:[ h g ] ret_unit
 
     (* The NCSDK's own pipelining call: forwarded asynchronously. *)
     let mvncLoadTensor g ~tensor =
       fire t.stub ~fn:"mvncLoadTensor"
-        ~env:[ ("tensor_size", Bytes.length tensor) ]
         ~args:[ h g; b (Bytes.copy tensor); i (Bytes.length tensor) ]
         ()
 
     let mvncGetResult g =
-      sync t.stub ~fn:"mvncGetResult"
-        ~env:[ ("result_size", 1 lsl 20) ]
-        ~args:[ h g; u; i (1 lsl 20) ]
-        (fun reply -> Ok (to_b (out_exn reply 0)))
+      sync t.stub ~fn:"mvncGetResult" ~args:[ h g; u; i (1 lsl 20) ]
+        (ret_out to_b 0)
 
     let mvncGetGraphOption g opt =
       sync t.stub ~fn:"mvncGetGraphOption"
-        ~env:[ ("option", graph_option_to_int opt) ]
         ~args:[ h g; i (graph_option_to_int opt); u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+        (ret_out to_i 0)
 
     let mvncSetGraphOption g opt v =
       sync t.stub ~fn:"mvncSetGraphOption"
-        ~env:[ ("option", graph_option_to_int opt); ("value", v) ]
         ~args:[ h g; i (graph_option_to_int opt); i v ]
-        (fun _ -> Ok ())
+        ret_unit
 
     let mvncGetDeviceOption d opt =
       sync t.stub ~fn:"mvncGetDeviceOption"
-        ~env:[ ("option", device_option_to_int opt) ]
         ~args:[ h d; i (device_option_to_int opt); u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+        (ret_out to_i 0)
   end in
   ((module M : Ava_simnc.Api.S), t)
 

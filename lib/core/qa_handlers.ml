@@ -15,34 +15,15 @@ let make_state qat ~vm_id:_ =
   let api, native = Ava_simqa.Native.create qat in
   { api; native }
 
-let err (s : status) : int * Wire.value * Wire.value list =
-  (status_to_code s, Wire.Unit, [])
+include Silo.Handler (struct
+  type error = status
 
-let ok_unit = (0, Wire.Unit, [])
-let ok_ret ret outs = (0, ret, outs)
-
-exception Unknown_handle = Server.Unknown_handle
-
-let resolve ctx v =
-  match Server.Ctx.resolve ctx v with
-  | Some h -> h
-  | None -> raise Unknown_handle
-
-let guard f ctx st args =
-  match f ctx st args with
-  | result -> result
-  | exception Unknown_handle -> (Server.status_unknown_handle, Wire.Unit, [])
-  | exception Bad_args -> (Server.status_bad_arguments, Wire.Unit, [])
-
-let of_result r k = match r with Ok v -> k v | Error e -> err e
-
-let bind_fresh ctx ~host =
-  let vid = Server.Ctx.fresh ctx in
-  Server.Ctx.bind ctx ~guest:vid ~host;
-  vid
+  let to_code = status_to_code
+end)
 
 let register server =
-  let reg name f = Server.register server name (guard f) in
+  let reg = Server.register server in
+  let one_handle name f = reg name (on_handle (fun st -> f st.api)) in
 
   reg "qaGetNumInstances" (fun _ctx st args ->
       match args with
@@ -60,13 +41,7 @@ let register server =
               ok_ret (h (bind_fresh ctx ~host)) [])
       | _ -> raise Bad_args);
 
-  reg "qaStopInstance" (fun ctx st args ->
-      match args with
-      | [ inst ] ->
-          let module QA = (val st.api) in
-          of_result (QA.qaStopInstance (resolve ctx (to_h inst))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "qaStopInstance" (fun (module QA) -> QA.qaStopInstance);
 
   reg "qaCreateSession" (fun ctx st args ->
       match args with
@@ -79,13 +54,7 @@ let register server =
             (fun host -> ok_ret (h (bind_fresh ctx ~host)) [])
       | _ -> raise Bad_args);
 
-  reg "qaRemoveSession" (fun ctx st args ->
-      match args with
-      | [ sess ] ->
-          let module QA = (val st.api) in
-          of_result (QA.qaRemoveSession (resolve ctx (to_h sess))) (fun () ->
-              ok_unit)
-      | _ -> raise Bad_args);
+  one_handle "qaRemoveSession" (fun (module QA) -> QA.qaRemoveSession);
 
   let xfer call ctx st args =
     match args with

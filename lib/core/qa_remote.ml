@@ -5,37 +5,18 @@
 
 module Stub = Ava_remoting.Stub
 module Wire = Ava_remoting.Wire
-module Message = Ava_remoting.Message
 
 open Ava_simqa.Types
 open Codec
 
+include Silo.Guest (struct
+  type error = status
+
+  let of_code = status_of_code
+  let failure _ = Qa_fail
+end)
+
 type t = { stub : Stub.t }
-
-let finish stub result parse =
-  match result with
-  | Error _ -> Error Qa_fail
-  | Ok None -> assert false
-  | Ok (Some (reply : Message.reply)) -> (
-      match Stub.take_deferred_error stub with
-      | Some (_fn, code) -> Error (status_of_code code)
-      | None ->
-          if reply.Message.reply_status <> 0 then
-            Error (status_of_code reply.Message.reply_status)
-          else parse reply)
-
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
-
-let out_exn (reply : Message.reply) n =
-  match List.nth_opt reply.Message.reply_outs n with
-  | Some v -> v
-  | None -> raise Bad_args
-
-let ret_handle (reply : Message.reply) =
-  match reply.Message.reply_ret with
-  | Wire.Handle v -> Ok (Int64.to_int v)
-  | _ -> Error Qa_fail
 
 let max_dst = 16 * 1024 * 1024
 
@@ -43,35 +24,26 @@ let create stub =
   let t = { stub } in
   let module M = struct
     let qaGetNumInstances () =
-      sync t.stub ~fn:"qaGetNumInstances" ~env:[] ~args:[ u ] (fun reply ->
-          Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"qaGetNumInstances" ~args:[ u ] (ret_out to_i 0)
 
     let qaStartInstance ~index =
-      sync t.stub ~fn:"qaStartInstance"
-        ~env:[ ("index", index) ]
-        ~args:[ i index; u ]
-        ret_handle
+      sync t.stub ~fn:"qaStartInstance" ~args:[ i index; u ] ret_handle
 
     let qaStopInstance inst =
-      sync t.stub ~fn:"qaStopInstance" ~env:[] ~args:[ h inst ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"qaStopInstance" ~args:[ h inst ] ret_unit
 
     let qaCreateSession inst direction ~level =
       sync t.stub ~fn:"qaCreateSession"
-        ~env:[ ("direction", direction_to_int direction); ("level", level) ]
         ~args:[ h inst; i (direction_to_int direction); i level; u ]
         ret_handle
 
     let qaRemoveSession sess =
-      sync t.stub ~fn:"qaRemoveSession" ~env:[] ~args:[ h sess ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"qaRemoveSession" ~args:[ h sess ] ret_unit
 
     let xfer fn sess ~src =
       sync t.stub ~fn
-        ~env:[ ("src_size", Bytes.length src); ("dst_size", max_dst) ]
-        ~args:
-          [ h sess; b (Bytes.copy src); i (Bytes.length src); u; i max_dst ]
-        (fun reply -> Ok (to_b (out_exn reply 0)))
+        ~args:[ h sess; b (Bytes.copy src); i (Bytes.length src); u; i max_dst ]
+        (ret_out to_b 0)
 
     let qaCompress sess ~src = xfer "qaCompress" sess ~src
     let qaDecompress sess ~src = xfer "qaDecompress" sess ~src
@@ -87,32 +59,23 @@ let create stub =
                 callback ~tag:(Int64.to_int tag) out
             | _ -> ())
       in
-      match
-        Stub.invoke t.stub ~fn:"qaSubmitCompress"
-          ~env:[ ("src_size", Bytes.length src); ("tag", tag) ]
-          ~args:
-            [ h sess; b (Bytes.copy src); i (Bytes.length src); i cb; i tag ]
-      with
-      | Error _ -> Error Qa_fail
-      | Ok None -> Ok ()
-      | Ok (Some reply) ->
-          if reply.Message.reply_status <> 0 then
-            Error (status_of_code reply.Message.reply_status)
-          else Ok ()
+      fire t.stub ~fn:"qaSubmitCompress"
+        ~args:[ h sess; b (Bytes.copy src); i (Bytes.length src); i cb; i tag ]
+        ()
 
     let qaGetStats inst =
-      sync t.stub ~fn:"qaGetStats" ~env:[] ~args:[ h inst; u; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0), to_i (out_exn reply 1)))
+      sync t.stub ~fn:"qaGetStats" ~args:[ h inst; u; u ] (fun reply ->
+          Ok (to_i (out reply 0), to_i (out reply 1)))
 
     (* Struct out-parameter: the reply carries the fields as a list, in
        declaration order. *)
     let qaGetStatsEx inst =
-      sync t.stub ~fn:"qaGetStatsEx" ~env:[] ~args:[ h inst; u ]
-        (fun reply ->
-          match to_l (out_exn reply 0) with
+      sync t.stub ~fn:"qaGetStatsEx" ~args:[ h inst; u ] (fun reply ->
+          match to_l (out reply 0) with
           | [ ops; bytes_in; bytes_out ] ->
-              Ok { se_ops = ops; se_bytes_in = bytes_in;
-                   se_bytes_out = bytes_out }
+              Ok
+                { se_ops = ops; se_bytes_in = bytes_in;
+                  se_bytes_out = bytes_out }
           | _ -> Error Qa_fail)
   end in
   ((module M : Ava_simqa.Api.S), t)

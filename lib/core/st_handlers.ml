@@ -21,34 +21,33 @@ let make_state dev ~vm_id:_ =
   let api, native = Ava_simst.Native.create dev in
   { api; native }
 
-let err (s : status) : int * Wire.value * Wire.value list =
-  (status_to_code s, Wire.Unit, [])
+include Silo.Handler (struct
+  type error = status
 
-let ok_unit = (0, Wire.Unit, [])
-let ok_ret ret outs = (0, ret, outs)
+  let to_code = status_to_code
+end)
 
-exception Unknown_handle = Server.Unknown_handle
-
-let resolve ctx v =
-  match Server.Ctx.resolve ctx v with
-  | Some h -> h
-  | None -> raise Unknown_handle
-
-let guard f ctx st args =
-  match f ctx st args with
-  | result -> result
-  | exception Unknown_handle -> (Server.status_unknown_handle, Wire.Unit, [])
-  | exception Bad_args -> (Server.status_bad_arguments, Wire.Unit, [])
-
-let of_result r k = match r with Ok v -> k v | Error e -> err e
-
-let bind_fresh ctx ~host =
-  let vid = Server.Ctx.fresh ctx in
-  Server.Ctx.bind ctx ~guest:vid ~host;
-  vid
+(* Live-object accessors for migration: device memory, copied directly
+   (the stream device model has no DMA path of its own). *)
+let live =
+  let find st host = Ava_simst.Native.find_mem st.native host in
+  {
+    Silo.alloc_fn = "stMemAlloc";
+    size_arg = 1;
+    quiesce = (fun st -> Ava_simst.Native.quiesce st.native);
+    read = (fun st ~host ~size:_ -> Option.map Bytes.copy (find st host));
+    write =
+      (fun st ~host data ->
+        Option.map
+          (fun buf ->
+            let len = Stdlib.min (Bytes.length data) (Bytes.length buf) in
+            Bytes.blit data 0 buf 0 len;
+            len)
+          (find st host));
+  }
 
 let register server =
-  let reg name f = Server.register server name (guard f) in
+  let reg = Server.register server in
 
   reg "stDeviceGetCount" (fun _ctx st args ->
       match args with
@@ -71,17 +70,7 @@ let register server =
   creator "stStreamCreate" (fun (module ST) -> ST.stStreamCreate ());
   creator "stEventCreate" (fun (module ST) -> ST.stEventCreate ());
 
-  (* One-handle calls share a shape: resolve, call, unit reply. *)
-  let one_handle name f =
-    reg name (fun ctx st args ->
-        match args with
-        | [ v ] ->
-            let module ST = (val st.api) in
-            of_result
-              (f (module ST : Ava_simst.Api.S) (resolve ctx (to_h v)))
-              (fun () -> ok_unit)
-        | _ -> raise Bad_args)
-  in
+  let one_handle name f = reg name (on_handle (fun st -> f st.api)) in
   one_handle "stStreamDestroy" (fun (module ST) s -> ST.stStreamDestroy s);
   one_handle "stStreamSynchronize" (fun (module ST) s ->
       ST.stStreamSynchronize s);

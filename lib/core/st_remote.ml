@@ -8,131 +8,81 @@
    reply until the native call's completion point passes. *)
 
 module Stub = Ava_remoting.Stub
-module Wire = Ava_remoting.Wire
-module Message = Ava_remoting.Message
 
 open Ava_simst.Types
 open Codec
 
+include Silo.Guest (struct
+  type error = status
+
+  let of_code = status_of_code
+  let failure _ = St_fail
+end)
+
 type t = { stub : Stub.t }
-
-(* Finish a synchronous invocation: deferred async errors outrank the
-   current call's (successful) result. *)
-let finish stub result parse =
-  match result with
-  | Error _ -> Error St_fail
-  | Ok None -> assert false
-  | Ok (Some (reply : Message.reply)) -> (
-      match Stub.take_deferred_error stub with
-      | Some (_fn, code) -> Error (status_of_code code)
-      | None ->
-          if reply.Message.reply_status <> 0 then
-            Error (status_of_code reply.Message.reply_status)
-          else parse reply)
-
-let sync stub ~fn ~env ~args parse =
-  finish stub (Stub.invoke ~force_sync:true stub ~fn ~env ~args) parse
-
-(* Fire an asynchronously forwarded call; per the paper it returns
-   success immediately and failures surface on the next sync call. *)
-let fire stub ~fn ~env ~args =
-  match Stub.invoke stub ~fn ~env ~args with
-  | Error _ -> Error St_fail
-  | Ok None -> Ok ()
-  | Ok (Some (reply : Message.reply)) ->
-      (* The plan judged this invocation synchronous after all. *)
-      if reply.Message.reply_status <> 0 then
-        Error (status_of_code reply.Message.reply_status)
-      else Ok ()
-
-let out_exn (reply : Message.reply) n =
-  match List.nth_opt reply.Message.reply_outs n with
-  | Some v -> v
-  | None -> raise Bad_args
-
-let ret_handle (reply : Message.reply) =
-  match reply.Message.reply_ret with
-  | Wire.Handle v -> Ok (Int64.to_int v)
-  | _ -> Error St_fail
 
 let create stub =
   let t = { stub } in
   let module M = struct
     let stDeviceGetCount () =
-      sync t.stub ~fn:"stDeviceGetCount" ~env:[] ~args:[ u ] (fun reply ->
-          Ok (to_i (out_exn reply 0)))
+      sync t.stub ~fn:"stDeviceGetCount" ~args:[ u ] (ret_out to_i 0)
 
     let stStreamCreate () =
-      sync t.stub ~fn:"stStreamCreate" ~env:[] ~args:[ u ] ret_handle
+      sync t.stub ~fn:"stStreamCreate" ~args:[ u ] ret_handle
 
     let stStreamDestroy s =
-      sync t.stub ~fn:"stStreamDestroy" ~env:[] ~args:[ h s ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"stStreamDestroy" ~args:[ h s ] ret_unit
 
     let stStreamSynchronize s =
-      sync t.stub ~fn:"stStreamSynchronize" ~env:[] ~args:[ h s ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"stStreamSynchronize" ~args:[ h s ] ret_unit
 
     let stEventCreate () =
-      sync t.stub ~fn:"stEventCreate" ~env:[] ~args:[ u ] ret_handle
+      sync t.stub ~fn:"stEventCreate" ~args:[ u ] ret_handle
 
     let stEventDestroy ev =
-      sync t.stub ~fn:"stEventDestroy" ~env:[] ~args:[ h ev ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"stEventDestroy" ~args:[ h ev ] ret_unit
 
     let stEventRecord ev s =
-      fire t.stub ~fn:"stEventRecord" ~env:[] ~args:[ h ev; h s ]
+      fire t.stub ~fn:"stEventRecord" ~args:[ h ev; h s ] ()
 
     let stEventSynchronize ev =
-      sync t.stub ~fn:"stEventSynchronize" ~env:[] ~args:[ h ev ] (fun _ ->
-          Ok ())
+      sync t.stub ~fn:"stEventSynchronize" ~args:[ h ev ] ret_unit
 
     let stStreamWaitEvent s ev =
-      fire t.stub ~fn:"stStreamWaitEvent" ~env:[] ~args:[ h s; h ev ]
+      fire t.stub ~fn:"stStreamWaitEvent" ~args:[ h s; h ev ] ()
 
     let stMemAlloc ~size =
-      sync t.stub ~fn:"stMemAlloc"
-        ~env:[ ("size", size) ]
-        ~args:[ u; i size ] ret_handle
-
-    let stMemFree m =
-      sync t.stub ~fn:"stMemFree" ~env:[] ~args:[ h m ] (fun _ -> Ok ())
+      sync t.stub ~fn:"stMemAlloc" ~args:[ u; i size ] ret_handle
+    let stMemFree m = sync t.stub ~fn:"stMemFree" ~args:[ h m ] ret_unit
 
     (* The source buffer travels as a copy, as a generated stub must:
        the guest may reuse it the moment the call returns. *)
     let stMemcpyHtoDAsync dst ~src s =
-      let size = Bytes.length src in
       fire t.stub ~fn:"stMemcpyHtoDAsync"
-        ~env:[ ("size", size) ]
-        ~args:[ h dst; b (Bytes.copy src); i size; h s ]
+        ~args:[ h dst; b (Bytes.copy src); i (Bytes.length src); h s ]
+        ()
 
     let stMemcpyDtoH ~size src =
-      sync t.stub ~fn:"stMemcpyDtoH"
-        ~env:[ ("size", size) ]
-        ~args:[ u; i size; h src ]
-        (fun reply -> Ok (to_b (out_exn reply 0)))
+      sync t.stub ~fn:"stMemcpyDtoH" ~args:[ u; i size; h src ] (ret_out to_b 0)
 
     let stLaunchKernel s ~name ~a ~b:bm ~out ~n =
-      let name_size = String.length name in
       fire t.stub ~fn:"stLaunchKernel"
-        ~env:[ ("name_size", name_size); ("n", n) ]
         ~args:
           [
-            h s; b (Bytes.of_string name); i name_size; h a; h bm; h out; i n;
+            h s; b (Bytes.of_string name); i (String.length name); h a; h bm;
+            h out; i n;
           ]
+        ()
 
     let stBatchSubmit s ~batch ~item_size =
-      let batch_size = Bytes.length batch in
       sync t.stub ~fn:"stBatchSubmit"
-        ~env:[ ("batch_size", batch_size); ("item_size", item_size) ]
-        ~args:[ h s; b (Bytes.copy batch); i batch_size; i item_size; u ]
-        (fun reply -> Ok (to_i (out_exn reply 0)))
+        ~args:
+          [ h s; b (Bytes.copy batch); i (Bytes.length batch); i item_size; u ]
+        (ret_out to_i 0)
 
     let stBatchCollect s ~ticket ~size =
-      sync t.stub ~fn:"stBatchCollect"
-        ~env:[ ("scores_size", size) ]
-        ~args:[ h s; i ticket; u; i size ]
-        (fun reply -> Ok (to_b (out_exn reply 0)))
+      sync t.stub ~fn:"stBatchCollect" ~args:[ h s; i ticket; u; i size ]
+        (ret_out to_b 0)
   end in
   ((module M : Ava_simst.Api.S), t)
 

@@ -177,16 +177,6 @@ let verify t (c : Message.call) =
       then Error Server.status_bad_arguments
       else Ok plan
 
-(* Scalar environment for the plan's cost expressions, recovered from the
-   marshalled arguments. *)
-let env_of_call (plan : Plan.call_plan) (c : Message.call) =
-  List.fold_left2
-    (fun env (name, action) v ->
-      match (action, Wire.to_int v) with
-      | Plan.Pass_scalar, Some n -> (name, n) :: env
-      | _ -> env)
-    [] plan.Plan.cp_params c.Message.call_args
-
 let reject_call conn (c : Message.call) status =
   Hashtbl.replace conn.rejected_status c.Message.call_seq status;
   let reply =
@@ -400,18 +390,13 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               Vm.charge_call vm;
               record_trace t "vm%d %s seq=%d" (Vm.id vm)
                 c.Message.call_fn c.Message.call_seq;
-              let env = env_of_call plan c in
+              let env =
+                Plan.scalar_env plan ~to_int:Wire.to_int c.Message.call_args
+              in
               (match conn.bucket with
               | Some b -> Policy.Token_bucket.take b 1.0
               | None -> ());
-              let cost =
-                match Plan.resource_estimate plan ~env "device_time" with
-                | Some c -> float_of_int (Stdlib.max 1 c)
-                | None -> (
-                    match Plan.resource_estimate plan ~env "bus_bytes" with
-                    | Some b -> float_of_int (Stdlib.max 1 (b / 64))
-                    | None -> 1.0)
-              in
+              let cost = Plan.call_cost plan ~env in
               Vm.charge_device_time vm (int_of_float cost);
               (match conn.quota with
               | Some q -> Policy.Quota.charge q cost

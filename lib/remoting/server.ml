@@ -421,23 +421,9 @@ let tdr_budget t (tdr : tdr) (c : Message.call) =
   let cost =
     match Plan.find t.plan c.Message.call_fn with
     | None -> 1.0
-    | Some plan -> (
-        let env =
-          try
-            List.fold_left2
-              (fun env (name, action) v ->
-                match (action, Wire.to_int v) with
-                | Plan.Pass_scalar, Some n -> (name, n) :: env
-                | _ -> env)
-              [] plan.Plan.cp_params c.Message.call_args
-          with Invalid_argument _ -> []
-        in
-        match Plan.resource_estimate plan ~env "device_time" with
-        | Some c -> float_of_int (Stdlib.max 1 c)
-        | None -> (
-            match Plan.resource_estimate plan ~env "bus_bytes" with
-            | Some b -> float_of_int (Stdlib.max 1 (b / 64))
-            | None -> 1.0))
+    | Some plan ->
+        Plan.call_cost plan
+          ~env:(Plan.scalar_env plan ~to_int:Wire.to_int c.Message.call_args)
   in
   Time.max tdr.tdr_min_ns (int_of_float (cost *. 0.02 *. tdr.tdr_factor))
 

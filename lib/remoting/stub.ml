@@ -508,35 +508,44 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   end;
   p
 
-(* Invoke [fn].  [env] binds scalar parameters by name for the plan's
-   size/synchrony expressions.  [force_sync] overrides the plan when the
-   caller needs outputs immediately (e.g. an event handle it must return).
-   Returns the reply for sync calls; async calls return [Ok None]
-   immediately and deliver their reply through [on_reply]. *)
-let invoke ?(force_sync = false) ?on_reply t ~fn ~env ~args =
+(* The plan's synchrony verdict for one invocation.  Only a conditional
+   plan reads argument values, so only it pays for the scalar env. *)
+let plan_sync (plan : Plan.call_plan) args =
+  match plan.Plan.cp_sync with
+  | Plan.Sync_when_eq _ ->
+      Plan.is_sync plan ~env:(Plan.scalar_env plan ~to_int:Wire.to_int args)
+  | Plan.Always_sync | Plan.Always_async | Plan.Sync_on_completion _ ->
+      Plan.is_sync plan ~env:[]
+
+let call_sync t ~fn ~args ~on_reply =
+  t.sync_calls <- t.sync_calls + 1;
+  let p = send_call t ~fn ~args ~sync:true ~holdable:false ~on_reply in
+  Ivar.read p.p_ivar
+
+let no_plan fn = Error (Printf.sprintf "no plan for function %S" fn)
+
+(* Invoke [fn].  [force_sync] overrides the plan when the caller needs
+   outputs immediately (e.g. an event handle it must return).  Returns
+   the reply for sync calls; async calls return [Ok None] immediately
+   and deliver their reply through [on_reply]. *)
+let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
   match Plan.find t.plan fn with
-  | None -> Error (Printf.sprintf "no plan for function %S" fn)
+  | None -> no_plan fn
   | Some plan ->
-      let sync = force_sync || Plan.is_sync plan ~env in
-      (* Holdable: produces nothing and consumes no device resource. *)
-      let holdable =
-        (not (Plan.has_outputs plan)) && plan.Plan.cp_resources = []
-      in
-      if sync then begin
-        t.sync_calls <- t.sync_calls + 1;
-        let p = send_call t ~fn ~args ~sync:true ~holdable:false ~on_reply in
-        let reply = Ivar.read p.p_ivar in
-        Ok (Some reply)
-      end
+      if force_sync || plan_sync plan args then
+        Ok (Some (call_sync t ~fn ~args ~on_reply))
       else begin
         t.async_calls <- t.async_calls + 1;
+        (* Holdable: produces nothing and consumes no device resource. *)
+        let holdable =
+          (not (Plan.has_outputs plan)) && plan.Plan.cp_resources = []
+        in
         let _ = send_call t ~fn ~args ~sync:false ~holdable ~on_reply in
         Ok None
       end
 
 (* Convenience for callers that always need the reply. *)
-let invoke_sync t ~fn ~env ~args =
-  match invoke ~force_sync:true t ~fn ~env ~args with
-  | Ok (Some reply) -> Ok reply
-  | Ok None -> assert false
-  | Error _ as e -> e
+let invoke_sync t ~fn ~args =
+  match Plan.find t.plan fn with
+  | None -> no_plan fn
+  | Some _ -> Ok (call_sync t ~fn ~args ~on_reply:None)

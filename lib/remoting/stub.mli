@@ -141,11 +141,11 @@ val invoke :
   ?on_reply:(Message.reply -> unit) ->
   t ->
   fn:string ->
-  env:(string * int) list ->
   args:Wire.value list ->
   (Message.reply option, string) result
-(** Invoke [fn].  [env] binds scalar parameters by name for the plan's
-    size/synchrony expressions.  [force_sync] overrides the plan when the
+(** Invoke [fn].  The plan decides synchrony; a conditional plan
+    ([Sync_when_eq]) reads its condition from the scalar arguments
+    ({!Plan.scalar_env}).  [force_sync] overrides the plan when the
     caller needs outputs immediately.  Synchronous calls return
     [Ok (Some reply)]; asynchronous calls return [Ok None] at once and
     deliver their reply through [on_reply].  [Error] means the function
@@ -154,7 +154,6 @@ val invoke :
 val invoke_sync :
   t ->
   fn:string ->
-  env:(string * int) list ->
   args:Wire.value list ->
   (Message.reply, string) result
 (** {!invoke} with [force_sync:true]. *)

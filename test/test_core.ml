@@ -377,7 +377,7 @@ let isolation_tests =
             let host = Host.create_cl_host e in
             let guest = Host.add_cl_vm host ~name:"g0" in
             let stub = Option.get guest.Host.g_stub in
-            match Stub.invoke stub ~fn:"clEvilFunction" ~env:[] ~args:[] with
+            match Stub.invoke stub ~fn:"clEvilFunction" ~args:[] with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "stub accepted unspecified function"));
     Alcotest.test_case "router rejects malformed argument counts" `Quick
@@ -388,7 +388,7 @@ let isolation_tests =
             let stub = Option.get guest.Host.g_stub in
             (* clFinish takes exactly one argument. *)
             (match
-               Stub.invoke ~force_sync:true stub ~fn:"clFinish" ~env:[]
+               Stub.invoke ~force_sync:true stub ~fn:"clFinish"
                  ~args:[ Codec.i 1; Codec.i 2 ]
              with
             | Ok (Some reply) ->

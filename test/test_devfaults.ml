@@ -640,7 +640,7 @@ let giveup_time ~vm_id ~jitter =
   Engine.run_process e (fun () ->
       let t0 = Engine.now e in
       (match
-         Stub.invoke ~force_sync:true stub ~fn:"clGetPlatformIDs" ~env:[]
+         Stub.invoke ~force_sync:true stub ~fn:"clGetPlatformIDs"
            ~args:[]
        with
       | Ok (Some reply) ->

@@ -567,7 +567,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[]
+                (Stub.invoke_sync stub ~fn:"ping"
                    ~args:[ Wire.int 21 ]))
         in
         Alcotest.(check bool) "doubled" true
@@ -582,12 +582,12 @@ let stub_tests =
         Server.register server "fire" (fun _ _ _ ->
             (-77, Wire.Unit, []));
         Engine.run_process e (fun () ->
-            (match Stub.invoke stub ~fn:"fire" ~env:[] ~args:[ Wire.int 1 ] with
+            (match Stub.invoke stub ~fn:"fire" ~args:[ Wire.int 1 ] with
             | Ok None -> ()
             | _ -> Alcotest.fail "fire should be async");
             let _ =
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ])
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ])
             in
             Alcotest.(check (option (pair string int)))
               "deferred error"
@@ -599,7 +599,7 @@ let stub_tests =
         let plan = mini_plan () in
         let stub, _server = stub_server_pair e plan in
         Engine.run_process e (fun () ->
-            match Stub.invoke stub ~fn:"nope" ~env:[] ~args:[] with
+            match Stub.invoke stub ~fn:"nope" ~args:[] with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "accepted unplanned function"));
     Alcotest.test_case "unregistered handler is rejected by server" `Quick
@@ -610,7 +610,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
         in
         Alcotest.(check int) "unknown function status"
           Server.status_unknown_function reply.Message.reply_status;
@@ -636,7 +636,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 1 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
         in
         Alcotest.(check int) "call failed"
           Server.status_bad_arguments reply.Message.reply_status;
@@ -646,7 +646,7 @@ let stub_tests =
         let reply =
           Engine.run_process e (fun () ->
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[] ~args:[ Wire.int 2 ]))
+                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 2 ]))
         in
         Alcotest.(check int) "worker survived" 0 reply.Message.reply_status);
   ]
@@ -680,7 +680,7 @@ let payload_recorder server seen =
 let send_payload stub payload =
   let reply =
     Result.get_ok
-      (Stub.invoke_sync stub ~fn:"ping" ~env:[]
+      (Stub.invoke_sync stub ~fn:"ping"
          ~args:[ Wire.Blob (Bytes.copy payload) ])
   in
   Alcotest.(check int) "status" 0 reply.Message.reply_status;
@@ -857,7 +857,7 @@ let sva_tests =
                keep serving. *)
             let reply =
               Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~env:[]
+                (Stub.invoke_sync stub ~fn:"ping"
                    ~args:
                      [
                        Wire.Mapped_ref
@@ -1244,6 +1244,166 @@ let swap_tests =
            Swap.check_invariants t));
   ]
 
+
+(* --- the silo kit: every silo's guest library and handlers share one
+   call-finishing path and one handler prelude ------------------------- *)
+
+module Host = Ava_core.Host
+
+let plan_of load = snd (load ())
+
+(* A stub wired to a server whose only handler answers [fn] with
+   [reply], bypassing the silo: the guest library must cope with
+   whatever comes back. *)
+let canned_pair e plan ~fn reply =
+  let stub, server = stub_server_pair e plan in
+  Server.register server fn (fun _ _ _ -> reply);
+  stub
+
+let ok_no_outs = (0, Wire.Unit, [])
+let huge_handle = (0, Wire.Handle Int64.max_int, [])
+
+(* Issue one sync call through a host's stub on a handle the server
+   never minted; return (status, rejected delta, executed delta). *)
+let stale_call stub server ~fn ~args =
+  let rejected = Server.rejected server and executed = Server.executed server in
+  let reply = Result.get_ok (Stub.invoke_sync stub ~fn ~args) in
+  ( reply.Message.reply_status,
+    Server.rejected server - rejected,
+    Server.executed server - executed )
+
+let check_stale (status, rejected, executed) =
+  Alcotest.(check int) "unknown-handle status" Server.status_unknown_handle
+    status;
+  Alcotest.(check int) "counted as a rejection" 1 rejected;
+  Alcotest.(check int) "not counted as executed" 0 executed
+
+let stale = Wire.Handle 0x4242L
+
+let silo_kit_tests =
+  [
+    Alcotest.test_case "out-of-range handle fails QA and ST, never wraps"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let qa =
+          canned_pair e (plan_of Host.load_qa_plan) ~fn:"qaStartInstance"
+            huge_handle
+        in
+        let st =
+          canned_pair e (plan_of Host.load_st_plan) ~fn:"stStreamCreate"
+            huge_handle
+        in
+        let (module QA) = fst (Ava_core.Qa_remote.create qa) in
+        let (module ST) = fst (Ava_core.St_remote.create st) in
+        Engine.run_process e (fun () ->
+            Alcotest.(check bool) "qaStartInstance -> Qa_fail" true
+              (QA.qaStartInstance ~index:0 = Error Ava_simqa.Types.Qa_fail);
+            Alcotest.(check bool) "stStreamCreate -> St_fail" true
+              (ST.stStreamCreate () = Error Ava_simst.Types.St_fail)));
+    Alcotest.test_case "short reply is an error, never an exception" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let pair load fn = canned_pair e (plan_of load) ~fn ok_no_outs in
+        let (module CL) =
+          fst (Ava_core.Cl_remote.create (pair Host.load_cl_plan "clGetContextInfo"))
+        in
+        let (module NC) =
+          fst (Ava_core.Nc_remote.create (pair Host.load_nc_plan "mvncGetResult"))
+        in
+        let (module QA) =
+          fst
+            (Ava_core.Qa_remote.create
+               (pair Host.load_qa_plan "qaGetNumInstances"))
+        in
+        let (module ST) =
+          fst (Ava_core.St_remote.create (pair Host.load_st_plan "stMemcpyDtoH"))
+        in
+        Engine.run_process e (fun () ->
+            Alcotest.(check bool) "clGetContextInfo" true
+              (Result.is_error (CL.clGetContextInfo 0x1000));
+            Alcotest.(check bool) "mvncGetResult" true
+              (Result.is_error (NC.mvncGetResult 0x1000));
+            Alcotest.(check bool) "qaGetNumInstances" true
+              (Result.is_error (QA.qaGetNumInstances ()));
+            Alcotest.(check bool) "stMemcpyDtoH" true
+              (Result.is_error (ST.stMemcpyDtoH ~size:16 0x1000))));
+    Alcotest.test_case "stale handle is a counted rejection in every silo"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let cl = Host.create_cl_host e in
+        let cg = Host.add_cl_vm cl ~name:"cl" in
+        let nc = Host.create_nc_host e in
+        let ng = Host.add_nc_vm nc ~name:"nc" in
+        let qa = Host.create_qa_host e in
+        let qg = Host.add_qa_vm qa ~name:"qa" in
+        let st = Host.create_st_host e in
+        let sg = Host.add_st_vm st ~name:"st" in
+        Engine.run_process e (fun () ->
+            check_stale
+              (stale_call (Option.get cg.Host.g_stub) cl.Host.server
+                 ~fn:"clGetContextInfo" ~args:[ stale; Wire.Unit ]);
+            check_stale
+              (stale_call (Option.get ng.Host.ng_stub) nc.Host.nc_server
+                 ~fn:"mvncCloseDevice" ~args:[ stale ]);
+            check_stale
+              (stale_call (Option.get qg.Host.qg_stub) qa.Host.qa_server
+                 ~fn:"qaStopInstance" ~args:[ stale ]);
+            check_stale
+              (stale_call (Option.get sg.Host.sg_stub) st.Host.st_server
+                 ~fn:"stStreamDestroy" ~args:[ stale ])));
+    Alcotest.test_case "read-buffer synchrony follows its blocking argument"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let plan = plan_of Host.load_cl_plan in
+        let stub =
+          canned_pair e plan ~fn:"clEnqueueReadBuffer"
+            (0, Wire.Unit, [ Wire.Blob (Bytes.make 16 'x') ])
+        in
+        let (module CL) = fst (Ava_core.Cl_remote.create stub) in
+        let read ~blocking =
+          ignore
+            (CL.clEnqueueReadBuffer 0x1000 0x1001 ~blocking ~offset:0 ~size:16
+               ~wait_list:[] ~want_event:false)
+        in
+        Engine.run_process e (fun () ->
+            read ~blocking:false;
+            Alcotest.(check (pair int int)) "non-blocking goes async" (0, 1)
+              (Stub.sync_calls stub, Stub.async_calls stub);
+            read ~blocking:true;
+            Alcotest.(check (pair int int)) "blocking goes sync" (1, 1)
+              (Stub.sync_calls stub, Stub.async_calls stub);
+            (* The plan alone, without the guest library forcing it. *)
+            let args blocking =
+              [
+                Wire.int 0x1000; Wire.int 0x1001; Wire.int blocking;
+                Wire.int 0; Wire.int 16; Wire.Unit; Wire.int 0;
+                Wire.List []; Wire.Unit;
+              ]
+            in
+            Alcotest.(check bool) "plan: blocking_read=1 is sync" true
+              (Option.is_some
+                 (Result.get_ok
+                    (Stub.invoke stub ~fn:"clEnqueueReadBuffer" ~args:(args 1))));
+            Alcotest.(check bool) "plan: blocking_read=0 is async" true
+              (Option.is_none
+                 (Result.get_ok
+                    (Stub.invoke stub ~fn:"clEnqueueReadBuffer" ~args:(args 0))))));
+    Alcotest.test_case "scalar env is total on an arity mismatch" `Quick
+      (fun () ->
+        let plan =
+          Option.get
+            (Plan.find (plan_of Host.load_cl_plan) "clEnqueueReadBuffer")
+        in
+        let env args = Plan.scalar_env plan ~to_int:Wire.to_int args in
+        Alcotest.(check (list (pair string int))) "no args" [] (env []);
+        Alcotest.(check (option int)) "short args bind the prefix" (Some 1)
+          (List.assoc_opt "blocking_read"
+             (env [ Wire.int 1; Wire.int 2; Wire.int 1 ]));
+        let long = List.init 20 (fun n -> Wire.int n) in
+        Alcotest.(check (option int)) "long args bind every param" (Some 4)
+          (List.assoc_opt "size" (env long)));
+  ]
+
 let () =
   Alcotest.run "ava_remoting"
     [
@@ -1259,4 +1419,5 @@ let () =
       ("ctx", ctx_tests);
       ("migrate", migrate_tests);
       ("swap", swap_tests);
+      ("silo-kit", silo_kit_tests);
     ]
