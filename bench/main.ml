@@ -1667,6 +1667,17 @@ let microbench () =
     ]
   in
   let encoded = Ava_remoting.Wire.encode wire_values in
+  (* The router's view of the same frame: headers and scalars only. *)
+  let call_frame =
+    Ava_remoting.Message.encode
+      (Ava_remoting.Message.Call
+         {
+           call_seq = 1;
+           call_vm = 1;
+           call_fn = "clEnqueueWriteBuffer";
+           call_args = List.tl wire_values;
+         })
+  in
   let spec = Ava_spec.Specs.load_simcl () in
   let plan = Result.get_ok (Ava_codegen.Plan.compile spec) in
   let read_plan =
@@ -1679,6 +1690,9 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Ava_remoting.Wire.encode wire_values)));
       Test.make ~name:"wire-decode"
         (Staged.stage (fun () -> ignore (Ava_remoting.Wire.decode encoded)));
+      Test.make ~name:"wire-peek"
+        (Staged.stage (fun () ->
+             ignore (Ava_remoting.Message.peek call_frame)));
       Test.make ~name:"plan-sync-decision"
         (Staged.stage (fun () ->
              ignore (Ava_codegen.Plan.is_sync read_plan ~env)));

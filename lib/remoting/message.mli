@@ -40,5 +40,26 @@ type t =
           payload under the same seq *)
 
 val encode : t -> bytes
+(** One presized allocation per frame; a [Batch] writes its members'
+    [Call] frames straight into it. *)
+
+val batch_of_frames : bytes list -> bytes
+(** The [Batch] frame whose members are the given, already encoded,
+    [Call] frames: [batch_of_frames (List.map (fun c -> encode (Call c)) cs)]
+    equals [encode (Batch cs)]. *)
+
 val decode : bytes -> (t, string) result
+(** Total: corrupt or truncated input, or a seq, vm, status or callback id
+    outside the native [int] range, yields [Error], never an exception. *)
+
+val peek : bytes -> (t * (int * int) list, string) result
+(** The frame without its payloads, for readers that need only headers
+    and scalars.  It applies every check {!decode} does and returns
+    [Error] on exactly the same inputs, but never copies a [Blob] or
+    [Blob_cached] payload: those come back empty.  Other values, the
+    kind, seqs, vm, fn and status are as {!decode} returns them.  For a
+    [Batch], the list gives each member's [Call] sub-frame as
+    [(offset, length)] within the peeked bytes, in member order; it is
+    empty for every other kind. *)
+
 val pp : Format.formatter -> t -> unit

@@ -267,8 +267,9 @@ let spawn_egress t conn ep =
       let rec loop () =
         let data = Transport.recv ep in
         Vm.charge_bytes vm (Bytes.length data);
-        (match Message.decode data with
-        | Ok (Message.Reply r) ->
+        (* Headers only: the reply's payloads go to the guest untouched. *)
+        (match Message.peek data with
+        | Ok (Message.Reply r, _) ->
             mark_replied conn r.Message.reply_seq;
             (* Feed the reply into this VM's error budget: fault
                statuses count against it; any other reply proves the
@@ -448,19 +449,21 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
           conn.policing_seqs <- remove_one seq conn.policing_seqs;
           verdict
         in
-        (match Message.decode data with
+        (* Policing reads headers and scalars only ([Message.peek]); the
+           payload bytes are forwarded as they arrived. *)
+        (match Message.peek data with
         | Error _ -> t.rejected <- t.rejected + 1
-        | Ok (Message.Reply _) | Ok (Message.Upcall _) | Ok (Message.Skip _)
-        | Ok (Message.Nak _) ->
+        | Ok ((Message.Reply _ | Message.Upcall _ | Message.Skip _
+              | Message.Nak _), _) ->
             (* Nak is server-to-guest only; a guest sending one is bogus. *)
             t.rejected <- t.rejected + 1
-        | Ok (Message.Call c) -> (
+        | Ok (Message.Call c, _) -> (
             Vm.charge_bytes vm (Bytes.length data);
             mark_in c;
             match admit_and_police c with
             | None -> send_skip conn [ c.Message.call_seq ]
             | Some cost -> push_wfq ~cost data [ c.Message.call_seq ])
-        | Ok (Message.Batch calls) ->
+        | Ok (Message.Batch calls, spans) ->
             Vm.charge_bytes vm (Bytes.length data);
             List.iter mark_in calls;
             (* Police per contained call; every member is answered:
@@ -469,39 +472,45 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
                seqs are skipped at the server.  Never drop a verified,
                already-charged call. *)
             let results =
-              List.map (fun c -> (c, admit_and_police c)) calls
+              List.map2
+                (fun c span -> (c, span, admit_and_police c))
+                calls spans
             in
             let rejected_seqs =
               List.filter_map
-                (fun ((c : Message.call), v) ->
+                (fun ((c : Message.call), _, v) ->
                   if v = None then Some c.Message.call_seq else None)
                 results
             in
             send_skip conn rejected_seqs;
             let accepted =
               List.filter_map
-                (fun (c, v) -> Option.map (fun cost -> (c, cost)) v)
+                (fun (c, span, v) -> Option.map (fun cost -> (c, span, cost)) v)
                 results
             in
             (match accepted with
             | [] -> ()
             | _ ->
                 let cost =
-                  List.fold_left (fun a (_, c) -> a +. c) 0.0 accepted
+                  List.fold_left (fun a (_, _, c) -> a +. c) 0.0 accepted
                 in
                 let seqs =
                   List.map
-                    (fun ((c : Message.call), _) -> c.Message.call_seq)
+                    (fun ((c : Message.call), _, _) -> c.Message.call_seq)
                     accepted
                 in
                 let data =
                   if rejected_seqs = [] then data
                   else
-                    match accepted with
-                    | [ (c, _) ] -> Message.encode (Message.Call c)
-                    | _ ->
-                        Message.encode
-                          (Message.Batch (List.map fst accepted))
+                    (* Re-frame the accepted members from their original
+                       sub-frame bytes. *)
+                    match
+                      List.map
+                        (fun (_, (off, len), _) -> Bytes.sub data off len)
+                        accepted
+                    with
+                    | [ frame ] -> frame
+                    | frames -> Message.batch_of_frames frames
                 in
                 push_wfq ~cost data seqs));
         loop ()

@@ -28,9 +28,11 @@ type pending = {
       (** encoded [Call] frame, for seq-based resend; switched to
           [p_full] after a cache-miss NAK so watchdog resends carry the
           full payload too *)
-  p_full : bytes;
+  p_full : bytes Lazy.t;
       (** encoded [Call] frame with every cacheable blob sent in full
-          ([Blob_cached], never [Blob_ref]) — the resend after a NAK *)
+          ([Blob_cached], never [Blob_ref]) — the resend after a NAK.
+          [p_data] itself when no blob went as a ref; otherwise encoded
+          only if a NAK asks for it *)
   p_announced : int64 list;
       (** digests of cacheable payloads in this call; acknowledged as
           server-resident once the reply arrives *)
@@ -87,7 +89,8 @@ type t = {
   mutable deferred_errors : (string * int) list;  (** newest first *)
   batch_limit : int;  (** max async calls buffered; 1 disables batching *)
   batch_bytes_limit : int;
-  mutable batch : Message.call list;  (** newest first *)
+  mutable batch : (int * bytes) list;
+      (** held calls as (seq, encoded [Call] frame), newest first *)
   mutable batch_bytes : int;
   mutable batches_sent : int;
   mutable sync_calls : int;
@@ -194,10 +197,11 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
             | None -> () (* already replied or given up: drop *)
             | Some p ->
                 t.cache_nak_resends <- t.cache_nak_resends + 1;
-                p.p_data <- p.p_full;
+                let full = Lazy.force p.p_full in
+                p.p_data <- full;
                 (* Recovery traffic never waits behind a coalescing
                    horizon: the server is stalled on this seq. *)
-                Transport.send ~kick:true t.ep p.p_full)
+                Transport.send ~kick:true t.ep full)
         | Ok (Message.Upcall u) -> (
             (* Dispatch a server-to-guest callback in its own process so
                a slow callback never blocks reply delivery. *)
@@ -269,10 +273,11 @@ let hash_cost_ns bytes = Time.ns (bytes / 32)
 (* Walk the argument values, replacing each cacheable [Blob]: by a
    [Blob_ref] when its digest is server-acknowledged, by a [Blob_cached]
    (digest announce) otherwise.  Returns the substituted args, the args
-   with every cacheable blob in full (the NAK-resend form), the digests
+   with every cacheable blob in full (the NAK-resend form) when any blob
+   went as a ref and [None] when the two forms are the same, the digests
    carried, and the payload bytes hashed. *)
 let cache_substitute t c args =
-  let digests = ref [] and hashed = ref 0 in
+  let digests = ref [] and hashed = ref 0 and refs = ref false in
   let cacheable b =
     let len = Bytes.length b in
     len >= c.cache_min_bytes && len <= c.cache_max_bytes
@@ -285,6 +290,7 @@ let cache_substitute t c args =
         digests := d :: !digests;
         let full = Wire.Blob_cached { bc_digest = d; bc_data = b } in
         if Hashtbl.mem t.acked d then begin
+          refs := true;
           t.cache_refs <- t.cache_refs + 1;
           t.cache_saved_bytes <- t.cache_saved_bytes + Bytes.length b;
           (Wire.Blob_ref { br_digest = d; br_size = Bytes.length b }, full)
@@ -300,7 +306,7 @@ let cache_substitute t c args =
   in
   let pairs = List.map subst args in
   ( List.map fst pairs,
-    List.map snd pairs,
+    (if !refs then Some (List.map snd pairs) else None),
     List.rev !digests,
     !hashed )
 
@@ -350,25 +356,19 @@ let db_mark t seqs at =
 let flush_batch t =
   match List.rev t.batch with
   | [] -> ()
-  | [ only ] ->
+  | held ->
       t.batch <- [];
       t.batch_bytes <- 0;
-      let seqs = [ only.Message.call_seq ] in
+      let seqs = List.map fst held in
+      let data =
+        match held with
+        | [ (_, frame) ] -> frame
+        | _ ->
+            t.batches_sent <- t.batches_sent + 1;
+            Message.batch_of_frames (List.map snd held)
+      in
       mark_sent t seqs;
-      Transport.send
-        ~on_scheduled:(fun at -> db_mark t seqs at)
-        t.ep
-        (Message.encode (Message.Call only))
-  | calls ->
-      t.batch <- [];
-      t.batch_bytes <- 0;
-      t.batches_sent <- t.batches_sent + 1;
-      let seqs = List.map (fun (c : Message.call) -> c.Message.call_seq) calls in
-      mark_sent t seqs;
-      Transport.send
-        ~on_scheduled:(fun at -> db_mark t seqs at)
-        t.ep
-        (Message.encode (Message.Batch calls))
+      Transport.send ~on_scheduled:(fun at -> db_mark t seqs at) t.ep data
 
 (* Give up on a pending call: synthesize a timeout reply so the caller
    (or the deferred-error channel) observes the failure instead of
@@ -445,7 +445,7 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   in
   let sent_args, full_args, announced, hashed =
     match t.cache with
-    | None -> (args, args, [], 0)
+    | None -> (args, None, [], 0)
     | Some c -> cache_substitute t c args
   in
   let call =
@@ -453,13 +453,15 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
       call_args = sent_args }
   in
   let data = Message.encode (Message.Call call) in
-  (* [announced] lists every cacheable digest in the call (refs included),
-     so an empty list means no substitution happened and the full frame is
-     the sent frame itself. *)
+  (* Announces travel in full already, so the NAK-resend frame differs
+     from [data] only when a blob went as a ref. *)
   let full =
-    if announced = [] then data
-    else
-      Message.encode (Message.Call { call with Message.call_args = full_args })
+    match full_args with
+    | None -> Lazy.from_val data
+    | Some args ->
+        lazy
+          (Message.encode
+             (Message.Call { call with Message.call_args = args }))
   in
   t.marshalled_bytes <- t.marshalled_bytes + Bytes.length data;
   if hashed > 0 then Engine.delay (hash_cost_ns hashed);
@@ -494,12 +496,12 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   end
   else if not holdable then begin
     (* Device work departs now, taking the held calls along. *)
-    t.batch <- call :: t.batch;
+    t.batch <- (seq, data) :: t.batch;
     t.batch_bytes <- t.batch_bytes + Bytes.length data;
     flush_batch t
   end
   else begin
-    t.batch <- call :: t.batch;
+    t.batch <- (seq, data) :: t.batch;
     t.batch_bytes <- t.batch_bytes + Bytes.length data;
     if
       List.length t.batch >= t.batch_limit

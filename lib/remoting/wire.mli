@@ -44,7 +44,50 @@ val encoded_size : value -> int
 (** Size of the encoded form, for payload accounting. *)
 
 val encode : value list -> bytes
+(** One presized allocation: the frame is [4 + Σ encoded_size] bytes,
+    written in place. *)
+
+val encode_nested : value list -> value list list -> bytes
+(** [encode_nested vs frames] equals
+    [encode (vs @ List.map (fun f -> Blob (encode f)) frames)], but each
+    nested frame is written straight into the one outer buffer. *)
 
 val decode : bytes -> (value list, string) result
 (** Total: corrupt or truncated input yields [Error], never an
     exception. *)
+
+(** {2 Validating reader}
+
+    The one set of checks behind {!decode} and [Message.decode]/
+    [Message.peek]: tags, lengths, list bounds, the IOVA window and
+    trailing bytes.  Reading functions raise {!Decode_error}. *)
+
+exception Decode_error of string
+
+type reader
+
+val reader : bytes -> off:int -> len:int -> reader
+(** Reads the frame occupying [len] bytes at [off]. *)
+
+val read_count : reader -> int
+(** The frame's value count. *)
+
+val read_value : copy:bool -> reader -> value
+(** The next value.  With [~copy:false] it is checked exactly as with
+    [~copy:true], but [Blob]/[Blob_cached] payloads are not copied out:
+    they come back empty. *)
+
+val read_values : copy:bool -> reader -> int -> value list
+(** The next [n] values, in order, read as by {!read_value}. *)
+
+val read_int : reader -> int
+(** The next value must be an [I64] that fits the native [int] range (the
+    check {!to_int} makes); out-of-range values are an error, never
+    wrapped. *)
+
+val read_blob_span : reader -> int * int
+(** The next value must be a [Blob]: its payload's offset and length in
+    the underlying bytes, without copying it. *)
+
+val read_end : reader -> unit
+(** Fails unless the whole frame has been read. *)
