@@ -5,8 +5,8 @@
    fleet runs in a single deterministic virtual timeline.  The cluster
    adds exactly two things: admission (which host gets a new tenant,
    under pluggable policies with different knowledge models) and
-   cross-host migration (the pool's pause / drain / replay / re-steer
-   sequence stretched across two routers).
+   cross-host migration (the pool's one migration handoff, into
+   another host's pool and router).
 
    Invariant the benches pin: a single-host cluster under the global
    policy makes no extra random draws and advances no extra virtual
@@ -15,9 +15,6 @@
 
 module Host = Ava_core.Host
 module Pool = Ava_pool.Pool
-module Server = Ava_remoting.Server
-module Router = Ava_remoting.Router
-module Transport = Ava_transport.Transport
 module Obs = Ava_obs.Obs
 module Gpu = Ava_device.Gpu
 module Vm = Ava_hv.Vm
@@ -272,25 +269,19 @@ let retire t ~vm_id =
 
 (* {1 Cross-host migration}
 
-   The pool's migration sequence stretched across two hosts.  The
-   source pool only bookkeeps ([begin_emigration] claims the VM under
-   the same flag that serializes local migrations, so the skew monitor
-   and retirement keep their hands off through the drain); this layer
-   orchestrates everything between the two stacks:
+   The pool's migration handoff ([Pool.emigrate]) into another host's
+   pool: pause, drain, pick a device on the destination pool, replay
+   the record log and restore buffers through the source host's
+   transfer closure, seed the destination cursor, carry the reply log
+   and move the router flow across routers, detach the source.  The
+   guest is never touched: its stub, transport and seq stream survive,
+   exactly as in a single-host migration.
 
-     pause source worker -> drain window -> place on destination pool
-     -> attach destination server -> replay record log + restore
-     buffers ([Silo.transfer]) -> seed destination cursor +
-     carry reply log -> move the router flow across routers
-     ([Router.transfer_flow]) -> detach source -> move recorder /
-     IOMMU bookkeeping.
-
-   The guest is never touched: its stub, transport and seq stream
-   survive, exactly as in a single-host migration.  The recorder is
-   out of the source host's table during replay (so the replay does
-   not re-record itself) and enters the destination's table in the
-   same synchronous step as the re-steer, so requeued in-flight calls
-   cannot execute unrecorded. *)
+   This layer adds only host bookkeeping.  The recorder is out of the
+   source host's table during replay (so the replay does not re-record
+   itself) and enters the destination's table right after the handoff
+   returns — the same synchronous step as the flow move, so requeued
+   in-flight calls cannot execute unrecorded.  The IOMMU follows it. *)
 
 let migrate_tenant t ~vm_id ~dest =
   if dest < 0 || dest >= Array.length t.hosts then
@@ -302,62 +293,19 @@ let migrate_tenant t ~vm_id ~dest =
   | None -> 0
   | Some tn when tn.t_host = dest -> 0
   | Some tn -> (
-      let src_host = t.hosts.(tn.t_host).h_host in
-      let dst_host = t.hosts.(dest).h_host in
-      let src_pool = t.hosts.(tn.t_host).h_pool in
-      let dst_pool = t.hosts.(dest).h_pool in
-      match Pool.begin_emigration src_pool ~vm_id with
+      let src = t.hosts.(tn.t_host) and dst = t.hosts.(dest) in
+      (* Taken before the handoff, which pulls it from the source table
+         for the replay.  A concurrent migration may already have it
+         out; the handoff then refuses this one. *)
+      let recorder = Hashtbl.find_opt src.h_host.Host.recorders vm_id in
+      match Pool.emigrate src.h_pool ~vm_id ~into:dst.h_pool with
       | None -> 0
-      | Some src_dev ->
-          let recorder =
-            match Hashtbl.find_opt src_host.Host.recorders vm_id with
-            | Some r -> r
-            | None ->
-                Pool.abort_emigration src_pool ~vm_id;
-                invalid_arg "Cluster.migrate_tenant: tenant has no recorder"
-          in
-          let vm =
-            match Pool.vm_of src_pool ~vm_id with
-            | Some vm -> vm
-            | None -> assert false
-          in
-          let src_srv = Pool.server src_pool src_dev in
-          Server.pause_vm src_srv ~vm_id;
-          (* The emigration claim blocks retire / local migration for
-             the whole drain, so the VM is still here afterwards. *)
-          Engine.delay (Time.us 200);
-          let dst_dev =
-            Pool.place ?footprint:tn.t_footprint dst_pool ~vm
-          in
-          let dst_srv = Pool.server dst_pool dst_dev in
-          let router_end, server_end = Transport.direct t.engine in
-          ignore (Server.attach_vm dst_srv ~vm_id ~ep:server_end);
-          let bytes =
-            (Ava_core.Silo.transfer Ava_core.Cl_handlers.live ~recorder ~vm_id
-               ~src:src_srv ~dst:dst_srv
-               ?sva:
-                 (Option.map
-                    (fun iommu -> (iommu, Gpu.dma (Pool.gpu dst_pool dst_dev)))
-                    (Hashtbl.find_opt src_host.Host.iommus vm_id))
-               ~suspend:(fun () -> Hashtbl.remove src_host.Host.recorders vm_id)
-               ~resume:ignore)
-              .Ava_core.Silo.bytes
-          in
-          (* Cursor + reply log + re-steer in one synchronous step (no
-             suspension points), same reasoning as [Pool.migrate_vm]. *)
-          let seq = Router.next_seq src_host.Host.router ~vm_id in
-          Server.set_expected dst_srv ~vm_id ~seq;
-          Server.import_replies dst_srv ~vm_id
-            (Server.export_replies src_srv ~vm_id);
-          Router.transfer_flow src_host.Host.router ~dst:dst_host.Host.router
-            ~vm_id ~backend:dst_dev ~server_side:router_end;
-          Server.detach_vm src_srv ~vm_id;
-          Pool.complete_emigration src_pool ~vm_id;
-          Hashtbl.replace dst_host.Host.recorders vm_id recorder;
-          (match Hashtbl.find_opt src_host.Host.iommus vm_id with
+      | Some bytes ->
+          Option.iter (Hashtbl.replace dst.h_host.Host.recorders vm_id) recorder;
+          (match Hashtbl.find_opt src.h_host.Host.iommus vm_id with
           | Some iommu ->
-              Hashtbl.remove src_host.Host.iommus vm_id;
-              Hashtbl.replace dst_host.Host.iommus vm_id iommu
+              Hashtbl.remove src.h_host.Host.iommus vm_id;
+              Hashtbl.replace dst.h_host.Host.iommus vm_id iommu
           | None -> ());
           tn.t_host <- dest;
           t.cross_migrations <- t.cross_migrations + 1;

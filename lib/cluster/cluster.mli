@@ -3,11 +3,11 @@
 
     Each host is a full single-host stack ({!Ava_core.Host.create_cl_host}
     with its own devices, API servers and router); the cluster fronts
-    them with pluggable admission policies and reuses the pool's
-    record/replay machinery end to end to move a live tenant between
-    hosts: drain, export replies, replay onto the destination host's
-    pool, re-steer the guest's router flow across routers
-    ({!Ava_remoting.Router.transfer_flow}).
+    them with pluggable admission policies and moves a live tenant
+    between hosts with the pool's own migration handoff
+    ({!Pool.emigrate}): drain, replay onto the destination host's
+    pool, carry the reply log, move the guest's router flow across
+    routers ({!Ava_remoting.Router.transfer_flow}).
 
     All hosts share one simulation engine — the cluster is a model of a
     fleet, driven in one deterministic virtual timeline.  A single-host
@@ -101,14 +101,17 @@ val retire : t -> vm_id:int -> bool
     contract as {!Host.retire_cl_vm}). *)
 
 val migrate_tenant : t -> vm_id:int -> dest:int -> int
-(** Live cross-host migration; returns bytes moved (0 when refused:
-    unknown tenant, already mid-migration, or [dest] is its host).
-    Sequence: claim the VM on the source pool, pause + drain, place on
-    the destination host's pool, replay the record log and restore
-    buffers onto it ({!Ava_core.Silo.transfer}), seed the destination
-    cursor and carry the reply log, move the guest's router flow across
-    routers, detach the source.  The guest keeps its stub, transport
-    and seq stream throughout.  Must run inside a simulation process.
+(** Live cross-host migration through the pool's migration handoff
+    ({!Pool.emigrate}): pause and drain on the source host, pick a
+    device on [dest]'s pool, replay the record log and restore buffers
+    onto it, seed the destination cursor, carry the reply log, move the
+    guest's router flow across routers, detach the source; then move
+    the tenant's recorder and IOMMU to [dest]'s tables.  The guest
+    keeps its stub, transport and seq stream throughout.  Returns bytes
+    moved, 0 when refused: unknown tenant, already mid-migration,
+    [dest] is its host, or [dest] has no healthy device (the tenant
+    keeps running on its source host).  Must run inside a simulation
+    process.
     @raise Invalid_argument when [dest] is out of range or
     quarantined. *)
 

@@ -109,20 +109,35 @@ let install_recorder_hook server ~plan ~recorders =
             Migrate.observe ?allocated recorder call_plan c
         | _ -> ())
 
-(* The pool's transfer closure, for every pooled silo: both servers
-   belong to one host, so the recorder table is shared and recording is
-   suspended by pulling the entry for the replay window.  [sva] names
-   the VM's IOMMU and the destination's DMA engine, if SVA is armed. *)
-let pool_transfer live ~recorders ~servers ~sva ~vm_id ~src ~dst =
+(* The pool's transfer closure, for every pooled silo and for moves
+   within the host or out of it.  Recording is suspended by pulling the
+   VM's entry from this host's recorder table for the replay window.  It
+   resumes here only when the destination is one of this host's
+   [servers]; a cross-host move leaves the entry out for the cluster
+   tier to install in the destination host's table.  With [iommus]
+   (SVA armed), resolution re-points at the destination GPU's DMA
+   engine. *)
+let pool_transfer ?iommus live ~recorders ~servers ~vm_id
+    ~(src : _ Pool.device) ~(dst : _ Pool.device) =
   let recorder =
     match Hashtbl.find_opt recorders vm_id with
     | Some r -> r
     | None -> invalid_arg "Host.pool_transfer: unknown vm"
   in
-  (Silo.transfer ?sva:(sva ~vm_id ~dst) live ~recorder ~vm_id
-     ~src:servers.(src) ~dst:servers.(dst)
+  let local = Array.exists (( == ) dst.Pool.dev_server) servers in
+  let sva =
+    match
+      ( Option.bind iommus (fun tbl -> Hashtbl.find_opt tbl vm_id),
+        dst.Pool.dev_phys.Pool.ph_gpu )
+    with
+    | Some iommu, Some gpu -> Some (iommu, Gpu.dma gpu)
+    | _ -> None
+  in
+  (Silo.transfer ?sva live ~recorder ~vm_id ~src:src.Pool.dev_server
+     ~dst:dst.Pool.dev_server
      ~suspend:(fun () -> Hashtbl.remove recorders vm_id)
-     ~resume:(fun () -> Hashtbl.replace recorders vm_id recorder))
+     ~resume:(fun () ->
+       if local then Hashtbl.replace recorders vm_id recorder))
     .Silo.bytes
 
 (* The server end of a guest attach plus the guest's stub.  [sva] arms
@@ -209,9 +224,6 @@ type cl_host = {
   router : Router.t;
   server : Cl_handlers.state Server.t;  (** device 0's server when pooled *)
   kd : Ava_simcl.Kdriver.t;  (** host kernel driver used by the server *)
-  kds : Ava_simcl.Kdriver.t array;
-      (** per-device kernel drivers ([[| kd |]] on a classic host) —
-          the cluster tier's cross-host transfer needs them *)
   swap : Swap.t option;
   recorders : (int, Migrate.t) Hashtbl.t;
   trace : Ava_sim.Trace.t;
@@ -319,20 +331,16 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
       let pool =
         Pool.create ~trace engine ~router
           ~placement:(Option.value placement ~default:Pool.Round_robin)
-          ~transfer:
-            (pool_transfer Cl_handlers.live ~recorders ~servers
-               ~sva:(fun ~vm_id ~dst ->
-                 Option.map
-                   (fun iommu -> (iommu, Gpu.dma gpus.(dst)))
-                   (Hashtbl.find_opt iommus vm_id)))
-          (Array.to_list (Array.mapi (fun i gpu -> (gpu, servers.(i))) gpus))
+          ~transfer:(pool_transfer ~iommus Cl_handlers.live ~recorders ~servers)
+          (Array.to_list
+             (Array.mapi (fun i gpu -> (Pool.phys_of_gpu gpu, servers.(i))) gpus))
       in
       Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
       Some pool
     end
   in
   { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
-    kd = kds.(0); kds; swap; recorders; trace; obs; pool; sva; doorbell;
+    kd = kds.(0); swap; recorders; trace; obs; pool; sva; doorbell;
     iommus }
 
 (* Reply statuses that count against a SimCL VM's error budget: the
@@ -667,11 +675,9 @@ let create_st_host ?(virt = Timing.default_virt)
     else begin
       let servers = Array.init (Array.length devs) make_server in
       let pool =
-        Pool.create_het ~trace engine ~router
+        Pool.create ~trace engine ~router
           ~placement:(Option.value placement ~default:Pool.Round_robin)
-          ~transfer:
-            (pool_transfer St_handlers.live ~recorders ~servers
-               ~sva:(fun ~vm_id:_ ~dst:_ -> None))
+          ~transfer:(pool_transfer St_handlers.live ~recorders ~servers)
           (Array.to_list
              (Array.mapi
                 (fun i cap -> (st_phys cap devs.(i), servers.(i)))

@@ -56,9 +56,6 @@ type cl_host = {
   router : Router.t;
   server : Cl_handlers.state Server.t;  (** device 0's server when pooled *)
   kd : Ava_simcl.Kdriver.t;  (** host kernel driver used by the server *)
-  kds : Ava_simcl.Kdriver.t array;
-      (** per-device kernel drivers ([[| kd |]] on a classic host) —
-          the cluster tier's cross-host transfer needs them *)
   swap : Swap.t option;
   recorders : (int, Migrate.t) Hashtbl.t;  (** per-VM migration recorders *)
   trace : Ava_sim.Trace.t;

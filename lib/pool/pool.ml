@@ -6,9 +6,9 @@
    API-specific — snapshotting live buffers, replaying the record log
    onto the destination silo, restoring contents — is injected as the
    [transfer] closure by the stack-assembly layer.  What lives here is
-   the orchestration: placement policies, the pause/drain/attach/
-   re-steer migration sequence, device-loss evacuation with blame
-   routing, and the periodic skew monitor. *)
+   the orchestration: placement policies, the one live-migration
+   handoff (within this pool or into another host's), device-loss
+   evacuation with blame routing, and the periodic skew monitor. *)
 
 module Server = Ava_remoting.Server
 module Router = Ava_remoting.Router
@@ -101,7 +101,7 @@ type vm_info = {
   vi_requires : capability option;  (** [None]: portable across the fleet *)
   mutable vi_device : int;
   mutable vi_migrating : bool;
-      (** a migration of this VM is between pause and re-steer *)
+      (** a migration of this VM is between pause and flow move *)
 }
 
 (* Can this device host a VM with this requirement? *)
@@ -113,9 +113,8 @@ type 'st t = {
   router : Router.t;
   placement : placement;
   devices : 'st device array;
-  transfer : vm_id:int -> src:int -> dst:int -> int;
+  transfer : vm_id:int -> src:'st device -> dst:'st device -> int;
       (** API-specific silo copy; returns bytes moved *)
-  drain_ns : Time.t;
   trace : Trace.t option;
   mutable vms : (int * vm_info) list;
   mutable rr_cursor : int;
@@ -125,8 +124,6 @@ type 'st t = {
   mutable retires : int;
   mutable aborted_migrations : int;
       (** migrations whose VM retired during the drain window *)
-  mutable emigrations : int;
-      (** VMs handed off to another host's pool by the cluster tier *)
   mutable stopped : bool;  (** quiesces the skew monitor *)
 }
 
@@ -136,8 +133,11 @@ let record_trace t fmt =
       Trace.record tr ~at:(Engine.now t.engine) ~category:trace_category fmt
   | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
-    ~transfer devices =
+(* The quiesce window a migration waits after pausing the source
+   worker, for calls already at the source to finish. *)
+let drain_window = Time.us 200
+
+let create ?trace engine ~router ~placement ~transfer devices =
   if devices = [] then invalid_arg "Pool.create: no devices";
   let devices =
     Array.of_list
@@ -164,7 +164,6 @@ let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
     placement;
     devices;
     transfer;
-    drain_ns;
     trace;
     vms = [];
     rr_cursor = 0;
@@ -173,14 +172,8 @@ let create_het ?trace ?(drain_ns = Time.us 200) engine ~router ~placement
     rebalances = 0;
     retires = 0;
     aborted_migrations = 0;
-    emigrations = 0;
     stopped = false;
   }
-
-(* The homogeneous entry point: a fleet of GPUs, as before. *)
-let create ?trace ?drain_ns engine ~router ~placement ~transfer devices =
-  create_het ?trace ?drain_ns engine ~router ~placement ~transfer
-    (List.map (fun (gpu, server) -> (phys_of_gpu gpu, server)) devices)
 
 (* {1 Read-out} *)
 
@@ -191,7 +184,6 @@ let evacuations t = t.evacuations
 let rebalances t = t.rebalances
 let retires t = t.retires
 let aborted_migrations t = t.aborted_migrations
-let emigrations t = t.emigrations
 
 let footprint_of t ~vm_id =
   Option.map (fun i -> i.vi_footprint) (List.assoc_opt vm_id t.vms)
@@ -345,6 +337,19 @@ let choose ?requires t ~footprint =
           in
           Option.map (fun (d, _) -> d.dev_id) best)
 
+(* Record a VM as resident on its [vi_device]. *)
+let add_resident t info =
+  let vm_id = Vm.id info.vi_vm in
+  t.vms <- (vm_id, info) :: t.vms;
+  let d = t.devices.(info.vi_device) in
+  d.dev_resident <- vm_id :: d.dev_resident;
+  record_trace t "vm%d placed on dev%d (%s%s, footprint=%dB)" vm_id d.dev_id
+    (placement_to_string t.placement)
+    (match info.vi_requires with
+    | Some c -> ", requires " ^ capability_to_string c
+    | None -> "")
+    info.vi_footprint
+
 (* Place a new VM, recording residency; [device] pins it explicitly
    (still validated against [requires] — a pin must not sneak a silo
    onto a device that cannot replay it). *)
@@ -367,48 +372,111 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
         | Some i -> i
         | None -> invalid_arg "Pool.place: no compatible healthy device")
   in
-  t.vms <-
-    ( Vm.id vm,
-      { vi_vm = vm; vi_footprint = footprint; vi_requires = requires;
-        vi_device = dev_id; vi_migrating = false } )
-    :: t.vms;
-  let d = t.devices.(dev_id) in
-  d.dev_resident <- Vm.id vm :: d.dev_resident;
-  record_trace t "vm%d placed on dev%d (%s%s, footprint=%dB)" (Vm.id vm)
-    dev_id
-    (placement_to_string t.placement)
-    (match requires with
-    | Some c -> ", requires " ^ capability_to_string c
-    | None -> "")
-    footprint;
+  add_resident t
+    { vi_vm = vm; vi_footprint = footprint; vi_requires = requires;
+      vi_device = dev_id; vi_migrating = false };
   dev_id
 
 (* {1 Live migration} *)
 
-(* Move one VM's silo onto another device, re-steering its call flow.
-   Must run inside a simulation process.
+(* The one live-migration handoff, behind the pool's own moves
+   ([migrate_vm]: rebalancing, evacuation) and the cluster tier's
+   cross-host moves ([emigrate]): move a VM's silo from this pool onto
+   device [pick ()] of [into] — this pool or another host's — and its
+   call flow with it; [Some bytes] moved, or [None] when refused.  Must
+   run inside a simulation process.
 
-   Sequence: pause the source worker; wait a drain window for calls
-   already at the source to finish (a call it executed but had not
+   Claim the VM (first mover wins; while claimed, the skew monitor,
+   evacuation and retirement keep their hands off), pause the source
+   worker, drain, pick the destination device, attach, replay and
+   restore through [transfer]; then, in one synchronous step, seed the
+   destination cursor, carry the reply log, move the flow, detach the
+   source and settle residency.  A call the source executed but had not
    answered may execute again at the destination — at-least-once, the
-   same contract as the restart/requeue path); attach the VM to the
-   destination server (fresh context + silo) and seed its in-order
-   cursor with the first live seq; replay the record log and restore
-   buffer contents (the injected [transfer]); finally re-steer the
-   router flow and detach the source entry.
+   same contract as the restart/requeue path.
 
-   The detach matters beyond hygiene: a paused-forever source entry
-   keeps its per-VM content store alive, and a later migration *back*
-   to that device would find the stale store via [attach_vm]'s old
-   reuse path and NAK digests the guest cache believes are resident —
-   a resend loop no retry can heal.  Detaching frees the store so a
-   return migration starts from an empty, coherent cache. *)
+   Ordering rules, each once a campaign-found bug:
+   - The cursor is seeded after the transfer, with no suspension point
+     before the flow move.  The drain is a grace period, not a
+     handshake: a blocking call the source already picked up (a
+     [clFinish] riding out its kernels) can complete and be answered
+     during the transfer, and a cursor taken at drain end would wait
+     forever for it.
+   - The reply log moves too: a reply the link lost must replay at the
+     destination when the stub retransmits its (now pre-cursor) seq.
+   - The source detaches only after the transfer, which still needs its
+     context and silo.  Detach it always: a paused-forever source entry
+     keeps its content store, and a later move back would NAK digests
+     the guest believes resident — a resend loop no retry heals.
+   - A caller's per-host tables (the cluster's recorders and IOMMUs)
+     move right after this returns, without suspending, so requeued
+     in-flight calls cannot execute unrecorded. *)
+let handoff t info ~into ~pick =
+  let vm_id = Vm.id info.vi_vm in
+  if info.vi_migrating then begin
+    record_trace t "vm%d already migrating; request ignored" vm_id;
+    None
+  end
+  else begin
+    let src = t.devices.(info.vi_device) in
+    info.vi_migrating <- true;
+    record_trace t "vm%d leaving dev%d: pause and drain" vm_id src.dev_id;
+    Server.pause_vm src.dev_server ~vm_id;
+    Engine.delay drain_window;
+    (* The drain is a suspension point: a VM retired meanwhile has no
+       residency, server entry or router flow left to move. *)
+    if not (List.mem_assoc vm_id t.vms) then begin
+      t.aborted_migrations <- t.aborted_migrations + 1;
+      record_trace t "vm%d retired during drain; migration aborted" vm_id;
+      None
+    end
+    else
+      match pick () with
+      | None ->
+          Server.resume_vm src.dev_server ~vm_id;
+          info.vi_migrating <- false;
+          record_trace t "vm%d stays on dev%d: no compatible healthy device"
+            vm_id src.dev_id;
+          None
+      | Some dest ->
+          let dst = into.devices.(dest) and local = into == t in
+          (* A VM entering another pool is resident there from now on,
+             so host load read-outs count it on both sides of the
+             transfer; within one pool residency moves at the end. *)
+          if not local then
+            add_resident into { info with vi_device = dest; vi_migrating = false };
+          let router_end, server_end = Transport.direct t.engine in
+          ignore (Server.attach_vm dst.dev_server ~vm_id ~ep:server_end);
+          let bytes = t.transfer ~vm_id ~src ~dst in
+          let seq = Router.next_seq t.router ~vm_id in
+          Server.set_expected dst.dev_server ~vm_id ~seq;
+          Server.import_replies dst.dev_server ~vm_id
+            (Server.export_replies src.dev_server ~vm_id);
+          Router.transfer_flow t.router ~dst:into.router ~vm_id ~backend:dest
+            ~server_side:router_end;
+          Server.detach_vm src.dev_server ~vm_id;
+          src.dev_resident <- List.filter (fun v -> v <> vm_id) src.dev_resident;
+          if local then begin
+            dst.dev_resident <- vm_id :: dst.dev_resident;
+            info.vi_device <- dest;
+            info.vi_migrating <- false;
+            t.migrations <- t.migrations + 1
+          end
+          else t.vms <- List.remove_assoc vm_id t.vms;
+          record_trace t "vm%d now on %sdev%d (expected seq %d, %dB moved)"
+            vm_id
+            (if local then "" else "another pool's ")
+            dest seq bytes;
+          Some bytes
+  end
+
 let migrate_vm t ~vm_id ~dest =
   let info = find_info t vm_id in
   if dest < 0 || dest >= Array.length t.devices then
     invalid_arg (Printf.sprintf "Pool.migrate_vm: no device %d" dest);
+  let d = t.devices.(dest) in
   if dest = info.vi_device then 0
-  else if not (compatible info.vi_requires t.devices.(dest)) then begin
+  else if not (compatible info.vi_requires d) then begin
     (* Record/replay only reconstructs a silo on a same-type device; a
        capability-pinned VM refuses the move rather than wedging. *)
     record_trace t "vm%d migration to dev%d refused: requires %s" vm_id dest
@@ -417,63 +485,21 @@ let migrate_vm t ~vm_id ~dest =
       | None -> "-");
     0
   end
-  else if info.vi_migrating then begin
-    (* Another process (skew monitor, evacuation) is already moving this
-       VM; a second pause/drain/attach interleaved with the first would
-       corrupt the re-steer.  First mover wins. *)
-    record_trace t "vm%d already migrating; request ignored" vm_id;
+  else if not d.dev_healthy then begin
+    record_trace t "vm%d migration to dev%d refused: device lost" vm_id dest;
     0
   end
-  else begin
-    let src = t.devices.(info.vi_device) in
-    let dst = t.devices.(dest) in
-    info.vi_migrating <- true;
-    record_trace t "vm%d migrating dev%d -> dev%d" vm_id src.dev_id dst.dev_id;
-    Server.pause_vm src.dev_server ~vm_id;
-    Engine.delay t.drain_ns;
-    (* The drain is a suspension point: another process may have retired
-       the VM (admit/retire churn) while we slept.  A retired VM has no
-       residency, no server entry and no router flow left — abort the
-       migration instead of re-attaching a ghost. *)
-    if not (List.mem_assoc vm_id t.vms) then begin
-      t.aborted_migrations <- t.aborted_migrations + 1;
-      record_trace t "vm%d retired during drain; migration aborted" vm_id;
-      0
-    end
-    else begin
-    let router_end, server_end = Transport.direct t.engine in
-    ignore (Server.attach_vm dst.dev_server ~vm_id ~ep:server_end);
-    let bytes = t.transfer ~vm_id ~src:src.dev_id ~dst:dest in
-    (* Seed the destination's in-order cursor only now, after the
-       transfer, in the same synchronous step as the re-steer.  The
-       drain window is a grace period, not a handshake: a blocking call
-       the source had already picked up (a [clFinish] riding out its
-       kernels) can complete — and be answered — during the transfer.
-       A cursor snapshotted at drain-end would still name that seq,
-       and the destination would wait forever for a call whose reply
-       the guest already consumed.  There is no suspension point
-       between here and [resteer], so the ledger cannot shift under
-       the snapshot. *)
-    let seq = Router.next_seq t.router ~vm_id in
-    Server.set_expected dst.dev_server ~vm_id ~seq;
-    (* Carry the reply log: a reply the source sent but the link lost
-       must still be replayable at the destination when the stub
-       retransmits its seq (which now reads as a pre-cursor dup). *)
-    Server.import_replies dst.dev_server ~vm_id
-      (Server.export_replies src.dev_server ~vm_id);
-    Router.resteer t.router ~vm_id ~backend:dest ~server_side:router_end;
-    (* After [transfer] — it still needs the source context and silo. *)
-    Server.detach_vm src.dev_server ~vm_id;
-    src.dev_resident <- List.filter (fun v -> v <> vm_id) src.dev_resident;
-    dst.dev_resident <- vm_id :: dst.dev_resident;
-    info.vi_device <- dest;
-    info.vi_migrating <- false;
-    t.migrations <- t.migrations + 1;
-    record_trace t "vm%d now on dev%d (expected seq %d, %dB moved)" vm_id
-      dest seq bytes;
-    bytes
-    end
-  end
+  else
+    Option.value ~default:0
+      (handoff t info ~into:t ~pick:(fun () -> Some dest))
+
+let emigrate t ~vm_id ~into =
+  if into == t then invalid_arg "Pool.emigrate: destination is the source pool";
+  match List.assoc_opt vm_id t.vms with
+  | None -> None
+  | Some info ->
+      handoff t info ~into ~pick:(fun () ->
+          choose ?requires:info.vi_requires into ~footprint:info.vi_footprint)
 
 (* {1 Retirement} *)
 
@@ -485,10 +511,9 @@ let migrate_vm t ~vm_id ~dest =
    chaos campaign races retirement against the skew monitor and
    device-loss evacuation, so a double retire (or a retire that loses
    the race to a concurrent migration) must be a refusal, not a crash.
-   A VM between pause and re-steer is refused — the migration holds the
-   server entries and router flow; the caller retries after it
-   completes (or the abort path in [migrate_vm] lets the next retire
-   succeed). *)
+   A VM between pause and flow move is refused — the migration holds
+   the server entries and router flow; the caller retries after it
+   completes. *)
 let retire_vm t ~vm_id =
   match List.assoc_opt vm_id t.vms with
   | None -> false
@@ -636,41 +661,3 @@ let start_rebalancer ?(config = default_rebalance) t =
       loop ())
 
 let stop t = t.stopped <- true
-
-(* {1 Cross-host emigration}
-
-   The cluster tier moves a VM to *another host's* pool.  This pool
-   only bookkeeps its side of the hand-off: [begin_emigration] claims
-   the VM under the same first-mover-wins flag that serializes local
-   migrations (so the skew monitor, evacuation and retirement all keep
-   their hands off while the cluster orchestrates pause / drain /
-   replay / cross-router transfer), and [complete_emigration] drops
-   residency and the VM entry without detaching the server — the
-   cluster detaches the source entry itself, after the transfer closure
-   has finished with the source context and silo. *)
-
-let begin_emigration t ~vm_id =
-  match List.assoc_opt vm_id t.vms with
-  | None -> None
-  | Some info when info.vi_migrating ->
-      record_trace t "vm%d emigration refused: migration in flight" vm_id;
-      None
-  | Some info ->
-      info.vi_migrating <- true;
-      record_trace t "vm%d emigration begins from dev%d" vm_id info.vi_device;
-      Some info.vi_device
-
-let abort_emigration t ~vm_id =
-  match List.assoc_opt vm_id t.vms with
-  | Some info -> info.vi_migrating <- false
-  | None -> ()
-
-let complete_emigration t ~vm_id =
-  match List.assoc_opt vm_id t.vms with
-  | None -> ()
-  | Some info ->
-      let d = t.devices.(info.vi_device) in
-      d.dev_resident <- List.filter (fun v -> v <> vm_id) d.dev_resident;
-      t.vms <- List.remove_assoc vm_id t.vms;
-      t.emigrations <- t.emigrations + 1;
-      record_trace t "vm%d emigrated off dev%d" vm_id info.vi_device

@@ -11,8 +11,9 @@
     work of moving a VM's silo between devices — replaying the record
     log, restoring buffer contents — is injected as the [transfer]
     closure by the stack-assembly layer ({!Ava_core.Host}).  The pool
-    owns the orchestration: placement, the pause / drain / attach /
-    re-steer migration sequence, device-loss evacuation with blame
+    owns the orchestration: placement, the one live-migration handoff
+    (pause / drain / attach / transfer / flow move, within the pool or
+    into another host's pool), device-loss evacuation with blame
     routing, and the periodic skew monitor. *)
 
 open Ava_sim
@@ -75,32 +76,23 @@ type 'st t
 
 val create :
   ?trace:Trace.t ->
-  ?drain_ns:Time.t ->
   Engine.t ->
   router:Router.t ->
   placement:placement ->
-  transfer:(vm_id:int -> src:int -> dst:int -> int) ->
-  (Gpu.t * 'st Server.t) list ->
+  transfer:(vm_id:int -> src:'st device -> dst:'st device -> int) ->
+  (phys * 'st Server.t) list ->
   'st t
 (** [create engine ~router ~placement ~transfer devices] assumes
     ownership of [devices] in order (device ids are list positions) and
     registers a router dispatch lane per device beyond lane 0.
-    [transfer] performs the API-specific silo copy between two device
-    ids for a VM already attached to both servers, returning the bytes
-    moved.  [drain_ns] is the quiesce window a migration waits after
-    pausing the source worker (default 200 us).  All devices are
-    [Cap_gpu]; behaviour is identical to the pre-heterogeneity pool. *)
+    [transfer] performs the API-specific silo copy for a VM already
+    attached to both devices' servers, returning the bytes moved; [dst]
+    may belong to another pool (a cross-host move).  Wrap GPUs with
+    {!phys_of_gpu}. *)
 
-val create_het :
-  ?trace:Trace.t ->
-  ?drain_ns:Time.t ->
-  Engine.t ->
-  router:Router.t ->
-  placement:placement ->
-  transfer:(vm_id:int -> src:int -> dst:int -> int) ->
-  (phys * 'st Server.t) list ->
-  'st t
-(** Like {!create} over an explicitly tagged, possibly mixed fleet. *)
+val drain_window : Time.t
+(** The quiesce window a migration waits after pausing the source
+    worker: 200 us. *)
 
 (** {1 Read-out} *)
 
@@ -138,10 +130,6 @@ val retires : 'st t -> int
 val aborted_migrations : 'st t -> int
 (** Migrations abandoned because their VM retired during the drain
     window. *)
-
-val emigrations : 'st t -> int
-(** VMs handed off to another host's pool by the cluster tier
-    ({!complete_emigration}). *)
 
 val footprint_of : 'st t -> vm_id:int -> int option
 (** The VM's declared device-memory footprint. *)
@@ -189,38 +177,29 @@ val place :
 (** {1 Live migration} *)
 
 val migrate_vm : 'st t -> vm_id:int -> dest:int -> int
-(** Move the VM's silo onto [dest] and re-steer its call flow there;
-    returns the bytes moved (0 when already resident, or when [dest]'s
+(** Move the VM's silo onto device [dest] of this pool and move its
+    call flow there; returns the bytes moved.  Refused with 0, the VM
+    staying where it is, when it is already on [dest], already
+    mid-migration, or when [dest] is lost ({!kill_device}) or its
     capability doesn't satisfy the VM's requirement — record/replay
-    only reconstructs a silo on a same-type device, so the move is
-    refused rather than wedged).  Calls the source server executed but
-    had not answered may execute again at the destination —
-    at-least-once, the same contract as the restart/requeue path.  Must
-    run inside a simulation process. *)
+    only reconstructs a silo on a healthy same-type device, so the
+    move is refused rather than wedged.  Calls the source server
+    executed but had not answered may execute again at the destination
+    — at-least-once, the same contract as the restart/requeue path.
+    Must run inside a simulation process.
+    @raise Invalid_argument for an unknown VM or device. *)
 
-(** {1 Cross-host emigration}
-
-    The cluster tier ({!Ava_cluster.Cluster}) moves a VM to {e another
-    host's} pool; this pool only bookkeeps its side of the hand-off.
-    The cluster calls [begin_emigration] before pausing the source
-    worker, orchestrates drain / replay / cross-router transfer itself,
-    detaches the source server entry, and finishes with
-    [complete_emigration]. *)
-
-val begin_emigration : 'st t -> vm_id:int -> int option
-(** Claim the VM for a cross-host move under the same first-mover-wins
-    flag that serializes local migrations — while held, the skew
-    monitor, evacuation and {!retire_vm} all refuse to touch the VM.
-    Returns its current device, or [None] if the VM is unknown or
-    already mid-migration. *)
-
-val abort_emigration : 'st t -> vm_id:int -> unit
-(** Release the claim without moving (destination refused, etc.). *)
-
-val complete_emigration : 'st t -> vm_id:int -> unit
-(** Drop the VM's residency and entry {e without} detaching its server
-    entry or clearing breakers — the cluster already detached the
-    source entry and the breaker moved with the VM's router flow. *)
+val emigrate : 'st t -> vm_id:int -> into:'st t -> int option
+(** The same handoff as {!migrate_vm} into {e another} pool (another
+    host's, sharing this pool's engine): the destination device is
+    picked by [into]'s placement policy after the drain, and the flow
+    moves to [into]'s router.  [Some bytes] when the VM moved: it has
+    left this pool and is resident on [into], and the caller moves any
+    per-host tables keyed by the VM right after this returns, without
+    suspending.  [None] — the VM resumed on its source device — when it
+    is unknown here, already mid-migration, or [into] has no compatible
+    healthy device.  Must run inside a simulation process.
+    @raise Invalid_argument when [into] is this pool. *)
 
 (** {1 Retirement} *)
 
@@ -228,7 +207,7 @@ val retire_vm : 'st t -> vm_id:int -> bool
 (** Retire the VM: detach its server entry (terminating the worker),
     drop residency everywhere, clear any circuit breaker.  Idempotent —
     an unknown (already retired) VM returns [false] — and validated: a
-    VM with a migration between pause and re-steer is refused
+    VM with a migration between pause and flow move is refused
     ([false]); retry after the migration completes.  The caller must
     ensure the VM has no in-flight calls (its worker dies with its
     inbox). *)

@@ -662,92 +662,59 @@ let next_seq t ~vm_id =
       in
       List.fold_left Stdlib.min (conn.contig_seq + 1) outstanding
 
-(* Live re-steer: move the VM's flow — WFQ backlog, in-flight calls,
-   future ingress — onto another backend.  In-flight calls are
+(* Live flow move, the only way a flow changes backend: the VM's flow —
+   WFQ backlog, in-flight calls, future ingress — moves onto [backend]
+   of [dst], which is this router (a re-steer within one host) or
+   another router on the same engine (a cross-host migration).  Across
+   routers the whole connection moves: guest endpoint, seq ledger and
+   policy objects (bucket/quota/breaker, built on the shared engine);
+   the live ingress process follows via [rc_owner].  In-flight calls are
    re-forwarded wholesale; ones the old server already executed may run
    again on the new one (at-least-once, same contract as the
    restart/requeue path).  Skip notices the old backend consumed are
    re-sent to the new one so policed-away seqs cannot park its in-order
    cursor. *)
-let resteer t ~vm_id ~backend ~server_side =
+let transfer_flow t ~dst ~vm_id ~backend ~server_side =
   match find_conn t vm_id with
-  | None -> invalid_arg "Router.resteer: unknown vm"
+  | None -> invalid_arg "Router.transfer_flow: unknown vm"
   | Some conn ->
-      if not (List.mem_assoc backend t.backends) then
-        invalid_arg (Printf.sprintf "Router.resteer: unknown backend %d" backend);
-      let src = backend_exn t conn.rc_backend in
-      let dst = backend_exn t backend in
-      let weight = Policy.Wfq.flow_weight src.bs_wfq ~flow_id:vm_id in
-      let queued = Policy.Wfq.remove_flow src.bs_wfq ~flow_id:vm_id in
-      Policy.Wfq.add_flow dst.bs_wfq ~flow_id:vm_id ~weight;
+      if t.engine != dst.engine then
+        invalid_arg "Router.transfer_flow: routers on different engines";
+      if not (List.mem_assoc backend dst.backends) then
+        invalid_arg
+          (Printf.sprintf "Router.transfer_flow: unknown backend %d" backend);
+      if t != dst && List.mem_assoc vm_id dst.conns then
+        invalid_arg "Router.transfer_flow: vm already on destination router";
+      let src_b = backend_exn t conn.rc_backend in
+      let dst_b = backend_exn dst backend in
+      let weight = Policy.Wfq.flow_weight src_b.bs_wfq ~flow_id:vm_id in
+      let queued = Policy.Wfq.remove_flow src_b.bs_wfq ~flow_id:vm_id in
+      if t != dst then begin
+        t.conns <- List.remove_assoc vm_id t.conns;
+        dst.conns <- (vm_id, conn) :: dst.conns;
+        conn.rc_owner <- dst;
+        t.resteered <- t.resteered + 1
+      end;
       conn.rc_backend <- backend;
       conn.server_side <- server_side;
+      Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
       List.iter
         (fun (payload, cost) ->
-          Policy.Wfq.push dst.bs_wfq ~flow_id:vm_id ~cost payload)
+          Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
         queued;
-      let requeued = requeue_conn t conn ~vm_id in
+      let requeued = requeue_conn dst conn ~vm_id in
       (* Forward skips the new backend has not seen and might wait on. *)
-      let expected = next_seq t ~vm_id in
+      let expected = next_seq dst ~vm_id in
       let live_skips =
         List.sort_uniq Stdlib.compare
           (List.filter (fun s -> s >= expected) conn.skipped_seqs)
       in
       conn.skipped_seqs <- [];
       send_skip conn live_skips;
-      start_dispatcher t dst;
-      spawn_egress t conn server_side;
-      t.resteered <- t.resteered + 1;
-      record_trace t "vm%d resteer %d->%d (%d queued, %d requeued)" vm_id
-        src.bs_id dst.bs_id (List.length queued) requeued
-
-(* Cross-router flow transfer: the cluster-tier generalization of
-   [resteer].  The VM's whole connection — guest endpoint, seq ledger,
-   policy objects, in-flight ledger — moves wholesale to a backend of
-   {e another} router (another host's interposition point, same engine).
-   The live ingress process follows via [rc_owner]; policy objects
-   (bucket/quota/breaker) were built on the shared engine and move with
-   the conn unchanged.  Same at-least-once contract as [resteer]. *)
-let transfer_flow t ~dst ~vm_id ~backend ~server_side =
-  if t == dst then resteer t ~vm_id ~backend ~server_side
-  else
-    match find_conn t vm_id with
-    | None -> invalid_arg "Router.transfer_flow: unknown vm"
-    | Some conn ->
-        if t.engine != dst.engine then
-          invalid_arg "Router.transfer_flow: routers on different engines";
-        if not (List.mem_assoc backend dst.backends) then
-          invalid_arg
-            (Printf.sprintf "Router.transfer_flow: unknown backend %d" backend);
-        if List.mem_assoc vm_id dst.conns then
-          invalid_arg "Router.transfer_flow: vm already on destination router";
-        let src_b = backend_exn t conn.rc_backend in
-        let dst_b = backend_exn dst backend in
-        let weight = Policy.Wfq.flow_weight src_b.bs_wfq ~flow_id:vm_id in
-        let queued = Policy.Wfq.remove_flow src_b.bs_wfq ~flow_id:vm_id in
-        t.conns <- List.remove_assoc vm_id t.conns;
-        dst.conns <- (vm_id, conn) :: dst.conns;
-        conn.rc_owner <- dst;
-        conn.rc_backend <- backend;
-        conn.server_side <- server_side;
-        Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
-        List.iter
-          (fun (payload, cost) ->
-            Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
-          queued;
-        let requeued = requeue_conn dst conn ~vm_id in
-        (* Skips the old backend consumed that the new one might wait on. *)
-        let expected = next_seq dst ~vm_id in
-        let live_skips =
-          List.sort_uniq Stdlib.compare
-            (List.filter (fun s -> s >= expected) conn.skipped_seqs)
-        in
-        conn.skipped_seqs <- [];
-        send_skip conn live_skips;
-        start_dispatcher dst dst_b;
-        spawn_egress dst conn server_side;
-        t.resteered <- t.resteered + 1;
-        dst.resteered <- dst.resteered + 1;
-        record_trace t "vm%d transfer-out lane %d (%d queued, %d requeued)"
-          vm_id src_b.bs_id (List.length queued) requeued;
-        record_trace dst "vm%d transfer-in lane %d" vm_id dst_b.bs_id
+      start_dispatcher dst dst_b;
+      spawn_egress dst conn server_side;
+      dst.resteered <- dst.resteered + 1;
+      record_trace t "vm%d flow lane %d -> %slane %d (%d queued, %d requeued)"
+        vm_id src_b.bs_id
+        (if t == dst then "" else "another router's ")
+        dst_b.bs_id (List.length queued) requeued

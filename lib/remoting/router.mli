@@ -43,7 +43,8 @@ val quarantined : t -> int
     all VMs). *)
 
 val resteered : t -> int
-(** VMs live-moved between backends by {!resteer}. *)
+(** Flows moved by {!transfer_flow}, counted once on each router
+    involved. *)
 
 val paced_ns : t -> Time.t
 (** Cumulative scheduler pacing applied at dispatch. *)
@@ -146,15 +147,6 @@ val next_seq : t -> vm_id:int -> int
     to seed the destination's in-order cursor via
     {!Server.set_expected}. *)
 
-val resteer : t -> vm_id:int -> backend:int -> server_side:Transport.endpoint -> unit
-(** Live-move the VM's flow onto [backend], whose server the router
-    reaches via [server_side]: WFQ backlog and in-flight calls are
-    re-forwarded there (at-least-once — calls the old server executed
-    but had not answered may execute again, the same contract as the
-    restart/requeue path), skip notices the old backend consumed are
-    re-sent, and future ingress steers to the new lane.  The old
-    egress keeps draining residual replies harmlessly. *)
-
 val transfer_flow :
   t ->
   dst:t ->
@@ -162,12 +154,16 @@ val transfer_flow :
   backend:int ->
   server_side:Transport.endpoint ->
   unit
-(** Cross-router generalization of {!resteer} for cluster-tier (cross-
-    host) migration: move the VM's whole connection — guest endpoint,
-    seq ledger, policy objects, WFQ backlog, in-flight ledger — onto
-    [backend] of the {e destination} router, whose server it reaches
-    via [server_side].  Both routers must share one engine.  The VM's
-    live ingress process follows the move (it re-reads its owning
-    router each message), so the guest keeps its stub, its transport
-    and its seq stream; only the interposition point changes hosts.
-    When [dst] is the same router this is exactly {!resteer}. *)
+(** Live-move the VM's flow onto [backend] of [dst], whose server the
+    router reaches via [server_side] — the only way a flow changes
+    backend.  [dst] is this router (a re-steer between lanes) or
+    another router on the same engine (cluster-tier migration), in
+    which case the whole connection — guest endpoint, seq ledger,
+    policy objects — moves too and the VM's live ingress process
+    follows it, so the guest keeps its stub, its transport and its seq
+    stream.  WFQ backlog and in-flight calls are re-forwarded to the
+    new lane (at-least-once — calls the old server executed but had
+    not answered may execute again, the same contract as the
+    restart/requeue path), skip notices the old backend consumed are
+    re-sent, and future ingress steers to the new lane.  The old
+    egress keeps draining residual replies harmlessly. *)

@@ -357,6 +357,59 @@ let migration_tests =
                  (Printf.sprintf
                     "Cluster.migrate_tenant: host %d is quarantined" dest))
               (fun () -> ignore (Cluster.migrate_tenant c ~vm_id ~dest))));
+    Alcotest.test_case "migration to a host with no healthy device is refused"
+      `Quick (fun () ->
+        (* The destination device is picked after the drain; with none
+           left the source worker resumes and the claim is released, so
+           the tenant keeps running where it was and can still retire. *)
+        let e = Engine.create () in
+        let c = Cluster.create ~devices_per_host:1 ~hosts:2 e in
+        Engine.run_process e (fun () ->
+            let tn = Cluster.admit c ~name:"stranded" in
+            let vm_id = Cluster.vm_id tn in
+            let src = Cluster.host_of tn in
+            let dest = 1 - src in
+            let dst_pool = Option.get (Cluster.cl_host c dest).Host.pool in
+            Host.Pool.kill_device dst_pool ~device:0;
+            Alcotest.(check int)
+              "no bytes moved" 0
+              (Cluster.migrate_tenant c ~vm_id ~dest);
+            Alcotest.(check int) "tenant stays home" src (Cluster.host_of tn);
+            Alcotest.(check int) "no cross migration" 0
+              (Cluster.cross_migrations c);
+            let (module CL) = Cluster.api tn in
+            Alcotest.(check bool)
+              "next call completes on the source host" true
+              (ok (CL.clGetPlatformIDs ()) <> []);
+            Alcotest.(check bool) "retire succeeds" true
+              (Cluster.retire c ~vm_id)));
+    Alcotest.test_case "retire refused while a cross-host migration drains"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let c = Cluster.create ~hosts:2 e in
+        let tn = Cluster.admit c ~name:"mover" in
+        let vm_id = Cluster.vm_id tn in
+        let dest = 1 - Cluster.host_of tn in
+        let mid_drain = ref None in
+        Engine.spawn e (fun () ->
+            ignore (Cluster.migrate_tenant c ~vm_id ~dest));
+        Engine.spawn e (fun () ->
+            Engine.delay (Host.Pool.drain_window / 4);
+            let second = Cluster.migrate_tenant c ~vm_id ~dest in
+            mid_drain := Some (second, Cluster.retire c ~vm_id));
+        Engine.run e;
+        Alcotest.(check (option (pair int bool)))
+          "second migration and retire during drain refused"
+          (Some (0, false)) !mid_drain;
+        Alcotest.(check int) "migration completed" dest (Cluster.host_of tn);
+        Alcotest.(check int) "one cross migration" 1
+          (Cluster.cross_migrations c);
+        Engine.run_process e (fun () ->
+            let (module CL) = Cluster.api tn in
+            Alcotest.(check bool)
+              "tenant served on the destination" true
+              (ok (CL.clGetPlatformIDs ()) <> []);
+            Alcotest.(check bool) "late retire" true (Cluster.retire c ~vm_id)));
   ]
 
 (* --- trace replay on a small fleet ---------------------------------------- *)

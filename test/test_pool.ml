@@ -503,6 +503,28 @@ let migration_tests =
               hops;
             Alcotest.(check int) "no watchdog timeouts" 0
               (Stub.timeouts stub)));
+    Alcotest.test_case "migration onto a lost device is refused" `Quick
+      (fun () ->
+        (* A lost device has no silo to replay onto: the move is refused
+           like a capability mismatch and the VM stays put, still
+           served by its source device. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~devices:2 e in
+        let pool = the_pool host in
+        let guest = Host.add_cl_vm ~device:0 host ~name:"stayer" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+        Engine.run_process e (fun () ->
+            Pool.kill_device pool ~device:1;
+            Alcotest.(check int) "no bytes moved" 0
+              (Pool.migrate_vm pool ~vm_id ~dest:1);
+            Alcotest.(check (option int)) "still on dev0" (Some 0)
+              (Pool.device_of pool ~vm_id);
+            Alcotest.(check (list int)) "dead device holds nobody" []
+              (Pool.resident pool 1);
+            Alcotest.(check int) "no migration counted" 0
+              (Pool.migrations pool);
+            Alcotest.(check bool) "guest still served" true
+              (vec_add_ok guest.Host.g_api 64)));
   ]
 
 (* --- device loss and evacuation ------------------------------------------- *)
