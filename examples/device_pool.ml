@@ -19,7 +19,7 @@ open Ava_simcl.Types
 let () =
   let e = Engine.create () in
   let host = Host.create_cl_host ~devices:2 ~placement:Pool.Round_robin e in
-  let pool = Option.get host.Host.pool in
+  let pool = host.Host.cl_pool in
 
   let guests =
     List.map

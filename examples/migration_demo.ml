@@ -1,5 +1,6 @@
-(* VM migration: a guest fills device buffers, is migrated to a second
-   GPU via record/replay, and keeps computing with its old handles.
+(* VM migration: a guest fills device buffers on GPU 0 of a two-device
+   pool, is live-migrated to GPU 1 via record/replay, and keeps
+   computing with its old handles.
 
      dune exec examples/migration_demo.exe *)
 
@@ -14,8 +15,9 @@ let ok = function
 let () =
   let engine = Engine.create () in
   Engine.spawn engine (fun () ->
-      let host = Host.create_cl_host engine in
-      let guest = Host.add_cl_vm host ~name:"mobile-vm" in
+      let host = Host.create_cl_host ~devices:2 engine in
+      let pool = host.Host.cl_pool in
+      let guest = Host.add_cl_vm host ~device:0 ~name:"mobile-vm" in
       let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
       let module CL = (val guest.Host.g_api) in
       let platform = List.hd (ok (CL.clGetPlatformIDs ())) in
@@ -37,14 +39,18 @@ let () =
       ok (CL.clFinish queue);
       Fmt.pr "guest state: 1 context, 1 queue, 1 buffer (1MiB), 1 kernel@.";
 
-      (* Migrate to a brand-new GPU ("destination host"). *)
-      let dest_gpu = Ava_device.Gpu.create engine in
-      let dest_kd = Ava_simcl.Kdriver.create dest_gpu in
+      (* Pause, drain, replay onto GPU 1, restore, move the call flow. *)
       let before = Engine.now engine in
-      let report = Migration.migrate host ~vm_id ~dest_kd in
-      Fmt.pr "migrated at t=%s: %a@."
+      let copied = Host.Pool.migrate_vm pool ~vm_id ~dest:1 in
+      let recorder = Option.get (Host.recorder host ~vm_id) in
+      Fmt.pr "migrated at t=%s: pause=%s replayed=%d copied=%dB \
+              recorded=%d pruned=%d@."
         (Time.to_string before)
-        Migration.pp_report report;
+        (Time.to_string (Engine.now engine - before))
+        (Host.Migrate.log_length recorder)
+        copied
+        (Host.Migrate.recorded_count recorder)
+        (Host.Migrate.pruned_count recorder);
 
       (* The guest continues, unaware: same handles, new silicon. *)
       let back, _ =
@@ -64,5 +70,5 @@ let () =
       Fmt.pr "post-migration: data intact, kernels still launch — handles \
               survived.@.";
       Fmt.pr "destination GPU executed %d kernels@."
-        (Ava_device.Gpu.kernels_executed dest_gpu));
+        (Ava_device.Gpu.kernels_executed (Host.Pool.gpu pool 1)));
   Engine.run engine

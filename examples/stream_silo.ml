@@ -69,7 +69,7 @@ let () =
       ~fleet:[ Pool.Cap_stream; Pool.Cap_stream; Pool.Cap_npu ]
       ~placement:Pool.Round_robin e
   in
-  let pool = Option.get host.Host.st_pool in
+  let pool = host.Host.st_pool in
   let add name requires = Host.add_st_vm host ~requires ~name in
   let vec = add "vec" Pool.Cap_stream in
   let vec2 = add "vec2" Pool.Cap_stream in

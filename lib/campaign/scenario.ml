@@ -237,11 +237,10 @@ let tenant st slot =
 
 let live_tenants st = List.filter (fun t -> t.tn_live) st.st_tenants
 
+let the_pool st = st.st_host.Host.cl_pool
+
 let current_server st vm_id =
-  match st.st_host.Host.pool with
-  | Some pool ->
-      Option.map (fun d -> Pool.server pool d) (Pool.device_of pool ~vm_id)
-  | None -> Some st.st_host.Host.server
+  Option.map (Pool.server (the_pool st)) (Pool.device_of (the_pool st) ~vm_id)
 
 (* The device-fault model: transient launch failures and rare hangs
    (recovered by the host TDR), always targeted at client 1 — the
@@ -328,80 +327,82 @@ let retire st tn =
   else false
 
 let migrate st tn dest =
-  match st.st_host.Host.pool with
-  | Some pool
-    when (not tn.tn_crashed)
-         && dest >= 0
-         && dest < Pool.n_devices pool
-         && Pool.is_healthy pool dest ->
-      ignore (Pool.migrate_vm pool ~vm_id:tn.tn_vm_id ~dest);
-      true
-  | _ -> false
+  let pool = the_pool st in
+  if
+    (not tn.tn_crashed)
+    && dest >= 0
+    && dest < Pool.n_devices pool
+    && Pool.is_healthy pool dest
+  then begin
+    ignore (Pool.migrate_vm pool ~vm_id:tn.tn_vm_id ~dest);
+    true
+  end
+  else false
 
 let kill st dev =
-  match st.st_host.Host.pool with
-  | Some pool when dev >= 0 && dev < Pool.n_devices pool -> (
-      let healthy =
-        List.length
-          (List.filter
-             (fun d -> Pool.is_healthy pool d)
-             (List.init (Pool.n_devices pool) Fun.id))
-      in
-      match (Pool.is_healthy pool dev, healthy >= 2) with
-      | true, true ->
-          (* Anyone resident at the instant of loss may legitimately
-             surface faults; the isolation invariant holds everyone
-             else to a clean run. *)
-          List.iter
-            (fun vm_id ->
-              List.iter
-                (fun t -> if t.tn_vm_id = vm_id then t.tn_faulty <- true)
-                st.st_tenants)
-            (Pool.resident pool dev);
-          Pool.kill_device pool ~device:dev;
-          true
-      | _ -> false)
-  | _ -> false
-
-let crash st tn outage_ns =
-  if tn.tn_crashed then false
+  let pool = the_pool st in
+  if dev < 0 || dev >= Pool.n_devices pool then false
   else
-    match current_server st tn.tn_vm_id with
-    | Some srv when Option.is_some (Server.vm_ctx srv ~vm_id:tn.tn_vm_id) ->
-        let vm_id = tn.tn_vm_id in
-        Server.crash srv ~vm_id;
-        tn.tn_crashed <- true;
-        Engine.schedule_after st.st_engine outage_ns (fun () ->
-            tn.tn_crashed <- false;
-            (* The tenant may have migrated or retired during the
-               outage; only the server still holding its (crashed)
-               entry gets the restart. *)
-            if
-              Option.is_some (Server.vm_ctx srv ~vm_id)
-              && Server.is_crashed srv ~vm_id
-            then begin
-              Server.restart srv ~vm_id;
-              ignore
-                (Router.requeue_in_flight st.st_host.Host.router ~vm_id)
-            end);
+    let healthy =
+      List.length
+        (List.filter
+           (fun d -> Pool.is_healthy pool d)
+           (List.init (Pool.n_devices pool) Fun.id))
+    in
+    match (Pool.is_healthy pool dev, healthy >= 2) with
+    | true, true ->
+        (* Anyone resident at the instant of loss may legitimately
+           surface faults; the isolation invariant holds everyone
+           else to a clean run. *)
+        List.iter
+          (fun vm_id ->
+            List.iter
+              (fun t -> if t.tn_vm_id = vm_id then t.tn_faulty <- true)
+              st.st_tenants)
+          (Pool.resident pool dev);
+        Pool.kill_device pool ~device:dev;
         true
     | _ -> false
 
+let crash st tn outage_ns =
+if tn.tn_crashed then false
+else
+  match current_server st tn.tn_vm_id with
+  | Some srv when Option.is_some (Server.vm_ctx srv ~vm_id:tn.tn_vm_id) ->
+      let vm_id = tn.tn_vm_id in
+      Server.crash srv ~vm_id;
+      tn.tn_crashed <- true;
+      Engine.schedule_after st.st_engine outage_ns (fun () ->
+          tn.tn_crashed <- false;
+          (* The tenant may have migrated or retired during the
+             outage; only the server still holding its (crashed)
+             entry gets the restart. *)
+          if
+            Option.is_some (Server.vm_ctx srv ~vm_id)
+            && Server.is_crashed srv ~vm_id
+          then begin
+            Server.restart srv ~vm_id;
+            ignore
+              (Router.requeue_in_flight st.st_host.Host.router ~vm_id)
+          end);
+      true
+  | _ -> false
+
 let swap_pressure st tn n =
-  tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine
-    ~name:(Printf.sprintf "campaign-churn-vm%d" tn.tn_vm_id)
-    (fun () ->
-      (try
-         if not (buffer_churn tn.tn_guest.Host.g_api n) then
-           tn.tn_bad_result <- true
-       with
-      | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
-      | exn ->
-          if st.st_crash_exn = None then
-            st.st_crash_exn <- Some (Printexc.to_string exn));
-      tn.tn_pending <- tn.tn_pending - 1);
-  true
+tn.tn_pending <- tn.tn_pending + 1;
+Engine.spawn st.st_engine
+  ~name:(Printf.sprintf "campaign-churn-vm%d" tn.tn_vm_id)
+  (fun () ->
+    (try
+       if not (buffer_churn tn.tn_guest.Host.g_api n) then
+         tn.tn_bad_result <- true
+     with
+    | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
+    | exn ->
+        if st.st_crash_exn = None then
+          st.st_crash_exn <- Some (Printexc.to_string exn));
+    tn.tn_pending <- tn.tn_pending - 1);
+true
 
 (* Clamp the tenant's device-time quota to a near-zero budget and push
    the reference workload through it: quota enforcement defers at
@@ -560,10 +561,7 @@ let apply st (op : Op.op) =
         | Some tn when tn.tn_live -> migrate st tn dest
         | _ -> false)
     | Op.Kill_device dev -> kill st dev
-    | Op.Rebalance -> (
-        match st.st_host.Host.pool with
-        | Some pool -> Pool.rebalance_now pool
-        | None -> false)
+    | Op.Rebalance -> Pool.rebalance_now (the_pool st)
     | Op.Crash (slot, outage_ns) -> (
         match tenant st slot with
         | Some tn when tn.tn_live -> crash st tn outage_ns
@@ -595,56 +593,45 @@ let apply st (op : Op.op) =
    ops: every live tenant resident on exactly one device, and that
    device agrees with the pool's own index. *)
 let check_residency_live st =
-  match st.st_host.Host.pool with
-  | None -> None
-  | Some pool ->
-      let devices = List.init (Pool.n_devices pool) Fun.id in
-      List.find_map
-        (fun tn ->
-          let homes =
-            List.filter
-              (fun d -> List.mem tn.tn_vm_id (Pool.resident pool d))
-              devices
-          in
-          match (homes, Pool.device_of pool ~vm_id:tn.tn_vm_id) with
-          | [ d ], Some d' when d = d' -> None
-          | _ ->
-              Some
-                (Violation
-                   ( Conservation,
-                     Printf.sprintf
-                       "vm%d resident on %d devices (index says %s)"
-                       tn.tn_vm_id (List.length homes)
-                       (match Pool.device_of pool ~vm_id:tn.tn_vm_id with
-                       | Some d -> string_of_int d
-                       | None -> "-") )))
-        (live_tenants st)
+  let pool = the_pool st in
+  let devices = List.init (Pool.n_devices pool) Fun.id in
+  List.find_map
+    (fun tn ->
+      let homes =
+        List.filter
+          (fun d -> List.mem tn.tn_vm_id (Pool.resident pool d))
+          devices
+      in
+      match (homes, Pool.device_of pool ~vm_id:tn.tn_vm_id) with
+      | [ d ], Some d' when d = d' -> None
+      | _ ->
+          Some
+            (Violation
+               ( Conservation,
+                 Printf.sprintf
+                   "vm%d resident on %d devices (index says %s)"
+                   tn.tn_vm_id (List.length homes)
+                   (match Pool.device_of pool ~vm_id:tn.tn_vm_id with
+                   | Some d -> string_of_int d
+                   | None -> "-") )))
+    (live_tenants st)
 
 (* Retired tenants must leave nothing behind: no pool residency, no
    server entry, no IOMMU pins, no recorder. *)
 let check_residency_retired st =
-  let pool = st.st_host.Host.pool in
-  let servers =
-    match pool with
-    | Some p -> List.init (Pool.n_devices p) (fun d -> Pool.server p d)
-    | None -> [ st.st_host.Host.server ]
-  in
+  let pool = the_pool st in
+  let devices = List.init (Pool.n_devices pool) Fun.id in
   List.find_map
     (fun tn ->
       let vm_id = tn.tn_vm_id in
       let leak =
-        if
-          Option.fold ~none:false
-            ~some:(fun p ->
-              List.exists
-                (fun d -> List.mem vm_id (Pool.resident p d))
-                (List.init (Pool.n_devices p) Fun.id))
-            pool
+        if List.exists (fun d -> List.mem vm_id (Pool.resident pool d)) devices
         then Some "pool residency"
         else if
           List.exists
-            (fun srv -> Option.is_some (Server.vm_ctx srv ~vm_id))
-            servers
+            (fun d ->
+              Option.is_some (Server.vm_ctx (Pool.server pool d) ~vm_id))
+            devices
         then Some "server entry"
         else if Hashtbl.mem st.st_host.Host.iommus vm_id then
           Some "IOMMU pins"
@@ -693,21 +680,19 @@ let check_conservation st =
   let dev_sum =
     List.fold_left (fun a d -> a + d.Report.dv_executed) 0 r.Report.r_devices
   in
-  if r.Report.r_devices <> [] && dev_sum <> r.Report.r_executed then
+  if dev_sum <> r.Report.r_executed then
     Some
       (Violation
          ( Conservation,
            Printf.sprintf "executed %d != per-device sum %d"
              r.Report.r_executed dev_sum ))
-  else
-    match st.st_host.Host.pool with
-    | Some pool when Pool.retires pool <> st.st_retired ->
-        Some
-          (Violation
-             ( Conservation,
-               Printf.sprintf "pool counted %d retires, scenario %d"
-                 (Pool.retires pool) st.st_retired ))
-    | _ -> check_residency_live st
+  else if Pool.retires (the_pool st) <> st.st_retired then
+    Some
+      (Violation
+         ( Conservation,
+           Printf.sprintf "pool counted %d retires, scenario %d"
+             (Pool.retires (the_pool st)) st.st_retired ))
+  else check_residency_live st
 
 let check_isolation st =
   List.find_map
@@ -839,9 +824,7 @@ let run ?(obs = false) ?(sabotage = false) config trace =
                        (fun a t -> a + t.tn_pending)
                        0 st.st_tenants))
            else begin
-             (match st.st_host.Host.pool with
-             | Some pool -> Pool.stop pool
-             | None -> ());
+             Pool.stop (the_pool st);
              let checks =
                [
                  (fun () ->
@@ -878,12 +861,10 @@ let run ?(obs = false) ?(sabotage = false) config trace =
           ev.Trace.message)
       (Trace.events host.Host.trace);
   let executed =
-    match host.Host.pool with
-    | Some pool ->
-        List.fold_left
-          (fun a d -> a + Server.executed (Pool.server pool d.Pool.ds_id))
-          0 (Pool.stats pool)
-    | None -> Server.executed host.Host.server
+    let pool = host.Host.cl_pool in
+    List.fold_left
+      (fun a d -> a + Server.executed (Pool.server pool d.Pool.ds_id))
+      0 (Pool.stats pool)
   in
   {
     oc_verdict = !verdict;

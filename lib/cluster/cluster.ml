@@ -167,13 +167,10 @@ let create ?(policy = Global_least_loaded) ?(devices_per_host = 2)
         ~vm_id_base:(1 + (i * vm_id_stride))
         engine
     in
-    let h_pool =
-      match h_host.Host.pool with Some p -> p | None -> assert false
-    in
     {
       h_id = i;
       h_host;
-      h_pool;
+      h_pool = h_host.Host.cl_pool;
       h_rng;
       h_view = Array.make hosts (0, 0);
       h_quarantined = false;

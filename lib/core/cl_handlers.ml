@@ -35,7 +35,11 @@ end)
 
 (* Swap keys combine VM id and host handle so one manager can serve all
    VMs sharing the device. *)
-let swap_key ctx host = (Server.Ctx.vm ctx * 1_000_000) + host
+let swap_key_base = 1_000_000
+let swap_key ctx host = (Server.Ctx.vm ctx * swap_key_base) + host
+
+let forget_swap sw ~vm_id =
+  Swap.remove_if sw (fun key -> key / swap_key_base = vm_id)
 
 let swap_add ctx st ~host ~bytes =
   match st.swap with

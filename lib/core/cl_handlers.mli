@@ -16,6 +16,10 @@ type state = {
 val make_state :
   ?swap:Ava_remoting.Swap.t -> Ava_simcl.Kdriver.t -> vm_id:int -> state
 
+val forget_swap : Ava_remoting.Swap.t -> vm_id:int -> unit
+(** Drop every swap entry the VM's buffers hold in this manager: the VM
+    left the device the manager serves. *)
+
 val live : state Silo.live
 (** Live objects are device buffers ([clCreateBuffer]), read and written
     over the owning device's DMA path. *)

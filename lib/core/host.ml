@@ -184,28 +184,24 @@ let attach_ava ?faults ?doorbell ?rate_per_s ?weight ?quota_cost
   attach_stub ?batch_limit ?retry ?sva ?obs engine ~server ~plan
     ~vm_id:(Ava_hv.Vm.id vm) ~server_end ~guest_end
 
-(* Retire a guest from the whole stack: pool residency (or the classic
-   server entry), circuit breaker, silo-specific [release], record log.
-   Idempotent — retiring an unknown or already-retired VM returns
-   [false] — and validated: a VM mid-migration is refused (retry after
-   the migration completes).  The caller must ensure the VM has no
-   in-flight calls; its worker dies with its inbox. *)
-let retire ~pool ~server ~router ~recorders ~release vm_id =
+(* Retire a guest from the whole stack: pool residency, circuit
+   breaker, silo-specific [release], record log.  Idempotent — retiring
+   an unknown or already-retired VM returns [false] — and validated: a
+   VM mid-migration is refused (retry after the migration completes).
+   The caller must ensure the VM has no in-flight calls; its worker dies
+   with its inbox. *)
+let retire ~pool ~server ~recorders ~release vm_id =
   let ok =
-    match pool with
-    | Some pool when Option.is_some (Pool.device_of pool ~vm_id) ->
-        Pool.retire_vm pool ~vm_id
-    | _ -> (
-        (* Classic host — or a pooled host's User_rpc guest, which
-           bypasses placement and lives on device 0's server. *)
-        match Server.vm_ctx server ~vm_id with
-        | Some _ ->
-            Server.detach_vm server ~vm_id;
-            (* User_rpc guests have no router flow to clear. *)
-            (try Router.clear_breaker router ~vm_id
-             with Invalid_argument _ -> ());
-            true
-        | None -> false)
+    if Option.is_some (Pool.device_of pool ~vm_id) then
+      Pool.retire_vm pool ~vm_id
+    else
+      (* Only a User_rpc guest has no pool residency: it bypasses
+         placement, lives on device 0's server and has no router flow. *)
+      match Server.vm_ctx server ~vm_id with
+      | Some _ ->
+          Server.detach_vm server ~vm_id;
+          true
+      | None -> false
   in
   if ok then begin
     release ();
@@ -217,19 +213,19 @@ let retire ~pool ~server ~router ~recorders ~release vm_id =
 
 type cl_host = {
   engine : Engine.t;
-  gpu : Gpu.t;  (** device 0 in a pooled host *)
+  gpu : Gpu.t;  (** device 0's GPU *)
   hv : Ava_hv.Hypervisor.t;
   plan : Plan.t;
   spec : Ava_spec.Ast.api_spec;
   router : Router.t;
-  server : Cl_handlers.state Server.t;  (** device 0's server when pooled *)
-  kd : Ava_simcl.Kdriver.t;  (** host kernel driver used by the server *)
-  swap : Swap.t option;
+  server : Cl_handlers.state Server.t;  (** device 0's server *)
+  swaps : Swap.t array;  (** one per pool device; empty when swap is off *)
   recorders : (int, Migrate.t) Hashtbl.t;
   trace : Ava_sim.Trace.t;
   obs : Obs.t option;
+  cl_pool : Cl_handlers.state Pool.t;
   pool : Cl_handlers.state Pool.t option;
-      (** the device pool; [None] on a classic single-device host *)
+      (** always [Some cl_pool]; read only by hostbench/work.ml *)
   sva : bool;  (** zero-copy data path: per-VM IOMMUs + mapped refs *)
   doorbell : Transport.doorbell_cfg option;
       (** doorbell coalescing on each guest's shm-ring send side *)
@@ -243,65 +239,46 @@ type cl_guest = {
   g_technique : technique;
 }
 
-(* [swap_capacity] enables swapping with the given device-memory budget
-   in bytes; [swap_page_granularity] switches the data movement from one
-   transfer per buffer object to one per 4 KiB page (the page/chunk-based
-   schemes of [32,33,55] the paper argues against).  [sync_only] deploys
-   the unoptimized (no-async-forwarding) spec for the §5 ablation.
-   [transfer_cache] bounds the server's per-VM content store in bytes and
-   arms the matching stub-side digest cache on every remoted guest; the
-   default 0 disables the cache entirely (wire traffic byte-identical to
-   the pre-cache stack).  [obs] arms per-call latency attribution across
-   stub, router and server; the registry is passive (no virtual-time
-   charges), so an armed run is bit-identical in timing to a disarmed
-   one.
-
-   [devices], [placement] and [rebalance] stand up the device pool:
-   [devices] simulated GPUs (each fronted by its own API server and
-   router dispatch lane), placement of remoted VMs onto them, and the
-   optional periodic skew monitor.  With [devices:1] and no placement
-   or rebalance the pool is not built at all and the stack is the
-   classic single-device host, bit-identical to the pre-pool code.
-   Swapping composes with single-device hosts only. *)
+(* Every host is a device pool of [devices] GPUs (default 1), each
+   fronted by its own API server, router dispatch lane and, with
+   [swap_capacity], its own swap manager over its own DMA engine.  The
+   knobs are documented in host.mli. *)
 let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
     ?swap_capacity ?(swap_page_granularity = false) ?(sync_only = false)
     ?(transfer_cache = 0) ?(sva = false) ?doorbell ?(tracing = false)
-    ?devfaults ?tdr ?obs ?(devices = 1) ?placement ?rebalance ?vm_id_base
-    engine =
+    ?devfaults ?tdr ?obs ?(devices = 1) ?(placement = Pool.Round_robin)
+    ?rebalance ?vm_id_base engine =
   if devices < 1 then invalid_arg "create_cl_host: devices must be >= 1";
-  let pooled = devices > 1 || placement <> None || rebalance <> None in
   let trace = Ava_sim.Trace.create ~enabled:tracing () in
-  if pooled && swap_capacity <> None then
-    invalid_arg "create_cl_host: swapping requires a single-device host";
   let gpus =
     Array.init devices (fun _ ->
         Gpu.create ~timing:gpu_timing ?devfault:devfaults engine)
   in
   let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
   let spec, plan = load_cl_plan ~sync_only () in
-  let kds = Array.map Ava_simcl.Kdriver.create gpus in
-  let swap =
-    Option.map
-      (fun capacity ->
-        let dma_move ~key:_ ~bytes =
-          if swap_page_granularity then begin
-            (* One descriptor + transfer per page: the per-operation
-               setup cost is paid (size / 4K) times. *)
-            let pages = (bytes + 4095) / 4096 in
-            for _ = 1 to pages do
-              Dma.transfer (Gpu.dma gpus.(0)) ~bytes:4096
-            done
-          end
-          else Dma.transfer (Gpu.dma gpus.(0)) ~bytes
-        in
-        Swap.create ~capacity ~evict:dma_move ~restore:dma_move)
-      swap_capacity
+  let swap_on gpu capacity =
+    let dma_move ~key:_ ~bytes =
+      if swap_page_granularity then begin
+        (* One descriptor + transfer per page: the per-operation setup
+           cost is paid (size / 4K) times. *)
+        let pages = (bytes + 4095) / 4096 in
+        for _ = 1 to pages do
+          Dma.transfer (Gpu.dma gpu) ~bytes:4096
+        done
+      end
+      else Dma.transfer (Gpu.dma gpu) ~bytes
+    in
+    Swap.create ~capacity ~evict:dma_move ~restore:dma_move
+  in
+  let swaps =
+    match swap_capacity with
+    | None -> [||]
+    | Some capacity -> Array.map (fun gpu -> swap_on gpu capacity) gpus
   in
   let recorders = Hashtbl.create 8 in
   (* One API server per device.  Its watchdog resets (and blames through)
      its own board: wedged work is failed, queued survivors keep
-     draining (Windows-TDR semantics), so innocents see only a blip.  A
-     classic host's lone server stays unpooled ([device_id] -1). *)
+     draining (Windows-TDR semantics), so innocents see only a blip. *)
   let make_server i =
     let gpu = gpus.(i) in
     let server =
@@ -313,10 +290,11 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
                Gpu.reset
                  ~policy:(if tp.tp_poison then `Poison else `Preserve)
                  gpu))
-        ?obs
-        ~device_id:(if pooled then i else -1)
-        engine ~plan
-        ~make_state:(Cl_handlers.make_state ?swap kds.(i))
+        ?obs ~device_id:i engine ~plan
+        ~make_state:
+          (Cl_handlers.make_state
+             ?swap:(if Array.length swaps = 0 then None else Some swaps.(i))
+             (Ava_simcl.Kdriver.create gpu))
     in
     Cl_handlers.register server;
     install_recorder_hook server ~plan ~recorders;
@@ -325,23 +303,25 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
   let servers = Array.init devices make_server in
   let router = Router.create ~trace ?obs engine ~virt ~plan in
   let iommus = Hashtbl.create 8 in
-  let pool =
-    if not pooled then None
-    else begin
-      let pool =
-        Pool.create ~trace engine ~router
-          ~placement:(Option.value placement ~default:Pool.Round_robin)
-          ~transfer:(pool_transfer ~iommus Cl_handlers.live ~recorders ~servers)
-          (Array.to_list
-             (Array.mapi (fun i gpu -> (Pool.phys_of_gpu gpu, servers.(i))) gpus))
-      in
-      Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
-      Some pool
-    end
+  let transfer ~vm_id ~src ~dst =
+    let bytes =
+      pool_transfer ~iommus Cl_handlers.live ~recorders ~servers ~vm_id ~src
+        ~dst
+    in
+    (* The VM's swap entries leave the source device with it. *)
+    if Array.length swaps > 0 then
+      Cl_handlers.forget_swap swaps.(src.Pool.dev_id) ~vm_id;
+    bytes
   in
+  let pool =
+    Pool.create ~trace engine ~router ~placement ~transfer
+      (Array.to_list
+         (Array.mapi (fun i gpu -> (Pool.phys_of_gpu gpu, servers.(i))) gpus))
+  in
+  Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
   { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
-    kd = kds.(0); swap; recorders; trace; obs; pool; sva; doorbell;
-    iommus }
+    swaps; recorders; trace; obs; cl_pool = pool; pool = Some pool; sva;
+    doorbell; iommus }
 
 (* Reply statuses that count against a SimCL VM's error budget: the
    server's device-lost verdict (TDR fired mid-call) and the CL-level
@@ -364,71 +344,62 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
   let batch_limit = if batching then 16 else 1 in
   let vm = Ava_hv.Hypervisor.create_vm t.hv ~name in
   let vm_id = Ava_hv.Vm.id vm in
-  Hashtbl.replace t.recorders vm_id (Migrate.create ());
-  (* SVA: one IOMMU (device address space) per remoted guest.  The stub
-     pins through it; whichever server currently fronts the VM's device
-     resolves through it. *)
-  let iommu =
-    if t.sva then begin
-      let i = Iommu.create t.engine in
-      Hashtbl.replace t.iommus vm_id i;
-      Some i
-    end
-    else None
-  in
   (* Dedicated-device techniques pin a pool device ([device], default
-     0); on a classic host there is only the one GPU. *)
-  let pool_gpu d =
-    match t.pool with Some pool -> Pool.gpu pool d | None -> t.gpu
+     0) and run the native driver in the guest: nothing to record, no
+     IOMMU. *)
+  let native attach =
+    let kd =
+      attach ~vm t.hv (Pool.gpu t.cl_pool (Option.value device ~default:0))
+    in
+    let api, _ = Ava_simcl.Native.create kd in
+    { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
   in
-  let sva_on gpu = Option.map (fun i -> (i, Gpu.dma gpu)) iommu in
-  let remoted stub =
+  (* Remoted guests are recorded for migration and, with SVA, get one
+     IOMMU (device address space) each.  The stub pins through it;
+     whichever server currently fronts the VM's device resolves through
+     it.  [attach] builds the stub given the SVA pairing for a device. *)
+  let remoted attach =
+    Hashtbl.replace t.recorders vm_id (Migrate.create ());
+    let iommu =
+      if t.sva then begin
+        let i = Iommu.create t.engine in
+        Hashtbl.replace t.iommus vm_id i;
+        Some i
+      end
+      else None
+    in
+    let stub =
+      attach (fun d ->
+          Option.map (fun i -> (i, Gpu.dma (Pool.gpu t.cl_pool d))) iommu)
+    in
     let api, _ = Cl_remote.create stub in
     { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
   in
   match technique with
-  | Passthrough ->
-      let kd =
-        Ava_hv.Hypervisor.attach_passthrough t.hv ~vm
-          (pool_gpu (Option.value device ~default:0))
-      in
-      let api, _ = Ava_simcl.Native.create kd in
-      { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
-  | Full_virt ->
-      let kd =
-        Ava_hv.Hypervisor.attach_fullvirt t.hv ~vm
-          (pool_gpu (Option.value device ~default:0))
-      in
-      let api, _ = Ava_simcl.Native.create kd in
-      { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
+  | Passthrough -> native (fun ~vm -> Ava_hv.Hypervisor.attach_passthrough ~vm)
+  | Full_virt -> native (fun ~vm -> Ava_hv.Hypervisor.attach_fullvirt ~vm)
   | User_rpc ->
-      (* Guest connects straight to the API server: no router, no
-         hypervisor interposition — and, pooled, no placement: the
-         stack it bypasses is exactly the one that steers. *)
-      let guest_end, server_end =
-        Transport.user_rpc t.engine ~virt:(Ava_hv.Hypervisor.virt t.hv)
-      in
-      Option.iter (fun f -> Faults.wrap f (guest_end, server_end)) faults;
-      remoted
-        (attach_stub ~batch_limit ?retry ?sva:(sva_on t.gpu) ?obs:t.obs
-           t.engine ~server:t.server ~plan:t.plan ~vm_id ~server_end
-           ~guest_end)
+      (* Guest connects straight to device 0's API server: no router, no
+         hypervisor interposition and no placement — the stack it
+         bypasses is exactly the one that steers. *)
+      remoted (fun sva_on ->
+          let guest_end, server_end =
+            Transport.user_rpc t.engine ~virt:(Ava_hv.Hypervisor.virt t.hv)
+          in
+          Option.iter (fun f -> Faults.wrap f (guest_end, server_end)) faults;
+          attach_stub ~batch_limit ?retry ?sva:(sva_on 0) ?obs:t.obs t.engine
+            ~server:t.server ~plan:t.plan ~vm_id ~server_end ~guest_end)
   | Ava kind ->
-      (* Pooled: the placement policy (or an explicit [device] pin)
-         picks the backend; its server executes this VM's calls. *)
-      let backend, server =
-        match t.pool with
-        | Some pool ->
-            let d = Pool.place ?footprint ?device pool ~vm in
-            (d, Pool.server pool d)
-        | None -> (0, t.server)
-      in
-      remoted
-        (attach_ava ?faults ?doorbell:t.doorbell ?rate_per_s ?weight
-           ?quota_cost ?quota_window ?breaker
-           ~breaker_statuses:cl_fault_statuses ~backend ~batch_limit ?retry
-           ?sva:(sva_on (pool_gpu backend)) ?obs:t.obs t.engine ~hv:t.hv
-           ~router:t.router ~server ~plan:t.plan ~kind vm)
+      (* The placement policy (or an explicit [device] pin) picks the
+         backend; its server executes this VM's calls. *)
+      remoted (fun sva_on ->
+          let backend = Pool.place ?footprint ?device t.cl_pool ~vm in
+          attach_ava ?faults ?doorbell:t.doorbell ?rate_per_s ?weight
+            ?quota_cost ?quota_window ?breaker
+            ~breaker_statuses:cl_fault_statuses ~backend ~batch_limit ?retry
+            ?sva:(sva_on backend) ?obs:t.obs t.engine ~hv:t.hv
+            ~router:t.router ~server:(Pool.server t.cl_pool backend)
+            ~plan:t.plan ~kind vm)
 
 (* A bare-metal SimCL stack: the native baseline every relative number in
    the evaluation is normalized to. *)
@@ -440,11 +411,13 @@ let native_cl ?(gpu_timing = Timing.gtx1080) engine =
 
 let recorder t ~vm_id = Hashtbl.find_opt t.recorders vm_id
 
-(* As [retire], plus the VM's IOMMU pins.  Must run inside a simulation
-   process (the IOMMU teardown charges a shootdown). *)
+(* As [retire], plus the VM's swap entries and IOMMU pins.  Must run
+   inside a simulation process (the IOMMU teardown charges a
+   shootdown). *)
 let retire_cl_vm t ~vm_id =
-  retire ~pool:t.pool ~server:t.server ~router:t.router ~recorders:t.recorders
-    vm_id ~release:(fun () ->
+  retire ~pool:t.cl_pool ~server:t.server ~recorders:t.recorders vm_id
+    ~release:(fun () ->
+      Array.iter (fun sw -> Cl_handlers.forget_swap sw ~vm_id) t.swaps;
       match Hashtbl.find_opt t.iommus vm_id with
       | Some iommu ->
           Iommu.release_all iommu;
@@ -602,12 +575,12 @@ type st_host = {
   st_plan : Plan.t;
   st_spec : Ava_spec.Ast.api_spec;
   st_router : Router.t;
-  st_server : St_handlers.state Server.t;  (** device 0's server when pooled *)
-  st_devs : Ava_simst.Device.t array;  (** per pool device; [[| dev |]] classic *)
+  st_server : St_handlers.state Server.t;  (** device 0's server *)
+  st_devs : Ava_simst.Device.t array;  (** one per pool device *)
   st_recorders : (int, Migrate.t) Hashtbl.t;
   st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
-  st_pool : St_handlers.state Pool.t option;
+  st_pool : St_handlers.state Pool.t;
 }
 
 type st_guest = {
@@ -635,19 +608,15 @@ let st_phys cap dev =
     ph_gpu = None;
   }
 
-(* [fleet] is the capability tag per pool device; a one-device
-   [Cap_stream] fleet with no placement or rebalance builds the classic
-   single-device host (no pool at all).  [st_timing] overrides the
-   balanced preset for [Cap_stream] devices; GPU- and NPU-class devices
-   keep their class presets — that contrast is the point of a mixed
-   fleet. *)
+(* [fleet] is the capability tag per pool device (default one
+   [Cap_stream] device).  [st_timing] overrides the balanced preset for
+   [Cap_stream] devices; GPU- and NPU-class devices keep their class
+   presets — that contrast is the point of a mixed fleet. *)
 let create_st_host ?(virt = Timing.default_virt)
     ?(st_timing = Ava_simst.Device.sm_stream) ?(tracing = false) ?obs
-    ?(fleet = [ Pool.Cap_stream ]) ?placement ?rebalance ?vm_id_base engine =
+    ?(fleet = [ Pool.Cap_stream ]) ?(placement = Pool.Round_robin) ?rebalance
+    ?vm_id_base engine =
   if fleet = [] then invalid_arg "create_st_host: fleet must be non-empty";
-  let pooled =
-    List.length fleet > 1 || placement <> None || rebalance <> None
-  in
   let trace = Ava_sim.Trace.create ~enabled:tracing () in
   let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
   let spec, plan = load_st_plan () in
@@ -670,23 +639,14 @@ let create_st_host ?(virt = Timing.default_virt)
     server
   in
   let router = Router.create ~trace ?obs engine ~virt ~plan in
-  let servers, pool =
-    if not pooled then ([| make_server 0 |], None)
-    else begin
-      let servers = Array.init (Array.length devs) make_server in
-      let pool =
-        Pool.create ~trace engine ~router
-          ~placement:(Option.value placement ~default:Pool.Round_robin)
-          ~transfer:(pool_transfer St_handlers.live ~recorders ~servers)
-          (Array.to_list
-             (Array.mapi
-                (fun i cap -> (st_phys cap devs.(i), servers.(i)))
-                caps))
-      in
-      Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
-      (servers, Some pool)
-    end
+  let servers = Array.init (Array.length devs) make_server in
+  let pool =
+    Pool.create ~trace engine ~router ~placement
+      ~transfer:(pool_transfer St_handlers.live ~recorders ~servers)
+      (Array.to_list
+         (Array.mapi (fun i cap -> (st_phys cap devs.(i), servers.(i))) caps))
   in
+  Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
   {
     st_engine = engine;
     st_hv = hv;
@@ -716,25 +676,19 @@ let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
     ?requires ?footprint ?device t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.st_hv ~name in
   Hashtbl.replace t.st_recorders (Ava_hv.Vm.id vm) (Migrate.create ());
-  let backend, server =
-    match t.st_pool with
-    | Some pool ->
-        let d = Pool.place ?footprint ?requires ?device pool ~vm in
-        (d, Pool.server pool d)
-    | None -> (0, t.st_server)
-  in
+  let backend = Pool.place ?footprint ?requires ?device t.st_pool ~vm in
   let stub =
     attach_ava ?rate_per_s ?weight ?breaker
       ~breaker_statuses:st_fault_statuses ~backend ?obs:t.st_obs t.st_engine
-      ~hv:t.st_hv ~router:t.st_router ~server ~plan:t.st_plan ~kind:transport
-      vm
+      ~hv:t.st_hv ~router:t.st_router ~server:(Pool.server t.st_pool backend)
+      ~plan:t.st_plan ~kind:transport vm
   in
   let api, _ = St_remote.create stub in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
 
 let retire_st_vm t ~vm_id =
-  retire ~pool:t.st_pool ~server:t.st_server ~router:t.st_router
-    ~recorders:t.st_recorders ~release:ignore vm_id
+  retire ~pool:t.st_pool ~server:t.st_server ~recorders:t.st_recorders
+    ~release:ignore vm_id
 
 let native_st ?(st_timing = Ava_simst.Device.sm_stream) engine =
   let dev = Ava_simst.Device.create ~timing:st_timing engine in

@@ -1,9 +1,10 @@
 (** Stack assembly: deploy every virtualization technique of §2 over the
     same silos, plus the full AvA remoting stack of §3-4.
 
-    A {!cl_host} owns the physical GPU, the hypervisor, the router and
-    the API server; {!add_cl_vm} attaches one guest and returns a SimCL
-    module the guest application uses exactly like the vendor library.
+    A {!cl_host} owns a pool of physical GPUs (one by default), the
+    hypervisor, the router and one API server per GPU; {!add_cl_vm}
+    attaches one guest and returns a SimCL module the guest application
+    uses exactly like the vendor library.
     {!nc_host} and {!qa_host} are the Movidius and QuickAssist
     equivalents. *)
 
@@ -49,21 +50,24 @@ val technique_to_string : technique -> string
 
 type cl_host = {
   engine : Engine.t;
-  gpu : Gpu.t;  (** device 0 in a pooled host *)
+  gpu : Gpu.t;  (** device 0's GPU *)
   hv : Ava_hv.Hypervisor.t;
   plan : Plan.t;
   spec : Ava_spec.Ast.api_spec;
   router : Router.t;
-  server : Cl_handlers.state Server.t;  (** device 0's server when pooled *)
-  kd : Ava_simcl.Kdriver.t;  (** host kernel driver used by the server *)
-  swap : Swap.t option;
+  server : Cl_handlers.state Server.t;  (** device 0's server *)
+  swaps : Swap.t array;
+      (** one swap manager per pool device; empty when swap is off *)
   recorders : (int, Migrate.t) Hashtbl.t;  (** per-VM migration recorders *)
   trace : Ava_sim.Trace.t;
       (** router/server call trace (enabled with [~tracing:true]) *)
   obs : Obs.t option;
       (** latency-attribution registry (armed with [~obs]) *)
+  cl_pool : Cl_handlers.state Pool.t;  (** the device pool *)
   pool : Cl_handlers.state Pool.t option;
-      (** the device pool; [None] on a classic single-device host *)
+      (** always [Some cl_pool].  Its only reader is the host benchmark
+          (hostbench/work.ml); the next change to the benchmark deletes
+          it.  Use [cl_pool]. *)
   sva : bool;  (** shared virtual addressing armed for remoted guests *)
   doorbell : Transport.doorbell_cfg option;
       (** doorbell coalescing config for shm-ring guests; [None] = eager *)
@@ -103,14 +107,15 @@ val create_cl_host :
   ?vm_id_base:int ->
   Engine.t ->
   cl_host
-(** [swap_capacity] enables swapping with the given device-memory budget
-    in bytes; [swap_page_granularity] switches its data movement to one
-    transfer per 4 KiB page (the page/chunk schemes the paper argues
-    against).  [sync_only] deploys the unoptimized no-async spec.
-    [transfer_cache] bounds the server's per-VM content store in bytes
-    and arms the matching stub-side digest cache on every remoted guest
-    (default 0: cache off, wire traffic byte-identical to the pre-cache
-    stack).  [devfaults] arms seeded device-fault injection on the GPU;
+(** [swap_capacity] enables swapping: each pool device gets its own
+    swap manager with this device-memory budget in bytes, moving data
+    over that device's DMA engine; [swap_page_granularity] switches the
+    data movement to one transfer per 4 KiB page (the page/chunk schemes
+    the paper argues against).  [sync_only] deploys the unoptimized
+    no-async spec.  [transfer_cache] bounds the server's per-VM content
+    store in bytes and arms the matching stub-side digest cache on every
+    remoted guest (default 0: cache off, wire traffic byte-identical to
+    the pre-cache stack).  [devfaults] arms seeded device-fault injection on the GPU;
     [tdr] arms the server's hang watchdog with device reset — both off
     by default, leaving the stack bit-identical to the fault-free
     build.  [obs] arms per-call latency attribution across stub, router
@@ -129,15 +134,13 @@ val create_cl_host :
     [db_horizon_ns] timer, attributed to the [doorbell] obs phase.
     [None] (default) keeps eager per-message notifies.
 
-    [devices], [placement] and [rebalance] stand up the device pool:
-    [devices] simulated GPUs, each fronted by its own API server and
-    router dispatch lane, with remoted VMs placed onto them by
-    [placement] (default {!Pool.Round_robin} once pooled) and an
-    optional periodic skew monitor ([rebalance] — stop it with
-    [Pool.stop] or [Engine.run] never returns).  With [devices:1] and
-    neither [placement] nor [rebalance] the pool is not built and the
-    stack is the classic single-device host, bit-identical to the
-    pre-pool code.  Swapping composes with single-device hosts only.
+    Every host is a device pool: [devices] simulated GPUs (default 1),
+    each fronted by its own API server and router dispatch lane, with
+    remoted VMs placed onto them by [placement] (default
+    {!Pool.Round_robin}) and an optional periodic skew monitor
+    ([rebalance] — stop it with [Pool.stop] or [Engine.run] never
+    returns).  A one-device pool is bit-identical in virtual time to the
+    pre-pool single-GPU stack.
 
     [vm_id_base] seeds the hypervisor's VM-id counter (default 1); a
     cluster gives each host a disjoint base so VM ids stay globally
@@ -170,13 +173,15 @@ val add_cl_vm :
     ({!Server.status_vm_quarantined}) without perturbing its
     neighbours.
 
-    On a pooled host, [footprint] declares the VM's device-memory
-    appetite in bytes (the bin-packing policy's input) and [device]
-    pins a pool device outright, bypassing the placement policy —
-    for remoted guests via {!Pool.place}, and for pass-through /
-    full-virt guests by dedicating that pool device's GPU (recorded
-    with {!Ava_hv.Hypervisor.attachment}).  Both are ignored on a
-    classic host; [User_rpc] guests bypass placement entirely. *)
+    [footprint] declares the VM's device-memory appetite in bytes (the
+    bin-packing policy's input) and [device] pins a pool device
+    outright, bypassing the placement policy — for AvA guests via
+    {!Pool.place}, and for pass-through / full-virt guests by
+    dedicating that pool device's GPU (recorded with
+    {!Ava_hv.Hypervisor.attachment}).  [User_rpc] guests bypass
+    placement entirely and run on device 0's server.  Only remoted
+    guests ([Ava _] and [User_rpc]) get a migration recorder and, with
+    [sva], an IOMMU. *)
 
 val native_cl :
   ?gpu_timing:Timing.gpu -> Engine.t -> (module Ava_simcl.Api.S) * Gpu.t
@@ -186,10 +191,10 @@ val native_cl :
 val recorder : cl_host -> vm_id:int -> Migrate.t option
 
 val retire_cl_vm : cl_host -> vm_id:int -> bool
-(** Retire a guest from the whole stack: pool residency (or the classic
-    server entry), circuit breaker, IOMMU pins ({!Iommu.release_all}),
-    record log.  Idempotent ([false] for an unknown or already-retired
-    VM) and validated (a VM mid-migration is refused; retry once the
+(** Retire a guest from the whole stack: pool residency (or a
+    [User_rpc] guest's server entry), circuit breaker, swap entries,
+    IOMMU pins ({!Iommu.release_all}), record log.  Idempotent
+    ([false] for an unknown or already-retired VM) and validated (a VM mid-migration is refused; retry once the
     migration completes).  The caller must ensure the VM has no
     in-flight calls — its worker dies with its inbox.  Must run inside
     a simulation process. *)
@@ -305,14 +310,12 @@ type st_host = {
   st_plan : Plan.t;
   st_spec : Ava_spec.Ast.api_spec;
   st_router : Router.t;
-  st_server : St_handlers.state Server.t;  (** device 0's server when pooled *)
-  st_devs : Ava_simst.Device.t array;
-      (** one per pool device; [[| dev |]] on a classic host *)
+  st_server : St_handlers.state Server.t;  (** device 0's server *)
+  st_devs : Ava_simst.Device.t array;  (** one per pool device *)
   st_recorders : (int, Migrate.t) Hashtbl.t;
   st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
-  st_pool : St_handlers.state Pool.t option;
-      (** the device pool; [None] on a classic single-device host *)
+  st_pool : St_handlers.state Pool.t;  (** the device pool *)
 }
 
 type st_guest = {
@@ -338,8 +341,8 @@ val create_st_host :
   Engine.t ->
   st_host
 (** [fleet] tags one pool device per element (default a single
-    [Cap_stream] device, which builds the classic pool-less host when no
-    [placement] or [rebalance] is given).  [st_timing] overrides the
+    [Cap_stream] device); [placement] (default {!Pool.Round_robin}) and
+    [rebalance] as in {!create_cl_host}.  [st_timing] overrides the
     balanced preset for [Cap_stream] devices; [Cap_gpu] / [Cap_npu]
     devices use their class presets.  [obs] as in {!create_cl_host}. *)
 

@@ -48,7 +48,7 @@ type device_stats = {
   dv_evac_out : int;
 }
 
-(* Pool-level counters (present only on a pooled host). *)
+(* Pool-level counters. *)
 type pool_stats = {
   pl_placement : string;
   pl_devices : int;
@@ -83,9 +83,8 @@ type t = {
   r_gpu_resets : int;  (** resets the device itself performed *)
   r_unexpected_exns : int;  (** handler exceptions outside the protocol *)
   r_quarantined : int;  (** calls rejected by open circuit breakers *)
-  r_devices : device_stats list;
-      (** per-device rows, in id order; empty on a classic host *)
-  r_pool : pool_stats option;  (** [None] on a classic host *)
+  r_devices : device_stats list;  (** per-device rows, in id order *)
+  r_pool : pool_stats;
   r_phases : (string * Ava_obs.Hist.summary) list;
       (** per-phase latency attribution, merged across VMs and APIs;
           empty when the host was built without [~obs] *)
@@ -117,9 +116,8 @@ let guest_stats (guest : Host.cl_guest) =
     gs_cache_naks = stat Stub.cache_nak_resends 0;
   }
 
-(* On a pooled host every device-side counter must be summed across the
-   pool's servers and GPUs — the [host.server] / [host.gpu] singletons
-   are only device 0. *)
+(* Every device-side counter is summed across the pool's servers and
+   GPUs — the [host.server] / [host.gpu] singletons are only device 0. *)
 let add_cache (a : Server.cache_stats) (b : Server.cache_stats) =
   {
     Server.cs_hits = a.Server.cs_hits + b.Server.cs_hits;
@@ -132,52 +130,34 @@ let add_cache (a : Server.cache_stats) (b : Server.cache_stats) =
   }
 
 let snapshot (host : Host.cl_host) guests =
-  let servers, gpus =
-    match host.Host.pool with
-    | None -> ([ host.Host.server ], [ host.Host.gpu ])
-    | Some p ->
-        let n = Host.Pool.n_devices p in
-        ( List.init n (Host.Pool.server p),
-          List.init n (Host.Pool.gpu p) )
-  in
+  let p = host.Host.cl_pool in
+  let n = Host.Pool.n_devices p in
+  let servers = List.init n (Host.Pool.server p) in
+  let gpus = List.init n (Host.Pool.gpu p) in
   let sum_s f = List.fold_left (fun acc s -> acc + f s) 0 servers in
   let sum_g f = List.fold_left (fun acc g -> acc + f g) 0 gpus in
-  let devices =
-    match host.Host.pool with
-    | None -> []
-    | Some p ->
-        List.map
-          (fun (ds : Host.Pool.device_stats) ->
-            let srv = Host.Pool.server p ds.Host.Pool.ds_id in
-            let gpu = Host.Pool.gpu p ds.Host.Pool.ds_id in
-            {
-              dv_id = ds.Host.Pool.ds_id;
-              dv_healthy = ds.Host.Pool.ds_healthy;
-              dv_resident = ds.Host.Pool.ds_resident;
-              dv_load_est = ds.Host.Pool.ds_load_ns;
-              dv_busy = ds.Host.Pool.ds_busy_ns;
-              dv_kernels = ds.Host.Pool.ds_kernels;
-              dv_executed = Server.executed srv;
-              dv_bytes = Dma.bytes_moved (Gpu.dma gpu);
-              dv_mem_used = Devmem.used (Gpu.mem gpu);
-              dv_evac_in = ds.Host.Pool.ds_evac_in;
-              dv_evac_out = ds.Host.Pool.ds_evac_out;
-            })
-          (Host.Pool.stats p)
+  let sum_swap f =
+    Array.fold_left (fun acc sw -> acc + f sw) 0 host.Host.swaps
   in
-  let pool_stats =
-    Option.map
-      (fun p ->
+  let devices =
+    List.map
+      (fun (ds : Host.Pool.device_stats) ->
+        let srv = Host.Pool.server p ds.Host.Pool.ds_id in
+        let gpu = Host.Pool.gpu p ds.Host.Pool.ds_id in
         {
-          pl_placement =
-            Host.Pool.placement_to_string (Host.Pool.placement p);
-          pl_devices = Host.Pool.n_devices p;
-          pl_migrations = Host.Pool.migrations p;
-          pl_evacuations = Host.Pool.evacuations p;
-          pl_rebalances = Host.Pool.rebalances p;
-          pl_resteered = Router.resteered host.Host.router;
+          dv_id = ds.Host.Pool.ds_id;
+          dv_healthy = ds.Host.Pool.ds_healthy;
+          dv_resident = ds.Host.Pool.ds_resident;
+          dv_load_est = ds.Host.Pool.ds_load_ns;
+          dv_busy = ds.Host.Pool.ds_busy_ns;
+          dv_kernels = ds.Host.Pool.ds_kernels;
+          dv_executed = Server.executed srv;
+          dv_bytes = Dma.bytes_moved (Gpu.dma gpu);
+          dv_mem_used = Devmem.used (Gpu.mem gpu);
+          dv_evac_in = ds.Host.Pool.ds_evac_in;
+          dv_evac_out = ds.Host.Pool.ds_evac_out;
         })
-      host.Host.pool
+      (Host.Pool.stats p)
   in
   {
     r_at = Engine.now host.Host.engine;
@@ -196,9 +176,12 @@ let snapshot (host : Host.cl_host) guests =
     r_gpu_mem_used = sum_g (fun g -> Devmem.used (Gpu.mem g));
     r_dma_bytes = sum_g (fun g -> Dma.bytes_moved (Gpu.dma g));
     r_swap =
-      Option.map
-        (fun sw -> (Swap.resident_bytes sw, Swap.evictions sw, Swap.restores sw))
-        host.Host.swap;
+      (if Array.length host.Host.swaps = 0 then None
+       else
+         Some
+           ( sum_swap Swap.resident_bytes,
+             sum_swap Swap.evictions,
+             sum_swap Swap.restores ));
     r_cache =
       List.fold_left
         (fun acc s -> add_cache acc (Server.cache_totals s))
@@ -211,7 +194,15 @@ let snapshot (host : Host.cl_host) guests =
     r_unexpected_exns = sum_s Server.unexpected_exns;
     r_quarantined = Router.quarantined host.Host.router;
     r_devices = devices;
-    r_pool = pool_stats;
+    r_pool =
+      {
+        pl_placement = Host.Pool.placement_to_string (Host.Pool.placement p);
+        pl_devices = n;
+        pl_migrations = Host.Pool.migrations p;
+        pl_evacuations = Host.Pool.evacuations p;
+        pl_rebalances = Host.Pool.rebalances p;
+        pl_resteered = Router.resteered host.Host.router;
+      };
     r_phases =
       (match host.Host.obs with
       | None -> []
@@ -241,14 +232,12 @@ let pp ppf r =
       r.r_restarts r.r_lost_while_down r.r_replayed r.r_requeued;
   Fmt.pf ppf "  device: %d kernels, busy %a, %d B resident, %d B over DMA@."
     r.r_kernels Time.pp r.r_gpu_busy r.r_gpu_mem_used r.r_dma_bytes;
-  (match r.r_pool with
-  | Some p ->
-      Fmt.pf ppf
-        "  pool: %d devices, %s placement, %d migrations (%d rebalance, %d \
-         evacuation), %d resteered@."
-        p.pl_devices p.pl_placement p.pl_migrations p.pl_rebalances
-        p.pl_evacuations p.pl_resteered
-  | None -> ());
+  (let p = r.r_pool in
+   Fmt.pf ppf
+     "  pool: %d devices, %s placement, %d migrations (%d rebalance, %d \
+      evacuation), %d resteered@."
+     p.pl_devices p.pl_placement p.pl_migrations p.pl_rebalances
+     p.pl_evacuations p.pl_resteered);
   List.iter
     (fun d ->
       Fmt.pf ppf

@@ -40,7 +40,7 @@ type device_stats = {
   dv_evac_out : int;
 }
 
-(** Pool-level counters (present only on a pooled host). *)
+(** Pool-level counters. *)
 type pool_stats = {
   pl_placement : string;
   pl_devices : int;
@@ -67,7 +67,8 @@ type t = {
   r_gpu_mem_used : int;
   r_dma_bytes : int;
   r_swap : (int * int * int) option;
-      (** resident bytes, evictions, restores *)
+      (** resident bytes, evictions, restores, summed over the per-device
+          swap managers; [None] when swapping is off *)
   r_cache : Ava_remoting.Server.cache_stats;
       (** server content-store totals (transfer cache) *)
   r_naks : int;  (** cache-miss NAK messages the server sent *)
@@ -76,9 +77,8 @@ type t = {
   r_gpu_resets : int;  (** resets the device itself performed *)
   r_unexpected_exns : int;  (** handler exceptions outside the protocol *)
   r_quarantined : int;  (** calls rejected by open circuit breakers *)
-  r_devices : device_stats list;
-      (** per-device rows, in id order; empty on a classic host *)
-  r_pool : pool_stats option;  (** [None] on a classic host *)
+  r_devices : device_stats list;  (** per-device rows, in id order *)
+  r_pool : pool_stats;
   r_phases : (string * Ava_obs.Hist.summary) list;
       (** per-phase latency attribution, merged across VMs and APIs;
           empty when the host was built without [~obs] *)

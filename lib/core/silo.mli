@@ -134,6 +134,4 @@ val transfer :
     live objects, replay the record log into [dst] re-binding each
     object to its original virtual id, then restore the snapshot.
     [suspend]/[resume] bracket the replay so it does not re-record
-    itself; [dst]'s context and state are read after [suspend], so a
-    caller may swap them in there ([src == dst] is a same-server
-    migration).  Must run inside a simulation process. *)
+    itself.  Must run inside a simulation process. *)

@@ -46,8 +46,8 @@ let hist_lines name ~vm ~api ~phase h =
     h
 
 (* Per-device execute-phase histograms, rebuilt from retained spans'
-   execute segments.  Empty outside a pooled host (no span ever gets a
-   device stamp), so the legacy exposition is byte-identical. *)
+   execute segments.  Empty when no span carries a device stamp (the
+   pool-less NC and QA hosts), so their exposition is unchanged. *)
 let device_exec_hists t =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -143,7 +143,7 @@ let lane_name = function
   | 3 -> "router"
   | _ -> "server"
 
-(* In a pooled host, server-side segments of a device-stamped span get
+(* Server-side segments of a device-stamped span (CL and ST hosts) get
    their own lane per device so migrations read as a track switch;
    unstamped spans keep the legacy shared server lane (tid 4). *)
 let device_lane d = 10 + d

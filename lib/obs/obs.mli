@@ -53,7 +53,7 @@ type span = {
   mutable sp_close : Time.t;  (** -1 while still open *)
   mutable sp_status : int;
   mutable sp_device : int;
-      (** pool device that executed the call; -1 outside a pooled host *)
+      (** pool device that executed the call; -1 on a pool-less host *)
 }
 
 val mark_index : mark -> int

@@ -72,9 +72,6 @@ module Ctx = struct
   let live t = Hashtbl.length t.handles
 
   let guest_ids t = Hashtbl.fold (fun g _ acc -> g :: acc) t.handles []
-
-  (* Drop every binding (migration rebinds from the replay log). *)
-  let clear t = Hashtbl.reset t.handles
 end
 
 (* Per-VM content store, the server half of the transfer cache: maps
@@ -183,7 +180,7 @@ let replay_cache_cap = 4096
 
 type 'st vm_entry = {
   ve_ctx : Ctx.t;
-  mutable ve_state : 'st;
+  ve_state : 'st;
   ve_ep : Transport.endpoint;
   mutable ve_paused : bool;
   mutable ve_resume : (unit -> unit) option;
@@ -912,13 +909,3 @@ let execute_direct t ~vm_id (c : Message.call) =
   match find_vm t vm_id with
   | None -> invalid_arg "Server.execute_direct: unknown vm"
   | Some entry -> execute_call t entry c
-
-(* Swap in a fresh silo state for a VM (migration to a new host/device);
-   the old state is returned for snapshotting. *)
-let replace_state t ~vm_id state =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.replace_state: unknown vm"
-  | Some entry ->
-      let old = entry.ve_state in
-      entry.ve_state <- state;
-      old

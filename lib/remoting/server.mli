@@ -50,7 +50,6 @@ module Ctx : sig
   val forget : t -> int -> unit
   val live : t -> int
   val guest_ids : t -> int list
-  val clear : t -> unit
 end
 
 type 'st handler =
@@ -266,7 +265,3 @@ val execute_direct :
   'st t -> vm_id:int -> Message.call -> int * Wire.value * Wire.value list
 (** Execute a call directly against a VM's state, bypassing transport —
     used by migration replay.  Must run inside a process. *)
-
-val replace_state : 'st t -> vm_id:int -> 'st -> 'st
-(** Swap in a fresh silo state for a VM (migration to a new device);
-    returns the old state for snapshotting. *)

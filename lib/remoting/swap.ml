@@ -129,6 +129,12 @@ let remove t ~key =
       if e.e_resident then t.resident_bytes <- t.resident_bytes - e.e_bytes;
       Hashtbl.remove t.entries key
 
+let remove_if t f =
+  List.iter
+    (fun key -> remove t ~key)
+    (Hashtbl.fold (fun key _ acc -> if f key then key :: acc else acc)
+       t.entries [])
+
 let is_resident t ~key =
   match Hashtbl.find_opt t.entries key with
   | None -> false

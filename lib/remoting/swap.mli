@@ -33,6 +33,10 @@ val pin : t -> key:int -> unit
 
 val unpin : t -> key:int -> unit
 val remove : t -> key:int -> unit
+
+val remove_if : t -> (int -> bool) -> unit
+(** [remove] every tracked key satisfying the predicate. *)
+
 val is_resident : t -> key:int -> bool
 
 val check_invariants : t -> bool

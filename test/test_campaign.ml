@@ -246,7 +246,7 @@ let corpus_tests =
 (* --- pool retirement regressions ------------------------------------------ *)
 
 let pool_host e = Host.create_cl_host ~devices:3 e
-let the_pool (host : Host.cl_host) = Option.get host.Host.pool
+let the_pool (host : Host.cl_host) = host.Host.cl_pool
 
 let retire_tests =
   [

@@ -369,7 +369,7 @@ let migration_tests =
             let vm_id = Cluster.vm_id tn in
             let src = Cluster.host_of tn in
             let dest = 1 - src in
-            let dst_pool = Option.get (Cluster.cl_host c dest).Host.pool in
+            let dst_pool = (Cluster.cl_host c dest).Host.cl_pool in
             Host.Pool.kill_device dst_pool ~device:0;
             Alcotest.(check int)
               "no bytes moved" 0

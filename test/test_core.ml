@@ -130,6 +130,30 @@ let technique_tests =
           (Stub.sva_maps stub > 0);
         Alcotest.(check bool) "payload bytes stayed off the wire" true
           (Stub.sva_saved_bytes stub > 0));
+    Alcotest.test_case "dedicated-device guests get no recorder or IOMMU"
+      `Quick (fun () ->
+        (* Pass-through and full-virt guests run the native driver: no
+           call stream to record, nothing resolving through an IOMMU —
+           and retire_cl_vm refuses them, so either would leak. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~sva:true e in
+        let built technique =
+          let g =
+            Host.add_cl_vm host ~technique
+              ~name:(Host.technique_to_string technique)
+          in
+          let vm_id = Ava_hv.Vm.id g.Host.g_vm in
+          ( Option.is_some (Host.recorder host ~vm_id),
+            Hashtbl.mem host.Host.iommus vm_id )
+        in
+        Alcotest.(check (pair bool bool)) "pass-through" (false, false)
+          (built Host.Passthrough);
+        Alcotest.(check (pair bool bool)) "full-virt" (false, false)
+          (built Host.Full_virt);
+        Alcotest.(check (pair bool bool)) "user rpc" (true, true)
+          (built Host.User_rpc);
+        Alcotest.(check (pair bool bool)) "ava" (true, true)
+          (built (Host.Ava Transport.Shm_ring)));
     Alcotest.test_case "overheads are ordered" `Quick (fun () ->
         let n = 1_000_000 in
         let _, t_native = run_technique ~n None in
@@ -686,8 +710,8 @@ let migration_tests =
     Alcotest.test_case "migration preserves guest state and data" `Quick
       (fun () ->
         run_in_engine (fun e ->
-            let host = Host.create_cl_host e in
-            let guest = Host.add_cl_vm host ~name:"g0" in
+            let host = Host.create_cl_host ~devices:2 e in
+            let guest = Host.add_cl_vm host ~device:0 ~name:"g0" in
             let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
             let module CL = (val guest.Host.g_api) in
             let p = List.hd (ok (CL.clGetPlatformIDs ())) in
@@ -709,13 +733,15 @@ let migration_tests =
             ok (CL.clSetKernelArg k ~index:0 (Arg_mem m));
             ok (CL.clFinish q);
             (* Migrate to a second GPU. *)
-            let dest_gpu = Ava_device.Gpu.create e in
-            let dest_kd = Ava_simcl.Kdriver.create dest_gpu in
-            let report = Migration.migrate host ~vm_id ~dest_kd in
+            let pool = host.Host.cl_pool in
+            let dest_gpu = Host.Pool.gpu pool 1 in
+            let copied = Host.Pool.migrate_vm pool ~vm_id ~dest:1 in
             Alcotest.(check bool) "replayed some calls" true
-              (report.Migration.replayed_calls >= 5);
-            Alcotest.(check int) "one buffer restored" 1
-              report.Migration.buffers_restored;
+              (Ava_remoting.Migrate.log_length
+                 (Option.get (Host.recorder host ~vm_id))
+              >= 5);
+            Alcotest.(check int) "one buffer snapshot and restored"
+              (2 * mib 1) copied;
             (* The guest continues with its old handles, on the new GPU. *)
             let back, _ =
               ok
@@ -755,8 +781,66 @@ let migration_tests =
             Alcotest.(check int) "alloc+modify pruned" before after));
   ]
 
+(* Open a context on the guest and allocate [n] buffers of [size]
+   bytes; returns the buffers and the queue. *)
+let alloc_buffers (module CL : Ava_simcl.Api.S) ~n ~size =
+  let p = List.hd (ok (CL.clGetPlatformIDs ())) in
+  let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
+  let ctx = ok (CL.clCreateContext [ d ]) in
+  let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
+  let bufs = List.init n (fun _ -> ok (CL.clCreateBuffer ctx ~size)) in
+  ok (CL.clFinish q);
+  bufs
+
 let swap_tests =
   [
+    Alcotest.test_case "retire frees the vm's swap residency" `Quick
+      (fun () ->
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host e ~swap_capacity:(mib 8) in
+            let sw = host.Host.swaps.(0) in
+            let first = Host.add_cl_vm host ~name:"first" in
+            ignore (alloc_buffers first.Host.g_api ~n:2 ~size:(mib 2));
+            Alcotest.(check int) "two buffers tracked" 2 (Swap.tracked sw);
+            Alcotest.(check bool) "retired" true
+              (Host.retire_cl_vm host ~vm_id:(Ava_hv.Vm.id first.Host.g_vm));
+            Alcotest.(check int) "nothing tracked" 0 (Swap.tracked sw);
+            Alcotest.(check int) "nothing resident" 0 (Swap.resident_bytes sw);
+            (* A later tenant gets the whole budget: no evictions
+               against the retired tenant's bytes. *)
+            let second = Host.add_cl_vm host ~name:"second" in
+            ignore (alloc_buffers second.Host.g_api ~n:4 ~size:(mib 2));
+            Alcotest.(check int) "no evictions" 0 (Swap.evictions sw);
+            Alcotest.(check bool) "invariants" true
+              (Swap.check_invariants sw)));
+    Alcotest.test_case "each pool device swaps within its own budget" `Quick
+      (fun () ->
+        run_in_engine (fun e ->
+            let host =
+              Host.create_cl_host e ~devices:2 ~swap_capacity:(mib 8)
+            in
+            Alcotest.(check int) "one swap manager per device" 2
+              (Array.length host.Host.swaps);
+            let guests =
+              List.init 2 (fun d ->
+                  Host.add_cl_vm host ~device:d
+                    ~name:(Printf.sprintf "vm%d" d))
+            in
+            List.iter
+              (fun g -> ignore (alloc_buffers g.Host.g_api ~n:4 ~size:(mib 4)))
+              guests;
+            Array.iteri
+              (fun d sw ->
+                let what s = Printf.sprintf "dev%d %s" d s in
+                Alcotest.(check int) (what "tracks its vm's buffers") 4
+                  (Swap.tracked sw);
+                Alcotest.(check bool) (what "evicted under pressure") true
+                  (Swap.evictions sw > 0);
+                Alcotest.(check bool) (what "resident under budget") true
+                  (Swap.resident_bytes sw <= mib 8);
+                Alcotest.(check bool) (what "invariants") true
+                  (Swap.check_invariants sw))
+              host.Host.swaps));
     Alcotest.test_case "oversubscription succeeds with swapping" `Quick
       (fun () ->
         run_in_engine (fun e ->
@@ -781,7 +865,7 @@ let swap_tests =
                         ~want_event:false)))
               bufs;
             ok (CL.clFinish q);
-            let sw = Option.get host.Host.swap in
+            let sw = host.Host.swaps.(0) in
             Alcotest.(check bool) "evictions happened" true
               (Swap.evictions sw > 0);
             Alcotest.(check bool) "resident under budget" true

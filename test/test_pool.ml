@@ -7,8 +7,8 @@
    dispatch lane.  Remoted VMs are placed onto devices by a pluggable
    policy, can be live-migrated (record/replay plus in-flight queue
    re-steering), and are evacuated onto survivors when a device is
-   lost.  Same-seed runs are bit-identical; a single-device pooled
-   stack is bit-identical in virtual time to the classic host.
+   lost.  Same-seed runs are bit-identical; the default one-device pool
+   is bit-identical in virtual time to the pre-pool single-GPU host.
 
    [AVA_CHAOS_SEED] perturbs the evacuation schedule (the CI pool job
    sweeps a small seed matrix); the determinism and containment
@@ -38,7 +38,7 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error %s" (error_to_string e)
 
-let the_pool (host : Host.cl_host) = Option.get host.Host.pool
+let the_pool (host : Host.cl_host) = host.Host.cl_pool
 
 (* The reference guest program: upload two vectors, add on the device,
    read back; returns whether the device computed the right sums. *)
@@ -284,19 +284,18 @@ let identity_tests =
   [
     Alcotest.test_case "single-device pool is bit-identical to the classic \
                         host" `Quick (fun () ->
-        let classic = timed_bfs_run (fun e -> Host.create_cl_host e) in
-        (* devices:1 without placement takes the classic branch... *)
-        let unpooled =
-          timed_bfs_run (fun e -> Host.create_cl_host ~devices:1 e)
-        in
-        Alcotest.(check int) "devices:1 is the classic host" classic unpooled;
-        (* ...and even the built pool must not perturb virtual time when
-           it has one device and no rebalancer. *)
-        let pooled =
+        (* Every host is a pool.  The pre-pool single-GPU host ran this
+           guest to 28,020,952 ns of virtual time; the default host — a
+           one-device pool — must match it to the nanosecond. *)
+        let default = timed_bfs_run (fun e -> Host.create_cl_host e) in
+        Alcotest.(check int) "default host is the classic host" 28_020_952
+          default;
+        let explicit =
           timed_bfs_run (fun e ->
               Host.create_cl_host ~devices:1 ~placement:Pool.Round_robin e)
         in
-        Alcotest.(check int) "pooled devices:1 bit-identical" classic pooled);
+        Alcotest.(check int) "explicit devices:1 bit-identical" default
+          explicit);
     Alcotest.test_case "same seed, same multi-device run" `Quick (fun () ->
         let run () =
           let e = Engine.create () in
@@ -376,10 +375,12 @@ let migration_tests =
            device while the source silo has live swap state — evicted
            buffers must be snapshot/restored and the primary objects
            (context, queue, kernel, buffers) remapped to their original
-           handles. *)
+           handles.  The VM's swap entries leave the source device with
+           it. *)
         let e = Engine.create () in
-        let host = Host.create_cl_host ~swap_capacity:(mib 8) e in
-        let guest = Host.add_cl_vm host ~name:"swapper" in
+        let host = Host.create_cl_host ~devices:2 ~swap_capacity:(mib 8) e in
+        let pool = the_pool host in
+        let guest = Host.add_cl_vm host ~device:0 ~name:"swapper" in
         let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
         let module CL = (val guest.Host.g_api) in
         Engine.run_process e (fun () ->
@@ -403,16 +404,24 @@ let migration_tests =
             let k = List.hd (Clutil.build_kernels s [ ("swapk", 1e5, 8.0) ]) in
             ok (CL.clSetKernelArg k ~index:0 (Arg_mem (List.hd bufs)));
             ok (CL.clFinish q);
-            let sw = Option.get host.Host.swap in
+            let src_sw = host.Host.swaps.(0) and dst_sw = host.Host.swaps.(1) in
             Alcotest.(check bool) "swap state is live" true
-              (Swap.evictions sw > 0);
-            let dest_gpu = Gpu.create e in
-            let dest_kd = Ava_simcl.Kdriver.create dest_gpu in
-            let report = Migration.migrate host ~vm_id ~dest_kd in
-            Alcotest.(check int) "all four buffers restored" 4
-              report.Migration.buffers_restored;
+              (Swap.evictions src_sw > 0);
+            let copied = Pool.migrate_vm pool ~vm_id ~dest:1 in
+            Alcotest.(check int) "all four buffers snapshot and restored"
+              (2 * 4 * mib 4) copied;
             Alcotest.(check bool) "replayed the setup calls" true
-              (report.Migration.replayed_calls >= 6);
+              (Ava_remoting.Migrate.log_length
+                 (Option.get (Host.recorder host ~vm_id))
+              >= 6);
+            Alcotest.(check int) "source swap forgot the vm" 0
+              (Swap.tracked src_sw);
+            Alcotest.(check int) "source swap holds no bytes" 0
+              (Swap.resident_bytes src_sw);
+            Alcotest.(check int) "destination swap tracks the buffers" 4
+              (Swap.tracked dst_sw);
+            Alcotest.(check bool) "destination swap invariants" true
+              (Swap.check_invariants dst_sw);
             (* Old handles address the re-bound objects on the new
                device, evicted content included. *)
             List.iteri
@@ -432,7 +441,7 @@ let migration_tests =
             Clutil.launch s k ~global:256 ~local:16;
             ok (CL.clFinish q);
             Alcotest.(check bool) "kernel ran on the destination" true
-              (Gpu.kernels_executed dest_gpu > 0)));
+              (Gpu.kernels_executed (Pool.gpu pool 1) > 0)));
     Alcotest.test_case "transfer cache stays coherent across migrations"
       `Quick (fun () ->
         (* Satellite regression: the pool left the VM attached (paused
@@ -603,10 +612,7 @@ let evac_run ~seed () =
         (fun v -> Pool.device_of pool ~vm_id:(Ava_hv.Vm.id v.Host.g_vm))
         victims;
     eo_dev0_healthy = Pool.is_healthy pool 0;
-    eo_report_evac =
-      (match report.Report.r_pool with
-      | Some p -> p.Report.pl_evacuations
-      | None -> Alcotest.fail "pooled host reported no pool section");
+    eo_report_evac = report.Report.r_pool.Report.pl_evacuations;
   }
 
 let evac_tests =
@@ -733,12 +739,9 @@ let report_tests =
         let r = Report.snapshot host guests in
         Alcotest.(check int) "two device rows" 2
           (List.length r.Report.r_devices);
-        (match r.Report.r_pool with
-        | None -> Alcotest.fail "pool section missing"
-        | Some p ->
-            Alcotest.(check int) "device count" 2 p.Report.pl_devices;
-            Alcotest.(check string) "placement" "round-robin"
-              p.Report.pl_placement);
+        Alcotest.(check int) "device count" 2 r.Report.r_pool.Report.pl_devices;
+        Alcotest.(check string) "placement" "round-robin"
+          r.Report.r_pool.Report.pl_placement;
         List.iteri
           (fun i d ->
             Alcotest.(check int) (Printf.sprintf "dev%d id" i) i
@@ -764,15 +767,17 @@ let report_tests =
         in
         Alcotest.(check bool) "pool line rendered" true
           (contains rendered "pool:"));
-    Alcotest.test_case "classic host has no pool section" `Quick (fun () ->
+    Alcotest.test_case "default host reports a one-device pool" `Quick
+      (fun () ->
         let e = Engine.create () in
         let host = Host.create_cl_host e in
         let guest = Host.add_cl_vm host ~name:"solo" in
         Engine.run_process e (fun () ->
             ignore (vec_add_ok guest.Host.g_api 256));
         let r = Report.snapshot host [ guest ] in
-        Alcotest.(check bool) "no pool" true (r.Report.r_pool = None);
-        Alcotest.(check (list int)) "no device rows" []
+        Alcotest.(check int) "one pool device" 1
+          r.Report.r_pool.Report.pl_devices;
+        Alcotest.(check (list int)) "a single dev0 row" [ 0 ]
           (List.map (fun d -> d.Report.dv_id) r.Report.r_devices));
   ]
 

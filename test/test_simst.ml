@@ -266,7 +266,7 @@ let pool_tests =
                 ~fleet:[ Pool.Cap_stream; Pool.Cap_npu; Pool.Cap_gpu ]
                 ~placement:Pool.Round_robin e
             in
-            let pool = Option.get host.Host.st_pool in
+            let pool = host.Host.st_pool in
             let dev_of g =
               Option.get
                 (Pool.device_of pool ~vm_id:(Ava_hv.Vm.id g.Host.sg_vm))
@@ -295,7 +295,7 @@ let pool_tests =
                 ~fleet:[ Pool.Cap_stream; Pool.Cap_stream ]
                 ~placement:Pool.Round_robin e
             in
-            let pool = Option.get host.Host.st_pool in
+            let pool = host.Host.st_pool in
             let guest = Host.add_st_vm host ~name:"mover" in
             let vm_id = Ava_hv.Vm.id guest.Host.sg_vm in
             let module ST = (val guest.Host.sg_api) in
@@ -329,7 +329,7 @@ let pool_tests =
                 ~fleet:[ Pool.Cap_stream; Pool.Cap_npu ]
                 ~placement:Pool.Round_robin e
             in
-            let pool = Option.get host.Host.st_pool in
+            let pool = host.Host.st_pool in
             let guest =
               Host.add_st_vm host ~requires:Pool.Cap_stream ~name:"pinned"
             in
