@@ -617,7 +617,8 @@ let check_residency_live st =
     (live_tenants st)
 
 (* Retired tenants must leave nothing behind: no pool residency, no
-   server entry, no IOMMU pins, no recorder. *)
+   server entry, no IOMMU pins, no recorder, and (armed obs) no open
+   spans. *)
 let check_residency_retired st =
   let pool = the_pool st in
   let devices = List.init (Pool.n_devices pool) Fun.id in
@@ -637,6 +638,11 @@ let check_residency_retired st =
           Some "IOMMU pins"
         else if Option.is_some (Host.recorder st.st_host ~vm_id) then
           Some "record log"
+        else if
+          match st.st_host.Host.obs with
+          | Some o -> Obs.vm_in_flight o ~vm:vm_id > 0
+          | None -> false
+        then Some "open spans"
         else None
       in
       Option.map

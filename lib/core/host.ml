@@ -185,12 +185,13 @@ let attach_ava ?faults ?doorbell ?rate_per_s ?weight ?quota_cost
     ~vm_id:(Ava_hv.Vm.id vm) ~server_end ~guest_end
 
 (* Retire a guest from the whole stack: pool residency, circuit
-   breaker, silo-specific [release], record log.  Idempotent — retiring
-   an unknown or already-retired VM returns [false] — and validated: a
-   VM mid-migration is refused (retry after the migration completes).
-   The caller must ensure the VM has no in-flight calls; its worker dies
-   with its inbox. *)
-let retire ~pool ~server ~recorders ~release vm_id =
+   breaker, silo-specific [release], record log, open obs spans.
+   Idempotent — retiring an unknown or already-retired VM returns
+   [false] — and validated: a VM mid-migration is refused (retry after
+   the migration completes).  The caller must ensure the VM has no
+   in-flight calls; its worker dies with its inbox, so the spans of
+   fire-and-forget teardown calls sent just before would never close. *)
+let retire ~pool ~server ~recorders ~obs ~release vm_id =
   let ok =
     if Option.is_some (Pool.device_of pool ~vm_id) then
       Pool.retire_vm pool ~vm_id
@@ -205,7 +206,8 @@ let retire ~pool ~server ~recorders ~release vm_id =
   in
   if ok then begin
     release ();
-    Hashtbl.remove recorders vm_id
+    Hashtbl.remove recorders vm_id;
+    Option.iter (fun o -> Obs.forget_vm o ~vm:vm_id) obs
   end;
   ok
 
@@ -415,7 +417,8 @@ let recorder t ~vm_id = Hashtbl.find_opt t.recorders vm_id
    inside a simulation process (the IOMMU teardown charges a
    shootdown). *)
 let retire_cl_vm t ~vm_id =
-  retire ~pool:t.cl_pool ~server:t.server ~recorders:t.recorders vm_id
+  retire ~pool:t.cl_pool ~server:t.server ~recorders:t.recorders ~obs:t.obs
+    vm_id
     ~release:(fun () ->
       Array.iter (fun sw -> Cl_handlers.forget_swap sw ~vm_id) t.swaps;
       match Hashtbl.find_opt t.iommus vm_id with
@@ -688,7 +691,7 @@ let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
 
 let retire_st_vm t ~vm_id =
   retire ~pool:t.st_pool ~server:t.st_server ~recorders:t.st_recorders
-    ~release:ignore vm_id
+    ~obs:t.st_obs ~release:ignore vm_id
 
 let native_st ?(st_timing = Ava_simst.Device.sm_stream) engine =
   let dev = Ava_simst.Device.create ~timing:st_timing engine in

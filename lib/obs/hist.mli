@@ -1,9 +1,11 @@
 (** Log-bucketed latency histogram (powers-of-two bounds in ns).
 
     Buckets: [0,1], (1,2], (2,4], ... (2^39,2^40], plus an overflow
-    bucket above 2^40 ns.  Adding a sample is allocation-free;
-    quantiles are estimated by linear interpolation inside the bucket
-    containing the target rank, clamped to the observed min/max. *)
+    bucket above 2^40 ns.  Only the range of buckets that holds samples
+    is stored, growing on demand.  Adding a sample is O(1) and, once
+    the range covers it, allocation-free; quantiles are estimated by
+    linear interpolation inside the bucket containing the target rank,
+    clamped to the observed min/max. *)
 
 type t
 

@@ -63,7 +63,8 @@ type t
 
 val create : ?retain:int -> unit -> t
 (** [retain] bounds how many closed spans are kept for trace export
-    (default 65536, oldest dropped first; [0] keeps none). *)
+    (default 65536, oldest dropped first; [0] keeps none).  Their
+    storage grows with the spans actually retained. *)
 
 (** {1 Span lifecycle} *)
 
@@ -81,6 +82,10 @@ val span_close : t -> vm:int -> seq:int -> status:int -> at:Time.t -> unit
 (** Records phase durations and the end-to-end total, then retains the
     span.  No-op on unknown spans. *)
 
+val forget_vm : t -> vm:int -> unit
+(** Drop the VM's open spans without closing them: a retired VM's
+    spans never close.  Its closed spans and histograms stay. *)
+
 (** {1 Counters and gauges} *)
 
 val incr : ?by:int -> t -> string -> unit
@@ -91,6 +96,9 @@ val counters : t -> (string * int) list
 
 val in_flight : t -> int
 (** Number of currently-open spans. *)
+
+val vm_in_flight : t -> vm:int -> int
+(** Number of currently-open spans of one VM. *)
 
 val spans_opened : t -> int
 val spans_closed : t -> int

@@ -169,15 +169,6 @@ module Wfq = struct
         t.dequeued <- t.dequeued + Queue.length f.items;
         Hashtbl.remove t.flows flow_id;
         List.rev drained
-
-  (* Is any other flow waiting?  The router paces dispatch by estimated
-     device time only under cross-VM contention, so single-tenant
-     workloads never pay for scheduling. *)
-  let pending_in_other_flows t ~flow_id =
-    Hashtbl.fold
-      (fun id f acc ->
-        acc || (id <> flow_id && not (Queue.is_empty f.items)))
-      t.flows false
 end
 
 module Breaker = struct

@@ -52,9 +52,6 @@ module Wfq : sig
       preserved.  At most one concurrent popper is supported. *)
 
   val backlog : 'a t -> int
-
-  val pending_in_other_flows : 'a t -> flow_id:int -> bool
-  (** Is any flow other than [flow_id] non-empty?  (Contention probe.) *)
 end
 
 (** Per-VM error-budget circuit breaker: [failure_threshold] fault

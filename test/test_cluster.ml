@@ -454,6 +454,23 @@ let replay_tests =
         Alcotest.(check int)
           "every tenant admitted" small_cfg.Tracegen.tg_tenants
           (Cluster.admissions c));
+    Alcotest.test_case "retired tenants leave no open spans" `Quick
+      (fun () ->
+        (* Each tenant's teardown releases are dispatched just before
+           its retire; their replies never come, so retire must drop
+           the spans or they stay in flight for ever. *)
+        let events = Tracegen.generate small_cfg in
+        let e = Engine.create () in
+        let obs = Ava_obs.Obs.create () in
+        let c = Cluster.create ~devices_per_host:2 ~hosts:2 ~obs e in
+        let r = Cluster.run_trace c events in
+        Alcotest.(check int)
+          "every tenant retired" small_cfg.Tracegen.tg_tenants
+          r.Cluster.tr_retired;
+        Alcotest.(check bool)
+          "spans were recorded" true
+          (Ava_obs.Obs.spans_closed obs > 0);
+        Alcotest.(check int) "nothing in flight" 0 (Ava_obs.Obs.in_flight obs));
   ]
 
 let () =

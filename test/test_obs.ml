@@ -18,6 +18,108 @@ open Ava_workloads
 
 let nonneg_sample = QCheck.(map abs (int_bound 2_000_000_000))
 
+(* Negative, tiny, mid-range, power-of-two-edge and overflow samples. *)
+let any_sample =
+  QCheck.(
+    oneof
+      [
+        int_range (-4) 70;
+        nonneg_sample;
+        map
+          (fun (k, d) -> (1 lsl k) + d)
+          (pair (int_range 0 44) (int_range (-1) 1));
+      ])
+
+(* The dense 42-slot histogram the compact one replaced, kept as the
+   reference its read-outs must match exactly. *)
+module Dense = struct
+  type t = {
+    counts : int array;
+    mutable n : int;
+    mutable sum : float;
+    mutable minimum : int;
+    mutable maximum : int;
+  }
+
+  let bucket_index v =
+    let v = Stdlib.max 0 v in
+    let rec find i =
+      if i >= Hist.n_finite then Hist.n_finite
+      else if v <= 1 lsl i then i
+      else find (i + 1)
+    in
+    find 0
+
+  let create () =
+    {
+      counts = Array.make Hist.n_buckets 0;
+      n = 0;
+      sum = 0.0;
+      minimum = max_int;
+      maximum = min_int;
+    }
+
+  let add t v =
+    let v = Stdlib.max 0 v in
+    let i = bucket_index v in
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. float_of_int v;
+    if v < t.minimum then t.minimum <- v;
+    if v > t.maximum then t.maximum <- v
+
+  let merge ~into src =
+    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
+    into.n <- into.n + src.n;
+    into.sum <- into.sum +. src.sum;
+    if src.n > 0 then begin
+      if src.minimum < into.minimum then into.minimum <- src.minimum;
+      if src.maximum > into.maximum then into.maximum <- src.maximum
+    end
+
+  let quantile t q =
+    if t.n = 0 then nan
+    else begin
+      let target =
+        Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int t.n)))
+      in
+      let rec walk i cum =
+        let cum' = cum + t.counts.(i) in
+        if cum' >= target then
+          if i = Hist.n_buckets - 1 then float_of_int t.maximum
+          else begin
+            let lo = if i = 0 then 0.0 else float_of_int (1 lsl (i - 1)) in
+            let hi = float_of_int (1 lsl i) in
+            let in_bucket = t.counts.(i) in
+            let frac =
+              if in_bucket = 0 then 1.0
+              else float_of_int (target - cum) /. float_of_int in_bucket
+            in
+            let v = lo +. (frac *. (hi -. lo)) in
+            Float.min (Float.max v (float_of_int t.minimum))
+              (float_of_int t.maximum)
+          end
+        else if i = Hist.n_buckets - 1 then float_of_int t.maximum
+        else walk (i + 1) cum'
+      in
+      walk 0 0
+    end
+
+  let summary t =
+    if t.n = 0 then Hist.empty_summary
+    else
+      {
+        Hist.h_count = t.n;
+        h_sum_ns = t.sum;
+        h_mean_ns = t.sum /. float_of_int t.n;
+        h_min_ns = float_of_int t.minimum;
+        h_max_ns = float_of_int t.maximum;
+        h_p50_ns = quantile t 0.5;
+        h_p95_ns = quantile t 0.95;
+        h_p99_ns = quantile t 0.99;
+      }
+end
+
 let hist_tests =
   [
     Alcotest.test_case "bucket bounds are strictly monotone" `Quick (fun () ->
@@ -79,6 +181,39 @@ let hist_tests =
         Alcotest.(check bool) "nan" true (Float.is_nan (Hist.quantile h 0.5));
         Alcotest.(check int) "empty summary count" 0
           (Hist.summary h).Hist.h_count);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"compact buckets read out like dense ones"
+         ~count:300
+         QCheck.(triple (list any_sample) (list any_sample) (list any_sample))
+         (fun (xs, ys, zs) ->
+           let compact xs =
+             let h = Hist.create () in
+             List.iter (Hist.add h) xs;
+             h
+           and dense xs =
+             let h = Dense.create () in
+             List.iter (Dense.add h) xs;
+             h
+           in
+           let same h d =
+             Hist.bucket_counts h = Array.copy d.Dense.counts
+             && List.for_all
+                  (fun q ->
+                    let a = Hist.quantile h q and b = Dense.quantile d q in
+                    a = b || (Float.is_nan a && Float.is_nan b))
+                  [ 0.5; 0.95; 0.99 ]
+             && Hist.summary h = Dense.summary d
+           in
+           let h = compact xs and d = dense xs in
+           let ok_single = same h d in
+           Hist.merge ~into:h (compact ys);
+           Dense.merge ~into:d (dense ys);
+           let empty = Hist.create () and dempty = Dense.create () in
+           Hist.merge ~into:empty (compact zs);
+           Dense.merge ~into:dempty (dense zs);
+           Hist.merge ~into:h empty;
+           Dense.merge ~into:d dempty;
+           ok_single && same h d));
   ]
 
 (* ------------------------------------------------------------ json -- *)
@@ -453,6 +588,107 @@ let identity_tests =
           phase_count);
   ]
 
+(* ----------------------------------------------------------- spans -- *)
+
+let lifecycle o ~vm ~seq =
+  let at = seq * 1_000 in
+  Obs.span_open o ~vm ~seq ~fn:"clEnqueueNDRangeKernel" ~at;
+  List.iteri
+    (fun i m -> Obs.mark o ~vm ~seq m ~at:(at + (10 * (i + 1))))
+    [
+      Obs.M_marshal_done;
+      Obs.M_sent;
+      Obs.M_doorbell;
+      Obs.M_router_in;
+      Obs.M_dispatched;
+      Obs.M_exec_start;
+      Obs.M_exec_end;
+      Obs.M_reply_recv;
+    ];
+  Obs.set_device o ~vm ~seq ~device:1;
+  Obs.span_close o ~vm ~seq ~status:0 ~at:(at + 900)
+
+let span_tests =
+  [
+    Alcotest.test_case "warmed span lifecycle allocates at most 256 B" `Quick
+      (fun () ->
+        let o = Obs.create () in
+        for seq = 0 to 999 do
+          lifecycle o ~vm:3 ~seq
+        done;
+        (* Minor words only: they are exact at any instant.  The
+           ring's chunks are allocated straight in the major heap, 15
+           words per retained span. *)
+        let n = 10_000 in
+        let before = Gc.minor_words () in
+        for seq = 1_000 to 1_000 + n - 1 do
+          lifecycle o ~vm:3 ~seq
+        done;
+        let bytes =
+          (Gc.minor_words () -. before)
+          *. float_of_int (Sys.word_size / 8)
+          /. float_of_int n
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B per lifecycle" bytes)
+          true (bytes <= 256.0);
+        Alcotest.(check int) "all closed" (n + 1_000) (Obs.spans_closed o));
+    Alcotest.test_case "forget_vm drops only that vm's open spans" `Quick
+      (fun () ->
+        let o = Obs.create () in
+        lifecycle o ~vm:1 ~seq:0;
+        Obs.span_open o ~vm:1 ~seq:1 ~fn:"clReleaseMemObject" ~at:5_000;
+        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clReleaseMemObject" ~at:5_000;
+        Obs.forget_vm o ~vm:1;
+        Alcotest.(check int) "vm 1 drained" 0 (Obs.vm_in_flight o ~vm:1);
+        Alcotest.(check int) "vm 2 untouched" 1 (Obs.vm_in_flight o ~vm:2);
+        Alcotest.(check int) "gauge" 1 (Obs.in_flight o);
+        Obs.span_close o ~vm:1 ~seq:1 ~status:0 ~at:6_000;
+        Alcotest.(check int) "late close is a no-op" 1 (Obs.spans_closed o);
+        Alcotest.(check (list int))
+          "closed history kept" [ 1 ]
+          (List.map fst (Obs.vm_totals o)));
+    Alcotest.test_case "listings hold only keys with samples" `Quick
+      (fun () ->
+        let o = Obs.create () in
+        Obs.span_open o ~vm:1 ~seq:0 ~fn:"clFinish" ~at:0;
+        Obs.span_close o ~vm:1 ~seq:0 ~status:0 ~at:40;
+        Obs.span_open o ~vm:1 ~seq:1 ~fn:"clReleaseEvent" ~at:50;
+        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clReleaseEvent" ~at:50;
+        Alcotest.(check int) "one total" 1 (List.length (Obs.totals o));
+        Alcotest.(check int) "one raw total" 1 (List.length (Obs.raw_totals o));
+        Alcotest.(check int) "one vm" 1 (List.length (Obs.vm_totals o));
+        Alcotest.(check bool)
+          "one series: the unmarshal tail" true
+          (List.map fst (Obs.series o) = [ (1, "clFinish", Obs.P_unmarshal) ]);
+        Alcotest.(check bool)
+          "raw series agrees" true
+          (List.map fst (Obs.raw_series o) = List.map fst (Obs.series o)));
+    Alcotest.test_case "ring keeps the newest spans, oldest first" `Quick
+      (fun () ->
+        let o = Obs.create ~retain:600 () in
+        for seq = 0 to 1_499 do
+          lifecycle o ~vm:1 ~seq
+        done;
+        let spans = Obs.spans o in
+        Alcotest.(check int) "retained" 600 (List.length spans);
+        Alcotest.(check int) "dropped" 900 (Obs.retain_dropped o);
+        Alcotest.(check (list int))
+          "seqs" (List.init 600 (fun i -> 900 + i))
+          (List.map (fun sp -> sp.Obs.sp_seq) spans);
+        let sp = List.hd spans in
+        Alcotest.(check int) "close" ((900 * 1_000) + 900) sp.Obs.sp_close;
+        Alcotest.(check int) "device" 1 sp.Obs.sp_device;
+        Alcotest.(check int)
+          "last mark" ((900 * 1_000) + 80)
+          sp.Obs.sp_marks.(Obs.mark_index Obs.M_reply_recv);
+        Alcotest.(check int)
+          "retain 0 keeps none" 0
+          (let o = Obs.create ~retain:0 () in
+           lifecycle o ~vm:1 ~seq:0;
+           List.length (Obs.spans o)));
+  ]
+
 let () =
   Alcotest.run "ava_obs"
     [
@@ -461,4 +697,5 @@ let () =
       ("export", export_tests);
       ("gate", gate_tests);
       ("identity", identity_tests);
+      ("spans", span_tests);
     ]
