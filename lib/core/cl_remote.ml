@@ -175,14 +175,14 @@ let create stub =
     let clEnqueueReadBuffer q m ~blocking ~offset ~size ~wait_list ~want_event
         =
       let ev, gid = event_arg ~want_event in
-      let dst = Bytes.make (Stdlib.max 0 size) '\000' in
       let args =
         [
           h q; h m; i (bool_int blocking); i offset; i size; u;
           i (List.length wait_list); l wait_list; ev;
         ]
       in
-      let blit (reply : Message.reply) =
+      let fresh () = Bytes.make (Stdlib.max 0 size) '\000' in
+      let blit dst (reply : Message.reply) =
         match reply.Message.reply_outs with
         | Wire.Blob data :: _ when reply.Message.reply_status = 0 ->
             Bytes.blit data 0 dst 0
@@ -190,13 +190,22 @@ let create stub =
         | _ -> ()
       in
       if blocking then
+        (* The reply blob was decoded for this call alone: hand it over
+           when it is exactly [size] bytes instead of copying it. *)
         sync t.stub ~fn:"clEnqueueReadBuffer" ~args (fun reply ->
-            blit reply;
-            Ok (dst, gid))
+            match reply.Message.reply_outs with
+            | Wire.Blob data :: _ when Bytes.length data = size ->
+                Ok (data, gid)
+            | _ ->
+                let dst = fresh () in
+                blit dst reply;
+                Ok (dst, gid))
       else
         (* Asynchronously forwarded: the data lands in [dst] when the
            reply arrives; callers must wait on the event or clFinish. *)
-        fire t.stub ~on_reply:blit ~fn:"clEnqueueReadBuffer" ~args (dst, gid)
+        let dst = fresh () in
+        fire t.stub ~on_reply:(blit dst) ~fn:"clEnqueueReadBuffer" ~args
+          (dst, gid)
 
     let clEnqueueWriteBuffer q m ~blocking ~offset ~src ~wait_list ~want_event
         =
@@ -204,7 +213,7 @@ let create stub =
       let args =
         [
           h q; h m; i (bool_int blocking); i offset; i (Bytes.length src);
-          b (Bytes.copy src); i (List.length wait_list); l wait_list; ev;
+          b src; i (List.length wait_list); l wait_list; ev;
         ]
       in
       if blocking then

@@ -31,7 +31,7 @@ let create stub =
 
     let mvncAllocateGraph d ~graph_data =
       sync t.stub ~fn:"mvncAllocateGraph"
-        ~args:[ h d; u; b (Bytes.copy graph_data); i (Bytes.length graph_data) ]
+        ~args:[ h d; u; b graph_data; i (Bytes.length graph_data) ]
         ret_handle
 
     let mvncDeallocateGraph g =
@@ -40,7 +40,7 @@ let create stub =
     (* The NCSDK's own pipelining call: forwarded asynchronously. *)
     let mvncLoadTensor g ~tensor =
       fire t.stub ~fn:"mvncLoadTensor"
-        ~args:[ h g; b (Bytes.copy tensor); i (Bytes.length tensor) ]
+        ~args:[ h g; b tensor; i (Bytes.length tensor) ]
         ()
 
     let mvncGetResult g =

@@ -42,7 +42,7 @@ let create stub =
 
     let xfer fn sess ~src =
       sync t.stub ~fn
-        ~args:[ h sess; b (Bytes.copy src); i (Bytes.length src); u; i max_dst ]
+        ~args:[ h sess; b src; i (Bytes.length src); u; i max_dst ]
         (ret_out to_b 0)
 
     let qaCompress sess ~src = xfer "qaCompress" sess ~src
@@ -60,7 +60,7 @@ let create stub =
             | _ -> ())
       in
       fire t.stub ~fn:"qaSubmitCompress"
-        ~args:[ h sess; b (Bytes.copy src); i (Bytes.length src); i cb; i tag ]
+        ~args:[ h sess; b src; i (Bytes.length src); i cb; i tag ]
         ()
 
     let qaGetStats inst =

@@ -55,11 +55,11 @@ let create stub =
       sync t.stub ~fn:"stMemAlloc" ~args:[ u; i size ] ret_handle
     let stMemFree m = sync t.stub ~fn:"stMemFree" ~args:[ h m ] ret_unit
 
-    (* The source buffer travels as a copy, as a generated stub must:
-       the guest may reuse it the moment the call returns. *)
+    (* The guest may reuse [src] the moment the call returns; the stub
+       owns the snapshot (see [Stub.send_call]). *)
     let stMemcpyHtoDAsync dst ~src s =
       fire t.stub ~fn:"stMemcpyHtoDAsync"
-        ~args:[ h dst; b (Bytes.copy src); i (Bytes.length src); h s ]
+        ~args:[ h dst; b src; i (Bytes.length src); h s ]
         ()
 
     let stMemcpyDtoH ~size src =
@@ -77,7 +77,7 @@ let create stub =
     let stBatchSubmit s ~batch ~item_size =
       sync t.stub ~fn:"stBatchSubmit"
         ~args:
-          [ h s; b (Bytes.copy batch); i (Bytes.length batch); i item_size; u ]
+          [ h s; b batch; i (Bytes.length batch); i item_size; u ]
         (ret_out to_i 0)
 
     let stBatchCollect s ~ticket ~size =

@@ -159,6 +159,11 @@ let record_trace_cat t category fmt =
 
 let record_trace t fmt = record_trace_cat t trace_category fmt
 
+(* Hot-path sites test this first: a disabled [record_trace] still
+   builds its format closures. *)
+let tracing t =
+  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
+
 let forwarded t = t.forwarded
 let rejected t = t.rejected
 let requeued t = t.requeued
@@ -389,8 +394,9 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               None
           | Ok plan ->
               Vm.charge_call vm;
-              record_trace t "vm%d %s seq=%d" (Vm.id vm)
-                c.Message.call_fn c.Message.call_seq;
+              if tracing t then
+                record_trace t "vm%d %s seq=%d" (Vm.id vm)
+                  c.Message.call_fn c.Message.call_seq;
               let env =
                 Plan.scalar_env plan ~to_int:Wire.to_int c.Message.call_args
               in

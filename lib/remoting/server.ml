@@ -314,6 +314,11 @@ let record_trace_cat t category fmt =
 
 let record_trace t fmt = record_trace_cat t "server" fmt
 
+(* Hot-path sites test this first: a disabled [record_trace] still
+   builds its format closures. *)
+let tracing t =
+  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
+
 let register t name handler = Hashtbl.replace t.handlers name handler
 
 let set_call_hook t hook = t.on_call <- Some hook
@@ -488,22 +493,22 @@ let run_handler t entry handler (c : Message.call) =
           t.device_lost <- t.device_lost + 1;
           (status_device_lost, Wire.Unit, []))
 
+let obs_mark t entry (c : Message.call) m =
+  match t.obs with
+  | Some o ->
+      Obs.mark o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq m
+        ~at:(Engine.now t.engine)
+  | None -> ()
+
 (* Run one call against a VM's state; no reply is sent. *)
 let execute_call t entry (c : Message.call) =
   Engine.delay t.exec_overhead_ns;
-  let obs_mark m =
-    match t.obs with
-    | Some o ->
-        Obs.mark o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq m
-          ~at:(Engine.now t.engine)
-    | None -> ()
-  in
   (match t.obs with
   | Some o when t.device_id >= 0 ->
       Obs.set_device o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq
         ~device:t.device_id
   | _ -> ());
-  obs_mark Obs.M_exec_start;
+  obs_mark t entry c Obs.M_exec_start;
   let ((status, _, _) as result) =
     match Hashtbl.find_opt t.handlers c.Message.call_fn with
     | None ->
@@ -511,9 +516,10 @@ let execute_call t entry (c : Message.call) =
         (status_unknown_function, Wire.Unit, [])
     | Some handler -> run_handler t entry handler c
   in
-  obs_mark Obs.M_exec_end;
-  record_trace t "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
-    c.Message.call_fn c.Message.call_seq status;
+  obs_mark t entry c Obs.M_exec_end;
+  if tracing t then
+    record_trace t "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
+      c.Message.call_fn c.Message.call_seq status;
   (match t.on_call with
   | Some hook -> hook ~vm_id:entry.ve_ctx.Ctx.ctx_vm ~status c
   | None -> ());

@@ -58,7 +58,7 @@ let default_retry =
   { timeout_ns = Time.ms 20; max_retries = 12; backoff = 2.0; jitter = 0.25 }
 
 (* Content-addressed transfer cache (guest half): blobs within
-   [min_bytes, max_bytes] are hashed (FNV-1a 64); once the server has
+   [min_bytes, max_bytes] are hashed ([Wire.digest]); once the server has
    acknowledged a digest, later sends of the same payload travel as a
    13-byte [Blob_ref].  [max_bytes] must not exceed the server store
    capacity or an oversized blob would NAK forever. *)
@@ -270,12 +270,26 @@ let marshal_cost_ns bytes = Time.ns (400 + (bytes / 64))
    is armed so the disabled stack stays bit-identical. *)
 let hash_cost_ns bytes = Time.ns (bytes / 32)
 
+(* Payload ownership.  Guest libraries hand the stub the caller's own
+   buffers, uncopied: [send_call] encodes the frame before its first
+   yield, so the encode is the snapshot and the caller may reuse a
+   buffer as soon as the call returns.  The stub copies only the
+   payloads it keeps past [send_call]: blobs pinned for SVA (the server
+   reads them through the IOMMU later) and the arguments of a NAK-resend
+   frame, which is encoded only when a NAK asks for it. *)
+let rec snapshot = function
+  | Wire.Blob b -> Wire.Blob (Bytes.copy b)
+  | Wire.Blob_cached c ->
+      Wire.Blob_cached { c with bc_data = Bytes.copy c.bc_data }
+  | Wire.List vs -> Wire.List (List.map snapshot vs)
+  | v -> v
+
 (* Walk the argument values, replacing each cacheable [Blob]: by a
    [Blob_ref] when its digest is server-acknowledged, by a [Blob_cached]
    (digest announce) otherwise.  Returns the substituted args, the args
-   with every cacheable blob in full (the NAK-resend form) when any blob
-   went as a ref and [None] when the two forms are the same, the digests
-   carried, and the payload bytes hashed. *)
+   with every cacheable blob in full (the NAK-resend form, snapshotted)
+   when any blob went as a ref and [None] when the two forms are the
+   same, the digests carried, and the payload bytes hashed. *)
 let cache_substitute t c args =
   let digests = ref [] and hashed = ref 0 and refs = ref false in
   let cacheable b =
@@ -306,7 +320,8 @@ let cache_substitute t c args =
   in
   let pairs = List.map subst args in
   ( List.map fst pairs,
-    (if !refs then Some (List.map snd pairs) else None),
+    (if !refs then Some (List.map (fun (_, v) -> snapshot v) pairs)
+     else None),
     List.rev !digests,
     !hashed )
 
@@ -319,7 +334,7 @@ let sva_substitute t iommu args =
   let rec subst v =
     match v with
     | Wire.Blob b when Bytes.length b >= sva_min_bytes ->
-        let iova = Iommu.map iommu b in
+        let iova = Iommu.map iommu (Bytes.copy b) in
         t.sva_maps <- t.sva_maps + 1;
         t.sva_saved_bytes <- t.sva_saved_bytes + Bytes.length b;
         Wire.Mapped_ref { mr_iova = iova; mr_size = Bytes.length b }
@@ -328,27 +343,26 @@ let sva_substitute t iommu args =
   in
   List.map subst args
 
-(* Stamp departure on every call leaving for the wire (first write wins,
-   so watchdog resends never rewind a span). *)
-let mark_sent t seqs =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      let now = Engine.now t.engine in
-      List.iter
-        (fun seq -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_sent ~at:now)
-        seqs
-
-(* Stamp the doorbell-commit boundary for a set of seqs.  Only fires on
+(* Send the frame of calls [seqs] with obs armed, stamping departure on
+   each call (first write wins, so watchdog resends never rewind a span)
+   and the doorbell-commit boundary.  The latter only fires on
    doorbell-armed transports (see [Transport.send ?on_scheduled]), so
    un-coalesced runs never grow a doorbell phase. *)
-let db_mark t seqs at =
-  match t.obs with
-  | None -> ()
-  | Some o ->
+let send_marked t o ~kick seqs data =
+  let now = Engine.now t.engine in
+  List.iter (fun seq -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_sent ~at:now) seqs;
+  Transport.send ~kick
+    ~on_scheduled:(fun at ->
       List.iter
         (fun seq -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_doorbell ~at)
-        seqs
+        seqs)
+    t.ep data
+
+(* Send one call's frame; with obs off no seq list or closure is built. *)
+let send_one t ~kick seq data =
+  match t.obs with
+  | None -> Transport.send ~kick t.ep data
+  | Some o -> send_marked t o ~kick [ seq ] data
 
 (* Send any buffered asynchronous calls as one batch message (rCUDA-style
    API batching, §4.2).  Marshalling costs were already charged when each
@@ -359,7 +373,6 @@ let flush_batch t =
   | held ->
       t.batch <- [];
       t.batch_bytes <- 0;
-      let seqs = List.map fst held in
       let data =
         match held with
         | [ (_, frame) ] -> frame
@@ -367,8 +380,9 @@ let flush_batch t =
             t.batches_sent <- t.batches_sent + 1;
             Message.batch_of_frames (List.map snd held)
       in
-      mark_sent t seqs;
-      Transport.send ~on_scheduled:(fun at -> db_mark t seqs at) t.ep data
+      (match t.obs with
+      | None -> Transport.send t.ep data
+      | Some o -> send_marked t o ~kick:false (List.map fst held) data)
 
 (* Give up on a pending call: synthesize a timeout reply so the caller
    (or the deferred-error channel) observes the failure instead of
@@ -477,22 +491,14 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   in
   Hashtbl.replace t.pending seq p;
   (match t.retry with Some r -> start_watchdog t r seq | None -> ());
-  if t.batch_limit = 1 then begin
-    mark_sent t [ seq ];
-    Transport.send ~kick:sync
-      ~on_scheduled:(fun at -> db_mark t [ seq ] at)
-      t.ep data
-  end
+  if t.batch_limit = 1 then send_one t ~kick:sync seq data
   else if sync then begin
     (* Synchronous calls flush held work first so ordering is preserved,
        then travel alone (their reply is awaited).  The kick rings any
        coalesced doorbell immediately: the caller is already committed
        to a round trip, so there is nothing to wait for. *)
     flush_batch t;
-    mark_sent t [ seq ];
-    Transport.send ~kick:true
-      ~on_scheduled:(fun at -> db_mark t [ seq ] at)
-      t.ep data
+    send_one t ~kick:true seq data
   end
   else if not holdable then begin
     (* Device work departs now, taking the held calls along. *)

@@ -40,7 +40,7 @@ val default_retry : retry
 (** 20 ms initial timeout, doubling, 12 attempts, 25% jitter. *)
 
 (** Guest half of the content-addressed transfer cache: blobs within
-    [cache_min_bytes, cache_max_bytes] are hashed (FNV-1a 64) and, once
+    [cache_min_bytes, cache_max_bytes] are hashed ([Wire.digest]) and, once
     the server has acknowledged a digest, re-sent as a 13-byte
     {!Wire.value.Blob_ref} instead of the payload.  A cache-miss
     {!Message.t.Nak} makes the stub re-send the full payload under the

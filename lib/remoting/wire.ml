@@ -34,15 +34,9 @@ let to_int = function
   | (I64 v | Handle v) when fits_int v -> Some (Int64.to_int v)
   | _ -> None
 
-(* FNV-1a 64: same construction as the Faults checksum envelope, reused
-   here to content-address buffer payloads. *)
-let digest b =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length b - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)));
-    h := Int64.mul !h 0x100000001b3L
-  done;
-  !h
+(* Content address of a buffer payload: the stack's one 64-bit hash
+   (XXH64), shared with the fault envelope's checksum. *)
+let digest = Ava_transport.Hash64.bytes
 
 let rec equal a b =
   match (a, b) with

@@ -34,8 +34,9 @@ val to_int : value -> int option
     not fit the native [int] range (it is never silently wrapped). *)
 
 val digest : bytes -> int64
-(** FNV-1a 64 over the payload — the content address used by the transfer
-    cache. Same hash construction as the [Faults] checksum envelope. *)
+(** XXH64 over the payload — the content address used by the transfer
+    cache.  The same kernel ({!Ava_transport.Hash64}) computes the
+    [Faults] checksum envelope. *)
 
 val equal : value -> value -> bool
 val pp : Format.formatter -> value -> unit

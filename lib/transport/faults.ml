@@ -2,7 +2,7 @@
 
    Wraps the two ends of a {!Transport} link with seeded, RNG-driven
    drop/duplicate/corrupt/delay faults.  Every injected message is framed
-   with a 64-bit FNV-1a checksum; the receive side verifies and strips
+   with a 64-bit checksum ({!Hash64}); the receive side verifies and strips
    it, so corruption is detected and surfaces as loss — exactly how a
    checksummed real transport (ethernet CRC, TCP) degrades.  Recovery is
    then the remoting layer's job: {!Ava_remoting.Stub} retransmits by
@@ -63,29 +63,21 @@ let set_config t config = t.config <- config
 
 (* --- checksum envelope -------------------------------------------------- *)
 
-let fnv1a64 data =
-  let h = ref 0xcbf29ce484222325L in
-  Bytes.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    data;
-  !h
-
 let seal payload =
   let len = Bytes.length payload in
   let framed = Bytes.create (8 + len) in
-  Bytes.set_int64_be framed 0 (fnv1a64 payload);
+  Bytes.set_int64_be framed 0 (Hash64.bytes payload);
   Bytes.blit payload 0 framed 8 len;
   framed
 
+(* Verify in place; only a frame that checks out is copied out. *)
 let unseal framed =
-  if Bytes.length framed < 8 then None
-  else
-    let payload = Bytes.sub framed 8 (Bytes.length framed - 8) in
-    if Int64.equal (Bytes.get_int64_be framed 0) (fnv1a64 payload) then
-      Some payload
-    else None
+  let len = Bytes.length framed - 8 in
+  if len < 0 then None
+  else if
+    Int64.equal (Bytes.get_int64_be framed 0) (Hash64.sub framed ~pos:8 ~len)
+  then Some (Bytes.sub framed 8 len)
+  else None
 
 (* --- hooks ---------------------------------------------------------------- *)
 

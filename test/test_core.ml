@@ -955,6 +955,206 @@ let nc_tests =
           (rel >= 1.0 && rel < 1.05));
   ]
 
+(* --- payload ownership ------------------------------------------------ *)
+
+(* Guest libraries pass the caller's buffers to the stub uncopied; the
+   stub's frame encode is the snapshot, and it copies what it keeps past
+   the call (SVA pins, the NAK-resend frame). *)
+
+let scribble b = Bytes.fill b 0 (Bytes.length b) '\xee'
+
+(* [upload e ~src ~after] deploys a silo, hands [src] to a non-blocking
+   write or upload, calls [after src] the moment it returns, and returns
+   what the device holds.  Scribbling over the source then must not
+   change what the device saw; scribbling before the call must. *)
+let snapshot_case name upload =
+  Alcotest.test_case name `Quick (fun () ->
+      let fresh () =
+        Bytes.init 8192 (fun i -> Char.chr (((i * 7) + 3) land 255))
+      in
+      let run ~src ~after = run_in_engine (fun e -> upload e ~src ~after) in
+      let clean = run ~src:(fresh ()) ~after:ignore in
+      let dirty = run ~src:(fresh ()) ~after:scribble in
+      let before =
+        let src = fresh () in
+        scribble src;
+        run ~src ~after:ignore
+      in
+      Alcotest.(check bool) "the device view follows the source" false
+        (Bytes.equal clean before);
+      Alcotest.(check bytes) "the device saw the bytes at call time" clean
+        dirty)
+
+let cl_queue (module CL : Ava_simcl.Api.S) =
+  let p = List.hd (ok (CL.clGetPlatformIDs ())) in
+  let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
+  let ctx = ok (CL.clCreateContext [ d ]) in
+  (ctx, ok (CL.clCreateCommandQueue ctx d ~profiling:false))
+
+let cl_write (module CL : Ava_simcl.Api.S) q m src =
+  ignore
+    (ok
+       (CL.clEnqueueWriteBuffer q m ~blocking:false ~offset:0 ~src
+          ~wait_list:[] ~want_event:false))
+
+let cl_read (module CL : Ava_simcl.Api.S) q m ~size =
+  fst
+    (ok
+       (CL.clEnqueueReadBuffer q m ~blocking:true ~offset:0 ~size
+          ~wait_list:[] ~want_event:false))
+
+(* One non-blocking write on a CL host built by [create]. *)
+let cl_upload create e ~src ~after =
+  let host = create e in
+  let guest = Host.add_cl_vm host ~name:"g0" in
+  let api = guest.Host.g_api in
+  let module CL = (val api) in
+  let ctx, q = cl_queue api in
+  let size = Bytes.length src in
+  let m = ok (CL.clCreateBuffer ctx ~size) in
+  cl_write api q m src;
+  after src;
+  cl_read api q m ~size
+
+(* The second write of the same payload goes as a [Blob_ref]; the
+   content store is flushed before the server sees it, so the server
+   NAKs and the stub resends the full frame, encoded only now. *)
+let cl_upload_ref e ~src ~after =
+  let host = Host.create_cl_host ~transfer_cache:(mib 1) e in
+  let guest = Host.add_cl_vm host ~name:"g0" in
+  let api = guest.Host.g_api in
+  let module CL = (val api) in
+  let stub = Option.get guest.Host.g_stub in
+  let ctx, q = cl_queue api in
+  let size = Bytes.length src in
+  let announced = ok (CL.clCreateBuffer ctx ~size) in
+  let m = ok (CL.clCreateBuffer ctx ~size) in
+  cl_write api q announced src;
+  ok (CL.clFinish q);
+  cl_write api q m src;
+  after src;
+  Ava_remoting.Server.flush_cache host.Host.server
+    ~vm_id:(Ava_hv.Vm.id guest.Host.g_vm);
+  let seen = cl_read api q m ~size in
+  Alcotest.(check int) "sent as a ref" 1 (Stub.cache_refs stub);
+  Alcotest.(check int) "resent in full after a NAK" 1
+    (Stub.cache_nak_resends stub);
+  seen
+
+(* NC: the tensor goes in with mvncLoadTensor (forwarded
+   asynchronously); the device's view is the inference over it. *)
+let nc_upload ?(cached = false) create e ~src ~after =
+  let host = create e in
+  let guest = Host.add_nc_vm host ~name:"g0" in
+  let module NC = (val guest.Host.ng_api) in
+  let graph =
+    Ava_simnc.Graphdef.encode ~total_bytes:(mib 1)
+      {
+        Ava_simnc.Graphdef.layer_flops = [ 1e6; 2e6 ];
+        output_bytes = Bytes.length src;
+      }
+  in
+  let name = Result.get_ok (NC.mvncGetDeviceName ~index:0) in
+  let d = Result.get_ok (NC.mvncOpenDevice ~name) in
+  let g = Result.get_ok (NC.mvncAllocateGraph d ~graph_data:graph) in
+  if cached then begin
+    Result.get_ok (NC.mvncLoadTensor g ~tensor:src);
+    ignore (Result.get_ok (NC.mvncGetResult g))
+  end;
+  Result.get_ok (NC.mvncLoadTensor g ~tensor:src);
+  after src;
+  if cached then
+    Ava_remoting.Server.flush_cache host.Host.nc_server
+      ~vm_id:(Ava_hv.Vm.id guest.Host.ng_vm);
+  let out = Result.get_ok (NC.mvncGetResult g) in
+  (if cached then
+     let stub = Option.get guest.Host.ng_stub in
+     Alcotest.(check int) "resent in full after a NAK" 1
+       (Stub.cache_nak_resends stub));
+  out
+
+let st_upload e ~src ~after =
+  let host = Host.create_st_host e in
+  let guest = Host.add_st_vm host ~name:"g0" in
+  let module ST = (val guest.Host.sg_api) in
+  let size = Bytes.length src in
+  let s = Result.get_ok (ST.stStreamCreate ()) in
+  let m = Result.get_ok (ST.stMemAlloc ~size) in
+  Result.get_ok (ST.stMemcpyHtoDAsync m ~src s);
+  after src;
+  Result.get_ok (ST.stMemcpyDtoH ~size m)
+
+(* QA: qaSubmitCompress is forwarded asynchronously and completes by
+   upcall; the device's view is the compressed output, expanded again. *)
+let qa_upload e ~src ~after =
+  let module T = Ava_simqa.Types in
+  let host = Host.create_qa_host e in
+  let guest = Host.add_qa_vm host ~name:"g0" in
+  let module QA = (val guest.Host.qg_api) in
+  let inst = Result.get_ok (QA.qaStartInstance ~index:0) in
+  let cs = Result.get_ok (QA.qaCreateSession inst T.Dir_compress ~level:6) in
+  let ds = Result.get_ok (QA.qaCreateSession inst T.Dir_decompress ~level:6) in
+  let packed = ref None in
+  Result.get_ok
+    (QA.qaSubmitCompress cs ~src ~tag:1 ~callback:(fun ~tag:_ out ->
+         packed := Some out));
+  after src;
+  let rec wait n =
+    match !packed with
+    | Some p -> p
+    | None when n > 0 ->
+        Engine.delay (Time.us 100);
+        wait (n - 1)
+    | None -> Alcotest.fail "compression callback never arrived"
+  in
+  Result.get_ok (QA.qaDecompress ds ~src:(wait 10_000))
+
+let ownership_tests =
+  [
+    snapshot_case "cl: non-blocking write snapshots its source"
+      (cl_upload (fun e -> Host.create_cl_host e));
+    snapshot_case "cl: SVA-pinned write snapshots its source"
+      (cl_upload (fun e -> Host.create_cl_host ~sva:true e));
+    snapshot_case "cl: NAK resend of a cached ref carries the snapshot"
+      cl_upload_ref;
+    snapshot_case "nc: load tensor snapshots its source"
+      (nc_upload (fun e -> Host.create_nc_host e));
+    snapshot_case "nc: SVA-pinned load tensor snapshots its source"
+      (nc_upload (fun e -> Host.create_nc_host ~sva:true e));
+    snapshot_case "nc: NAK resend of a cached tensor carries the snapshot"
+      (nc_upload ~cached:true (fun e ->
+           Host.create_nc_host ~transfer_cache:(mib 4) e));
+    snapshot_case "st: async host-to-device copy snapshots its source"
+      st_upload;
+    snapshot_case "qa: submitted compression snapshots its source" qa_upload;
+    Alcotest.test_case "cl: blocking reads return size bytes, each its own"
+      `Quick (fun () ->
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host e in
+            let guest = Host.add_cl_vm host ~name:"g0" in
+            let api = guest.Host.g_api in
+            let module CL = (val api) in
+            let ctx, q = cl_queue api in
+            let m = ok (CL.clCreateBuffer ctx ~size:256) in
+            cl_write api q m (Bytes.init 256 Char.chr);
+            let read ~offset ~size =
+              fst
+                (ok
+                   (CL.clEnqueueReadBuffer q m ~blocking:true ~offset ~size
+                      ~wait_list:[] ~want_event:false))
+            in
+            let a = read ~offset:0 ~size:256 and b = read ~offset:0 ~size:256 in
+            Alcotest.(check int) "full read length" 256 (Bytes.length a);
+            Alcotest.(check bool) "a fresh buffer per call" false (a == b);
+            scribble a;
+            Alcotest.(check bytes) "the second read is untouched"
+              (Bytes.init 256 Char.chr) b;
+            let part = read ~offset:16 ~size:32 in
+            Alcotest.(check bytes) "partial read is exactly size bytes"
+              (Bytes.init 32 (fun i -> Char.chr (16 + i)))
+              part));
+  ]
+
 let () =
   Alcotest.run "ava_core"
     [
@@ -967,4 +1167,5 @@ let () =
       ("migration", migration_tests);
       ("swap", swap_tests);
       ("mvnc", nc_tests);
+      ("ownership", ownership_tests);
     ]

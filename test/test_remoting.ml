@@ -1707,6 +1707,150 @@ let silo_kit_tests =
           (List.assoc_opt "size" (env long)));
   ]
 
+(* The one 64-bit hash kernel behind transfer-cache digests and the
+   fault envelope's checksum. *)
+module Hash64 = Ava_transport.Hash64
+module Faults = Ava_transport.Faults
+
+(* XXH64 (seed 0) read one byte at a time: every multi-byte load is
+   assembled from single bytes, so the reference shares no read path
+   with the kernel's 8- and 4-byte loads. *)
+let xxh64_reference s =
+  let p1 = 0x9E3779B185EBCA87L and p2 = 0xC2B2AE3D27D4EB4FL
+  and p3 = 0x165667B19E3779F9L and p4 = 0x85EBCA77C2B2AE63L
+  and p5 = 0x27D4EB2F165667C5L in
+  let ( +: ) = Int64.add and ( *: ) = Int64.mul and xor = Int64.logxor in
+  let rotl x r =
+    Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
+  in
+  let le i k =
+    let v = ref 0L in
+    for j = k - 1 downto 0 do
+      v :=
+        Int64.logor (Int64.shift_left !v 8)
+          (Int64.of_int (Char.code s.[i + j]))
+    done;
+    !v
+  in
+  let round acc lane = rotl (acc +: (lane *: p2)) 31 *: p1 in
+  let n = String.length s in
+  let i = ref 0 in
+  let h =
+    if n < 32 then p5
+    else begin
+      let v = [| p1 +: p2; p2; 0L; Int64.neg p1 |] in
+      while !i + 32 <= n do
+        for l = 0 to 3 do
+          v.(l) <- round v.(l) (le (!i + (8 * l)) 8)
+        done;
+        i := !i + 32
+      done;
+      let h = rotl v.(0) 1 +: rotl v.(1) 7 +: rotl v.(2) 12 +: rotl v.(3) 18 in
+      Array.fold_left (fun h x -> (xor h (round 0L x) *: p1) +: p4) h v
+    end
+  in
+  let h = ref (h +: Int64.of_int n) in
+  while !i + 8 <= n do
+    h := (rotl (xor !h (round 0L (le !i 8))) 27 *: p1) +: p4;
+    i := !i + 8
+  done;
+  if !i + 4 <= n then begin
+    h := (rotl (xor !h (le !i 4 *: p1)) 23 *: p2) +: p3;
+    i := !i + 4
+  end;
+  while !i < n do
+    h := rotl (xor !h (le !i 1 *: p5)) 11 *: p1;
+    incr i
+  done;
+  let h = !h in
+  let h = xor h (Int64.shift_right_logical h 33) *: p2 in
+  let h = xor h (Int64.shift_right_logical h 29) *: p3 in
+  xor h (Int64.shift_right_logical h 32)
+
+(* Words [f ()] allocates, minor heap and direct major allocations alike
+   (a 1 MiB buffer goes straight to the major heap).  A major allocation
+   can start GC work that allocates a few hundred minor words of its
+   own, so this takes the least of five runs. *)
+let allocated_words f =
+  let once () =
+    let minor0, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> once ()))
+
+let hash_tests =
+  [
+    Alcotest.test_case "published XXH64 vectors" `Quick (fun () ->
+        List.iter
+          (fun (input, expect) ->
+            Alcotest.(check string) (Printf.sprintf "%S" input) expect
+              (Printf.sprintf "%016Lx" (Hash64.bytes (Bytes.of_string input))))
+          [
+            ("", "ef46db3751d8e999");
+            ("a", "d24ec4f1a98c6e5b");
+            ("abc", "44bc2cf5ad770999");
+          ];
+        Alcotest.(check bool) "Wire.digest is the kernel" true
+          (Int64.equal
+             (Wire.digest (Bytes.of_string "abc"))
+             (Hash64.bytes (Bytes.of_string "abc"))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"kernel equals a byte-at-a-time reference, lengths 0-300"
+         ~count:600
+         QCheck.(
+           triple (string_of_size Gen.(0 -- 300)) small_nat small_nat)
+         (fun (s, pre, post) ->
+           (* Hash the string in place inside a larger buffer, so the
+              [pos] arithmetic is exercised too. *)
+           let pre = pre mod 9 and post = post mod 9 in
+           let n = String.length s in
+           let buf = Bytes.make (pre + n + post) '\xa5' in
+           Bytes.blit_string s 0 buf pre n;
+           let expect = xxh64_reference s in
+           Int64.equal (Hash64.bytes (Bytes.of_string s)) expect
+           && Int64.equal (Hash64.sub buf ~pos:pre ~len:n) expect));
+    Alcotest.test_case "sub rejects ranges outside the buffer" `Quick
+      (fun () ->
+        let b = Bytes.make 16 'x' in
+        List.iter
+          (fun (pos, len) ->
+            Alcotest.check_raises
+              (Printf.sprintf "pos %d len %d" pos len)
+              (Invalid_argument "Hash64.sub")
+              (fun () -> ignore (Hash64.sub b ~pos ~len)))
+          [ (-1, 4); (0, -1); (13, 4); (17, 0) ]);
+    Alcotest.test_case
+      "hashing and unsealing 1 MiB allocate no more than the payload copy"
+      `Quick (fun () ->
+        let mib = 1 lsl 20 in
+        let payload = Bytes.init mib (fun i -> Char.chr ((i * 31) land 255)) in
+        let framed = Faults.seal payload in
+        Alcotest.(check bool) "payload survives" true
+          (match Faults.unseal framed with
+          | Some p -> Bytes.equal p payload
+          | None -> false);
+        let hash_words = allocated_words (fun () -> Hash64.bytes payload) in
+        Alcotest.(check bool)
+          (Printf.sprintf "hash allocates %.0f words <= 3" hash_words)
+          true (hash_words <= 3.0);
+        let unseal_words = allocated_words (fun () -> Faults.unseal framed) in
+        let copy_words = allocated_words (fun () -> Bytes.sub framed 8 mib) in
+        (* The slack absorbs GC bookkeeping; the byte-serial hash this
+           replaced allocated 6.4M words here. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "unseal allocates %.0f words <= copy %.0f + 256"
+             unseal_words copy_words)
+          true
+          (unseal_words <= copy_words +. 256.0);
+        Bytes.set framed (mib / 2) '\x00';
+        Bytes.set framed ((mib / 2) + 1) '\xff';
+        Alcotest.(check bool) "a corrupted frame is rejected" true
+          (Option.is_none (Faults.unseal framed)));
+  ]
+
 let () =
   Alcotest.run "ava_remoting"
     [
@@ -1723,4 +1867,5 @@ let () =
       ("migrate", migrate_tests);
       ("swap", swap_tests);
       ("silo-kit", silo_kit_tests);
+      ("hash64", hash_tests);
     ]
