@@ -231,8 +231,11 @@ let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace ~oracle () =
     vr_file = file;
   }
 
-let run ?(log = ignore) ?corpus_dir ?(twin_every = 16) ?(max_ops = 30)
-    ?(stop_after = 5) ~seed ~budget () =
+(* A campaign ends early once this many violations are recorded. *)
+let stop_after = 5
+
+let run ?(log = ignore) ?corpus_dir ?(twin_every = 16) ?(max_ops = 30) ~seed
+    ~budget () =
   let master = Rng.create seed in
   let violations = ref [] in
   let applied = ref 0 in

@@ -35,16 +35,15 @@ val run :
   ?corpus_dir:string ->
   ?twin_every:int ->
   ?max_ops:int ->
-  ?stop_after:int ->
   seed:int64 ->
   budget:int ->
   unit ->
   summary
 (** Run [budget] iterations.  [twin_every] (default 16) paces the
     armed-obs twin runs; [max_ops] (default 30) bounds generated trace
-    length; [stop_after] (default 5) ends the campaign early once that
-    many violations have been recorded; [log] receives one progress
-    line per event (violations, shrink results). *)
+    length; the campaign ends early once five violations have been
+    recorded; [log] receives one progress line per event (violations,
+    shrink results). *)
 
 val summary_json : summary -> Ava_obs.Json.t
 (** Deterministic JSON rollup (for the CI artifact). *)

@@ -1,7 +1,7 @@
 (* The cluster tier: pooled hosts behind an admission layer.
 
    Every host is a complete single-host stack — its own devices, API
-   servers, router, recorders — standing on one shared engine, so the
+   servers, router — standing on one shared engine, so the
    fleet runs in a single deterministic virtual timeline.  The cluster
    adds exactly two things: admission (which host gets a new tenant,
    under pluggable policies with different knowledge models) and
@@ -269,16 +269,14 @@ let retire t ~vm_id =
    The pool's migration handoff ([Pool.emigrate]) into another host's
    pool: pause, drain, pick a device on the destination pool, replay
    the record log and restore buffers through the source host's
-   transfer closure, seed the destination cursor, carry the reply log
-   and move the router flow across routers, detach the source.  The
-   guest is never touched: its stub, transport and seq stream survive,
-   exactly as in a single-host migration.
+   transfer closure (the record log moves with the VM's server entry),
+   seed the destination cursor, carry the reply log and move the router
+   flow across routers, detach the source.  The guest is never touched:
+   its stub, transport and seq stream survive, exactly as in a
+   single-host migration.
 
-   This layer adds only host bookkeeping.  The recorder is out of the
-   source host's table during replay (so the replay does not re-record
-   itself) and enters the destination's table right after the handoff
-   returns — the same synchronous step as the flow move, so requeued
-   in-flight calls cannot execute unrecorded.  The IOMMU follows it. *)
+   This layer adds only host bookkeeping: the IOMMU moves to the
+   destination host's table right after the handoff returns. *)
 
 let migrate_tenant t ~vm_id ~dest =
   if dest < 0 || dest >= Array.length t.hosts then
@@ -291,14 +289,9 @@ let migrate_tenant t ~vm_id ~dest =
   | Some tn when tn.t_host = dest -> 0
   | Some tn -> (
       let src = t.hosts.(tn.t_host) and dst = t.hosts.(dest) in
-      (* Taken before the handoff, which pulls it from the source table
-         for the replay.  A concurrent migration may already have it
-         out; the handoff then refuses this one. *)
-      let recorder = Hashtbl.find_opt src.h_host.Host.recorders vm_id in
       match Pool.emigrate src.h_pool ~vm_id ~into:dst.h_pool with
       | None -> 0
       | Some bytes ->
-          Option.iter (Hashtbl.replace dst.h_host.Host.recorders vm_id) recorder;
           (match Hashtbl.find_opt src.h_host.Host.iommus vm_id with
           | Some iommu ->
               Hashtbl.remove src.h_host.Host.iommus vm_id;

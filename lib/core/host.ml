@@ -88,56 +88,14 @@ let server_tdr ?wedged_by ~reset tdr =
       })
     tdr
 
-(* Record successfully executed calls per the spec's record classes.
-   One hook closure per server, so [Server.Ctx.last_fresh] reads the
-   right per-server context in a pooled host. *)
-let install_recorder_hook server ~plan ~recorders =
-  Server.set_call_hook server (fun ~vm_id ~status c ->
-      if status = 0 then
-        match
-          (Hashtbl.find_opt recorders vm_id, Plan.find plan c.Ava_remoting.Message.call_fn)
-        with
-        | Some recorder, Some call_plan ->
-            let allocated =
-              match call_plan.Plan.cp_record with
-              | Ava_spec.Ast.Object_alloc ->
-                  Option.map
-                    (fun ctx -> Server.Ctx.last_fresh ctx)
-                    (Server.vm_ctx server ~vm_id)
-              | _ -> None
-            in
-            Migrate.observe ?allocated recorder call_plan c
-        | _ -> ())
-
 (* The pool's transfer closure, for every pooled silo and for moves
-   within the host or out of it.  Recording is suspended by pulling the
-   VM's entry from this host's recorder table for the replay window.  It
-   resumes here only when the destination is one of this host's
-   [servers]; a cross-host move leaves the entry out for the cluster
-   tier to install in the destination host's table.  With [iommus]
-   (SVA armed), resolution re-points at the destination GPU's DMA
-   engine. *)
-let pool_transfer ?iommus live ~recorders ~servers ~vm_id
-    ~(src : _ Pool.device) ~(dst : _ Pool.device) =
-  let recorder =
-    match Hashtbl.find_opt recorders vm_id with
-    | Some r -> r
-    | None -> invalid_arg "Host.pool_transfer: unknown vm"
-  in
-  let local = Array.exists (( == ) dst.Pool.dev_server) servers in
-  let sva =
-    match
-      ( Option.bind iommus (fun tbl -> Hashtbl.find_opt tbl vm_id),
-        dst.Pool.dev_phys.Pool.ph_gpu )
-    with
-    | Some iommu, Some gpu -> Some (iommu, Gpu.dma gpu)
-    | _ -> None
-  in
-  (Silo.transfer ?sva live ~recorder ~vm_id ~src:src.Pool.dev_server
-     ~dst:dst.Pool.dev_server
-     ~suspend:(fun () -> Hashtbl.remove recorders vm_id)
-     ~resume:(fun () ->
-       if local then Hashtbl.replace recorders vm_id recorder))
+   within the host or out of it.  The record log and any SVA pairing
+   travel in the VM's server entry; with SVA armed, resolution re-points
+   at the destination GPU's DMA engine. *)
+let pool_transfer live ~vm_id ~(src : _ Pool.device) ~(dst : _ Pool.device) =
+  (Silo.transfer
+     ?dma:(Option.map Gpu.dma dst.Pool.dev_phys.Pool.ph_gpu)
+     live ~vm_id ~src:src.Pool.dev_server ~dst:dst.Pool.dev_server)
     .Silo.bytes
 
 (* The server end of a guest attach plus the guest's stub.  [sva] arms
@@ -184,14 +142,15 @@ let attach_ava ?faults ?doorbell ?rate_per_s ?weight ?quota_cost
   attach_stub ?batch_limit ?retry ?sva ?obs engine ~server ~plan
     ~vm_id:(Ava_hv.Vm.id vm) ~server_end ~guest_end
 
-(* Retire a guest from the whole stack: pool residency, circuit
-   breaker, silo-specific [release], record log, open obs spans.
+(* Retire a guest from the whole stack: pool residency and server entry
+   (with its record log), circuit breaker, silo-specific [release], open
+   obs spans.
    Idempotent — retiring an unknown or already-retired VM returns
    [false] — and validated: a VM mid-migration is refused (retry after
    the migration completes).  The caller must ensure the VM has no
    in-flight calls; its worker dies with its inbox, so the spans of
    fire-and-forget teardown calls sent just before would never close. *)
-let retire ~pool ~server ~recorders ~obs ~release vm_id =
+let retire ~pool ~server ~obs ~release vm_id =
   let ok =
     if Option.is_some (Pool.device_of pool ~vm_id) then
       Pool.retire_vm pool ~vm_id
@@ -206,7 +165,6 @@ let retire ~pool ~server ~recorders ~obs ~release vm_id =
   in
   if ok then begin
     release ();
-    Hashtbl.remove recorders vm_id;
     Option.iter (fun o -> Obs.forget_vm o ~vm:vm_id) obs
   end;
   ok
@@ -222,7 +180,6 @@ type cl_host = {
   router : Router.t;
   server : Cl_handlers.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;  (** one per pool device; empty when swap is off *)
-  recorders : (int, Migrate.t) Hashtbl.t;
   trace : Ava_sim.Trace.t;
   obs : Obs.t option;
   cl_pool : Cl_handlers.state Pool.t;
@@ -245,16 +202,16 @@ type cl_guest = {
    fronted by its own API server, router dispatch lane and, with
    [swap_capacity], its own swap manager over its own DMA engine.  The
    knobs are documented in host.mli. *)
-let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
-    ?swap_capacity ?(swap_page_granularity = false) ?(sync_only = false)
-    ?(transfer_cache = 0) ?(sva = false) ?doorbell ?(tracing = false)
-    ?devfaults ?tdr ?obs ?(devices = 1) ?(placement = Pool.Round_robin)
-    ?rebalance ?vm_id_base engine =
+let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
+    ?(swap_page_granularity = false) ?(sync_only = false) ?(transfer_cache = 0)
+    ?(sva = false) ?doorbell ?(tracing = false) ?devfaults ?tdr ?obs
+    ?(devices = 1) ?(placement = Pool.Round_robin) ?rebalance ?vm_id_base
+    engine =
   if devices < 1 then invalid_arg "create_cl_host: devices must be >= 1";
   let trace = Ava_sim.Trace.create ~enabled:tracing () in
   let gpus =
     Array.init devices (fun _ ->
-        Gpu.create ~timing:gpu_timing ?devfault:devfaults engine)
+        Gpu.create ~timing:Timing.gtx1080 ?devfault:devfaults engine)
   in
   let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
   let spec, plan = load_cl_plan ~sync_only () in
@@ -277,7 +234,6 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
     | None -> [||]
     | Some capacity -> Array.map (fun gpu -> swap_on gpu capacity) gpus
   in
-  let recorders = Hashtbl.create 8 in
   (* One API server per device.  Its watchdog resets (and blames through)
      its own board: wedged work is failed, queued survivors keep
      draining (Windows-TDR semantics), so innocents see only a blip. *)
@@ -299,17 +255,13 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
              (Ava_simcl.Kdriver.create gpu))
     in
     Cl_handlers.register server;
-    install_recorder_hook server ~plan ~recorders;
     server
   in
   let servers = Array.init devices make_server in
   let router = Router.create ~trace ?obs engine ~virt ~plan in
   let iommus = Hashtbl.create 8 in
   let transfer ~vm_id ~src ~dst =
-    let bytes =
-      pool_transfer ~iommus Cl_handlers.live ~recorders ~servers ~vm_id ~src
-        ~dst
-    in
+    let bytes = pool_transfer Cl_handlers.live ~vm_id ~src ~dst in
     (* The VM's swap entries leave the source device with it. *)
     if Array.length swaps > 0 then
       Cl_handlers.forget_swap swaps.(src.Pool.dev_id) ~vm_id;
@@ -322,7 +274,7 @@ let create_cl_host ?(virt = Timing.default_virt) ?(gpu_timing = Timing.gtx1080)
   in
   Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
   { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
-    swaps; recorders; trace; obs; cl_pool = pool; pool = Some pool; sva;
+    swaps; trace; obs; cl_pool = pool; pool = Some pool; sva;
     doorbell; iommus }
 
 (* Reply statuses that count against a SimCL VM's error budget: the
@@ -356,12 +308,12 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
     let api, _ = Ava_simcl.Native.create kd in
     { g_vm = vm; g_api = api; g_stub = None; g_technique = technique }
   in
-  (* Remoted guests are recorded for migration and, with SVA, get one
-     IOMMU (device address space) each.  The stub pins through it;
-     whichever server currently fronts the VM's device resolves through
-     it.  [attach] builds the stub given the SVA pairing for a device. *)
+  (* Remoted guests are recorded for migration (by their server entry)
+     and, with SVA, get one IOMMU (device address space) each.  The stub
+     pins through it; whichever server currently fronts the VM's device
+     resolves through it.  [attach] builds the stub given the SVA
+     pairing for a device. *)
   let remoted attach =
-    Hashtbl.replace t.recorders vm_id (Migrate.create ());
     let iommu =
       if t.sva then begin
         let i = Iommu.create t.engine in
@@ -405,20 +357,27 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
 
 (* A bare-metal SimCL stack: the native baseline every relative number in
    the evaluation is normalized to. *)
-let native_cl ?(gpu_timing = Timing.gtx1080) engine =
-  let gpu = Gpu.create ~timing:gpu_timing engine in
+let native_cl engine =
+  let gpu = Gpu.create ~timing:Timing.gtx1080 engine in
   let kd = Ava_simcl.Kdriver.create gpu in
   let api, _ = Ava_simcl.Native.create kd in
   (api, gpu)
 
-let recorder t ~vm_id = Hashtbl.find_opt t.recorders vm_id
+(* The record log lives in the VM's entry on whichever server fronts it:
+   its pool device's, or device 0's for a [User_rpc] guest. *)
+let recorder t ~vm_id =
+  let server =
+    match Pool.device_of t.cl_pool ~vm_id with
+    | Some d -> Pool.server t.cl_pool d
+    | None -> t.server
+  in
+  Server.recorder server ~vm_id
 
 (* As [retire], plus the VM's swap entries and IOMMU pins.  Must run
    inside a simulation process (the IOMMU teardown charges a
    shootdown). *)
 let retire_cl_vm t ~vm_id =
-  retire ~pool:t.cl_pool ~server:t.server ~recorders:t.recorders ~obs:t.obs
-    vm_id
+  retire ~pool:t.cl_pool ~server:t.server ~obs:t.obs vm_id
     ~release:(fun () ->
       Array.iter (fun sw -> Cl_handlers.forget_swap sw ~vm_id) t.swaps;
       match Hashtbl.find_opt t.iommus vm_id with
@@ -451,10 +410,9 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-let create_nc_host ?(virt = Timing.default_virt)
-    ?(ncs_timing = Timing.movidius) ?(transfer_cache = 0) ?(sva = false)
-    ?doorbell ?devfaults ?tdr ?obs engine =
-  let dev = Ncs.create ~timing:ncs_timing ?devfault:devfaults engine in
+let create_nc_host ?(virt = Timing.default_virt) ?(transfer_cache = 0)
+    ?(sva = false) ?doorbell ?devfaults ?tdr ?obs engine =
+  let dev = Ncs.create ~timing:Timing.movidius ?devfault:devfaults engine in
   let hv = Ava_hv.Hypervisor.create ~virt engine in
   let _spec, plan = load_nc_plan () in
   (* NCS recovery = re-enumerate the stick: loaded graphs are gone, the
@@ -492,8 +450,7 @@ let nc_fault_statuses =
     Ava_simnc.Types.status_to_code Ava_simnc.Types.Gone;
   ]
 
-let add_nc_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker t
-    ~name =
+let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.nc_hv ~name in
   let sva =
     match (t.nc_sva, t.nc_dma) with
@@ -507,13 +464,13 @@ let add_nc_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker t
     attach_ava ?doorbell:t.nc_doorbell ?rate_per_s ?weight ?breaker
       ~breaker_statuses:nc_fault_statuses ?sva ?obs:t.nc_obs t.nc_engine
       ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
-      ~kind:transport vm
+      ~kind:Transport.Shm_ring vm
   in
   let api, _ = Nc_remote.create stub in
   { ng_vm = vm; ng_api = api; ng_stub = Some stub }
 
-let native_nc ?(ncs_timing = Timing.movidius) engine =
-  let dev = Ncs.create ~timing:ncs_timing engine in
+let native_nc engine =
+  let dev = Ncs.create ~timing:Timing.movidius engine in
   let api, _ = Ava_simnc.Native.create dev in
   (api, dev)
 
@@ -535,9 +492,8 @@ type qa_guest = {
   qg_stub : Stub.t option;
 }
 
-let create_qa_host ?(virt = Timing.default_virt)
-    ?(qat_timing = Ava_simqa.Device.dh895xcc) ?obs engine =
-  let dev = Ava_simqa.Device.create ~timing:qat_timing engine in
+let create_qa_host ?(virt = Timing.default_virt) ?obs engine =
+  let dev = Ava_simqa.Device.create ~timing:Ava_simqa.Device.dh895xcc engine in
   let hv = Ava_hv.Hypervisor.create ~virt engine in
   let _spec, plan = load_qa_plan () in
   let server =
@@ -555,18 +511,18 @@ let create_qa_host ?(virt = Timing.default_virt)
     qa_obs = obs;
   }
 
-let add_qa_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight t ~name =
+let add_qa_vm ?rate_per_s ?weight t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.qa_hv ~name in
   let stub =
     attach_ava ?rate_per_s ?weight ?obs:t.qa_obs t.qa_engine ~hv:t.qa_hv
-      ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan ~kind:transport
-      vm
+      ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan
+      ~kind:Transport.Shm_ring vm
   in
   let api, _ = Qa_remote.create stub in
   { qg_vm = vm; qg_api = api; qg_stub = Some stub }
 
-let native_qa ?(qat_timing = Ava_simqa.Device.dh895xcc) engine =
-  let dev = Ava_simqa.Device.create ~timing:qat_timing engine in
+let native_qa engine =
+  let dev = Ava_simqa.Device.create ~timing:Ava_simqa.Device.dh895xcc engine in
   let api, _ = Ava_simqa.Native.create dev in
   (api, dev)
 
@@ -580,7 +536,6 @@ type st_host = {
   st_router : Router.t;
   st_server : St_handlers.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
-  st_recorders : (int, Migrate.t) Hashtbl.t;
   st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
   st_pool : St_handlers.state Pool.t;
@@ -595,8 +550,8 @@ type st_guest = {
 (* Heterogeneous fleets: the capability tag picks the device model.  The
    SimST API runs on all three — what differs is the timing profile, so
    capability-aware placement is measurable, not cosmetic. *)
-let st_timing_of ~stream_timing = function
-  | Pool.Cap_stream -> stream_timing
+let st_timing_of = function
+  | Pool.Cap_stream -> Ava_simst.Device.sm_stream
   | Pool.Cap_gpu -> Ava_simst.Device.gpu_class
   | Pool.Cap_npu -> Ava_simst.Device.npu_class
 
@@ -612,11 +567,9 @@ let st_phys cap dev =
   }
 
 (* [fleet] is the capability tag per pool device (default one
-   [Cap_stream] device).  [st_timing] overrides the balanced preset for
-   [Cap_stream] devices; GPU- and NPU-class devices keep their class
-   presets — that contrast is the point of a mixed fleet. *)
-let create_st_host ?(virt = Timing.default_virt)
-    ?(st_timing = Ava_simst.Device.sm_stream) ?(tracing = false) ?obs
+   [Cap_stream] device); each class runs its own timing preset — that
+   contrast is the point of a mixed fleet. *)
+let create_st_host ?(virt = Timing.default_virt) ?(tracing = false) ?obs
     ?(fleet = [ Pool.Cap_stream ]) ?(placement = Pool.Round_robin) ?rebalance
     ?vm_id_base engine =
   if fleet = [] then invalid_arg "create_st_host: fleet must be non-empty";
@@ -627,25 +580,22 @@ let create_st_host ?(virt = Timing.default_virt)
   let devs =
     Array.map
       (fun cap ->
-        Ava_simst.Device.create ~timing:(st_timing_of ~stream_timing:st_timing cap)
-          engine)
+        Ava_simst.Device.create ~timing:(st_timing_of cap) engine)
       caps
   in
-  let recorders = Hashtbl.create 8 in
   let make_server i =
     let server =
       Server.create ~trace ?obs ~device_id:i engine ~plan
         ~make_state:(St_handlers.make_state devs.(i))
     in
     St_handlers.register server;
-    install_recorder_hook server ~plan ~recorders;
     server
   in
   let router = Router.create ~trace ?obs engine ~virt ~plan in
   let servers = Array.init (Array.length devs) make_server in
   let pool =
     Pool.create ~trace engine ~router ~placement
-      ~transfer:(pool_transfer St_handlers.live ~recorders ~servers)
+      ~transfer:(pool_transfer St_handlers.live)
       (Array.to_list
          (Array.mapi (fun i cap -> (st_phys cap devs.(i), servers.(i))) caps))
   in
@@ -658,7 +608,6 @@ let create_st_host ?(virt = Timing.default_virt)
     st_router = router;
     st_server = servers.(0);
     st_devs = devs;
-    st_recorders = recorders;
     st_trace = trace;
     st_obs = obs;
     st_pool = pool;
@@ -675,25 +624,24 @@ let st_fault_statuses =
 (* [requires] declares the VM's capability requirement: placement only
    considers matching devices and migration refuses cross-capability
    destinations; portable VMs ([None]) go wherever the policy points. *)
-let add_st_vm ?(transport = Transport.Shm_ring) ?rate_per_s ?weight ?breaker
-    ?requires ?footprint ?device t ~name =
+let add_st_vm ?rate_per_s ?weight ?breaker ?requires ?footprint ?device t
+    ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.st_hv ~name in
-  Hashtbl.replace t.st_recorders (Ava_hv.Vm.id vm) (Migrate.create ());
   let backend = Pool.place ?footprint ?requires ?device t.st_pool ~vm in
   let stub =
     attach_ava ?rate_per_s ?weight ?breaker
       ~breaker_statuses:st_fault_statuses ~backend ?obs:t.st_obs t.st_engine
       ~hv:t.st_hv ~router:t.st_router ~server:(Pool.server t.st_pool backend)
-      ~plan:t.st_plan ~kind:transport vm
+      ~plan:t.st_plan ~kind:Transport.Shm_ring vm
   in
   let api, _ = St_remote.create stub in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
 
 let retire_st_vm t ~vm_id =
-  retire ~pool:t.st_pool ~server:t.st_server ~recorders:t.st_recorders
-    ~obs:t.st_obs ~release:ignore vm_id
+  retire ~pool:t.st_pool ~server:t.st_server ~obs:t.st_obs ~release:ignore
+    vm_id
 
-let native_st ?(st_timing = Ava_simst.Device.sm_stream) engine =
-  let dev = Ava_simst.Device.create ~timing:st_timing engine in
+let native_st engine =
+  let dev = Ava_simst.Device.create ~timing:Ava_simst.Device.sm_stream engine in
   let api, _ = Ava_simst.Native.create dev in
   (api, dev)

@@ -58,7 +58,6 @@ type cl_host = {
   server : Cl_handlers.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;
       (** one swap manager per pool device; empty when swap is off *)
-  recorders : (int, Migrate.t) Hashtbl.t;  (** per-VM migration recorders *)
   trace : Ava_sim.Trace.t;
       (** router/server call trace (enabled with [~tracing:true]) *)
   obs : Obs.t option;
@@ -71,7 +70,9 @@ type cl_host = {
   sva : bool;  (** shared virtual addressing armed for remoted guests *)
   doorbell : Transport.doorbell_cfg option;
       (** doorbell coalescing config for shm-ring guests; [None] = eager *)
-  iommus : (int, Iommu.t) Hashtbl.t;  (** per-VM device address spaces *)
+  iommus : (int, Iommu.t) Hashtbl.t;
+      (** per-VM device address spaces, for retirement and read-outs;
+          the server entry fronting each VM holds its SVA pairing *)
 }
 
 type cl_guest = {
@@ -90,7 +91,6 @@ val load_cl_plan :
 
 val create_cl_host :
   ?virt:Timing.virt ->
-  ?gpu_timing:Timing.gpu ->
   ?swap_capacity:int ->
   ?swap_page_granularity:bool ->
   ?sync_only:bool ->
@@ -180,20 +180,23 @@ val add_cl_vm :
     dedicating that pool device's GPU (recorded with
     {!Ava_hv.Hypervisor.attachment}).  [User_rpc] guests bypass
     placement entirely and run on device 0's server.  Only remoted
-    guests ([Ava _] and [User_rpc]) get a migration recorder and, with
-    [sva], an IOMMU. *)
+    guests ([Ava _] and [User_rpc]) get a migration record log (kept
+    by their server entry) and, with [sva], an IOMMU. *)
 
-val native_cl :
-  ?gpu_timing:Timing.gpu -> Engine.t -> (module Ava_simcl.Api.S) * Gpu.t
+val native_cl : Engine.t -> (module Ava_simcl.Api.S) * Gpu.t
 (** A bare-metal SimCL stack: the baseline every relative number is
     normalized to. *)
 
 val recorder : cl_host -> vm_id:int -> Migrate.t option
+(** The VM's migration record log, read from the server entry fronting
+    it ({!Server.recorder}); [None] for a dedicated-device or retired
+    guest. *)
 
 val retire_cl_vm : cl_host -> vm_id:int -> bool
 (** Retire a guest from the whole stack: pool residency (or a
-    [User_rpc] guest's server entry), circuit breaker, swap entries,
-    IOMMU pins ({!Iommu.release_all}), record log, open obs spans
+    [User_rpc] guest's server entry, record log included), circuit
+    breaker, swap entries, IOMMU pins ({!Iommu.release_all}), open obs
+    spans
     ({!Obs.forget_vm}).  Idempotent
     ([false] for an unknown or already-retired VM) and validated (a VM mid-migration is refused; retry once the
     migration completes).  The caller must ensure the VM has no
@@ -228,7 +231,6 @@ val load_nc_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_nc_host :
   ?virt:Timing.virt ->
-  ?ncs_timing:Timing.ncs ->
   ?transfer_cache:int ->
   ?sva:bool ->
   ?doorbell:Transport.doorbell_cfg ->
@@ -242,7 +244,6 @@ val create_nc_host :
     [tp_poison] is meaningless for the NCS and ignored). *)
 
 val add_nc_vm :
-  ?transport:Transport.kind ->
   ?rate_per_s:float ->
   ?weight:float ->
   ?breaker:Ava_remoting.Policy.Breaker.config ->
@@ -252,8 +253,7 @@ val add_nc_vm :
 (** [breaker] as in {!add_cl_vm}; the NCS fault budget counts
     device-lost and MVNC GONE replies. *)
 
-val native_nc :
-  ?ncs_timing:Timing.ncs -> Engine.t -> (module Ava_simnc.Api.S) * Ncs.t
+val native_nc : Engine.t -> (module Ava_simnc.Api.S) * Ncs.t
 
 (** {1 SimQA hosts (the §5 future-work API)} *)
 
@@ -277,24 +277,19 @@ val load_qa_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_qa_host :
   ?virt:Timing.virt ->
-  ?qat_timing:Ava_simqa.Device.timing ->
   ?obs:Obs.t ->
   Engine.t ->
   qa_host
 (** [obs] as in {!create_cl_host}. *)
 
 val add_qa_vm :
-  ?transport:Transport.kind ->
   ?rate_per_s:float ->
   ?weight:float ->
   qa_host ->
   name:string ->
   qa_guest
 
-val native_qa :
-  ?qat_timing:Ava_simqa.Device.timing ->
-  Engine.t ->
-  (module Ava_simqa.Api.S) * Ava_simqa.Device.t
+val native_qa : Engine.t -> (module Ava_simqa.Api.S) * Ava_simqa.Device.t
 
 (** {1 SimST hosts (the stream-accelerator silo)}
 
@@ -313,7 +308,6 @@ type st_host = {
   st_router : Router.t;
   st_server : St_handlers.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
-  st_recorders : (int, Migrate.t) Hashtbl.t;
   st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
   st_pool : St_handlers.state Pool.t;  (** the device pool *)
@@ -332,7 +326,6 @@ val st_fault_statuses : int list
 
 val create_st_host :
   ?virt:Timing.virt ->
-  ?st_timing:Ava_simst.Device.timing ->
   ?tracing:bool ->
   ?obs:Obs.t ->
   ?fleet:Pool.capability list ->
@@ -343,12 +336,11 @@ val create_st_host :
   st_host
 (** [fleet] tags one pool device per element (default a single
     [Cap_stream] device); [placement] (default {!Pool.Round_robin}) and
-    [rebalance] as in {!create_cl_host}.  [st_timing] overrides the
-    balanced preset for [Cap_stream] devices; [Cap_gpu] / [Cap_npu]
-    devices use their class presets.  [obs] as in {!create_cl_host}. *)
+    [rebalance] as in {!create_cl_host}.  Each capability class runs
+    its own timing preset (balanced for [Cap_stream]).  [obs] as in
+    {!create_cl_host}. *)
 
 val add_st_vm :
-  ?transport:Transport.kind ->
   ?rate_per_s:float ->
   ?weight:float ->
   ?breaker:Ava_remoting.Policy.Breaker.config ->
@@ -365,7 +357,4 @@ val add_st_vm :
 val retire_st_vm : st_host -> vm_id:int -> bool
 (** As {!retire_cl_vm}, for the stream silo. *)
 
-val native_st :
-  ?st_timing:Ava_simst.Device.timing ->
-  Engine.t ->
-  (module Ava_simst.Api.S) * Ava_simst.Device.t
+val native_st : Engine.t -> (module Ava_simst.Api.S) * Ava_simst.Device.t

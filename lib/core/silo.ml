@@ -128,7 +128,7 @@ type moved = { replayed : int; restored : int; bytes : int }
 
 (* Live allocations still in a record log, with their sizes recovered
    from the recorded arguments. *)
-let live_objects live recorder =
+let live_objects live log =
   List.filter_map
     (fun (r : Migrate.recorded) ->
       if String.equal r.Migrate.rc_fn live.alloc_fn then
@@ -138,15 +138,16 @@ let live_objects live recorder =
         | Some vid, Some (Wire.I64 size) -> Some (vid, Int64.to_int size)
         | _ -> None
       else None)
-    (Migrate.replay_log recorder)
+    (Migrate.replay_log log)
 
-let transfer ?sva live ~recorder ~vm_id ~src ~dst ~suspend ~resume =
+let transfer ?dma live ~vm_id ~src ~dst =
   let require = function
     | Some x -> x
     | None -> invalid_arg "Silo.transfer: vm not attached"
   in
   let src_ctx = require (Server.vm_ctx src ~vm_id) in
   let src_state = require (Server.vm_state src ~vm_id) in
+  let log = require (Server.recorder src ~vm_id) in
   (* A fresh destination context would re-mint ids the replay is about
      to re-bind originals onto; reserve the source's whole range first. *)
   Server.Ctx.reserve (require (Server.vm_ctx dst ~vm_id))
@@ -158,12 +159,12 @@ let transfer ?sva live ~recorder ~vm_id ~src ~dst ~suspend ~resume =
      but the source device's cached translations must die and resolution
      must re-point at the destination device — one batched shootdown,
      then every region refaults on first access from the new device. *)
-  (match sva with
-  | Some (iommu, dma) ->
+  (match (Server.sva_for src ~vm_id, dma) with
+  | Some (iommu, _), Some dma ->
       Iommu.quiesce iommu;
       Server.clear_sva src ~vm_id;
       Server.set_sva dst ~vm_id ~iommu ~dma
-  | None -> ());
+  | _ -> ());
   (* Work the source device already accepted writes its outputs only at
      completion: snapshot before that and the destination inherits stale
      bytes.  Drain the silo's queues first. *)
@@ -180,9 +181,11 @@ let transfer ?sva live ~recorder ~vm_id ~src ~dst ~suspend ~resume =
                 bytes := !bytes + size;
                 (vid, data))
               (live.read src_state ~host ~size))
-      (live_objects live recorder)
+      (live_objects live log)
   in
-  suspend ();
+  (* From here the destination entry records the VM's live calls; the
+     replay below runs unrecorded. *)
+  Server.hand_over_log src ~into:dst ~vm_id;
   let dst_ctx = require (Server.vm_ctx dst ~vm_id) in
   let dst_state = require (Server.vm_state dst ~vm_id) in
   let replayed = ref 0 in
@@ -208,8 +211,7 @@ let transfer ?sva live ~recorder ~vm_id ~src ~dst ~suspend ~resume =
                 Server.Ctx.bind dst_ctx ~guest:orig_vid ~host
             | None -> ())
       | _ -> ())
-    (Migrate.replay_log recorder);
-  resume ();
+    (Migrate.replay_log log);
   let restored = ref 0 in
   List.iter
     (fun (vid, data) ->

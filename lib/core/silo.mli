@@ -119,19 +119,18 @@ type moved = {
 }
 
 val transfer :
-  ?sva:Ava_device.Iommu.t * Ava_device.Dma.t ->
+  ?dma:Ava_device.Dma.t ->
   'st live ->
-  recorder:Migrate.t ->
   vm_id:int ->
   src:'st Server.t ->
   dst:'st Server.t ->
-  suspend:(unit -> unit) ->
-  resume:(unit -> unit) ->
   moved
 (** Move a VM's silo state from [src] to [dst]: flush the source's
-    content store, re-point SVA ([sva]: the VM's IOMMU and the
-    destination's DMA engine), quiesce the source silo, snapshot its
-    live objects, replay the record log into [dst] re-binding each
+    content store, re-point SVA (a VM with SVA armed on [src] resolves
+    through the same IOMMU on [dst], charged to [dma], the destination
+    device's DMA engine), quiesce the source silo, snapshot its live
+    objects, hand the record log to [dst]'s entry
+    ({!Server.hand_over_log}), replay it into [dst] re-binding each
     object to its original virtual id, then restore the snapshot.
-    [suspend]/[resume] bracket the replay so it does not re-record
-    itself.  Must run inside a simulation process. *)
+    Replay goes through {!Server.execute_direct}, so it does not
+    re-record itself.  Must run inside a simulation process. *)

@@ -18,8 +18,6 @@ open Ava_sim
 open Ava_device
 open Ava_hv
 
-let trace_category = "pool"
-
 (* Placement policies for newly attached (or evacuated) VMs. *)
 type placement =
   | Round_robin  (** rotate over healthy devices *)
@@ -90,7 +88,6 @@ type 'st device = {
   dev_phys : phys;
   dev_server : 'st Server.t;
   mutable dev_healthy : bool;
-  mutable dev_resident : int list;  (** vm ids, unordered *)
   mutable dev_evac_in : int;
   mutable dev_evac_out : int;
 }
@@ -115,8 +112,9 @@ type 'st t = {
   devices : 'st device array;
   transfer : vm_id:int -> src:'st device -> dst:'st device -> int;
       (** API-specific silo copy; returns bytes moved *)
-  trace : Trace.t option;
+  trace : Trace.t;
   mutable vms : (int * vm_info) list;
+      (** the residency record: every VM placed here, with its device *)
   mutable rr_cursor : int;
   mutable migrations : int;
   mutable evacuations : int;
@@ -127,17 +125,12 @@ type 'st t = {
   mutable stopped : bool;  (** quiesces the skew monitor *)
 }
 
-let record_trace t fmt =
-  match t.trace with
-  | Some tr when Trace.is_enabled tr ->
-      Trace.record tr ~at:(Engine.now t.engine) ~category:trace_category fmt
-  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* The quiesce window a migration waits after pausing the source
    worker, for calls already at the source to finish. *)
 let drain_window = Time.us 200
 
-let create ?trace engine ~router ~placement ~transfer devices =
+let create ?(trace = Trace.create ()) engine ~router ~placement ~transfer
+    devices =
   if devices = [] then invalid_arg "Pool.create: no devices";
   let devices =
     Array.of_list
@@ -148,7 +141,6 @@ let create ?trace engine ~router ~placement ~transfer devices =
              dev_phys = phys;
              dev_server = server;
              dev_healthy = true;
-             dev_resident = [];
              dev_evac_in = 0;
              dev_evac_out = 0;
            })
@@ -185,12 +177,6 @@ let rebalances t = t.rebalances
 let retires t = t.retires
 let aborted_migrations t = t.aborted_migrations
 
-let footprint_of t ~vm_id =
-  Option.map (fun i -> i.vi_footprint) (List.assoc_opt vm_id t.vms)
-
-let requires_of t ~vm_id =
-  Option.bind (List.assoc_opt vm_id t.vms) (fun i -> i.vi_requires)
-
 let vm_of t ~vm_id =
   Option.map (fun i -> i.vi_vm) (List.assoc_opt vm_id t.vms)
 
@@ -210,7 +196,15 @@ let gpu t i =
 let capability t i = (device t i).dev_phys.ph_cap
 let server t i = (device t i).dev_server
 let is_healthy t i = (device t i).dev_healthy
-let resident t i = List.sort Stdlib.compare (device t i).dev_resident
+
+(* The VMs resident on device [d], in [vms] order. *)
+let residents t (d : 'st device) =
+  List.filter_map
+    (fun (vm_id, info) ->
+      if info.vi_device = d.dev_id then Some vm_id else None)
+    t.vms
+
+let resident t i = List.sort Stdlib.compare (residents t (device t i))
 
 let device_of t ~vm_id =
   match List.assoc_opt vm_id t.vms with
@@ -222,26 +216,18 @@ let find_info t vm_id =
   | Some info -> info
   | None -> invalid_arg (Printf.sprintf "Pool: unknown vm %d" vm_id)
 
+let sum_residents t (d : 'st device) f =
+  List.fold_left
+    (fun acc (_, info) ->
+      if info.vi_device = d.dev_id then acc + f info else acc)
+    0 t.vms
+
 (* Estimated load of a device: the accumulated charged device time of
    its residents (the router's spec-estimate accounting) — the same
    currency WFQ costs are expressed in. *)
-let load t (d : 'st device) =
-  List.fold_left
-    (fun acc vm_id ->
-      match List.assoc_opt vm_id t.vms with
-      | Some info -> acc + Vm.device_time_ns info.vi_vm
-      | None -> acc)
-    0 d.dev_resident
-
+let load t d = sum_residents t d (fun info -> Vm.device_time_ns info.vi_vm)
 let load_of t i = load t (device t i)
-
-let footprint_used t (d : 'st device) =
-  List.fold_left
-    (fun acc vm_id ->
-      match List.assoc_opt vm_id t.vms with
-      | Some info -> acc + info.vi_footprint
-      | None -> acc)
-    0 d.dev_resident
+let footprint_used t d = sum_residents t d (fun info -> info.vi_footprint)
 
 type device_stats = {
   ds_id : int;
@@ -264,7 +250,7 @@ let stats t =
            ds_id = d.dev_id;
            ds_capability = d.dev_phys.ph_cap;
            ds_healthy = d.dev_healthy;
-           ds_resident = List.sort Stdlib.compare d.dev_resident;
+           ds_resident = resident t d.dev_id;
            ds_load_ns = load t d;
            ds_busy_ns = d.dev_phys.ph_busy_ns ();
            ds_kernels = d.dev_phys.ph_kernels ();
@@ -341,9 +327,8 @@ let choose ?requires t ~footprint =
 let add_resident t info =
   let vm_id = Vm.id info.vi_vm in
   t.vms <- (vm_id, info) :: t.vms;
-  let d = t.devices.(info.vi_device) in
-  d.dev_resident <- vm_id :: d.dev_resident;
-  record_trace t "vm%d placed on dev%d (%s%s, footprint=%dB)" vm_id d.dev_id
+  Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+    "vm%d placed on dev%d (%s%s, footprint=%dB)" vm_id info.vi_device
     (placement_to_string t.placement)
     (match info.vi_requires with
     | Some c -> ", requires " ^ capability_to_string c
@@ -389,11 +374,13 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
    Claim the VM (first mover wins; while claimed, the skew monitor,
    evacuation and retirement keep their hands off), pause the source
    worker, drain, pick the destination device, attach, replay and
-   restore through [transfer]; then, in one synchronous step, seed the
-   destination cursor, carry the reply log, move the flow, detach the
-   source and settle residency.  A call the source executed but had not
-   answered may execute again at the destination — at-least-once, the
-   same contract as the restart/requeue path.
+   restore through [transfer] (which also hands the record log to the
+   destination entry); then, in one synchronous step, seed the
+   destination cursor and carry the reply log ([Server.hand_over]),
+   move the flow, detach the source and settle residency.  A call the
+   source executed but had not answered may execute again at the
+   destination — at-least-once, the same contract as the
+   restart/requeue path.
 
    Ordering rules, each once a campaign-found bug:
    - The cursor is seeded after the transfer, with no suspension point
@@ -408,26 +395,30 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
      context and silo.  Detach it always: a paused-forever source entry
      keeps its content store, and a later move back would NAK digests
      the guest believes resident — a resend loop no retry heals.
-   - A caller's per-host tables (the cluster's recorders and IOMMUs)
-     move right after this returns, without suspending, so requeued
-     in-flight calls cannot execute unrecorded. *)
+   - The record log moves inside [transfer], before the flow does, so
+     requeued in-flight calls record at the destination.  Only a
+     caller's per-host table (the cluster's IOMMU table) still moves
+     after this returns, without suspending. *)
 let handoff t info ~into ~pick =
   let vm_id = Vm.id info.vi_vm in
   if info.vi_migrating then begin
-    record_trace t "vm%d already migrating; request ignored" vm_id;
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+      "vm%d already migrating; request ignored" vm_id;
     None
   end
   else begin
     let src = t.devices.(info.vi_device) in
     info.vi_migrating <- true;
-    record_trace t "vm%d leaving dev%d: pause and drain" vm_id src.dev_id;
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+      "vm%d leaving dev%d: pause and drain" vm_id src.dev_id;
     Server.pause_vm src.dev_server ~vm_id;
     Engine.delay drain_window;
     (* The drain is a suspension point: a VM retired meanwhile has no
        residency, server entry or router flow left to move. *)
     if not (List.mem_assoc vm_id t.vms) then begin
       t.aborted_migrations <- t.aborted_migrations + 1;
-      record_trace t "vm%d retired during drain; migration aborted" vm_id;
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+        "vm%d retired during drain; migration aborted" vm_id;
       None
     end
     else
@@ -435,7 +426,8 @@ let handoff t info ~into ~pick =
       | None ->
           Server.resume_vm src.dev_server ~vm_id;
           info.vi_migrating <- false;
-          record_trace t "vm%d stays on dev%d: no compatible healthy device"
+          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+            "vm%d stays on dev%d: no compatible healthy device"
             vm_id src.dev_id;
           None
       | Some dest ->
@@ -449,21 +441,18 @@ let handoff t info ~into ~pick =
           ignore (Server.attach_vm dst.dev_server ~vm_id ~ep:server_end);
           let bytes = t.transfer ~vm_id ~src ~dst in
           let seq = Router.next_seq t.router ~vm_id in
-          Server.set_expected dst.dev_server ~vm_id ~seq;
-          Server.import_replies dst.dev_server ~vm_id
-            (Server.export_replies src.dev_server ~vm_id);
+          Server.hand_over src.dev_server ~into:dst.dev_server ~vm_id ~seq;
           Router.transfer_flow t.router ~dst:into.router ~vm_id ~backend:dest
             ~server_side:router_end;
           Server.detach_vm src.dev_server ~vm_id;
-          src.dev_resident <- List.filter (fun v -> v <> vm_id) src.dev_resident;
           if local then begin
-            dst.dev_resident <- vm_id :: dst.dev_resident;
             info.vi_device <- dest;
             info.vi_migrating <- false;
             t.migrations <- t.migrations + 1
           end
           else t.vms <- List.remove_assoc vm_id t.vms;
-          record_trace t "vm%d now on %sdev%d (expected seq %d, %dB moved)"
+          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+            "vm%d now on %sdev%d (expected seq %d, %dB moved)"
             vm_id
             (if local then "" else "another pool's ")
             dest seq bytes;
@@ -479,14 +468,16 @@ let migrate_vm t ~vm_id ~dest =
   else if not (compatible info.vi_requires d) then begin
     (* Record/replay only reconstructs a silo on a same-type device; a
        capability-pinned VM refuses the move rather than wedging. *)
-    record_trace t "vm%d migration to dev%d refused: requires %s" vm_id dest
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+      "vm%d migration to dev%d refused: requires %s" vm_id dest
       (match info.vi_requires with
       | Some c -> capability_to_string c
       | None -> "-");
     0
   end
   else if not d.dev_healthy then begin
-    record_trace t "vm%d migration to dev%d refused: device lost" vm_id dest;
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+      "vm%d migration to dev%d refused: device lost" vm_id dest;
     0
   end
   else
@@ -504,7 +495,7 @@ let emigrate t ~vm_id ~into =
 (* {1 Retirement} *)
 
 (* Retire a VM from the pool: detach its server entry (terminating the
-   worker), drop residency on every device, and clear any circuit
+   worker), drop its residency, and clear any circuit
    breaker so a future tenant reusing the id starts clean.
 
    Idempotent and validated rather than raising: admit/retire churn in a
@@ -518,19 +509,20 @@ let retire_vm t ~vm_id =
   match List.assoc_opt vm_id t.vms with
   | None -> false
   | Some info when info.vi_migrating ->
-      record_trace t "vm%d retire refused: migration in flight" vm_id;
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+        "vm%d retire refused: migration in flight" vm_id;
       false
   | Some _ ->
       Array.iter
         (fun d ->
           if Option.is_some (Server.vm_ctx d.dev_server ~vm_id) then
-            Server.detach_vm d.dev_server ~vm_id;
-          d.dev_resident <- List.filter (fun v -> v <> vm_id) d.dev_resident)
+            Server.detach_vm d.dev_server ~vm_id)
         t.devices;
       t.vms <- List.remove_assoc vm_id t.vms;
       Router.clear_breaker t.router ~vm_id;
       t.retires <- t.retires + 1;
-      record_trace t "vm%d retired" vm_id;
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+        "vm%d retired" vm_id;
       true
 
 (* {1 Device loss and evacuation} *)
@@ -548,10 +540,11 @@ let kill_device t ~device:dev_id =
     let blamed = dev.dev_phys.ph_wedged_by () in
     dev.dev_phys.ph_kill ();
     dev.dev_healthy <- false;
-    record_trace t "dev%d lost (%d resident, blamed=%s)" dev_id
-      (List.length dev.dev_resident)
+    let victims = resident t dev_id in
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+      "dev%d lost (%d resident, blamed=%s)" dev_id
+      (List.length victims)
       (match blamed with Some v -> string_of_int v | None -> "-");
-    let victims = List.sort Stdlib.compare dev.dev_resident in
     List.iter
       (fun vm_id ->
         (* Each evacuation migration drains (a suspension point), so a
@@ -564,7 +557,8 @@ let kill_device t ~device:dev_id =
                     ~footprint:info.vi_footprint
             with
             | None ->
-                record_trace t "vm%d stranded: no compatible healthy device"
+                Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+                  "vm%d stranded: no compatible healthy device"
                   vm_id
             | Some dest ->
                 ignore (migrate_vm t ~vm_id ~dest);
@@ -606,7 +600,7 @@ let rebalance_now ?(skew = default_rebalance.rb_skew) t =
     if
       total = 0
       || float_of_int hot_load <= skew *. float_of_int avg
-      || List.length hot.dev_resident < 2
+      || List.length (residents t hot) < 2
       || hot.dev_id = cold.dev_id
     then false
     else begin
@@ -614,30 +608,31 @@ let rebalance_now ?(skew = default_rebalance.rb_skew) t =
       let target = (hot_load - cold_load) / 2 in
       let victim =
         List.fold_left
-          (fun acc vm_id ->
-            match List.assoc_opt vm_id t.vms with
-            | None -> acc
+          (fun acc (vm_id, info) ->
             (* A capability-pinned resident can only move to a same-type
                device; skip it when the cold device doesn't match. *)
-            | Some info when not (compatible info.vi_requires cold) -> acc
-            | Some info ->
-                let w = Vm.device_time_ns info.vi_vm in
-                if w = 0 then acc
-                else
-                  let fit = abs (w - target) in
-                  let better =
-                    match acc with
-                    | None -> true
-                    | Some (bvm, bfit) ->
-                        fit < bfit || (fit = bfit && vm_id < bvm)
-                  in
-                  if better then Some (vm_id, fit) else acc)
-          None hot.dev_resident
+            if
+              info.vi_device <> hot.dev_id
+              || not (compatible info.vi_requires cold)
+            then acc
+            else
+              let w = Vm.device_time_ns info.vi_vm in
+              if w = 0 then acc
+              else
+                let fit = abs (w - target) in
+                let better =
+                  match acc with
+                  | None -> true
+                  | Some (bvm, bfit) ->
+                      fit < bfit || (fit = bfit && vm_id < bvm)
+                in
+                if better then Some (vm_id, fit) else acc)
+          None t.vms
       in
       match victim with
       | None -> false
       | Some (vm_id, _) ->
-          record_trace t
+          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
             "rebalance: dev%d load=%d avg=%d -> moving vm%d to dev%d" hot.dev_id
             hot_load avg vm_id cold.dev_id;
           ignore (migrate_vm t ~vm_id ~dest:cold.dev_id);

@@ -67,7 +67,6 @@ type 'st device = {
   dev_phys : phys;
   dev_server : 'st Server.t;
   mutable dev_healthy : bool;
-  mutable dev_resident : int list;  (** vm ids, unordered *)
   mutable dev_evac_in : int;
   mutable dev_evac_out : int;
 }
@@ -86,9 +85,11 @@ val create :
     ownership of [devices] in order (device ids are list positions) and
     registers a router dispatch lane per device beyond lane 0.
     [transfer] performs the API-specific silo copy for a VM already
-    attached to both devices' servers, returning the bytes moved; [dst]
-    may belong to another pool (a cross-host move).  Wrap GPUs with
-    {!phys_of_gpu}. *)
+    attached to both devices' servers, handing its record log to the
+    destination entry ({!Server.hand_over_log}) and returning the bytes
+    moved; [dst] may belong to another pool (a cross-host move).  Wrap
+    GPUs with {!phys_of_gpu}.  Placement and migration events go to
+    [trace] under ["pool"] (default: a disabled trace). *)
 
 val drain_window : Time.t
 (** The quiesce window a migration waits after pausing the source
@@ -109,7 +110,9 @@ val server : 'st t -> int -> 'st Server.t
 val is_healthy : 'st t -> int -> bool
 
 val resident : 'st t -> int -> int list
-(** VM ids resident on the device, sorted. *)
+(** VM ids resident on the device, sorted.  The pool's VM table is the
+    only residency record; this and every load read-out derive from
+    it. *)
 
 val device_of : 'st t -> vm_id:int -> int option
 (** The device currently hosting the VM. *)
@@ -130,13 +133,6 @@ val retires : 'st t -> int
 val aborted_migrations : 'st t -> int
 (** Migrations abandoned because their VM retired during the drain
     window. *)
-
-val footprint_of : 'st t -> vm_id:int -> int option
-(** The VM's declared device-memory footprint. *)
-
-val requires_of : 'st t -> vm_id:int -> capability option
-(** The VM's capability requirement; [None] when portable (or
-    unknown). *)
 
 val vm_of : 'st t -> vm_id:int -> Vm.t option
 (** The VM object behind a resident vm id. *)

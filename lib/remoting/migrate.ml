@@ -70,7 +70,7 @@ let primary_handle (plan : Plan.call_plan) (args : Wire.value list) =
 (* The replay log must hold self-contained payloads: replay runs against
    a fresh destination silo whose content store is empty, so a recorded
    transfer-cache value would be unresolvable there.  The server resolves
-   cache values before the record hook fires, making this a no-op on the
+   cache values before it records a call, making this a no-op on the
    normal path; it guards direct-execution callers. *)
 let rec sanitize_value = function
   | Wire.Blob_cached { bc_data; _ } -> Wire.Blob bc_data

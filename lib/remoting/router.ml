@@ -17,8 +17,6 @@ module Obs = Ava_obs.Obs
 open Ava_sim
 open Ava_hv
 
-let trace_category = "router"
-
 (* One message forwarded to the server whose replies are still owed;
    requeued wholesale if the server restarts (already-executed seqs are
    deduplicated there). *)
@@ -56,8 +54,9 @@ type vm_conn = {
       (** seqs observed at ingress beyond [contig_seq] (out-of-order
           arrivals), absorbed into it as the gaps fill *)
   mutable pending_seqs : int list;  (** seqs queued in the WFQ, unordered *)
-  mutable policing_seqs : int list;
-      (** seqs past [mark_in] but still inside admission/policing —
+  mutable policing_seq : int option;
+      (** the seq past [mark_in] but still inside admission/policing
+          (ingress is one sequential process, so at most one) —
           the ingress process can stall there for whole quota windows
           ([Policy.Quota.charge] sleeps until a window with room), and
           during the stall the call is in no other ledger: [mark_in]
@@ -112,7 +111,7 @@ and t = {
       (** calls rejected at admission by an open breaker *)
   mutable resteered : int;  (** VMs live-moved between backends *)
   mutable paced_ns : Time.t;
-  trace : Trace.t option;
+  trace : Trace.t;
   obs : Obs.t option;
 }
 
@@ -124,7 +123,7 @@ let pacing_ns_of_cost cost =
 
 let make_backend id = { bs_id = id; bs_wfq = Policy.Wfq.create (); bs_started = false }
 
-let create ?trace ?obs engine ~virt ~plan =
+let create ?(trace = Trace.create ()) ?obs engine ~virt ~plan =
   {
     engine;
     virt;
@@ -150,19 +149,6 @@ let add_backend t ~id =
   if List.mem_assoc id t.backends then
     invalid_arg (Printf.sprintf "Router.add_backend: backend %d exists" id);
   t.backends <- t.backends @ [ (id, make_backend id) ]
-
-let record_trace_cat t category fmt =
-  match t.trace with
-  | Some tr when Trace.is_enabled tr ->
-      Trace.record tr ~at:(Engine.now t.engine) ~category fmt
-  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let record_trace t fmt = record_trace_cat t trace_category fmt
-
-(* Hot-path sites test this first: a disabled [record_trace] still
-   builds its format closures. *)
-let tracing t =
-  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
 
 let forwarded t = t.forwarded
 let rejected t = t.rejected
@@ -289,7 +275,8 @@ let spawn_egress t conn ep =
                   let was = Policy.Breaker.state b in
                   Policy.Breaker.record_failure b;
                   if Policy.Breaker.state b = Policy.Breaker.Open then
-                    record_trace_cat t "breaker"
+                    Trace.record t.trace
+                      ~at:(Engine.now t.engine) ~category:"breaker"
                       "vm%d breaker %s status=%d" (Vm.id vm)
                       (match was with
                       | Policy.Breaker.Open -> "open"
@@ -324,7 +311,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       contig_seq = -1;
       seen_ahead = Hashtbl.create 16;
       pending_seqs = [];
-      policing_seqs = [];
+      policing_seq = None;
       skipped_seqs = [];
       rejected_status = Hashtbl.create 16;
       bucket =
@@ -394,8 +381,10 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               None
           | Ok plan ->
               Vm.charge_call vm;
-              if tracing t then
-                record_trace t "vm%d %s seq=%d" (Vm.id vm)
+              if Trace.is_enabled t.trace then
+                Trace.record t.trace
+                  ~at:(Engine.now t.engine) ~category:"router"
+                  "vm%d %s seq=%d" (Vm.id vm)
                   c.Message.call_fn c.Message.call_seq;
               let env =
                 Plan.scalar_env plan ~to_int:Wire.to_int c.Message.call_args
@@ -420,15 +409,18 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
                  guest's copy of the rejection was lost): replay the
                  same verdict.  Forwarding instead would contradict the
                  Skip the backend consumed for this seq. *)
-              record_trace_cat t "breaker" "vm%d reject replay seq=%d"
-                (Vm.id vm) c.Message.call_seq;
+              Trace.record t.trace ~at:(Engine.now t.engine) ~category:"breaker"
+                "vm%d reject replay seq=%d" (Vm.id vm)
+                c.Message.call_seq;
               reject_call conn c status;
               None
           | None -> (
               match conn.breaker with
               | Some b when not (Policy.Breaker.admit b) ->
                   t.quarantined <- t.quarantined + 1;
-                  record_trace_cat t "breaker" "vm%d quarantined %s seq=%d"
+                  Trace.record t.trace
+                    ~at:(Engine.now t.engine) ~category:"breaker"
+                    "vm%d quarantined %s seq=%d"
                     (Vm.id vm) c.Message.call_fn c.Message.call_seq;
                   reject_call conn c Server.status_vm_quarantined;
                   None
@@ -438,21 +430,11 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
           match admitted c with None -> None | Some c -> police c
         in
         (* Policing can stall (quota window, token bucket); keep the
-           seq visible to [next_seq] for the whole stall.  Ingress is
-           one sequential process, so removing one occurrence is
-           exact even across retransmits of the same seq. *)
-        let remove_one x =
-          let rec go = function
-            | [] -> []
-            | y :: rest -> if y = x then rest else y :: go rest
-          in
-          go
-        in
+           seq visible to [next_seq] for the whole stall. *)
         let admit_and_police c =
-          let seq = c.Message.call_seq in
-          conn.policing_seqs <- seq :: conn.policing_seqs;
+          conn.policing_seq <- Some c.Message.call_seq;
           let verdict = admit_and_police c in
-          conn.policing_seqs <- remove_one seq conn.policing_seqs;
+          conn.policing_seq <- None;
           verdict
         in
         (* Policing reads headers and scalars only ([Message.peek]); the
@@ -594,18 +576,14 @@ let clear_breaker t ~vm_id =
       match conn.breaker with
       | Some b ->
           Policy.Breaker.reset b;
-          record_trace_cat t "breaker" "vm%d breaker cleared" vm_id
+          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"breaker"
+            "vm%d breaker cleared" vm_id
       | None -> ())
 
 let breaker_trips t ~vm_id =
   match find_conn t vm_id with
   | Some { breaker = Some b; _ } -> Policy.Breaker.trips b
   | _ -> 0
-
-let fault_replies t ~vm_id =
-  match find_conn t vm_id with
-  | Some conn -> conn.fault_replies
-  | None -> 0
 
 let paced_ns t = t.paced_ns
 
@@ -620,7 +598,8 @@ let requeue_conn t conn ~vm_id =
   List.iter
     (fun m ->
       t.requeued <- t.requeued + 1;
-      record_trace t "vm%d requeue %d seqs" vm_id (List.length m.if_seqs);
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"router"
+        "vm%d requeue %d seqs" vm_id (List.length m.if_seqs);
       conn.pending_seqs <- m.if_seqs @ conn.pending_seqs;
       Policy.Wfq.push wfq ~flow_id:vm_id ~cost:m.if_cost
         (conn, m.if_cost, m.if_data, m.if_seqs))
@@ -647,11 +626,6 @@ let in_flight_seqs t ~vm_id =
 
 (* {1 Multi-backend steering (device pool)} *)
 
-let backend_of t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.backend_of: unknown vm"
-  | Some conn -> conn.rc_backend
-
 (* The first live seq a new backend will observe for this VM: the
    smallest seq still queued or in flight, else one past the contiguous
    ingress high-water mark (which also covers seqs the guest sent that
@@ -663,7 +637,7 @@ let next_seq t ~vm_id =
   | None -> invalid_arg "Router.next_seq: unknown vm"
   | Some conn ->
       let outstanding =
-        conn.policing_seqs @ conn.pending_seqs
+        Option.to_list conn.policing_seq @ conn.pending_seqs
         @ List.concat_map (fun m -> m.if_seqs) conn.in_flight
       in
       List.fold_left Stdlib.min (conn.contig_seq + 1) outstanding
@@ -720,7 +694,8 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
       start_dispatcher dst dst_b;
       spawn_egress dst conn server_side;
       dst.resteered <- dst.resteered + 1;
-      record_trace t "vm%d flow lane %d -> %slane %d (%d queued, %d requeued)"
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"router"
+        "vm%d flow lane %d -> %slane %d (%d queued, %d requeued)"
         vm_id src_b.bs_id
         (if t == dst then "" else "another router's ")
         dst_b.bs_id (List.length queued) requeued

@@ -28,7 +28,8 @@ val create :
   plan:Plan.t ->
   t
 (** With [trace] (enabled), every verified call is recorded under the
-    ["router"] category.  With [obs], the router stamps ingress and
+    ["router"] category; without it the router keeps a disabled trace
+    of its own.  With [obs], the router stamps ingress and
     WFQ-dispatch marks on each call's span (passive; no timing
     impact). *)
 
@@ -92,6 +93,7 @@ type breaker_info = {
   bi_trips : int;
   bi_rejections : int;
   bi_fault_replies : int;
+      (** fault-status replies (device-lost etc.) seen flowing back *)
 }
 
 val set_breaker : t -> vm_id:int -> Policy.Breaker.config -> unit
@@ -105,9 +107,6 @@ val clear_breaker : t -> vm_id:int -> unit
     breaker is armed). *)
 
 val breaker_trips : t -> vm_id:int -> int
-val fault_replies : t -> vm_id:int -> int
-(** Fault-status replies (device-lost etc.) observed flowing back to
-    this VM. *)
 
 (** {1 Recovery (fault model)} *)
 
@@ -137,15 +136,12 @@ val add_backend : t -> id:int -> unit
 (** Register a new dispatch lane.  Raises [Invalid_argument] if [id]
     already exists. *)
 
-val backend_of : t -> vm_id:int -> int
-(** The backend currently steering the VM. *)
-
 val next_seq : t -> vm_id:int -> int
 (** The first live seq a new backend would observe for this VM: the
     smallest seq still queued or in flight, else one past the highest
     seq seen at ingress.  Migration calls this (source worker paused)
     to seed the destination's in-order cursor via
-    {!Server.set_expected}. *)
+    {!Server.hand_over}. *)
 
 val transfer_flow :
   t ->

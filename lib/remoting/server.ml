@@ -197,6 +197,12 @@ type 'st vm_entry = {
   ve_replay : (int, Message.reply) Hashtbl.t;  (** seq -> sent reply *)
   ve_replay_order : int Queue.t;  (** eviction order for [ve_replay] *)
   ve_store : Store.t;  (** per-VM content store (transfer cache) *)
+  mutable ve_log : Migrate.t option;
+      (** the migration record log: armed iff the server fronts a pool
+          device; handed to the destination entry by {!hand_over_log} *)
+  mutable ve_sva : (Iommu.t * Dma.t) option;
+      (** SVA pairing: the IOMMU resolving mapped-buffer refs and the
+          device DMA engine charged for the SG descriptor walk *)
 }
 
 (* TDR watchdog configuration: a dispatched call whose handler has not
@@ -230,15 +236,11 @@ type 'st t = {
   mutable restarts : int;
   mutable lost_while_down : int;
   mutable on_call : (vm_id:int -> status:int -> Message.call -> unit) option;
-  exec_overhead_ns : Time.t;
-  trace : Trace.t option;
+  trace : Trace.t;
   obs : Obs.t option;
   device_id : int;  (** pool device this server fronts; -1 = unpooled *)
   cache_capacity : int;  (** per-VM content-store bound; 0 = cache off *)
   mutable naks_sent : int;  (** cache-miss NAK messages sent *)
-  sva : (int, Iommu.t * Dma.t) Hashtbl.t;
-      (** per-VM SVA plumbing: the IOMMU resolving mapped-buffer refs
-          and the device DMA engine charged for the SG descriptor walk *)
   mutable sva_resolutions : int;  (** calls that resolved ≥1 mapped ref *)
   mutable sva_resolved_bytes : int;
   mutable sva_rejected : int;  (** calls failed on a bad mapped ref *)
@@ -276,8 +278,11 @@ exception Unknown_handle
 exception Bad_args
 exception Device_lost
 
-let create ?(exec_overhead_ns = Time.ns 800) ?(cache_capacity = 0) ?tdr
-    ?trace ?obs ?(device_id = -1) engine ~plan ~make_state =
+(* Fixed front-end cost of dispatching one call. *)
+let exec_overhead_ns = Time.ns 800
+
+let create ?(cache_capacity = 0) ?tdr ?(trace = Trace.create ()) ?obs
+    ?(device_id = -1) engine ~plan ~make_state =
   {
     engine;
     plan;
@@ -290,13 +295,11 @@ let create ?(exec_overhead_ns = Time.ns 800) ?(cache_capacity = 0) ?tdr
     restarts = 0;
     lost_while_down = 0;
     on_call = None;
-    exec_overhead_ns;
     trace;
     obs;
     device_id;
     cache_capacity = Stdlib.max 0 cache_capacity;
     naks_sent = 0;
-    sva = Hashtbl.create 8;
     sva_resolutions = 0;
     sva_resolved_bytes = 0;
     sva_rejected = 0;
@@ -305,19 +308,6 @@ let create ?(exec_overhead_ns = Time.ns 800) ?(cache_capacity = 0) ?tdr
     device_lost = 0;
     unexpected_exns = 0;
   }
-
-let record_trace_cat t category fmt =
-  match t.trace with
-  | Some tr when Trace.is_enabled tr ->
-      Trace.record tr ~at:(Engine.now t.engine) ~category fmt
-  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let record_trace t fmt = record_trace_cat t "server" fmt
-
-(* Hot-path sites test this first: a disabled [record_trace] still
-   builds its format closures. *)
-let tracing t =
-  match t.trace with Some tr -> Trace.is_enabled tr | None -> false
 
 let register t name handler = Hashtbl.replace t.handlers name handler
 
@@ -339,6 +329,11 @@ let unexpected_exns t = t.unexpected_exns
 let device_id t = t.device_id
 
 let find_vm t vm_id = List.assoc_opt vm_id t.vm_entries
+
+let entry_exn t fn vm_id =
+  match find_vm t vm_id with
+  | Some e -> e
+  | None -> invalid_arg ("Server." ^ fn ^ ": unknown vm")
 
 let stats_of_store (s : Store.t) =
   {
@@ -381,16 +376,16 @@ let cache_totals t =
 (* Empty a VM's content store (migration: the destination silo starts
    with no resident payloads; the guest's stale refs heal via NAK). *)
 let flush_cache t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.flush_cache: unknown vm"
-  | Some e -> Store.clear e.ve_store
+  Store.clear (entry_exn t "flush_cache" vm_id).ve_store
 
 (* Arm SVA resolution for a VM: mapped-buffer refs in its calls resolve
    through [iommu], and the SG descriptor walk is charged to [dma] (the
    device this server fronts). *)
-let set_sva t ~vm_id ~iommu ~dma = Hashtbl.replace t.sva vm_id (iommu, dma)
-let clear_sva t ~vm_id = Hashtbl.remove t.sva vm_id
-let sva_for t ~vm_id = Hashtbl.find_opt t.sva vm_id
+let set_sva t ~vm_id ~iommu ~dma =
+  (entry_exn t "set_sva" vm_id).ve_sva <- Some (iommu, dma)
+
+let clear_sva t ~vm_id = (entry_exn t "clear_sva" vm_id).ve_sva <- None
+let sva_for t ~vm_id = Option.bind (find_vm t vm_id) (fun e -> e.ve_sva)
 
 (* Map a handler exception to a reply status.  The known protocol
    exceptions are guest-attributable; anything else is a server-side bug
@@ -409,7 +404,8 @@ let classify_exn t entry (c : Message.call) = function
   | e ->
       t.unexpected_exns <- t.unexpected_exns + 1;
       t.rejected <- t.rejected + 1;
-      record_trace t "vm%d %s seq=%d UNEXPECTED exception %s"
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+        "vm%d %s seq=%d UNEXPECTED exception %s"
         entry.ve_ctx.Ctx.ctx_vm c.Message.call_fn c.Message.call_seq
         (Printexc.to_string e);
       (status_bad_arguments, Wire.Unit, [])
@@ -459,7 +455,8 @@ let run_handler t entry handler (c : Message.call) =
             let self = entry.ve_ctx.Ctx.ctx_vm in
             let reset verdict =
               t.tdr_resets <- t.tdr_resets + 1;
-              record_trace_cat t "tdr" "vm%d %s seq=%d watchdog reset (%s)"
+              Trace.record t.trace ~at:(Engine.now t.engine) ~category:"tdr"
+                "vm%d %s seq=%d watchdog reset (%s)"
                 self c.Message.call_fn c.Message.call_seq verdict;
               tdr.tdr_reset ~vm_id:self
             in
@@ -502,7 +499,7 @@ let obs_mark t entry (c : Message.call) m =
 
 (* Run one call against a VM's state; no reply is sent. *)
 let execute_call t entry (c : Message.call) =
-  Engine.delay t.exec_overhead_ns;
+  Engine.delay exec_overhead_ns;
   (match t.obs with
   | Some o when t.device_id >= 0 ->
       Obs.set_device o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq
@@ -517,8 +514,9 @@ let execute_call t entry (c : Message.call) =
     | Some handler -> run_handler t entry handler c
   in
   obs_mark t entry c Obs.M_exec_end;
-  if tracing t then
-    record_trace t "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
+  if Trace.is_enabled t.trace then
+    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+      "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
       c.Message.call_fn c.Message.call_seq status;
   (match t.on_call with
   | Some hook -> hook ~vm_id:entry.ve_ctx.Ctx.ctx_vm ~status c
@@ -533,8 +531,26 @@ let cache_reply entry seq reply =
   if Queue.length entry.ve_replay_order > replay_cache_cap then
     Hashtbl.remove entry.ve_replay (Queue.pop entry.ve_replay_order)
 
+(* Record a successful live call in the VM's migration log, with the
+   virtual id an allocating call minted (which argument inspection
+   cannot recover).  Replay ({!execute_direct}) never records. *)
+let record_call t entry (c : Message.call) =
+  match entry.ve_log with
+  | None -> ()
+  | Some log -> (
+      match Plan.find t.plan c.Message.call_fn with
+      | None -> ()
+      | Some plan ->
+          let allocated =
+            match plan.Plan.cp_record with
+            | Ava_spec.Ast.Object_alloc -> Some (Ctx.last_fresh entry.ve_ctx)
+            | _ -> None
+          in
+          Migrate.observe ?allocated log plan c)
+
 let run_call t entry (c : Message.call) =
   let status, ret, outs = execute_call t entry c in
+  if status = status_ok then record_call t entry c;
   let reply =
     {
       Message.reply_seq = c.Message.call_seq;
@@ -556,7 +572,7 @@ let rec has_cache_values = function
       false
 
 (* Rewrite cache values back to plain [Blob]s before dispatch, so
-   handlers, the reply log and the migration recorder only ever see
+   handlers, the reply log and the migration record log only ever see
    resolved payloads.  [Blob_cached] verifies its digest before entering
    the store — a corrupt or forged announce must never poison it (the
    payload itself is still used verbatim: content addressing only
@@ -603,7 +619,7 @@ let rec has_mapped_refs = function
       false
 
 (* Rewrite mapped-buffer refs back to plain [Blob]s through the VM's
-   IOMMU, so handlers, the reply log and the migration recorder only
+   IOMMU, so handlers, the reply log and the migration record log only
    ever see resolved payloads (same invariant as the transfer cache).
    One scatter-gather descriptor chain covers every ref in the call:
    descriptor setup plus the per-page IOTLB walk are charged here, but
@@ -612,7 +628,7 @@ let rec has_mapped_refs = function
 let resolve_sva t entry args =
   if not (List.exists has_mapped_refs args) then Ok args
   else
-    match Hashtbl.find_opt t.sva entry.ve_ctx.Ctx.ctx_vm with
+    match entry.ve_sva with
     | None -> Error "mapped ref from a VM with no SVA context"
     | Some (iommu, dma) -> (
         let segs = ref [] and failure = ref None in
@@ -660,7 +676,8 @@ let try_run t entry (c : Message.call) =
       | Error msg ->
           t.sva_rejected <- t.sva_rejected + 1;
           t.rejected <- t.rejected + 1;
-          record_trace_cat t "sva" "vm%d seq=%d bad mapped ref: %s"
+          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"sva"
+            "vm%d seq=%d bad mapped ref: %s"
             entry.ve_ctx.Ctx.ctx_vm c.Message.call_seq msg;
           entry.ve_expected <- c.Message.call_seq + 1;
           let reply =
@@ -676,7 +693,8 @@ let try_run t entry (c : Message.call) =
           true)
   | Error missing ->
       t.naks_sent <- t.naks_sent + 1;
-      record_trace_cat t "cache" "vm%d nak seq=%d missing=%d"
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"cache"
+        "vm%d nak seq=%d missing=%d"
         entry.ve_ctx.Ctx.ctx_vm c.Message.call_seq (List.length missing);
       Transport.send entry.ve_ep
         (Message.encode
@@ -717,7 +735,8 @@ let handle_call t entry (c : Message.call) =
     match Hashtbl.find_opt entry.ve_replay seq with
     | Some r ->
         t.replayed <- t.replayed + 1;
-        record_trace t "vm%d replay seq=%d" entry.ve_ctx.Ctx.ctx_vm seq;
+        Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+          "vm%d replay seq=%d" entry.ve_ctx.Ctx.ctx_vm seq;
         Transport.send entry.ve_ep (Message.encode (Message.Reply r))
     | None ->
         (* A router-skipped seq (the guest already holds its rejection
@@ -735,25 +754,24 @@ let handle_skip t entry seqs =
     seqs;
   advance t entry
 
-(* Detach a VM: drop its entry and tell its worker to exit at the next
-   wakeup.  Migration away from this server must detach, or a later
-   migration *back* would leave two workers racing for the same VM's
-   messages (and [find_vm] finding a stale silo). *)
+(* Detach a VM: drop its entry — context, silo, reply log, content
+   store, record log and SVA pairing — and tell its worker to exit at
+   the next wakeup.  Migration away from this server must detach, or a
+   later migration *back* would leave two workers racing for the same
+   VM's messages (and [find_vm] finding a stale silo). *)
 let detach_vm t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.detach_vm: unknown vm"
-  | Some e ->
-      e.ve_detached <- true;
-      (* Unblock a worker parked in the paused-state await so it can
-         observe the detach flag and exit. *)
-      (match e.ve_resume with
-      | Some resume ->
-          e.ve_resume <- None;
-          resume ()
-      | None -> ());
-      t.vm_entries <- List.remove_assoc vm_id t.vm_entries;
-      Hashtbl.remove t.sva vm_id;
-      record_trace t "vm%d detached" vm_id
+  let e = entry_exn t "detach_vm" vm_id in
+  e.ve_detached <- true;
+  (* Unblock a worker parked in the paused-state await so it can
+     observe the detach flag and exit. *)
+  (match e.ve_resume with
+  | Some resume ->
+      e.ve_resume <- None;
+      resume ()
+  | None -> ());
+  t.vm_entries <- List.remove_assoc vm_id t.vm_entries;
+  Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+    "vm%d detached" vm_id
 
 (* Attach a VM: spawn its worker process draining its endpoint.  A
    leftover entry for the same VM (a previous residency the pool never
@@ -775,6 +793,8 @@ let attach_vm t ~vm_id ~ep =
       ve_replay = Hashtbl.create 64;
       ve_replay_order = Queue.create ();
       ve_store = Store.create ~capacity:t.cache_capacity;
+      ve_log = (if t.device_id >= 0 then Some (Migrate.create ()) else None);
+      ve_sva = None;
     }
   in
   t.vm_entries <- (vm_id, entry) :: t.vm_entries;
@@ -826,7 +846,8 @@ let crash t ~vm_id =
   | None -> invalid_arg "Server.crash: unknown vm"
   | Some e ->
       e.ve_crashed <- true;
-      record_trace t "vm%d server crash" vm_id
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+        "vm%d server crash" vm_id
 
 let restart t ~vm_id =
   match find_vm t vm_id with
@@ -838,7 +859,8 @@ let restart t ~vm_id =
         (* The content store is front-end process memory: a restart loses
            it.  Stale refs from the guest then miss and NAK. *)
         Store.clear e.ve_store;
-        record_trace t "vm%d server restart" vm_id
+        Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
+          "vm%d server restart" vm_id
       end
 
 let is_crashed t ~vm_id =
@@ -846,55 +868,55 @@ let is_crashed t ~vm_id =
   | None -> invalid_arg "Server.is_crashed: unknown vm"
   | Some e -> e.ve_crashed
 
-(* Fast-forward the in-order cursor after a migration: replayed log
-   entries run with seq 0 (outside the live window), so the destination
-   entry must be told where the guest's live seq stream resumes or every
-   steered call would park as a future seq. *)
-let set_expected t ~vm_id ~seq =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.set_expected: unknown vm"
-  | Some e -> e.ve_expected <- seq
-
-(* Snapshot / restore the per-VM reply log across a migration.  The
-   destination's in-order cursor starts past every seq the source
-   already executed, so a retransmission of such a seq arrives as a
-   duplicate — and a duplicate can only be answered from the reply
-   log.  Without carrying the log over, a reply lost on the guest link
-   just before the move becomes unhealable: the destination has
-   nothing to replay and the stub retries to exhaustion. *)
+(* The VM's reply log, seq-sorted. *)
 let export_replies t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.export_replies: unknown vm"
-  | Some e ->
-      List.sort
-        (fun (a, _) (b, _) -> Stdlib.compare a b)
-        (Hashtbl.fold (fun seq reply acc -> (seq, reply) :: acc) e.ve_replay [])
+  List.sort
+    (fun (a, _) (b, _) -> Stdlib.compare a b)
+    (Hashtbl.fold
+       (fun seq reply acc -> (seq, reply) :: acc)
+       (entry_exn t "export_replies" vm_id).ve_replay [])
 
-let import_replies t ~vm_id replies =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.import_replies: unknown vm"
-  | Some e ->
-      List.iter
-        (fun (seq, reply) ->
-          if not (Hashtbl.mem e.ve_replay seq) then cache_reply e seq reply)
-        replies
+let recorder t ~vm_id = Option.bind (find_vm t vm_id) (fun e -> e.ve_log)
+
+(* Move the VM's record log into its entry on [into]: from here on the
+   destination records and the source does not.  Migration calls this
+   once the source snapshot is taken, before replaying the log. *)
+let hand_over_log t ~into ~vm_id =
+  let src = entry_exn t "hand_over_log" vm_id in
+  match src.ve_log with
+  | None -> invalid_arg "Server.hand_over_log: no record log"
+  | Some _ as log ->
+      src.ve_log <- None;
+      (entry_exn into "hand_over_log" vm_id).ve_log <- log
+
+(* The rest of a migration's server-side state: seed the destination's
+   in-order cursor at [seq] and carry the reply log over.  Replayed log
+   entries run with seq 0 (outside the live window), so the destination
+   must be told where the guest's live seq stream resumes or every
+   steered call would park as a future seq.  Its cursor then starts past
+   every seq the source executed, so a retransmission of such a seq is
+   a duplicate only the reply log can answer: without it, a reply lost
+   on the guest link just before the move is unhealable.  Seqs the
+   destination already answered keep their reply. *)
+let hand_over t ~into ~vm_id ~seq =
+  let dst = entry_exn into "hand_over" vm_id in
+  dst.ve_expected <- seq;
+  List.iter
+    (fun (seq, reply) ->
+      if not (Hashtbl.mem dst.ve_replay seq) then cache_reply dst seq reply)
+    (export_replies t ~vm_id)
 
 (* Suspend/resume a VM's worker (used by migration §4.3). *)
-let pause_vm t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.pause_vm: unknown vm"
-  | Some e -> e.ve_paused <- true
+let pause_vm t ~vm_id = (entry_exn t "pause_vm" vm_id).ve_paused <- true
 
 let resume_vm t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.resume_vm: unknown vm"
-  | Some e ->
-      e.ve_paused <- false;
-      (match e.ve_resume with
-      | Some resume ->
-          e.ve_resume <- None;
-          resume ()
-      | None -> ())
+  let e = entry_exn t "resume_vm" vm_id in
+  e.ve_paused <- false;
+  match e.ve_resume with
+  | Some resume ->
+      e.ve_resume <- None;
+      resume ()
+  | None -> ()
 
 let vm_ctx t ~vm_id = Option.map (fun e -> e.ve_ctx) (find_vm t vm_id)
 let vm_state t ~vm_id = Option.map (fun e -> e.ve_state) (find_vm t vm_id)
@@ -909,9 +931,8 @@ let upcall t ~vm_id ~cb ~args =
         (Message.encode
            (Message.Upcall { up_vm = vm_id; up_cb = cb; up_args = args }))
 
-(* Execute a call directly against a VM's state, bypassing transport —
-   used by migration replay.  Must run inside a process. *)
+(* Execute a call directly against a VM's state, bypassing transport and
+   the record log — used by migration replay.  Must run inside a
+   process. *)
 let execute_direct t ~vm_id (c : Message.call) =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.execute_direct: unknown vm"
-  | Some entry -> execute_call t entry c
+  execute_call t (entry_exn t "execute_direct" vm_id) c

@@ -120,7 +120,6 @@ type tdr = {
 }
 
 val create :
-  ?exec_overhead_ns:Time.t ->
   ?cache_capacity:int ->
   ?tdr:tdr ->
   ?trace:Trace.t ->
@@ -136,15 +135,21 @@ val create :
     pre-cache stack).  [tdr] arms the timeout-detection-and-recovery
     watchdog (default off; armed, watchdog resets are traced under
     ["tdr"]).  With [trace] (enabled), every executed call is recorded
-    under the ["server"] category and cache-miss NAKs under ["cache"].
+    under the ["server"] category and cache-miss NAKs under ["cache"];
+    without it the server keeps a disabled trace of its own.
     [device_id] names the pool device this server fronts (default -1:
-    unpooled); when set and [obs] is armed, executed calls stamp their
-    span with the device for per-device attribution. *)
+    unpooled).  A pooled server keeps a migration record log
+    ({!recorder}) in each VM's entry; when [obs] is armed, its executed
+    calls also stamp their span with the device for per-device
+    attribution. *)
 
 val register : 'st t -> string -> 'st handler -> unit
 
 val set_call_hook : 'st t -> (vm_id:int -> status:int -> Message.call -> unit) -> unit
-(** Observe every executed call (the migration recorder's hook). *)
+(** Observe every executed call, migration replay included.  The hook
+    is an observer only: one slot, replaced by the next call, and
+    nothing in the stack depends on it — the record log is kept by the
+    VM's entry ({!recorder}). *)
 
 val executed : 'st t -> int
 val rejected : 'st t -> int
@@ -195,7 +200,10 @@ val flush_cache : 'st t -> vm_id:int -> unit
     descriptor setup and per-page IOTLB walk to the device's DMA engine
     (no bandwidth — the payload streams on the handler's ordinary DMA
     path).  A reference that fails translation consumes the call with
-    {!status_bad_arguments} — never a NAK, which could not heal it. *)
+    {!status_bad_arguments} — never a NAK, which could not heal it.
+    The pairing lives in the VM's entry: {!set_sva} and {!clear_sva}
+    raise [Invalid_argument] for an unattached VM, and {!detach_vm}
+    drops it. *)
 
 val set_sva :
   'st t -> vm_id:int -> iommu:Ava_device.Iommu.t -> dma:Ava_device.Dma.t -> unit
@@ -218,7 +226,8 @@ val attach_vm : 'st t -> vm_id:int -> ep:Transport.endpoint -> 'st vm_entry
     their cached reply without touching the silo. *)
 
 val detach_vm : 'st t -> vm_id:int -> unit
-(** Drop the VM's entry and terminate its worker at the next wakeup.
+(** Drop the VM's entry — with its reply log, content store, record log
+    and SVA pairing — and terminate its worker at the next wakeup.
     Migration away from a server must detach the source residency, or a
     later migration back would leave two workers racing for the same
     VM's inbox.  {!attach_vm} of an already-attached VM detaches the
@@ -232,22 +241,32 @@ val crash : 'st t -> vm_id:int -> unit
 val restart : 'st t -> vm_id:int -> unit
 val is_crashed : 'st t -> vm_id:int -> bool
 
-val set_expected : 'st t -> vm_id:int -> seq:int -> unit
-(** Fast-forward the VM's in-order cursor.  Migration replays log
-    entries with seq 0 (outside the live window), so the destination
-    entry must be told where the guest's live seq stream resumes or
-    every steered call would park as a future seq. *)
-
 val export_replies : 'st t -> vm_id:int -> (int * Message.reply) list
-(** Snapshot the VM's reply log (seq-sorted), for carrying across a
-    migration.  The destination's cursor starts past every seq the
-    source executed, so a duplicate of such a seq can only be answered
-    from this log — a reply lost on the guest link just before the
-    move is otherwise unhealable at the destination. *)
+(** Snapshot the VM's reply log, seq-sorted. *)
 
-val import_replies : 'st t -> vm_id:int -> (int * Message.reply) list -> unit
-(** Merge an exported reply log into the VM's entry (existing seqs
-    win). *)
+val recorder : 'st t -> vm_id:int -> Migrate.t option
+(** The VM's migration record log: every successful live call, filed by
+    its spec'd record class ({!Migrate.observe}).  Armed iff the server
+    fronts a pool device; [None] otherwise or for an unattached VM. *)
+
+val hand_over_log : 'st t -> into:'st t -> vm_id:int -> unit
+(** Move the VM's record log from this server's entry into its entry on
+    [into]: from here on the destination records the VM's calls and
+    this server does not.  Migration calls it after snapshotting the
+    source, before replaying the log.
+    @raise Invalid_argument when either entry is missing or this one
+    keeps no log. *)
+
+val hand_over : 'st t -> into:'st t -> vm_id:int -> seq:int -> unit
+(** The rest of a migration's server-side state.  Seed the VM's
+    in-order cursor on [into] at [seq]: replayed log entries run with
+    seq 0, outside the live window, so the destination must be told
+    where the guest's live seq stream resumes.  Carry the reply log
+    over (seqs [into] already answered keep their reply): the
+    destination's cursor starts past every seq the source executed, so
+    a duplicate of such a seq can only be answered from this log — a
+    reply lost on the guest link just before the move is otherwise
+    unhealable at the destination. *)
 
 val pause_vm : 'st t -> vm_id:int -> unit
 (** Stall the worker before its next call (migration §4.3). *)
@@ -263,5 +282,6 @@ val upcall : 'st t -> vm_id:int -> cb:int -> args:Wire.value list -> unit
 
 val execute_direct :
   'st t -> vm_id:int -> Message.call -> int * Wire.value * Wire.value list
-(** Execute a call directly against a VM's state, bypassing transport —
-    used by migration replay.  Must run inside a process. *)
+(** Execute a call directly against a VM's state, bypassing transport
+    and the record log — used by migration replay.  Must run inside a
+    process. *)

@@ -330,10 +330,30 @@ let migration_tests =
             Alcotest.(check bool)
               "payload intact on destination" true
               (Bytes.equal got payload);
+            (* A buffer born on the destination host must survive the
+               move home: the destination entry records from the
+               hand-over on. *)
+            let payload2 =
+              Bytes.map (fun ch -> Char.chr (255 - Char.code ch)) payload
+            in
+            let buf2 = ok (CL.clCreateBuffer ctx ~size) in
+            ignore
+              (ok
+                 (CL.clEnqueueWriteBuffer q buf2 ~blocking:true ~offset:0
+                    ~src:payload2 ~wait_list:[] ~want_event:false));
+            ok (CL.clFinish q);
             (* A second migration back also works; then retire clean. *)
             Alcotest.(check bool)
               "migrate home again" true
               (Cluster.migrate_tenant c ~vm_id ~dest:src_host > 0);
+            let got2, _ =
+              ok
+                (CL.clEnqueueReadBuffer q buf2 ~blocking:true ~offset:0 ~size
+                   ~wait_list:[] ~want_event:false)
+            in
+            Alcotest.(check bool)
+              "destination-born buffer intact at home" true
+              (Bytes.equal got2 payload2);
             Alcotest.(check bool)
               "retire on final host" true
               (Cluster.retire c ~vm_id);

@@ -534,6 +534,45 @@ let migration_tests =
               (Pool.migrations pool);
             Alcotest.(check bool) "guest still served" true
               (vec_add_ok guest.Host.g_api 64)));
+    Alcotest.test_case "an observer hook leaves migration recording on"
+      `Quick (fun () ->
+        (* The call hook is an observer: installing one (as a frame
+           capture does) must not take over the record log, or the move
+           replays nothing and the guest's handles dangle. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~devices:2 e in
+        let pool = the_pool host in
+        let observed = ref 0 in
+        Server.set_call_hook (Pool.server pool 0) (fun ~vm_id:_ ~status:_ _ ->
+            incr observed);
+        let guest = Host.add_cl_vm ~device:0 host ~name:"observed" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+        let module CL = (val guest.Host.g_api) in
+        Engine.run_process e (fun () ->
+            let s = Clutil.open_session guest.Host.g_api in
+            let q = s.Clutil.queue in
+            let m = ok (CL.clCreateBuffer s.Clutil.context ~size:4096) in
+            let payload =
+              Bytes.init 4096 (fun i -> Char.chr ((i * 5) land 0xff))
+            in
+            ignore
+              (ok
+                 (CL.clEnqueueWriteBuffer q m ~blocking:true ~offset:0
+                    ~src:payload ~wait_list:[] ~want_event:false));
+            ok (CL.clFinish q);
+            Alcotest.(check bool) "observer saw the calls" true (!observed > 0);
+            let moved = Pool.migrate_vm pool ~vm_id ~dest:1 in
+            Alcotest.(check bool) "buffer bytes moved" true (moved >= 4096);
+            Alcotest.(check bool) "record log non-empty" true
+              (Ava_remoting.Migrate.log_length
+                 (Option.get (Host.recorder host ~vm_id))
+              > 0);
+            let back, _ =
+              ok
+                (CL.clEnqueueReadBuffer q m ~blocking:true ~offset:0 ~size:4096
+                   ~wait_list:[] ~want_event:false)
+            in
+            Alcotest.(check bytes) "data intact" payload back));
   ]
 
 (* --- device loss and evacuation ------------------------------------------- *)
