@@ -26,7 +26,6 @@ module Rodinia = Ava_workloads.Rodinia
 module Clutil = Ava_workloads.Clutil
 
 open Ava_sim
-open Ava_simcl.Types
 
 type config = {
   sc_devices : int;
@@ -101,87 +100,25 @@ type outcome = {
   oc_applied : int;
 }
 
-(* --- reference workload --------------------------------------------------- *)
-
-(* Upload two int32 vectors, add on the device, verify the sums on
-   readback.  The one workload in the mix whose device-computed output
-   is checked bit-for-bit — data corruption anywhere in the remoting
-   path surfaces here as [false], not just as an error status. *)
-let vec_add api n =
-  let module CL = (val api : Ava_simcl.Api.S) in
-  let ok = Clutil.ok in
-  let p = List.hd (ok (CL.clGetPlatformIDs ())) in
-  let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
-  let ctx = ok (CL.clCreateContext [ d ]) in
-  let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
-  let a = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let b = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let out = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let i32_bytes l =
-    let by = Bytes.create (4 * List.length l) in
-    List.iteri (fun i v -> Bytes.set_int32_le by (4 * i) (Int32.of_int v)) l;
-    by
-  in
-  let av = List.init n (fun i -> i) and bv = List.init n (fun i -> 7 * i) in
-  ignore
-    (ok
-       (CL.clEnqueueWriteBuffer q a ~blocking:false ~offset:0
-          ~src:(i32_bytes av) ~wait_list:[] ~want_event:false));
-  ignore
-    (ok
-       (CL.clEnqueueWriteBuffer q b ~blocking:false ~offset:0
-          ~src:(i32_bytes bv) ~wait_list:[] ~want_event:false));
-  let prog = ok (CL.clCreateProgramWithSource ctx ~source:"builtin vec_add") in
-  ok (CL.clBuildProgram prog ~options:"");
-  let k = ok (CL.clCreateKernel prog ~name:"vec_add") in
-  ok (CL.clSetKernelArg k ~index:0 (Arg_mem a));
-  ok (CL.clSetKernelArg k ~index:1 (Arg_mem b));
-  ok (CL.clSetKernelArg k ~index:2 (Arg_mem out));
-  ignore
-    (ok
-       (CL.clEnqueueNDRangeKernel q k ~global_work_size:n ~local_work_size:64
-          ~wait_list:[] ~want_event:false));
-  let data, _ =
-    ok
-      (CL.clEnqueueReadBuffer q out ~blocking:true ~offset:0 ~size:(4 * n)
-         ~wait_list:[] ~want_event:false)
-  in
-  ok (CL.clFinish q);
-  let got =
-    List.init n (fun i -> Int32.to_int (Bytes.get_int32_le data (4 * i)))
-  in
-  got = List.map2 ( + ) av bv
+(* --- memory-pressure workload --------------------------------------------- *)
 
 (* Buffer churn: [n] one-shot 256 KiB buffers written, read back,
    verified and released in sequence — pure memory pressure against the
    swap and transfer-cache layers, no kernel work. *)
 let buffer_churn api n =
+  let s = Clutil.open_session api in
   let module CL = (val api : Ava_simcl.Api.S) in
-  let ok = Clutil.ok in
-  let p = List.hd (ok (CL.clGetPlatformIDs ())) in
-  let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
-  let ctx = ok (CL.clCreateContext [ d ]) in
-  let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
   let size = 256 * 1024 in
   let good = ref true in
   for i = 1 to n do
-    let buf = ok (CL.clCreateBuffer ctx ~size) in
+    let buf = Clutil.buffer s size in
     let src = Bytes.init size (fun j -> Char.chr ((i + j) land 0xff)) in
-    ignore
-      (ok
-         (CL.clEnqueueWriteBuffer q buf ~blocking:true ~offset:0 ~src
-            ~wait_list:[] ~want_event:false));
-    let back, _ =
-      ok
-        (CL.clEnqueueReadBuffer q buf ~blocking:true ~offset:0 ~size
-           ~wait_list:[] ~want_event:false)
-    in
-    if not (Bytes.equal back src) then good := false;
-    ok (CL.clReleaseMemObject buf)
+    Clutil.write ~blocking:true s buf src;
+    if not (Bytes.equal (Clutil.read s buf ~size) src) then good := false;
+    Clutil.ok (CL.clReleaseMemObject buf)
   done;
-  ok (CL.clFinish q);
-  ok (CL.clReleaseCommandQueue q);
-  ok (CL.clReleaseContext ctx);
+  Clutil.finish s;
+  Clutil.close_session s;
   !good
 
 (* --- interpreter ---------------------------------------------------------- *)
@@ -300,7 +237,15 @@ let submit st tn w =
       (try
          match w with
          | Op.Vec_add n ->
-             if not (vec_add tn.tn_guest.Host.g_api n) then
+             (* The one workload in the mix whose device-computed output
+                is checked bit-for-bit: data corruption anywhere in the
+                remoting path surfaces here as [false], not just as an
+                error status. *)
+             if
+               not
+                 (Clutil.vec_add tn.tn_guest.Host.g_api ~n ~launches:1
+                    ~release:false)
+             then
                tn.tn_bad_result <- true
          | Op.Bench b -> (
              match Rodinia.find b with

@@ -20,7 +20,6 @@ module Gpu = Ava_device.Gpu
 module Vm = Ava_hv.Vm
 module Clutil = Ava_workloads.Clutil
 open Ava_sim
-open Ava_simcl.Types
 
 type policy =
   | Global_least_loaded
@@ -100,7 +99,11 @@ let host_busy_ns t i =
 let total_devices t = Array.length t.hosts * t.devices_per_host
 let quarantine_host t i = t.hosts.(i).h_quarantined <- true
 let unquarantine_host t i = t.hosts.(i).h_quarantined <- false
-let is_quarantined t i = t.hosts.(i).h_quarantined
+
+let healthy_hosts t =
+  List.filter
+    (fun i -> not t.hosts.(i).h_quarantined)
+    (List.init (Array.length t.hosts) Fun.id)
 
 let tenant_summaries t =
   match t.obs with None -> [] | Some obs -> Obs.vm_totals obs
@@ -125,21 +128,10 @@ let gossip_tick t h ~fanout =
       h.h_view
   done
 
-let spawn_gossip t h ~fanout ~interval =
+(* A background process: [f] every [interval] until {!stop}. *)
+let spawn_bg t ~name ~interval f =
   t.bg <- t.bg + 1;
-  Engine.spawn t.engine
-    ~name:(Printf.sprintf "ava-cluster-gossip-h%d" h.h_id)
-    (fun () ->
-      let rec loop () =
-        if not t.stopped then begin
-          Engine.delay interval;
-          if not t.stopped then begin
-            gossip_tick t h ~fanout;
-            loop ()
-          end
-        end
-      in
-      loop ())
+  Pool.every t.engine ~name ~interval ~stopped:(fun () -> t.stopped) f
 
 let stop t = t.stopped <- true
 
@@ -195,40 +187,32 @@ let create ?(policy = Global_least_loaded) ?(devices_per_host = 2)
   (match policy with
   | Gossip { g_fanout; g_interval_ns } when hosts > 1 ->
       Array.iter
-        (fun h -> spawn_gossip t h ~fanout:g_fanout ~interval:g_interval_ns)
+        (fun h ->
+          spawn_bg t
+            ~name:(Printf.sprintf "ava-cluster-gossip-h%d" h.h_id)
+            ~interval:g_interval_ns
+            (fun () -> gossip_tick t h ~fanout:g_fanout))
         t.hosts
   | _ -> ());
   t
 
 (* {1 Admission} *)
 
-let argmin_by f = function
-  | [] -> invalid_arg "Cluster.argmin_by: empty"
-  | x :: rest ->
-      fst
-        (List.fold_left
-           (fun (bi, bv) i ->
-             let v = f i in
-             if v < bv then (i, v) else (bi, bv))
-           (x, f x) rest)
-
 let pick_host t ?affinity ~name () =
   let n = Array.length t.hosts in
-  let healthy =
-    List.filter (fun i -> not t.hosts.(i).h_quarantined) (List.init n Fun.id)
-  in
+  let healthy = healthy_hosts t in
   if healthy = [] then begin
     t.rejected <- t.rejected + 1;
     invalid_arg "Cluster.admit: every host is quarantined"
   end;
   match t.policy with
-  | Global_least_loaded -> argmin_by (host_load t) healthy
+  | Global_least_loaded -> Pool.argmin (host_load t) healthy
   | Gossip _ ->
       (* A random host plays admission frontend and answers from its
          own, possibly-stale digest.  Quarantine flags are admission
          metadata (fresh), load is gossip state (stale). *)
       let frontend = t.hosts.(Rng.int t.rng n) in
-      argmin_by (fun i -> snd frontend.h_view.(i)) healthy
+      Pool.argmin (fun i -> snd frontend.h_view.(i)) healthy
   | Affinity ->
       let key = match affinity with Some k -> k | None -> name in
       let pref = Hashtbl.hash key mod n in
@@ -303,145 +287,46 @@ let migrate_tenant t ~vm_id ~dest =
 
 (* {1 Fleet rebalancing}
 
-   Same shape as the pool's skew monitor, one level up: when the
-   hottest healthy host is loaded beyond [skew] times the healthy
-   average, move the resident tenant whose accumulated device time
-   best halves the hot-cold gap onto the coldest host. *)
+   The pool's skew step ([Pool.skew_pick]) one level up: the bins are
+   the healthy hosts in id order, the candidates the hot host's tenants
+   in [t.tenants] order (newest admission first), weighed by their
+   accumulated device time. *)
 
-let rebalance_now ?(skew = 1.5) t =
-  let healthy =
-    List.filter
-      (fun i -> not t.hosts.(i).h_quarantined)
-      (List.init (Array.length t.hosts) Fun.id)
+let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
+  let bins = List.map (fun i -> (i, host_load t i)) (healthy_hosts t) in
+  let candidates ~hot ~cold:_ =
+    List.filter_map
+      (fun (id, tn) ->
+        if tn.t_host <> hot then None
+        else
+          match Pool.vm_of t.hosts.(hot).h_pool ~vm_id:id with
+          | Some vm -> Some (id, Vm.device_time_ns vm)
+          | None -> None)
+      t.tenants
   in
-  if List.length healthy < 2 then false
-  else begin
-    let loads = List.map (fun i -> (i, host_load t i)) healthy in
-    let hot, hot_load =
-      List.fold_left
-        (fun (bi, bv) (i, v) -> if v > bv then (i, v) else (bi, bv))
-        (List.hd loads) (List.tl loads)
-    in
-    let cold, cold_load =
-      List.fold_left
-        (fun (bi, bv) (i, v) -> if v < bv then (i, v) else (bi, bv))
-        (List.hd loads) (List.tl loads)
-    in
-    let avg =
-      List.fold_left (fun a (_, v) -> a + v) 0 loads / List.length loads
-    in
-    if hot = cold || hot_load = 0 || float_of_int hot_load <= skew *. float_of_int avg
-    then false
-    else begin
-      let target = (hot_load - cold_load) / 2 in
-      let victim =
-        List.fold_left
-          (fun best (id, tn) ->
-            if tn.t_host <> hot then best
-            else
-              let w =
-                match Pool.vm_of t.hosts.(hot).h_pool ~vm_id:id with
-                | Some vm -> Vm.device_time_ns vm
-                | None -> 0
-              in
-              if w <= 0 then best
-              else
-                let d = abs (w - target) in
-                match best with
-                | Some (_, bd) when bd <= d -> best
-                | _ -> Some (id, d))
-          None t.tenants
-      in
-      match victim with
-      | None -> false
-      | Some (id, _) ->
-          ignore (migrate_tenant t ~vm_id:id ~dest:cold);
-          (match List.assoc_opt id t.tenants with
-          | Some tn -> tn.t_host = cold
-          | None -> false)
-    end
-  end
+  match Pool.skew_pick ~skew bins ~candidates with
+  | None -> false
+  | Some { Pool.sm_victim = id; sm_cold = cold; _ } -> (
+      ignore (migrate_tenant t ~vm_id:id ~dest:cold);
+      match List.assoc_opt id t.tenants with
+      | Some tn -> tn.t_host = cold
+      | None -> false)
 
 let start_rebalancer ?(interval = Time.ms 1) ?skew t =
-  t.bg <- t.bg + 1;
-  Engine.spawn t.engine ~name:"ava-cluster-rebalancer" (fun () ->
-      let rec loop () =
-        if not t.stopped then begin
-          Engine.delay interval;
-          if not t.stopped then begin
-            ignore (rebalance_now ?skew t);
-            loop ()
-          end
-        end
-      in
-      loop ())
+  spawn_bg t ~name:"ava-cluster-rebalancer" ~interval (fun () ->
+      ignore (rebalance_now ?skew t))
 
 (* {1 Trace-driven load} *)
 
-(* One tenant session: the vec-add pipeline of the campaign's reference
-   workload, with [work] kernel launches instead of one, and — unlike
-   the campaign, whose tenants live for the whole scenario — a full
-   teardown.  The releases matter beyond hygiene: the migration record
-   log prunes an object's history on dealloc, so a tenant that churns
-   through many sessions keeps its replay cost proportional to live
-   state, not lifetime. *)
+(* One tenant session: the campaign's reference vec-add pipeline with
+   [work] kernel launches instead of one and — unlike the campaign,
+   whose tenants live for the whole scenario — a full teardown.  The
+   releases matter beyond hygiene: the migration record log prunes an
+   object's history on dealloc, so a tenant that churns through many
+   sessions keeps its replay cost proportional to live state, not
+   lifetime. *)
 let run_session apim ~work =
-  let module CL = (val apim : Ava_simcl.Api.S) in
-  let ok = Clutil.ok in
-  let n = 64 in
-  try
-    let p = List.hd (ok (CL.clGetPlatformIDs ())) in
-    let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
-    let ctx = ok (CL.clCreateContext [ d ]) in
-    let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
-    let a = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-    let b = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-    let out = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-    let i32_bytes l =
-      let by = Bytes.create (4 * List.length l) in
-      List.iteri
-        (fun i v -> Bytes.set_int32_le by (4 * i) (Int32.of_int v))
-        l;
-      by
-    in
-    let av = List.init n (fun i -> i) and bv = List.init n (fun i -> 7 * i) in
-    ignore
-      (ok
-         (CL.clEnqueueWriteBuffer q a ~blocking:false ~offset:0
-            ~src:(i32_bytes av) ~wait_list:[] ~want_event:false));
-    ignore
-      (ok
-         (CL.clEnqueueWriteBuffer q b ~blocking:false ~offset:0
-            ~src:(i32_bytes bv) ~wait_list:[] ~want_event:false));
-    let prog =
-      ok (CL.clCreateProgramWithSource ctx ~source:"builtin vec_add")
-    in
-    ok (CL.clBuildProgram prog ~options:"");
-    let k = ok (CL.clCreateKernel prog ~name:"vec_add") in
-    ok (CL.clSetKernelArg k ~index:0 (Arg_mem a));
-    ok (CL.clSetKernelArg k ~index:1 (Arg_mem b));
-    ok (CL.clSetKernelArg k ~index:2 (Arg_mem out));
-    for _ = 1 to Stdlib.max 1 work do
-      ignore
-        (ok
-           (CL.clEnqueueNDRangeKernel q k ~global_work_size:n
-              ~local_work_size:64 ~wait_list:[] ~want_event:false))
-    done;
-    let data, _ =
-      ok
-        (CL.clEnqueueReadBuffer q out ~blocking:true ~offset:0 ~size:(4 * n)
-           ~wait_list:[] ~want_event:false)
-    in
-    ok (CL.clFinish q);
-    let got =
-      List.init n (fun i -> Int32.to_int (Bytes.get_int32_le data (4 * i)))
-    in
-    ok (CL.clReleaseKernel k);
-    ok (CL.clReleaseProgram prog);
-    List.iter (fun m -> ok (CL.clReleaseMemObject m)) [ a; b; out ];
-    ok (CL.clReleaseCommandQueue q);
-    ok (CL.clReleaseContext ctx);
-    got = List.map2 ( + ) av bv
+  try Clutil.vec_add apim ~n:64 ~launches:(Stdlib.max 1 work) ~release:true
   with Clutil.Api_failure _ | Failure _ -> false
 
 type trace_result = {
@@ -507,17 +392,12 @@ let run_trace t events =
     ids;
   (* Gossip / rebalancer processes keep the event queue non-empty;
      quiesce them once the last tenant finishes so [Engine.run]
-     drains (the pool skew monitor's stop pattern, fleet-wide). *)
+     drains.  The watch's own stop condition is that moment, so it
+     also stops the fleet's background processes. *)
+  let all_done () = Hashtbl.length done_at >= total && (stop t; true) in
   if t.bg > 0 then
-    Engine.spawn t.engine ~name:"ava-cluster-trace-watch" (fun () ->
-        let rec wait () =
-          if Hashtbl.length done_at < total then begin
-            Engine.delay (Time.us 100);
-            wait ()
-          end
-          else stop t
-        in
-        wait ());
+    Pool.every t.engine ~name:"ava-cluster-trace-watch"
+      ~interval:(Time.us 100) ~stopped:all_done ignore;
   Engine.run t.engine;
   let makespan = Hashtbl.fold (fun _ at acc -> Stdlib.max at acc) done_at 0 in
   {

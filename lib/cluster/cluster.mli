@@ -78,7 +78,6 @@ val quarantine_host : t -> int -> unit
     (resident tenants keep running). *)
 
 val unquarantine_host : t -> int -> unit
-val is_quarantined : t -> int -> bool
 
 (** {1 Tenants} *)
 
@@ -106,7 +105,8 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
     device on [dest]'s pool, replay the record log and restore buffers
     onto it, seed the destination cursor, carry the reply log, move the
     guest's router flow across routers, detach the source; then move
-    the tenant's recorder and IOMMU to [dest]'s tables.  The guest
+    the tenant's IOMMU to [dest]'s table.  The record log travels with
+    the VM's server entry, inside the handoff.  The guest
     keeps its stub, transport and seq stream throughout.  Returns bytes
     moved, 0 when refused: unknown tenant, already mid-migration,
     [dest] is its host, or [dest] has no healthy device (the tenant
@@ -116,11 +116,13 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
     quarantined. *)
 
 val rebalance_now : ?skew:float -> t -> bool
-(** One fleet-level rebalance step: when the hottest healthy host's
-    load exceeds [skew] (default 1.5) times the healthy average,
+(** One fleet-level {!Pool.skew_pick} step over the healthy hosts in id
+    order: when the hottest host's load exceeds [skew] (default
+    [Pool.default_rebalance.rb_skew], 1.5) times the healthy average,
     migrate the resident tenant whose load best halves the hot-cold
-    gap onto the coldest host.  Must run inside a simulation
-    process. *)
+    gap onto the coldest host; among equally good tenants the newest
+    admission wins.  Returns whether the tenant now runs on the cold
+    host.  Must run inside a simulation process. *)
 
 val start_rebalancer : ?interval:Time.t -> ?skew:float -> t -> unit
 (** Periodic {!rebalance_now} (default every 1 ms); stopped by
@@ -142,11 +144,11 @@ val tenant_summaries : t -> (int * Ava_obs.Hist.summary) list
 (** {1 Trace-driven load} *)
 
 val run_session : (module Ava_simcl.Api.S) -> work:int -> bool
-(** One tenant session: set up a small vec-add pipeline, enqueue [work]
-    kernel iterations, read back and bit-check the result, release
+(** One tenant session: {!Ava_workloads.Clutil.vec_add} over 64
+    elements with [work] (at least one) kernel launches, releasing
     every object (keeping the record log proportional to live state).
-    Returns whether the bytes checked out.  Must run inside a
-    simulation process. *)
+    Returns whether the bytes checked out; an API failure is [false].
+    Must run inside a simulation process. *)
 
 type trace_result = {
   tr_sessions : int;  (** sessions completed *)

@@ -52,12 +52,6 @@ let capability_to_string = function
   | Cap_npu -> "npu"
   | Cap_stream -> "stream"
 
-let capability_of_string = function
-  | "gpu" -> Some Cap_gpu
-  | "npu" -> Some Cap_npu
-  | "stream" -> Some Cap_stream
-  | _ -> None
-
 (* The pool's view of one physical accelerator: capability tag plus the
    handful of read-outs and controls the orchestration needs, as
    closures so any device model can sit behind a lane.  [ph_gpu] keeps
@@ -197,14 +191,13 @@ let capability t i = (device t i).dev_phys.ph_cap
 let server t i = (device t i).dev_server
 let is_healthy t i = (device t i).dev_healthy
 
-(* The VMs resident on device [d], in [vms] order. *)
-let residents t (d : 'st device) =
-  List.filter_map
-    (fun (vm_id, info) ->
-      if info.vi_device = d.dev_id then Some vm_id else None)
-    t.vms
-
-let resident t i = List.sort Stdlib.compare (residents t (device t i))
+let resident t i =
+  let d = device t i in
+  List.sort Stdlib.compare
+    (List.filter_map
+       (fun (vm_id, info) ->
+         if info.vi_device = d.dev_id then Some vm_id else None)
+       t.vms)
 
 let device_of t ~vm_id =
   match List.assoc_opt vm_id t.vms with
@@ -260,6 +253,67 @@ let stats t =
          })
        t.devices)
 
+(* {1 Control-plane policy}
+
+   Every placement and rebalance choice, at both tiers, goes through
+   these: one argmin, one skew step, one periodic loop. *)
+
+(* The first element of [xs] minimising [key]: on ties the earlier
+   element wins. *)
+let argmin (key : _ -> int) = function
+  | [] -> invalid_arg "Pool.argmin: empty"
+  | x :: rest ->
+      fst
+        (List.fold_left
+           (fun ((_, bk) as best) y ->
+             let k = key y in
+             if k < bk then (y, k) else best)
+           (x, key x) rest)
+
+type 'a skew_move = {
+  sm_hot : int;
+  sm_hot_load : int;
+  sm_avg : int;
+  sm_cold : int;
+  sm_victim : 'a;
+}
+
+(* The skew step of the pool's skew monitor and the cluster's fleet
+   rebalancer: hot is the first maximum, cold the first minimum, and
+   the victim the first positive-weight candidate closest to half the
+   hot-cold gap. *)
+let skew_pick ~skew bins ~candidates =
+  match bins with
+  | [] -> None
+  | _ ->
+      let hot, hot_load = argmin (fun (_, l) -> -l) bins in
+      let cold, cold_load = argmin snd bins in
+      let total = List.fold_left (fun a (_, l) -> a + l) 0 bins in
+      let avg = total / List.length bins in
+      if
+        hot = cold || total = 0
+        || float_of_int hot_load <= skew *. float_of_int avg
+      then None
+      else
+        let target = (hot_load - cold_load) / 2 in
+        match List.filter (fun (_, w) -> w > 0) (candidates ~hot ~cold) with
+        | [] -> None
+        | movable ->
+            let victim, _ = argmin (fun (_, w) -> abs (w - target)) movable in
+            Some
+              { sm_hot = hot; sm_hot_load = hot_load; sm_avg = avg;
+                sm_cold = cold; sm_victim = victim }
+
+(* The one periodic loop behind the skew monitors and gossip. *)
+let every engine ~name ~interval ~stopped f =
+  let rec loop () =
+    if not (stopped ()) then begin
+      Engine.delay interval;
+      if not (stopped ()) then (f (); loop ())
+    end
+  in
+  Engine.spawn engine ~name loop
+
 (* {1 Placement} *)
 
 let healthy_list t =
@@ -288,40 +342,19 @@ let choose ?requires t ~footprint =
               else find (k + 1) (steps + 1)
           in
           find t.rr_cursor 0
-      | Least_loaded ->
-          (* Ties break to the lowest device id. *)
-          let best =
-            List.fold_left
-              (fun acc d ->
-                let l = load t d in
-                match acc with
-                | Some (_, bl) when bl <= l -> acc
-                | _ -> Some (d, l))
-              None healthy
-          in
-          Option.map (fun (d, _) -> d.dev_id) best
+      | Least_loaded -> Some (argmin (load t) healthy).dev_id
       | Bin_pack ->
           (* Best-fit on declared footprints: among devices where the
              VM still fits, the one with the least remaining slack; if
              nothing fits (declared footprints oversubscribe memory),
              fall back to the least-committed device. *)
           let slack d = d.dev_phys.ph_capacity - footprint_used t d in
-          let fits = List.filter (fun d -> slack d >= footprint) healthy in
-          let pick_min key ds =
-            List.fold_left
-              (fun acc d ->
-                let k = key d in
-                match acc with
-                | Some (_, bk) when bk <= k -> acc
-                | _ -> Some (d, k))
-              None ds
-          in
           let best =
-            match fits with
-            | [] -> pick_min (fun d -> footprint_used t d) healthy
-            | _ -> pick_min slack fits
+            match List.filter (fun d -> slack d >= footprint) healthy with
+            | [] -> argmin (footprint_used t) healthy
+            | fits -> argmin slack fits
           in
-          Option.map (fun (d, _) -> d.dev_id) best)
+          Some best.dev_id)
 
 (* Record a VM as resident on its [vi_device]. *)
 let add_resident t info =
@@ -494,8 +527,8 @@ let emigrate t ~vm_id ~into =
 
 (* {1 Retirement} *)
 
-(* Retire a VM from the pool: detach its server entry (terminating the
-   worker), drop its residency, and clear any circuit
+(* Retire a VM from the pool: detach its server entry (the worker
+   exits at its next wakeup), drop its residency, and clear any circuit
    breaker so a future tenant reusing the id starts clean.
 
    Idempotent and validated rather than raising: admit/retire churn in a
@@ -575,84 +608,45 @@ let kill_device t ~device:dev_id =
 
 (* {1 Rebalancing} *)
 
-(* One rebalance step: when the hottest healthy device's load exceeds
-   [skew] times the healthy average, migrate the resident whose load
-   best halves the hot-cold gap onto the coldest device.  Returns
-   whether a migration happened.  Must run inside a simulation
-   process. *)
+(* One rebalance step through [skew_pick]: the bins are the healthy
+   devices in id order, the candidates the hot device's residents in
+   vm-id order (so the lowest id wins a tie) that can move to the cold
+   device and are not already migrating; a hot device needs at least
+   two residents.  Returns whether the victim now lives on the cold
+   device.  Must run inside a simulation process. *)
 let rebalance_now ?(skew = default_rebalance.rb_skew) t =
-  let healthy = healthy_list t in
-  if List.length healthy < 2 then false
-  else begin
-    let loads = List.map (fun d -> (d, load t d)) healthy in
-    let total = List.fold_left (fun a (_, l) -> a + l) 0 loads in
-    let avg = total / List.length healthy in
-    let hot, hot_load =
-      List.fold_left
-        (fun (bd, bl) (d, l) -> if l > bl then (d, l) else (bd, bl))
-        (List.hd loads) (List.tl loads)
-    in
-    let cold, cold_load =
-      List.fold_left
-        (fun (bd, bl) (d, l) -> if l < bl then (d, l) else (bd, bl))
-        (List.hd loads) (List.tl loads)
-    in
-    if
-      total = 0
-      || float_of_int hot_load <= skew *. float_of_int avg
-      || List.length (residents t hot) < 2
-      || hot.dev_id = cold.dev_id
-    then false
-    else begin
-      (* The ideal emigrant carries half the hot-cold gap. *)
-      let target = (hot_load - cold_load) / 2 in
-      let victim =
-        List.fold_left
-          (fun acc (vm_id, info) ->
-            (* A capability-pinned resident can only move to a same-type
-               device; skip it when the cold device doesn't match. *)
+  let bins = List.map (fun d -> (d.dev_id, load t d)) (healthy_list t) in
+  let candidates ~hot ~cold =
+    match List.filter (fun (_, info) -> info.vi_device = hot) t.vms with
+    | [] | [ _ ] -> []
+    | on_hot ->
+        List.filter_map
+          (fun (vm_id, info) ->
             if
-              info.vi_device <> hot.dev_id
-              || not (compatible info.vi_requires cold)
-            then acc
-            else
-              let w = Vm.device_time_ns info.vi_vm in
-              if w = 0 then acc
-              else
-                let fit = abs (w - target) in
-                let better =
-                  match acc with
-                  | None -> true
-                  | Some (bvm, bfit) ->
-                      fit < bfit || (fit = bfit && vm_id < bvm)
-                in
-                if better then Some (vm_id, fit) else acc)
-          None t.vms
-      in
-      match victim with
-      | None -> false
-      | Some (vm_id, _) ->
-          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-            "rebalance: dev%d load=%d avg=%d -> moving vm%d to dev%d" hot.dev_id
-            hot_load avg vm_id cold.dev_id;
-          ignore (migrate_vm t ~vm_id ~dest:cold.dev_id);
-          t.rebalances <- t.rebalances + 1;
-          true
-    end
-  end
+              info.vi_migrating
+              || not (compatible info.vi_requires t.devices.(cold))
+            then None
+            else Some (vm_id, Vm.device_time_ns info.vi_vm))
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b) on_hot)
+  in
+  match skew_pick ~skew bins ~candidates with
+  | None -> false
+  | Some m ->
+      let vm_id = m.sm_victim in
+      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
+        "rebalance: dev%d load=%d avg=%d -> moving vm%d to dev%d" m.sm_hot
+        m.sm_hot_load m.sm_avg vm_id m.sm_cold;
+      ignore (migrate_vm t ~vm_id ~dest:m.sm_cold);
+      let moved = device_of t ~vm_id = Some m.sm_cold in
+      if moved then t.rebalances <- t.rebalances + 1;
+      moved
 
-(* The skew monitor: a periodic process checking [rebalance_now].  It
-   must be stopped explicitly ([stop]) or [Engine.run] would never
-   drain its event queue. *)
+(* The skew monitor: [rebalance_now] every [rb_interval].  It must be
+   stopped explicitly ([stop]) or [Engine.run] would never drain its
+   event queue. *)
 let start_rebalancer ?(config = default_rebalance) t =
-  Engine.spawn t.engine ~name:"ava-pool-rebalance" (fun () ->
-      let rec loop () =
-        if not t.stopped then begin
-          Engine.delay config.rb_interval;
-          if not t.stopped then ignore (rebalance_now ~skew:config.rb_skew t);
-          loop ()
-        end
-      in
-      loop ())
+  every t.engine ~name:"ava-pool-rebalance" ~interval:config.rb_interval
+    ~stopped:(fun () -> t.stopped)
+    (fun () -> ignore (rebalance_now ~skew:config.rb_skew t))
 
 let stop t = t.stopped <- true

@@ -44,7 +44,6 @@ val default_rebalance : rebalance
 type capability = Cap_gpu | Cap_npu | Cap_stream
 
 val capability_to_string : capability -> string
-val capability_of_string : string -> capability option
 
 type phys = {
   ph_cap : capability;
@@ -154,12 +153,53 @@ type device_stats = {
 val stats : 'st t -> device_stats list
 (** In device-id order. *)
 
-(** {1 Placement} *)
+(** {1 Control-plane policy}
 
-val choose : ?requires:capability -> 'st t -> footprint:int -> int option
-(** The device the policy would pick for a VM with the given declared
-    footprint and capability requirement; [None] when no compatible
-    healthy device is left.  Round-robin advances its cursor. *)
+    The decisions both tiers make — placement, the pool's skew monitor,
+    the cluster's admission and fleet rebalancer, gossip — go through
+    these three, so each policy and its tie rules exist once. *)
+
+val argmin : ('a -> int) -> 'a list -> 'a
+(** [argmin key xs]: the first element of [xs] minimising [key]; on
+    ties the earlier element wins.
+    @raise Invalid_argument on an empty list. *)
+
+(** A rebalance decision: move [sm_victim] from bin [sm_hot] (load
+    [sm_hot_load], fleet average [sm_avg]) to bin [sm_cold]. *)
+type 'a skew_move = {
+  sm_hot : int;
+  sm_hot_load : int;
+  sm_avg : int;
+  sm_cold : int;
+  sm_victim : 'a;
+}
+
+val skew_pick :
+  skew:float ->
+  (int * int) list ->
+  candidates:(hot:int -> cold:int -> ('a * int) list) ->
+  'a skew_move option
+(** [skew_pick ~skew bins ~candidates]: the one skew step.  [bins] are
+    [(id, load)] pairs; the hot bin is the first maximum and the cold
+    bin the first minimum.  [None] when hot = cold, the total load is 0,
+    or the hot load is at most [skew] times [total / n] (integer
+    division).  Otherwise the victim is the first of
+    [candidates ~hot ~cold] — [(victim, weight)] pairs in the caller's
+    visiting order — with positive weight closest to half the hot-cold
+    gap; [None] when there is none. *)
+
+val every :
+  Engine.t ->
+  name:string ->
+  interval:Time.t ->
+  stopped:(unit -> bool) ->
+  (unit -> unit) ->
+  unit
+(** [every engine ~name ~interval ~stopped f] spawns the process [name]
+    running [f] every [interval] until [stopped ()] holds.  It keeps the
+    event queue non-empty until then. *)
+
+(** {1 Placement} *)
 
 val place :
   ?footprint:int -> ?requires:capability -> ?device:int -> 'st t ->
@@ -200,7 +240,8 @@ val emigrate : 'st t -> vm_id:int -> into:'st t -> int option
 (** {1 Retirement} *)
 
 val retire_vm : 'st t -> vm_id:int -> bool
-(** Retire the VM: detach its server entry (terminating the worker),
+(** Retire the VM: detach its server entry (the worker exits at its
+    next wakeup, {!Server.detach_vm}),
     drop residency everywhere, clear any circuit breaker.  Idempotent —
     an unknown (already retired) VM returns [false] — and validated: a
     VM with a migration between pause and flow move is refused
@@ -219,11 +260,16 @@ val kill_device : 'st t -> device:int -> unit
 (** {1 Rebalancing} *)
 
 val rebalance_now : ?skew:float -> 'st t -> bool
-(** One rebalance step: when the hottest healthy device's load exceeds
-    [skew] (default {!default_rebalance}) times the healthy average,
-    migrate the resident whose load best halves the hot-cold gap onto
-    the coldest device.  Returns whether a migration happened.  Must
-    run inside a simulation process. *)
+(** One {!skew_pick} step over the healthy devices in id order: when
+    the hottest device's load exceeds [skew] (default
+    {!default_rebalance}) times the healthy average, migrate the
+    resident whose load best halves the hot-cold gap onto the coldest
+    device.  Candidates are visited in vm-id order, so the lowest id
+    wins a tie; a hot device needs at least two residents, and VMs
+    already mid-migration or unable to run on the cold device are
+    skipped.  Returns [true], counting a rebalance, only when the
+    victim is resident on the cold device afterwards.  Must run inside
+    a simulation process. *)
 
 val start_rebalancer : ?config:rebalance -> 'st t -> unit
 (** Spawn the periodic skew monitor.  It keeps the engine's event

@@ -31,3 +31,12 @@ val read : session -> mem -> size:int -> bytes
 val set_arg : session -> kernel -> int -> kernel_arg -> unit
 val launch : session -> kernel -> global:int -> local:int -> unit
 val finish : session -> unit
+
+val vec_add :
+  (module Ava_simcl.Api.S) -> n:int -> launches:int -> release:bool -> bool
+(** The reference vec-add pipeline: upload two int32 vectors of [n]
+    elements, enqueue [launches] vec_add kernels, read back and return
+    whether the device computed the right sums.  With [release], every
+    object it created is released before returning; without, they stay
+    live.
+    @raise Api_failure on any CL error. *)

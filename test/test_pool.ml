@@ -42,48 +42,7 @@ let the_pool (host : Host.cl_host) = host.Host.cl_pool
 
 (* The reference guest program: upload two vectors, add on the device,
    read back; returns whether the device computed the right sums. *)
-let vec_add_ok (module CL : Ava_simcl.Api.S) n =
-  let p = List.hd (ok (CL.clGetPlatformIDs ())) in
-  let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
-  let ctx = ok (CL.clCreateContext [ d ]) in
-  let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
-  let a = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let b = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let out = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
-  let i32_bytes l =
-    let by = Bytes.create (4 * List.length l) in
-    List.iteri (fun i v -> Bytes.set_int32_le by (4 * i) (Int32.of_int v)) l;
-    by
-  in
-  let av = List.init n (fun i -> i) and bv = List.init n (fun i -> 7 * i) in
-  ignore
-    (ok
-       (CL.clEnqueueWriteBuffer q a ~blocking:false ~offset:0
-          ~src:(i32_bytes av) ~wait_list:[] ~want_event:false));
-  ignore
-    (ok
-       (CL.clEnqueueWriteBuffer q b ~blocking:false ~offset:0
-          ~src:(i32_bytes bv) ~wait_list:[] ~want_event:false));
-  let prog = ok (CL.clCreateProgramWithSource ctx ~source:"builtin vec_add") in
-  ok (CL.clBuildProgram prog ~options:"");
-  let k = ok (CL.clCreateKernel prog ~name:"vec_add") in
-  ok (CL.clSetKernelArg k ~index:0 (Arg_mem a));
-  ok (CL.clSetKernelArg k ~index:1 (Arg_mem b));
-  ok (CL.clSetKernelArg k ~index:2 (Arg_mem out));
-  ignore
-    (ok
-       (CL.clEnqueueNDRangeKernel q k ~global_work_size:n ~local_work_size:64
-          ~wait_list:[] ~want_event:false));
-  let data, _ =
-    ok
-      (CL.clEnqueueReadBuffer q out ~blocking:true ~offset:0 ~size:(4 * n)
-         ~wait_list:[] ~want_event:false)
-  in
-  ok (CL.clFinish q);
-  let got =
-    List.init n (fun i -> Int32.to_int (Bytes.get_int32_le data (4 * i)))
-  in
-  got = List.map2 ( + ) av bv
+let vec_add_ok api n = Clutil.vec_add api ~n ~launches:1 ~release:false
 
 (* --- WFQ weight changes (satellite: live re-tagging) ---------------------- *)
 
@@ -268,6 +227,14 @@ let placement_tests =
           (Gpu.kernels_executed (Pool.gpu pool 1) > 0);
         Alcotest.(check int) "device 0 untouched" 0
           (Gpu.kernels_executed (Pool.gpu pool 0)));
+    Alcotest.test_case "argmin keeps the first minimum" `Quick (fun () ->
+        Alcotest.(check (pair string int)) "earlier of two minima"
+          ("b", 1)
+          (Pool.argmin snd [ ("a", 3); ("b", 1); ("c", 1); ("d", 2) ]);
+        Alcotest.(check (pair string int)) "singleton" ("a", 5)
+          (Pool.argmin snd [ ("a", 5) ]);
+        Alcotest.check_raises "empty list" (Invalid_argument "Pool.argmin: empty")
+          (fun () -> ignore (Pool.argmin Fun.id [])));
   ]
 
 (* --- identity and determinism --------------------------------------------- *)
@@ -755,6 +722,71 @@ let rebalance_tests =
             Alcotest.(check bool) "no migration" false
               (Pool.rebalance_now pool));
         Alcotest.(check int) "counter untouched" 0 (Pool.rebalances pool));
+    Alcotest.test_case "skew_pick: first hottest, first coldest, best fit"
+      `Quick (fun () ->
+        let seen = ref [] in
+        let candidates ~hot ~cold =
+          seen := [ hot; cold ];
+          [ ("idle", 0); ("a", 3); ("b", 7); ("c", 3) ]
+        in
+        (* Loads 10,10,0,0: avg 5, hot 10 > 1.5 * 5.  Hot is the first
+           10, cold the first 0; the target is 5, so "a", "b" and "c"
+           all miss by 2 and the earliest wins. *)
+        let bins = [ (0, 10); (1, 10); (2, 0); (3, 0) ] in
+        match Pool.skew_pick ~skew:1.5 bins ~candidates with
+        | None -> Alcotest.fail "expected a move"
+        | Some m ->
+            Alcotest.(check (list int)) "candidates asked for hot, cold"
+              [ 0; 2 ] !seen;
+            Alcotest.(check (list int)) "hot, load, avg, cold" [ 0; 10; 5; 2 ]
+              [ m.Pool.sm_hot; m.Pool.sm_hot_load; m.Pool.sm_avg;
+                m.Pool.sm_cold ];
+            Alcotest.(check string) "earlier candidate on equal fit" "a"
+              m.Pool.sm_victim);
+    Alcotest.test_case "skew_pick ignores zero weights and stays put"
+      `Quick (fun () ->
+        let pick ?(cands = [ ("z", 0); ("a", 12) ]) bins =
+          Option.map
+            (fun m -> m.Pool.sm_victim)
+            (Pool.skew_pick ~skew:1.5 bins ~candidates:(fun ~hot:_ ~cold:_ ->
+                 cands))
+        in
+        (* Target 5: the idle "z" would fit best (off by 5 vs 7) but
+           moving it frees nothing. *)
+        Alcotest.(check (option string)) "zero weight ignored" (Some "a")
+          (pick [ (0, 10); (1, 0) ]);
+        Alcotest.(check (option string)) "only idle candidates" None
+          (pick ~cands:[ ("z", 0) ] [ (0, 10); (1, 0) ]);
+        Alcotest.(check (option string)) "within the skew" None
+          (pick [ (0, 7); (1, 5) ]);
+        Alcotest.(check (option string)) "single bin" None (pick [ (0, 10) ]);
+        Alcotest.(check (option string)) "no bins" None (pick []);
+        Alcotest.(check (option string)) "zero total load" None
+          (pick [ (0, 0); (1, 0) ]));
+    Alcotest.test_case "a VM already migrating is not counted as a rebalance"
+      `Quick (fun () ->
+        (* x and y share dev0 and only x has done work, so x is the only
+           useful victim.  While x's own migration drains, the skew
+           step must skip it rather than count a move that the
+           handoff refuses. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~devices:2 e in
+        let pool = the_pool host in
+        let x = Host.add_cl_vm ~device:0 host ~name:"x" in
+        let _y = Host.add_cl_vm ~device:0 host ~name:"y" in
+        let x_id = Ava_hv.Vm.id x.Host.g_vm in
+        Engine.run_process e (fun () ->
+            Alcotest.(check bool) "x computed" true (vec_add_ok x.Host.g_api 512);
+            Engine.spawn e ~name:"mover" (fun () ->
+                ignore (Pool.migrate_vm pool ~vm_id:x_id ~dest:1));
+            Engine.delay (Time.us 50);
+            Alcotest.(check bool) "no rebalance reported" false
+              (Pool.rebalance_now pool));
+        Alcotest.(check int) "no rebalance counted" 0 (Pool.rebalances pool);
+        Alcotest.(check int) "only the explicit migration ran" 1
+          (Pool.migrations pool);
+        Alcotest.(check (option int)) "x moved" (Some 1)
+          (Pool.device_of pool ~vm_id:x_id));
   ]
 
 (* --- the administrator's view --------------------------------------------- *)

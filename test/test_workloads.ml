@@ -28,6 +28,30 @@ let benchmark_tests =
             true
             (rel > 1.0 && rel < 1.30)))
     Rodinia.all
+  @ [
+      Alcotest.test_case "vec_add checks out on a native stack" `Quick
+        (fun () ->
+          (* The shared reference pipeline: right sums either way; with
+             [~release] every buffer is gone afterwards, without it the
+             three stay live. *)
+          List.iter
+            (fun (release, live) ->
+              let e = Ava_sim.Engine.create () in
+              let gpu = Ava_device.Gpu.create e in
+              let api, st =
+                Ava_simcl.Native.create (Ava_simcl.Kdriver.create gpu)
+              in
+              let good =
+                Ava_sim.Engine.run_process e (fun () ->
+                    Clutil.vec_add api ~n:256 ~launches:2 ~release)
+              in
+              Alcotest.(check bool) "sums check out" true good;
+              Alcotest.(check int)
+                (Printf.sprintf "live mems with release=%b" release)
+                live
+                (Ava_simcl.Native.live_mems st))
+            [ (true, 0); (false, 3) ]);
+    ]
 
 let determinism_tests =
   [
