@@ -675,12 +675,24 @@ let check_isolation st =
 let quiesce_budget_ns = Time.s 400
 let quiesce_tick_ns = Time.ms 5
 
-(* Debug aid for corpus triage: AVA_CAMPAIGN_TRACE=1 arms the host call
-   trace and dumps it to stderr after the run.  Never set in CI — the
-   trace is for humans staring at a single replay. *)
+(* Debug aid for corpus triage: AVA_CAMPAIGN_TRACE=1 arms obs by default
+   and dumps its spans to stderr after the run — for humans staring at
+   a single replay. *)
 let debug_trace () = Sys.getenv_opt "AVA_CAMPAIGN_TRACE" <> None
 
-let run ?(obs = false) ?(sabotage = false) config trace =
+let dump_spans st o =
+  List.iter
+    (fun (s : Obs.span) ->
+      Printf.eprintf "span vm%d seq=%d %s dev%d open=%d close=%d status=%d\n"
+        s.sp_vm s.sp_seq s.sp_fn s.sp_device s.sp_open s.sp_close s.sp_status)
+    (Obs.spans o);
+  List.iter
+    (fun tn ->
+      Printf.eprintf "vm%d in flight: %d\n" tn.tn_vm_id
+        (Obs.vm_in_flight o ~vm:tn.tn_vm_id))
+    (List.rev st.st_tenants)
+
+let run ?(obs = debug_trace ()) ?(sabotage = false) config trace =
   let e = Engine.create () in
   let obs_reg = if obs then Some (Obs.create ()) else None in
   let host =
@@ -691,7 +703,7 @@ let run ?(obs = false) ?(sabotage = false) config trace =
       ~transfer_cache:config.sc_cache
       ~devfaults:
         (make_devfaults (Int64.to_int (Int64.logand config.sc_seed 0xffffffL)))
-      ~tdr:Host.default_tdr ~tracing:(debug_trace ()) ?obs:obs_reg e
+      ~tdr:Host.default_tdr ?obs:obs_reg e
   in
   let st =
     {
@@ -805,12 +817,7 @@ let run ?(obs = false) ?(sabotage = false) config trace =
      if !verdict = Pass then
        verdict :=
          Violation (No_crash, "engine aborted: " ^ Printexc.to_string exn));
-  if debug_trace () then
-    List.iter
-      (fun ev ->
-        Printf.eprintf "[%10d] %-8s %s\n" ev.Trace.at ev.Trace.category
-          ev.Trace.message)
-      (Trace.events host.Host.trace);
+  if debug_trace () then Option.iter (dump_spans st) obs_reg;
   let executed =
     let pool = host.Host.cl_pool in
     List.fold_left

@@ -67,7 +67,10 @@ type outcome = {
 val run : ?obs:bool -> ?sabotage:bool -> config -> Op.trace -> outcome
 (** Interpret the trace.  [obs] arms full latency attribution
     ({!Ava_obs.Obs}); the registry is passive, so the outcome must be
-    bit-identical to a disarmed run — {!check_twin} enforces it.
+    bit-identical to a disarmed run — {!check_twin} enforces it.  It
+    defaults to armed when [AVA_CAMPAIGN_TRACE] is set, and an armed
+    run then dumps one stderr line per retained span, then each
+    tenant's in-flight span count.
     [sabotage] deliberately breaks the stack (a tenant's server worker
     is crashed mid-workload and never restarted) to prove the
     invariant checks fire — the self-test of the campaign runner. *)

@@ -139,7 +139,7 @@ let stop t = t.stopped <- true
 
 let create ?(policy = Global_least_loaded) ?(devices_per_host = 2)
     ?(placement = Pool.Least_loaded) ?transfer_cache ?sva ?obs ?(seed = 7L)
-    ?tracing ~hosts engine =
+    ~hosts engine =
   if hosts < 1 then invalid_arg "Cluster.create: need at least one host";
   if devices_per_host < 1 then
     invalid_arg "Cluster.create: need at least one device per host";
@@ -154,7 +154,7 @@ let create ?(policy = Global_least_loaded) ?(devices_per_host = 2)
   let mk i =
     let h_rng = Rng.split master in
     let h_host =
-      Host.create_cl_host ?transfer_cache ?sva ?obs ?tracing
+      Host.create_cl_host ?transfer_cache ?sva ?obs
         ~devices:devices_per_host ~placement
         ~vm_id_base:(1 + (i * vm_id_stride))
         engine

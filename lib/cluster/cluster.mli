@@ -47,7 +47,6 @@ val create :
   ?sva:bool ->
   ?obs:Ava_obs.Obs.t ->
   ?seed:int64 ->
-  ?tracing:bool ->
   hosts:int ->
   Engine.t ->
   t

@@ -180,7 +180,6 @@ type cl_host = {
   router : Router.t;
   server : Cl_handlers.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;  (** one per pool device; empty when swap is off *)
-  trace : Ava_sim.Trace.t;
   obs : Obs.t option;
   cl_pool : Cl_handlers.state Pool.t;
   pool : Cl_handlers.state Pool.t option;
@@ -204,11 +203,10 @@ type cl_guest = {
    knobs are documented in host.mli. *)
 let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
     ?(swap_page_granularity = false) ?(sync_only = false) ?(transfer_cache = 0)
-    ?(sva = false) ?doorbell ?(tracing = false) ?devfaults ?tdr ?obs
+    ?(sva = false) ?doorbell ?devfaults ?tdr ?obs
     ?(devices = 1) ?(placement = Pool.Round_robin) ?rebalance ?vm_id_base
     engine =
   if devices < 1 then invalid_arg "create_cl_host: devices must be >= 1";
-  let trace = Ava_sim.Trace.create ~enabled:tracing () in
   let gpus =
     Array.init devices (fun _ ->
         Gpu.create ~timing:Timing.gtx1080 ?devfault:devfaults engine)
@@ -240,7 +238,7 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
   let make_server i =
     let gpu = gpus.(i) in
     let server =
-      Server.create ~trace ~cache_capacity:transfer_cache
+      Server.create ~cache_capacity:transfer_cache
         ?tdr:
           (server_tdr tdr
              ~wedged_by:(fun () -> Gpu.wedged_by gpu)
@@ -258,7 +256,7 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
     server
   in
   let servers = Array.init devices make_server in
-  let router = Router.create ~trace ?obs engine ~virt ~plan in
+  let router = Router.create ?obs engine ~virt ~plan in
   let iommus = Hashtbl.create 8 in
   let transfer ~vm_id ~src ~dst =
     let bytes = pool_transfer Cl_handlers.live ~vm_id ~src ~dst in
@@ -268,13 +266,13 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
     bytes
   in
   let pool =
-    Pool.create ~trace engine ~router ~placement ~transfer
+    Pool.create engine ~router ~placement ~transfer
       (Array.to_list
          (Array.mapi (fun i gpu -> (Pool.phys_of_gpu gpu, servers.(i))) gpus))
   in
   Option.iter (fun config -> Pool.start_rebalancer ~config pool) rebalance;
   { engine; gpu = gpus.(0); hv; plan; spec; router; server = servers.(0);
-    swaps; trace; obs; cl_pool = pool; pool = Some pool; sva;
+    swaps; obs; cl_pool = pool; pool = Some pool; sva;
     doorbell; iommus }
 
 (* Reply statuses that count against a SimCL VM's error budget: the
@@ -536,7 +534,6 @@ type st_host = {
   st_router : Router.t;
   st_server : St_handlers.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
-  st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
   st_pool : St_handlers.state Pool.t;
 }
@@ -569,11 +566,10 @@ let st_phys cap dev =
 (* [fleet] is the capability tag per pool device (default one
    [Cap_stream] device); each class runs its own timing preset — that
    contrast is the point of a mixed fleet. *)
-let create_st_host ?(virt = Timing.default_virt) ?(tracing = false) ?obs
+let create_st_host ?(virt = Timing.default_virt) ?obs
     ?(fleet = [ Pool.Cap_stream ]) ?(placement = Pool.Round_robin) ?rebalance
     ?vm_id_base engine =
   if fleet = [] then invalid_arg "create_st_host: fleet must be non-empty";
-  let trace = Ava_sim.Trace.create ~enabled:tracing () in
   let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
   let spec, plan = load_st_plan () in
   let caps = Array.of_list fleet in
@@ -585,16 +581,16 @@ let create_st_host ?(virt = Timing.default_virt) ?(tracing = false) ?obs
   in
   let make_server i =
     let server =
-      Server.create ~trace ?obs ~device_id:i engine ~plan
+      Server.create ?obs ~device_id:i engine ~plan
         ~make_state:(St_handlers.make_state devs.(i))
     in
     St_handlers.register server;
     server
   in
-  let router = Router.create ~trace ?obs engine ~virt ~plan in
+  let router = Router.create ?obs engine ~virt ~plan in
   let servers = Array.init (Array.length devs) make_server in
   let pool =
-    Pool.create ~trace engine ~router ~placement
+    Pool.create engine ~router ~placement
       ~transfer:(pool_transfer St_handlers.live)
       (Array.to_list
          (Array.mapi (fun i cap -> (st_phys cap devs.(i), servers.(i))) caps))
@@ -608,7 +604,6 @@ let create_st_host ?(virt = Timing.default_virt) ?(tracing = false) ?obs
     st_router = router;
     st_server = servers.(0);
     st_devs = devs;
-    st_trace = trace;
     st_obs = obs;
     st_pool = pool;
   }

@@ -58,8 +58,6 @@ type cl_host = {
   server : Cl_handlers.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;
       (** one swap manager per pool device; empty when swap is off *)
-  trace : Ava_sim.Trace.t;
-      (** router/server call trace (enabled with [~tracing:true]) *)
   obs : Obs.t option;
       (** latency-attribution registry (armed with [~obs]) *)
   cl_pool : Cl_handlers.state Pool.t;  (** the device pool *)
@@ -97,7 +95,6 @@ val create_cl_host :
   ?transfer_cache:int ->
   ?sva:bool ->
   ?doorbell:Transport.doorbell_cfg ->
-  ?tracing:bool ->
   ?devfaults:Devfault.t ->
   ?tdr:tdr_policy ->
   ?obs:Obs.t ->
@@ -308,7 +305,6 @@ type st_host = {
   st_router : Router.t;
   st_server : St_handlers.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
-  st_trace : Ava_sim.Trace.t;
   st_obs : Obs.t option;
   st_pool : St_handlers.state Pool.t;  (** the device pool *)
 }
@@ -326,7 +322,6 @@ val st_fault_statuses : int list
 
 val create_st_host :
   ?virt:Timing.virt ->
-  ?tracing:bool ->
   ?obs:Obs.t ->
   ?fleet:Pool.capability list ->
   ?placement:Pool.placement ->

@@ -106,7 +106,6 @@ type 'st t = {
   devices : 'st device array;
   transfer : vm_id:int -> src:'st device -> dst:'st device -> int;
       (** API-specific silo copy; returns bytes moved *)
-  trace : Trace.t;
   mutable vms : (int * vm_info) list;
       (** the residency record: every VM placed here, with its device *)
   mutable rr_cursor : int;
@@ -123,8 +122,7 @@ type 'st t = {
    worker, for calls already at the source to finish. *)
 let drain_window = Time.us 200
 
-let create ?(trace = Trace.create ()) engine ~router ~placement ~transfer
-    devices =
+let create engine ~router ~placement ~transfer devices =
   if devices = [] then invalid_arg "Pool.create: no devices";
   let devices =
     Array.of_list
@@ -150,7 +148,6 @@ let create ?(trace = Trace.create ()) engine ~router ~placement ~transfer
     placement;
     devices;
     transfer;
-    trace;
     vms = [];
     rr_cursor = 0;
     migrations = 0;
@@ -357,16 +354,7 @@ let choose ?requires t ~footprint =
           Some best.dev_id)
 
 (* Record a VM as resident on its [vi_device]. *)
-let add_resident t info =
-  let vm_id = Vm.id info.vi_vm in
-  t.vms <- (vm_id, info) :: t.vms;
-  Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-    "vm%d placed on dev%d (%s%s, footprint=%dB)" vm_id info.vi_device
-    (placement_to_string t.placement)
-    (match info.vi_requires with
-    | Some c -> ", requires " ^ capability_to_string c
-    | None -> "")
-    info.vi_footprint
+let add_resident t info = t.vms <- (Vm.id info.vi_vm, info) :: t.vms
 
 (* Place a new VM, recording residency; [device] pins it explicitly
    (still validated against [requires] — a pin must not sneak a silo
@@ -434,36 +422,23 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
      after this returns, without suspending. *)
 let handoff t info ~into ~pick =
   let vm_id = Vm.id info.vi_vm in
-  if info.vi_migrating then begin
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-      "vm%d already migrating; request ignored" vm_id;
-    None
-  end
+  if info.vi_migrating then None
   else begin
     let src = t.devices.(info.vi_device) in
     info.vi_migrating <- true;
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-      "vm%d leaving dev%d: pause and drain" vm_id src.dev_id;
     Server.pause_vm src.dev_server ~vm_id;
     Engine.delay drain_window;
     (* The drain is a suspension point: a VM retired meanwhile has no
        residency, server entry or router flow left to move. *)
     if not (List.mem_assoc vm_id t.vms) then begin
       t.aborted_migrations <- t.aborted_migrations + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-        "vm%d retired during drain; migration aborted" vm_id;
       None
     end
     else
+      (* The drain is also where a destination can die: a pick that is
+         no longer healthy counts as no destination. *)
       match pick () with
-      | None ->
-          Server.resume_vm src.dev_server ~vm_id;
-          info.vi_migrating <- false;
-          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-            "vm%d stays on dev%d: no compatible healthy device"
-            vm_id src.dev_id;
-          None
-      | Some dest ->
+      | Some dest when into.devices.(dest).dev_healthy ->
           let dst = into.devices.(dest) and local = into == t in
           (* A VM entering another pool is resident there from now on,
              so host load read-outs count it on both sides of the
@@ -484,12 +459,11 @@ let handoff t info ~into ~pick =
             t.migrations <- t.migrations + 1
           end
           else t.vms <- List.remove_assoc vm_id t.vms;
-          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-            "vm%d now on %sdev%d (expected seq %d, %dB moved)"
-            vm_id
-            (if local then "" else "another pool's ")
-            dest seq bytes;
           Some bytes
+      | _ ->
+          Server.resume_vm src.dev_server ~vm_id;
+          info.vi_migrating <- false;
+          None
   end
 
 let migrate_vm t ~vm_id ~dest =
@@ -498,21 +472,9 @@ let migrate_vm t ~vm_id ~dest =
     invalid_arg (Printf.sprintf "Pool.migrate_vm: no device %d" dest);
   let d = t.devices.(dest) in
   if dest = info.vi_device then 0
-  else if not (compatible info.vi_requires d) then begin
-    (* Record/replay only reconstructs a silo on a same-type device; a
-       capability-pinned VM refuses the move rather than wedging. *)
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-      "vm%d migration to dev%d refused: requires %s" vm_id dest
-      (match info.vi_requires with
-      | Some c -> capability_to_string c
-      | None -> "-");
-    0
-  end
-  else if not d.dev_healthy then begin
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-      "vm%d migration to dev%d refused: device lost" vm_id dest;
-    0
-  end
+  (* Record/replay only reconstructs a silo on a same-type device; a
+     capability-pinned VM refuses the move rather than wedging. *)
+  else if not (compatible info.vi_requires d && d.dev_healthy) then 0
   else
     Option.value ~default:0
       (handoff t info ~into:t ~pick:(fun () -> Some dest))
@@ -541,10 +503,7 @@ let emigrate t ~vm_id ~into =
 let retire_vm t ~vm_id =
   match List.assoc_opt vm_id t.vms with
   | None -> false
-  | Some info when info.vi_migrating ->
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-        "vm%d retire refused: migration in flight" vm_id;
-      false
+  | Some info when info.vi_migrating -> false
   | Some _ ->
       Array.iter
         (fun d ->
@@ -554,8 +513,6 @@ let retire_vm t ~vm_id =
       t.vms <- List.remove_assoc vm_id t.vms;
       Router.clear_breaker t.router ~vm_id;
       t.retires <- t.retires + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-        "vm%d retired" vm_id;
       true
 
 (* {1 Device loss and evacuation} *)
@@ -563,9 +520,9 @@ let retire_vm t ~vm_id =
 (* Permanently lose a device (TDR poison escalation, NCS unplug) and
    evacuate its residents onto healthy devices via the placement
    policy.  The client wedging the device at death keeps any open
-   circuit breaker — it earned it; every other evacuee's breaker is
-   cleared so innocent VMs resume service immediately.  Must run
-   inside a simulation process. *)
+   circuit breaker — it earned it; every other VM the evacuation moves
+   has its breaker cleared so innocent VMs resume service immediately.
+   Must run inside a simulation process. *)
 let kill_device t ~device:dev_id =
   let dev = device t dev_id in
   if dev.dev_healthy then begin
@@ -573,37 +530,29 @@ let kill_device t ~device:dev_id =
     let blamed = dev.dev_phys.ph_wedged_by () in
     dev.dev_phys.ph_kill ();
     dev.dev_healthy <- false;
-    let victims = resident t dev_id in
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-      "dev%d lost (%d resident, blamed=%s)" dev_id
-      (List.length victims)
-      (match blamed with Some v -> string_of_int v | None -> "-");
     List.iter
       (fun vm_id ->
-        (* Each evacuation migration drains (a suspension point), so a
-           victim later in the list may retire before its turn comes —
-           skip it rather than evacuate a ghost. *)
+        (* Each evacuation drains (a suspension point), so a victim
+           later in the list may retire before its turn comes — skip it
+           rather than evacuate a ghost.  Only a move this evacuation's
+           own handoff made counts: a victim already migrating lands
+           where that migration takes it, and keeps its breaker. *)
         match List.assoc_opt vm_id t.vms with
         | None -> ()
         | Some info -> (
-            match choose ?requires:info.vi_requires t
-                    ~footprint:info.vi_footprint
-            with
-            | None ->
-                Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-                  "vm%d stranded: no compatible healthy device"
-                  vm_id
-            | Some dest ->
-                ignore (migrate_vm t ~vm_id ~dest);
-                if List.mem_assoc vm_id t.vms then begin
-                  t.evacuations <- t.evacuations + 1;
-                  dev.dev_evac_out <- dev.dev_evac_out + 1;
-                  t.devices.(dest).dev_evac_in <-
-                    t.devices.(dest).dev_evac_in + 1;
-                  if blamed <> Some vm_id then
-                    Router.clear_breaker t.router ~vm_id
-                end))
-      victims
+            let pick () =
+              choose ?requires:info.vi_requires t ~footprint:info.vi_footprint
+            in
+            match handoff t info ~into:t ~pick with
+            | None -> ()
+            | Some _ ->
+                let dst = t.devices.(info.vi_device) in
+                t.evacuations <- t.evacuations + 1;
+                dev.dev_evac_out <- dev.dev_evac_out + 1;
+                dst.dev_evac_in <- dst.dev_evac_in + 1;
+                if blamed <> Some vm_id then
+                  Router.clear_breaker t.router ~vm_id))
+      (resident t dev_id)
   end
 
 (* {1 Rebalancing} *)
@@ -633,9 +582,6 @@ let rebalance_now ?(skew = default_rebalance.rb_skew) t =
   | None -> false
   | Some m ->
       let vm_id = m.sm_victim in
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"pool"
-        "rebalance: dev%d load=%d avg=%d -> moving vm%d to dev%d" m.sm_hot
-        m.sm_hot_load m.sm_avg vm_id m.sm_cold;
       ignore (migrate_vm t ~vm_id ~dest:m.sm_cold);
       let moved = device_of t ~vm_id = Some m.sm_cold in
       if moved then t.rebalances <- t.rebalances + 1;

@@ -73,7 +73,6 @@ type 'st device = {
 type 'st t
 
 val create :
-  ?trace:Trace.t ->
   Engine.t ->
   router:Router.t ->
   placement:placement ->
@@ -87,8 +86,7 @@ val create :
     attached to both devices' servers, handing its record log to the
     destination entry ({!Server.hand_over_log}) and returning the bytes
     moved; [dst] may belong to another pool (a cross-host move).  Wrap
-    GPUs with {!phys_of_gpu}.  Placement and migration events go to
-    [trace] under ["pool"] (default: a disabled trace). *)
+    GPUs with {!phys_of_gpu}. *)
 
 val drain_window : Time.t
 (** The quiesce window a migration waits after pausing the source
@@ -219,7 +217,8 @@ val migrate_vm : 'st t -> vm_id:int -> dest:int -> int
     mid-migration, or when [dest] is lost ({!kill_device}) or its
     capability doesn't satisfy the VM's requirement — record/replay
     only reconstructs a silo on a healthy same-type device, so the
-    move is refused rather than wedged.  Calls the source server
+    move is refused rather than wedged.  A [dest] lost during the
+    drain also refuses the move: the VM resumes on its source.  Calls the source server
     executed but had not answered may execute again at the destination
     — at-least-once, the same contract as the restart/requeue path.
     Must run inside a simulation process.
@@ -251,11 +250,13 @@ val retire_vm : 'st t -> vm_id:int -> bool
 
 val kill_device : 'st t -> device:int -> unit
 (** Permanently lose the device ({!Gpu.kill}) and evacuate its
-    residents via the placement policy.  The client wedging the device
-    at death keeps any open circuit breaker; every other evacuee's
-    breaker is cleared.  Residents stranded with no healthy device
-    left stay attached to the dead one.  Must run inside a simulation
-    process. *)
+    residents, each through the placement policy after its drain (as
+    {!emigrate} picks).  Only a resident this evacuation moved counts
+    in {!evacuations} and the devices' evacuation tallies, and has its
+    circuit breaker cleared — unless it wedged the device at death.  A
+    resident already mid-migration lands where that migration takes
+    it; one stranded with no healthy device left stays attached to the
+    dead one.  Must run inside a simulation process. *)
 
 (** {1 Rebalancing} *)
 

@@ -111,7 +111,6 @@ and t = {
       (** calls rejected at admission by an open breaker *)
   mutable resteered : int;  (** VMs live-moved between backends *)
   mutable paced_ns : Time.t;
-  trace : Trace.t;
   obs : Obs.t option;
 }
 
@@ -123,7 +122,7 @@ let pacing_ns_of_cost cost =
 
 let make_backend id = { bs_id = id; bs_wfq = Policy.Wfq.create (); bs_started = false }
 
-let create ?(trace = Trace.create ()) ?obs engine ~virt ~plan =
+let create ?obs engine ~virt ~plan =
   {
     engine;
     virt;
@@ -136,7 +135,6 @@ let create ?(trace = Trace.create ()) ?obs engine ~virt ~plan =
     quarantined = 0;
     resteered = 0;
     paced_ns = 0;
-    trace;
     obs;
   }
 
@@ -271,18 +269,7 @@ let spawn_egress t conn ep =
             if faulty then conn.fault_replies <- conn.fault_replies + 1;
             (match conn.breaker with
             | Some b ->
-                if faulty then begin
-                  let was = Policy.Breaker.state b in
-                  Policy.Breaker.record_failure b;
-                  if Policy.Breaker.state b = Policy.Breaker.Open then
-                    Trace.record t.trace
-                      ~at:(Engine.now t.engine) ~category:"breaker"
-                      "vm%d breaker %s status=%d" (Vm.id vm)
-                      (match was with
-                      | Policy.Breaker.Open -> "open"
-                      | _ -> "tripped open")
-                      r.Message.reply_status
-                end
+                if faulty then Policy.Breaker.record_failure b
                 else Policy.Breaker.record_success b
             | None -> ())
         | _ -> ());
@@ -381,11 +368,6 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
               None
           | Ok plan ->
               Vm.charge_call vm;
-              if Trace.is_enabled t.trace then
-                Trace.record t.trace
-                  ~at:(Engine.now t.engine) ~category:"router"
-                  "vm%d %s seq=%d" (Vm.id vm)
-                  c.Message.call_fn c.Message.call_seq;
               let env =
                 Plan.scalar_env plan ~to_int:Wire.to_int c.Message.call_args
               in
@@ -409,19 +391,12 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
                  guest's copy of the rejection was lost): replay the
                  same verdict.  Forwarding instead would contradict the
                  Skip the backend consumed for this seq. *)
-              Trace.record t.trace ~at:(Engine.now t.engine) ~category:"breaker"
-                "vm%d reject replay seq=%d" (Vm.id vm)
-                c.Message.call_seq;
               reject_call conn c status;
               None
           | None -> (
               match conn.breaker with
               | Some b when not (Policy.Breaker.admit b) ->
                   t.quarantined <- t.quarantined + 1;
-                  Trace.record t.trace
-                    ~at:(Engine.now t.engine) ~category:"breaker"
-                    "vm%d quarantined %s seq=%d"
-                    (Vm.id vm) c.Message.call_fn c.Message.call_seq;
                   reject_call conn c Server.status_vm_quarantined;
                   None
               | _ -> Some c)
@@ -573,12 +548,7 @@ let clear_breaker t ~vm_id =
   match find_conn t vm_id with
   | None -> invalid_arg "Router.clear_breaker: unknown vm"
   | Some conn -> (
-      match conn.breaker with
-      | Some b ->
-          Policy.Breaker.reset b;
-          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"breaker"
-            "vm%d breaker cleared" vm_id
-      | None -> ())
+      match conn.breaker with Some b -> Policy.Breaker.reset b | None -> ())
 
 let breaker_trips t ~vm_id =
   match find_conn t vm_id with
@@ -598,8 +568,6 @@ let requeue_conn t conn ~vm_id =
   List.iter
     (fun m ->
       t.requeued <- t.requeued + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"router"
-        "vm%d requeue %d seqs" vm_id (List.length m.if_seqs);
       conn.pending_seqs <- m.if_seqs @ conn.pending_seqs;
       Policy.Wfq.push wfq ~flow_id:vm_id ~cost:m.if_cost
         (conn, m.if_cost, m.if_data, m.if_seqs))
@@ -682,7 +650,7 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
         (fun (payload, cost) ->
           Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
         queued;
-      let requeued = requeue_conn dst conn ~vm_id in
+      ignore (requeue_conn dst conn ~vm_id);
       (* Forward skips the new backend has not seen and might wait on. *)
       let expected = next_seq dst ~vm_id in
       let live_skips =
@@ -693,9 +661,4 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
       send_skip conn live_skips;
       start_dispatcher dst dst_b;
       spawn_egress dst conn server_side;
-      dst.resteered <- dst.resteered + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"router"
-        "vm%d flow lane %d -> %slane %d (%d queued, %d requeued)"
-        vm_id src_b.bs_id
-        (if t == dst then "" else "another router's ")
-        dst_b.bs_id (List.length queued) requeued
+      dst.resteered <- dst.resteered + 1

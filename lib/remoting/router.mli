@@ -21,17 +21,13 @@ type vm_conn
 type t
 
 val create :
-  ?trace:Trace.t ->
   ?obs:Ava_obs.Obs.t ->
   Engine.t ->
   virt:Ava_device.Timing.virt ->
   plan:Plan.t ->
   t
-(** With [trace] (enabled), every verified call is recorded under the
-    ["router"] category; without it the router keeps a disabled trace
-    of its own.  With [obs], the router stamps ingress and
-    WFQ-dispatch marks on each call's span (passive; no timing
-    impact). *)
+(** With [obs], the router stamps ingress and WFQ-dispatch marks on
+    each call's span (passive; no timing impact). *)
 
 val forwarded : t -> int
 val rejected : t -> int
@@ -74,8 +70,8 @@ val attach_vm :
     [breaker_statuses] (default [[Server.status_device_lost]]) —
     while open, the VM's calls are rejected at admission with
     {!Server.status_vm_quarantined} and never reach the WFQ, so other
-    VMs' service is unperturbed.  Breaker transitions are traced under
-    the ["breaker"] category. *)
+    VMs' service is unperturbed.  {!breaker_info} reads its state,
+    trips and rejections back. *)
 
 (** {1 Administration interface (§4.3)} *)
 

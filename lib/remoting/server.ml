@@ -236,7 +236,6 @@ type 'st t = {
   mutable restarts : int;
   mutable lost_while_down : int;
   mutable on_call : (vm_id:int -> status:int -> Message.call -> unit) option;
-  trace : Trace.t;
   obs : Obs.t option;
   device_id : int;  (** pool device this server fronts; -1 = unpooled *)
   cache_capacity : int;  (** per-VM content-store bound; 0 = cache off *)
@@ -281,7 +280,7 @@ exception Device_lost
 (* Fixed front-end cost of dispatching one call. *)
 let exec_overhead_ns = Time.ns 800
 
-let create ?(cache_capacity = 0) ?tdr ?(trace = Trace.create ()) ?obs
+let create ?(cache_capacity = 0) ?tdr ?obs
     ?(device_id = -1) engine ~plan ~make_state =
   {
     engine;
@@ -295,7 +294,6 @@ let create ?(cache_capacity = 0) ?tdr ?(trace = Trace.create ()) ?obs
     restarts = 0;
     lost_while_down = 0;
     on_call = None;
-    trace;
     obs;
     device_id;
     cache_capacity = Stdlib.max 0 cache_capacity;
@@ -391,7 +389,7 @@ let sva_for t ~vm_id = Option.bind (find_vm t vm_id) (fun e -> e.ve_sva)
    exceptions are guest-attributable; anything else is a server-side bug
    and is counted loudly rather than silently masquerading as a guest
    error. *)
-let classify_exn t entry (c : Message.call) = function
+let classify_exn t = function
   | Unknown_handle ->
       t.rejected <- t.rejected + 1;
       (status_unknown_handle, Wire.Unit, [])
@@ -401,13 +399,9 @@ let classify_exn t entry (c : Message.call) = function
   | Device_lost ->
       t.device_lost <- t.device_lost + 1;
       (status_device_lost, Wire.Unit, [])
-  | e ->
+  | _ ->
       t.unexpected_exns <- t.unexpected_exns + 1;
       t.rejected <- t.rejected + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-        "vm%d %s seq=%d UNEXPECTED exception %s"
-        entry.ve_ctx.Ctx.ctx_vm c.Message.call_fn c.Message.call_seq
-        (Printexc.to_string e);
       (status_bad_arguments, Wire.Unit, [])
 
 (* The watchdog's execution budget for one call: the spec resource
@@ -437,7 +431,7 @@ let run_handler t entry handler (c : Message.call) =
       | result ->
           t.executed <- t.executed + 1;
           result
-      | exception e -> classify_exn t entry c e)
+      | exception e -> classify_exn t e)
   | Some tdr -> (
       let iv = Ivar.create () in
       Engine.spawn t.engine
@@ -453,27 +447,24 @@ let run_handler t entry handler (c : Message.call) =
           Engine.delay (tdr_budget t tdr c);
           if not (Ivar.is_filled iv) then begin
             let self = entry.ve_ctx.Ctx.ctx_vm in
-            let reset verdict =
+            let reset () =
               t.tdr_resets <- t.tdr_resets + 1;
-              Trace.record t.trace ~at:(Engine.now t.engine) ~category:"tdr"
-                "vm%d %s seq=%d watchdog reset (%s)"
-                self c.Message.call_fn c.Message.call_seq verdict;
               tdr.tdr_reset ~vm_id:self
             in
             (match tdr.tdr_wedged_by with
             | None ->
                 (* No blame query: every timeout is this call's fault. *)
-                reset "blamed";
+                reset ();
                 Ivar.fill_if_empty iv `Timed_out
             | Some wedged_by -> (
                 match wedged_by () with
                 | Some culprit when culprit = self ->
-                    reset "guilty";
+                    reset ();
                     Ivar.fill_if_empty iv `Timed_out
                 | Some _ ->
                     (* Stuck behind another client's wedge: unwedge the
                        device and let this call finish on its own. *)
-                    reset "innocent bystander"
+                    reset ()
                 | None ->
                     (* Device not wedged — the call is slow, not hung
                        (e.g. draining a deep queue after a reset).  Let
@@ -485,7 +476,7 @@ let run_handler t entry handler (c : Message.call) =
       | `Returned result ->
           t.executed <- t.executed + 1;
           result
-      | `Raised e -> classify_exn t entry c e
+      | `Raised e -> classify_exn t e
       | `Timed_out ->
           t.device_lost <- t.device_lost + 1;
           (status_device_lost, Wire.Unit, []))
@@ -514,10 +505,6 @@ let execute_call t entry (c : Message.call) =
     | Some handler -> run_handler t entry handler c
   in
   obs_mark t entry c Obs.M_exec_end;
-  if Trace.is_enabled t.trace then
-    Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-      "vm%d %s seq=%d status=%d" entry.ve_ctx.Ctx.ctx_vm
-      c.Message.call_fn c.Message.call_seq status;
   (match t.on_call with
   | Some hook -> hook ~vm_id:entry.ve_ctx.Ctx.ctx_vm ~status c
   | None -> ());
@@ -673,12 +660,9 @@ let try_run t entry (c : Message.call) =
           entry.ve_expected <- c.Message.call_seq + 1;
           run_call t entry { c with Message.call_args = args };
           true
-      | Error msg ->
+      | Error _ ->
           t.sva_rejected <- t.sva_rejected + 1;
           t.rejected <- t.rejected + 1;
-          Trace.record t.trace ~at:(Engine.now t.engine) ~category:"sva"
-            "vm%d seq=%d bad mapped ref: %s"
-            entry.ve_ctx.Ctx.ctx_vm c.Message.call_seq msg;
           entry.ve_expected <- c.Message.call_seq + 1;
           let reply =
             {
@@ -693,9 +677,6 @@ let try_run t entry (c : Message.call) =
           true)
   | Error missing ->
       t.naks_sent <- t.naks_sent + 1;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"cache"
-        "vm%d nak seq=%d missing=%d"
-        entry.ve_ctx.Ctx.ctx_vm c.Message.call_seq (List.length missing);
       Transport.send entry.ve_ep
         (Message.encode
            (Message.Nak
@@ -735,8 +716,6 @@ let handle_call t entry (c : Message.call) =
     match Hashtbl.find_opt entry.ve_replay seq with
     | Some r ->
         t.replayed <- t.replayed + 1;
-        Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-          "vm%d replay seq=%d" entry.ve_ctx.Ctx.ctx_vm seq;
         Transport.send entry.ve_ep (Message.encode (Message.Reply r))
     | None ->
         (* A router-skipped seq (the guest already holds its rejection
@@ -769,9 +748,7 @@ let detach_vm t ~vm_id =
       e.ve_resume <- None;
       resume ()
   | None -> ());
-  t.vm_entries <- List.remove_assoc vm_id t.vm_entries;
-  Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-    "vm%d detached" vm_id
+  t.vm_entries <- List.remove_assoc vm_id t.vm_entries
 
 (* Attach a VM: spawn its worker process draining its endpoint.  A
    leftover entry for the same VM (a previous residency the pool never
@@ -844,10 +821,7 @@ let attach_vm t ~vm_id ~ep =
 let crash t ~vm_id =
   match find_vm t vm_id with
   | None -> invalid_arg "Server.crash: unknown vm"
-  | Some e ->
-      e.ve_crashed <- true;
-      Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-        "vm%d server crash" vm_id
+  | Some e -> e.ve_crashed <- true
 
 let restart t ~vm_id =
   match find_vm t vm_id with
@@ -858,9 +832,7 @@ let restart t ~vm_id =
         t.restarts <- t.restarts + 1;
         (* The content store is front-end process memory: a restart loses
            it.  Stale refs from the guest then miss and NAK. *)
-        Store.clear e.ve_store;
-        Trace.record t.trace ~at:(Engine.now t.engine) ~category:"server"
-          "vm%d server restart" vm_id
+        Store.clear e.ve_store
       end
 
 let is_crashed t ~vm_id =

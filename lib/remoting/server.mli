@@ -122,7 +122,6 @@ type tdr = {
 val create :
   ?cache_capacity:int ->
   ?tdr:tdr ->
-  ?trace:Trace.t ->
   ?obs:Ava_obs.Obs.t ->
   ?device_id:int ->
   Engine.t ->
@@ -133,10 +132,7 @@ val create :
     [cache_capacity] bounds each VM's content store in payload bytes
     (default 0: transfer cache off, behaviour byte-identical to the
     pre-cache stack).  [tdr] arms the timeout-detection-and-recovery
-    watchdog (default off; armed, watchdog resets are traced under
-    ["tdr"]).  With [trace] (enabled), every executed call is recorded
-    under the ["server"] category and cache-miss NAKs under ["cache"];
-    without it the server keeps a disabled trace of its own.
+    watchdog (default off; armed, each reset bumps {!tdr_resets}).
     [device_id] names the pool device this server fronts (default -1:
     unpooled).  A pooled server keeps a migration record log
     ({!recorder}) in each VM's entry; when [obs] is armed, its executed

@@ -6,7 +6,6 @@ module Transport = Ava_transport.Transport
 module Stub = Ava_remoting.Stub
 module Router = Ava_remoting.Router
 module Swap = Ava_remoting.Swap
-module Trace = Ava_sim.Trace
 
 open Ava_sim
 open Ava_simcl.Types
@@ -663,27 +662,6 @@ let conformance_tests =
             match CL.clGetEventInfo 31337 with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "forged handle accepted"));
-    Alcotest.test_case "tracing records router and server activity" `Quick
-      (fun () ->
-        run_in_engine (fun e ->
-            let host = Host.create_cl_host ~tracing:true e in
-            let guest = Host.add_cl_vm host ~name:"traced" in
-            let _ = vec_add_program guest.Host.g_api 256 in
-            let tr = host.Host.trace in
-            let router_events = Trace.by_category tr "router" in
-            let server_events = Trace.by_category tr "server" in
-            Alcotest.(check int) "router trace matches forwarded"
-              (Router.forwarded host.Host.router + Router.rejected host.Host.router)
-              (List.length router_events);
-            Alcotest.(check bool) "server events recorded" true
-              (List.length server_events > 0);
-            (* Times are monotone non-decreasing. *)
-            let rec monotone = function
-              | a :: (b :: _ as rest) ->
-                  a.Trace.at <= b.Trace.at && monotone rest
-              | _ -> true
-            in
-            Alcotest.(check bool) "monotone" true (monotone router_events)));
     Alcotest.test_case "report snapshot is consistent" `Quick (fun () ->
         run_in_engine (fun e ->
             let host = Host.create_cl_host e in

@@ -540,6 +540,29 @@ let migration_tests =
                    ~wait_list:[] ~want_event:false)
             in
             Alcotest.(check bytes) "data intact" payload back));
+    Alcotest.test_case "a destination lost during the drain keeps the VM home"
+      `Quick (fun () ->
+        (* dev2 is healthy when the move starts and dies 50 us into the
+           drain: the handoff must resume the VM on its source rather
+           than land it on a dead device. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~devices:3 e in
+        let pool = the_pool host in
+        let guest = Host.add_cl_vm ~device:0 host ~name:"mover" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+        Engine.run_process e (fun () ->
+            Engine.spawn e ~name:"killer" (fun () ->
+                Engine.delay (Time.us 50);
+                Pool.kill_device pool ~device:2);
+            Alcotest.(check int) "no bytes moved" 0
+              (Pool.migrate_vm pool ~vm_id ~dest:2);
+            Alcotest.(check bool) "dev2 is gone" false (Pool.is_healthy pool 2);
+            Alcotest.(check (option int)) "still on dev0" (Some 0)
+              (Pool.device_of pool ~vm_id);
+            Alcotest.(check int) "no migration counted" 0
+              (Pool.migrations pool);
+            Alcotest.(check bool) "guest still served" true
+              (vec_add_ok guest.Host.g_api 64)));
   ]
 
 (* --- device loss and evacuation ------------------------------------------- *)
@@ -649,6 +672,62 @@ let evac_tests =
            placement are all bit-identical. *)
         let o2 = evac_run ~seed:chaos_seed () in
         Alcotest.(check bool) "same-seed runs identical" true (o = o2));
+    Alcotest.test_case "a victim already migrating is not evacuated" `Quick
+      (fun () ->
+        (* x trips its breaker on a failed launch, then starts a move
+           to dev2; dev0 dies during the drain.  The in-flight
+           migration carries x, so the evacuation moved nothing: it
+           counts no evacuation and leaves x's breaker open. *)
+        let e = Engine.create () in
+        let devfaults =
+          Devfault.create
+            ~gpu:
+              { Devfault.gpu_none with gpu_launch_fail = 1.0;
+                gpu_target = Some 1 }
+            ~seed:1 ()
+        in
+        let host = Host.create_cl_host ~devices:3 ~devfaults e in
+        let pool = the_pool host in
+        let x =
+          Host.add_cl_vm ~device:0 host ~name:"x"
+            ~breaker:
+              { Policy.Breaker.failure_threshold = 1; cooldown_ns = Time.s 1 }
+        in
+        let vm_id = Ava_hv.Vm.id x.Host.g_vm in
+        Alcotest.(check int) "x is the fault target" 1 vm_id;
+        let breaker_state () =
+          Option.map
+            (fun i -> i.Router.bi_state)
+            (Router.breaker_info host.Host.router ~vm_id)
+        in
+        let module CL = (val x.Host.g_api) in
+        Engine.run_process e (fun () ->
+            let s = Clutil.open_session x.Host.g_api in
+            let k = List.hd (Clutil.build_kernels s [ ("evac", 1e5, 8.0) ]) in
+            ignore
+              (ok
+                 (CL.clEnqueueNDRangeKernel s.Clutil.queue k
+                    ~global_work_size:256 ~local_work_size:16 ~wait_list:[]
+                    ~want_event:false));
+            Alcotest.(check bool) "launch failed" true
+              (CL.clFinish s.Clutil.queue = Error Device_not_available);
+            Alcotest.(check bool) "breaker open" true
+              (breaker_state () = Some Policy.Breaker.Open);
+            Engine.spawn e ~name:"killer" (fun () ->
+                Engine.delay (Time.us 50);
+                Pool.kill_device pool ~device:0);
+            ignore (Pool.migrate_vm pool ~vm_id ~dest:2));
+        Alcotest.(check (option int)) "x on dev2" (Some 2)
+          (Pool.device_of pool ~vm_id);
+        Alcotest.(check int) "one migration" 1 (Pool.migrations pool);
+        Alcotest.(check int) "no evacuation" 0 (Pool.evacuations pool);
+        Alcotest.(check (list (pair int int))) "no evacuation tallies"
+          [ (0, 0); (0, 0); (0, 0) ]
+          (List.map
+             (fun d -> (d.Pool.ds_evac_in, d.Pool.ds_evac_out))
+             (Pool.stats pool));
+        Alcotest.(check bool) "breaker still open" true
+          (breaker_state () = Some Policy.Breaker.Open));
   ]
 
 (* --- rebalancing ----------------------------------------------------------- *)

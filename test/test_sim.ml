@@ -604,50 +604,6 @@ let stats_tests =
            Float.abs (Stats.Online.mean o -. Stats.mean samples) < 1e-6));
   ]
 
-let trace_tests =
-  [
-    Alcotest.test_case "disabled trace records nothing" `Quick (fun () ->
-        let tr = Trace.create () in
-        Trace.record tr ~at:0 ~category:"x" "msg %d" 1;
-        Alcotest.(check int) "count" 0 (Trace.count tr));
-    Alcotest.test_case "enabled trace records and filters" `Quick (fun () ->
-        let tr = Trace.create ~enabled:true () in
-        Trace.record tr ~at:5 ~category:"dma" "copy %d bytes" 64;
-        Trace.record tr ~at:9 ~category:"mmio" "doorbell";
-        Alcotest.(check int) "count" 2 (Trace.count tr);
-        match Trace.by_category tr "dma" with
-        | [ e ] ->
-            Alcotest.(check string) "msg" "copy 64 bytes" e.Trace.message;
-            Alcotest.(check int) "at" 5 e.Trace.at
-        | _ -> Alcotest.fail "expected one dma event");
-    Alcotest.test_case "limit respected" `Quick (fun () ->
-        let tr = Trace.create ~enabled:true ~limit:3 () in
-        for i = 1 to 10 do
-          Trace.record tr ~at:i ~category:"c" "e%d" i
-        done;
-        Alcotest.(check int) "capped" 3 (Trace.count tr));
-    Alcotest.test_case "truncation is counted and reported" `Quick (fun () ->
-        let tr = Trace.create ~enabled:true ~limit:3 () in
-        Alcotest.(check int) "no drops yet" 0 (Trace.dropped tr);
-        for i = 1 to 10 do
-          Trace.record tr ~at:i ~category:"c" "e%d" i
-        done;
-        Alcotest.(check int) "kept" 3 (Trace.count tr);
-        Alcotest.(check int) "dropped" 7 (Trace.dropped tr);
-        let dump = Format.asprintf "%a" Trace.dump tr in
-        let contains s sub =
-          let n = String.length sub in
-          let rec find i =
-            i + n <= String.length s && (String.sub s i n = sub || find (i + 1))
-          in
-          find 0
-        in
-        Alcotest.(check bool) "dump mentions truncation" true
-          (contains dump "truncated");
-        Trace.clear tr;
-        Alcotest.(check int) "clear resets" 0 (Trace.dropped tr));
-  ]
-
 let () =
   Alcotest.run "ava_sim"
     [
@@ -659,5 +615,4 @@ let () =
       ("semaphore", semaphore_tests);
       ("rng", rng_tests);
       ("stats", stats_tests);
-      ("trace", trace_tests);
     ]
