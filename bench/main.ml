@@ -1676,6 +1676,9 @@ let microbench () =
            call_args = List.tl wire_values;
          })
   in
+  (* The router's frame cursor, reused from read to read as ingress
+     reuses it. *)
+  let cursor = Ava_remoting.Message.cursor () in
   let spec = Ava_spec.Specs.load_simcl () in
   let plan = Result.get_ok (Ava_codegen.Plan.compile spec) in
   let read_plan =
@@ -1690,7 +1693,7 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Ava_remoting.Wire.decode encoded)));
       Test.make ~name:"wire-peek"
         (Staged.stage (fun () ->
-             ignore (Ava_remoting.Message.peek call_frame)));
+             ignore (Ava_remoting.Message.read cursor call_frame)));
       Test.make ~name:"plan-sync-decision"
         (Staged.stage (fun () ->
              ignore (Ava_codegen.Plan.is_sync read_plan ~env)));

@@ -40,8 +40,11 @@ type t =
           payload under the same seq *)
 
 val encode : t -> bytes
-(** One presized allocation per frame; a [Batch] writes its members'
-    [Call] frames straight into it. *)
+(** One presized allocation per [Call] or [Reply] frame, its header
+    written straight into it, with no value list built around the
+    arguments; a [Batch] is {!batch_of_frames} of its members' [Call]
+    frames.  The bytes are always [Wire.encode] of the frame's generic
+    value list. *)
 
 val batch_of_frames : bytes list -> bytes
 (** The [Batch] frame whose members are the given, already encoded,
@@ -52,14 +55,51 @@ val decode : bytes -> (t, string) result
 (** Total: corrupt or truncated input, or a seq, vm, status or callback id
     outside the native [int] range, yields [Error], never an exception. *)
 
-val peek : bytes -> (t * (int * int) list, string) result
-(** The frame without its payloads, for readers that need only headers
-    and scalars.  It applies every check {!decode} does and returns
-    [Error] on exactly the same inputs, but never copies a [Blob] or
-    [Blob_cached] payload: those come back empty.  Other values, the
-    kind, seqs, vm, fn and status are as {!decode} returns them.  For a
-    [Batch], the list gives each member's [Call] sub-frame as
-    [(offset, length)] within the peeked bytes, in member order; it is
-    empty for every other kind. *)
+(** {1 Frame cursor}
+
+    The router's view of a frame: headers and scalars, read straight
+    from the bytes.  A read applies every check {!decode} does and fails
+    on exactly the same inputs, but builds no {!t}, no value list and no
+    payload copy, and a cursor is reused frame after frame.  For a
+    [Call] or [Batch] frame it yields each member call's seq, vm, fn,
+    arity, scalar view and sub-frame span; for a [Reply], its seq and
+    status. *)
+
+type kind = K_call | K_reply | K_batch | K_upcall | K_skip | K_nak
+
+type cursor
+
+val cursor : unit -> cursor
+
+val read : cursor -> bytes -> (kind, string) result
+(** Read a frame; the accessors below describe the last frame read. *)
+
+val members : cursor -> int
+(** Member calls: 1 for a [Call] frame, the member count of a [Batch],
+    0 for every other kind (and after an [Error]). *)
+
+val seq : cursor -> int -> int
+(** [seq cu i]: member [i]'s [call_seq]. *)
+
+val vm : cursor -> int -> int
+
+val fn : cursor -> int -> string
+(** Member [i]'s function name, interned as by [Wire.read_name]. *)
+
+val arity : cursor -> int -> int
+(** Member [i]'s argument count. *)
+
+val scalars : cursor -> int -> Ava_codegen.Plan.scalars
+(** Member [i]'s arguments as a scalar view: position [j] is bound iff
+    [Wire.to_int] of argument [j] is [Some].  Valid until the next
+    read. *)
+
+val member_off : cursor -> int -> int
+val member_len : cursor -> int -> int
+(** Member [i]'s [Call] sub-frame within the bytes read: the whole
+    frame for a [Call], the member's blob payload for a [Batch]. *)
+
+val reply_seq : cursor -> int
+val reply_status : cursor -> int
 
 val pp : Format.formatter -> t -> unit

@@ -32,50 +32,78 @@ let create () = { log = []; recorded_count = 0; pruned_count = 0 }
 (* The tracked object of a call: for allocations, the guest id the stub
    pre-assigned (by convention the first [Handle] among the arguments of
    an [Out_element { allocates }] parameter); for modifications and
-   deallocations, the first handle argument. *)
+   deallocations, the first handle argument.  An explicit target
+   annotation wins.  Parameters and arguments are walked in step, over
+   their common prefix. *)
+let rec find_arg pick params args =
+  match (params, args) with
+  | p :: params, v :: args -> (
+      match pick p v with Some _ as h -> h | None -> find_arg pick params args)
+  | [], _ | _, [] -> None
+
+let explicit_target tname (name, _) = function
+  | Wire.Handle h when String.equal name tname -> Some (Int64.to_int h)
+  | _ -> None
+
+let alloc_target (_, action) v =
+  match (action, v) with
+  | Plan.Out_element { allocates = true }, Wire.Handle h -> Some (Int64.to_int h)
+  | _ -> None
+
+let handle_arg (_, action) v =
+  match (action, v) with
+  | Plan.Pass_handle, Wire.Handle h -> Some (Int64.to_int h)
+  | _ -> None
+
 let primary_handle (plan : Plan.call_plan) (args : Wire.value list) =
-  let with_actions = List.combine plan.Plan.cp_params args in
-  (* Explicit target annotation wins. *)
-  let explicit =
+  let params = plan.Plan.cp_params in
+  match
     match plan.Plan.cp_target_param with
     | None -> None
-    | Some tname ->
-        List.find_map
-          (fun ((name, _), v) ->
-            match v with
-            | Wire.Handle h when String.equal name tname ->
-                Some (Int64.to_int h)
-            | _ -> None)
-          with_actions
-  in
-  let alloc_target =
-    List.find_map
-      (fun ((_, action), v) ->
-        match (action, v) with
-        | Plan.Out_element { allocates = true }, Wire.Handle h ->
-            Some (Int64.to_int h)
-        | _ -> None)
-      with_actions
-  in
-  match (explicit, alloc_target) with
-  | Some h, _ -> Some h
-  | None, Some h -> Some h
-  | None, None ->
-      List.find_map
-        (function
-          | (_, Plan.Pass_handle), Wire.Handle h -> Some (Int64.to_int h)
-          | _ -> None)
-        with_actions
+    | Some tname -> find_arg (explicit_target tname) params args
+  with
+  | Some _ as h -> h
+  | None -> (
+      match find_arg alloc_target params args with
+      | Some _ as h -> h
+      | None -> find_arg handle_arg params args)
 
 (* The replay log must hold self-contained payloads: replay runs against
    a fresh destination silo whose content store is empty, so a recorded
    transfer-cache value would be unresolvable there.  The server resolves
-   cache values before it records a call, making this a no-op on the
-   normal path; it guards direct-execution callers. *)
+   cache values before it records a call, so on the normal path there is
+   nothing to rewrite and the arguments are kept as they are; this
+   guards direct-execution callers. *)
+let rec has_cached = function
+  | Wire.Blob_cached _ -> true
+  | Wire.List vs -> List.exists has_cached vs
+  | _ -> false
+
 let rec sanitize_value = function
   | Wire.Blob_cached { bc_data; _ } -> Wire.Blob bc_data
   | Wire.List vs -> Wire.List (List.map sanitize_value vs)
   | v -> v
+
+let sanitize args =
+  if List.exists has_cached args then List.map sanitize_value args else args
+
+let tracks h r =
+  match (r.rc_class, r.rc_primary) with
+  | (Object_alloc | Object_modify), Some h' -> h' = h
+  | _ -> false
+
+(* [log] without object [h]'s records, counting them; the part of the
+   log older than its oldest record is shared, not copied. *)
+let rec prune t h = function
+  | [] -> []
+  | r :: rest as log ->
+      let rest' = prune t h rest in
+      if tracks h r then begin
+        t.pruned_count <- t.pruned_count + 1;
+        rest'
+      end
+      else if rest' == rest then log
+      else r :: rest'
 
 (* Observe one successfully executed call.  [allocated] is the virtual
    id the server assigned when the call created an object (the return
@@ -90,7 +118,7 @@ let observe ?allocated t (plan : Plan.call_plan) (c : Message.call) =
     t.log <-
       {
         rc_fn = c.Message.call_fn;
-        rc_args = List.map sanitize_value c.Message.call_args;
+        rc_args = sanitize c.Message.call_args;
         rc_class = cls;
         rc_primary = primary;
       }
@@ -106,17 +134,7 @@ let observe ?allocated t (plan : Plan.call_plan) (c : Message.call) =
       (* Prune the object's history instead of recording the dealloc. *)
       match primary_handle plan c.Message.call_args with
       | None -> ()
-      | Some h ->
-          let keep, dropped =
-            List.partition
-              (fun r ->
-                match (r.rc_class, r.rc_primary) with
-                | (Object_alloc | Object_modify), Some h' -> h' <> h
-                | _ -> true)
-              t.log
-          in
-          t.log <- keep;
-          t.pruned_count <- t.pruned_count + List.length dropped)
+      | Some h -> t.log <- prune t h t.log)
 
 (* The replay log in execution order. *)
 let replay_log t = List.rev t.log

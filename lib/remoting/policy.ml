@@ -55,32 +55,116 @@ end
 module Wfq = struct
   (* Weighted fair queueing with per-item finish tags (virtual time).
      Flows are VMs; item cost is the router's resource estimate for the
-     forwarded call. *)
+     forwarded call.
 
-  type 'a item = { tag : float; cost : float; payload : 'a }
+     Push and pop allocate one queue cell per item and nothing else: the
+     items' tags and costs live in flat per-flow float rings that run in
+     step with the payload queue, and the scheduler's float state sits in
+     all-float records, so no assignment boxes. *)
+
+  type clock = {
+    mutable vtime : float;
+    mutable best_tag : float;  (** [min_flow]'s running minimum *)
+  }
+
+  type rate = { mutable weight : float; mutable last_tag : float }
 
   type 'a flow = {
     flow_id : int;
-    mutable weight : float;
-    mutable last_tag : float;
-    items : 'a item Queue.t;
+    rate : rate;
+    payloads : 'a Queue.t;
+    mutable tags : float array;
+    mutable costs : float array;
+    mutable head : int;  (** ring index of the payload queue's head *)
   }
 
   type 'a t = {
     flows : (int, 'a flow) Hashtbl.t;
-    mutable vtime : float;
-    mutable waiter : (unit -> unit) option;
+    clock : clock;
+    mutable waiting : bool;  (** the popper is parked on [waiter] *)
+    mutable waiter : unit -> unit;
     mutable enqueued : int;
     mutable dequeued : int;
+    none : 'a flow;  (** stands for "no flow" in [best] *)
+    mutable best : 'a flow;  (** [min_flow]'s running result *)
+    mutable visit : int -> 'a flow -> unit;
+    mutable park : (unit -> unit) -> unit;
   }
 
+  let ring_at f i = (f.head + i) land (Array.length f.tags - 1)
+
+  (* [Float.max] for the scheduler's never-NaN operands, inlined so that
+     no float is boxed to pass it. *)
+  let[@inline] fmax (a : float) b = if b > a then b else a
+
+  let make_flow flow_id weight =
+    {
+      flow_id;
+      rate = { weight; last_tag = 0.0 };
+      payloads = Queue.create ();
+      tags = Array.make 4 0.0;
+      costs = Array.make 4 0.0;
+      head = 0;
+    }
+
+  let ignore_unit () = ()
+
   let create () =
-    { flows = Hashtbl.create 8; vtime = 0.0; waiter = None; enqueued = 0; dequeued = 0 }
+    let none = make_flow (-1) 1.0 in
+    let t =
+      {
+        flows = Hashtbl.create 8;
+        clock = { vtime = 0.0; best_tag = 0.0 };
+        waiting = false;
+        waiter = ignore_unit;
+        enqueued = 0;
+        dequeued = 0;
+        none;
+        best = none;
+        visit = (fun _ _ -> ());
+        park = (fun _ -> ());
+      }
+    in
+    (* Two closures for the scheduler's lifetime, so neither a pop's scan
+       nor its wait builds one: [visit] folds the running minimum into
+       [best], [park] registers the blocked popper. *)
+    t.visit <-
+      (fun _ f ->
+        if not (Queue.is_empty f.payloads) then begin
+          let tag = f.tags.(f.head) in
+          if t.best == t.none || tag < t.clock.best_tag then begin
+            t.best <- f;
+            t.clock.best_tag <- tag
+          end
+        end);
+    t.park <-
+      (fun resume ->
+        if t.waiting then invalid_arg "Wfq.pop: concurrent poppers unsupported";
+        t.waiting <- true;
+        t.waiter <- resume);
+    t
 
   let add_flow t ~flow_id ~weight =
     if weight <= 0.0 then invalid_arg "Wfq.add_flow: weight must be positive";
-    Hashtbl.replace t.flows flow_id
-      { flow_id; weight; last_tag = 0.0; items = Queue.create () }
+    Hashtbl.replace t.flows flow_id (make_flow flow_id weight)
+
+  (* Append an item's tag and cost behind the queued ones; the rings
+     double (keeping a power-of-two size) when full. *)
+  let[@inline] ring_push f tag cost =
+    let n = Queue.length f.payloads and cap = Array.length f.tags in
+    if n = cap then begin
+      let copy a =
+        Array.init (2 * cap) (fun i ->
+            if i < n then a.((f.head + i) land (cap - 1)) else 0.0)
+      in
+      let tags = copy f.tags and costs = copy f.costs in
+      f.tags <- tags;
+      f.costs <- costs;
+      f.head <- 0
+    end;
+    let i = ring_at f n in
+    f.tags.(i) <- tag;
+    f.costs.(i) <- cost
 
   (* Weight changes take effect immediately: the flow's pending items
      are re-tagged in FIFO order as if freshly enqueued at the current
@@ -91,68 +175,74 @@ module Wfq = struct
     match Hashtbl.find_opt t.flows flow_id with
     | None -> invalid_arg "Wfq.set_weight: unknown flow"
     | Some f ->
-        f.weight <- weight;
-        if not (Queue.is_empty f.items) then begin
-          let retagged = Queue.create () in
-          let last = ref t.vtime in
-          Queue.iter
-            (fun it ->
-              let tag = !last +. (Float.max 1.0 it.cost /. weight) in
-              last := tag;
-              Queue.push { it with tag } retagged)
-            f.items;
-          Queue.clear f.items;
-          Queue.transfer retagged f.items;
-          f.last_tag <- !last
+        f.rate.weight <- weight;
+        let n = Queue.length f.payloads in
+        if n > 0 then begin
+          let last = ref t.clock.vtime in
+          for i = 0 to n - 1 do
+            let j = ring_at f i in
+            let tag = !last +. (fmax 1.0 f.costs.(j) /. weight) in
+            last := tag;
+            f.tags.(j) <- tag
+          done;
+          f.rate.last_tag <- !last
         end
 
   let flow_weight t ~flow_id =
     match Hashtbl.find_opt t.flows flow_id with
     | None -> invalid_arg "Wfq.flow_weight: unknown flow"
-    | Some f -> f.weight
+    | Some f -> f.rate.weight
 
   let push t ~flow_id ~cost payload =
-    match Hashtbl.find_opt t.flows flow_id with
-    | None -> invalid_arg "Wfq.push: unknown flow"
-    | Some f ->
-        let start = Float.max t.vtime f.last_tag in
-        let tag = start +. (Float.max 1.0 cost /. f.weight) in
-        f.last_tag <- tag;
-        Queue.push { tag; cost; payload } f.items;
+    match Hashtbl.find t.flows flow_id with
+    | exception Not_found -> invalid_arg "Wfq.push: unknown flow"
+    | f ->
+        let start = fmax t.clock.vtime f.rate.last_tag in
+        let tag = start +. (fmax 1.0 cost /. f.rate.weight) in
+        f.rate.last_tag <- tag;
+        ring_push f tag cost;
+        Queue.push payload f.payloads;
         t.enqueued <- t.enqueued + 1;
-        (match t.waiter with
-        | Some resume ->
-            t.waiter <- None;
-            resume ()
-        | None -> ())
+        if t.waiting then begin
+          let resume = t.waiter in
+          t.waiting <- false;
+          t.waiter <- ignore_unit;
+          resume ()
+        end
 
+  (* The backlogged flow whose head has the smallest finish tag, or
+     [none]; equal tags go to the flow visited first. *)
   let min_flow t =
-    Hashtbl.fold
-      (fun _ f best ->
-        match Queue.peek_opt f.items with
-        | None -> best
-        | Some item -> (
-            match best with
-            | Some (_, b) when b.tag <= item.tag -> best
-            | _ -> Some (f, item)))
-      t.flows None
+    t.best <- t.none;
+    Hashtbl.iter t.visit t.flows;
+    let f = t.best in
+    t.best <- t.none;
+    f
+
+  (* Blocking: the flow whose head item goes next. *)
+  let rec next t =
+    let f = min_flow t in
+    if f != t.none then f
+    else begin
+      Engine.await t.park;
+      next t
+    end
+
+  let dequeue t f =
+    let tag = f.tags.(f.head) in
+    f.head <- ring_at f 1;
+    t.clock.vtime <- fmax t.clock.vtime tag;
+    t.dequeued <- t.dequeued + 1;
+    Queue.pop f.payloads
 
   (* Blocking pop: returns the (flow_id, payload) with the smallest
      finish tag. *)
-  let rec pop t =
-    match min_flow t with
-    | Some (f, item) ->
-        ignore (Queue.pop f.items);
-        t.vtime <- Float.max t.vtime item.tag;
-        t.dequeued <- t.dequeued + 1;
-        (f.flow_id, item.payload)
-    | None ->
-        Engine.await (fun resume ->
-            if t.waiter <> None then
-              invalid_arg "Wfq.pop: concurrent poppers unsupported";
-            t.waiter <- Some (fun () -> resume ()));
-        pop t
+  let pop t =
+    let f = next t in
+    let payload = dequeue t f in
+    (f.flow_id, payload)
 
+  let pop_payload t = dequeue t (next t)
   let backlog t = t.enqueued - t.dequeued
 
   (* Remove a flow, handing back its queued (payload, cost) items in
@@ -164,11 +254,13 @@ module Wfq = struct
     | None -> invalid_arg "Wfq.remove_flow: unknown flow"
     | Some f ->
         let drained =
-          Queue.fold (fun acc it -> (it.payload, it.cost) :: acc) [] f.items
+          List.mapi
+            (fun i p -> (p, f.costs.(ring_at f i)))
+            (List.of_seq (Queue.to_seq f.payloads))
         in
-        t.dequeued <- t.dequeued + Queue.length f.items;
+        t.dequeued <- t.dequeued + Queue.length f.payloads;
         Hashtbl.remove t.flows flow_id;
-        List.rev drained
+        drained
 end
 
 module Breaker = struct

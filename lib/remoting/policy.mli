@@ -51,6 +51,9 @@ module Wfq : sig
       process while all flows are empty.  Per-flow FIFO order is
       preserved.  At most one concurrent popper is supported. *)
 
+  val pop_payload : 'a t -> 'a
+  (** {!pop} without the flow id. *)
+
   val backlog : 'a t -> int
 end
 

@@ -23,6 +23,8 @@ type pending = {
   p_fn : string;
   p_sync : bool;
   p_ivar : Message.reply Ivar.t;
+      (** filled with the reply of a synchronous call; an asynchronous
+          call shares the stub's never-filled [no_wait] *)
   p_on_reply : (Message.reply -> unit) option;
   mutable p_data : bytes;
       (** encoded [Call] frame, for seq-based resend; switched to
@@ -86,6 +88,8 @@ type t = {
   mutable next_seq : int;
   mutable next_handle : int;
   pending : (int, pending) Hashtbl.t;
+  no_wait : Message.reply Ivar.t;  (** [p_ivar] of every async call *)
+  sync_scalars : Plan.scalars;  (** [plan_sync]'s scratch view *)
   mutable deferred_errors : (string * int) list;  (** newest first *)
   batch_limit : int;  (** max async calls buffered; 1 disables batching *)
   batch_bytes_limit : int;
@@ -116,6 +120,12 @@ type t = {
   mutable cache_nak_resends : int;  (** full resends after a cache miss *)
 }
 
+let rec ack_digests t = function
+  | [] -> ()
+  | d :: ds ->
+      Hashtbl.replace t.acked d ();
+      ack_digests t ds
+
 let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
     =
   let t =
@@ -131,6 +141,8 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
       next_seq = 0;
       next_handle = first_guest_handle;
       pending = Hashtbl.create 32;
+      no_wait = Ivar.create ();
+      sync_scalars = Plan.scalars ();
       deferred_errors = [];
       batch_limit = Stdlib.max 1 batch_limit;
       batch_bytes_limit = 32 * 1024;
@@ -164,9 +176,9 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
         let data = Transport.recv ep in
         (match Message.decode data with
         | Ok (Message.Reply r) -> (
-            match Hashtbl.find_opt t.pending r.Message.reply_seq with
-            | None -> () (* late reply for a cancelled call: drop *)
-            | Some p ->
+            match Hashtbl.find t.pending r.Message.reply_seq with
+            | exception Not_found -> () (* late reply for a cancelled call: drop *)
+            | p ->
                 Hashtbl.remove t.pending r.Message.reply_seq;
                 (match t.obs with
                 | Some o ->
@@ -178,9 +190,7 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
                 | None -> ());
                 (* A reply means the server resolved every payload of this
                    call, so its digests are now store-resident. *)
-                List.iter
-                  (fun d -> Hashtbl.replace t.acked d ())
-                  p.p_announced;
+                ack_digests t p.p_announced;
                 (match p.p_on_reply with Some f -> f r | None -> ());
                 if (not p.p_sync) && r.Message.reply_status <> 0 then
                   t.deferred_errors <-
@@ -358,11 +368,25 @@ let send_marked t o ~kick seqs data =
         seqs)
     t.ep data
 
-(* Send one call's frame; with obs off no seq list or closure is built. *)
+(* A literal [~kick]: passing a variable to the optional argument would
+   box it on every send. *)
+let send_kicked t ?on_scheduled ~kick data =
+  if kick then Transport.send ~kick:true ?on_scheduled t.ep data
+  else Transport.send ?on_scheduled t.ep data
+
+(* Send one call's frame.  With obs armed the departure mark is stamped
+   directly, and the doorbell-boundary closure is built only for a
+   doorbell-armed endpoint, the only kind that calls it. *)
 let send_one t ~kick seq data =
   match t.obs with
-  | None -> Transport.send ~kick t.ep data
-  | Some o -> send_marked t o ~kick [ seq ] data
+  | None -> send_kicked t ~kick data
+  | Some o ->
+      Obs.mark o ~vm:t.vm_id ~seq Obs.M_sent ~at:(Engine.now t.engine);
+      if Transport.doorbell_armed t.ep then
+        send_kicked t ~kick
+          ~on_scheduled:(fun at -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_doorbell ~at)
+          data
+      else send_kicked t ~kick data
 
 (* Send any buffered asynchronous calls as one batch message (rCUDA-style
    API batching, §4.2).  Marshalling costs were already charged when each
@@ -435,7 +459,7 @@ let start_watchdog t r seq =
             else begin
               p.p_tries <- p.p_tries + 1;
               t.retries <- t.retries + 1;
-              Transport.send ~kick:true t.ep p.p_data;
+              send_kicked t ~kick:true p.p_data;
               watch
                 (Stdlib.max 1
                    (int_of_float (float_of_int base_ns *. r.backoff)))
@@ -447,36 +471,7 @@ let start_watchdog t r seq =
    updates, reference counting) are held back; any device-work or
    synchronous call departs immediately, carrying the held calls with it
    (piggybacking), so batching never delays the accelerator. *)
-let send_call t ~fn ~args ~sync ~holdable ~on_reply =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  (match t.obs with
-  | Some o ->
-      Obs.span_open o ~vm:t.vm_id ~seq ~fn ~at:(Engine.now t.engine)
-  | None -> ());
-  let args =
-    match t.sva with None -> args | Some iommu -> sva_substitute t iommu args
-  in
-  let sent_args, full_args, announced, hashed =
-    match t.cache with
-    | None -> (args, None, [], 0)
-    | Some c -> cache_substitute t c args
-  in
-  let call =
-    { Message.call_seq = seq; call_vm = t.vm_id; call_fn = fn;
-      call_args = sent_args }
-  in
-  let data = Message.encode (Message.Call call) in
-  (* Announces travel in full already, so the NAK-resend frame differs
-     from [data] only when a blob went as a ref. *)
-  let full =
-    match full_args with
-    | None -> Lazy.from_val data
-    | Some args ->
-        lazy
-          (Message.encode
-             (Message.Call { call with Message.call_args = args }))
-  in
+let send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data =
   t.marshalled_bytes <- t.marshalled_bytes + Bytes.length data;
   if hashed > 0 then Engine.delay (hash_cost_ns hashed);
   Engine.delay (marshal_cost_ns (Bytes.length data));
@@ -486,8 +481,10 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
         ~at:(Engine.now t.engine)
   | None -> ());
   let p =
-    { p_fn = fn; p_sync = sync; p_ivar = Ivar.create (); p_on_reply = on_reply;
-      p_data = data; p_full = full; p_announced = announced; p_tries = 0 }
+    { p_fn = fn; p_sync = sync;
+      p_ivar = (if sync then Ivar.create () else t.no_wait);
+      p_on_reply = on_reply; p_data = data; p_full = full;
+      p_announced = announced; p_tries = 0 }
   in
   Hashtbl.replace t.pending seq p;
   (match t.retry with Some r -> start_watchdog t r seq | None -> ());
@@ -516,14 +513,46 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   end;
   p
 
+let send_call t ~fn ~args ~sync ~holdable ~on_reply =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (match t.obs with
+  | Some o ->
+      Obs.span_open o ~vm:t.vm_id ~seq ~fn ~at:(Engine.now t.engine)
+  | None -> ());
+  let args =
+    match t.sva with None -> args | Some iommu -> sva_substitute t iommu args
+  in
+  let call =
+    { Message.call_seq = seq; call_vm = t.vm_id; call_fn = fn; call_args = args }
+  in
+  match t.cache with
+  | None ->
+      let data = Message.encode (Message.Call call) in
+      send_frame t seq fn ~sync ~holdable ~on_reply ~full:(Lazy.from_val data)
+        ~announced:[] ~hashed:0 data
+  | Some c ->
+      let sent_args, full_args, announced, hashed = cache_substitute t c args in
+      let data =
+        Message.encode (Message.Call { call with Message.call_args = sent_args })
+      in
+      (* Announces travel in full already, so the NAK-resend frame differs
+         from [data] only when a blob went as a ref. *)
+      let full =
+        match full_args with
+        | None -> Lazy.from_val data
+        | Some args ->
+            lazy (Message.encode (Message.Call { call with Message.call_args = args }))
+      in
+      send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data
+
 (* The plan's synchrony verdict for one invocation.  Only a conditional
-   plan reads argument values, so only it pays for the scalar env. *)
-let plan_sync (plan : Plan.call_plan) args =
-  match plan.Plan.cp_sync with
-  | Plan.Sync_when_eq _ ->
-      Plan.is_sync plan ~env:(Plan.scalar_env plan ~to_int:Wire.to_int args)
-  | Plan.Always_sync | Plan.Always_async | Plan.Sync_on_completion _ ->
-      Plan.is_sync plan ~env:[]
+   plan reads argument values, so only it loads the scalar view. *)
+let plan_sync t (plan : Plan.call_plan) args =
+  (match plan.Plan.cp_sync with
+  | Plan.Sync_when_eq _ -> Wire.load_scalars t.sync_scalars args
+  | Plan.Always_sync | Plan.Always_async | Plan.Sync_on_completion _ -> ());
+  Plan.sync_of_scalars plan t.sync_scalars
 
 let call_sync t ~fn ~args ~on_reply =
   t.sync_calls <- t.sync_calls + 1;
@@ -537,10 +566,10 @@ let no_plan fn = Error (Printf.sprintf "no plan for function %S" fn)
    the reply for sync calls; async calls return [Ok None] immediately
    and deliver their reply through [on_reply]. *)
 let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
-  match Plan.find t.plan fn with
-  | None -> no_plan fn
-  | Some plan ->
-      if force_sync || plan_sync plan args then
+  match Plan.find_exn t.plan fn with
+  | exception Not_found -> no_plan fn
+  | plan ->
+      if force_sync || plan_sync t plan args then
         Ok (Some (call_sync t ~fn ~args ~on_reply))
       else begin
         t.async_calls <- t.async_calls + 1;
@@ -554,6 +583,6 @@ let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
 
 (* Convenience for callers that always need the reply. *)
 let invoke_sync t ~fn ~args =
-  match Plan.find t.plan fn with
-  | None -> no_plan fn
-  | Some _ -> Ok (call_sync t ~fn ~args ~on_reply:None)
+  match Plan.find_exn t.plan fn with
+  | exception Not_found -> no_plan fn
+  | _ -> Ok (call_sync t ~fn ~args ~on_reply:None)

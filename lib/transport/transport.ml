@@ -90,7 +90,39 @@ type endpoint = {
       (** the other end of the duplex link; a send on this end counts
           as peer-worker activity, refreshing the poll window of any
           doorbell armed over there *)
+  mutable transit : bytes array;
+  mutable transit_head : int;
+  mutable transit_len : int;
+      (** plain (hook- and doorbell-free) sends still in flight, oldest
+          first, in a ring whose size is a power of two *)
+  mutable deliver_next : unit -> unit;
+      (** delivers the ring's oldest message: the one event callback
+          every plain send schedules *)
 }
+
+(* Plain sends all take [deliver_ns], so their deliveries fall due in
+   send order (same-instant events fire in scheduling order) and each
+   event can hand over the ring's oldest message: no per-send closure. *)
+let transit_push ep msg =
+  let cap = Array.length ep.transit in
+  if ep.transit_len = cap then begin
+    let ring = Array.make (Stdlib.max 4 (2 * cap)) Bytes.empty in
+    for i = 0 to ep.transit_len - 1 do
+      ring.(i) <- ep.transit.((ep.transit_head + i) land (cap - 1))
+    done;
+    ep.transit <- ring;
+    ep.transit_head <- 0
+  end;
+  let mask = Array.length ep.transit - 1 in
+  ep.transit.((ep.transit_head + ep.transit_len) land mask) <- msg;
+  ep.transit_len <- ep.transit_len + 1
+
+let transit_pop ep =
+  let msg = ep.transit.(ep.transit_head) in
+  ep.transit.(ep.transit_head) <- Bytes.empty;
+  ep.transit_head <- (ep.transit_head + 1) land (Array.length ep.transit - 1);
+  ep.transit_len <- ep.transit_len - 1;
+  msg
 
 let set_send_hook ep hook = ep.send_hook <- hook
 let set_recv_hook ep hook = ep.recv_hook <- hook
@@ -208,9 +240,10 @@ let send ?(kick = false) ?on_scheduled ep msg =
          [on_scheduled] fires only on doorbell-armed endpoints, keeping
          the observability of this path unchanged too. *)
       if ep.out_cost.deliver_ns = 0 then Channel.send ep.peer msg
-      else
-        Engine.schedule_after ep.engine ep.out_cost.deliver_ns (fun () ->
-            Channel.send ep.peer msg)
+      else begin
+        transit_push ep msg;
+        Engine.schedule_after ep.engine ep.out_cost.deliver_ns ep.deliver_next
+      end
   | _, Some hook ->
       (* Fault injection owns the delivery schedule: a doorbell on the
          same endpoint is ignored (the combination is not modelled). *)
@@ -272,7 +305,16 @@ let duplex engine ~a_to_b ~b_to_a =
       last_delivery_at = 0;
       doorbell = None;
       peer_ep = None;
+      transit = [||];
+      transit_head = 0;
+      transit_len = 0;
+      deliver_next = ignore;
     }
+  in
+  let mk out_cost peer inbox =
+    let ep = mk out_cost peer inbox in
+    ep.deliver_next <- (fun () -> Channel.send ep.peer (transit_pop ep));
+    ep
   in
   let a = mk a_to_b inbox_b inbox_a and b = mk b_to_a inbox_a inbox_b in
   a.peer_ep <- Some b;
