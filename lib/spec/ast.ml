@@ -55,26 +55,46 @@ let rec expr_params = function
   | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
       expr_params a @ expr_params b
 
-(* Evaluate an expression against runtime argument values. *)
-let rec eval_expr env = function
-  | Const n -> Ok n
-  | Param p -> (
-      match List.assoc_opt p env with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "unbound parameter %s" p))
-  | Add (a, b) -> bin env a b ( + )
-  | Sub (a, b) -> bin env a b ( - )
-  | Mul (a, b) -> bin env a b ( * )
-  | Div (a, b) -> (
-      match (eval_expr env a, eval_expr env b) with
-      | Ok _, Ok 0 -> Error "division by zero"
-      | Ok x, Ok y -> Ok (x / y)
-      | (Error _ as e), _ | _, (Error _ as e) -> e)
+(* Evaluate an expression against runtime argument values.  [eval]
+   reads each parameter through [lookup a b], which raises
+   [Unbound_param] for a parameter with no value; a zero divisor raises
+   [Zero_divisor].  Operands are evaluated left to right, so the first
+   failure wins.  Both exceptions are constant, so a lookup over a
+   preallocated view evaluates without allocating. *)
+exception Unbound_param
+exception Zero_divisor
 
-and bin env a b op =
-  match (eval_expr env a, eval_expr env b) with
-  | Ok x, Ok y -> Ok (op x y)
-  | (Error _ as e), _ | _, (Error _ as e) -> e
+let rec eval lookup a b = function
+  | Const n -> n
+  | Param p -> lookup a b p
+  | Add (x, y) ->
+      let x = eval lookup a b x in
+      x + eval lookup a b y
+  | Sub (x, y) ->
+      let x = eval lookup a b x in
+      x - eval lookup a b y
+  | Mul (x, y) ->
+      let x = eval lookup a b x in
+      x * eval lookup a b y
+  | Div (x, y) ->
+      let x = eval lookup a b x in
+      let y = eval lookup a b y in
+      if y = 0 then raise_notrace Zero_divisor else x / y
+
+let env_lookup env () p =
+  match List.assoc_opt p env with
+  | Some v -> v
+  | None -> raise_notrace Unbound_param
+
+(* The first unbound parameter in [expr_params] order is the one [eval]
+   reached first. *)
+let eval_expr env e =
+  match eval env_lookup env () e with
+  | v -> Ok v
+  | exception Unbound_param ->
+      let p = List.find (fun p -> not (List.mem_assoc p env)) (expr_params e) in
+      Error (Printf.sprintf "unbound parameter %s" p)
+  | exception Zero_divisor -> Error "division by zero"
 
 type direction = In | Out | In_out
 

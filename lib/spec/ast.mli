@@ -32,9 +32,22 @@ val expr_to_string : expr -> string
 val expr_params : expr -> string list
 (** Parameter names referenced, with duplicates. *)
 
+exception Unbound_param
+exception Zero_divisor
+
+val eval : ('a -> 'b -> string -> int) -> 'a -> 'b -> expr -> int
+(** [eval lookup a b e] evaluates [e], reading each parameter through
+    [lookup a b].  The lookup raises {!Unbound_param} for a parameter
+    with no value; a zero divisor raises {!Zero_divisor}.  Operands are
+    evaluated left to right, so the first failure wins.  Allocates
+    nothing beyond what [lookup] does. *)
+
+val env_lookup : (string * int) list -> unit -> string -> int
+(** The lookup for {!eval} over a named env. *)
+
 val eval_expr : (string * int) list -> expr -> (int, string) result
-(** Evaluate against runtime argument values; [Error] on an unbound
-    parameter or a zero divisor. *)
+(** {!eval} against a named env; [Error] on an unbound parameter or a
+    zero divisor. *)
 
 type direction = In | Out | In_out
 
