@@ -42,6 +42,7 @@ let config_lines (c : Scenario.config) =
       (Pool.placement_to_string c.Scenario.sc_placement);
     Printf.sprintf "sva %b" c.Scenario.sc_sva;
     Printf.sprintf "doorbell %b" c.Scenario.sc_doorbell;
+    Printf.sprintf "batching %b" c.Scenario.sc_batching;
     Printf.sprintf "cache %d" c.Scenario.sc_cache;
     Printf.sprintf "faults %s" c.Scenario.sc_faults;
     Printf.sprintf "max-tenants %d" c.Scenario.sc_max_tenants;
@@ -131,6 +132,9 @@ let load path =
             | "doorbell" ->
                 bool_field value (fun b ->
                     config := { c with Scenario.sc_doorbell = b })
+            | "batching" ->
+                bool_field value (fun b ->
+                    config := { c with Scenario.sc_batching = b })
             | "cache" ->
                 int_field value (fun n ->
                     config := { c with Scenario.sc_cache = n })
@@ -175,10 +179,10 @@ let verdict_detail = function
 
 (* Config simplification candidates for the shrinker, each strictly
    toward the simplest stack: fewer devices (floor 2, so migration
-   stays exercisable), transfer cache off, SVA off, doorbells off.  A
-   candidate that stops reproducing is simply not adopted, so the
-   saved reproducer's config is always one the violation was actually
-   observed under. *)
+   stays exercisable), transfer cache off, SVA off, doorbells off,
+   batching off.  A candidate that stops reproducing is simply not
+   adopted, so the saved reproducer's config is always one the
+   violation was actually observed under. *)
 let shrink_config (c : Scenario.config) =
   List.concat
     [
@@ -191,6 +195,9 @@ let shrink_config (c : Scenario.config) =
        else []);
       (if c.Scenario.sc_doorbell then
          [ { c with Scenario.sc_doorbell = false } ]
+       else []);
+      (if c.Scenario.sc_batching then
+         [ { c with Scenario.sc_batching = false } ]
        else []);
     ]
 

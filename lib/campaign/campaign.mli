@@ -62,7 +62,9 @@ val save :
 val load :
   string -> (Scenario.config * string * Op.trace, string) result
 (** Parse a corpus file back into (config, recorded invariant name,
-    trace). *)
+    trace).  A config key the file omits keeps its
+    {!Scenario.default_config} value, so a file older than the
+    [batching] key loads unbatched. *)
 
 val replay : string -> (Scenario.outcome, string) result
 (** [load] then run — the regression path: a corpus file recorded

@@ -32,6 +32,7 @@ type config = {
   sc_placement : Pool.placement;
   sc_sva : bool;
   sc_doorbell : bool;
+  sc_batching : bool;
   sc_cache : int;
   sc_faults : string;
   sc_seed : int64;
@@ -44,6 +45,7 @@ let default_config =
     sc_placement = Pool.Round_robin;
     sc_sva = true;
     sc_doorbell = true;
+    sc_batching = false;
     sc_cache = 256 * 1024;
     sc_faults = "light";
     sc_seed = 42L;
@@ -57,6 +59,7 @@ let random_config rng =
     sc_placement = placements.(Rng.int rng 3);
     sc_sva = Rng.bool rng;
     sc_doorbell = Rng.bool rng;
+    sc_batching = Rng.bool rng;
     sc_cache = (if Rng.bool rng then 256 * 1024 else 0);
     sc_faults = (if Rng.int rng 4 = 0 then "none" else "light");
     sc_seed = Rng.next rng;
@@ -205,7 +208,8 @@ let admit st =
         (profile_config st.st_profile)
     in
     let guest =
-      Host.add_cl_vm st.st_host ~retry:Stub.default_retry ~faults
+      Host.add_cl_vm st.st_host ~batching:st.st_config.sc_batching
+        ~retry:Stub.default_retry ~faults
         ~breaker:Policy.Breaker.default_config
         ~name:(Printf.sprintf "t%d" slot)
     in

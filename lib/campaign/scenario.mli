@@ -17,6 +17,7 @@ type config = {
   sc_placement : Ava_pool.Pool.placement;
   sc_sva : bool;  (** zero-copy data path armed *)
   sc_doorbell : bool;  (** doorbell coalescing on guest rings *)
+  sc_batching : bool;  (** tenants' stubs batch async calls *)
   sc_cache : int;  (** transfer-cache capacity, 0 = off *)
   sc_faults : string;  (** initial link profile: ["none"] | ["light"] *)
   sc_seed : int64;  (** root of every in-run RNG stream *)
@@ -24,12 +25,12 @@ type config = {
 }
 
 val default_config : config
-(** 3 devices, round-robin, everything armed, light faults, seed 42,
-    4 tenants. *)
+(** 3 devices, round-robin, SVA, doorbells and cache armed, no
+    batching, light faults, seed 42, 4 tenants. *)
 
 val random_config : Rng.t -> config
 (** A random point in the config cube (2-3 devices, placement, SVA /
-    doorbell / cache toggles, initial profile). *)
+    doorbell / batching / cache toggles, initial profile). *)
 
 (** The fleet invariants, each checked after quiesce (residency also
     continuously, between ops). *)

@@ -118,17 +118,6 @@ let guest_stats (guest : Host.cl_guest) =
 
 (* Every device-side counter is summed across the pool's servers and
    GPUs — the [host.server] / [host.gpu] singletons are only device 0. *)
-let add_cache (a : Server.cache_stats) (b : Server.cache_stats) =
-  {
-    Server.cs_hits = a.Server.cs_hits + b.Server.cs_hits;
-    cs_misses = a.Server.cs_misses + b.Server.cs_misses;
-    cs_insertions = a.Server.cs_insertions + b.Server.cs_insertions;
-    cs_evictions = a.Server.cs_evictions + b.Server.cs_evictions;
-    cs_resident_bytes = a.Server.cs_resident_bytes + b.Server.cs_resident_bytes;
-    cs_saved_bytes = a.Server.cs_saved_bytes + b.Server.cs_saved_bytes;
-    cs_rejected = a.Server.cs_rejected + b.Server.cs_rejected;
-  }
-
 let snapshot (host : Host.cl_host) guests =
   let p = host.Host.cl_pool in
   let n = Host.Pool.n_devices p in
@@ -182,11 +171,7 @@ let snapshot (host : Host.cl_host) guests =
            ( sum_swap Swap.resident_bytes,
              sum_swap Swap.evictions,
              sum_swap Swap.restores ));
-    r_cache =
-      List.fold_left
-        (fun acc s -> add_cache acc (Server.cache_totals s))
-        (Server.cache_totals (List.hd servers))
-        (List.tl servers);
+    r_cache = Server.sum_cache_stats (List.map Server.cache_totals servers);
     r_naks = sum_s Server.naks_sent;
     r_device_lost = sum_s Server.device_lost;
     r_tdr_resets = sum_s Server.tdr_resets;

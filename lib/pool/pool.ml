@@ -396,12 +396,14 @@ let place ?(footprint = 0) ?requires ?device t ~vm =
    evacuation and retirement keep their hands off), pause the source
    worker, drain, pick the destination device, attach, replay and
    restore through [transfer] (which also hands the record log to the
-   destination entry); then, in one synchronous step, seed the
-   destination cursor and carry the reply log ([Server.hand_over]),
-   move the flow, detach the source and settle residency.  A call the
-   source executed but had not answered may execute again at the
-   destination — at-least-once, the same contract as the
-   restart/requeue path.
+   destination entry); then, in one synchronous step, resume the
+   destination cursor at the source's and carry the reply log
+   ([Server.hand_over]), move the flow, detach the source and settle
+   residency.  The source's cursor is the first seq it has not
+   answered, so a call it answered is answered again from the carried
+   log, and only a call it had not answered (one still executing
+   there) may execute again at the destination — at-least-once, the
+   same contract as the restart/requeue path.
 
    Ordering rules, each once a campaign-found bug:
    - The cursor is seeded after the transfer, with no suspension point
@@ -448,8 +450,7 @@ let handoff t info ~into ~pick =
           let router_end, server_end = Transport.direct t.engine in
           ignore (Server.attach_vm dst.dev_server ~vm_id ~ep:server_end);
           let bytes = t.transfer ~vm_id ~src ~dst in
-          let seq = Router.next_seq t.router ~vm_id in
-          Server.hand_over src.dev_server ~into:dst.dev_server ~vm_id ~seq;
+          Server.hand_over src.dev_server ~into:dst.dev_server ~vm_id;
           Router.transfer_flow t.router ~dst:into.router ~vm_id ~backend:dest
             ~server_side:router_end;
           Server.detach_vm src.dev_server ~vm_id;

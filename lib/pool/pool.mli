@@ -218,8 +218,11 @@ val migrate_vm : 'st t -> vm_id:int -> dest:int -> int
     capability doesn't satisfy the VM's requirement — record/replay
     only reconstructs a silo on a healthy same-type device, so the
     move is refused rather than wedged.  A [dest] lost during the
-    drain also refuses the move: the VM resumes on its source.  Calls the source server
-    executed but had not answered may execute again at the destination
+    drain also refuses the move: the VM resumes on its source.  The
+    destination resumes at the source server's cursor, the first seq it
+    has not answered: calls the source answered are answered again from
+    the carried reply log, and only a call the source had not answered
+    (one still executing there) may execute again at the destination
     — at-least-once, the same contract as the restart/requeue path.
     Must run inside a simulation process.
     @raise Invalid_argument for an unknown VM or device. *)

@@ -44,44 +44,9 @@ and vm_conn = {
   mutable rc_costs : float array;
       (** ingress scratch: each batch member's cost, negative when it
           was rejected *)
-  mutable contig_seq : int;
-      (** highest seq such that every seq [<= contig_seq] has been seen
-          at ingress; -1 until the first call.  Two campaign-found
-          pitfalls shape this field.  Stub seqs start at 0, so
-          initializing to 0 would make [next_seq] report 1 for a VM
-          that has never sent traffic — migrating it then seeds the
-          destination's in-order cursor one past the guest's first real
-          seq and its first call parks forever.  And it must be the
-          {e contiguous} high-water mark, not the max: transport delay
-          can deliver seq [n+1] before seq [n], and a migration seeded
-          off the max would start the destination past a call that is
-          still on the wire — when it lands it reads as a pre-cursor
-          duplicate with no reply-log entry, unanswerable forever. *)
-  seen_ahead : (int, unit) Hashtbl.t;
-      (** seqs observed at ingress beyond [contig_seq] (out-of-order
-          arrivals), absorbed into it as the gaps fill *)
-  mutable pending : int array;
-  mutable pending_n : int;
-      (** seqs queued in the WFQ: the first [pending_n] cells, unordered,
-          a seq possibly more than once; dispatch drops every copy *)
-  mutable policing : bool;
-  mutable policing_seq : int;
-      (** while [policing], the seq past [mark_in] but still inside
-          admission/policing (ingress is one sequential process, so at
-          most one) — the ingress process can stall there for whole
-          quota windows ([Policy.Quota.charge] sleeps until a window
-          with room), and during the stall the call is in no other
-          ledger: [mark_in] already advanced [contig_seq] over it, yet
-          it reaches [pending] only when the charge completes.
-          [next_seq] must count these as outstanding, else a migration
-          racing the stall seeds the destination cursor past the call
-          and it (plus every retransmit, each re-stalled by the same
-          quota) parks in the in-flight ledger forever.
-          (Campaign-found: quota clamped to a near-zero budget, then a
-          live migrate; see
-          test/corpus/shrunk-seq-ledger-quota-stall-migrate.trace.) *)
   mutable skipped_seqs : int list;
-      (** seqs policed away whose Skip notice went to the current backend *)
+      (** seqs policed away, re-sent to each new backend by
+          {!transfer_flow} *)
   rejected_status : (int, int) Hashtbl.t;
       (** rejection status by seq, for every call policed away or
           quarantined.  A retransmit of such a seq must get the same
@@ -173,32 +138,15 @@ let resteered t = t.resteered
 
 let find_conn t vm_id = List.assoc_opt vm_id t.conns
 
-(* --- seq ledgers ------------------------------------------------------------ *)
+(* --- in-flight ledger --------------------------------------------------------- *)
 
-(* Both ledgers are arrays that grow by doubling and are otherwise
-   updated in place: ingress, dispatch and replies copy no list. *)
-let grow a n fill =
-  if n < Array.length a then a
-  else Array.append a (Array.make (Stdlib.max 4 (Array.length a)) fill)
-
-let add_pending conn seq =
-  conn.pending <- grow conn.pending conn.pending_n 0;
-  conn.pending.(conn.pending_n) <- seq;
-  conn.pending_n <- conn.pending_n + 1
-
-(* Drop every copy of [seq]; the order of the rest does not matter. *)
-let remove_pending conn seq =
-  let i = ref 0 in
-  while !i < conn.pending_n do
-    if conn.pending.(!i) = seq then begin
-      conn.pending_n <- conn.pending_n - 1;
-      conn.pending.(!i) <- conn.pending.(conn.pending_n)
-    end
-    else incr i
-  done
-
+(* An array that grows by doubling and is otherwise updated in place:
+   dispatch and replies copy no list. *)
 let add_in_flight conn fw =
-  conn.in_flight <- grow conn.in_flight conn.in_flight_n conn.rc_idle;
+  if conn.in_flight_n = Array.length conn.in_flight then
+    conn.in_flight <-
+      Array.append conn.in_flight
+        (Array.make (Stdlib.max 4 conn.in_flight_n) conn.rc_idle);
   conn.in_flight.(conn.in_flight_n) <- fw;
   conn.in_flight_n <- conn.in_flight_n + 1
 
@@ -249,8 +197,8 @@ let reject_call conn seq status =
 
 (* Tell the server the named seqs were policed away and will never
    arrive, so its in-order execution can advance past them.  Skips are
-   remembered so a later re-steer can forward the still-relevant ones
-   to the new backend (whose skip set starts empty). *)
+   remembered so a later re-steer can re-send them to the new backend
+   (whose skip set starts empty). *)
 let send_skip conn seqs =
   if seqs <> [] then begin
     conn.skipped_seqs <- seqs @ conn.skipped_seqs;
@@ -277,10 +225,7 @@ let start_dispatcher t b =
           let fw = Policy.Wfq.pop_payload b.bs_wfq in
           let conn = fw.fw_conn in
           t.forwarded <- t.forwarded + 1;
-          if fw.fw_seqs <> [] then begin
-            List.iter (remove_pending conn) fw.fw_seqs;
-            add_in_flight conn fw
-          end;
+          if fw.fw_seqs <> [] then add_in_flight conn fw;
           (match t.obs with
           | Some o ->
               mark_dispatched o (Vm.id conn.rc_vm) (Engine.now t.engine)
@@ -339,15 +284,8 @@ let spawn_egress t conn ep =
 
 (* Ingress stamp: ends the guest->router transport phase for a call
    (rejected ones included — their spans then close on the rejection
-   reply).  Also advances the high-water seq used by [next_seq] after a
-   re-steer; the in-order case touches no table. *)
+   reply). *)
 let mark_in t conn seq =
-  if seq = conn.contig_seq + 1 then conn.contig_seq <- seq
-  else if seq > conn.contig_seq then Hashtbl.replace conn.seen_ahead seq ();
-  while Hashtbl.mem conn.seen_ahead (conn.contig_seq + 1) do
-    Hashtbl.remove conn.seen_ahead (conn.contig_seq + 1);
-    conn.contig_seq <- conn.contig_seq + 1
-  done;
   match t.obs with
   | Some o ->
       Obs.mark o ~vm:(Vm.id conn.rc_vm) ~seq Obs.M_router_in
@@ -360,7 +298,6 @@ let mark_in t conn seq =
    now. *)
 let push_wfq conn fw =
   let b = backend_exn conn.rc_owner conn.rc_backend in
-  List.iter (add_pending conn) fw.fw_seqs;
   Policy.Wfq.push b.bs_wfq ~flow_id:(Vm.id conn.rc_vm) ~cost:fw.fw_cost fw
 
 let rejected_cost = -1.0
@@ -394,34 +331,44 @@ let police t conn cu i =
       | None -> ());
       cost
 
+(* Whether the router admitted [seq] and has not seen it answered: a
+   copy is queued in the WFQ or in flight. *)
+let outstanding conn seq =
+  let holds fw = List.mem seq fw.fw_seqs in
+  fold_in_flight conn (fun found fw -> found || holds fw) false
+  || Policy.Wfq.exists
+       (backend_exn conn.rc_owner conn.rc_backend).bs_wfq
+       ~flow_id:(Vm.id conn.rc_vm) holds
+
 (* Circuit-breaker admission, then policing.  While this VM is
    quarantined its calls are rejected outright with a distinct status —
-   they never reach the WFQ, so other VMs' service is unperturbed.
-   Policing can stall (quota window, token bucket); the seq stays
-   visible to [next_seq] for the whole stall. *)
+   they never reach the WFQ, so other VMs' service is unperturbed.  A
+   copy of an outstanding call (a retransmission, or the full resend
+   after a cache NAK) is that call, already admitted: the breaker does
+   not judge it again.  Rejecting it would answer the guest for a call
+   the router still owes, and its Skip would move the server past the
+   copies it holds, which then never get a reply.  (Campaign-found: a
+   NAK resend quarantined while its NAK'd copies sat in the in-flight
+   ledger; see
+   test/corpus/shrunk-seq-ledger-quarantine-nak-resend.trace.) *)
 let admit_and_police t conn cu i =
   let seq = Message.seq cu i in
-  conn.policing <- true;
-  conn.policing_seq <- seq;
-  let cost =
-    match Hashtbl.find conn.rejected_status seq with
-    | status ->
-        (* Retransmit of a seq this router already rejected (the guest's
-           copy of the rejection was lost): replay the same verdict.
-           Forwarding instead would contradict the Skip the backend
-           consumed for this seq. *)
-        reject_call conn seq status;
-        rejected_cost
-    | exception Not_found -> (
-        match conn.breaker with
-        | Some b when not (Policy.Breaker.admit b) ->
-            t.quarantined <- t.quarantined + 1;
-            reject_call conn seq Server.status_vm_quarantined;
-            rejected_cost
-        | _ -> police t conn cu i)
-  in
-  conn.policing <- false;
-  cost
+  match Hashtbl.find conn.rejected_status seq with
+  | status ->
+      (* Retransmit of a seq this router already rejected (the guest's
+         copy of the rejection was lost): replay the same verdict.
+         Forwarding instead would contradict the Skip the backend
+         consumed for this seq. *)
+      reject_call conn seq status;
+      rejected_cost
+  | exception Not_found -> (
+      match conn.breaker with
+      | Some b
+        when (not (outstanding conn seq)) && not (Policy.Breaker.admit b) ->
+          t.quarantined <- t.quarantined + 1;
+          reject_call conn seq Server.status_vm_quarantined;
+          rejected_cost
+      | _ -> police t conn cu i)
 
 let ingress_call t conn data =
   let cu = conn.rc_cursor in
@@ -526,7 +473,6 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       quota_cost
   and breaker = Option.map (Policy.Breaker.create t.engine) breaker
   and rc_cursor = Message.cursor ()
-  and seen_ahead = Hashtbl.create 16
   and rejected_status = Hashtbl.create 16 in
   let rec conn =
     {
@@ -538,12 +484,6 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       rc_cursor;
       rc_idle = idle;
       rc_costs = [||];
-      contig_seq = -1;
-      seen_ahead;
-      pending = [||];
-      pending_n = 0;
-      policing = false;
-      policing_seq = 0;
       skipped_seqs = [];
       rejected_status;
       bucket;
@@ -656,7 +596,6 @@ let requeue_conn t conn ~vm_id =
   Array.iter
     (fun fw ->
       t.requeued <- t.requeued + 1;
-      List.iter (add_pending conn) fw.fw_seqs;
       Policy.Wfq.push wfq ~flow_id:vm_id ~cost:fw.fw_cost fw)
     msgs;
   Array.length msgs
@@ -681,35 +620,20 @@ let in_flight_seqs t ~vm_id =
 
 (* {1 Multi-backend steering (device pool)} *)
 
-(* The first live seq a new backend will observe for this VM: the
-   smallest seq still queued or in flight, else one past the contiguous
-   ingress high-water mark (which also covers seqs the guest sent that
-   have not reached ingress yet — a gap below the max keeps the cursor
-   behind it).  Migration calls this while the source worker is paused,
-   then seeds the destination's in-order cursor with it. *)
-let next_seq t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.next_seq: unknown vm"
-  | Some conn ->
-      let low = ref (conn.contig_seq + 1) in
-      if conn.policing then low := Stdlib.min !low conn.policing_seq;
-      for i = 0 to conn.pending_n - 1 do
-        low := Stdlib.min !low conn.pending.(i)
-      done;
-      fold_in_flight conn (fun low fw -> List.fold_left Stdlib.min low fw.fw_seqs) !low
-
 (* Live flow move, the only way a flow changes backend: the VM's flow —
    WFQ backlog, in-flight calls, future ingress — moves onto [backend]
    of [dst], which is this router (a re-steer within one host) or
    another router on the same engine (a cross-host migration).  Across
-   routers the whole connection moves: guest endpoint, seq ledger and
-   policy objects (bucket/quota/breaker, built on the shared engine);
-   the live ingress process follows via [rc_owner].  In-flight calls are
-   re-forwarded wholesale; ones the old server already executed may run
-   again on the new one (at-least-once, same contract as the
-   restart/requeue path).  Skip notices the old backend consumed are
-   re-sent to the new one so policed-away seqs cannot park its in-order
-   cursor. *)
+   routers the whole connection moves: guest endpoint, in-flight
+   ledger, skips, rejections and policy objects (bucket/quota/breaker,
+   built on the shared engine); the live ingress process follows via
+   [rc_owner].  In-flight calls are re-forwarded wholesale: the new
+   server starts at the old one's cursor, so it answers the ones the
+   old server answered from the carried reply log and executes the
+   rest (at-least-once only for a call the old server had not
+   answered, the same contract as the restart/requeue path).  Every
+   remembered skip is re-sent so policed-away seqs cannot park the new
+   in-order cursor; the server ignores those below it. *)
 let transfer_flow t ~dst ~vm_id ~backend ~server_side =
   match find_conn t vm_id with
   | None -> invalid_arg "Router.transfer_flow: unknown vm"
@@ -739,14 +663,9 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
           Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
         queued;
       ignore (requeue_conn dst conn ~vm_id);
-      (* Forward skips the new backend has not seen and might wait on. *)
-      let expected = next_seq dst ~vm_id in
-      let live_skips =
-        List.sort_uniq Stdlib.compare
-          (List.filter (fun s -> s >= expected) conn.skipped_seqs)
-      in
+      let skips = List.sort_uniq Stdlib.compare conn.skipped_seqs in
       conn.skipped_seqs <- [];
-      send_skip conn live_skips;
+      send_skip conn skips;
       start_dispatcher dst dst_b;
       spawn_egress dst conn server_side;
       dst.resteered <- dst.resteered + 1

@@ -132,13 +132,6 @@ val add_backend : t -> id:int -> unit
 (** Register a new dispatch lane.  Raises [Invalid_argument] if [id]
     already exists. *)
 
-val next_seq : t -> vm_id:int -> int
-(** The first live seq a new backend would observe for this VM: the
-    smallest seq still queued or in flight, else one past the highest
-    seq seen at ingress.  Migration calls this (source worker paused)
-    to seed the destination's in-order cursor via
-    {!Server.hand_over}. *)
-
 val transfer_flow :
   t ->
   dst:t ->
@@ -150,12 +143,15 @@ val transfer_flow :
     router reaches via [server_side] — the only way a flow changes
     backend.  [dst] is this router (a re-steer between lanes) or
     another router on the same engine (cluster-tier migration), in
-    which case the whole connection — guest endpoint, seq ledger,
-    policy objects — moves too and the VM's live ingress process
-    follows it, so the guest keeps its stub, its transport and its seq
-    stream.  WFQ backlog and in-flight calls are re-forwarded to the
-    new lane (at-least-once — calls the old server executed but had
-    not answered may execute again, the same contract as the
-    restart/requeue path), skip notices the old backend consumed are
-    re-sent, and future ingress steers to the new lane.  The old
+    which case the whole connection — guest endpoint, in-flight
+    ledger, skips and rejections, policy objects — moves too and the
+    VM's live ingress process follows it, so the guest keeps its stub,
+    its transport and its seq stream.  WFQ backlog and in-flight calls
+    are re-forwarded to the new lane, whose server resumes at the old
+    server's cursor ({!Server.hand_over}): it answers calls the old
+    server answered from the carried reply log and executes the rest
+    (at-least-once only for calls the old server had not answered, the
+    same contract as the restart/requeue path).  Every skip notice
+    sent for this VM is re-sent (the server ignores those below its
+    cursor), and future ingress steers to the new lane.  The old
     egress keeps draining residual replies harmlessly. *)

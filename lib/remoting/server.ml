@@ -349,30 +349,35 @@ let stats_of_store (s : Store.t) =
 
 let cache_stats t ~vm_id = Option.map (fun e -> stats_of_store e.ve_store) (find_vm t vm_id)
 
+let add_cache_stats a b =
+  {
+    cs_hits = a.cs_hits + b.cs_hits;
+    cs_misses = a.cs_misses + b.cs_misses;
+    cs_insertions = a.cs_insertions + b.cs_insertions;
+    cs_evictions = a.cs_evictions + b.cs_evictions;
+    cs_resident_bytes = a.cs_resident_bytes + b.cs_resident_bytes;
+    cs_saved_bytes = a.cs_saved_bytes + b.cs_saved_bytes;
+    cs_rejected = a.cs_rejected + b.cs_rejected;
+  }
+
+let no_cache_stats =
+  {
+    cs_hits = 0;
+    cs_misses = 0;
+    cs_insertions = 0;
+    cs_evictions = 0;
+    cs_resident_bytes = 0;
+    cs_saved_bytes = 0;
+    cs_rejected = 0;
+  }
+
+let sum_cache_stats = List.fold_left add_cache_stats no_cache_stats
+
 (* Aggregate content-store counters across all attached VMs. *)
 let cache_totals t =
   List.fold_left
-    (fun acc (_, e) ->
-      let s = stats_of_store e.ve_store in
-      {
-        cs_hits = acc.cs_hits + s.cs_hits;
-        cs_misses = acc.cs_misses + s.cs_misses;
-        cs_insertions = acc.cs_insertions + s.cs_insertions;
-        cs_evictions = acc.cs_evictions + s.cs_evictions;
-        cs_resident_bytes = acc.cs_resident_bytes + s.cs_resident_bytes;
-        cs_saved_bytes = acc.cs_saved_bytes + s.cs_saved_bytes;
-        cs_rejected = acc.cs_rejected + s.cs_rejected;
-      })
-    {
-      cs_hits = 0;
-      cs_misses = 0;
-      cs_insertions = 0;
-      cs_evictions = 0;
-      cs_resident_bytes = 0;
-      cs_saved_bytes = 0;
-      cs_rejected = 0;
-    }
-    t.vm_entries
+    (fun acc (_, e) -> add_cache_stats acc (stats_of_store e.ve_store))
+    no_cache_stats t.vm_entries
 
 (* Empty a VM's content store (migration: the destination silo starts
    with no resident payloads; the guest's stale refs heal via NAK). *)
@@ -653,7 +658,11 @@ let resolve_sva t entry args =
 (* Execute the call at [ve_expected] if its payloads resolve; on a cache
    miss, NAK the missing digests and leave [ve_expected] in place — the
    stub's full-payload resend arrives under the same seq and goes through
-   the normal in-order path.  A bad mapped-buffer ref is the guest's
+   the normal in-order path.  [ve_expected] passes a call only once its
+   reply is logged, so it is always the first seq this entry has not
+   answered: a migration resumes the destination there ([hand_over]),
+   and a call still executing here when it does runs again, and is
+   recorded, at the destination.  A bad mapped-buffer ref is the guest's
    fault, not a transient miss: the call is consumed with
    [status_bad_arguments] (resending the same ref could never heal it,
    so a NAK here would loop forever).  The call is copied only when
@@ -662,15 +671,14 @@ let resolve_sva t entry args =
 let try_run t entry (c : Message.call) =
   match resolve_sva t entry (resolve_args entry.ve_store c.Message.call_args) with
   | args ->
-      entry.ve_expected <- c.Message.call_seq + 1;
       run_call t entry
         (if args == c.Message.call_args then c
          else { c with Message.call_args = args });
+      entry.ve_expected <- c.Message.call_seq + 1;
       true
   | exception Bad_mapped_ref ->
       t.sva_rejected <- t.sva_rejected + 1;
       t.rejected <- t.rejected + 1;
-      entry.ve_expected <- c.Message.call_seq + 1;
       let reply =
         {
           Message.reply_seq = c.Message.call_seq;
@@ -680,6 +688,7 @@ let try_run t entry (c : Message.call) =
         }
       in
       cache_reply entry c.Message.call_seq reply;
+      entry.ve_expected <- c.Message.call_seq + 1;
       Transport.send entry.ve_ep (Message.encode (Message.Reply reply));
       true
   | exception Cache_miss missing ->
@@ -868,18 +877,19 @@ let hand_over_log t ~into ~vm_id =
       src.ve_log <- None;
       (entry_exn into "hand_over_log" vm_id).ve_log <- log
 
-(* The rest of a migration's server-side state: seed the destination's
-   in-order cursor at [seq] and carry the reply log over.  Replayed log
-   entries run with seq 0 (outside the live window), so the destination
-   must be told where the guest's live seq stream resumes or every
-   steered call would park as a future seq.  Its cursor then starts past
-   every seq the source executed, so a retransmission of such a seq is
-   a duplicate only the reply log can answer: without it, a reply lost
-   on the guest link just before the move is unhealable.  Seqs the
-   destination already answered keep their reply. *)
-let hand_over t ~into ~vm_id ~seq =
+(* The rest of a migration's server-side state: resume the destination's
+   in-order cursor at the source's and carry the reply log over.
+   Replayed log entries run with seq 0 (outside the live window), so the
+   destination must be told where the guest's live seq stream resumes
+   or every steered call would park as a future seq.  The source's
+   cursor is the first seq it has not answered ([try_run]), so every
+   seq below it is a duplicate only the reply log can answer: without
+   it, a reply lost on the guest link just before the move is
+   unhealable.  Seqs the destination already answered keep their
+   reply. *)
+let hand_over t ~into ~vm_id =
   let dst = entry_exn into "hand_over" vm_id in
-  dst.ve_expected <- seq;
+  dst.ve_expected <- (entry_exn t "hand_over" vm_id).ve_expected;
   List.iter
     (fun (seq, reply) ->
       if not (Hashtbl.mem dst.ve_replay seq) then cache_reply dst seq reply)

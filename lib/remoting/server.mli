@@ -182,6 +182,9 @@ val cache_stats : 'st t -> vm_id:int -> cache_stats option
 val cache_totals : 'st t -> cache_stats
 (** Content-store counters for one VM / summed over all attached VMs. *)
 
+val sum_cache_stats : cache_stats list -> cache_stats
+(** Field-wise sum; all zero for [[]]. *)
+
 val flush_cache : 'st t -> vm_id:int -> unit
 (** Empty the VM's content store (used by migration; the guest's stale
     refs then miss and heal through the NAK/resend path).  A crashed
@@ -253,16 +256,18 @@ val hand_over_log : 'st t -> into:'st t -> vm_id:int -> unit
     @raise Invalid_argument when either entry is missing or this one
     keeps no log. *)
 
-val hand_over : 'st t -> into:'st t -> vm_id:int -> seq:int -> unit
+val hand_over : 'st t -> into:'st t -> vm_id:int -> unit
 (** The rest of a migration's server-side state.  Seed the VM's
-    in-order cursor on [into] at [seq]: replayed log entries run with
-    seq 0, outside the live window, so the destination must be told
-    where the guest's live seq stream resumes.  Carry the reply log
-    over (seqs [into] already answered keep their reply): the
-    destination's cursor starts past every seq the source executed, so
-    a duplicate of such a seq can only be answered from this log — a
-    reply lost on the guest link just before the move is otherwise
-    unhealable at the destination. *)
+    in-order cursor on [into] from this server's: replayed log entries
+    run with seq 0, outside the live window, so the destination must be
+    told where the guest's live seq stream resumes.  A cursor passes a
+    call only once its reply is logged, so it resumes at the first seq
+    this server has not answered; a call still executing here runs
+    again at the destination (at-least-once only for calls this server
+    had not answered).  Carry the reply log over (seqs [into] already
+    answered keep their reply): every seq below the cursor can only be
+    answered from this log — a reply lost on the guest link just
+    before the move is otherwise unhealable at the destination. *)
 
 val pause_vm : 'st t -> vm_id:int -> unit
 (** Stall the worker before its next call (migration §4.3). *)

@@ -241,6 +241,22 @@ let corpus_tests =
                       "ops" (List.map Op.to_line trace)
                       (List.map Op.to_line trace')))
           (corpus_files ()));
+    Alcotest.test_case "a trace without a batching key loads unbatched" `Quick
+      (fun () ->
+        let tmp = Filename.temp_file "ava-corpus" ".trace" in
+        let load lines =
+          Out_channel.with_open_text tmp (fun oc ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+          match Campaign.load tmp with
+          | Ok (config, _, _) -> config.Scenario.sc_batching
+          | Error m -> Alcotest.failf "load: %s" m
+        in
+        let head = [ "ava-campaign-trace v1"; "invariant seq-ledger"; "seed 7" ] in
+        let unkeyed = load (head @ [ "op 0 admit"; "end" ]) in
+        let keyed = load (head @ [ "batching true"; "op 0 admit"; "end" ]) in
+        Sys.remove tmp;
+        Alcotest.(check bool) "missing key means false" false unkeyed;
+        Alcotest.(check bool) "key read back" true keyed);
   ]
 
 (* --- pool retirement regressions ------------------------------------------ *)

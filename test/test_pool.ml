@@ -20,6 +20,10 @@ module Router = Ava_remoting.Router
 module Server = Ava_remoting.Server
 module Stub = Ava_remoting.Stub
 module Swap = Ava_remoting.Swap
+module Wire = Ava_remoting.Wire
+module Message = Ava_remoting.Message
+module Migrate = Ava_remoting.Migrate
+module Plan = Ava_codegen.Plan
 module Pool = Ava_pool.Pool
 
 open Ava_sim
@@ -290,6 +294,103 @@ let identity_tests =
   ]
 
 (* --- live migration ------------------------------------------------------- *)
+
+(* A two-device pool of a two-call mini API, for pinning exactly which
+   calls a migration re-runs.  Both calls take one int; the handlers
+   count their executions per device and argument ([runs]) and answer
+   through [handler ~dev value].  The transfer only hands the record
+   log over and returns at once, so the handoff's timing is the drain
+   window's alone.  [guest_link] is the router-to-guest hop's cost
+   (default free). *)
+type mini = {
+  mn_engine : Engine.t;
+  mn_pool : unit Pool.t;
+  mn_router : Router.t;
+  mn_stub : Stub.t;
+  mn_vm_id : int;
+  mn_runs : (int, int) Hashtbl.t array;
+}
+
+let mini_plan () =
+  let src =
+    {|
+api("mini");
+#include "mini.h"
+type(st) { success(OK); }
+st call(int value) { sync; record(global_config); }
+st fire(int value) { async; record(global_config); }
+|}
+  in
+  let header =
+    "#define OK 0\ntypedef int st;\nst call(int value);\nst fire(int value);"
+  in
+  let resolve = function "mini.h" -> Some header | _ -> None in
+  match Ava_spec.Parser.parse ~resolve_include:resolve src with
+  | Error e -> Alcotest.failf "mini spec: %s" e.Ava_spec.Parser.message
+  | Ok spec -> (
+      match Plan.compile spec with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "mini plan: %s" e)
+
+let mini_pool ?(guest_link = Transport.free_cost) ~handler () =
+  let e = Engine.create () in
+  let plan = mini_plan () in
+  let virt = Timing.default_virt in
+  let hv = Ava_hv.Hypervisor.create ~virt e in
+  let router = Router.create e ~virt ~plan in
+  let runs = Array.init 2 (fun _ -> Hashtbl.create 4) in
+  let server dev =
+    let s = Server.create ~device_id:dev e ~plan ~make_state:(fun ~vm_id:_ -> ()) in
+    let run _ () args =
+      let v = Option.get (Wire.to_int (List.hd args)) in
+      Hashtbl.replace runs.(dev) v
+        (1 + Option.value ~default:0 (Hashtbl.find_opt runs.(dev) v));
+      handler ~dev v
+    in
+    Server.register s "call" run;
+    Server.register s "fire" run;
+    s
+  in
+  let phys =
+    {
+      Pool.ph_cap = Pool.Cap_gpu;
+      ph_busy_ns = (fun () -> 0);
+      ph_kernels = (fun () -> 0);
+      ph_capacity = gib 1;
+      ph_wedged_by = (fun () -> None);
+      ph_kill = ignore;
+      ph_gpu = None;
+    }
+  in
+  let transfer ~vm_id ~src ~dst =
+    Server.hand_over_log src.Pool.dev_server ~into:dst.Pool.dev_server ~vm_id;
+    0
+  in
+  let pool =
+    Pool.create e ~router ~placement:Pool.Round_robin ~transfer
+      [ (phys, server 0); (phys, server 1) ]
+  in
+  let vm = Ava_hv.Hypervisor.create_vm hv ~name:"mini" in
+  let vm_id = Ava_hv.Vm.id vm in
+  ignore (Pool.place ~device:0 pool ~vm);
+  let guest_end, router_guest_end =
+    Transport.duplex e ~a_to_b:Transport.free_cost ~b_to_a:guest_link
+  in
+  let router_server_end, server_end = Transport.direct e in
+  ignore (Server.attach_vm (Pool.server pool 0) ~vm_id ~ep:server_end);
+  ignore
+    (Router.attach_vm router vm ~guest_side:router_guest_end
+       ~server_side:router_server_end);
+  {
+    mn_engine = e;
+    mn_pool = pool;
+    mn_router = router;
+    mn_stub = Stub.create e ~vm_id ~plan ~ep:guest_end;
+    mn_vm_id = vm_id;
+    mn_runs = runs;
+  }
+
+let runs m ~dev v = Option.value ~default:0 (Hashtbl.find_opt m.mn_runs.(dev) v)
 
 let migration_tests =
   [
@@ -563,6 +664,164 @@ let migration_tests =
               (Pool.migrations pool);
             Alcotest.(check bool) "guest still served" true
               (vec_add_ok guest.Host.g_api 64)));
+    Alcotest.test_case "a batch stalled in policing loses no call to a migration"
+      `Quick (fun () ->
+        (* Regression: the router polices every member of a batch before
+           it pushes the accepted ones.  Here the token bucket stalls the
+           third member of a [setarg x3; NDRange] batch while the first
+           two are accepted, and the VM migrates during the stall.  A
+           destination cursor inferred from the router's ledgers skipped
+           the two accepted members: they reached the destination below
+           its cursor with no reply-log entry, were never answered or
+           executed, and the launch read unset arguments.  The
+           destination now resumes at the source server's cursor. *)
+        let e = Engine.create () in
+        let host = Host.create_cl_host ~devices:2 e in
+        let pool = the_pool host and router = host.Host.router in
+        let guest = Host.add_cl_vm host ~device:0 ~batching:true ~name:"batcher" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
+        let module CL = (val guest.Host.g_api) in
+        let n = 64 in
+        let sums =
+          Engine.run_process e (fun () ->
+              let s = Clutil.open_session guest.Host.g_api in
+              let ctx = s.Clutil.context and q = s.Clutil.queue in
+              let vector f =
+                let m = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
+                let by = Bytes.create (4 * n) in
+                for i = 0 to n - 1 do
+                  Bytes.set_int32_le by (4 * i) (Int32.of_int (f i))
+                done;
+                ignore
+                  (ok
+                     (CL.clEnqueueWriteBuffer q m ~blocking:true ~offset:0
+                        ~src:by ~wait_list:[] ~want_event:false));
+                m
+              in
+              let a = vector Fun.id and b = vector (fun i -> 7 * i) in
+              let out = ok (CL.clCreateBuffer ctx ~size:(4 * n)) in
+              let prog =
+                ok (CL.clCreateProgramWithSource ctx ~source:"builtin vec_add")
+              in
+              ok (CL.clBuildProgram prog ~options:"");
+              let k = ok (CL.clCreateKernel prog ~name:"vec_add") in
+              (* Two tokens, then one per 10 ms: the batch's third member
+                 stalls in the bucket, and the VM moves during the
+                 stall. *)
+              Router.set_rate_limit router ~vm_id ~rate_per_s:100.0 ~burst:2.0;
+              let finished = ref false in
+              Engine.spawn e ~name:"migrator" (fun () ->
+                  let rec watch () =
+                    if Router.throttle_ns router ~vm_id > 0 then
+                      ignore (Pool.migrate_vm pool ~vm_id ~dest:1)
+                    else if not !finished then begin
+                      Engine.delay (Time.us 10);
+                      watch ()
+                    end
+                  in
+                  watch ());
+              ok (CL.clSetKernelArg k ~index:0 (Arg_mem a));
+              ok (CL.clSetKernelArg k ~index:1 (Arg_mem b));
+              ok (CL.clSetKernelArg k ~index:2 (Arg_mem out));
+              ignore
+                (ok
+                   (CL.clEnqueueNDRangeKernel q k ~global_work_size:n
+                      ~local_work_size:64 ~wait_list:[] ~want_event:false));
+              let read =
+                CL.clEnqueueReadBuffer q out ~blocking:true ~offset:0
+                  ~size:(4 * n) ~wait_list:[] ~want_event:false
+              in
+              finished := true;
+              match read with
+              | Ok (data, _) ->
+                  List.init n (fun i ->
+                      Int32.to_int (Bytes.get_int32_le data (4 * i)))
+              | Error err ->
+                  Alcotest.failf "blocking read failed: %s" (error_to_string err))
+        in
+        Alcotest.(check int) "moved during the stall" 1 (Pool.migrations pool);
+        Alcotest.(check (option int)) "now on dev1" (Some 1)
+          (Pool.device_of pool ~vm_id);
+        Alcotest.(check (list int)) "sums" (List.init n (fun i -> 8 * i)) sums;
+        Alcotest.(check int) "nothing left in flight" 0
+          (Router.in_flight_calls router ~vm_id));
+    Alcotest.test_case "a call executing at the handoff runs and records at \
+                        the destination"
+      `Quick (fun () ->
+        (* The source is still inside call 0's handler (1 ms) when the
+           handoff (200 us drain, instant transfer) seeds the
+           destination cursor.  Its cursor has not passed the unanswered
+           call, so the destination runs it again and records it: the
+           record log has already left the source, which records
+           nothing when its handler returns. *)
+        let m =
+          mini_pool
+            ~handler:(fun ~dev v ->
+              if dev = 0 && v = 0 then Engine.delay (Time.ms 1);
+              (0, Wire.Unit, []))
+            ()
+        in
+        let vm_id = m.mn_vm_id in
+        Engine.run_process m.mn_engine (fun () ->
+            Engine.spawn m.mn_engine ~name:"migrator" (fun () ->
+                Engine.delay (Time.us 50);
+                ignore (Pool.migrate_vm m.mn_pool ~vm_id ~dest:1));
+            (match Stub.invoke_sync m.mn_stub ~fn:"call" ~args:[ Wire.int 0 ] with
+            | Ok r -> Alcotest.(check int) "answered" 0 r.Message.reply_status
+            | Error err -> Alcotest.failf "call failed: %s" err);
+            Engine.delay (Time.ms 2));
+        Alcotest.(check int) "moved" 1 (Pool.migrations m.mn_pool);
+        Alcotest.(check int) "ran at the source" 1 (runs m ~dev:0 0);
+        Alcotest.(check int) "ran again at the destination" 1 (runs m ~dev:1 0);
+        Alcotest.(check int) "recorded at the destination" 1
+          (Migrate.log_length
+             (Option.get (Server.recorder (Pool.server m.mn_pool 1) ~vm_id)));
+        Alcotest.(check int) "nothing left in flight" 0
+          (Router.in_flight_calls m.mn_router ~vm_id));
+    Alcotest.test_case "a call answered before the handoff is replayed, not \
+                        re-run"
+      `Quick (fun () ->
+        (* Call 0 answers with 1 MiB over a 100 MB/s guest link, so the
+           router's egress is busy sending it for ~10 ms.  The source
+           answers call 1 meanwhile; its reply waits behind, still owed
+           in the router's in-flight ledger when the VM moves.  The
+           requeued call 1 reaches the destination below its cursor and
+           is answered from the carried reply log, not executed
+           again. *)
+        let link =
+          { Transport.per_msg_ns = 0; bytes_per_s = 1e8; deliver_ns = 0 }
+        in
+        let m =
+          mini_pool ~guest_link:link
+            ~handler:(fun ~dev:_ v ->
+              (0, (if v = 0 then Wire.Blob (Bytes.create (mib 1)) else Wire.Unit), []))
+            ()
+        in
+        let vm_id = m.mn_vm_id in
+        let dst = Pool.server m.mn_pool 1 in
+        Engine.run_process m.mn_engine (fun () ->
+            let fire v =
+              match Stub.invoke m.mn_stub ~fn:"fire" ~args:[ Wire.int v ] with
+              | Ok None -> ()
+              | _ -> Alcotest.fail "fire should be async"
+            in
+            fire 0;
+            fire 1;
+            Engine.delay (Time.us 100);
+            Alcotest.(check int) "call 1 answered, reply still owed" 1
+              (Router.in_flight_calls m.mn_router ~vm_id);
+            ignore (Pool.migrate_vm m.mn_pool ~vm_id ~dest:1);
+            (match Stub.invoke_sync m.mn_stub ~fn:"call" ~args:[ Wire.int 2 ] with
+            | Ok r -> Alcotest.(check int) "answered" 0 r.Message.reply_status
+            | Error err -> Alcotest.failf "call failed: %s" err));
+        Alcotest.(check int) "moved" 1 (Pool.migrations m.mn_pool);
+        Alcotest.(check int) "call 1 ran at the source" 1 (runs m ~dev:0 1);
+        Alcotest.(check int) "call 1 not run at the destination" 0
+          (runs m ~dev:1 1);
+        Alcotest.(check bool) "replayed from the carried log" true
+          (Server.replayed dst >= 1);
+        Alcotest.(check int) "nothing left in flight" 0
+          (Router.in_flight_calls m.mn_router ~vm_id));
   ]
 
 (* --- device loss and evacuation ------------------------------------------- *)
