@@ -38,6 +38,7 @@ type call_plan = {
       (** [ava_stream] ordering key: the handle parameter whose queue
           orders this call's server-side execution *)
   cp_params : (string * arg_action) list;
+  cp_arity : int;  (** [List.length cp_params], for per-call verification *)
   cp_record : record_class;
   cp_resources : (string * expr) list;
   cp_dealloc_params : string list;
@@ -108,6 +109,7 @@ let compile_fn spec fn =
               cp_sync;
               cp_stream = fn.f_stream;
               cp_params;
+              cp_arity = List.length cp_params;
               cp_record = fn.f_record;
               cp_resources = fn.f_resources;
               cp_dealloc_params =

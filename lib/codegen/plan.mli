@@ -38,6 +38,7 @@ type call_plan = {
       (** [ava_stream] ordering key: the handle parameter whose queue
           orders this call's server-side execution *)
   cp_params : (string * arg_action) list;
+  cp_arity : int;  (** [List.length cp_params], for per-call verification *)
   cp_record : record_class;
   cp_resources : (string * expr) list;
   cp_dealloc_params : string list;

@@ -1,8 +1,9 @@
 (* Per-call latency attribution for the remoting path.
 
    Each forwarded call opens a span keyed by (vm, seq) and looks up its
-   (vm, api) row of histograms.  The stub, router and server stamp marks
-   on the span as the call moves through the stack; closing the span
+   (vm, api) row of histograms.  The stub, router and server each hold
+   the VM's handle and stamp marks on the span, straight into the VM's
+   span slots, as the call moves through the stack; closing the span
    slices the open->close interval into phases and feeds the row's
    per-phase log-bucketed histograms, then copies the span into a flat
    ring of retained spans.  The
@@ -102,14 +103,13 @@ type row = { r_phases : Hist.t array; r_total : Hist.t }
 let n_phases = n_marks + 1
 let phase_table = Array.of_list phases
 
-(* A live span.  Closed and forgotten records go back to a free list,
-   so a warmed registry opens spans without allocating them. *)
+(* A live span's fields besides its seq and marks.  Each slot of a
+   VM's span table owns one, created on the slot's first use and reused
+   by every span that lands there after. *)
 type live = {
-  mutable l_seq : int;
   mutable l_fn : string;
   mutable l_row : row;
   mutable l_open : Time.t;
-  l_marks : Time.t array; (* indexed by [mark_index]; -1 = unset *)
   mutable l_device : int;
 }
 
@@ -120,11 +120,6 @@ module Itbl = Hashtbl.Make (struct
   let hash (x : int) = x
 end)
 
-type vm_state = {
-  v_rows : (string, row) Hashtbl.t; (* by API name *)
-  v_live : live Itbl.t; (* by seq *)
-}
-
 (* Retained closed spans as a flat ring: the k-th closed span goes to
    slot [k mod retain] as [stride] ints plus its API name.  Slots live
    in chunks of [chunk_slots], allocated when the ring first reaches
@@ -134,19 +129,40 @@ let stride = 6 + n_marks (* vm, seq, open, close, status, device, marks *)
 let chunk_slots = 512
 
 type t = {
-  vms : vm_state Itbl.t;
+  vms : vm Itbl.t;
   counters : (string, int ref) Hashtbl.t;
   retain : int;
   ring : int array array; (* chunks; [||] until first reached *)
   ring_fn : string array array;
   mutable retained : int; (* spans ever retained *)
-  mutable free : live array;
-  mutable n_free : int;
   mutable live_n : int;
   mutable opened : int;
   mutable closed : int;
   mutable failed : int; (* closed with status <> 0 *)
 }
+
+(* A VM's live spans sit in flat slots: the span for [seq] is at slot
+   [seq land (cap - 1)], its marks at [n_marks] ints from
+   [slot * n_marks].  Seqs are issued consecutively, so the calls in
+   flight land in distinct slots; a seq whose slot is taken doubles the
+   table until it is not.  A mark is then an index and a compare. *)
+and vm = {
+  v_id : int;
+  v_reg : t;
+  v_rows : (string, row) Hashtbl.t; (* by API name *)
+  mutable v_seqs : int array; (* the slot's live seq, or [no_seq] *)
+  mutable v_stamps : Time.t array; (* [n_marks] per slot; -1 = unset *)
+  mutable v_spans : live array;
+  mutable v_n : int; (* live spans *)
+}
+
+let no_seq = min_int
+let initial_slots = 16
+
+(* Stands for a slot's record before its first use. *)
+let unused =
+  { l_fn = ""; l_row = { r_phases = [||]; r_total = Hist.create () };
+    l_open = 0; l_device = -1 }
 
 let default_retain = 65536
 
@@ -160,8 +176,6 @@ let create ?(retain = default_retain) () =
     ring = Array.make chunks [||];
     ring_fn = Array.make chunks [||];
     retained = 0;
-    free = [||];
-    n_free = 0;
     live_n = 0;
     opened = 0;
     closed = 0;
@@ -185,9 +199,7 @@ let counters t =
 let in_flight t = t.live_n
 
 let vm_in_flight t ~vm =
-  match Itbl.find t.vms vm with
-  | v -> Itbl.length v.v_live
-  | exception Not_found -> 0
+  match Itbl.find t.vms vm with v -> v.v_n | exception Not_found -> 0
 
 let spans_opened t = t.opened
 let spans_closed t = t.closed
@@ -196,11 +208,21 @@ let retain_dropped t = Stdlib.max 0 (t.retained - t.retain)
 
 (* {1 Span lifecycle} *)
 
-let vm_state t vm =
+let vm t ~vm =
   match Itbl.find t.vms vm with
   | v -> v
   | exception Not_found ->
-      let v = { v_rows = Hashtbl.create 8; v_live = Itbl.create 8 } in
+      let v =
+        {
+          v_id = vm;
+          v_reg = t;
+          v_rows = Hashtbl.create 8;
+          v_seqs = Array.make initial_slots no_seq;
+          v_stamps = Array.make (initial_slots * n_marks) (-1);
+          v_spans = Array.make initial_slots unused;
+          v_n = 0;
+        }
+      in
       Itbl.add t.vms vm v;
       v
 
@@ -217,82 +239,96 @@ let row_for v fn =
       Hashtbl.add v.v_rows fn r;
       r
 
-let release t l =
-  if t.n_free = Array.length t.free then begin
-    let free = Array.make (Stdlib.max 16 (2 * t.n_free)) l in
-    Array.blit t.free 0 free 0 t.n_free;
-    t.free <- free
-  end;
-  t.free.(t.n_free) <- l;
-  t.n_free <- t.n_free + 1
+(* The slot of live span [seq], or -1. *)
+let[@inline] slot_of v seq =
+  let i = seq land (Array.length v.v_seqs - 1) in
+  if v.v_seqs.(i) = seq then i else -1
 
-let span_open t ~vm ~seq ~fn ~at =
-  let v = vm_state t vm in
-  if not (Itbl.mem v.v_live seq) then begin
-    let row = row_for v fn in
-    let l =
-      if t.n_free = 0 then
-        {
-          l_seq = seq;
-          l_fn = fn;
-          l_row = row;
-          l_open = at;
-          l_marks = Array.make n_marks 0;
-          l_device = 0;
-        }
-      else begin
-        t.n_free <- t.n_free - 1;
-        t.free.(t.n_free)
-      end
-    in
-    l.l_seq <- seq;
-    l.l_fn <- fn;
-    l.l_row <- row;
-    l.l_open <- at;
-    Array.fill l.l_marks 0 n_marks (-1);
-    l.l_device <- -1;
-    Itbl.add v.v_live seq l;
+(* Double the table, moving each live span (its seq, marks and record)
+   to its slot in the new one.  Live seqs distinct modulo the old size
+   stay distinct modulo the new. *)
+let grow v =
+  let cap = Array.length v.v_seqs in
+  let seqs = Array.make (2 * cap) no_seq
+  and stamps = Array.make (2 * cap * n_marks) (-1)
+  and spans = Array.make (2 * cap) unused in
+  for i = 0 to cap - 1 do
+    let seq = v.v_seqs.(i) in
+    if seq <> no_seq then begin
+      let j = seq land ((2 * cap) - 1) in
+      seqs.(j) <- seq;
+      Array.blit v.v_stamps (i * n_marks) stamps (j * n_marks) n_marks;
+      spans.(j) <- v.v_spans.(i)
+    end
+  done;
+  v.v_seqs <- seqs;
+  v.v_stamps <- stamps;
+  v.v_spans <- spans
+
+let rec free_slot v seq =
+  let i = seq land (Array.length v.v_seqs - 1) in
+  if v.v_seqs.(i) = no_seq then i
+  else begin
+    grow v;
+    free_slot v seq
+  end
+
+let vm_span_open v ~seq ~fn ~at =
+  if slot_of v seq < 0 then begin
+    let i = free_slot v seq and row = row_for v fn in
+    let l = v.v_spans.(i) in
+    if l == unused then
+      v.v_spans.(i) <- { l_fn = fn; l_row = row; l_open = at; l_device = -1 }
+    else begin
+      l.l_fn <- fn;
+      l.l_row <- row;
+      l.l_open <- at;
+      l.l_device <- -1
+    end;
+    v.v_seqs.(i) <- seq;
+    Array.fill v.v_stamps (i * n_marks) n_marks (-1);
+    v.v_n <- v.v_n + 1;
+    let t = v.v_reg in
     t.live_n <- t.live_n + 1;
     t.opened <- t.opened + 1
   end
 
-(* The live span for [(vm, seq)]; raises [Not_found]. *)
-let find_live t ~vm ~seq = Itbl.find (Itbl.find t.vms vm).v_live seq
-
 (* First write wins: a resent call must not rewrite the marks of the
    attempt already in flight, or phase durations could go negative. *)
-let mark t ~vm ~seq m ~at =
-  match find_live t ~vm ~seq with
-  | exception Not_found -> ()
-  | l ->
-      let i = mark_index m in
-      if l.l_marks.(i) < 0 then l.l_marks.(i) <- at
+let vm_mark v ~seq m ~at =
+  let i = slot_of v seq in
+  if i >= 0 then begin
+    let k = (i * n_marks) + mark_index m in
+    if v.v_stamps.(k) < 0 then v.v_stamps.(k) <- at
+  end
 
 (* First write wins, like marks: a duplicate execution after a
    re-steer must not reattribute the span's original device. *)
-let set_device t ~vm ~seq ~device =
-  match find_live t ~vm ~seq with
-  | exception Not_found -> ()
-  | l -> if l.l_device < 0 then l.l_device <- device
+let vm_set_device v ~seq ~device =
+  let i = slot_of v seq in
+  if i >= 0 then begin
+    let l = v.v_spans.(i) in
+    if l.l_device < 0 then l.l_device <- device
+  end
 
-(* Slice [l_open .. close] at the stamped marks.  Mark [i] ends phase
-   [i]; [last] carries the end of the previous present phase, so absent
-   marks contribute their time to the next phase that was actually
-   stamped. *)
-let record_phases l close =
+(* Slice [l_open .. close] at the stamped marks of slot [i].  Mark [m]
+   ends phase [m]; [last] carries the end of the previous present
+   phase, so absent marks contribute their time to the next phase that
+   was actually stamped. *)
+let record_phases v i l close =
   let phases = l.l_row.r_phases in
   let last = ref l.l_open in
-  for i = 0 to n_marks - 1 do
-    let ts = l.l_marks.(i) in
+  for m = 0 to n_marks - 1 do
+    let ts = v.v_stamps.((i * n_marks) + m) in
     if ts >= 0 then begin
-      Hist.add phases.(i) (ts - !last);
+      Hist.add phases.(m) (ts - !last);
       last := ts
     end
   done;
   Hist.add phases.(n_marks) (close - !last);
   Hist.add l.l_row.r_total (close - l.l_open)
 
-let retain_span t ~vm l ~status ~close =
+let retain_span t v i l ~status ~close =
   let slot = t.retained mod t.retain in
   let c = slot / chunk_slots and off = slot mod chunk_slots in
   if Array.length t.ring_fn.(c) = 0 then begin
@@ -302,29 +338,45 @@ let retain_span t ~vm l ~status ~close =
   end;
   t.retained <- t.retained + 1;
   let r = t.ring.(c) and base = off * stride in
-  r.(base) <- vm;
-  r.(base + 1) <- l.l_seq;
+  r.(base) <- v.v_id;
+  r.(base + 1) <- v.v_seqs.(i);
   r.(base + 2) <- l.l_open;
   r.(base + 3) <- close;
   r.(base + 4) <- status;
   r.(base + 5) <- l.l_device;
-  Array.blit l.l_marks 0 r (base + 6) n_marks;
+  Array.blit v.v_stamps (i * n_marks) r (base + 6) n_marks;
   t.ring_fn.(c).(off) <- l.l_fn
+
+let vm_span_close v ~seq ~status ~at =
+  let i = slot_of v seq in
+  if i >= 0 then begin
+    let t = v.v_reg and l = v.v_spans.(i) in
+    t.live_n <- t.live_n - 1;
+    t.closed <- t.closed + 1;
+    if status <> 0 then t.failed <- t.failed + 1;
+    record_phases v i l at;
+    if t.retain > 0 then retain_span t v i l ~status ~close:at;
+    v.v_seqs.(i) <- no_seq;
+    v.v_n <- v.v_n - 1
+  end
+
+(* The [(vm, seq)] entry points: the handle's, after one lookup. *)
+let span_open t ~vm:id ~seq ~fn ~at = vm_span_open (vm t ~vm:id) ~seq ~fn ~at
+
+let mark t ~vm ~seq m ~at =
+  match Itbl.find t.vms vm with
+  | v -> vm_mark v ~seq m ~at
+  | exception Not_found -> ()
+
+let set_device t ~vm ~seq ~device =
+  match Itbl.find t.vms vm with
+  | v -> vm_set_device v ~seq ~device
+  | exception Not_found -> ()
 
 let span_close t ~vm ~seq ~status ~at =
   match Itbl.find t.vms vm with
+  | v -> vm_span_close v ~seq ~status ~at
   | exception Not_found -> ()
-  | v -> (
-      match Itbl.find v.v_live seq with
-      | exception Not_found -> ()
-      | l ->
-          Itbl.remove v.v_live seq;
-          t.live_n <- t.live_n - 1;
-          t.closed <- t.closed + 1;
-          if status <> 0 then t.failed <- t.failed + 1;
-          record_phases l at;
-          if t.retain > 0 then retain_span t ~vm l ~status ~close:at;
-          release t l)
 
 (* A retired VM's open spans will never close: drop them (its closed
    spans and histograms stay). *)
@@ -332,9 +384,9 @@ let forget_vm t ~vm =
   match Itbl.find t.vms vm with
   | exception Not_found -> ()
   | v ->
-      Itbl.iter (fun _ l -> release t l) v.v_live;
-      t.live_n <- t.live_n - Itbl.length v.v_live;
-      Itbl.reset v.v_live
+      Array.fill v.v_seqs 0 (Array.length v.v_seqs) no_seq;
+      t.live_n <- t.live_n - v.v_n;
+      v.v_n <- 0
 
 (* {1 Read-out} *)
 

@@ -68,23 +68,40 @@ val create : ?retain:int -> unit -> t
 
 (** {1 Span lifecycle} *)
 
-val span_open : t -> vm:int -> seq:int -> fn:string -> at:Time.t -> unit
-(** No-op if a span for [(vm, seq)] is already live (e.g. a retry). *)
+type vm
+(** One VM's spans.  The stub, router and server each take their VM's
+    handle once, at attach, so stamping a span is an array index and a
+    compare, not a registry lookup. *)
 
-val mark : t -> vm:int -> seq:int -> mark -> at:Time.t -> unit
+val vm : t -> vm:int -> vm
+(** The VM's handle, created on first request. *)
+
+val vm_span_open : vm -> seq:int -> fn:string -> at:Time.t -> unit
+(** No-op if a span for [seq] is already live (e.g. a retry). *)
+
+val vm_mark : vm -> seq:int -> mark -> at:Time.t -> unit
 (** No-op on unknown spans and on already-stamped marks. *)
 
-val set_device : t -> vm:int -> seq:int -> device:int -> unit
+val vm_set_device : vm -> seq:int -> device:int -> unit
 (** Attribute the live span to a pool device.  First write wins, like
     marks; no-op on unknown spans. *)
 
-val span_close : t -> vm:int -> seq:int -> status:int -> at:Time.t -> unit
+val vm_span_close : vm -> seq:int -> status:int -> at:Time.t -> unit
 (** Records phase durations and the end-to-end total, then retains the
     span.  No-op on unknown spans. *)
 
+(** The same operations keyed by VM id, each one lookup away from the
+    handle's; a VM never seen is a no-op except for {!span_open}. *)
+
+val span_open : t -> vm:int -> seq:int -> fn:string -> at:Time.t -> unit
+val mark : t -> vm:int -> seq:int -> mark -> at:Time.t -> unit
+val set_device : t -> vm:int -> seq:int -> device:int -> unit
+val span_close : t -> vm:int -> seq:int -> status:int -> at:Time.t -> unit
+
 val forget_vm : t -> vm:int -> unit
 (** Drop the VM's open spans without closing them: a retired VM's
-    spans never close.  Its closed spans and histograms stay. *)
+    spans never close.  Its closed spans and histograms stay, and its
+    handle stays usable. *)
 
 (** {1 Counters and gauges} *)
 

@@ -60,7 +60,11 @@ module Wfq = struct
      Push and pop allocate one queue cell per item and nothing else: the
      items' tags and costs live in flat per-flow float rings that run in
      step with the payload queue, and the scheduler's float state sits in
-     all-float records, so no assignment boxes. *)
+     all-float records, so no assignment boxes.
+
+     A pop looks only at backlogged flows: they sit in a dense array,
+     each flow holding its index there, so a scheduler that has admitted
+     thousands of flows but has one busy pays for one. *)
 
   type clock = {
     mutable vtime : float;
@@ -76,17 +80,21 @@ module Wfq = struct
     mutable tags : float array;
     mutable costs : float array;
     mutable head : int;  (** ring index of the payload queue's head *)
+    mutable slot : int;  (** index in [backlogged]; -1 while empty *)
   }
 
   type 'a t = {
     flows : (int, 'a flow) Hashtbl.t;
     clock : clock;
+    mutable backlogged : 'a flow array;
+        (** the flows with queued items: the first [n_backlogged] cells *)
+    mutable n_backlogged : int;
     mutable waiting : bool;  (** the popper is parked on [waiter] *)
     mutable waiter : unit -> unit;
     mutable enqueued : int;
     mutable dequeued : int;
     none : 'a flow;  (** stands for "no flow" in [best] *)
-    mutable best : 'a flow;  (** [min_flow]'s running result *)
+    mutable best : 'a flow;  (** the tie scan's running result *)
     mutable visit : int -> 'a flow -> unit;
     mutable park : (unit -> unit) -> unit;
   }
@@ -105,6 +113,7 @@ module Wfq = struct
       tags = Array.make 4 0.0;
       costs = Array.make 4 0.0;
       head = 0;
+      slot = -1;
     }
 
   let ignore_unit () = ()
@@ -115,6 +124,8 @@ module Wfq = struct
       {
         flows = Hashtbl.create 8;
         clock = { vtime = 0.0; best_tag = 0.0 };
+        backlogged = Array.make 4 none;
+        n_backlogged = 0;
         waiting = false;
         waiter = ignore_unit;
         enqueued = 0;
@@ -146,7 +157,30 @@ module Wfq = struct
 
   let add_flow t ~flow_id ~weight =
     if weight <= 0.0 then invalid_arg "Wfq.add_flow: weight must be positive";
+    if Hashtbl.mem t.flows flow_id then invalid_arg "Wfq.add_flow: flow exists";
     Hashtbl.replace t.flows flow_id (make_flow flow_id weight)
+
+  (* A flow's first queued item puts it in the backlogged set. *)
+  let backlog_flow t f =
+    let n = t.n_backlogged in
+    if n = Array.length t.backlogged then begin
+      let a = Array.make (2 * n) t.none in
+      Array.blit t.backlogged 0 a 0 n;
+      t.backlogged <- a
+    end;
+    t.backlogged.(n) <- f;
+    f.slot <- n;
+    t.n_backlogged <- n + 1
+
+  (* Its last one leaves it: the set's last flow takes over its cell. *)
+  let idle_flow t f =
+    let n = t.n_backlogged - 1 in
+    let last = t.backlogged.(n) in
+    t.backlogged.(f.slot) <- last;
+    last.slot <- f.slot;
+    t.backlogged.(n) <- t.none;
+    f.slot <- -1;
+    t.n_backlogged <- n
 
   (* Append an item's tag and cost behind the queued ones; the rings
      double (keeping a power-of-two size) when full. *)
@@ -201,6 +235,7 @@ module Wfq = struct
         let tag = start +. (fmax 1.0 cost /. f.rate.weight) in
         f.rate.last_tag <- tag;
         ring_push f tag cost;
+        if f.slot < 0 then backlog_flow t f;
         Queue.push payload f.payloads;
         t.enqueued <- t.enqueued + 1;
         if t.waiting then begin
@@ -210,14 +245,40 @@ module Wfq = struct
           resume ()
         end
 
-  (* The backlogged flow whose head has the smallest finish tag, or
-     [none]; equal tags go to the flow visited first. *)
-  let min_flow t =
+  (* Among all flows, in [Hashtbl.iter] order, the first backlogged one
+     whose head has the smallest finish tag. *)
+  let scan_all t =
     t.best <- t.none;
     Hashtbl.iter t.visit t.flows;
     let f = t.best in
     t.best <- t.none;
     f
+
+  (* The backlogged flow whose head has the smallest finish tag, or
+     [none].  Only backlogged flows are scanned; when two of them tie on
+     the smallest tag, [scan_all] picks the winner, the flow
+     [Hashtbl.iter] visits first, which is how ties have always gone.
+     An explicit lowest-flow-id tie-break would delete that fallback
+     (and with it the last scan over every flow). *)
+  let min_flow t =
+    match t.n_backlogged with
+    | 0 -> t.none
+    | 1 -> t.backlogged.(0)
+    | n ->
+        let a = t.backlogged in
+        let best = ref a.(0) and tie = ref false in
+        t.clock.best_tag <- a.(0).tags.(a.(0).head);
+        for i = 1 to n - 1 do
+          let f = a.(i) in
+          let tag = f.tags.(f.head) in
+          if tag < t.clock.best_tag then begin
+            best := f;
+            t.clock.best_tag <- tag;
+            tie := false
+          end
+          else if tag = t.clock.best_tag then tie := true
+        done;
+        if !tie then scan_all t else !best
 
   (* Blocking: the flow whose head item goes next. *)
   let rec next t =
@@ -233,7 +294,9 @@ module Wfq = struct
     f.head <- ring_at f 1;
     t.clock.vtime <- fmax t.clock.vtime tag;
     t.dequeued <- t.dequeued + 1;
-    Queue.pop f.payloads
+    let payload = Queue.pop f.payloads in
+    if Queue.is_empty f.payloads then idle_flow t f;
+    payload
 
   (* Blocking pop: returns the (flow_id, payload) with the smallest
      finish tag. *)
@@ -264,6 +327,7 @@ module Wfq = struct
             (List.of_seq (Queue.to_seq f.payloads))
         in
         t.dequeued <- t.dequeued + Queue.length f.payloads;
+        if f.slot >= 0 then idle_flow t f;
         Hashtbl.remove t.flows flow_id;
         drained
 end

@@ -22,12 +22,15 @@ end
 
 (** Weighted fair queueing with per-item finish tags (virtual time).
     Flows are VMs; item cost is the router's resource estimate for the
-    forwarded call. *)
+    forwarded call.  A pop costs O(backlogged flows), not O(flows). *)
 module Wfq : sig
   type 'a t
 
   val create : unit -> 'a t
+
   val add_flow : 'a t -> flow_id:int -> weight:float -> unit
+  (** @raise Invalid_argument if the flow already exists: replacing it
+      would drop its queued items. *)
 
   val set_weight : 'a t -> flow_id:int -> weight:float -> unit
   (** Takes effect immediately: the flow's pending items are re-tagged
@@ -49,7 +52,9 @@ module Wfq : sig
   val pop : 'a t -> int * 'a
   (** Remove the item with the smallest finish tag, blocking the calling
       process while all flows are empty.  Per-flow FIFO order is
-      preserved.  At most one concurrent popper is supported. *)
+      preserved.  Equal tags go to the flow that [Hashtbl.iter] visits
+      first over the scheduler's flow table.  At most one concurrent
+      popper is supported. *)
 
   val pop_payload : 'a t -> 'a
   (** {!pop} without the flow id. *)

@@ -39,6 +39,8 @@ and vm_conn = {
   mutable server_side : Transport.endpoint;
       (** router's endpoint facing the VM's current backend server *)
   mutable rc_backend : int;  (** backend currently steering this VM *)
+  mutable rc_obs : Obs.vm option;
+      (** this VM's spans in the owning router's registry *)
   rc_cursor : Message.cursor;  (** ingress's frame cursor, reused *)
   rc_idle : fwd;  (** fills the in-flight ledger's vacant cells *)
   mutable rc_costs : float array;
@@ -211,11 +213,11 @@ let dispatcher_name b =
   if b.bs_id = 0 then "ava-router-dispatch"
   else Printf.sprintf "ava-router-dispatch-b%d" b.bs_id
 
-let rec mark_dispatched o vm now = function
+let rec mark_dispatched o now = function
   | [] -> ()
   | seq :: seqs ->
-      Obs.mark o ~vm ~seq Obs.M_dispatched ~at:now;
-      mark_dispatched o vm now seqs
+      Obs.vm_mark o ~seq Obs.M_dispatched ~at:now;
+      mark_dispatched o now seqs
 
 let start_dispatcher t b =
   if not b.bs_started then begin
@@ -226,10 +228,8 @@ let start_dispatcher t b =
           let conn = fw.fw_conn in
           t.forwarded <- t.forwarded + 1;
           if fw.fw_seqs <> [] then add_in_flight conn fw;
-          (match t.obs with
-          | Some o ->
-              mark_dispatched o (Vm.id conn.rc_vm) (Engine.now t.engine)
-                fw.fw_seqs
+          (match conn.rc_obs with
+          | Some o -> mark_dispatched o (Engine.now t.engine) fw.fw_seqs
           | None -> ());
           Transport.send conn.server_side fw.fw_data;
           (* Schedule at call granularity (§4.3): pace dispatch by the
@@ -286,10 +286,8 @@ let spawn_egress t conn ep =
    (rejected ones included — their spans then close on the rejection
    reply). *)
 let mark_in t conn seq =
-  match t.obs with
-  | Some o ->
-      Obs.mark o ~vm:(Vm.id conn.rc_vm) ~seq Obs.M_router_in
-        ~at:(Engine.now t.engine)
+  match conn.rc_obs with
+  | Some o -> Obs.vm_mark o ~seq Obs.M_router_in ~at:(Engine.now t.engine)
   | None -> ()
 
 (* Push into whichever backend currently steers this VM.  Re-read the
@@ -316,7 +314,7 @@ let police t conn cu i =
   let seq = Message.seq cu i in
   match Plan.find_exn t.plan (Message.fn cu i) with
   | exception Not_found -> reject_policed t conn seq Server.status_unknown_function
-  | plan when Message.arity cu i <> List.length plan.Plan.cp_params ->
+  | plan when Message.arity cu i <> plan.Plan.cp_arity ->
       reject_policed t conn seq Server.status_bad_arguments
   | plan ->
       let vm = conn.rc_vm in
@@ -453,6 +451,8 @@ let ingress conn data =
       Vm.charge_bytes conn.rc_vm (Bytes.length data);
       ingress_batch t conn data
 
+let obs_handle t vm = Option.map (fun o -> Obs.vm o ~vm:(Vm.id vm)) t.obs
+
 (* Attach one VM.  [guest_side]/[server_side] are the router's ends of
    the guest and server transports.  [backend] names the dispatch lane
    (pool device) the VM starts on.  Policy knobs:
@@ -473,6 +473,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       quota_cost
   and breaker = Option.map (Policy.Breaker.create t.engine) breaker
   and rc_cursor = Message.cursor ()
+  and rc_obs = obs_handle t vm
   and rejected_status = Hashtbl.create 16 in
   let rec conn =
     {
@@ -481,6 +482,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       guest_side;
       server_side;
       rc_backend = backend;
+      rc_obs;
       rc_cursor;
       rc_idle = idle;
       rc_costs = [||];
@@ -653,6 +655,7 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
         t.conns <- List.remove_assoc vm_id t.conns;
         dst.conns <- (vm_id, conn) :: dst.conns;
         conn.rc_owner <- dst;
+        conn.rc_obs <- obs_handle dst conn.rc_vm;
         t.resteered <- t.resteered + 1
       end;
       conn.rc_backend <- backend;

@@ -197,6 +197,7 @@ type 'st vm_entry = {
   ve_replay : (int, Message.reply) Hashtbl.t;  (** seq -> sent reply *)
   ve_replay_order : int Queue.t;  (** eviction order for [ve_replay] *)
   ve_store : Store.t;  (** per-VM content store (transfer cache) *)
+  ve_obs : Obs.vm option;  (** this VM's spans, when obs is armed *)
   mutable ve_log : Migrate.t option;
       (** the migration record log: armed iff the server fronts a pool
           device; handed to the destination entry by {!hand_over_log} *)
@@ -490,19 +491,16 @@ let run_handler t entry handler (c : Message.call) =
           (status_device_lost, Wire.Unit, []))
 
 let obs_mark t entry (c : Message.call) m =
-  match t.obs with
-  | Some o ->
-      Obs.mark o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq m
-        ~at:(Engine.now t.engine)
+  match entry.ve_obs with
+  | Some o -> Obs.vm_mark o ~seq:c.Message.call_seq m ~at:(Engine.now t.engine)
   | None -> ()
 
 (* Run one call against a VM's state; no reply is sent. *)
 let execute_call t entry (c : Message.call) =
   Engine.delay exec_overhead_ns;
-  (match t.obs with
+  (match entry.ve_obs with
   | Some o when t.device_id >= 0 ->
-      Obs.set_device o ~vm:entry.ve_ctx.Ctx.ctx_vm ~seq:c.Message.call_seq
-        ~device:t.device_id
+      Obs.vm_set_device o ~seq:c.Message.call_seq ~device:t.device_id
   | _ -> ());
   obs_mark t entry c Obs.M_exec_start;
   let ((status, _, _) as result) =
@@ -788,6 +786,7 @@ let attach_vm t ~vm_id ~ep =
       ve_store = Store.create ~capacity:t.cache_capacity;
       ve_log = (if t.device_id >= 0 then Some (Migrate.create ()) else None);
       ve_sva = None;
+      ve_obs = Option.map (fun o -> Obs.vm o ~vm:vm_id) t.obs;
     }
   in
   t.vm_entries <- (vm_id, entry) :: t.vm_entries;

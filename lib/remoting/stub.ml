@@ -105,9 +105,10 @@ type t = {
   callbacks : (int, Wire.value list -> unit) Hashtbl.t;
   mutable next_callback : int;
   mutable upcalls : int;
-  obs : Obs.t option;
-      (** latency-attribution registry; purely passive, never advances
-          virtual time, so arming it cannot perturb the run *)
+  obs : Obs.vm option;
+      (** this VM's spans in the latency-attribution registry; purely
+          passive, never advances virtual time, so arming it cannot
+          perturb the run *)
   cache : cache option;  (** [None]: transfer cache off (default) *)
   sva : Iommu.t option;  (** [None]: SVA off (default) *)
   mutable sva_maps : int;  (** blobs pinned and sent as [Mapped_ref] *)
@@ -157,7 +158,7 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
       callbacks = Hashtbl.create 8;
       next_callback = 1;
       upcalls = 0;
-      obs;
+      obs = Option.map (fun o -> Obs.vm o ~vm:vm_id) obs;
       cache;
       sva;
       sva_maps = 0;
@@ -183,9 +184,9 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
                 (match t.obs with
                 | Some o ->
                     let now = Engine.now engine in
-                    Obs.mark o ~vm:vm_id ~seq:r.Message.reply_seq
-                      Obs.M_reply_recv ~at:now;
-                    Obs.span_close o ~vm:vm_id ~seq:r.Message.reply_seq
+                    Obs.vm_mark o ~seq:r.Message.reply_seq Obs.M_reply_recv
+                      ~at:now;
+                    Obs.vm_span_close o ~seq:r.Message.reply_seq
                       ~status:r.Message.reply_status ~at:now
                 | None -> ());
                 (* A reply means the server resolved every payload of this
@@ -360,12 +361,10 @@ let sva_substitute t iommu args =
    un-coalesced runs never grow a doorbell phase. *)
 let send_marked t o ~kick seqs data =
   let now = Engine.now t.engine in
-  List.iter (fun seq -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_sent ~at:now) seqs;
+  List.iter (fun seq -> Obs.vm_mark o ~seq Obs.M_sent ~at:now) seqs;
   Transport.send ~kick
     ~on_scheduled:(fun at ->
-      List.iter
-        (fun seq -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_doorbell ~at)
-        seqs)
+      List.iter (fun seq -> Obs.vm_mark o ~seq Obs.M_doorbell ~at) seqs)
     t.ep data
 
 (* A literal [~kick]: passing a variable to the optional argument would
@@ -381,10 +380,10 @@ let send_one t ~kick seq data =
   match t.obs with
   | None -> send_kicked t ~kick data
   | Some o ->
-      Obs.mark o ~vm:t.vm_id ~seq Obs.M_sent ~at:(Engine.now t.engine);
+      Obs.vm_mark o ~seq Obs.M_sent ~at:(Engine.now t.engine);
       if Transport.doorbell_armed t.ep then
         send_kicked t ~kick
-          ~on_scheduled:(fun at -> Obs.mark o ~vm:t.vm_id ~seq Obs.M_doorbell ~at)
+          ~on_scheduled:(fun at -> Obs.vm_mark o ~seq Obs.M_doorbell ~at)
           data
       else send_kicked t ~kick data
 
@@ -416,7 +415,7 @@ let give_up t seq p =
   t.timeouts <- t.timeouts + 1;
   (match t.obs with
   | Some o ->
-      Obs.span_close o ~vm:t.vm_id ~seq ~status:Server.status_timeout
+      Obs.vm_span_close o ~seq ~status:Server.status_timeout
         ~at:(Engine.now t.engine)
   | None -> ());
   let reply =
@@ -477,7 +476,7 @@ let send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data 
   Engine.delay (marshal_cost_ns (Bytes.length data));
   (match t.obs with
   | Some o ->
-      Obs.mark o ~vm:t.vm_id ~seq Obs.M_marshal_done
+      Obs.vm_mark o ~seq Obs.M_marshal_done
         ~at:(Engine.now t.engine)
   | None -> ());
   let p =
@@ -518,7 +517,7 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   t.next_seq <- seq + 1;
   (match t.obs with
   | Some o ->
-      Obs.span_open o ~vm:t.vm_id ~seq ~fn ~at:(Engine.now t.engine)
+      Obs.vm_span_open o ~seq ~fn ~at:(Engine.now t.engine)
   | None -> ());
   let args =
     match t.sva with None -> args | Some iommu -> sva_substitute t iommu args

@@ -608,6 +608,12 @@ let lifecycle o ~vm ~seq =
   Obs.set_device o ~vm ~seq ~device:1;
   Obs.span_close o ~vm ~seq ~status:0 ~at:(at + 900)
 
+(* Span [seq]'s retained marks, by mark index. *)
+let retained_marks o ~seq =
+  match List.find_opt (fun sp -> sp.Obs.sp_seq = seq) (Obs.spans o) with
+  | Some sp -> Array.to_list sp.Obs.sp_marks
+  | None -> Alcotest.failf "span %d not retained" seq
+
 let span_tests =
   [
     Alcotest.test_case "warmed span lifecycle allocates at most 256 B" `Quick
@@ -633,6 +639,107 @@ let span_tests =
           (Printf.sprintf "%.0f B per lifecycle" bytes)
           true (bytes <= 256.0);
         Alcotest.(check int) "all closed" (n + 1_000) (Obs.spans_closed o));
+    Alcotest.test_case "colliding seqs grow the table and keep both spans"
+      `Quick (fun () ->
+        let o = Obs.create () in
+        let v = Obs.vm o ~vm:1 in
+        (* 0 and 4096 share a slot in any table of up to 4096 slots. *)
+        Obs.vm_span_open v ~seq:0 ~fn:"clFinish" ~at:0;
+        Obs.vm_mark v ~seq:0 Obs.M_sent ~at:10;
+        Obs.vm_span_open v ~seq:4096 ~fn:"clFinish" ~at:5;
+        Obs.vm_mark v ~seq:4096 Obs.M_sent ~at:15;
+        Obs.vm_mark v ~seq:0 Obs.M_exec_end ~at:30;
+        Obs.vm_mark v ~seq:4096 Obs.M_exec_end ~at:35;
+        Alcotest.(check int) "both live" 2 (Obs.vm_in_flight o ~vm:1);
+        Obs.vm_span_close v ~seq:0 ~status:0 ~at:40;
+        Obs.vm_span_close v ~seq:4096 ~status:0 ~at:45;
+        let marks sent exec_end =
+          List.init 8 (fun i ->
+              if i = Obs.mark_index Obs.M_sent then sent
+              else if i = Obs.mark_index Obs.M_exec_end then exec_end
+              else -1)
+        in
+        Alcotest.(check (list int)) "seq 0" (marks 10 30) (retained_marks o ~seq:0);
+        Alcotest.(check (list int))
+          "seq 4096" (marks 15 35) (retained_marks o ~seq:4096);
+        Alcotest.(check int) "none live" 0 (Obs.in_flight o));
+    Alcotest.test_case "first write wins across growth" `Quick (fun () ->
+        let o = Obs.create () in
+        let v = Obs.vm o ~vm:1 in
+        Obs.vm_span_open v ~seq:3 ~fn:"clFinish" ~at:0;
+        Obs.vm_mark v ~seq:3 Obs.M_sent ~at:10;
+        Obs.vm_set_device v ~seq:3 ~device:2;
+        Obs.vm_span_open v ~seq:(3 + 4096) ~fn:"clFinish" ~at:0;
+        Obs.vm_mark v ~seq:3 Obs.M_sent ~at:20;
+        Obs.vm_set_device v ~seq:3 ~device:5;
+        Obs.vm_span_open v ~seq:3 ~fn:"clFlush" ~at:99;
+        Obs.vm_span_close v ~seq:3 ~status:0 ~at:50;
+        Alcotest.(check int)
+          "sent" 10
+          (List.nth (retained_marks o ~seq:3) (Obs.mark_index Obs.M_sent));
+        let sp = List.hd (Obs.spans o) in
+        Alcotest.(check int) "device" 2 sp.Obs.sp_device;
+        Alcotest.(check int) "open" 0 sp.Obs.sp_open;
+        Alcotest.(check string) "fn" "clFinish" sp.Obs.sp_fn);
+    Alcotest.test_case "forget_vm and vm_in_flight across growth" `Quick
+      (fun () ->
+        let o = Obs.create () in
+        let v = Obs.vm o ~vm:1 in
+        List.iter
+          (fun seq -> Obs.vm_span_open v ~seq ~fn:"clFinish" ~at:0)
+          [ 0; 4096; 5; 8192 ];
+        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clFinish" ~at:0;
+        Alcotest.(check int) "vm 1 live" 4 (Obs.vm_in_flight o ~vm:1);
+        Alcotest.(check int) "gauge" 5 (Obs.in_flight o);
+        Obs.vm_span_close v ~seq:4096 ~status:0 ~at:1;
+        Alcotest.(check int) "one closed" 3 (Obs.vm_in_flight o ~vm:1);
+        Obs.forget_vm o ~vm:1;
+        Alcotest.(check int) "vm 1 drained" 0 (Obs.vm_in_flight o ~vm:1);
+        Alcotest.(check int) "vm 2 kept" 1 (Obs.in_flight o);
+        Obs.vm_span_close v ~seq:5 ~status:0 ~at:2;
+        Alcotest.(check int) "forgotten span stays closed" 1 (Obs.spans_closed o);
+        Obs.vm_span_open v ~seq:5 ~fn:"clFinish" ~at:3;
+        Alcotest.(check int) "handle usable after forget" 1
+          (Obs.vm_in_flight o ~vm:1));
+    Alcotest.test_case "handle and (vm, seq) API agree" `Quick (fun () ->
+        let by_id = Obs.create () and by_handle = Obs.create () in
+        let v = Obs.vm by_handle ~vm:3 in
+        for seq = 0 to 99 do
+          lifecycle by_id ~vm:3 ~seq;
+          let at = seq * 1_000 in
+          Obs.vm_span_open v ~seq ~fn:"clEnqueueNDRangeKernel" ~at;
+          List.iteri
+            (fun i m -> Obs.vm_mark v ~seq m ~at:(at + (10 * (i + 1))))
+            Obs.[ M_marshal_done; M_sent; M_doorbell; M_router_in;
+                  M_dispatched; M_exec_start; M_exec_end; M_reply_recv ];
+          Obs.vm_set_device v ~seq ~device:1;
+          Obs.vm_span_close v ~seq ~status:0 ~at:(at + 900)
+        done;
+        Alcotest.(check bool) "spans" true (Obs.spans by_id = Obs.spans by_handle);
+        Alcotest.(check bool)
+          "series" true (Obs.series by_id = Obs.series by_handle);
+        Alcotest.(check bool)
+          "totals" true (Obs.totals by_id = Obs.totals by_handle));
+    Alcotest.test_case "a warmed mark allocates nothing" `Quick (fun () ->
+        let o = Obs.create () in
+        let v = Obs.vm o ~vm:1 in
+        for seq = 0 to 63 do
+          Obs.vm_span_open v ~seq ~fn:"clFinish" ~at:0
+        done;
+        let mark_all at =
+          for seq = 0 to 63 do
+            Obs.vm_mark v ~seq Obs.M_sent ~at;
+            Obs.vm_mark v ~seq:(seq + 64) Obs.M_sent ~at
+          done
+        in
+        mark_all 1;
+        (* Two reads back to back: what reading the counter itself
+           allocates. *)
+        let r0 = Gc.minor_words () in
+        let r1 = Gc.minor_words () in
+        mark_all 2;
+        let r2 = Gc.minor_words () in
+        Alcotest.(check (float 0.0)) "words" (r1 -. r0) (r2 -. r1));
     Alcotest.test_case "forget_vm drops only that vm's open spans" `Quick
       (fun () ->
         let o = Obs.create () in

@@ -50,6 +50,139 @@ let vec_add_ok api n = Clutil.vec_add api ~n ~launches:1 ~release:false
 
 (* --- WFQ weight changes (satellite: live re-tagging) ---------------------- *)
 
+(* The scheduler as it was before pops tracked backlogged flows: every
+   pop visits every flow in [Hashtbl.iter] order, and the first flow
+   holding the smallest head tag wins.  Its flow table sees the same
+   insertions and removals as [Policy.Wfq]'s, so the two iterate in the
+   same order. *)
+module Ref_wfq = struct
+  type flow = {
+    mutable weight : float;
+    mutable last_tag : float;
+    mutable items : (float * float * int) list;  (** tag, cost, payload *)
+  }
+
+  type t = { flows : (int, flow) Hashtbl.t; mutable vtime : float }
+
+  let fmax (a : float) b = if b > a then b else a
+  let create () = { flows = Hashtbl.create 8; vtime = 0.0 }
+
+  let add_flow t id weight =
+    Hashtbl.replace t.flows id { weight; last_tag = 0.0; items = [] }
+
+  let push t id cost p =
+    let f = Hashtbl.find t.flows id in
+    let tag = fmax t.vtime f.last_tag +. (fmax 1.0 cost /. f.weight) in
+    f.last_tag <- tag;
+    f.items <- f.items @ [ (tag, cost, p) ]
+
+  let set_weight t id weight =
+    let f = Hashtbl.find t.flows id in
+    f.weight <- weight;
+    if f.items <> [] then begin
+      let last = ref t.vtime in
+      f.items <-
+        List.map
+          (fun (_, cost, p) ->
+            let tag = !last +. (fmax 1.0 cost /. weight) in
+            last := tag;
+            (tag, cost, p))
+          f.items;
+      f.last_tag <- !last
+    end
+
+  let remove_flow t id =
+    let f = Hashtbl.find t.flows id in
+    Hashtbl.remove t.flows id;
+    List.map (fun (_, cost, p) -> (p, cost)) f.items
+
+  let pop t =
+    let best = ref None in
+    Hashtbl.iter
+      (fun id f ->
+        match (f.items, !best) with
+        | [], _ -> ()
+        | (tag, _, _) :: _, Some (_, _, best_tag) when not (tag < best_tag) -> ()
+        | (tag, _, _) :: _, _ -> best := Some (id, f, tag))
+      t.flows;
+    Option.map
+      (fun (id, f, tag) ->
+        let p = match f.items with (_, _, p) :: _ -> p | [] -> assert false in
+        f.items <- List.tl f.items;
+        t.vtime <- fmax t.vtime tag;
+        (id, p))
+      !best
+end
+
+type wfq_op =
+  | W_add of int * float
+  | W_push of int * float
+  | W_pop
+  | W_weight of int * float
+  | W_remove of int
+
+(* Few flows, weights and costs, so that finish tags often tie. *)
+let wfq_op =
+  let id = QCheck.Gen.int_range 0 5
+  and weight = QCheck.Gen.oneofl [ 0.5; 1.0; 2.0 ]
+  and cost = QCheck.Gen.oneofl [ 0.5; 1.0; 2.0; 4.0 ] in
+  QCheck.make
+    ~print:(function
+      | W_add (i, w) -> Printf.sprintf "add %d %g" i w
+      | W_push (i, c) -> Printf.sprintf "push %d %g" i c
+      | W_pop -> "pop"
+      | W_weight (i, w) -> Printf.sprintf "weight %d %g" i w
+      | W_remove i -> Printf.sprintf "remove %d" i)
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map2 (fun i w -> W_add (i, w)) id weight);
+          (6, map2 (fun i c -> W_push (i, c)) id cost);
+          (5, return W_pop);
+          (1, map2 (fun i w -> W_weight (i, w)) id weight);
+          (1, map (fun i -> W_remove i) id);
+        ])
+
+(* Run the ops on both schedulers, then drain both: every pop and every
+   removed flow's backlog must agree.  Ops naming an unknown flow are
+   skipped; re-adding a live flow must raise and change nothing. *)
+let wfq_matches_reference ops =
+  let q = Policy.Wfq.create () and r = Ref_wfq.create () in
+  let next = ref 0 in
+  let known i = Hashtbl.mem r.Ref_wfq.flows i in
+  let pop () =
+    if Policy.Wfq.backlog q = 0 then Ref_wfq.pop r = None
+    else Some (Policy.Wfq.pop q) = Ref_wfq.pop r
+  in
+  let step = function
+    | W_add (i, w) when known i -> (
+        match Policy.Wfq.add_flow q ~flow_id:i ~weight:w with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+    | W_add (i, w) ->
+        Policy.Wfq.add_flow q ~flow_id:i ~weight:w;
+        Ref_wfq.add_flow r i w;
+        true
+    | W_push (i, c) when known i ->
+        incr next;
+        Policy.Wfq.push q ~flow_id:i ~cost:c !next;
+        Ref_wfq.push r i c !next;
+        true
+    | W_weight (i, w) when known i ->
+        Policy.Wfq.set_weight q ~flow_id:i ~weight:w;
+        Ref_wfq.set_weight r i w;
+        true
+    | W_remove i when known i ->
+        Policy.Wfq.remove_flow q ~flow_id:i = Ref_wfq.remove_flow r i
+    | W_push _ | W_weight _ | W_remove _ -> true
+    | W_pop -> pop ()
+  in
+  let rec drain () =
+    if Policy.Wfq.backlog q = 0 then Ref_wfq.pop r = None
+    else pop () && drain ()
+  in
+  List.for_all step ops && drain ()
+
 let wfq_tests =
   [
     Alcotest.test_case "set_weight re-tags a backlogged flow" `Quick (fun () ->
@@ -105,6 +238,20 @@ let wfq_tests =
           (Policy.Wfq.backlog q);
         Alcotest.(check string) "other flow unaffected" "z"
           (snd (Policy.Wfq.pop q)));
+    Alcotest.test_case "add_flow on an existing flow raises" `Quick (fun () ->
+        let q = Policy.Wfq.create () in
+        Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
+        Policy.Wfq.push q ~flow_id:1 ~cost:1.0 "kept";
+        Alcotest.check_raises "invalid"
+          (Invalid_argument "Wfq.add_flow: flow exists") (fun () ->
+            Policy.Wfq.add_flow q ~flow_id:1 ~weight:2.0);
+        Alcotest.(check int) "backlog kept" 1 (Policy.Wfq.backlog q);
+        Alcotest.(check string) "item kept" "kept" (snd (Policy.Wfq.pop q)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"pops match a scheduler that scans every flow" ~count:300
+         QCheck.(list_of_size Gen.(int_range 1 150) wfq_op)
+         wfq_matches_reference);
   ]
 
 (* --- placement ------------------------------------------------------------ *)
