@@ -332,9 +332,20 @@ let summary_json s =
 
 (* --- self-test ------------------------------------------------------------ *)
 
-(* A small healthy trace, then sabotage (Scenario kills a worker under
-   an in-flight workload and never restarts it).  Any Pass verdict
-   from this run means the invariant checks have gone blind. *)
+(* Whether a sabotaged run's verdict proves the checks fired: a crashed
+   worker may surface through any invariant, an overcharge only
+   through accounting. *)
+let caught sabotage verdict =
+  match (sabotage, verdict) with
+  | _, Scenario.Pass -> false
+  | Scenario.Crash_worker, _ -> true
+  | Scenario.Overcharge, Scenario.Violation (i, _) -> i = Scenario.Accounting
+  | Scenario.Overcharge, Scenario.Hang _ -> false
+
+(* A small healthy trace, then each sabotage in turn: Scenario kills a
+   worker under an in-flight workload and never restarts it, or charges
+   one call the guest never issued.  A verdict that is not [caught]
+   means the invariant checks have gone blind. *)
 let self_test ?(seed = 7L) () =
   let config =
     { Scenario.default_config with Scenario.sc_seed = seed; sc_faults = "none" }
@@ -347,4 +358,6 @@ let self_test ?(seed = 7L) () =
       { Op.delay_ns = 0; kind = Op.Submit (1, Op.Vec_add 64) };
     ]
   in
-  Scenario.run ~sabotage:true config trace
+  List.map
+    (fun sabotage -> (sabotage, Scenario.run ~sabotage config trace))
+    [ Scenario.Crash_worker; Scenario.Overcharge ]

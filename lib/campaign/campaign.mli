@@ -72,8 +72,15 @@ val replay : string -> (Scenario.outcome, string) result
 
 (** {1 Self-test} *)
 
-val self_test : ?seed:int64 -> unit -> Scenario.outcome
-(** Run a deliberately sabotaged scenario (a worker crashed
-    mid-workload, never restarted).  The invariant checks must return
-    a non-[Pass] verdict; a [Pass] here means the harness is blind and
-    its green campaigns are worthless. *)
+val self_test :
+  ?seed:int64 -> unit -> (Scenario.sabotage * Scenario.outcome) list
+(** Run a small healthy trace once per sabotage ({!Scenario.sabotage}:
+    a worker crashed mid-workload and never restarted; one call
+    charged twice).  Each verdict must be {!caught}; one that is not
+    means the harness is blind and its green campaigns are
+    worthless. *)
+
+val caught : Scenario.sabotage -> Scenario.verdict -> bool
+(** Whether the verdict shows the sabotage was detected: any non-[Pass]
+    verdict for [Crash_worker], an [Accounting] violation for
+    [Overcharge]. *)

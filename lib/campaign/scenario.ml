@@ -69,6 +69,7 @@ let random_config rng =
 type invariant =
   | No_crash
   | Seq_ledger
+  | Accounting
   | Conservation
   | Residency
   | Isolation
@@ -77,13 +78,17 @@ type invariant =
 let invariant_name = function
   | No_crash -> "no-crash"
   | Seq_ledger -> "seq-ledger"
+  | Accounting -> "accounting"
   | Conservation -> "conservation"
   | Residency -> "residency"
   | Isolation -> "isolation"
   | Obs_twin -> "obs-twin"
 
 let all_invariants =
-  [ No_crash; Seq_ledger; Conservation; Residency; Isolation; Obs_twin ]
+  [
+    No_crash; Seq_ledger; Accounting; Conservation; Residency; Isolation;
+    Obs_twin;
+  ]
 
 let invariant_of_name s =
   List.find_opt (fun i -> String.equal (invariant_name i) s) all_invariants
@@ -95,6 +100,8 @@ let pp_verdict ppf = function
   | Violation (i, d) ->
       Format.fprintf ppf "violation %s: %s" (invariant_name i) d
   | Hang d -> Format.fprintf ppf "hang: %s" d
+
+type sabotage = Crash_worker | Overcharge
 
 type outcome = {
   oc_verdict : verdict;
@@ -629,6 +636,22 @@ let check_seq_ledger st =
         else None)
     (live_tenants st)
 
+(* The router charges each call once, however many copies of it arrive:
+   never more calls than the guest's stub issued. *)
+let check_accounting st =
+  List.find_map
+    (fun tn ->
+      let gs = Report.guest_stats tn.tn_guest in
+      let issued = gs.Report.gs_sync_calls + gs.Report.gs_async_calls in
+      if gs.Report.gs_api_calls > issued then
+        Some
+          (Violation
+             ( Accounting,
+               Printf.sprintf "vm%d charged for %d calls, its guest issued %d"
+                 tn.tn_vm_id gs.Report.gs_api_calls issued ))
+      else None)
+    (live_tenants st)
+
 let check_conservation st =
   let guests = List.map (fun t -> t.tn_guest) (live_tenants st) in
   let r = Report.snapshot st.st_host guests in
@@ -696,7 +719,7 @@ let dump_spans st o =
         (Obs.vm_in_flight o ~vm:tn.tn_vm_id))
     (List.rev st.st_tenants)
 
-let run ?(obs = debug_trace ()) ?(sabotage = false) config trace =
+let run ?(obs = debug_trace ()) ?sabotage config trace =
   let e = Engine.create () in
   let obs_reg = if obs then Some (Obs.create ()) else None in
   let host =
@@ -738,22 +761,30 @@ let run ?(obs = debug_trace ()) ?(sabotage = false) config trace =
                | None -> ()
              end)
            trace;
-         if sabotage && !verdict = Pass then begin
-           (* Self-test: a deliberately broken stack — one tenant's
-              worker dies mid-workload and never comes back.  Its call
-              exhausts the retry budget; the ledger and isolation
-              checks must catch it or the harness is blind. *)
-           ignore (admit st);
-           match st.st_tenants with
-           | tn :: _ ->
-               ignore (submit st tn (Op.Vec_add 64));
-               Engine.delay (Time.us 50);
-               (match current_server st tn.tn_vm_id with
-               | Some srv -> Server.crash srv ~vm_id:tn.tn_vm_id
-               | None -> ());
-               ()
-           | [] -> ()
-         end;
+         (if !verdict = Pass then
+            match sabotage with
+            | Some Crash_worker -> (
+                (* Self-test: a deliberately broken stack — one tenant's
+                   worker dies mid-workload and never comes back.  Its
+                   call exhausts the retry budget; the ledger and
+                   isolation checks must catch it or the harness is
+                   blind. *)
+                ignore (admit st);
+                match st.st_tenants with
+                | tn :: _ ->
+                    ignore (submit st tn (Op.Vec_add 64));
+                    Engine.delay (Time.us 50);
+                    (match current_server st tn.tn_vm_id with
+                    | Some srv -> Server.crash srv ~vm_id:tn.tn_vm_id
+                    | None -> ());
+                    ()
+                | [] -> ())
+            | Some Overcharge -> (
+                (* Self-test: a router that charged one call twice. *)
+                match live_tenants st with
+                | tn :: _ -> Ava_hv.Vm.charge_call tn.tn_guest.Host.g_vm
+                | [] -> ())
+            | None -> ());
          (* Quiesce: wait out in-flight work under a virtual deadline;
             a stack that cannot drain is a verdict, not a wedged
             test run. *)
@@ -801,6 +832,7 @@ let run ?(obs = debug_trace ()) ?(sabotage = false) config trace =
                          (No_crash, "unexpected exception: " ^ m))
                      st.st_crash_exn);
                  (fun () -> check_seq_ledger st);
+                 (fun () -> check_accounting st);
                  (fun () -> check_conservation st);
                  (fun () -> check_residency_retired st);
                  (fun () -> check_isolation st);

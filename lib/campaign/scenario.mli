@@ -38,6 +38,9 @@ type invariant =
   | No_crash  (** no unexpected exception escaped the stack *)
   | Seq_ledger  (** no lost or duplicated replies: every forwarded
                     call answered, no retry budget exhausted *)
+  | Accounting  (** the router charged no tenant for more calls than
+                    its guest issued: retransmissions and resends are
+                    charged once *)
   | Conservation  (** executed-call and residency counters conserve
                       across the {!Ava_core.Report} rollup *)
   | Residency  (** retired tenants leave nothing behind: no pool
@@ -58,6 +61,13 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+(** A deliberate break of the stack, for the self-test. *)
+type sabotage =
+  | Crash_worker
+      (** a tenant's server worker is crashed mid-workload and never
+          restarted *)
+  | Overcharge  (** after the trace, one extra call is charged by hand *)
+
 type outcome = {
   oc_verdict : verdict;
   oc_final_ns : Time.t;  (** virtual clock at the end of the run *)
@@ -65,16 +75,15 @@ type outcome = {
   oc_applied : int;  (** ops that were not no-ops *)
 }
 
-val run : ?obs:bool -> ?sabotage:bool -> config -> Op.trace -> outcome
+val run : ?obs:bool -> ?sabotage:sabotage -> config -> Op.trace -> outcome
 (** Interpret the trace.  [obs] arms full latency attribution
     ({!Ava_obs.Obs}); the registry is passive, so the outcome must be
     bit-identical to a disarmed run — {!check_twin} enforces it.  It
     defaults to armed when [AVA_CAMPAIGN_TRACE] is set, and an armed
     run then dumps one stderr line per retained span, then each
     tenant's in-flight span count.
-    [sabotage] deliberately breaks the stack (a tenant's server worker
-    is crashed mid-workload and never restarted) to prove the
-    invariant checks fire — the self-test of the campaign runner. *)
+    [sabotage] deliberately breaks the stack after the trace to prove
+    the invariant checks fire — the self-test of the campaign runner. *)
 
 val check_twin : config -> Op.trace -> verdict
 (** Run the trace disarmed and obs-armed; [Pass] iff final virtual

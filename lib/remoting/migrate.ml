@@ -55,6 +55,9 @@ let handle_arg (_, action) v =
   | Plan.Pass_handle, Wire.Handle h -> Some (Int64.to_int h)
   | _ -> None
 
+(* The tracked object of a call: the spec'd [target] parameter if
+   present, else a guest-assigned allocating out-element, else the first
+   handle argument. *)
 let primary_handle (plan : Plan.call_plan) (args : Wire.value list) =
   let params = plan.Plan.cp_params in
   match

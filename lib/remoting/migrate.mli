@@ -19,11 +19,6 @@ type t
 
 val create : unit -> t
 
-val primary_handle : Plan.call_plan -> Wire.value list -> int option
-(** The tracked object of a call: the spec'd [target] parameter if
-    present, else a guest-assigned allocating out-element, else the
-    first handle argument. *)
-
 val observe : ?allocated:int -> t -> Plan.call_plan -> Message.call -> unit
 (** Record one successfully executed call.  [allocated] is the virtual
     id the server assigned when the call created an object (its return

@@ -308,11 +308,6 @@ module Wfq = struct
   let pop_payload t = dequeue t (next t)
   let backlog t = t.enqueued - t.dequeued
 
-  let exists t ~flow_id p =
-    match Hashtbl.find_opt t.flows flow_id with
-    | None -> invalid_arg "Wfq.exists: unknown flow"
-    | Some f -> Queue.fold (fun found x -> found || p x) false f.payloads
-
   (* Remove a flow, handing back its queued (payload, cost) items in
      FIFO order.  The items stop counting toward [backlog]; the caller
      re-enqueues them elsewhere (the router uses this to re-steer a VM

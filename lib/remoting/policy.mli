@@ -60,9 +60,6 @@ module Wfq : sig
   (** {!pop} without the flow id. *)
 
   val backlog : 'a t -> int
-
-  val exists : 'a t -> flow_id:int -> ('a -> bool) -> bool
-  (** Whether an item queued on the flow satisfies the predicate. *)
 end
 
 (** Per-VM error-budget circuit breaker: [failure_threshold] fault

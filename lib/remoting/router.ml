@@ -7,6 +7,9 @@
    queueing on the spec's resource estimates (§4.3).  Replies flow back
    through per-VM egress processes with accounting.
 
+   A per-VM seq window is the one record of a VM's calls: each seq is
+   verified, policed, charged and queued once (see [admit]).
+
    This is exactly what vCUDA-style user-space RPC gives up: remove the
    router (connect guest directly to server) and interposition is gone. *)
 
@@ -17,16 +20,25 @@ module Obs = Ava_obs.Obs
 open Ava_sim
 open Ava_hv
 
-(* One message on its way to the server: the WFQ item while queued, then
-   the in-flight ledger entry until every seq is answered.  Requeued
-   wholesale if the server restarts (already-executed seqs are
-   deduplicated there). *)
+(* One frame on its way to the server: the WFQ item while queued, then
+   in flight until its seqs are answered.  The window cells of the seqs
+   it admitted point at it; a copy forwarded uncharged is held by none. *)
 type fwd = {
   fw_conn : vm_conn;
   fw_data : bytes;
   fw_cost : float;
-  mutable fw_seqs : int list;  (** seqs still awaiting replies *)
+  fw_lo : int;
+  fw_hi : int;  (** seqs this frame admitted lie in [fw_lo, fw_hi] *)
+  mutable fw_sent : bool;  (** dispatched, not yet requeued *)
 }
+
+(* What the router knows about one seq of a VM. *)
+and cell =
+  | Unseen  (** never arrived: a hole the window base cannot pass *)
+  | Policing  (** admitted by the frame being policed, not yet framed *)
+  | Admitted of fwd  (** charged once; queued or in flight as [fwd] is *)
+  | Answered
+  | Rejected of int  (** policed away with this status *)
 
 and vm_conn = {
   rc_vm : Vm.t;
@@ -38,33 +50,19 @@ and vm_conn = {
   guest_side : Transport.endpoint;  (** router's endpoint facing the guest *)
   mutable server_side : Transport.endpoint;
       (** router's endpoint facing the VM's current backend server *)
-  mutable rc_backend : int;  (** backend currently steering this VM *)
+  mutable rc_backend : backend;  (** backend currently steering this VM *)
   mutable rc_obs : Obs.vm option;
       (** this VM's spans in the owning router's registry *)
   rc_cursor : Message.cursor;  (** ingress's frame cursor, reused *)
-  rc_idle : fwd;  (** fills the in-flight ledger's vacant cells *)
   mutable rc_costs : float array;
-      (** ingress scratch: each batch member's cost, negative when it
-          was rejected *)
-  mutable skipped_seqs : int list;
-      (** seqs policed away, re-sent to each new backend by
-          {!transfer_flow} *)
-  rejected_status : (int, int) Hashtbl.t;
-      (** rejection status by seq, for every call policed away or
-          quarantined.  A retransmit of such a seq must get the same
-          rejection replayed, never be forwarded: the backend already
-          consumed the Skip and advanced past the seq, so a forwarded
-          retransmit would read there as a pre-cursor duplicate with no
-          reply-log entry — unanswerable, parked in the in-flight
-          ledger forever.  (Campaign-found: a breaker half-open probe
-          forwarding a retransmit of a seq quarantined moments earlier;
-          see test/corpus/shrunk-seq-ledger-quarantine-retransmit.trace.) *)
+      (** ingress scratch: each batch member's admission verdict *)
+  mutable rc_cells : cell array;
+      (** the seq window: seq [s] of [\[rc_base, rc_top)] at
+          [s land (length - 1)]; every other cell is [Unseen] *)
+  mutable rc_base : int;  (** lowest seq the window still knows *)
+  mutable rc_top : int;  (** one past the newest seq seen *)
   mutable bucket : Policy.Token_bucket.t option;
   mutable quota : Policy.Quota.t option;
-  mutable in_flight : fwd array;
-  mutable in_flight_n : int;
-      (** forwarded messages still owing replies: the first
-          [in_flight_n] cells, oldest first *)
   mutable breaker : Policy.Breaker.t option;
   mutable fault_statuses : int list;
       (** reply statuses fed to the breaker as failures *)
@@ -84,13 +82,16 @@ and t = {
   engine : Engine.t;
   virt : Ava_device.Timing.virt;
   plan : Plan.t;
-  mutable backends : (int * backend) list;
-  mutable conns : (int * vm_conn) list;
+  backends : (int, backend) Hashtbl.t;
+  conns : (int, vm_conn) Hashtbl.t;
   mutable forwarded : int;
   mutable rejected : int;
   mutable requeued : int;
   mutable quarantined : int;
       (** calls rejected at admission by an open breaker *)
+  mutable dropped : int;
+      (** frames dropped unanswered: copies of queued calls, and seqs
+          outside their VM's window *)
   mutable resteered : int;  (** VMs live-moved between backends *)
   mutable paced_ns : Time.t;
   obs : Obs.t option;
@@ -106,91 +107,104 @@ let make_backend id = { bs_id = id; bs_wfq = Policy.Wfq.create (); bs_started = 
 
 let create ?obs engine ~virt ~plan =
   Wire.intern_plan plan;
+  let backends = Hashtbl.create 4 in
+  Hashtbl.replace backends 0 (make_backend 0);
   {
     engine;
     virt;
     plan;
-    backends = [ (0, make_backend 0) ];
-    conns = [];
+    backends;
+    conns = Hashtbl.create 16;
     forwarded = 0;
     rejected = 0;
     requeued = 0;
     quarantined = 0;
+    dropped = 0;
     resteered = 0;
     paced_ns = 0;
     obs;
   }
 
 let backend_exn t id =
-  match List.assoc id t.backends with
+  match Hashtbl.find t.backends id with
   | b -> b
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Router: unknown backend %d" id)
 
 let add_backend t ~id =
-  if List.mem_assoc id t.backends then
+  if Hashtbl.mem t.backends id then
     invalid_arg (Printf.sprintf "Router.add_backend: backend %d exists" id);
-  t.backends <- t.backends @ [ (id, make_backend id) ]
+  Hashtbl.replace t.backends id (make_backend id)
 
 let forwarded t = t.forwarded
 let rejected t = t.rejected
 let requeued t = t.requeued
 let quarantined t = t.quarantined
+let dropped t = t.dropped
 let resteered t = t.resteered
 
-let find_conn t vm_id = List.assoc_opt vm_id t.conns
+let find_conn t vm_id = Hashtbl.find_opt t.conns vm_id
 
-(* --- in-flight ledger --------------------------------------------------------- *)
+(* --- seq window --------------------------------------------------------------- *)
 
-(* An array that grows by doubling and is otherwise updated in place:
-   dispatch and replies copy no list. *)
-let add_in_flight conn fw =
-  if conn.in_flight_n = Array.length conn.in_flight then
-    conn.in_flight <-
-      Array.append conn.in_flight
-        (Array.make (Stdlib.max 4 conn.in_flight_n) conn.rc_idle);
-  conn.in_flight.(conn.in_flight_n) <- fw;
-  conn.in_flight_n <- conn.in_flight_n + 1
+(* The base passes a cell only once it is answered or rejected and
+   [Server.replay_cache_cap] behind the newest seq, when the server's
+   reply log no longer holds it either.  The ring doubles when a seq
+   lands a full capacity past the base. *)
 
-(* Keep the in-flight entries still owing replies, in order; vacated
-   cells get the idle entry, so they pin no frame. *)
-let compact_in_flight conn =
-  let n = conn.in_flight_n in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let fw = conn.in_flight.(i) in
-    if fw.fw_seqs <> [] then begin
-      conn.in_flight.(!j) <- fw;
-      incr j
-    end
+let initial_cells = 16
+
+(* A seq this far past the base is no stub's: dropping it keeps a bogus
+   frame from growing the ring without bound. *)
+let max_span = 1 lsl 20
+
+let cell conn seq =
+  if seq < conn.rc_base || seq >= conn.rc_top then Unseen
+  else conn.rc_cells.(seq land (Array.length conn.rc_cells - 1))
+
+let set_cell conn seq c =
+  conn.rc_cells.(seq land (Array.length conn.rc_cells - 1)) <- c
+
+let resolved = function Answered | Rejected _ -> true | _ -> false
+
+let advance_base conn ~newest =
+  while
+    newest - conn.rc_base >= Server.replay_cache_cap
+    && resolved (cell conn conn.rc_base)
+  do
+    set_cell conn conn.rc_base Unseen;
+    conn.rc_base <- conn.rc_base + 1
+  done
+
+let grow conn ~span =
+  let old = conn.rc_cells in
+  let rec fit cap = if cap >= span then cap else fit (2 * cap) in
+  let cells = Array.make (fit (Array.length old)) Unseen in
+  for s = conn.rc_base to conn.rc_top - 1 do
+    cells.(s land (Array.length cells - 1)) <- old.(s land (Array.length old - 1))
   done;
-  Array.fill conn.in_flight !j (n - !j) conn.rc_idle;
-  conn.in_flight_n <- !j
+  conn.rc_cells <- cells
 
-(* A reply flowed back: release its seq from every in-flight entry
-   holding it, dropping entries left with none. *)
+(* A new seq at or above the base goes to policing. *)
+let open_seq conn seq =
+  if seq >= conn.rc_top then begin
+    advance_base conn ~newest:seq;
+    let span = seq - conn.rc_base + 1 in
+    if span > Array.length conn.rc_cells then grow conn ~span;
+    conn.rc_top <- seq + 1
+  end;
+  set_cell conn seq Policing
+
+(* A reply flowed back: its seq is answered, however many copies of it
+   are still on their way. *)
 let mark_replied conn seq =
-  let emptied = ref false in
-  for i = 0 to conn.in_flight_n - 1 do
-    let fw = conn.in_flight.(i) in
-    if List.mem seq fw.fw_seqs then begin
-      fw.fw_seqs <- List.filter (fun s -> s <> seq) fw.fw_seqs;
-      if fw.fw_seqs = [] then emptied := true
-    end
-  done;
-  if !emptied then compact_in_flight conn
-
-let fold_in_flight conn f acc =
-  let acc = ref acc in
-  for i = 0 to conn.in_flight_n - 1 do
-    acc := f !acc conn.in_flight.(i)
-  done;
-  !acc
+  match cell conn seq with
+  | Policing | Admitted _ -> set_cell conn seq Answered
+  | Unseen | Answered | Rejected _ -> ()
 
 (* --- hops --------------------------------------------------------------------- *)
 
-let reject_call conn seq status =
-  Hashtbl.replace conn.rejected_status seq status;
+let reply_rejection conn seq status =
   let reply =
     Message.Reply
       { reply_seq = seq; reply_status = status; reply_ret = Wire.Unit; reply_outs = [] }
@@ -198,26 +212,26 @@ let reject_call conn seq status =
   Transport.send conn.guest_side (Message.encode reply)
 
 (* Tell the server the named seqs were policed away and will never
-   arrive, so its in-order execution can advance past them.  Skips are
-   remembered so a later re-steer can re-send them to the new backend
+   arrive, so its in-order execution can advance past them.  Their
+   [Rejected] cells let a later re-steer re-send them to the new backend
    (whose skip set starts empty). *)
 let send_skip conn seqs =
-  if seqs <> [] then begin
-    conn.skipped_seqs <- seqs @ conn.skipped_seqs;
+  if seqs <> [] then
     Transport.send conn.server_side
       (Message.encode
          (Message.Skip { skip_vm = Vm.id conn.rc_vm; skip_seqs = seqs }))
-  end
 
 let dispatcher_name b =
   if b.bs_id = 0 then "ava-router-dispatch"
   else Printf.sprintf "ava-router-dispatch-b%d" b.bs_id
 
-let rec mark_dispatched o now = function
-  | [] -> ()
-  | seq :: seqs ->
-      Obs.vm_mark o ~seq Obs.M_dispatched ~at:now;
-      mark_dispatched o now seqs
+(* Stamp dispatch on the seqs the frame admitted and still holds. *)
+let mark_dispatched o now conn fw =
+  for seq = fw.fw_lo to fw.fw_hi do
+    match cell conn seq with
+    | Admitted fw' when fw' == fw -> Obs.vm_mark o ~seq Obs.M_dispatched ~at:now
+    | _ -> ()
+  done
 
 let start_dispatcher t b =
   if not b.bs_started then begin
@@ -227,9 +241,9 @@ let start_dispatcher t b =
           let fw = Policy.Wfq.pop_payload b.bs_wfq in
           let conn = fw.fw_conn in
           t.forwarded <- t.forwarded + 1;
-          if fw.fw_seqs <> [] then add_in_flight conn fw;
+          fw.fw_sent <- true;
           (match conn.rc_obs with
-          | Some o -> mark_dispatched o (Engine.now t.engine) fw.fw_seqs
+          | Some o -> mark_dispatched o (Engine.now t.engine) conn fw
           | None -> ());
           Transport.send conn.server_side fw.fw_data;
           (* Schedule at call granularity (§4.3): pace dispatch by the
@@ -246,13 +260,12 @@ let start_dispatcher t b =
   end
 
 (* Egress: server -> guest for one (conn, endpoint) pair, with byte
-   accounting and in-flight bookkeeping (a reply releases its seq from
-   the requeue ledger).  Factored out of [attach_vm] because a re-steer
-   spawns a fresh egress on the new backend's endpoint; the old one
-   keeps draining residual replies from the previous server, which
-   [mark_replied] dedups harmlessly.  Each egress reads replies with
-   its own cursor: only the seq and status, the rest checked in place
-   and forwarded untouched. *)
+   accounting; a reply marks its seq answered in the window.  Factored
+   out of [attach_vm] because a re-steer spawns a fresh egress on the
+   new backend's endpoint; the old one keeps draining residual replies
+   from the previous server, which [mark_replied] dedups harmlessly.
+   Each egress reads replies with its own cursor: only the seq and
+   status, the rest checked in place and forwarded untouched. *)
 let spawn_egress t conn ep =
   let vm = conn.rc_vm in
   let cu = Message.cursor () in
@@ -290,26 +303,39 @@ let mark_in t conn seq =
   | Some o -> Obs.vm_mark o ~seq Obs.M_router_in ~at:(Engine.now t.engine)
   | None -> ()
 
-(* Push into whichever backend currently steers this VM.  Re-read the
-   owner: a policing stall can span a cross-router transfer, and the
-   push must land in the backend table of whichever router owns the VM
-   now. *)
+(* Push into whichever backend steers this VM now: a policing stall can
+   span a re-steer or a cross-router transfer, which re-point
+   [rc_backend]. *)
 let push_wfq conn fw =
-  let b = backend_exn conn.rc_owner conn.rc_backend in
-  Policy.Wfq.push b.bs_wfq ~flow_id:(Vm.id conn.rc_vm) ~cost:fw.fw_cost fw
+  Policy.Wfq.push conn.rc_backend.bs_wfq ~flow_id:(Vm.id conn.rc_vm)
+    ~cost:fw.fw_cost fw
 
-let rejected_cost = -1.0
+(* Admission verdicts; any other verdict is a cost, and the call is
+   forwarded. *)
+let rejected_cost = -1.0  (* answered with a rejection, skipped at the server *)
+let dropped_cost = -2.0  (* neither forwarded nor answered *)
+
+let is_rejected c = c = rejected_cost
+let is_accepted c = c >= 0.0
+
+let reject conn seq status =
+  set_cell conn seq (Rejected status);
+  reply_rejection conn seq status;
+  rejected_cost
 
 let reject_policed t conn seq status =
   t.rejected <- t.rejected + 1;
-  reject_call conn seq status;
-  rejected_cost
+  reject conn seq status
+
+let drop t =
+  t.dropped <- t.dropped + 1;
+  dropped_cost
 
 (* Verify and cost member [i] of the frame under the cursor, or reject
-   it (a negative cost).  Verification: the call must name a spec'd
-   function and carry exactly the marshalled argument count the plan
-   prescribes.  Policing happens per contained call so batching cannot
-   dodge rate limits or quotas. *)
+   it.  Verification: the call must name a spec'd function and carry
+   exactly the marshalled argument count the plan prescribes.  Policing
+   happens per contained call so batching cannot dodge rate limits or
+   quotas. *)
 let police t conn cu i =
   let seq = Message.seq cu i in
   match Plan.find_exn t.plan (Message.fn cu i) with
@@ -329,90 +355,87 @@ let police t conn cu i =
       | None -> ());
       cost
 
-(* Whether the router admitted [seq] and has not seen it answered: a
-   copy is queued in the WFQ or in flight. *)
-let outstanding conn seq =
-  let holds fw = List.mem seq fw.fw_seqs in
-  fold_in_flight conn (fun found fw -> found || holds fw) false
-  || Policy.Wfq.exists
-       (backend_exn conn.rc_owner conn.rc_backend).bs_wfq
-       ~flow_id:(Vm.id conn.rc_vm) holds
-
-(* Circuit-breaker admission, then policing.  While this VM is
-   quarantined its calls are rejected outright with a distinct status —
-   they never reach the WFQ, so other VMs' service is unperturbed.  A
-   copy of an outstanding call (a retransmission, or the full resend
-   after a cache NAK) is that call, already admitted: the breaker does
-   not judge it again.  Rejecting it would answer the guest for a call
-   the router still owes, and its Skip would move the server past the
-   copies it holds, which then never get a reply.  (Campaign-found: a
-   NAK resend quarantined while its NAK'd copies sat in the in-flight
-   ledger; see
-   test/corpus/shrunk-seq-ledger-quarantine-nak-resend.trace.) *)
-let admit_and_police t conn cu i =
+(* Admit member [i] once, by its seq's cell.  A new seq meets the
+   circuit breaker, then policing: while this VM is quarantined its calls
+   are rejected outright with a distinct status and never reach the WFQ.
+   A later copy (a retransmission, or the full resend after a cache NAK)
+   is that call, already charged:
+   - of a queued call: dropped, the queued frame will answer it;
+   - of an in-flight or answered call: forwarded at cost 0, so the
+     server re-executes a NAK'd call or replays its reply log;
+   - of a rejected call: its verdict replayed, never forwarded, which
+     would contradict the Skip the backend consumed;
+   - below the window base: dropped, as no reply log holds it. *)
+let admit t conn cu i =
   let seq = Message.seq cu i in
-  match Hashtbl.find conn.rejected_status seq with
-  | status ->
-      (* Retransmit of a seq this router already rejected (the guest's
-         copy of the rejection was lost): replay the same verdict.
-         Forwarding instead would contradict the Skip the backend
-         consumed for this seq. *)
-      reject_call conn seq status;
-      rejected_cost
-  | exception Not_found -> (
-      match conn.breaker with
-      | Some b
-        when (not (outstanding conn seq)) && not (Policy.Breaker.admit b) ->
-          t.quarantined <- t.quarantined + 1;
-          reject_call conn seq Server.status_vm_quarantined;
-          rejected_cost
-      | _ -> police t conn cu i)
+  if seq < conn.rc_base || seq - conn.rc_base >= max_span then drop t
+  else
+    match cell conn seq with
+    | Unseen -> (
+        open_seq conn seq;
+        match conn.breaker with
+        | Some b when not (Policy.Breaker.admit b) ->
+            t.quarantined <- t.quarantined + 1;
+            reject conn seq Server.status_vm_quarantined
+        | _ -> police t conn cu i)
+    | Policing -> drop t
+    | Admitted fw when not fw.fw_sent -> drop t
+    | Admitted _ | Answered -> 0.0
+    | Rejected status ->
+        reply_rejection conn seq status;
+        rejected_cost
 
-let ingress_call t conn data =
-  let cu = conn.rc_cursor in
-  let seq = Message.seq cu 0 in
-  mark_in t conn seq;
-  let cost = admit_and_police t conn cu 0 in
-  if cost < 0.0 then send_skip conn [ seq ]
-  else push_wfq conn { fw_conn = conn; fw_data = data; fw_cost = cost; fw_seqs = [ seq ] }
+(* Queue a frame; the seqs in [lo, hi] it admitted now point at it. *)
+let forward conn data cost ~lo ~hi =
+  let fw =
+    { fw_conn = conn; fw_data = data; fw_cost = cost; fw_lo = lo; fw_hi = hi;
+      fw_sent = false }
+  in
+  for seq = lo to hi do
+    match cell conn seq with
+    | Policing -> set_cell conn seq (Admitted fw)
+    | _ -> ()
+  done;
+  push_wfq conn fw
 
-(* Member seqs of the batch under the cursor whose cost satisfies [p],
-   in member order. *)
+(* Member seqs of the frame under the cursor whose verdict satisfies
+   [p], in member order. *)
 let[@tail_mod_cons] rec batch_seqs conn p i n =
   if i = n then []
   else if p conn.rc_costs.(i) then
     Message.seq conn.rc_cursor i :: batch_seqs conn p (i + 1) n
   else batch_seqs conn p (i + 1) n
 
-let is_rejected c = c < 0.0
-let is_accepted c = c >= 0.0
-
-let ingress_batch t conn data =
+(* Admit each call of the frame under the cursor (a lone call is a
+   one-member frame) and forward the accepted ones as one frame.  Every
+   new member is answered: accepted members are forwarded (and were
+   charged once), rejected members got rejection replies and their seqs
+   are skipped at the server.  Never drop a verified, already-charged
+   call. *)
+let ingress_frame t conn data =
   let cu = conn.rc_cursor in
   let n = Message.members cu in
   for i = 0 to n - 1 do
     mark_in t conn (Message.seq cu i)
   done;
-  (* Police per contained call; every member is answered: verified
-     members are forwarded (and were charged), rejected members got
-     rejection replies above and their seqs are skipped at the server.
-     Never drop a verified, already-charged call. *)
   if Array.length conn.rc_costs < n then conn.rc_costs <- Array.make n 0.0;
   for i = 0 to n - 1 do
-    conn.rc_costs.(i) <- admit_and_police t conn cu i
+    conn.rc_costs.(i) <- admit t conn cu i
   done;
-  let rejected_seqs = batch_seqs conn is_rejected 0 n in
-  send_skip conn rejected_seqs;
+  send_skip conn (batch_seqs conn is_rejected 0 n);
   let cost = ref 0.0 and accepted = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
     if is_accepted conn.rc_costs.(i) then begin
       cost := !cost +. conn.rc_costs.(i);
-      incr accepted
+      incr accepted;
+      lo := Stdlib.min !lo (Message.seq cu i);
+      hi := Stdlib.max !hi (Message.seq cu i)
     end
   done;
   if !accepted > 0 then begin
     let data =
-      if rejected_seqs = [] then data
+      if !accepted = n then data
       else
         (* Re-frame the accepted members from their original sub-frame
            bytes. *)
@@ -426,9 +449,7 @@ let ingress_batch t conn data =
         in
         match frames with [ frame ] -> frame | frames -> Message.batch_of_frames frames
     in
-    push_wfq conn
-      { fw_conn = conn; fw_data = data; fw_cost = !cost;
-        fw_seqs = batch_seqs conn is_accepted 0 n }
+    forward conn data !cost ~lo:!lo ~hi:!hi
   end
 
 (* Ingress: guest -> verify -> police -> WFQ.  Re-read the owning router
@@ -444,12 +465,9 @@ let ingress conn data =
   | Error _ | Ok (Message.K_reply | Message.K_upcall | Message.K_skip | Message.K_nak) ->
       (* Nak is server-to-guest only; a guest sending one is bogus. *)
       t.rejected <- t.rejected + 1
-  | Ok Message.K_call ->
+  | Ok (Message.K_call | Message.K_batch) ->
       Vm.charge_bytes conn.rc_vm (Bytes.length data);
-      ingress_call t conn data
-  | Ok Message.K_batch ->
-      Vm.charge_bytes conn.rc_vm (Bytes.length data);
-      ingress_batch t conn data
+      ingress_frame t conn data
 
 let obs_handle t vm = Option.map (fun o -> Obs.vm o ~vm:(Vm.id vm)) t.obs
 
@@ -472,33 +490,28 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       (fun budget -> Policy.Quota.create t.engine ~window_ns:quota_window ~budget)
       quota_cost
   and breaker = Option.map (Policy.Breaker.create t.engine) breaker
-  and rc_cursor = Message.cursor ()
-  and rc_obs = obs_handle t vm
-  and rejected_status = Hashtbl.create 16 in
-  let rec conn =
+  and b = backend_exn t backend in
+  let conn =
     {
       rc_vm = vm;
       rc_owner = t;
       guest_side;
       server_side;
-      rc_backend = backend;
-      rc_obs;
-      rc_cursor;
-      rc_idle = idle;
+      rc_backend = b;
+      rc_obs = obs_handle t vm;
+      rc_cursor = Message.cursor ();
       rc_costs = [||];
-      skipped_seqs = [];
-      rejected_status;
+      rc_cells = Array.make initial_cells Unseen;
+      rc_base = 0;
+      rc_top = 0;
       bucket;
       quota;
-      in_flight = [||];
-      in_flight_n = 0;
       breaker;
       fault_statuses = breaker_statuses;
       fault_replies = 0;
     }
-  and idle = { fw_conn = conn; fw_data = Bytes.empty; fw_cost = 0.0; fw_seqs = [] } in
-  t.conns <- (Vm.id vm, conn) :: t.conns;
-  let b = backend_exn t backend in
+  in
+  Hashtbl.replace t.conns (Vm.id vm) conn;
   Policy.Wfq.add_flow b.bs_wfq ~flow_id:(Vm.id vm) ~weight;
   start_dispatcher t b;
   Engine.spawn t.engine ~name:(Printf.sprintf "ava-router-in-vm%d" (Vm.id vm))
@@ -513,31 +526,24 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
 
 (* Administration interface (§4.3): adjust policies at runtime. *)
 
-let set_rate_limit t ~vm_id ~rate_per_s ~burst =
+let conn_exn t fn vm_id =
   match find_conn t vm_id with
-  | None -> invalid_arg "Router.set_rate_limit: unknown vm"
-  | Some conn ->
-      conn.bucket <-
-        Some (Policy.Token_bucket.create t.engine ~rate_per_s ~burst)
+  | Some conn -> conn
+  | None -> invalid_arg ("Router." ^ fn ^ ": unknown vm")
 
-let clear_rate_limit t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.clear_rate_limit: unknown vm"
-  | Some conn -> conn.bucket <- None
+let set_rate_limit t ~vm_id ~rate_per_s ~burst =
+  (conn_exn t "set_rate_limit" vm_id).bucket <-
+    Some (Policy.Token_bucket.create t.engine ~rate_per_s ~burst)
+
+let clear_rate_limit t ~vm_id = (conn_exn t "clear_rate_limit" vm_id).bucket <- None
 
 let set_weight t ~vm_id ~weight =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Wfq.set_weight: unknown flow"
-  | Some conn ->
-      Policy.Wfq.set_weight
-        (backend_exn t conn.rc_backend).bs_wfq
-        ~flow_id:vm_id ~weight
+  Policy.Wfq.set_weight (conn_exn t "set_weight" vm_id).rc_backend.bs_wfq
+    ~flow_id:vm_id ~weight
 
 let set_quota t ~vm_id ~budget ~window_ns =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.set_quota: unknown vm"
-  | Some conn ->
-      conn.quota <- Some (Policy.Quota.create t.engine ~window_ns ~budget)
+  (conn_exn t "set_quota" vm_id).quota <-
+    Some (Policy.Quota.create t.engine ~window_ns ~budget)
 
 let throttle_ns t ~vm_id =
   match find_conn t vm_id with
@@ -554,30 +560,23 @@ type breaker_info = {
 }
 
 let set_breaker t ~vm_id config =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.set_breaker: unknown vm"
-  | Some conn ->
-      conn.breaker <- Some (Policy.Breaker.create t.engine config)
+  (conn_exn t "set_breaker" vm_id).breaker <-
+    Some (Policy.Breaker.create t.engine config)
 
 let breaker_info t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.breaker_info: unknown vm"
-  | Some conn ->
-      Option.map
-        (fun b ->
-          {
-            bi_state = Policy.Breaker.state b;
-            bi_trips = Policy.Breaker.trips b;
-            bi_rejections = Policy.Breaker.rejections b;
-            bi_fault_replies = conn.fault_replies;
-          })
-        conn.breaker
+  let conn = conn_exn t "breaker_info" vm_id in
+  Option.map
+    (fun b ->
+      {
+        bi_state = Policy.Breaker.state b;
+        bi_trips = Policy.Breaker.trips b;
+        bi_rejections = Policy.Breaker.rejections b;
+        bi_fault_replies = conn.fault_replies;
+      })
+    conn.breaker
 
 let clear_breaker t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.clear_breaker: unknown vm"
-  | Some conn -> (
-      match conn.breaker with Some b -> Policy.Breaker.reset b | None -> ())
+  Option.iter Policy.Breaker.reset (conn_exn t "clear_breaker" vm_id).breaker
 
 let breaker_trips t ~vm_id =
   match find_conn t vm_id with
@@ -586,39 +585,49 @@ let breaker_trips t ~vm_id =
 
 let paced_ns t = t.paced_ns
 
-(* Recovery after an API-server restart: every forwarded message still
-   owing replies goes back through the WFQ and is re-sent.  Seqs the
-   server did execute before crashing are answered from its reply log
-   (idempotent replay), so wholesale requeue is safe. *)
+(* Recovery after an API-server restart: every forwarded frame still
+   owing replies goes back through the WFQ and is re-sent, once, in the
+   order of its lowest in-flight seq.  Seqs the server did execute
+   before crashing are answered from its reply log (idempotent replay),
+   so wholesale requeue is safe. *)
 let requeue_conn t conn ~vm_id =
-  let wfq = (backend_exn t conn.rc_backend).bs_wfq in
-  let msgs = Array.sub conn.in_flight 0 conn.in_flight_n (* oldest first *) in
-  Array.fill conn.in_flight 0 conn.in_flight_n conn.rc_idle;
-  conn.in_flight_n <- 0;
-  Array.iter
-    (fun fw ->
-      t.requeued <- t.requeued + 1;
-      Policy.Wfq.push wfq ~flow_id:vm_id ~cost:fw.fw_cost fw)
-    msgs;
-  Array.length msgs
+  let n = ref 0 in
+  for seq = conn.rc_base to conn.rc_top - 1 do
+    match cell conn seq with
+    | Admitted fw when fw.fw_sent ->
+        fw.fw_sent <- false;
+        incr n;
+        Policy.Wfq.push conn.rc_backend.bs_wfq ~flow_id:vm_id ~cost:fw.fw_cost fw
+    | _ -> ()
+  done;
+  t.requeued <- t.requeued + !n;
+  !n
 
 let requeue_in_flight t ~vm_id =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.requeue_in_flight: unknown vm"
-  | Some conn -> requeue_conn t conn ~vm_id
+  requeue_conn t (conn_exn t "requeue_in_flight" vm_id) ~vm_id
 
-let in_flight_calls t ~vm_id =
-  match find_conn t vm_id with
-  | None -> 0
-  | Some conn ->
-      fold_in_flight conn (fun a fw -> a + List.length fw.fw_seqs) 0
+(* The window's seqs in state [p], ascending. *)
+let window_seqs conn p =
+  let seqs = ref [] in
+  for seq = conn.rc_top - 1 downto conn.rc_base do
+    if p (cell conn seq) then seqs := seq :: !seqs
+  done;
+  !seqs
+
+let is_in_flight = function Admitted fw -> fw.fw_sent | _ -> false
+let is_rejected_cell = function Rejected _ -> true | _ -> false
 
 let in_flight_seqs t ~vm_id =
   match find_conn t vm_id with
   | None -> []
-  | Some conn ->
-      List.sort Stdlib.compare
-        (fold_in_flight conn (fun a fw -> List.rev_append fw.fw_seqs a) [])
+  | Some conn -> window_seqs conn is_in_flight
+
+let in_flight_calls t ~vm_id = List.length (in_flight_seqs t ~vm_id)
+
+let window t ~vm_id =
+  match find_conn t vm_id with
+  | None -> 0
+  | Some conn -> conn.rc_top - conn.rc_base
 
 (* {1 Multi-backend steering (device pool)} *)
 
@@ -626,49 +635,41 @@ let in_flight_seqs t ~vm_id =
    WFQ backlog, in-flight calls, future ingress — moves onto [backend]
    of [dst], which is this router (a re-steer within one host) or
    another router on the same engine (a cross-host migration).  Across
-   routers the whole connection moves: guest endpoint, in-flight
-   ledger, skips, rejections and policy objects (bucket/quota/breaker,
-   built on the shared engine); the live ingress process follows via
-   [rc_owner].  In-flight calls are re-forwarded wholesale: the new
-   server starts at the old one's cursor, so it answers the ones the
-   old server answered from the carried reply log and executes the
-   rest (at-least-once only for a call the old server had not
-   answered, the same contract as the restart/requeue path).  Every
-   remembered skip is re-sent so policed-away seqs cannot park the new
-   in-order cursor; the server ignores those below it. *)
+   routers the whole connection moves: guest endpoint, seq window and
+   policy objects (bucket/quota/breaker, built on the shared engine);
+   the live ingress process follows via [rc_owner].  In-flight calls
+   are re-forwarded wholesale: the new server starts at the old one's
+   cursor, so it answers the ones the old server answered from the
+   carried reply log and executes the rest (at-least-once only for a
+   call the old server had not answered, the same contract as the
+   restart/requeue path).  The window's rejected seqs are re-sent as
+   one Skip so policed-away seqs cannot park the new in-order cursor;
+   the server ignores those below it. *)
 let transfer_flow t ~dst ~vm_id ~backend ~server_side =
-  match find_conn t vm_id with
-  | None -> invalid_arg "Router.transfer_flow: unknown vm"
-  | Some conn ->
-      if t.engine != dst.engine then
-        invalid_arg "Router.transfer_flow: routers on different engines";
-      if not (List.mem_assoc backend dst.backends) then
-        invalid_arg
-          (Printf.sprintf "Router.transfer_flow: unknown backend %d" backend);
-      if t != dst && List.mem_assoc vm_id dst.conns then
-        invalid_arg "Router.transfer_flow: vm already on destination router";
-      let src_b = backend_exn t conn.rc_backend in
-      let dst_b = backend_exn dst backend in
-      let weight = Policy.Wfq.flow_weight src_b.bs_wfq ~flow_id:vm_id in
-      let queued = Policy.Wfq.remove_flow src_b.bs_wfq ~flow_id:vm_id in
-      if t != dst then begin
-        t.conns <- List.remove_assoc vm_id t.conns;
-        dst.conns <- (vm_id, conn) :: dst.conns;
-        conn.rc_owner <- dst;
-        conn.rc_obs <- obs_handle dst conn.rc_vm;
-        t.resteered <- t.resteered + 1
-      end;
-      conn.rc_backend <- backend;
-      conn.server_side <- server_side;
-      Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
-      List.iter
-        (fun (payload, cost) ->
-          Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
-        queued;
-      ignore (requeue_conn dst conn ~vm_id);
-      let skips = List.sort_uniq Stdlib.compare conn.skipped_seqs in
-      conn.skipped_seqs <- [];
-      send_skip conn skips;
-      start_dispatcher dst dst_b;
-      spawn_egress dst conn server_side;
-      dst.resteered <- dst.resteered + 1
+  let conn = conn_exn t "transfer_flow" vm_id in
+  if t.engine != dst.engine then
+    invalid_arg "Router.transfer_flow: routers on different engines";
+  let dst_b = backend_exn dst backend in
+  if t != dst && Hashtbl.mem dst.conns vm_id then
+    invalid_arg "Router.transfer_flow: vm already on destination router";
+  let src_b = conn.rc_backend in
+  let weight = Policy.Wfq.flow_weight src_b.bs_wfq ~flow_id:vm_id in
+  let queued = Policy.Wfq.remove_flow src_b.bs_wfq ~flow_id:vm_id in
+  if t != dst then begin
+    Hashtbl.remove t.conns vm_id;
+    Hashtbl.replace dst.conns vm_id conn;
+    conn.rc_owner <- dst;
+    conn.rc_obs <- obs_handle dst conn.rc_vm;
+    t.resteered <- t.resteered + 1
+  end;
+  conn.rc_backend <- dst_b;
+  conn.server_side <- server_side;
+  Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
+  List.iter
+    (fun (payload, cost) -> Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
+    queued;
+  ignore (requeue_conn dst conn ~vm_id);
+  send_skip conn (window_seqs conn is_rejected_cell);
+  start_dispatcher dst dst_b;
+  spawn_egress dst conn server_side;
+  dst.resteered <- dst.resteered + 1

@@ -8,6 +8,9 @@
     deliberate {e under}-estimate of device time so an uncontended guest
     is never slowed (§4.3).
 
+    Each call is admitted once: a retransmitted or resent copy is never
+    verified, charged or queued again ({!dropped}, {!window}).
+
     This is exactly what vCUDA-style user-space RPC gives up: remove the
     router and interposition is gone. *)
 
@@ -38,6 +41,11 @@ val requeued : t -> int
 val quarantined : t -> int
 (** Calls rejected at admission by an open circuit breaker (summed over
     all VMs). *)
+
+val dropped : t -> int
+(** Frames dropped unanswered (summed over all VMs): copies of calls
+    still queued in the WFQ, and seqs outside their VM's seq window —
+    below its base, or absurdly far past it. *)
 
 val resteered : t -> int
 (** Flows moved by {!transfer_flow}, counted once on each router
@@ -121,6 +129,11 @@ val in_flight_seqs : t -> vm_id:int -> int list
 (** The seqs behind {!in_flight_calls}, sorted — for diagnostics (a
     seq-ledger violation can name the parked calls). *)
 
+val window : t -> vm_id:int -> int
+(** Seqs the VM's seq window tracks, base through newest.  The base
+    passes a seq once it is answered or rejected and
+    {!Server.replay_cache_cap} behind the newest. *)
+
 (** {1 Multi-backend steering (device pool)}
 
     Each backend is an independent dispatch lane — its own WFQ and its
@@ -143,15 +156,15 @@ val transfer_flow :
     router reaches via [server_side] — the only way a flow changes
     backend.  [dst] is this router (a re-steer between lanes) or
     another router on the same engine (cluster-tier migration), in
-    which case the whole connection — guest endpoint, in-flight
-    ledger, skips and rejections, policy objects — moves too and the
-    VM's live ingress process follows it, so the guest keeps its stub,
-    its transport and its seq stream.  WFQ backlog and in-flight calls
-    are re-forwarded to the new lane, whose server resumes at the old
-    server's cursor ({!Server.hand_over}): it answers calls the old
-    server answered from the carried reply log and executes the rest
-    (at-least-once only for calls the old server had not answered, the
-    same contract as the restart/requeue path).  Every skip notice
-    sent for this VM is re-sent (the server ignores those below its
-    cursor), and future ingress steers to the new lane.  The old
-    egress keeps draining residual replies harmlessly. *)
+    which case the whole connection — guest endpoint, seq window,
+    policy objects — moves too and the VM's live ingress process
+    follows it, so the guest keeps its stub, its transport and its seq
+    stream.  WFQ backlog and in-flight calls are re-forwarded to the
+    new lane, whose server resumes at the old server's cursor
+    ({!Server.hand_over}): it answers calls the old server answered
+    from the carried reply log and executes the rest (at-least-once
+    only for calls the old server had not answered, the same contract
+    as the restart/requeue path).  The rejected seqs the window still
+    holds are re-sent as one skip notice (the server ignores those
+    below its cursor), and future ingress steers to the new lane.  The
+    old egress keeps draining residual replies harmlessly. *)

@@ -70,8 +70,6 @@ module Ctx = struct
   let forget t guest = Hashtbl.remove t.handles guest
 
   let live t = Hashtbl.length t.handles
-
-  let guest_ids t = Hashtbl.fold (fun g _ acc -> g :: acc) t.handles []
 end
 
 (* Per-VM content store, the server half of the transfer cache: maps

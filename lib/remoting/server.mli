@@ -16,10 +16,6 @@ module Transport = Ava_transport.Transport
 
 (** Per-VM handle context. *)
 module Ctx : sig
-  val first_virtual_id : int
-  (** Ids below this denote well-known enumerable objects (platforms,
-      devices) and pass through unmapped. *)
-
   type t
 
   val create : vm_id:int -> t
@@ -49,7 +45,6 @@ module Ctx : sig
   val reverse : t -> host:int -> int option
   val forget : t -> int -> unit
   val live : t -> int
-  val guest_ids : t -> int list
 end
 
 type 'st handler =
@@ -149,6 +144,11 @@ val set_call_hook : 'st t -> (vm_id:int -> status:int -> Message.call -> unit) -
 
 val executed : 'st t -> int
 val rejected : 'st t -> int
+
+val replay_cache_cap : int
+(** Depth of the per-VM reply log, the one bound on how long a seq can
+    still be answered: the router's seq window keeps a seq until it is
+    this far behind the newest. *)
 
 val replayed : 'st t -> int
 (** Duplicate seqs answered from the per-VM reply log without

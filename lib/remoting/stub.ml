@@ -248,7 +248,6 @@ let register_callback t f =
   Hashtbl.replace t.callbacks id f;
   id
 
-let unregister_callback t id = Hashtbl.remove t.callbacks id
 let sync_calls t = t.sync_calls
 let async_calls t = t.async_calls
 let marshalled_bytes t = t.marshalled_bytes

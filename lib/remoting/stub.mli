@@ -122,8 +122,6 @@ val register_callback : t -> (Wire.value list -> unit) -> int
     function pointer, and server upcalls dispatch to the closure (in a
     fresh process). *)
 
-val unregister_callback : t -> int -> unit
-
 val upcalls_received : t -> int
 
 val fresh_handle : t -> int

@@ -24,7 +24,6 @@ type t = {
   restore : key:int -> bytes:int -> unit;
   mutable evictions : int;
   mutable restores : int;
-  mutable oom_averted : int;
 }
 
 let create ~capacity ~evict ~restore =
@@ -38,7 +37,6 @@ let create ~capacity ~evict ~restore =
     restore;
     evictions = 0;
     restores = 0;
-    oom_averted = 0;
   }
 
 let touch_tick t e =
@@ -48,7 +46,6 @@ let touch_tick t e =
 let resident_bytes t = t.resident_bytes
 let evictions t = t.evictions
 let restores t = t.restores
-let oom_averted t = t.oom_averted
 let tracked t = Hashtbl.length t.entries
 
 let lru_victim t =
@@ -71,7 +68,6 @@ let rec make_room t ~need =
         victim.e_resident <- false;
         t.resident_bytes <- t.resident_bytes - victim.e_bytes;
         t.evictions <- t.evictions + 1;
-        t.oom_averted <- t.oom_averted + 1;
         t.evict ~key:victim.e_key ~bytes:victim.e_bytes;
         make_room t ~need
 

@@ -17,7 +17,6 @@ val create :
 val resident_bytes : t -> int
 val evictions : t -> int
 val restores : t -> int
-val oom_averted : t -> int
 val tracked : t -> int
 
 val add : t -> key:int -> bytes:int -> (unit, [ `Too_big ]) result

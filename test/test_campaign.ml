@@ -90,17 +90,29 @@ let determinism_tests =
 let self_test_tests =
   [
     Alcotest.test_case "sabotaged scenario is caught" `Quick (fun () ->
-        let outcome = Campaign.self_test ~seed:chaos_seed () in
-        Alcotest.(check bool)
-          "non-pass verdict" true
-          (outcome.Scenario.oc_verdict <> Scenario.Pass));
+        List.iter
+          (fun (sabotage, outcome) ->
+            Alcotest.(check bool)
+              (verdict_str outcome.Scenario.oc_verdict)
+              true
+              (Campaign.caught sabotage outcome.Scenario.oc_verdict))
+          (Campaign.self_test ~seed:chaos_seed ()));
+    Alcotest.test_case "overcharge is an accounting violation" `Quick
+      (fun () ->
+        match
+          List.assoc Scenario.Overcharge (Campaign.self_test ~seed:chaos_seed ())
+        with
+        | { Scenario.oc_verdict = Scenario.Violation (Scenario.Accounting, _); _ }
+          ->
+            ()
+        | o -> Alcotest.fail (verdict_str o.Scenario.oc_verdict));
     Alcotest.test_case "sabotage verdict is deterministic" `Quick (fun () ->
-        let a = Campaign.self_test ~seed:chaos_seed ()
-        and b = Campaign.self_test ~seed:chaos_seed () in
-        Alcotest.(check string)
-          "same verdict"
-          (verdict_str a.Scenario.oc_verdict)
-          (verdict_str b.Scenario.oc_verdict));
+        let verdicts () =
+          List.map
+            (fun (_, o) -> verdict_str o.Scenario.oc_verdict)
+            (Campaign.self_test ~seed:chaos_seed ())
+        in
+        Alcotest.(check (list string)) "same verdicts" (verdicts ()) (verdicts ()));
   ]
 
 (* --- shrinking ------------------------------------------------------------ *)
@@ -139,7 +151,7 @@ let shrink_tests =
            in
            let parent = gen_trace config.Scenario.sc_seed len in
            let violates tr =
-             (Scenario.run ~sabotage:true config tr).Scenario.oc_verdict
+             (Scenario.run ~sabotage:Scenario.Crash_worker config tr).Scenario.oc_verdict
            in
            let parent_verdict = violates parent in
            QCheck.assume (parent_verdict <> Scenario.Pass);
@@ -181,7 +193,7 @@ let shrink_tests =
         in
         let parent = gen_trace chaos_seed 5 in
         let violates tr =
-          (Scenario.run ~sabotage:true config tr).Scenario.oc_verdict
+          (Scenario.run ~sabotage:Scenario.Crash_worker config tr).Scenario.oc_verdict
         in
         let parent_verdict = violates parent in
         Alcotest.(check bool)

@@ -1416,6 +1416,84 @@ let router_tests =
           !statuses;
         Alcotest.(check int) "nothing forwarded" 0 (Router.forwarded router);
         Alcotest.(check int) "nothing executed" 0 (Server.executed server));
+    (* The router's per-VM seq window: one record per seq, so a long
+       stream leaves no more state behind than the server's reply-log
+       depth plus what is still unanswered, yet a retransmit inside
+       that depth still meets its original verdict. *)
+    Alcotest.test_case "seq window stays bounded, replays rejections"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
+        let call seq fn =
+          Message.encode
+            (Message.Call
+               { Message.call_seq = seq; call_vm = vm_id; call_fn = fn;
+                 call_args = [ Wire.int seq ] })
+        in
+        let round_trip frame =
+          Transport.send guest_end frame;
+          match Message.decode (Transport.recv guest_end) with
+          | Ok (Message.Reply r) -> r
+          | _ -> Alcotest.fail "expected a reply frame"
+        in
+        let n = 20_000 and bad = 3 in
+        let bounded () =
+          Router.window router ~vm_id
+          <= Server.replay_cache_cap + Router.in_flight_calls router ~vm_id
+        in
+        Engine.run_process e (fun () ->
+            for seq = 0 to n - 1 do
+              let r = round_trip (call seq (if seq = bad then "nope" else "ping")) in
+              Alcotest.(check int) "reply in order" seq r.Message.reply_seq;
+              if seq = 1000 then begin
+                (* The guest lost the rejection: its retransmit gets the
+                   same verdict, and is never forwarded. *)
+                let r = round_trip (call bad "nope") in
+                Alcotest.(check int) "rejection replayed"
+                  Server.status_unknown_function r.Message.reply_status
+              end;
+              if seq mod 1000 = 0 && not (bounded ()) then
+                Alcotest.failf "window %d at seq %d" (Router.window router ~vm_id) seq
+            done;
+            Alcotest.(check bool) "window bounded after the stream" true (bounded ());
+            (* Far behind the newest seq the base has passed the
+               rejected one: a further copy is dropped and counted. *)
+            Transport.send guest_end (call bad "nope");
+            Engine.delay (Time.ms 1);
+            Alcotest.(check int) "below-base copy dropped" 1 (Router.dropped router);
+            (* No stub sends a seq absurdly far past the base, or a
+               negative one: neither is policed or grows the window. *)
+            Transport.send guest_end (call max_int "ping");
+            Transport.send guest_end (call (-1) "ping");
+            Engine.delay (Time.ms 1);
+            Alcotest.(check int) "bogus seqs dropped" 3 (Router.dropped router);
+            Alcotest.(check bool) "window still bounded" true (bounded ()));
+        Alcotest.(check int) "rejected once" 1 (Router.rejected router);
+        Alcotest.(check int) "each good call forwarded once" (n - 1)
+          (Router.forwarded router);
+        Alcotest.(check int) "each good call executed once" (n - 1)
+          (Server.executed server));
+    Alcotest.test_case "a seq repeated within one batch is admitted once"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
+        let ping seq =
+          { Message.call_seq = seq; call_vm = vm_id; call_fn = "ping";
+            call_args = [ Wire.int seq ] }
+        in
+        Engine.run_process e (fun () ->
+            Transport.send guest_end
+              (Message.encode (Message.Batch [ ping 0; ping 0; ping 1 ]));
+            for seq = 0 to 1 do
+              match Message.decode (Transport.recv guest_end) with
+              | Ok (Message.Reply r) ->
+                  Alcotest.(check int) "one reply per seq" seq r.Message.reply_seq
+              | _ -> Alcotest.fail "expected a reply frame"
+            done);
+        Alcotest.(check int) "repeat dropped" 1 (Router.dropped router);
+        Alcotest.(check int) "each seq executed once" 2 (Server.executed server);
+        Alcotest.(check int) "no replies owed" 0
+          (Router.in_flight_calls router ~vm_id));
     Alcotest.test_case "admin interface is safe under a backlogged WFQ"
       `Quick (fun () ->
         (* Two VMs flood the router with async calls while an

@@ -321,6 +321,30 @@ let pool_tests =
               (Device.kernels_executed host.Host.st_devs.(dest) > 0);
             Alcotest.(check int) "one migration counted" 1
               (Pool.migrations pool)));
+    Alcotest.test_case "retire releases the VM everywhere" `Quick (fun () ->
+        run_in_engine (fun e ->
+            let obs = Ava_obs.Obs.create () in
+            let host = Host.create_st_host ~obs e in
+            let pool = host.Host.st_pool in
+            let guest = Host.add_st_vm host ~name:"leaver" in
+            let vm_id = Ava_hv.Vm.id guest.Host.sg_vm in
+            let module ST = (val guest.Host.sg_api) in
+            let s = ok (ST.stStreamCreate ()) in
+            let m = ok (ST.stMemAlloc ~size:64) in
+            ok (ST.stMemcpyHtoDAsync m ~src:(Bytes.make 64 'r') s);
+            ok (ST.stStreamSynchronize s);
+            let server =
+              Pool.server pool (Option.get (Pool.device_of pool ~vm_id))
+            in
+            Alcotest.(check bool) "retired" true (Host.retire_st_vm host ~vm_id);
+            Alcotest.(check bool) "second retire refused" false
+              (Host.retire_st_vm host ~vm_id);
+            Alcotest.(check (option int)) "no pool residency" None
+              (Pool.device_of pool ~vm_id);
+            Alcotest.(check bool) "no server entry" true
+              (Option.is_none (Ava_remoting.Server.vm_ctx server ~vm_id));
+            Alcotest.(check int) "no open spans" 0
+              (Ava_obs.Obs.vm_in_flight obs ~vm:vm_id)));
     Alcotest.test_case "cross-capability migration is refused" `Quick
       (fun () ->
         run_in_engine (fun e ->
