@@ -201,9 +201,14 @@ let shrink_config (c : Scenario.config) =
        else []);
     ]
 
-let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace ~oracle () =
+(* Shrinking keeps the failure's class and invariant, not its detail
+   (call counts, vm ids), so the detail comes from one more run of the
+   shrunk trace: the one a replay of the corpus file repeats. *)
+let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace
+    verdict_of =
   let original_len = List.length trace in
   let original_config = config in
+  let oracle cfg cand = same_failure verdict (verdict_of cfg cand) in
   let config, shrunk =
     Shrink.minimize_with_config ~shrink_config ~oracle config trace
   in
@@ -214,6 +219,7 @@ let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace ~oracle () =
        (if config = original_config then "" else ", config simplified")
        (Shrink.runs ()));
   let invariant = verdict_invariant verdict in
+  let detail = verdict_detail (verdict_of config shrunk) in
   let file =
     Option.map
       (fun dir ->
@@ -222,8 +228,7 @@ let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace ~oracle () =
             (Printf.sprintf "shrunk-%s-it%d-seed%Ld.trace" invariant
                iteration config.Scenario.sc_seed)
         in
-        save ~path ~config ~invariant ~detail:(verdict_detail verdict)
-          shrunk;
+        save ~path ~config ~invariant ~detail shrunk;
         log (Printf.sprintf "  recorded %s" path);
         path)
       corpus_dir
@@ -232,7 +237,7 @@ let record ?corpus_dir ~log ~iteration ~config ~verdict ~trace ~oracle () =
     vr_iteration = iteration;
     vr_config = config;
     vr_invariant = invariant;
-    vr_detail = verdict_detail verdict;
+    vr_detail = detail;
     vr_trace = shrunk;
     vr_original_len = original_len;
     vr_file = file;
@@ -275,22 +280,16 @@ let run ?(log = ignore) ?corpus_dir ?(twin_every = 16) ?(max_ops = 30) ~seed
            incr twins;
            match Scenario.check_twin config trace with
            | Scenario.Pass -> ()
-           | twin_verdict ->
-               let oracle cfg cand =
-                 same_failure twin_verdict (Scenario.check_twin cfg cand)
-               in
+           | verdict ->
                violations :=
-                 record ?corpus_dir ~log ~iteration ~config
-                   ~verdict:twin_verdict ~trace ~oracle ()
+                 record ?corpus_dir ~log ~iteration ~config ~verdict ~trace
+                   Scenario.check_twin
                  :: !violations
          end
      | verdict ->
-         let oracle cfg cand =
-           same_failure verdict (Scenario.run cfg cand).Scenario.oc_verdict
-         in
          violations :=
            record ?corpus_dir ~log ~iteration ~config ~verdict ~trace
-             ~oracle ()
+             (fun cfg cand -> (Scenario.run cfg cand).Scenario.oc_verdict)
            :: !violations
    done);
   {

@@ -15,7 +15,7 @@ type violation_report = {
   vr_iteration : int;
   vr_config : Scenario.config;
   vr_invariant : string;
-  vr_detail : string;  (** detail of the original (unshrunk) verdict *)
+  vr_detail : string;  (** detail of the shrunk reproducer's verdict *)
   vr_trace : Op.trace;  (** the shrunk reproducer *)
   vr_original_len : int;  (** op count before shrinking *)
   vr_file : string option;  (** corpus path, when recorded *)
@@ -44,6 +44,24 @@ val run :
     length; the campaign ends early once five violations have been
     recorded; [log] receives one progress line per event (violations,
     shrink results). *)
+
+val record :
+  ?corpus_dir:string ->
+  log:(string -> unit) ->
+  iteration:int ->
+  config:Scenario.config ->
+  verdict:Scenario.verdict ->
+  trace:Op.trace ->
+  (Scenario.config -> Op.trace -> Scenario.verdict) ->
+  violation_report
+(** [record ~config ~verdict ~trace verdict_of] shrinks a violating
+    trace and its config ({!Shrink.minimize_with_config}): a candidate
+    reproduces iff [verdict_of] gives it the same failure as
+    [verdict].  The report's detail, and the corpus file's [detail]
+    line when [corpus_dir] is given, come from one more [verdict_of]
+    run of the shrunk trace under the shrunk config, so replaying the
+    file reproduces them.  {!run} records each violation it finds this
+    way. *)
 
 val summary_json : summary -> Ava_obs.Json.t
 (** Deterministic JSON rollup (for the CI artifact). *)

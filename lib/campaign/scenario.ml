@@ -84,15 +84,6 @@ let invariant_name = function
   | Isolation -> "isolation"
   | Obs_twin -> "obs-twin"
 
-let all_invariants =
-  [
-    No_crash; Seq_ledger; Accounting; Conservation; Residency; Isolation;
-    Obs_twin;
-  ]
-
-let invariant_of_name s =
-  List.find_opt (fun i -> String.equal (invariant_name i) s) all_invariants
-
 type verdict = Pass | Violation of invariant * string | Hang of string
 
 let pp_verdict ppf = function

@@ -51,8 +51,6 @@ type invariant =
                   the disarmed twin *)
 
 val invariant_name : invariant -> string
-val invariant_of_name : string -> invariant option
-val all_invariants : invariant list
 
 type verdict =
   | Pass

@@ -8,10 +8,6 @@
 
 open Ava_spec.Ast
 
-val guest_library : api_spec -> string
-val api_server : api_spec -> string
-val guest_driver : api_spec -> string
-
 val count_lines : string -> int
 
 (** Everything CAvA emits for one API, with line counts. *)

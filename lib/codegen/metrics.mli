@@ -30,11 +30,6 @@ val generated_fraction : report -> float
     lines (prototypes are copied from the header, and unchanged
     annotations are inference output, so neither counts as authored). *)
 
-val annotation_lines :
-  prelim:Ava_spec.Ast.fn_spec -> refined:Ava_spec.Ast.fn_spec -> int
-(** Annotation lines a function's refinement needed, by diffing the
-    refined spec against re-run inference. *)
-
 val analyze :
   header_source:string -> spec_source:string -> Ava_spec.Ast.api_spec -> report
 

@@ -80,10 +80,6 @@ type cl_guest = {
   g_technique : technique;
 }
 
-val sync_everything : Ava_spec.Ast.api_spec -> Ava_spec.Ast.api_spec
-(** Strip every async annotation: the unoptimized spec of the §5
-    ablation. *)
-
 val load_cl_plan :
   ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
 
@@ -316,9 +312,6 @@ type st_guest = {
 }
 
 val load_st_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
-
-val st_fault_statuses : int list
-(** Reply statuses counting against a SimST VM's error budget. *)
 
 val create_st_host :
   ?virt:Timing.virt ->

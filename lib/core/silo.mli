@@ -81,7 +81,7 @@ end) : sig
 
   val resolve : Server.Ctx.t -> int -> int
   (** Virtual id -> host handle; raises {!Server.Unknown_handle}, which
-      {!Server.classify_exn} turns into a counted rejection. *)
+      the server turns into a counted rejection. *)
 
   val resolve_list : Server.Ctx.t -> int list -> int list
 

@@ -11,7 +11,6 @@ type t = {
   capacity : int;
   mutable free : block list; (* sorted by offset, non-adjacent *)
   mutable used : int;
-  mutable live_allocations : int;
   mutable peak_used : int;
   allocated : (int, int) Hashtbl.t; (* offset -> size *)
 }
@@ -22,7 +21,6 @@ let create capacity =
     capacity;
     free = [ { offset = 0; size = capacity } ];
     used = 0;
-    live_allocations = 0;
     peak_used = 0;
     allocated = Hashtbl.create 64;
   }
@@ -30,7 +28,6 @@ let create capacity =
 let capacity t = t.capacity
 let used t = t.used
 let available t = t.capacity - t.used
-let live_allocations t = t.live_allocations
 let peak_used t = t.peak_used
 
 (* Round all allocations to 256-byte granules, like real GPU heaps. *)
@@ -56,7 +53,6 @@ let alloc t size =
   | Some offset ->
       t.used <- t.used + size;
       if t.used > t.peak_used then t.peak_used <- t.used;
-      t.live_allocations <- t.live_allocations + 1;
       Hashtbl.replace t.allocated offset size;
       Ok offset
 
@@ -66,7 +62,6 @@ let free t offset =
   | Some size ->
       Hashtbl.remove t.allocated offset;
       t.used <- t.used - size;
-      t.live_allocations <- t.live_allocations - 1;
       (* Insert sorted and coalesce with neighbours. *)
       let rec insert = function
         | [] -> [ { offset; size } ]
@@ -85,8 +80,6 @@ let free t offset =
         | rest -> merged :: rest
       in
       t.free <- insert t.free
-
-let size_of t offset = Hashtbl.find_opt t.allocated offset
 
 (* Invariant checks used by property tests. *)
 let check_invariants t =

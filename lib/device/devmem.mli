@@ -12,13 +12,7 @@ val create : int -> t
 val capacity : t -> int
 val used : t -> int
 val available : t -> int
-val live_allocations : t -> int
 val peak_used : t -> int
-
-val granule : int
-(** Allocation granularity in bytes. *)
-
-val round_up : int -> int
 
 val alloc : t -> int -> (int, [ `Out_of_memory ]) result
 (** Allocate, returning the block's offset. *)
@@ -26,9 +20,6 @@ val alloc : t -> int -> (int, [ `Out_of_memory ]) result
 val free : t -> int -> unit
 (** Free by offset, coalescing with free neighbours.
     @raise Invalid_argument on an unknown offset. *)
-
-val size_of : t -> int -> int option
-(** Rounded size of the allocation at an offset, if live. *)
 
 val check_invariants : t -> bool
 (** Free list sorted, disjoint and coalesced; accounting adds up.  Used

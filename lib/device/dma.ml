@@ -13,8 +13,6 @@ type t = {
   bytes_per_s : float;
   mutable bytes_moved : int;
   mutable transfers : int;
-  mutable sg_transfers : int;
-  mutable sg_segments : int;
 }
 
 let create ?(channels = 2) ~setup_ns ~bytes_per_s () =
@@ -24,8 +22,6 @@ let create ?(channels = 2) ~setup_ns ~bytes_per_s () =
     bytes_per_s;
     bytes_moved = 0;
     transfers = 0;
-    sg_transfers = 0;
-    sg_segments = 0;
   }
 
 let of_gpu_timing (timing : Timing.gpu) =
@@ -71,11 +67,7 @@ let transfer_sg ?(per_page_ns = 0) ?(stream = true) t ~segs =
       if stream then
         Engine.delay (Time.of_bandwidth ~bytes:total ~bytes_per_s:t.bytes_per_s);
       if per_page_ns > 0 then Engine.delay (pages * per_page_ns);
-      if stream then t.bytes_moved <- t.bytes_moved + total;
-      t.sg_transfers <- t.sg_transfers + 1;
-      t.sg_segments <- t.sg_segments + List.length segs)
+      if stream then t.bytes_moved <- t.bytes_moved + total)
 
 let bytes_moved t = t.bytes_moved
 let transfers t = t.transfers
-let sg_transfers t = t.sg_transfers
-let sg_segments t = t.sg_segments

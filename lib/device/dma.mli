@@ -32,5 +32,3 @@ val transfer_sg :
 
 val bytes_moved : t -> int
 val transfers : t -> int
-val sg_transfers : t -> int
-val sg_segments : t -> int

@@ -142,7 +142,6 @@ let kernels_executed t = t.kernels_executed
 let doorbells t = t.doorbells
 let resets t = t.resets
 let wedged t = t.wedged <> None
-let is_dead t = t.dead
 
 (* Permanent device loss (board falls off the bus): the wedged command
    (if any) completes as failed, ring survivors and all future

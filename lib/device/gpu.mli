@@ -13,7 +13,6 @@
 open Ava_sim
 
 val doorbell_addr : int
-val status_addr : int
 
 type buffer = {
   buf_id : int;
@@ -78,9 +77,6 @@ val kill : t -> unit
     failed instantly, and no {!reset} revives the board.  Device memory
     stays readable so an evacuation can still snapshot buffers.
     Idempotent. *)
-
-val is_dead : t -> bool
-(** Whether {!kill} has been called. *)
 
 (** {1 Buffers} *)
 

@@ -40,13 +40,8 @@ type t = {
   regs : Mmio.t;
   table : (int64, mapping) Hashtbl.t;
   mutable next_iova : int64;
-  mutable pinned_bytes : int;
   mutable maps : int;
-  mutable unmaps : int;
   mutable faults : int;
-  mutable shootdowns : int;
-  mutable translated_bytes : int;
-  mutable bad_translations : int;
 }
 
 let create ?(timing = Timing.default_iommu) engine =
@@ -56,25 +51,15 @@ let create ?(timing = Timing.default_iommu) engine =
     regs = Mmio.create ();
     table = Hashtbl.create 64;
     next_iova = iova_base;
-    pinned_bytes = 0;
     maps = 0;
-    unmaps = 0;
     faults = 0;
-    shootdowns = 0;
-    translated_bytes = 0;
-    bad_translations = 0;
   }
 
 let engine t = t.engine
 let timing t = t.timing
 let regs t = t.regs
 let maps t = t.maps
-let unmaps t = t.unmaps
 let faults t = t.faults
-let shootdowns t = t.shootdowns
-let pinned_bytes t = t.pinned_bytes
-let translated_bytes t = t.translated_bytes
-let bad_translations t = t.bad_translations
 let mappings t = Hashtbl.length t.table
 
 let pages_of size = (size + page_size - 1) / page_size
@@ -99,20 +84,16 @@ let map t data =
   Hashtbl.replace t.table iova
     { mp_iova = iova; mp_data = data; mp_size = size; mp_faulted = false };
   t.maps <- t.maps + 1;
-  t.pinned_bytes <- t.pinned_bytes + (pages * page_size);
   iova
 
 (* Tear down one translation: IOTLB shootdown, then unpin. *)
 let unmap t iova =
   match Hashtbl.find_opt t.table iova with
   | None -> invalid_arg "Iommu.unmap: unknown IOVA"
-  | Some m ->
+  | Some _ ->
       Engine.delay t.timing.Timing.shootdown_ns;
       Mmio.write t.regs ~addr:reg_invalidate iova;
-      Hashtbl.remove t.table iova;
-      t.unmaps <- t.unmaps + 1;
-      t.shootdowns <- t.shootdowns + 1;
-      t.pinned_bytes <- t.pinned_bytes - (pages_of m.mp_size * page_size)
+      Hashtbl.remove t.table iova
 
 (* Resolve a device access to a mapped region.  The first touch of each
    mapping misses the IOTLB and pays the IO-page-fault service cost;
@@ -120,17 +101,12 @@ let unmap t iova =
    size translate — anything else is a hard error the server maps to a
    bad-arguments status (never a crash, never silent truncation). *)
 let translate t ~iova ~size =
-  if not (in_window iova size) then begin
-    t.bad_translations <- t.bad_translations + 1;
+  if not (in_window iova size) then
     Error (Printf.sprintf "iova %Lx outside the IOVA window" iova)
-  end
   else
     match Hashtbl.find_opt t.table iova with
-    | None ->
-        t.bad_translations <- t.bad_translations + 1;
-        Error (Printf.sprintf "no mapping at iova %Lx" iova)
+    | None -> Error (Printf.sprintf "no mapping at iova %Lx" iova)
     | Some m when size > m.mp_size ->
-        t.bad_translations <- t.bad_translations + 1;
         Error
           (Printf.sprintf "access of %d bytes overruns %d-byte mapping" size
              m.mp_size)
@@ -140,7 +116,6 @@ let translate t ~iova ~size =
           t.faults <- t.faults + 1;
           Engine.delay t.timing.Timing.fault_ns
         end;
-        t.translated_bytes <- t.translated_bytes + size;
         if size = m.mp_size then Ok m.mp_data
         else Ok (Bytes.sub m.mp_data 0 size)
 
@@ -150,7 +125,6 @@ let translate t ~iova ~size =
 let quiesce t =
   Engine.delay t.timing.Timing.shootdown_ns;
   Mmio.write t.regs ~addr:reg_invalidate (-1L);
-  t.shootdowns <- t.shootdowns + 1;
   Hashtbl.iter (fun _ m -> m.mp_faulted <- false) t.table
 
 (* Tear down the whole address space when its VM retires: one batched
@@ -161,11 +135,5 @@ let release_all t =
   if Hashtbl.length t.table > 0 then begin
     Engine.delay t.timing.Timing.shootdown_ns;
     Mmio.write t.regs ~addr:reg_invalidate (-1L);
-    t.shootdowns <- t.shootdowns + 1;
-    Hashtbl.iter
-      (fun _ m ->
-        t.unmaps <- t.unmaps + 1;
-        t.pinned_bytes <- t.pinned_bytes - (pages_of m.mp_size * page_size))
-      t.table;
     Hashtbl.reset t.table
   end

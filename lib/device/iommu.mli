@@ -45,19 +45,12 @@ val quiesce : t -> unit
 
 val release_all : t -> unit
 (** Tear down every mapping: one batched shootdown, then unpin all
-    pages ({!pinned_bytes} and {!mappings} drop to 0).  Used when a VM
+    pages ({!mappings} drops to 0).  Used when a VM
     retires; idempotent, and free on an empty address space.  Must run
     inside a simulation process. *)
-
-val pages_of : int -> int
 
 (** {1 Counters} *)
 
 val maps : t -> int
-val unmaps : t -> int
 val faults : t -> int
-val shootdowns : t -> int
-val pinned_bytes : t -> int
-val translated_bytes : t -> int
-val bad_translations : t -> int
 val mappings : t -> int

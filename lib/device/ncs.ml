@@ -66,6 +66,8 @@ let reset t =
   t.resets <- t.resets + 1;
   replug t
 
+(* Occupy the USB pipe for one transaction; blocks, and raises
+   [Device_lost] if the stick is (or becomes) unplugged. *)
 let usb_transfer t ~bytes =
   if not t.plugged then raise Device_lost;
   (match t.fault with

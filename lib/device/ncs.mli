@@ -42,10 +42,6 @@ val reset : t -> unit
 (** Force immediate re-enumeration (the TDR reset path).  Loaded graphs
     are already gone; this just brings the device back. *)
 
-val usb_transfer : t -> bytes:int -> unit
-(** Occupy the USB pipe for one transaction; blocks.
-    @raise Device_lost if the stick is (or becomes) unplugged. *)
-
 val load_graph : t -> graph_bytes:int -> layer_flops:float list -> graph
 (** Upload and compile a graph; blocks for transfer + parse time.
     @raise Device_lost if the stick is (or becomes) unplugged. *)
@@ -56,9 +52,6 @@ val unload_graph : t -> int -> (unit, [ `Unknown_graph ]) result
 (** Remove a resident graph; [Error `Unknown_graph] on an unknown (or
     unplug-wiped) graph id — never an exception, so a buggy guest
     cannot kill a shared API server through a double unload. *)
-
-val apply_layers : graph -> bytes -> bytes
-(** The deterministic "network" function, exposed for reference checks. *)
 
 val infer : t -> graph -> input:bytes -> output_bytes:int -> bytes
 (** One inference: tensor in over USB, layer schedule on-stick, result

@@ -321,5 +321,3 @@ let snapshot t =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.counters t))
       );
     ]
-
-let snapshot_string t = Json.to_string_pretty (snapshot t)

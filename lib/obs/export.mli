@@ -12,7 +12,7 @@ val prometheus : Obs.t -> string
     [device="<id>"] is appended; without one the exposition is
     byte-identical to the pre-pool output. *)
 
-val chrome_trace : Obs.t -> Json.t
+val chrome_trace_string : Obs.t -> string
 (** Chrome trace-event JSON built from retained spans: one complete
     ("X") event per phase segment, [pid] = VM, [tid] = lane (guest /
     wire / router / server), timestamps in microseconds.  Server-side
@@ -20,21 +20,12 @@ val chrome_trace : Obs.t -> Json.t
     ([server-dev<id>], tid 10+id) instead of the shared server lane.
     Loadable in [chrome://tracing] and Perfetto. *)
 
-val chrome_trace_string : Obs.t -> string
-
 val span_segments : Obs.span -> (Obs.phase * Ava_sim.Time.t * Ava_sim.Time.t) list
 (** The (phase, start, stop) slices of a closed span — the same slicing
     that fed the histograms. *)
 
 val json_of_summary : Hist.summary -> Json.t
 
-val phases_json : Obs.t -> Json.t
-(** Per-phase summaries merged across VMs and APIs, pipeline order,
-    phases with zero samples omitted — the fragment bench JSON embeds
-    as ["phases"]. *)
-
 val snapshot : Obs.t -> Json.t
 (** Machine-readable registry snapshot: span counts, end-to-end total,
     per-phase breakdown, full per-(vm, api, phase) series, counters. *)
-
-val snapshot_string : Obs.t -> string

@@ -7,9 +7,6 @@
     [baseline × (1 + tolerance)] plus a small absolute noise floor on
     raw-nanosecond metrics. *)
 
-val flatten : Json.t -> (string * float) list
-(** All numeric leaves as [(path, value)], document order. *)
-
 val is_gated : string -> bool
 
 type status = Ok | Regressed | New_metric | Missing_metric

@@ -360,24 +360,6 @@ let vm_span_close v ~seq ~status ~at =
     v.v_n <- v.v_n - 1
   end
 
-(* The [(vm, seq)] entry points: the handle's, after one lookup. *)
-let span_open t ~vm:id ~seq ~fn ~at = vm_span_open (vm t ~vm:id) ~seq ~fn ~at
-
-let mark t ~vm ~seq m ~at =
-  match Itbl.find t.vms vm with
-  | v -> vm_mark v ~seq m ~at
-  | exception Not_found -> ()
-
-let set_device t ~vm ~seq ~device =
-  match Itbl.find t.vms vm with
-  | v -> vm_set_device v ~seq ~device
-  | exception Not_found -> ()
-
-let span_close t ~vm ~seq ~status ~at =
-  match Itbl.find t.vms vm with
-  | v -> vm_span_close v ~seq ~status ~at
-  | exception Not_found -> ()
-
 (* A retired VM's open spans will never close: drop them (its closed
    spans and histograms stay). *)
 let forget_vm t ~vm =

@@ -90,14 +90,6 @@ val vm_span_close : vm -> seq:int -> status:int -> at:Time.t -> unit
 (** Records phase durations and the end-to-end total, then retains the
     span.  No-op on unknown spans. *)
 
-(** The same operations keyed by VM id, each one lookup away from the
-    handle's; a VM never seen is a no-op except for {!span_open}. *)
-
-val span_open : t -> vm:int -> seq:int -> fn:string -> at:Time.t -> unit
-val mark : t -> vm:int -> seq:int -> mark -> at:Time.t -> unit
-val set_device : t -> vm:int -> seq:int -> device:int -> unit
-val span_close : t -> vm:int -> seq:int -> status:int -> at:Time.t -> unit
-
 val forget_vm : t -> vm:int -> unit
 (** Drop the VM's open spans without closing them: a retired VM's
     spans never close.  Its closed spans and histograms stay, and its

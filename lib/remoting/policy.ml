@@ -74,7 +74,6 @@ module Wfq = struct
   type rate = { mutable weight : float; mutable last_tag : float }
 
   type 'a flow = {
-    flow_id : int;
     rate : rate;
     payloads : 'a Queue.t;
     mutable tags : float array;
@@ -105,9 +104,8 @@ module Wfq = struct
      no float is boxed to pass it. *)
   let[@inline] fmax (a : float) b = if b > a then b else a
 
-  let make_flow flow_id weight =
+  let make_flow weight =
     {
-      flow_id;
       rate = { weight; last_tag = 0.0 };
       payloads = Queue.create ();
       tags = Array.make 4 0.0;
@@ -119,7 +117,7 @@ module Wfq = struct
   let ignore_unit () = ()
 
   let create () =
-    let none = make_flow (-1) 1.0 in
+    let none = make_flow 1.0 in
     let t =
       {
         flows = Hashtbl.create 8;
@@ -150,7 +148,8 @@ module Wfq = struct
         end);
     t.park <-
       (fun resume ->
-        if t.waiting then invalid_arg "Wfq.pop: concurrent poppers unsupported";
+        if t.waiting then
+          invalid_arg "Wfq.pop_payload: concurrent poppers unsupported";
         t.waiting <- true;
         t.waiter <- resume);
     t
@@ -158,7 +157,7 @@ module Wfq = struct
   let add_flow t ~flow_id ~weight =
     if weight <= 0.0 then invalid_arg "Wfq.add_flow: weight must be positive";
     if Hashtbl.mem t.flows flow_id then invalid_arg "Wfq.add_flow: flow exists";
-    Hashtbl.replace t.flows flow_id (make_flow flow_id weight)
+    Hashtbl.replace t.flows flow_id (make_flow weight)
 
   (* A flow's first queued item puts it in the backlogged set. *)
   let backlog_flow t f =
@@ -298,13 +297,7 @@ module Wfq = struct
     if Queue.is_empty f.payloads then idle_flow t f;
     payload
 
-  (* Blocking pop: returns the (flow_id, payload) with the smallest
-     finish tag. *)
-  let pop t =
-    let f = next t in
-    let payload = dequeue t f in
-    (f.flow_id, payload)
-
+  (* Blocking pop: the payload with the smallest finish tag. *)
   let pop_payload t = dequeue t (next t)
   let backlog t = t.enqueued - t.dequeued
 

@@ -49,15 +49,12 @@ module Wfq : sig
       FIFO order; they stop counting toward {!backlog}.  Used to
       re-steer a flow onto another scheduler instance. *)
 
-  val pop : 'a t -> int * 'a
-  (** Remove the item with the smallest finish tag, blocking the calling
-      process while all flows are empty.  Per-flow FIFO order is
-      preserved.  Equal tags go to the flow that [Hashtbl.iter] visits
-      first over the scheduler's flow table.  At most one concurrent
-      popper is supported. *)
-
   val pop_payload : 'a t -> 'a
-  (** {!pop} without the flow id. *)
+  (** Remove the item with the smallest finish tag and return its
+      payload, blocking the calling process while all flows are empty.
+      Per-flow FIFO order is preserved.  Equal tags go to the flow that
+      [Hashtbl.iter] visits first over the scheduler's flow table.  At
+      most one concurrent popper is supported. *)
 
   val backlog : 'a t -> int
 end

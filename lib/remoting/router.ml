@@ -64,14 +64,14 @@ and vm_conn = {
   mutable bucket : Policy.Token_bucket.t option;
   mutable quota : Policy.Quota.t option;
   mutable breaker : Policy.Breaker.t option;
-  mutable fault_statuses : int list;
+  fault_statuses : int list;
       (** reply statuses fed to the breaker as failures *)
   mutable fault_replies : int;  (** fault-status replies seen *)
 }
 
 (* One dispatch lane: each backend server gets its own WFQ and its own
    pacing dispatcher, so a pool of devices schedules independently
-   (lifting the single-popper limit of [Policy.Wfq.pop]). *)
+   (lifting the single-popper limit of [Policy.Wfq.pop_payload]). *)
 and backend = {
   bs_id : int;
   bs_wfq : fwd Policy.Wfq.t;

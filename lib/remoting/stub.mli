@@ -143,7 +143,7 @@ val invoke :
   (Message.reply option, string) result
 (** Invoke [fn].  The plan decides synchrony; a conditional plan
     ([Sync_when_eq]) reads its condition from the scalar arguments
-    ({!Plan.scalar_env}).  [force_sync] overrides the plan when the
+    ({!Plan.scalars}).  [force_sync] overrides the plan when the
     caller needs outputs immediately.  Synchronous calls return
     [Ok (Some reply)]; asynchronous calls return [Ok None] at once and
     deliver their reply through [on_reply].  [Error] means the function

@@ -81,4 +81,3 @@ let try_recv t =
 (* Close the channel: subsequent sends raise; blocked receivers stay
    blocked on purpose (a closed command stream simply stops). *)
 let close t = t.closed <- true
-let is_closed t = t.closed

@@ -13,7 +13,6 @@ val create : ?capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Blocking send; must run inside a process when the channel is full. *)
@@ -29,5 +28,3 @@ val try_recv : 'a t -> 'a option
 val close : 'a t -> unit
 (** Subsequent sends raise {!Closed}; blocked receivers stay blocked (a
     closed command stream simply stops). *)
-
-val is_closed : 'a t -> bool

@@ -392,7 +392,6 @@ let run ?until t =
 
 let live_processes t = t.live_processes
 let spawned t = t.spawned
-let pending_events t = Heap.size t.events + t.wheel_len + t.ring_len
 let events_executed t = t.executed
 
 (* Run [body] as a process to completion and return its result; raises

@@ -63,7 +63,6 @@ val run_process : t -> (unit -> 'a) -> 'a
 
 val live_processes : t -> int
 val spawned : t -> int
-val pending_events : t -> int
 
 val events_executed : t -> int
 (** Total events dispatched by {!run} since {!create} — the

@@ -114,15 +114,7 @@ let add t ~key ~seq payload =
   Array.unsafe_set seqs !i seq;
   Array.unsafe_set slots !i slot
 
-let[@inline] min_key t =
-  if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
-  Array.unsafe_get t.keys 0
-
-let[@inline] min_seq t =
-  if t.size = 0 then invalid_arg "Heap.min_seq: empty heap";
-  Array.unsafe_get t.seqs 0
-
-(* Unchecked variants for the engine's drain loop, which has already
+(* Unchecked accessors for the engine's drain loop, which has already
    established non-emptiness for the iteration. *)
 let[@inline] unsafe_min_key t = Array.unsafe_get t.keys 0
 let[@inline] unsafe_min_seq t = Array.unsafe_get t.seqs 0
@@ -185,10 +177,6 @@ let unsafe_pop t =
   remove_min t;
   payload
 
-let pop_exn t =
-  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  unsafe_pop t
-
 let peek t =
   if t.size = 0 then None
   else
@@ -198,5 +186,5 @@ let pop t =
   if t.size = 0 then None
   else
     let key = t.keys.(0) and seq = t.seqs.(0) in
-    let payload = pop_exn t in
+    let payload = unsafe_pop t in
     Some { key; seq; payload }

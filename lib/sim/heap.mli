@@ -5,8 +5,8 @@
     deterministic.  Keys, sequence numbers and payload-slot indices are
     stored in parallel [int array]s and payloads in a stable slot table,
     so {!add} allocates nothing, sifts move only ints (no write
-    barrier), and the {!min_key}/{!pop_exn} pair lets the engine drain
-    events without materialising options or entry records.  Payload
+    barrier), and the [unsafe_] accessors let the engine drain events
+    without materialising options or entry records.  Payload
     slots are cleared on pop, so a drained heap retains none of the
     popped closures. *)
 
@@ -22,26 +22,15 @@ val is_empty : 'a t -> bool
 val add : 'a t -> key:int -> seq:int -> 'a -> unit
 (** Amortized O(log n); allocation-free outside capacity growth. *)
 
-val min_key : 'a t -> int
-(** Key of the smallest entry without removing it.  O(1).
-    @raise Invalid_argument on an empty heap. *)
-
-val min_seq : 'a t -> int
-(** Sequence number of the smallest entry.  O(1).
-    @raise Invalid_argument on an empty heap. *)
-
-val pop_exn : 'a t -> 'a
-(** Remove the smallest entry and return its payload; the vacated slot
-    is cleared.  Allocation-free.
-    @raise Invalid_argument on an empty heap. *)
-
 val unsafe_min_key : 'a t -> int
 val unsafe_min_seq : 'a t -> int
 
 val unsafe_pop : 'a t -> 'a
-(** Unchecked variants of {!min_key}/{!min_seq}/{!pop_exn} for drain
-    loops that have already established non-emptiness.  Calling any of
-    them on an empty heap is undefined behaviour. *)
+(** The smallest entry's key and sequence number, and its removal
+    (returning the payload, clearing the vacated slot), unchecked and
+    allocation-free, for drain loops that have already established
+    non-emptiness.  Calling any of them on an empty heap is undefined
+    behaviour. *)
 
 val peek : 'a t -> 'a entry option
 (** Smallest entry without removing it (allocating convenience API). *)

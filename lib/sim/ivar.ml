@@ -31,9 +31,3 @@ let read t =
           match t.state with
           | Full v -> resume v
           | Empty waiters -> t.state <- Empty (resume :: waiters))
-
-(* Register a callback to run when the ivar fills (immediately if full). *)
-let on_fill t f =
-  match t.state with
-  | Full v -> f v
-  | Empty waiters -> t.state <- Empty (f :: waiters)

@@ -22,6 +22,3 @@ val peek : 'a t -> 'a option
 val read : 'a t -> 'a
 (** Return the value, blocking the calling process until filled.  Must
     run inside a process when the ivar is still empty. *)
-
-val on_fill : 'a t -> ('a -> unit) -> unit
-(** Register a callback to run at fill time (immediately if full). *)

@@ -27,7 +27,6 @@ val of_float_s : float -> t
 
 val to_float_ns : t -> float
 val to_float_us : t -> float
-val to_float_ms : t -> float
 val to_float_s : t -> float
 
 (** {1 Arithmetic} *)

@@ -200,10 +200,6 @@ let parse_source source =
   | Ok [] -> Error "program source declares no kernels"
   | other -> other
 
-(* Convenience source strings. *)
-let source_of_builtins names =
-  String.concat "; " (List.map (fun n -> "builtin " ^ n) names)
-
 let synthetic_source ~name ~flops_per_item ~bytes_per_item =
   Printf.sprintf "synthetic %s flops=%g bytes=%g" name flops_per_item
     bytes_per_item

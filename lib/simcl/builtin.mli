@@ -26,17 +26,9 @@ type t = {
       (** [run args work_items]: semantic action, if any *)
 }
 
-val builtins : t list
-(** vec_add, scale, xor_bytes, reduce_sum, stencil3, noop. *)
-
-val find_builtin : string -> t option
-
 val parse_source : string -> (t list, string) result
 (** Parse a whole program source into its kernel table; empty programs
     are an error. *)
-
-val source_of_builtins : string list -> string
-(** Source string declaring the named built-ins. *)
 
 val synthetic_source :
   name:string -> flops_per_item:float -> bytes_per_item:float -> string

@@ -22,7 +22,6 @@ type t = {
   port : Mmio.port;
   per_page_ns : Time.t;
   timing : Timing.gpu;
-  mutable ioctls : int;
 }
 
 let create ?port ?(per_page_ns = 0) gpu =
@@ -32,15 +31,13 @@ let create ?port ?(per_page_ns = 0) gpu =
     | Some p -> p
     | None -> Mmio.native_port (Gpu.mmio gpu) ~timing
   in
-  { engine = Gpu.engine gpu; gpu; port; per_page_ns; timing; ioctls = 0 }
+  { engine = Gpu.engine gpu; gpu; port; per_page_ns; timing }
 
 let engine t = t.engine
 let gpu t = t.gpu
-let ioctls t = t.ioctls
 
 (* Cross into the kernel, run [f], return. *)
 let ioctl t f =
-  t.ioctls <- t.ioctls + 1;
   Engine.delay t.timing.Timing.ioctl_ns;
   f ()
 

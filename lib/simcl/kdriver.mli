@@ -1,10 +1,10 @@
 (** SimCL kernel-mode driver: the bottom of the silo.
 
-    Entered via {!ioctl} (charging the user/kernel crossing), it owns the
-    device-buffer lifecycle, writes command descriptors through an MMIO
-    {!Ava_device.Mmio.port} — so the {e same} driver runs natively, under
-    pass-through, or fully trapped — performs DMA, and fields completion
-    interrupts.
+    Entered through an ioctl (each charging the user/kernel crossing),
+    it owns the device-buffer lifecycle, writes command descriptors
+    through an MMIO {!Ava_device.Mmio.port} — so the {e same} driver
+    runs natively, under pass-through, or fully trapped — performs DMA,
+    and fields completion interrupts.
 
     The choice of port and the per-page DMA surcharge are the only knobs
     a virtualization technique can turn: exactly the paper's point that
@@ -14,18 +14,11 @@ open Ava_device
 
 type t
 
-val descriptor_words : int
-(** MMIO words written per command submission. *)
-
 val create : ?port:Mmio.port -> ?per_page_ns:Ava_sim.Time.t -> Gpu.t -> t
 (** Defaults to a native port with no per-page surcharge. *)
 
 val engine : t -> Ava_sim.Engine.t
 val gpu : t -> Gpu.t
-val ioctls : t -> int
-
-val ioctl : t -> (unit -> 'a) -> 'a
-(** Cross into the kernel, run the body, return. *)
 
 val alloc_buffer : t -> size:int -> (Gpu.buffer, [ `Out_of_memory ]) result
 val free_buffer : t -> int -> unit

@@ -142,5 +142,3 @@ type profiling_info =
   | Profiling_end
 
 type event_status = Queued | Submitted | Running | Complete
-
-let pp_error ppf e = Fmt.string ppf (error_to_string e)

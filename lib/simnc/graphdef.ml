@@ -10,6 +10,7 @@ type t = { layer_flops : float list; output_bytes : int }
 
 let magic = "NCSG"
 
+(* Minimum file size for a layer count. *)
 let header_bytes n_layers = 4 + 4 + 4 + (8 * n_layers)
 
 let encode ?total_bytes { layer_flops; output_bytes } =

@@ -10,9 +10,6 @@ type t = { layer_flops : float list; output_bytes : int }
 
 val magic : string
 
-val header_bytes : int -> int
-(** Minimum file size for a layer count. *)
-
 val encode : ?total_bytes:int -> t -> bytes
 (** @raise Invalid_argument when [total_bytes] is below the header size. *)
 

@@ -70,7 +70,6 @@ type t = {
           ops (cross-stream event waits) never claim it — a waiter
           holding the executor while the awaited op queues behind it
           would deadlock the device. *)
-  mutable ops : int;
   mutable kernels : int;
   mutable killed : bool;
   mutable wedged_by : int option;
@@ -91,7 +90,6 @@ let create ?(timing = sm_stream) engine =
     mem_used = 0;
     busy = Time.zero;
     exec_tail = filled ();
-    ops = 0;
     kernels = 0;
     killed = false;
     wedged_by = None;
@@ -100,9 +98,7 @@ let create ?(timing = sm_stream) engine =
 let engine_of t = t.engine
 let timing t = t.timing
 let busy_ns t = t.busy
-let ops_executed t = t.ops
 let kernels_executed t = t.kernels
-let mem_used t = t.mem_used
 let capacity t = t.timing.mem_bytes
 let killed t = t.killed
 let wedged_by t = t.wedged_by
@@ -145,7 +141,6 @@ let enqueue ?(kernels = 0) t s ~cost action =
            Ivar.fill slot ()
          end);
         t.busy <- Time.add t.busy cost;
-        t.ops <- t.ops + 1;
         t.kernels <- t.kernels + kernels
       end;
       action ~ok;
@@ -156,7 +151,6 @@ let stream_sync s = Ivar.read s.st_tail
 let event_create () = { ev_done = filled () }
 let event_record ev s = ev.ev_done <- s.st_tail
 let event_sync ev = Ivar.read ev.ev_done
-let event_done ev = Ivar.is_filled ev.ev_done
 
 let stream_wait_event t s ev =
   let target = ev.ev_done in
@@ -201,8 +195,7 @@ let copy_cost t ~bytes =
 let sync_copy t ~bytes =
   let c = copy_cost t ~bytes in
   Engine.delay c;
-  t.busy <- Time.add t.busy c;
-  t.ops <- t.ops + 1
+  t.busy <- Time.add t.busy c
 
 (* Roofline: an [n]-element kernel is bound by compute or by memory
    traffic, whichever is slower. *)

@@ -54,7 +54,6 @@ val event_create : unit -> event
 
 val event_record : event -> stream -> unit
 val event_sync : event -> unit
-val event_done : event -> bool
 
 val stream_wait_event : t -> stream -> event -> unit
 (** Enqueue a wait for the event as recorded at call time. *)
@@ -67,7 +66,6 @@ val quiesce : t -> unit
 val alloc : t -> size:int -> (int, [ `Invalid | `Nomem ]) result
 val free : t -> int -> bool
 val find_mem : t -> int -> Bytes.t option
-val mem_used : t -> int
 val capacity : t -> int
 
 (** {1 Cost model} *)
@@ -82,7 +80,6 @@ val batch_cost : t -> items:int -> bytes:int -> Time.t
 (** {1 Accounting and faults} *)
 
 val busy_ns : t -> Time.t
-val ops_executed : t -> int
 val kernels_executed : t -> int
 val kill : ?by:int -> t -> unit
 val killed : t -> bool

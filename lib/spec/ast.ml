@@ -182,12 +182,4 @@ type api_spec = {
 let find_fn spec name =
   List.find_opt (fun f -> String.equal f.f_name name) spec.fns
 
-let find_type spec name =
-  List.find_opt (fun t -> String.equal t.t_name name) spec.types
-
 let find_constant spec name = List.assoc_opt name spec.constants
-
-let is_handle_type spec = function
-  | Named n -> (
-      match find_type spec n with Some t -> t.t_is_handle | None -> false)
-  | _ -> false

@@ -126,6 +126,4 @@ type api_spec = {
 }
 
 val find_fn : api_spec -> string -> fn_spec option
-val find_type : api_spec -> string -> type_spec option
 val find_constant : api_spec -> string -> int option
-val is_handle_type : api_spec -> ctype -> bool

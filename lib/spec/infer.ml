@@ -21,6 +21,7 @@ let rec sizeof header ty =
 
 let lowercase = String.lowercase_ascii
 
+(* Case-insensitive substring test used by the heuristics. *)
 let name_contains hay needle =
   let hay = lowercase hay and needle = lowercase needle in
   let nh = String.length hay and nn = String.length needle in

@@ -7,15 +7,6 @@
 
 open Ast
 
-val sizeof : Cheader.t -> ctype -> int
-
-val name_contains : string -> string -> bool
-(** Case-insensitive substring test used by the heuristics. *)
-
-val guess_length_param : (string * ctype) list -> string -> string option
-(** The parameter that, by naming convention, carries a buffer's length:
-    [p_size], [num_p], [p_count], [n_p], … or a lone [size]. *)
-
 val guess_record_class : string -> record_class
 (** Record-class heuristics from the function name (create/alloc ⇒
     alloc, release/free ⇒ dealloc, set/build/write ⇒ modify, init ⇒

@@ -4,8 +4,6 @@
 
 open Ast
 
-val pp_fn : Format.formatter -> fn_spec -> unit
-val pp_type : Format.formatter -> type_spec -> unit
 val pp_spec : Format.formatter -> api_spec -> unit
 val spec_to_string : api_spec -> string
 

@@ -522,149 +522,8 @@ qaStatus qaGetStatsEx(qaInstanceHandle instance, qaStatsEx *stats) {
 }
 |}
 
-let simst_header =
-  {|
-/* SimST: the public API of the simulated stream-accelerator silo. */
-#define ST_SUCCESS 0
-
-typedef int stStatus;
-typedef struct _stStream *stStream;
-typedef struct _stEvent *stEvent;
-typedef struct _stMem *stMem;
-
-stStatus stDeviceGetCount(int *count);
-stStatus stStreamCreate(stStream *stream);
-stStatus stStreamDestroy(stStream stream);
-stStatus stStreamSynchronize(stStream stream);
-stStatus stEventCreate(stEvent *event);
-stStatus stEventDestroy(stEvent event);
-stStatus stEventRecord(stEvent event, stStream stream);
-stStatus stEventSynchronize(stEvent event);
-stStatus stStreamWaitEvent(stStream stream, stEvent event);
-stStatus stMemAlloc(stMem *mem, unsigned int size);
-stStatus stMemFree(stMem mem);
-stStatus stMemcpyHtoDAsync(stMem dst, const void *src, unsigned int size, stStream stream);
-stStatus stMemcpyDtoH(void *dst, unsigned int size, stMem src);
-stStatus stLaunchKernel(stStream stream, const char *name, unsigned int name_size, stMem a, stMem b, stMem out, unsigned int n);
-stStatus stBatchSubmit(stStream stream, const void *batch, unsigned int batch_size, unsigned int item_size, int *ticket);
-stStatus stBatchCollect(stStream stream, int ticket, void *scores, unsigned int scores_size);
-|}
-
-let simst_spec =
-  {|
-api("simst");
-#include "simst.h"
-
-type(stStatus) { success(ST_SUCCESS); }
-
-stStatus stDeviceGetCount(int *count) {
-  sync;
-  parameter(count) { out; element { } }
-  record(no_record);
-}
-
-stStatus stStreamCreate(stStream *stream) {
-  sync;
-  parameter(stream) { out; element { allocates; } }
-  record(object_alloc);
-}
-
-stStatus stStreamDestroy(stStream stream) {
-  sync;
-  ava_stream(stream);
-  parameter(stream) { deallocates; }
-  record(object_dealloc);
-}
-
-stStatus stStreamSynchronize(stStream stream) {
-  sync_on(stream);
-  ava_stream(stream);
-  record(no_record);
-}
-
-stStatus stEventCreate(stEvent *event) {
-  sync;
-  parameter(event) { out; element { allocates; } }
-  record(object_alloc);
-}
-
-stStatus stEventDestroy(stEvent event) {
-  sync;
-  parameter(event) { deallocates; }
-  record(object_dealloc);
-}
-
-stStatus stEventRecord(stEvent event, stStream stream) {
-  async;
-  ava_stream(stream);
-  record(no_record);
-}
-
-stStatus stEventSynchronize(stEvent event) {
-  sync_on(event);
-  record(no_record);
-}
-
-stStatus stStreamWaitEvent(stStream stream, stEvent event) {
-  async;
-  ava_stream(stream);
-  record(no_record);
-}
-
-stStatus stMemAlloc(stMem *mem, unsigned int size) {
-  sync;
-  parameter(mem) { out; element { allocates; } }
-  resource(device_memory, size);
-  record(object_alloc);
-}
-
-stStatus stMemFree(stMem mem) {
-  sync;
-  parameter(mem) { deallocates; }
-  record(object_dealloc);
-}
-
-stStatus stMemcpyHtoDAsync(stMem dst, const void *src, unsigned int size, stStream stream) {
-  async;
-  ava_stream(stream);
-  parameter(dst) { target; }
-  parameter(src) { in; buffer(size); }
-  resource(bus_bytes, size);
-  record(no_record);
-}
-
-stStatus stMemcpyDtoH(void *dst, unsigned int size, stMem src) {
-  sync;
-  parameter(dst) { out; buffer(size); }
-  resource(bus_bytes, size);
-  record(no_record);
-}
-
-stStatus stLaunchKernel(stStream stream, const char *name, unsigned int name_size, stMem a, stMem b, stMem out, unsigned int n) {
-  async;
-  ava_stream(stream);
-  parameter(name) { in; buffer(name_size); }
-  resource(device_time, n);
-  record(no_record);
-}
-
-stStatus stBatchSubmit(stStream stream, const void *batch, unsigned int batch_size, unsigned int item_size, int *ticket) {
-  sync;
-  ava_stream(stream);
-  parameter(batch) { in; buffer(batch_size); }
-  parameter(ticket) { out; element { } }
-  resource(queue_slots, batch_size / item_size);
-  resource(bus_bytes, batch_size);
-  record(no_record);
-}
-
-stStatus stBatchCollect(stStream stream, int ticket, void *scores, unsigned int scores_size) {
-  sync_on(stream);
-  ava_stream(stream);
-  parameter(scores) { out; buffer(scores_size); }
-  record(no_record);
-}
-|}
+let simst_header = Simst_files.header
+let simst_spec = Simst_files.spec
 
 let resolve_builtin_include = function
   | "cl_sim.h" -> Some simcl_header

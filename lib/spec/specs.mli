@@ -7,7 +7,8 @@
     The [*_header] values are the {e unmodified} vendor headers fed to
     inference; the [*_spec] values are the developer-refined CAvA specs
     (the Figure 2 workflow's output) from which the remoting stacks are
-    generated. *)
+    generated.  SimST's pair is embedded at build time from
+    [specs/simst.h] and [specs/simst.cava]. *)
 
 val simcl_header : string
 val simcl_spec : string

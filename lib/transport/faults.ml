@@ -131,6 +131,7 @@ let recv_hook t msg =
       t.stats.checksum_rejects <- t.stats.checksum_rejects + 1;
       None
 
+(* Wrap one endpoint: its sends are faulted, its receives verified. *)
 let wrap_endpoint t ep =
   Transport.set_send_hook ep (Some (send_hook t));
   Transport.set_recv_hook ep (Some (recv_hook t))
@@ -141,11 +142,3 @@ let wrap_endpoint t ep =
 let wrap t (a, b) =
   wrap_endpoint t a;
   wrap_endpoint t b
-
-let unwrap_endpoint ep =
-  Transport.set_send_hook ep None;
-  Transport.set_recv_hook ep None
-
-let unwrap (a, b) =
-  unwrap_endpoint a;
-  unwrap_endpoint b

@@ -54,13 +54,6 @@ val wrap : t -> Transport.endpoint * Transport.endpoint -> unit
     traffic flows: the checksum envelope applies to every subsequent
     message in both directions. *)
 
-val wrap_endpoint : t -> Transport.endpoint -> unit
-(** Wrap a single endpoint (its sends are faulted, its receives
-    verified).  For a usable link, the peer must be wrapped too. *)
-
-val unwrap : Transport.endpoint * Transport.endpoint -> unit
-(** Remove the hooks; the link reverts to the fault-free path. *)
-
 (**/**)
 
 val seal : bytes -> bytes

@@ -269,6 +269,62 @@ let corpus_tests =
         Sys.remove tmp;
         Alcotest.(check bool) "missing key means false" false unkeyed;
         Alcotest.(check bool) "key read back" true keyed);
+    Alcotest.test_case "a recorded file's detail is its replay's" `Quick
+      (fun () ->
+        (* The overcharge detail names call counts, and shrinking drops
+           calls: a detail taken before shrinking would name counts
+           the saved trace never produces. *)
+        let overcharged cfg tr =
+          (Scenario.run ~sabotage:Scenario.Overcharge cfg tr).Scenario.oc_verdict
+        in
+        let detail = function
+          | Scenario.Violation (_, d) | Scenario.Hang d -> d
+          | Scenario.Pass -> Alcotest.fail "sabotage not caught"
+        in
+        let config =
+          { Scenario.default_config with Scenario.sc_seed = chaos_seed;
+            sc_faults = "none" }
+        in
+        let trace =
+          [
+            { Op.delay_ns = 0; kind = Op.Admit };
+            { Op.delay_ns = 0; kind = Op.Submit (0, Op.Vec_add 64) };
+            { Op.delay_ns = Time.us 100; kind = Op.Admit };
+            { Op.delay_ns = 0; kind = Op.Submit (1, Op.Vec_add 64) };
+          ]
+        in
+        let verdict = overcharged config trace in
+        let dir = Filename.temp_dir "ava-corpus" "" in
+        let report =
+          Campaign.record ~corpus_dir:dir ~log:ignore ~iteration:0 ~config
+            ~verdict ~trace overcharged
+        in
+        let file = Option.get report.Campaign.vr_file in
+        let saved =
+          In_channel.with_open_text file In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.find_map (fun l ->
+                 if String.starts_with ~prefix:"detail " l then
+                   Some (String.sub l 7 (String.length l - 7))
+                 else None)
+          |> Option.get
+        in
+        (* [Campaign.replay] runs the stack unsabotaged; this is the
+           same load-and-run with the sabotage the file was recorded
+           under. *)
+        let replayed =
+          match Campaign.load file with
+          | Ok (config, _, trace) -> detail (overcharged config trace)
+          | Error m -> Alcotest.failf "load: %s" m
+        in
+        Sys.remove file;
+        Sys.rmdir dir;
+        Alcotest.(check bool)
+          "shrinking changed the detail" true
+          (detail verdict <> replayed);
+        Alcotest.(check string) "file detail" replayed saved;
+        Alcotest.(check string) "report detail" replayed
+          report.Campaign.vr_detail);
   ]
 
 (* --- pool retirement regressions ------------------------------------------ *)

@@ -268,15 +268,16 @@ let json_tests =
    in a known bucket, so the exposition is predictable by hand. *)
 let golden_registry () =
   let o = Obs.create () in
-  Obs.span_open o ~vm:1 ~seq:7 ~fn:"clLaunchKernel" ~at:100;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_marshal_done ~at:150;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_sent ~at:160;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_router_in ~at:200;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_dispatched ~at:230;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_exec_start ~at:300;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_exec_end ~at:1300;
-  Obs.mark o ~vm:1 ~seq:7 Obs.M_reply_recv ~at:1400;
-  Obs.span_close o ~vm:1 ~seq:7 ~status:0 ~at:1450;
+  let v = Obs.vm o ~vm:1 in
+  Obs.vm_span_open v ~seq:7 ~fn:"clLaunchKernel" ~at:100;
+  Obs.vm_mark v ~seq:7 Obs.M_marshal_done ~at:150;
+  Obs.vm_mark v ~seq:7 Obs.M_sent ~at:160;
+  Obs.vm_mark v ~seq:7 Obs.M_router_in ~at:200;
+  Obs.vm_mark v ~seq:7 Obs.M_dispatched ~at:230;
+  Obs.vm_mark v ~seq:7 Obs.M_exec_start ~at:300;
+  Obs.vm_mark v ~seq:7 Obs.M_exec_end ~at:1300;
+  Obs.vm_mark v ~seq:7 Obs.M_reply_recv ~at:1400;
+  Obs.vm_span_close v ~seq:7 ~status:0 ~at:1450;
   Obs.incr o "batches";
   o
 
@@ -591,10 +592,10 @@ let identity_tests =
 (* ----------------------------------------------------------- spans -- *)
 
 let lifecycle o ~vm ~seq =
-  let at = seq * 1_000 in
-  Obs.span_open o ~vm ~seq ~fn:"clEnqueueNDRangeKernel" ~at;
+  let at = seq * 1_000 and v = Obs.vm o ~vm in
+  Obs.vm_span_open v ~seq ~fn:"clEnqueueNDRangeKernel" ~at;
   List.iteri
-    (fun i m -> Obs.mark o ~vm ~seq m ~at:(at + (10 * (i + 1))))
+    (fun i m -> Obs.vm_mark v ~seq m ~at:(at + (10 * (i + 1))))
     [
       Obs.M_marshal_done;
       Obs.M_sent;
@@ -605,8 +606,8 @@ let lifecycle o ~vm ~seq =
       Obs.M_exec_end;
       Obs.M_reply_recv;
     ];
-  Obs.set_device o ~vm ~seq ~device:1;
-  Obs.span_close o ~vm ~seq ~status:0 ~at:(at + 900)
+  Obs.vm_set_device v ~seq ~device:1;
+  Obs.vm_span_close v ~seq ~status:0 ~at:(at + 900)
 
 (* Span [seq]'s retained marks, by mark index. *)
 let retained_marks o ~seq =
@@ -688,7 +689,7 @@ let span_tests =
         List.iter
           (fun seq -> Obs.vm_span_open v ~seq ~fn:"clFinish" ~at:0)
           [ 0; 4096; 5; 8192 ];
-        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clFinish" ~at:0;
+        Obs.vm_span_open (Obs.vm o ~vm:2) ~seq:0 ~fn:"clFinish" ~at:0;
         Alcotest.(check int) "vm 1 live" 4 (Obs.vm_in_flight o ~vm:1);
         Alcotest.(check int) "gauge" 5 (Obs.in_flight o);
         Obs.vm_span_close v ~seq:4096 ~status:0 ~at:1;
@@ -701,25 +702,6 @@ let span_tests =
         Obs.vm_span_open v ~seq:5 ~fn:"clFinish" ~at:3;
         Alcotest.(check int) "handle usable after forget" 1
           (Obs.vm_in_flight o ~vm:1));
-    Alcotest.test_case "handle and (vm, seq) API agree" `Quick (fun () ->
-        let by_id = Obs.create () and by_handle = Obs.create () in
-        let v = Obs.vm by_handle ~vm:3 in
-        for seq = 0 to 99 do
-          lifecycle by_id ~vm:3 ~seq;
-          let at = seq * 1_000 in
-          Obs.vm_span_open v ~seq ~fn:"clEnqueueNDRangeKernel" ~at;
-          List.iteri
-            (fun i m -> Obs.vm_mark v ~seq m ~at:(at + (10 * (i + 1))))
-            Obs.[ M_marshal_done; M_sent; M_doorbell; M_router_in;
-                  M_dispatched; M_exec_start; M_exec_end; M_reply_recv ];
-          Obs.vm_set_device v ~seq ~device:1;
-          Obs.vm_span_close v ~seq ~status:0 ~at:(at + 900)
-        done;
-        Alcotest.(check bool) "spans" true (Obs.spans by_id = Obs.spans by_handle);
-        Alcotest.(check bool)
-          "series" true (Obs.series by_id = Obs.series by_handle);
-        Alcotest.(check bool)
-          "totals" true (Obs.totals by_id = Obs.totals by_handle));
     Alcotest.test_case "a warmed mark allocates nothing" `Quick (fun () ->
         let o = Obs.create () in
         let v = Obs.vm o ~vm:1 in
@@ -744,13 +726,15 @@ let span_tests =
       (fun () ->
         let o = Obs.create () in
         lifecycle o ~vm:1 ~seq:0;
-        Obs.span_open o ~vm:1 ~seq:1 ~fn:"clReleaseMemObject" ~at:5_000;
-        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clReleaseMemObject" ~at:5_000;
+        let v1 = Obs.vm o ~vm:1 in
+        Obs.vm_span_open v1 ~seq:1 ~fn:"clReleaseMemObject" ~at:5_000;
+        Obs.vm_span_open (Obs.vm o ~vm:2) ~seq:0 ~fn:"clReleaseMemObject"
+          ~at:5_000;
         Obs.forget_vm o ~vm:1;
         Alcotest.(check int) "vm 1 drained" 0 (Obs.vm_in_flight o ~vm:1);
         Alcotest.(check int) "vm 2 untouched" 1 (Obs.vm_in_flight o ~vm:2);
         Alcotest.(check int) "gauge" 1 (Obs.in_flight o);
-        Obs.span_close o ~vm:1 ~seq:1 ~status:0 ~at:6_000;
+        Obs.vm_span_close v1 ~seq:1 ~status:0 ~at:6_000;
         Alcotest.(check int) "late close is a no-op" 1 (Obs.spans_closed o);
         Alcotest.(check (list int))
           "closed history kept" [ 1 ]
@@ -758,10 +742,11 @@ let span_tests =
     Alcotest.test_case "listings hold only keys with samples" `Quick
       (fun () ->
         let o = Obs.create () in
-        Obs.span_open o ~vm:1 ~seq:0 ~fn:"clFinish" ~at:0;
-        Obs.span_close o ~vm:1 ~seq:0 ~status:0 ~at:40;
-        Obs.span_open o ~vm:1 ~seq:1 ~fn:"clReleaseEvent" ~at:50;
-        Obs.span_open o ~vm:2 ~seq:0 ~fn:"clReleaseEvent" ~at:50;
+        let v1 = Obs.vm o ~vm:1 in
+        Obs.vm_span_open v1 ~seq:0 ~fn:"clFinish" ~at:0;
+        Obs.vm_span_close v1 ~seq:0 ~status:0 ~at:40;
+        Obs.vm_span_open v1 ~seq:1 ~fn:"clReleaseEvent" ~at:50;
+        Obs.vm_span_open (Obs.vm o ~vm:2) ~seq:0 ~fn:"clReleaseEvent" ~at:50;
         Alcotest.(check int) "one total" 1 (List.length (Obs.totals o));
         Alcotest.(check int) "one raw total" 1 (List.length (Obs.raw_totals o));
         Alcotest.(check int) "one vm" 1 (List.length (Obs.vm_totals o));

@@ -152,7 +152,7 @@ let wfq_matches_reference ops =
   let known i = Hashtbl.mem r.Ref_wfq.flows i in
   let pop () =
     if Policy.Wfq.backlog q = 0 then Ref_wfq.pop r = None
-    else Some (Policy.Wfq.pop q) = Ref_wfq.pop r
+    else Some (Policy.Wfq.pop_payload q) = Ref_wfq.pop r
   in
   let step = function
     | W_add (i, w) when known i -> (
@@ -165,7 +165,7 @@ let wfq_matches_reference ops =
         true
     | W_push (i, c) when known i ->
         incr next;
-        Policy.Wfq.push q ~flow_id:i ~cost:c !next;
+        Policy.Wfq.push q ~flow_id:i ~cost:c (i, !next);
         Ref_wfq.push r i c !next;
         true
     | W_weight (i, w) when known i ->
@@ -173,7 +173,10 @@ let wfq_matches_reference ops =
         Ref_wfq.set_weight r i w;
         true
     | W_remove i when known i ->
-        Policy.Wfq.remove_flow q ~flow_id:i = Ref_wfq.remove_flow r i
+        List.map
+          (fun ((_, p), c) -> (p, c))
+          (Policy.Wfq.remove_flow q ~flow_id:i)
+        = Ref_wfq.remove_flow r i
     | W_push _ | W_weight _ | W_remove _ -> true
     | W_pop -> pop ()
   in
@@ -201,9 +204,9 @@ let wfq_tests =
         Policy.Wfq.set_weight q ~flow_id:2 ~weight:4.0;
         Alcotest.(check (float 0.0)) "weight visible" 4.0
           (Policy.Wfq.flow_weight q ~flow_id:2);
-        let order = List.init 7 (fun _ -> fst (Policy.Wfq.pop q)) in
-        Alcotest.(check (list int)) "re-tagged flow served first"
-          [ 2; 2; 2; 1; 1; 1; 1 ] order;
+        let order = List.init 7 (fun _ -> Policy.Wfq.pop_payload q) in
+        Alcotest.(check (list string)) "re-tagged flow served first"
+          [ "b1"; "b2"; "b3"; "a1"; "a2"; "a3"; "a4" ] order;
         Alcotest.(check int) "drained" 0 (Policy.Wfq.backlog q));
     Alcotest.test_case "set_weight preserves FIFO within the flow" `Quick
       (fun () ->
@@ -213,7 +216,7 @@ let wfq_tests =
           (fun p -> Policy.Wfq.push q ~flow_id:1 ~cost:2.0 p)
           [ "first"; "second"; "third" ];
         Policy.Wfq.set_weight q ~flow_id:1 ~weight:0.5;
-        let order = List.init 3 (fun _ -> snd (Policy.Wfq.pop q)) in
+        let order = List.init 3 (fun _ -> Policy.Wfq.pop_payload q) in
         Alcotest.(check (list string)) "order kept"
           [ "first"; "second"; "third" ] order);
     Alcotest.test_case "set_weight on an unknown flow raises" `Quick (fun () ->
@@ -237,7 +240,7 @@ let wfq_tests =
         Alcotest.(check int) "backlog excludes removed items" 1
           (Policy.Wfq.backlog q);
         Alcotest.(check string) "other flow unaffected" "z"
-          (snd (Policy.Wfq.pop q)));
+          (Policy.Wfq.pop_payload q));
     Alcotest.test_case "add_flow on an existing flow raises" `Quick (fun () ->
         let q = Policy.Wfq.create () in
         Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
@@ -246,7 +249,7 @@ let wfq_tests =
           (Invalid_argument "Wfq.add_flow: flow exists") (fun () ->
             Policy.Wfq.add_flow q ~flow_id:1 ~weight:2.0);
         Alcotest.(check int) "backlog kept" 1 (Policy.Wfq.backlog q);
-        Alcotest.(check string) "item kept" "kept" (snd (Policy.Wfq.pop q)));
+        Alcotest.(check string) "item kept" "kept" (Policy.Wfq.pop_payload q));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"pops match a scheduler that scans every flow" ~count:300

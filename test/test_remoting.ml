@@ -846,13 +846,14 @@ let policy_tests =
            done;
            List.iteri
              (fun i (flow, cost) ->
-               Policy.Wfq.push wfq ~flow_id:flow ~cost:(float_of_int cost) i)
+               Policy.Wfq.push wfq ~flow_id:flow ~cost:(float_of_int cost)
+                 (flow, i))
              pushes;
            let popped = ref [] in
            for _ = 1 to List.length pushes do
              let e = Engine.create () in
              Engine.run_process e (fun () ->
-                 popped := Policy.Wfq.pop wfq :: !popped)
+                 popped := Policy.Wfq.pop_payload wfq :: !popped)
            done;
            let popped = List.rev !popped in
            (* All items pop exactly once; per-flow order is preserved. *)
@@ -875,15 +876,15 @@ let policy_tests =
         let wfq = Policy.Wfq.create () in
         Policy.Wfq.add_flow wfq ~flow_id:1 ~weight:1.0;
         Policy.Wfq.add_flow wfq ~flow_id:4 ~weight:4.0;
-        for i = 0 to 7 do
-          Policy.Wfq.push wfq ~flow_id:1 ~cost:100.0 i;
-          Policy.Wfq.push wfq ~flow_id:4 ~cost:100.0 i
+        for _ = 0 to 7 do
+          Policy.Wfq.push wfq ~flow_id:1 ~cost:100.0 1;
+          Policy.Wfq.push wfq ~flow_id:4 ~cost:100.0 4
         done;
         let order = ref [] in
         let e = Engine.create () in
         Engine.run_process e (fun () ->
             for _ = 1 to 16 do
-              order := fst (Policy.Wfq.pop wfq) :: !order
+              order := Policy.Wfq.pop_payload wfq :: !order
             done);
         let first8 =
           List.filteri (fun i _ -> i < 8) (List.rev !order)

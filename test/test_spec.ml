@@ -490,21 +490,6 @@ let roundtrip_tests =
             Alcotest.(check bool) "has Div estimate" true
               (any (fun fn ->
                    List.exists (fun (_, e) -> has_div e) fn.Ast.f_resources)));
-    Alcotest.test_case "on-disk specs match the embedded sources" `Quick
-      (fun () ->
-        let read path =
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-        in
-        Alcotest.(check string) "specs/simst.h"
-          (String.trim Specs.simst_header)
-          (String.trim (read "../specs/simst.h"));
-        Alcotest.(check string) "specs/simst.cava"
-          (String.trim Specs.simst_spec)
-          (String.trim (read "../specs/simst.cava")));
     Alcotest.test_case "guidance text renders" `Quick (fun () ->
         let h = parse_header "int f(const char *mystery);" in
         let d = Option.get (Cheader.find_decl h "f") in
