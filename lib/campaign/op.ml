@@ -46,8 +46,6 @@ let pp_kind ppf = function
   | Submit_nc (s, n) -> Format.fprintf ppf "submit-nc %d %d" s n
   | Submit_qa (s, k) -> Format.fprintf ppf "submit-qa %d %d" s k
 
-let pp ppf op = Format.fprintf ppf "+%dns %a" op.delay_ns pp_kind op.kind
-
 (* --- generation ----------------------------------------------------------- *)
 
 type genconfig = { g_devices : int; g_max_tenants : int; g_length : int }

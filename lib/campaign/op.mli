@@ -51,9 +51,6 @@ type kind =
 type op = { delay_ns : int;  (** virtual delay before the op *) kind : kind }
 type trace = op list
 
-val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> op -> unit
-
 (** {1 Generation} *)
 
 type genconfig = {

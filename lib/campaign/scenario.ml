@@ -564,8 +564,8 @@ let check_residency_live st =
     (live_tenants st)
 
 (* Retired tenants must leave nothing behind: no pool residency, no
-   server entry, no IOMMU pins, no recorder, and (armed obs) no open
-   spans. *)
+   server entry, no router conn, no IOMMU pins, no recorder, and (armed
+   obs) no open spans. *)
 let check_residency_retired st =
   let pool = the_pool st in
   let devices = List.init (Pool.n_devices pool) Fun.id in
@@ -581,6 +581,8 @@ let check_residency_retired st =
               Option.is_some (Server.vm_ctx (Pool.server pool d) ~vm_id))
             devices
         then Some "server entry"
+        else if Router.attached st.st_host.Host.router ~vm_id then
+          Some "router conn"
         else if Hashtbl.mem st.st_host.Host.iommus vm_id then
           Some "IOMMU pins"
         else if Option.is_some (Host.recorder st.st_host ~vm_id) then

@@ -44,7 +44,8 @@ type invariant =
   | Conservation  (** executed-call and residency counters conserve
                       across the {!Ava_core.Report} rollup *)
   | Residency  (** retired tenants leave nothing behind: no pool
-                   residency, server entry, IOMMU pin or recorder *)
+                   residency, server entry, router conn, IOMMU pin or
+                   recorder *)
   | Isolation  (** tenants not targeted by device faults, not resident
                    on a killed device, complete correctly *)
   | Obs_twin  (** armed-obs run is bit-identical in virtual time to

@@ -44,10 +44,8 @@ type host = {
 }
 
 type tenant = {
-  t_name : string;
   t_guest : Host.cl_guest;
   t_vm_id : int;
-  t_footprint : int option;
   mutable t_host : int;
 }
 
@@ -227,8 +225,7 @@ let admit ?footprint ?affinity t ~name =
   let guest = Host.add_cl_vm ?footprint t.hosts.(hid).h_host ~name in
   let vm_id = Vm.id guest.Host.g_vm in
   let tn =
-    { t_name = name; t_guest = guest; t_vm_id = vm_id;
-      t_footprint = footprint; t_host = hid }
+    { t_guest = guest; t_vm_id = vm_id; t_host = hid }
   in
   t.tenants <- (vm_id, tn) :: t.tenants;
   t.admissions <- t.admissions + 1;
@@ -290,7 +287,8 @@ let migrate_tenant t ~vm_id ~dest =
    The pool's skew step ([Pool.skew_pick]) one level up: the bins are
    the healthy hosts in id order, the candidates the hot host's tenants
    in [t.tenants] order (newest admission first), weighed by their
-   accumulated device time. *)
+   accumulated device time.  Returns whether the victim now runs on the
+   cold host. *)
 
 let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
   let bins = List.map (fun i -> (i, host_load t i)) (healthy_hosts t) in

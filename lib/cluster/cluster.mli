@@ -114,18 +114,13 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
     @raise Invalid_argument when [dest] is out of range or
     quarantined. *)
 
-val rebalance_now : ?skew:float -> t -> bool
-(** One fleet-level {!Pool.skew_pick} step over the healthy hosts in id
-    order: when the hottest host's load exceeds [skew] (default
-    [Pool.default_rebalance.rb_skew], 1.5) times the healthy average,
-    migrate the resident tenant whose load best halves the hot-cold
-    gap onto the coldest host; among equally good tenants the newest
-    admission wins.  Returns whether the tenant now runs on the cold
-    host.  Must run inside a simulation process. *)
-
 val start_rebalancer : ?interval:Time.t -> ?skew:float -> t -> unit
-(** Periodic {!rebalance_now} (default every 1 ms); stopped by
-    {!stop}. *)
+(** Every [interval] (default 1 ms), one fleet-level {!Pool.skew_pick}
+    step over the healthy hosts in id order: when the hottest host's
+    load exceeds [skew] (default [Pool.default_rebalance.rb_skew], 1.5)
+    times the healthy average, migrate the resident tenant whose load
+    best halves the hot-cold gap onto the coldest host; among equally
+    good tenants the newest admission wins.  Stopped by {!stop}. *)
 
 val stop : t -> unit
 (** Quiesce gossip and rebalancer processes so [Engine.run] drains. *)

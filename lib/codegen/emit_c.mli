@@ -8,8 +8,6 @@
 
 open Ava_spec.Ast
 
-val count_lines : string -> int
-
 (** Everything CAvA emits for one API, with line counts. *)
 type artifacts = {
   art_guest_library : string;

@@ -267,4 +267,3 @@ let create stub =
   end in
   ((module M : Ava_simcl.Api.S), t)
 
-let stub t = t.stub

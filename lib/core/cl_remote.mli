@@ -15,4 +15,3 @@
 type t
 
 val create : Ava_remoting.Stub.t -> (module Ava_simcl.Api.S) * t
-val stub : t -> Ava_remoting.Stub.t

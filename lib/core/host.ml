@@ -143,7 +143,7 @@ let attach_ava ?faults ?doorbell ?rate_per_s ?weight ?quota_cost
     ~vm_id:(Ava_hv.Vm.id vm) ~server_end ~guest_end
 
 (* Retire a guest from the whole stack: pool residency and server entry
-   (with its record log), circuit breaker, silo-specific [release], open
+   (with its record log), router conn, silo-specific [release], open
    obs spans.
    Idempotent — retiring an unknown or already-retired VM returns
    [false] — and validated: a VM mid-migration is refused (retry after
@@ -211,7 +211,7 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
     Array.init devices (fun _ ->
         Gpu.create ~timing:Timing.gtx1080 ?devfault:devfaults engine)
   in
-  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
+  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base () in
   let spec, plan = load_cl_plan ~sync_only () in
   let swap_on gpu capacity =
     let dma_move ~key:_ ~bytes =
@@ -314,7 +314,7 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
   let remoted attach =
     let iommu =
       if t.sva then begin
-        let i = Iommu.create t.engine in
+        let i = Iommu.create () in
         Hashtbl.replace t.iommus vm_id i;
         Some i
       end
@@ -411,7 +411,7 @@ type nc_guest = {
 let create_nc_host ?(virt = Timing.default_virt) ?(transfer_cache = 0)
     ?(sva = false) ?doorbell ?devfaults ?tdr ?obs engine =
   let dev = Ncs.create ~timing:Timing.movidius ?devfault:devfaults engine in
-  let hv = Ava_hv.Hypervisor.create ~virt engine in
+  let hv = Ava_hv.Hypervisor.create ~virt () in
   let _spec, plan = load_nc_plan () in
   (* NCS recovery = re-enumerate the stick: loaded graphs are gone, the
      guest re-allocates through the normal API path.  Single-owner USB
@@ -453,7 +453,7 @@ let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
   let sva =
     match (t.nc_sva, t.nc_dma) with
     | true, Some dma ->
-        let iommu = Iommu.create t.nc_engine in
+        let iommu = Iommu.create () in
         Hashtbl.replace t.nc_iommus (Ava_hv.Vm.id vm) iommu;
         Some (iommu, dma)
     | _ -> None
@@ -492,7 +492,7 @@ type qa_guest = {
 
 let create_qa_host ?(virt = Timing.default_virt) ?obs engine =
   let dev = Ava_simqa.Device.create ~timing:Ava_simqa.Device.dh895xcc engine in
-  let hv = Ava_hv.Hypervisor.create ~virt engine in
+  let hv = Ava_hv.Hypervisor.create ~virt () in
   let _spec, plan = load_qa_plan () in
   let server =
     Server.create ?obs engine ~plan ~make_state:(Qa_handlers.make_state dev)
@@ -570,7 +570,7 @@ let create_st_host ?(virt = Timing.default_virt) ?obs
     ?(fleet = [ Pool.Cap_stream ]) ?(placement = Pool.Round_robin) ?rebalance
     ?vm_id_base engine =
   if fleet = [] then invalid_arg "create_st_host: fleet must be non-empty";
-  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base engine in
+  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base () in
   let spec, plan = load_st_plan () in
   let caps = Array.of_list fleet in
   let devs =

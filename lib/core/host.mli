@@ -187,11 +187,11 @@ val recorder : cl_host -> vm_id:int -> Migrate.t option
 
 val retire_cl_vm : cl_host -> vm_id:int -> bool
 (** Retire a guest from the whole stack: pool residency (or a
-    [User_rpc] guest's server entry, record log included), circuit
-    breaker, swap entries, IOMMU pins ({!Iommu.release_all}), open obs
-    spans
-    ({!Obs.forget_vm}).  Idempotent
-    ([false] for an unknown or already-retired VM) and validated (a VM mid-migration is refused; retry once the
+    [User_rpc] guest's server entry, record log included), router
+    conn ({!Router.detach_vm}), swap entries, IOMMU pins
+    ({!Iommu.release_all}), open obs spans ({!Obs.forget_vm}).
+    Idempotent ([false] for an unknown or already-retired VM) and
+    validated (a VM mid-migration is refused; retry once the
     migration completes).  The caller must ensure the VM has no
     in-flight calls — its worker dies with its inbox.  Must run inside
     a simulation process. *)

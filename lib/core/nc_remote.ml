@@ -64,4 +64,3 @@ let create stub =
   end in
   ((module M : Ava_simnc.Api.S), t)
 
-let stub t = t.stub

@@ -4,4 +4,3 @@
 type t
 
 val create : Ava_remoting.Stub.t -> (module Ava_simnc.Api.S) * t
-val stub : t -> Ava_remoting.Stub.t

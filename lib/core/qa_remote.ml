@@ -80,4 +80,3 @@ let create stub =
   end in
   ((module M : Ava_simqa.Api.S), t)
 
-let stub t = t.stub

@@ -5,4 +5,3 @@
 type t
 
 val create : Ava_remoting.Stub.t -> (module Ava_simqa.Api.S) * t
-val stub : t -> Ava_remoting.Stub.t

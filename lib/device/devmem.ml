@@ -27,7 +27,6 @@ let create capacity =
 
 let capacity t = t.capacity
 let used t = t.used
-let available t = t.capacity - t.used
 let peak_used t = t.peak_used
 
 (* Round all allocations to 256-byte granules, like real GPU heaps. *)

@@ -11,7 +11,6 @@ val create : int -> t
 
 val capacity : t -> int
 val used : t -> int
-val available : t -> int
 val peak_used : t -> int
 
 val alloc : t -> int -> (int, [ `Out_of_memory ]) result

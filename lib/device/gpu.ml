@@ -55,7 +55,6 @@ type t = {
   mutable next_buf_id : int;
   mutable busy_ns : Time.t;
   mutable kernels_executed : int;
-  mutable doorbells : int;
 }
 
 let kernel_duration (timing : Timing.gpu) work =
@@ -84,11 +83,8 @@ let create ?(timing = Timing.gtx1080) ?devfault engine =
       next_buf_id = 1;
       busy_ns = 0;
       kernels_executed = 0;
-      doorbells = 0;
     }
   in
-  Mmio.on_write t.mmio ~addr:doorbell_addr (fun _ ->
-      t.doorbells <- t.doorbells + 1);
   (* Command processor: drain the ring forever.  Faults intercept a
      launch before the roofline path: a hang parks the CP (until
      [reset] resumes it); a transient launch failure charges only the
@@ -139,7 +135,6 @@ let dma t = t.dma
 let mem t = t.mem
 let busy_ns t = t.busy_ns
 let kernels_executed t = t.kernels_executed
-let doorbells t = t.doorbells
 let resets t = t.resets
 let wedged t = t.wedged <> None
 
@@ -180,8 +175,6 @@ let create_buffer t ~size =
       let buf = { buf_id = id; offset; size; data = Bytes.make size '\000' } in
       Hashtbl.replace t.buffers id buf;
       Ok buf
-
-let find_buffer t id = Hashtbl.find_opt t.buffers id
 
 let destroy_buffer t id =
   match Hashtbl.find_opt t.buffers id with
@@ -270,6 +263,3 @@ let read_buffer ?(per_page_ns = 0) ?(client = 0) t ~buf ~offset ~len =
     | None -> ());
   out
 
-let utilization t ~elapsed =
-  if elapsed <= 0 then 0.0
-  else Time.to_float_ns t.busy_ns /. Time.to_float_ns elapsed

@@ -58,7 +58,6 @@ val mem : t -> Devmem.t
 
 val busy_ns : t -> Time.t
 val kernels_executed : t -> int
-val doorbells : t -> int
 
 val resets : t -> int
 (** Device resets performed so far. *)
@@ -81,7 +80,6 @@ val kill : t -> unit
 (** {1 Buffers} *)
 
 val create_buffer : t -> size:int -> (buffer, [ `Out_of_memory ]) result
-val find_buffer : t -> int -> buffer option
 
 val destroy_buffer : t -> int -> unit
 (** @raise Invalid_argument on an unknown buffer id. *)
@@ -121,5 +119,3 @@ val read_buffer :
   bytes
 (** Device-to-host DMA; blocks and returns a copy of the data. *)
 
-val utilization : t -> elapsed:Time.t -> float
-(** Busy fraction over an elapsed window. *)

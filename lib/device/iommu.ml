@@ -28,38 +28,30 @@ let reg_map_size = 0x08
 let reg_invalidate = 0x10
 
 type mapping = {
-  mp_iova : int64;
   mp_data : bytes;  (** pinned guest pages backing the region *)
   mp_size : int;
   mutable mp_faulted : bool;  (** translation resident in the IOTLB *)
 }
 
 type t = {
-  engine : Engine.t;
   timing : Timing.iommu;
   regs : Mmio.t;
   table : (int64, mapping) Hashtbl.t;
   mutable next_iova : int64;
   mutable maps : int;
-  mutable faults : int;
 }
 
-let create ?(timing = Timing.default_iommu) engine =
+let create ?(timing = Timing.default_iommu) () =
   {
-    engine;
     timing;
     regs = Mmio.create ();
     table = Hashtbl.create 64;
     next_iova = iova_base;
     maps = 0;
-    faults = 0;
   }
 
-let engine t = t.engine
 let timing t = t.timing
-let regs t = t.regs
 let maps t = t.maps
-let faults t = t.faults
 let mappings t = Hashtbl.length t.table
 
 let pages_of size = (size + page_size - 1) / page_size
@@ -82,18 +74,9 @@ let map t data =
   Mmio.write t.regs ~addr:reg_map_base iova;
   Mmio.write t.regs ~addr:reg_map_size (Int64.of_int size);
   Hashtbl.replace t.table iova
-    { mp_iova = iova; mp_data = data; mp_size = size; mp_faulted = false };
+    { mp_data = data; mp_size = size; mp_faulted = false };
   t.maps <- t.maps + 1;
   iova
-
-(* Tear down one translation: IOTLB shootdown, then unpin. *)
-let unmap t iova =
-  match Hashtbl.find_opt t.table iova with
-  | None -> invalid_arg "Iommu.unmap: unknown IOVA"
-  | Some _ ->
-      Engine.delay t.timing.Timing.shootdown_ns;
-      Mmio.write t.regs ~addr:reg_invalidate iova;
-      Hashtbl.remove t.table iova
 
 (* Resolve a device access to a mapped region.  The first touch of each
    mapping misses the IOTLB and pays the IO-page-fault service cost;
@@ -113,7 +96,6 @@ let translate t ~iova ~size =
     | Some m ->
         if not m.mp_faulted then begin
           m.mp_faulted <- true;
-          t.faults <- t.faults + 1;
           Engine.delay t.timing.Timing.fault_ns
         end;
         if size = m.mp_size then Ok m.mp_data

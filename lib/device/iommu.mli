@@ -5,34 +5,22 @@
     references instead of payload bytes.  The first device access to a
     mapping pays an IO page fault; invalidation pays an IOTLB
     shootdown — zero-copy is cheaper than copying, not free.  Costs are
-    charged with [Engine.delay], so [map]/[unmap]/[translate]/[quiesce]
-    must run inside a simulation process. *)
-
-open Ava_sim
+    charged with [Engine.delay], so [map]/[translate]/[quiesce] must
+    run inside a simulation process. *)
 
 val iova_base : int64
 val iova_limit : int64
 (** Valid IOVA window [\[iova_base, iova_limit)].  References outside it
     are rejected at wire-decode time and by {!translate}. *)
 
-val page_size : int
-
 type t
 
-val create : ?timing:Timing.iommu -> Engine.t -> t
-val engine : t -> Engine.t
+val create : ?timing:Timing.iommu -> unit -> t
 val timing : t -> Timing.iommu
-
-val regs : t -> Mmio.t
-(** The unit's command register file (map / invalidate traffic). *)
 
 val map : t -> bytes -> int64
 (** Pin the buffer's pages and install a translation; returns the IOVA.
     @raise Failure if the IOVA window is exhausted. *)
-
-val unmap : t -> int64 -> unit
-(** IOTLB shootdown, then unpin.
-    @raise Invalid_argument on an unknown IOVA. *)
 
 val translate : t -> iova:int64 -> size:int -> (bytes, string) result
 (** Resolve a device access: exact-base, in-bounds references return the
@@ -52,5 +40,4 @@ val release_all : t -> unit
 (** {1 Counters} *)
 
 val maps : t -> int
-val faults : t -> int
 val mappings : t -> int

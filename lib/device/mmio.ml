@@ -33,15 +33,6 @@ let read t ~addr =
 let on_write t ~addr hook = Hashtbl.replace t.hooks addr hook
 
 let access_count t = t.writes + t.reads
-let write_count t = t.writes
-let read_count t = t.reads
-
-(* Sorted register dump (address, value) — lets tests and reports
-   inspect command-register traffic (e.g. the IOMMU's invalidation
-   register) without poking the hashtable. *)
-let snapshot t =
-  Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) t.regs []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
 
 (* A port is a driver's view of the register file with access costs
    baked in.  Implementations must be called from within a process. *)

@@ -21,11 +21,6 @@ val on_write : t -> addr:int -> (int64 -> unit) -> unit
 (** Install the (single) write hook for an address. *)
 
 val access_count : t -> int
-val write_count : t -> int
-val read_count : t -> int
-
-val snapshot : t -> (int * int64) list
-(** Sorted (address, value) register dump, for tests and reports. *)
 
 (** A driver's view of the register file with access costs baked in.
     Implementations must be called from within a process. *)

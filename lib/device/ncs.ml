@@ -24,10 +24,8 @@ type t = {
   graphs : (int, graph) Hashtbl.t;
   fault : Devfault.t option;
   mutable plugged : bool;
-  mutable resets : int;
   mutable next_graph_id : int;
   mutable inferences : int;
-  mutable busy_ns : Time.t;
 }
 
 exception Device_lost
@@ -41,18 +39,14 @@ let create ?(timing = Timing.movidius) ?devfault engine =
     graphs = Hashtbl.create 8;
     fault = devfault;
     plugged = true;
-    resets = 0;
     next_graph_id = 1;
     inferences = 0;
-    busy_ns = 0;
   }
 
 let engine t = t.engine
 let inferences t = t.inferences
-let busy_ns t = t.busy_ns
 let live_graphs t = Hashtbl.length t.graphs
 let plugged t = t.plugged
-let resets t = t.resets
 
 let replug t =
   if not t.plugged then begin
@@ -62,9 +56,7 @@ let replug t =
 
 (* Forced re-enumeration (the TDR reset path): plug the stick straight
    back in without waiting out the natural re-enumeration delay. *)
-let reset t =
-  t.resets <- t.resets + 1;
-  replug t
+let reset t = replug t
 
 (* Occupy the USB pipe for one transaction; blocks, and raises
    [Device_lost] if the stick is (or becomes) unplugged. *)
@@ -137,13 +129,11 @@ let infer t graph ~input ~output_bytes =
   usb_transfer t ~bytes:(Bytes.length input);
   let result =
     Semaphore.with_acquired t.stick (fun () ->
-        let start = Engine.now t.engine in
         List.iter
           (fun flops ->
             Engine.delay
               (Time.of_float_s (flops /. t.timing.Timing.ncs_flops_per_s)))
           graph.layer_flops;
-        t.busy_ns <- t.busy_ns + Time.sub (Engine.now t.engine) start;
         t.inferences <- t.inferences + 1;
         let full = apply_layers graph input in
         if output_bytes >= Bytes.length full then full

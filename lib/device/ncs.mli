@@ -29,14 +29,10 @@ val create : ?timing:Timing.ncs -> ?devfault:Devfault.t -> Engine.t -> t
 
 val engine : t -> Engine.t
 val inferences : t -> int
-val busy_ns : t -> Time.t
 val live_graphs : t -> int
 
 val plugged : t -> bool
 (** Whether the stick is currently enumerated. *)
-
-val resets : t -> int
-(** Forced re-enumerations via {!reset}. *)
 
 val reset : t -> unit
 (** Force immediate re-enumeration (the TDR reset path).  Loaded graphs

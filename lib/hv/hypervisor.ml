@@ -11,11 +11,9 @@
    All three reuse the identical SimCL silo code; only the access path
    differs, which is the paper's central observation about silos. *)
 
-open Ava_sim
 open Ava_device
 
 type t = {
-  engine : Engine.t;
   virt : Timing.virt;
   mutable vms : Vm.t list;
   mutable next_vm_id : int;
@@ -24,11 +22,10 @@ type t = {
       (** vm_id -> dedicated device, for pass-through / full-virt guests *)
 }
 
-let create ?(virt = Timing.default_virt) ?(vm_id_base = 1) engine =
+let create ?(virt = Timing.default_virt) ?(vm_id_base = 1) () =
   if vm_id_base < 1 then invalid_arg "Hypervisor.create: vm_id_base must be >= 1";
-  { engine; virt; vms = []; next_vm_id = vm_id_base; traps = 0; attachments = [] }
+  { virt; vms = []; next_vm_id = vm_id_base; traps = 0; attachments = [] }
 
-let engine t = t.engine
 let virt t = t.virt
 let vms t = List.rev t.vms
 let traps t = t.traps

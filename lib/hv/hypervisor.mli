@@ -13,17 +13,15 @@
     All techniques reuse the identical SimCL silo code; only the access
     path differs — the paper's central observation about silos. *)
 
-open Ava_sim
 open Ava_device
 
 type t
 
-val create : ?virt:Timing.virt -> ?vm_id_base:int -> Engine.t -> t
+val create : ?virt:Timing.virt -> ?vm_id_base:int -> unit -> t
 (** [vm_id_base] (default 1) is the first VM id this hypervisor mints.
     A cluster gives each host a disjoint base so VM ids stay globally
     unique — migration, routing and observability all key on them. *)
 
-val engine : t -> Engine.t
 val virt : t -> Timing.virt
 val vms : t -> Vm.t list
 (** In creation order. *)

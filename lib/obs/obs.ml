@@ -189,9 +189,6 @@ let incr ?(by = 1) t name =
   | Some r -> r := !r + by
   | None -> Hashtbl.replace t.counters name (ref by)
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -26,9 +26,6 @@ type phase =
   | P_reply_transport  (** server → guest reply hop *)
   | P_unmarshal  (** guest-side reply decode + wakeup *)
 
-val phases : phase list
-(** All phases, in pipeline order. *)
-
 val phase_name : phase -> string
 
 (** Timestamps stamped by the stack; each ends one phase.  Marks are
@@ -98,7 +95,6 @@ val forget_vm : t -> vm:int -> unit
 (** {1 Counters and gauges} *)
 
 val incr : ?by:int -> t -> string -> unit
-val counter : t -> string -> int
 
 val counters : t -> (string * int) list
 (** Sorted by name. *)

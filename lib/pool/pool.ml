@@ -491,8 +491,9 @@ let emigrate t ~vm_id ~into =
 (* {1 Retirement} *)
 
 (* Retire a VM from the pool: detach its server entry (the worker
-   exits at its next wakeup), drop its residency, and clear any circuit
-   breaker so a future tenant reusing the id starts clean.
+   exits at its next wakeup), drop its residency, and detach its router
+   conn (flow, seq window, circuit breaker), so a future tenant reusing
+   the id starts clean.
 
    Idempotent and validated rather than raising: admit/retire churn in a
    chaos campaign races retirement against the skew monitor and
@@ -512,7 +513,7 @@ let retire_vm t ~vm_id =
             Server.detach_vm d.dev_server ~vm_id)
         t.devices;
       t.vms <- List.remove_assoc vm_id t.vms;
-      Router.clear_breaker t.router ~vm_id;
+      Router.detach_vm t.router ~vm_id;
       t.retires <- t.retires + 1;
       true
 

@@ -244,7 +244,8 @@ val emigrate : 'st t -> vm_id:int -> into:'st t -> int option
 val retire_vm : 'st t -> vm_id:int -> bool
 (** Retire the VM: detach its server entry (the worker exits at its
     next wakeup, {!Server.detach_vm}),
-    drop residency everywhere, clear any circuit breaker.  Idempotent —
+    drop residency everywhere, detach its router conn
+    ({!Router.detach_vm}).  Idempotent —
     an unknown (already retired) VM returns [false] — and validated: a
     VM with a migration between pause and flow move is refused
     ([false]); retry after the migration completes.  The caller must

@@ -46,16 +46,13 @@ module Token_bucket = struct
     end
 
   let throttle_ns t = t.throttle_ns
-
-  let available t =
-    refill t;
-    t.tokens
 end
 
 module Wfq = struct
   (* Weighted fair queueing with per-item finish tags (virtual time).
      Flows are VMs; item cost is the router's resource estimate for the
-     forwarded call.
+     forwarded call.  A flow is a handle its owner (the router's
+     connection) holds: the scheduler keeps no table of flows.
 
      Push and pop allocate one queue cell per item and nothing else: the
      items' tags and costs live in flat per-flow float rings that run in
@@ -74,6 +71,7 @@ module Wfq = struct
   type rate = { mutable weight : float; mutable last_tag : float }
 
   type 'a flow = {
+    id : int;  (** breaks ties between equal head tags *)
     rate : rate;
     payloads : 'a Queue.t;
     mutable tags : float array;
@@ -83,7 +81,6 @@ module Wfq = struct
   }
 
   type 'a t = {
-    flows : (int, 'a flow) Hashtbl.t;
     clock : clock;
     mutable backlogged : 'a flow array;
         (** the flows with queued items: the first [n_backlogged] cells *)
@@ -92,9 +89,7 @@ module Wfq = struct
     mutable waiter : unit -> unit;
     mutable enqueued : int;
     mutable dequeued : int;
-    none : 'a flow;  (** stands for "no flow" in [best] *)
-    mutable best : 'a flow;  (** the tie scan's running result *)
-    mutable visit : int -> 'a flow -> unit;
+    none : 'a flow;  (** stands for "no flow" *)
     mutable park : (unit -> unit) -> unit;
   }
 
@@ -104,8 +99,9 @@ module Wfq = struct
      no float is boxed to pass it. *)
   let[@inline] fmax (a : float) b = if b > a then b else a
 
-  let make_flow weight =
+  let make_flow id weight =
     {
+      id;
       rate = { weight; last_tag = 0.0 };
       payloads = Queue.create ();
       tags = Array.make 4 0.0;
@@ -117,10 +113,9 @@ module Wfq = struct
   let ignore_unit () = ()
 
   let create () =
-    let none = make_flow 1.0 in
+    let none = make_flow (-1) 1.0 in
     let t =
       {
-        flows = Hashtbl.create 8;
         clock = { vtime = 0.0; best_tag = 0.0 };
         backlogged = Array.make 4 none;
         n_backlogged = 0;
@@ -129,23 +124,11 @@ module Wfq = struct
         enqueued = 0;
         dequeued = 0;
         none;
-        best = none;
-        visit = (fun _ _ -> ());
         park = (fun _ -> ());
       }
     in
-    (* Two closures for the scheduler's lifetime, so neither a pop's scan
-       nor its wait builds one: [visit] folds the running minimum into
-       [best], [park] registers the blocked popper. *)
-    t.visit <-
-      (fun _ f ->
-        if not (Queue.is_empty f.payloads) then begin
-          let tag = f.tags.(f.head) in
-          if t.best == t.none || tag < t.clock.best_tag then begin
-            t.best <- f;
-            t.clock.best_tag <- tag
-          end
-        end);
+    (* One closure for the scheduler's lifetime, so a pop's wait builds
+       none: [park] registers the blocked popper. *)
     t.park <-
       (fun resume ->
         if t.waiting then
@@ -154,10 +137,9 @@ module Wfq = struct
         t.waiter <- resume);
     t
 
-  let add_flow t ~flow_id ~weight =
+  let add_flow (_ : 'a t) ~flow_id ~weight =
     if weight <= 0.0 then invalid_arg "Wfq.add_flow: weight must be positive";
-    if Hashtbl.mem t.flows flow_id then invalid_arg "Wfq.add_flow: flow exists";
-    Hashtbl.replace t.flows flow_id (make_flow weight)
+    make_flow flow_id weight
 
   (* A flow's first queued item puts it in the backlogged set. *)
   let backlog_flow t f =
@@ -203,81 +185,58 @@ module Wfq = struct
      are re-tagged in FIFO order as if freshly enqueued at the current
      scheduler virtual time under the new weight, so a backlogged flow
      does not keep draining at the old rate until its queue empties. *)
-  let set_weight t ~flow_id ~weight =
+  let set_weight t f ~weight =
     if weight <= 0.0 then invalid_arg "Wfq.set_weight: weight must be positive";
-    match Hashtbl.find_opt t.flows flow_id with
-    | None -> invalid_arg "Wfq.set_weight: unknown flow"
-    | Some f ->
-        f.rate.weight <- weight;
-        let n = Queue.length f.payloads in
-        if n > 0 then begin
-          let last = ref t.clock.vtime in
-          for i = 0 to n - 1 do
-            let j = ring_at f i in
-            let tag = !last +. (fmax 1.0 f.costs.(j) /. weight) in
-            last := tag;
-            f.tags.(j) <- tag
-          done;
-          f.rate.last_tag <- !last
-        end
+    f.rate.weight <- weight;
+    let n = Queue.length f.payloads in
+    if n > 0 then begin
+      let last = ref t.clock.vtime in
+      for i = 0 to n - 1 do
+        let j = ring_at f i in
+        let tag = !last +. (fmax 1.0 f.costs.(j) /. weight) in
+        last := tag;
+        f.tags.(j) <- tag
+      done;
+      f.rate.last_tag <- !last
+    end
 
-  let flow_weight t ~flow_id =
-    match Hashtbl.find_opt t.flows flow_id with
-    | None -> invalid_arg "Wfq.flow_weight: unknown flow"
-    | Some f -> f.rate.weight
+  let flow_weight f = f.rate.weight
 
-  let push t ~flow_id ~cost payload =
-    match Hashtbl.find t.flows flow_id with
-    | exception Not_found -> invalid_arg "Wfq.push: unknown flow"
-    | f ->
-        let start = fmax t.clock.vtime f.rate.last_tag in
-        let tag = start +. (fmax 1.0 cost /. f.rate.weight) in
-        f.rate.last_tag <- tag;
-        ring_push f tag cost;
-        if f.slot < 0 then backlog_flow t f;
-        Queue.push payload f.payloads;
-        t.enqueued <- t.enqueued + 1;
-        if t.waiting then begin
-          let resume = t.waiter in
-          t.waiting <- false;
-          t.waiter <- ignore_unit;
-          resume ()
-        end
+  let push t f ~cost payload =
+    let start = fmax t.clock.vtime f.rate.last_tag in
+    let tag = start +. (fmax 1.0 cost /. f.rate.weight) in
+    f.rate.last_tag <- tag;
+    ring_push f tag cost;
+    if f.slot < 0 then backlog_flow t f;
+    Queue.push payload f.payloads;
+    t.enqueued <- t.enqueued + 1;
+    if t.waiting then begin
+      let resume = t.waiter in
+      t.waiting <- false;
+      t.waiter <- ignore_unit;
+      resume ()
+    end
 
-  (* Among all flows, in [Hashtbl.iter] order, the first backlogged one
-     whose head has the smallest finish tag. *)
-  let scan_all t =
-    t.best <- t.none;
-    Hashtbl.iter t.visit t.flows;
-    let f = t.best in
-    t.best <- t.none;
-    f
-
-  (* The backlogged flow whose head has the smallest finish tag, or
-     [none].  Only backlogged flows are scanned; when two of them tie on
-     the smallest tag, [scan_all] picks the winner, the flow
-     [Hashtbl.iter] visits first, which is how ties have always gone.
-     An explicit lowest-flow-id tie-break would delete that fallback
-     (and with it the last scan over every flow). *)
+  (* The backlogged flow whose head has the smallest finish tag, the
+     lowest flow id among equal tags, or [none]. *)
   let min_flow t =
     match t.n_backlogged with
     | 0 -> t.none
     | 1 -> t.backlogged.(0)
     | n ->
         let a = t.backlogged in
-        let best = ref a.(0) and tie = ref false in
+        let best = ref a.(0) in
         t.clock.best_tag <- a.(0).tags.(a.(0).head);
         for i = 1 to n - 1 do
           let f = a.(i) in
           let tag = f.tags.(f.head) in
-          if tag < t.clock.best_tag then begin
+          if tag < t.clock.best_tag || (tag = t.clock.best_tag && f.id < !best.id)
+          then begin
             best := f;
-            t.clock.best_tag <- tag;
-            tie := false
+            t.clock.best_tag <- tag
           end
-          else if tag = t.clock.best_tag then tie := true
         done;
-        if !tie then scan_all t else !best
+        !best
 
   (* Blocking: the flow whose head item goes next. *)
   let rec next t =
@@ -304,20 +263,17 @@ module Wfq = struct
   (* Remove a flow, handing back its queued (payload, cost) items in
      FIFO order.  The items stop counting toward [backlog]; the caller
      re-enqueues them elsewhere (the router uses this to re-steer a VM
-     onto another backend's scheduler). *)
-  let remove_flow t ~flow_id =
-    match Hashtbl.find_opt t.flows flow_id with
-    | None -> invalid_arg "Wfq.remove_flow: unknown flow"
-    | Some f ->
-        let drained =
-          List.mapi
-            (fun i p -> (p, f.costs.(ring_at f i)))
-            (List.of_seq (Queue.to_seq f.payloads))
-        in
-        t.dequeued <- t.dequeued + Queue.length f.payloads;
-        if f.slot >= 0 then idle_flow t f;
-        Hashtbl.remove t.flows flow_id;
-        drained
+     onto another backend's scheduler) or drops them. *)
+  let remove_flow t f =
+    let drained =
+      List.mapi
+        (fun i p -> (p, f.costs.(ring_at f i)))
+        (List.of_seq (Queue.to_seq f.payloads))
+    in
+    t.dequeued <- t.dequeued + Queue.length f.payloads;
+    if f.slot >= 0 then idle_flow t f;
+    Queue.clear f.payloads;
+    drained
 end
 
 module Breaker = struct
@@ -460,7 +416,6 @@ module Quota = struct
     budget : float;
     mutable window_start : Time.t;
     mutable used : float;
-    mutable stalls : int;
   }
 
   let create engine ~window_ns ~budget =
@@ -471,7 +426,6 @@ module Quota = struct
       budget;
       window_start = Engine.now engine;
       used = 0.0;
-      stalls = 0;
     }
 
   let rotate t =
@@ -493,11 +447,8 @@ module Quota = struct
          window instead of stalling the VM forever. *)
       t.used <- cost
     else begin
-      t.stalls <- t.stalls + 1;
       let now = Engine.now t.engine in
       Engine.delay (t.window_start + t.window_ns - now);
       charge t cost
     end
-
-  let stalls t = t.stalls
 end

@@ -16,45 +16,50 @@ module Token_bucket : sig
 
   val throttle_ns : t -> Time.t
   (** Total time spent throttled so far. *)
-
-  val available : t -> float
 end
 
 (** Weighted fair queueing with per-item finish tags (virtual time).
     Flows are VMs; item cost is the router's resource estimate for the
-    forwarded call.  A pop costs O(backlogged flows), not O(flows). *)
+    forwarded call.  A flow is a handle held by its owner: the
+    scheduler keeps no table of flows.  A pop costs O(backlogged
+    flows), not O(flows). *)
 module Wfq : sig
   type 'a t
 
+  type 'a flow
+  (** One flow of one scheduler: pass it only to the scheduler that
+      added it. *)
+
   val create : unit -> 'a t
 
-  val add_flow : 'a t -> flow_id:int -> weight:float -> unit
-  (** @raise Invalid_argument if the flow already exists: replacing it
-      would drop its queued items. *)
+  val add_flow : 'a t -> flow_id:int -> weight:float -> 'a flow
+  (** A new, empty flow.  [flow_id] breaks ties in {!pop_payload};
+      the caller keeps ids unique among the scheduler's live flows. *)
 
-  val set_weight : 'a t -> flow_id:int -> weight:float -> unit
+  val set_weight : 'a t -> 'a flow -> weight:float -> unit
   (** Takes effect immediately: the flow's pending items are re-tagged
       in FIFO order under the new weight, as if freshly enqueued at the
       scheduler's current virtual time, so a backlogged flow does not
       keep draining at its old rate until the backlog clears. *)
 
-  val flow_weight : 'a t -> flow_id:int -> float
+  val flow_weight : 'a flow -> float
   (** The flow's current weight. *)
 
-  val push : 'a t -> flow_id:int -> cost:float -> 'a -> unit
+  val push : 'a t -> 'a flow -> cost:float -> 'a -> unit
   (** Enqueue one item; wakes the blocked popper, if any. *)
 
-  val remove_flow : 'a t -> flow_id:int -> ('a * float) list
+  val remove_flow : 'a t -> 'a flow -> ('a * float) list
   (** Remove the flow, returning its queued (payload, cost) items in
       FIFO order; they stop counting toward {!backlog}.  Used to
-      re-steer a flow onto another scheduler instance. *)
+      re-steer a flow onto another scheduler instance, and to detach
+      one. *)
 
   val pop_payload : 'a t -> 'a
   (** Remove the item with the smallest finish tag and return its
       payload, blocking the calling process while all flows are empty.
-      Per-flow FIFO order is preserved.  Equal tags go to the flow that
-      [Hashtbl.iter] visits first over the scheduler's flow table.  At
-      most one concurrent popper is supported. *)
+      Per-flow FIFO order is preserved.  Equal tags go to the flow with
+      the lowest [flow_id].  At most one concurrent popper is
+      supported. *)
 
   val backlog : 'a t -> int
 end
@@ -115,6 +120,4 @@ module Quota : sig
       cost exceeding the whole window budget is admitted at a fresh
       window (overdrawing it), so an oversized call throttles to one
       per window rather than wedging the VM forever. *)
-
-  val stalls : t -> int
 end

@@ -51,6 +51,9 @@ and vm_conn = {
   mutable server_side : Transport.endpoint;
       (** router's endpoint facing the VM's current backend server *)
   mutable rc_backend : backend;  (** backend currently steering this VM *)
+  mutable rc_flow : fwd Policy.Wfq.flow;  (** this VM's flow in [rc_backend] *)
+  mutable rc_detached : bool;
+      (** retired by {!detach_vm}: ingress drops what still arrives *)
   mutable rc_obs : Obs.vm option;
       (** this VM's spans in the owning router's registry *)
   rc_cursor : Message.cursor;  (** ingress's frame cursor, reused *)
@@ -90,8 +93,8 @@ and t = {
   mutable quarantined : int;
       (** calls rejected at admission by an open breaker *)
   mutable dropped : int;
-      (** frames dropped unanswered: copies of queued calls, and seqs
-          outside their VM's window *)
+      (** frames dropped unanswered: copies of queued calls, seqs
+          outside their VM's window, and a detached VM's frames *)
   mutable resteered : int;  (** VMs live-moved between backends *)
   mutable paced_ns : Time.t;
   obs : Obs.t option;
@@ -144,6 +147,7 @@ let dropped t = t.dropped
 let resteered t = t.resteered
 
 let find_conn t vm_id = Hashtbl.find_opt t.conns vm_id
+let attached t ~vm_id = Hashtbl.mem t.conns vm_id
 
 (* --- seq window --------------------------------------------------------------- *)
 
@@ -303,13 +307,6 @@ let mark_in t conn seq =
   | Some o -> Obs.vm_mark o ~seq Obs.M_router_in ~at:(Engine.now t.engine)
   | None -> ()
 
-(* Push into whichever backend steers this VM now: a policing stall can
-   span a re-steer or a cross-router transfer, which re-point
-   [rc_backend]. *)
-let push_wfq conn fw =
-  Policy.Wfq.push conn.rc_backend.bs_wfq ~flow_id:(Vm.id conn.rc_vm)
-    ~cost:fw.fw_cost fw
-
 (* Admission verdicts; any other verdict is a cost, and the call is
    forwarded. *)
 let rejected_cost = -1.0  (* answered with a rejection, skipped at the server *)
@@ -330,6 +327,13 @@ let reject_policed t conn seq status =
 let drop t =
   t.dropped <- t.dropped + 1;
   dropped_cost
+
+(* Push into whichever flow steers this VM now: a policing stall can
+   span a re-steer or a cross-router transfer, which re-point
+   [rc_backend] and [rc_flow], or a detach, which drops the frame. *)
+let push_wfq t conn fw =
+  if conn.rc_detached then ignore (drop t)
+  else Policy.Wfq.push conn.rc_backend.bs_wfq conn.rc_flow ~cost:fw.fw_cost fw
 
 (* Verify and cost member [i] of the frame under the cursor, or reject
    it.  Verification: the call must name a spec'd function and carry
@@ -386,7 +390,7 @@ let admit t conn cu i =
         rejected_cost
 
 (* Queue a frame; the seqs in [lo, hi] it admitted now point at it. *)
-let forward conn data cost ~lo ~hi =
+let forward t conn data cost ~lo ~hi =
   let fw =
     { fw_conn = conn; fw_data = data; fw_cost = cost; fw_lo = lo; fw_hi = hi;
       fw_sent = false }
@@ -396,7 +400,7 @@ let forward conn data cost ~lo ~hi =
     | Policing -> set_cell conn seq (Admitted fw)
     | _ -> ()
   done;
-  push_wfq conn fw
+  push_wfq t conn fw
 
 (* Member seqs of the frame under the cursor whose verdict satisfies
    [p], in member order. *)
@@ -449,8 +453,17 @@ let ingress_frame t conn data =
         in
         match frames with [ frame ] -> frame | frames -> Message.batch_of_frames frames
     in
-    forward conn data !cost ~lo:!lo ~hi:!hi
+    forward t conn data !cost ~lo:!lo ~hi:!hi
   end
+
+(* A call frame reaching a detached VM: each member still counts as a
+   call its guest issued (the VM record outlives the retire), but the
+   frame is dropped, never verified, policed or queued. *)
+let drop_detached t conn =
+  for _ = 1 to Message.members conn.rc_cursor do
+    Vm.charge_call conn.rc_vm
+  done;
+  ignore (drop t)
 
 (* Ingress: guest -> verify -> police -> WFQ.  Re-read the owning router
    for every message: a cross-host migration re-points [rc_owner], and
@@ -467,7 +480,7 @@ let ingress conn data =
       t.rejected <- t.rejected + 1
   | Ok (Message.K_call | Message.K_batch) ->
       Vm.charge_bytes conn.rc_vm (Bytes.length data);
-      ingress_frame t conn data
+      if conn.rc_detached then drop_detached t conn else ingress_frame t conn data
 
 let obs_handle t vm = Option.map (fun o -> Obs.vm o ~vm:(Vm.id vm)) t.obs
 
@@ -476,11 +489,15 @@ let obs_handle t vm = Option.map (fun o -> Obs.vm o ~vm:(Vm.id vm)) t.obs
    (pool device) the VM starts on.  Policy knobs:
    - [rate_per_s]/[burst]: API-call rate limit,
    - [weight]: WFQ share,
-   - [quota_cost]/[quota_window]: device-time budget per window. *)
+   - [quota_cost]/[quota_window]: device-time budget per window.
+   Attaching an attached VM raises before anything changes. *)
 let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
     ?(quota_window = Time.ms 100) ?breaker
     ?(breaker_statuses = [ Server.status_device_lost ]) ?(backend = 0) t vm
     ~guest_side ~server_side =
+  let vm_id = Vm.id vm in
+  if Hashtbl.mem t.conns vm_id then
+    invalid_arg (Printf.sprintf "Router.attach_vm: vm %d is attached" vm_id);
   let bucket =
     Option.map
       (fun r -> Policy.Token_bucket.create t.engine ~rate_per_s:r ~burst)
@@ -498,6 +515,8 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       guest_side;
       server_side;
       rc_backend = b;
+      rc_flow = Policy.Wfq.add_flow b.bs_wfq ~flow_id:vm_id ~weight;
+      rc_detached = false;
       rc_obs = obs_handle t vm;
       rc_cursor = Message.cursor ();
       rc_costs = [||];
@@ -511,10 +530,9 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       fault_replies = 0;
     }
   in
-  Hashtbl.replace t.conns (Vm.id vm) conn;
-  Policy.Wfq.add_flow b.bs_wfq ~flow_id:(Vm.id vm) ~weight;
+  Hashtbl.replace t.conns vm_id conn;
   start_dispatcher t b;
-  Engine.spawn t.engine ~name:(Printf.sprintf "ava-router-in-vm%d" (Vm.id vm))
+  Engine.spawn t.engine ~name:(Printf.sprintf "ava-router-in-vm%d" vm_id)
     (fun () ->
       let rec loop () =
         ingress conn (Transport.recv guest_side);
@@ -538,8 +556,8 @@ let set_rate_limit t ~vm_id ~rate_per_s ~burst =
 let clear_rate_limit t ~vm_id = (conn_exn t "clear_rate_limit" vm_id).bucket <- None
 
 let set_weight t ~vm_id ~weight =
-  Policy.Wfq.set_weight (conn_exn t "set_weight" vm_id).rc_backend.bs_wfq
-    ~flow_id:vm_id ~weight
+  let conn = conn_exn t "set_weight" vm_id in
+  Policy.Wfq.set_weight conn.rc_backend.bs_wfq conn.rc_flow ~weight
 
 let set_quota t ~vm_id ~budget ~window_ns =
   (conn_exn t "set_quota" vm_id).quota <-
@@ -590,21 +608,21 @@ let paced_ns t = t.paced_ns
    order of its lowest in-flight seq.  Seqs the server did execute
    before crashing are answered from its reply log (idempotent replay),
    so wholesale requeue is safe. *)
-let requeue_conn t conn ~vm_id =
+let requeue_conn t conn =
   let n = ref 0 in
   for seq = conn.rc_base to conn.rc_top - 1 do
     match cell conn seq with
     | Admitted fw when fw.fw_sent ->
         fw.fw_sent <- false;
         incr n;
-        Policy.Wfq.push conn.rc_backend.bs_wfq ~flow_id:vm_id ~cost:fw.fw_cost fw
+        Policy.Wfq.push conn.rc_backend.bs_wfq conn.rc_flow ~cost:fw.fw_cost fw
     | _ -> ()
   done;
   t.requeued <- t.requeued + !n;
   !n
 
 let requeue_in_flight t ~vm_id =
-  requeue_conn t (conn_exn t "requeue_in_flight" vm_id) ~vm_id
+  requeue_conn t (conn_exn t "requeue_in_flight" vm_id)
 
 (* The window's seqs in state [p], ascending. *)
 let window_seqs conn p =
@@ -652,9 +670,8 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
   let dst_b = backend_exn dst backend in
   if t != dst && Hashtbl.mem dst.conns vm_id then
     invalid_arg "Router.transfer_flow: vm already on destination router";
-  let src_b = conn.rc_backend in
-  let weight = Policy.Wfq.flow_weight src_b.bs_wfq ~flow_id:vm_id in
-  let queued = Policy.Wfq.remove_flow src_b.bs_wfq ~flow_id:vm_id in
+  let weight = Policy.Wfq.flow_weight conn.rc_flow in
+  let queued = Policy.Wfq.remove_flow conn.rc_backend.bs_wfq conn.rc_flow in
   if t != dst then begin
     Hashtbl.remove t.conns vm_id;
     Hashtbl.replace dst.conns vm_id conn;
@@ -663,13 +680,34 @@ let transfer_flow t ~dst ~vm_id ~backend ~server_side =
     t.resteered <- t.resteered + 1
   end;
   conn.rc_backend <- dst_b;
+  conn.rc_flow <- Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
   conn.server_side <- server_side;
-  Policy.Wfq.add_flow dst_b.bs_wfq ~flow_id:vm_id ~weight;
   List.iter
-    (fun (payload, cost) -> Policy.Wfq.push dst_b.bs_wfq ~flow_id:vm_id ~cost payload)
+    (fun (payload, cost) -> Policy.Wfq.push dst_b.bs_wfq conn.rc_flow ~cost payload)
     queued;
-  ignore (requeue_conn dst conn ~vm_id);
+  ignore (requeue_conn dst conn);
   send_skip conn (window_seqs conn is_rejected_cell);
   start_dispatcher dst dst_b;
   spawn_egress dst conn server_side;
   dst.resteered <- dst.resteered + 1
+
+(* Retire the VM from the router: its conn leaves [t.conns] and its flow
+   its backend, the queued frames dropped with it, and the seq window,
+   bucket, quota and breaker go.  The two processes parked on the VM's
+   transports stay: ingress drops what still arrives ([drop_detached]),
+   and egress forwards late replies untouched. *)
+let detach_vm t ~vm_id =
+  let conn = conn_exn t "detach_vm" vm_id in
+  let queued = Policy.Wfq.remove_flow conn.rc_backend.bs_wfq conn.rc_flow in
+  t.dropped <- t.dropped + List.length queued;
+  Hashtbl.remove t.conns vm_id;
+  conn.rc_detached <- true;
+  conn.rc_obs <- None;
+  (* An empty window, still one cell wide: a frame stalled in policing
+     across the detach resumes through [admit] and is dropped at the
+     push. *)
+  conn.rc_cells <- [| Unseen |];
+  conn.rc_top <- conn.rc_base;
+  conn.bucket <- None;
+  conn.quota <- None;
+  conn.breaker <- None

@@ -44,8 +44,10 @@ val quarantined : t -> int
 
 val dropped : t -> int
 (** Frames dropped unanswered (summed over all VMs): copies of calls
-    still queued in the WFQ, and seqs outside their VM's seq window —
-    below its base, or absurdly far past it. *)
+    still queued in the WFQ, seqs outside their VM's seq window —
+    below its base, or absurdly far past it — and the frames of a VM
+    {!detach_vm} retired: those still queued, and those arriving
+    later. *)
 
 val resteered : t -> int
 (** Flows moved by {!transfer_flow}, counted once on each router
@@ -69,6 +71,8 @@ val attach_vm :
   server_side:Transport.endpoint ->
   vm_conn
 (** Attach one VM between its guest-facing and server-facing endpoints.
+    Raises [Invalid_argument] if the VM is attached already, before
+    anything changes.
     [backend] names the dispatch lane (pool device) the VM starts on
     (default 0, the lane every router is created with).
     Policy knobs: [rate_per_s]/[burst] arm an API-call rate limit;
@@ -80,6 +84,19 @@ val attach_vm :
     {!Server.status_vm_quarantined} and never reach the WFQ, so other
     VMs' service is unperturbed.  {!breaker_info} reads its state,
     trips and rejections back. *)
+
+val attached : t -> vm_id:int -> bool
+(** Does the router hold a connection for the VM? *)
+
+val detach_vm : t -> vm_id:int -> unit
+(** Retire the VM from the router: its connection, WFQ flow (queued
+    calls dropped), seq window and policy objects go, and the
+    administration calls below raise for it from then on.  A call
+    frame that still reaches its ingress is dropped unpoliced and
+    counted in {!dropped}; its calls still count in the VM's
+    [Vm.api_calls], as calls its guest issued.  The VM's two router
+    processes stay parked on its transports.  Raises
+    [Invalid_argument] for an unattached VM. *)
 
 (** {1 Administration interface (§4.3)} *)
 

@@ -68,8 +68,6 @@ module Ctx = struct
       t.handles None
 
   let forget t guest = Hashtbl.remove t.handles guest
-
-  let live t = Hashtbl.length t.handles
 end
 
 (* Per-VM content store, the server half of the transfer cache: maps
@@ -326,7 +324,6 @@ let sva_rejected t = t.sva_rejected
 let tdr_resets t = t.tdr_resets
 let device_lost t = t.device_lost
 let unexpected_exns t = t.unexpected_exns
-let device_id t = t.device_id
 
 let find_vm t vm_id = List.assoc_opt vm_id t.vm_entries
 

@@ -44,7 +44,6 @@ module Ctx : sig
   val resolve : t -> int -> int option
   val reverse : t -> host:int -> int option
   val forget : t -> int -> unit
-  val live : t -> int
 end
 
 type 'st handler =
@@ -174,9 +173,6 @@ val unexpected_exns : 'st t -> int
 
 val cache_capacity : 'st t -> int
 (** The per-VM content-store bound this server was created with. *)
-
-val device_id : 'st t -> int
-(** The pool device this server fronts; -1 when unpooled. *)
 
 val cache_stats : 'st t -> vm_id:int -> cache_stats option
 val cache_totals : 'st t -> cache_stats

@@ -228,7 +228,6 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
       loop ());
   t
 
-let vm_id t = t.vm_id
 let batches_sent t = t.batches_sent
 let upcalls_received t = t.upcalls
 let retries t = t.retries

@@ -83,8 +83,6 @@ val create :
     opens a span per forwarded call and stamps its marshal/send/reply
     marks; the registry is passive and never advances virtual time. *)
 
-val vm_id : t -> int
-
 val retries : t -> int
 (** Watchdog resends performed so far. *)
 

@@ -31,9 +31,6 @@ let create ?capacity () =
     closed = false;
   }
 
-let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
-
 let is_full t =
   match t.capacity with None -> false | Some c -> Queue.length t.items >= c
 

@@ -11,9 +11,6 @@ exception Closed
 val create : ?capacity:int -> unit -> 'a t
 (** Unbounded unless [capacity] (>= 1) is given. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val send : 'a t -> 'a -> unit
 (** Blocking send; must run inside a process when the channel is full. *)
 

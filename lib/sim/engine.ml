@@ -256,8 +256,6 @@ let delay d =
 
 let await register = Effect.perform (Await register)
 
-let yield () = delay 0
-
 let spawn t ?name body =
   ignore name;
   t.spawned <- t.spawned + 1;

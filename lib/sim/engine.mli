@@ -43,9 +43,6 @@ val await : (('a -> unit) -> unit) -> 'a
     resume callback that, when invoked (exactly once, at any later
     virtual time), resumes the process with the given value. *)
 
-val yield : unit -> unit
-(** [delay 0]: let same-instant events run. *)
-
 (** {1 Running} *)
 
 val run : ?until:Time.t -> t -> unit

@@ -177,11 +177,6 @@ let unsafe_pop t =
   remove_min t;
   payload
 
-let peek t =
-  if t.size = 0 then None
-  else
-    Some { key = t.keys.(0); seq = t.seqs.(0); payload = t.data.(t.slots.(0)) }
-
 let pop t =
   if t.size = 0 then None
   else

@@ -32,8 +32,5 @@ val unsafe_pop : 'a t -> 'a
     non-emptiness.  Calling any of them on an empty heap is undefined
     behaviour. *)
 
-val peek : 'a t -> 'a entry option
-(** Smallest entry without removing it (allocating convenience API). *)
-
 val pop : 'a t -> 'a entry option
 (** Remove and return the smallest entry (allocating convenience API). *)

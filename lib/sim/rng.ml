@@ -7,8 +7,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let next t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;

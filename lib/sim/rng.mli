@@ -6,7 +6,6 @@
 type t
 
 val create : int64 -> t
-val copy : t -> t
 
 val next : t -> int64
 (** The next raw 64-bit value. *)

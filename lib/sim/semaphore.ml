@@ -12,7 +12,6 @@ let create n =
   { available = n; total = n; waiters = Queue.create () }
 
 let available t = t.available
-let total t = t.total
 
 let acquire t =
   if t.available > 0 then t.available <- t.available - 1

@@ -7,11 +7,6 @@ val create : int -> t
 (** [create n] with [n >= 1] slots, all initially available. *)
 
 val available : t -> int
-val total : t -> int
-
-val acquire : t -> unit
-(** Take a slot, blocking the calling process while none is free.
-    Waiters are served FIFO. *)
 
 val release : t -> unit
 (** Return a slot, waking the oldest waiter if any.

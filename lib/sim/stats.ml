@@ -107,6 +107,3 @@ let summarize samples =
     p99 = percentile_sorted a 99.0;
   }
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d avg=%.3f std=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f"
-    s.count s.avg s.std s.minimum s.p50 s.p95 s.maximum

@@ -6,10 +6,7 @@ module Online : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
-  val variance : t -> float
-  (** Sample variance (n-1 denominator). *)
 
   val stddev : t -> float
   val min : t -> float
@@ -36,4 +33,3 @@ type summary = {
 }
 
 val summarize : float list -> summary
-val pp_summary : Format.formatter -> summary -> unit

@@ -24,10 +24,7 @@ let to_float_ms t = float_of_int t /. 1e6
 let to_float_s t = float_of_int t /. 1e9
 
 let add = ( + )
-let sub = ( - )
 let max = Stdlib.max
-let min = Stdlib.min
-let compare = Int.compare
 
 (* Duration of moving [bytes] at [bytes_per_s]; at least 1 ns when any data
    moves so that transfers never appear free. *)

@@ -32,10 +32,7 @@ val to_float_s : t -> float
 (** {1 Arithmetic} *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val max : t -> t -> t
-val min : t -> t -> t
-val compare : t -> t -> int
 
 val of_bandwidth : bytes:int -> bytes_per_s:float -> t
 (** Duration of moving [bytes] at [bytes_per_s]; at least 1 ns whenever

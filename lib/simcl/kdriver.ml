@@ -45,8 +45,6 @@ let alloc_buffer t ~size = ioctl t (fun () -> Gpu.create_buffer t.gpu ~size)
 
 let free_buffer t id = ioctl t (fun () -> Gpu.destroy_buffer t.gpu id)
 
-let find_buffer t id = Gpu.find_buffer t.gpu id
-
 (* Submit a command: a 16-word descriptor into the BAR-mapped ring, the
    descriptor registers, then the doorbell — the MMIO-heavy pattern that
    makes trap-based interposition so expensive (§2). *)

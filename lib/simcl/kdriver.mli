@@ -22,7 +22,6 @@ val gpu : t -> Gpu.t
 
 val alloc_buffer : t -> size:int -> (Gpu.buffer, [ `Out_of_memory ]) result
 val free_buffer : t -> int -> unit
-val find_buffer : t -> int -> Gpu.buffer option
 
 val submit : ?client:int -> t -> Gpu.kernel_work -> Gpu.completion
 (** Write the descriptor and ring the doorbell; returns immediately with

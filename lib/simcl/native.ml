@@ -20,18 +20,16 @@ type ev = {
   ev_done : unit Ivar.t;
   mutable ev_refs : int;
   mutable ev_status : event_status;
-  mutable ev_queued : Time.t;
+  ev_queued : Time.t;
   mutable ev_submitted : Time.t;
   mutable ev_started : Time.t;
   mutable ev_finished : Time.t;
 }
 
-type ctx = { mutable ctx_refs : int; ctx_devices : device_id list }
+type ctx = { mutable ctx_refs : int }
 
 type queue = {
   q_ctx : context;
-  q_device : device_id;
-  q_profiling : bool;
   mutable q_refs : int;
   mutable q_last : ev option;
   mutable q_tail_is_ring : bool;
@@ -44,14 +42,12 @@ type queue = {
 }
 
 type memobj = {
-  m_ctx : context;
   m_buf : Ava_device.Gpu.buffer;
   m_size : int;
   mutable m_refs : int;
 }
 
 type prog = {
-  p_ctx : context;
   p_source : string;
   mutable p_kernels : Builtin.t list option; (* Some after successful build *)
   mutable p_log : string;
@@ -59,7 +55,6 @@ type prog = {
 }
 
 type kern = {
-  k_prog : program;
   k_impl : Builtin.t;
   k_args : (int, kernel_arg) Hashtbl.t;
   mutable k_refs : int;
@@ -76,7 +71,6 @@ type st = {
   programs : (program, prog) Hashtbl.t;
   kernels : (kernel, kern) Hashtbl.t;
   events : (event, ev) Hashtbl.t;
-  mutable calls : int;
 }
 
 let the_platform = 1
@@ -86,8 +80,7 @@ let fresh st =
   st.next_handle <- st.next_handle + 1;
   st.next_handle
 
-let enter st =
-  st.calls <- st.calls + 1;
+let enter () =
   Engine.delay call_ns
 
 let lookup tbl h err = match Hashtbl.find_opt tbl h with
@@ -233,18 +226,17 @@ let create ?(client = 0) kd =
       programs = Hashtbl.create 8;
       kernels = Hashtbl.create 16;
       events = Hashtbl.create 64;
-      calls = 0;
     }
   in
   let module M = struct
     (* Platform / device *)
 
     let clGetPlatformIDs () =
-      enter st;
+      enter ();
       Ok [ the_platform ]
 
     let clGetPlatformInfo p info =
-      enter st;
+      enter ();
       if p <> the_platform then Error Invalid_platform
       else
         Ok
@@ -254,7 +246,7 @@ let create ?(client = 0) kd =
           | Platform_version -> "OpenCL 1.2 SimCL")
 
     let clGetDeviceIDs p ty =
-      enter st;
+      enter ();
       if p <> the_platform then Error Invalid_platform
       else
         match ty with
@@ -262,7 +254,7 @@ let create ?(client = 0) kd =
         | Device_accelerator -> Ok []
 
     let clGetDeviceInfo d info =
-      enter st;
+      enter ();
       if d <> the_device then Error Invalid_device
       else
         let timing = Ava_device.Gpu.timing (Kdriver.gpu st.kd) in
@@ -277,38 +269,38 @@ let create ?(client = 0) kd =
     (* Contexts *)
 
     let clCreateContext devices =
-      enter st;
+      enter ();
       if devices = [] || List.exists (fun d -> d <> the_device) devices then
         Error Invalid_device
       else begin
         let h = fresh st in
         Hashtbl.replace st.contexts h
-          { ctx_refs = 1; ctx_devices = devices };
+          { ctx_refs = 1 };
         Ok h
       end
 
     let clRetainContext c =
-      enter st;
+      enter ();
       let* ctx = lookup st.contexts c Invalid_context in
       ctx.ctx_refs <- ctx.ctx_refs + 1;
       Ok ()
 
     let clReleaseContext c =
-      enter st;
+      enter ();
       let* ctx = lookup st.contexts c Invalid_context in
       ctx.ctx_refs <- ctx.ctx_refs - 1;
       if ctx.ctx_refs = 0 then Hashtbl.remove st.contexts c;
       Ok ()
 
     let clGetContextInfo c =
-      enter st;
+      enter ();
       let* ctx = lookup st.contexts c Invalid_context in
       Ok ctx.ctx_refs
 
     (* Command queues *)
 
-    let clCreateCommandQueue c d ~profiling =
-      enter st;
+    let clCreateCommandQueue c d ~profiling:_ =
+      enter ();
       let* _ = lookup st.contexts c Invalid_context in
       if d <> the_device then Error Invalid_device
       else begin
@@ -316,8 +308,6 @@ let create ?(client = 0) kd =
         Hashtbl.replace st.queues h
           {
             q_ctx = c;
-            q_device = d;
-            q_profiling = profiling;
             q_refs = 1;
             q_last = None;
             q_tail_is_ring = true;
@@ -327,27 +317,27 @@ let create ?(client = 0) kd =
       end
 
     let clRetainCommandQueue q =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       queue.q_refs <- queue.q_refs + 1;
       Ok ()
 
     let clReleaseCommandQueue q =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       queue.q_refs <- queue.q_refs - 1;
       if queue.q_refs = 0 then Hashtbl.remove st.queues q;
       Ok ()
 
     let clGetCommandQueueInfo q =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       Ok queue.q_ctx
 
     (* Memory objects *)
 
     let clCreateBuffer c ~size =
-      enter st;
+      enter ();
       let* _ = lookup st.contexts c Invalid_context in
       if size <= 0 then Error Invalid_value
       else
@@ -356,17 +346,17 @@ let create ?(client = 0) kd =
         | Ok buf ->
             let h = fresh st in
             Hashtbl.replace st.mems h
-              { m_ctx = c; m_buf = buf; m_size = size; m_refs = 1 };
+              { m_buf = buf; m_size = size; m_refs = 1 };
             Ok h
 
     let clRetainMemObject m =
-      enter st;
+      enter ();
       let* mo = lookup st.mems m Invalid_mem_object in
       mo.m_refs <- mo.m_refs + 1;
       Ok ()
 
     let clReleaseMemObject m =
-      enter st;
+      enter ();
       let* mo = lookup st.mems m Invalid_mem_object in
       mo.m_refs <- mo.m_refs - 1;
       if mo.m_refs = 0 then begin
@@ -376,25 +366,25 @@ let create ?(client = 0) kd =
       Ok ()
 
     let clGetMemObjectInfo m =
-      enter st;
+      enter ();
       let* mo = lookup st.mems m Invalid_mem_object in
       Ok mo.m_size
 
     (* Programs *)
 
     let clCreateProgramWithSource c ~source =
-      enter st;
+      enter ();
       let* _ = lookup st.contexts c Invalid_context in
       if String.trim source = "" then Error Invalid_value
       else begin
         let h = fresh st in
         Hashtbl.replace st.programs h
-          { p_ctx = c; p_source = source; p_kernels = None; p_log = ""; p_refs = 1 };
+          { p_source = source; p_kernels = None; p_log = ""; p_refs = 1 };
         Ok h
       end
 
     let clBuildProgram p ~options =
-      enter st;
+      enter ();
       ignore options;
       let* prog = lookup st.programs p Invalid_program in
       (* "Compiling" costs time proportional to source length. *)
@@ -409,18 +399,18 @@ let create ?(client = 0) kd =
           Error Build_program_failure
 
     let clGetProgramBuildInfo p =
-      enter st;
+      enter ();
       let* prog = lookup st.programs p Invalid_program in
       Ok prog.p_log
 
     let clRetainProgram p =
-      enter st;
+      enter ();
       let* prog = lookup st.programs p Invalid_program in
       prog.p_refs <- prog.p_refs + 1;
       Ok ()
 
     let clReleaseProgram p =
-      enter st;
+      enter ();
       let* prog = lookup st.programs p Invalid_program in
       prog.p_refs <- prog.p_refs - 1;
       if prog.p_refs = 0 then Hashtbl.remove st.programs p;
@@ -429,7 +419,7 @@ let create ?(client = 0) kd =
     (* Kernels *)
 
     let clCreateKernel p ~name =
-      enter st;
+      enter ();
       let* prog = lookup st.programs p Invalid_program in
       match prog.p_kernels with
       | None -> Error Invalid_program_executable
@@ -442,7 +432,6 @@ let create ?(client = 0) kd =
               let h = fresh st in
               Hashtbl.replace st.kernels h
                 {
-                  k_prog = p;
                   k_impl = impl;
                   k_args = Hashtbl.create 8;
                   k_refs = 1;
@@ -450,20 +439,20 @@ let create ?(client = 0) kd =
               Ok h)
 
     let clRetainKernel k =
-      enter st;
+      enter ();
       let* kern = lookup st.kernels k Invalid_kernel in
       kern.k_refs <- kern.k_refs + 1;
       Ok ()
 
     let clReleaseKernel k =
-      enter st;
+      enter ();
       let* kern = lookup st.kernels k Invalid_kernel in
       kern.k_refs <- kern.k_refs - 1;
       if kern.k_refs = 0 then Hashtbl.remove st.kernels k;
       Ok ()
 
     let clSetKernelArg k ~index arg =
-      enter st;
+      enter ();
       let* kern = lookup st.kernels k Invalid_kernel in
       if index < 0 || index > 63 then Error Invalid_arg_index
       else
@@ -475,12 +464,12 @@ let create ?(client = 0) kd =
             Ok ()
 
     let clGetKernelInfo k =
-      enter st;
+      enter ();
       let* kern = lookup st.kernels k Invalid_kernel in
       Ok kern.k_impl.Builtin.name
 
     let clGetKernelWorkGroupInfo k d =
-      enter st;
+      enter ();
       let* _ = lookup st.kernels k Invalid_kernel in
       if d <> the_device then Error Invalid_device else Ok 1024
 
@@ -512,16 +501,16 @@ let create ?(client = 0) kd =
 
     let clEnqueueNDRangeKernel q k ~global_work_size ~local_work_size
         ~wait_list ~want_event =
-      enter st;
+      enter ();
       launch q k ~global_work_size ~local_work_size ~wait_list ~want_event
 
     let clEnqueueTask q k ~wait_list ~want_event =
-      enter st;
+      enter ();
       launch q k ~global_work_size:1 ~local_work_size:1 ~wait_list ~want_event
 
     let clEnqueueReadBuffer q m ~blocking ~offset ~size ~wait_list ~want_event
         =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       let* mo = lookup st.mems m Invalid_mem_object in
       if offset < 0 || size < 0 || offset + size > mo.m_size then
@@ -541,7 +530,7 @@ let create ?(client = 0) kd =
 
     let clEnqueueWriteBuffer q m ~blocking ~offset ~src ~wait_list ~want_event
         =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       let* mo = lookup st.mems m Invalid_mem_object in
       let size = Bytes.length src in
@@ -556,7 +545,7 @@ let create ?(client = 0) kd =
 
     let clEnqueueCopyBuffer q ~src ~dst ~src_offset ~dst_offset ~size
         ~wait_list ~want_event =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       let* smo = lookup st.mems src Invalid_mem_object in
       let* dmo = lookup st.mems dst Invalid_mem_object in
@@ -574,7 +563,7 @@ let create ?(client = 0) kd =
 
     let clEnqueueFillBuffer q m ~pattern ~offset ~size ~wait_list ~want_event
         =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       let* mo = lookup st.mems m Invalid_mem_object in
       if offset < 0 || size < 0 || offset + size > mo.m_size then
@@ -586,12 +575,12 @@ let create ?(client = 0) kd =
     (* Synchronization *)
 
     let clFlush q =
-      enter st;
+      enter ();
       let* _ = lookup st.queues q Invalid_command_queue in
       Ok ()
 
     let clFinish q =
-      enter st;
+      enter ();
       let* queue = lookup st.queues q Invalid_command_queue in
       (match queue.q_last with
       | Some e -> Ivar.read e.ev_done
@@ -605,7 +594,7 @@ let create ?(client = 0) kd =
       else Ok ()
 
     let clWaitForEvents events =
-      enter st;
+      enter ();
       if events = [] then Error Invalid_value
       else
         let rec get acc = function
@@ -622,12 +611,12 @@ let create ?(client = 0) kd =
     (* Events *)
 
     let clGetEventInfo ev =
-      enter st;
+      enter ();
       let* e = lookup st.events ev Invalid_event in
       Ok e.ev_status
 
     let clGetEventProfilingInfo ev info =
-      enter st;
+      enter ();
       let* e = lookup st.events ev Invalid_event in
       if e.ev_status <> Complete then Error Profiling_info_not_available
       else
@@ -639,7 +628,7 @@ let create ?(client = 0) kd =
           | Profiling_end -> e.ev_finished)
 
     let clReleaseEvent ev =
-      enter st;
+      enter ();
       let* e = lookup st.events ev Invalid_event in
       e.ev_refs <- e.ev_refs - 1;
       if e.ev_refs = 0 then Hashtbl.remove st.events ev;
@@ -648,7 +637,6 @@ let create ?(client = 0) kd =
   ((module M : Api.S), st)
 
 (* Introspection used by tests, metrics and migration. *)
-let calls st = st.calls
 let live_events st = Hashtbl.length st.events
 let live_mems st = Hashtbl.length st.mems
 

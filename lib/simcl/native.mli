@@ -20,7 +20,6 @@ val create : ?client:int -> Kdriver.t -> (module Api.S) * st
 
 (** {1 Introspection} *)
 
-val calls : st -> int
 val live_events : st -> int
 val live_mems : st -> int
 

@@ -8,8 +8,6 @@
 
 type t = { layer_flops : float list; output_bytes : int }
 
-val magic : string
-
 val encode : ?total_bytes:int -> t -> bytes
 (** @raise Invalid_argument when [total_bytes] is below the header size. *)
 

@@ -11,7 +11,6 @@ let call_ns = Time.ns 300
 let stick_name = "ncs-0"
 
 type graph_state = {
-  g_dev : device_handle;
   g_graph : Ava_device.Ncs.graph;
   g_output_bytes : int;
   pending : bytes result Ivar.t Queue.t;
@@ -26,13 +25,11 @@ type st = {
   mutable next_handle : int;
   devices : (device_handle, unit) Hashtbl.t;
   graphs : (graph_handle, graph_state) Hashtbl.t;
-  mutable calls : int;
 }
 
 let ( let* ) = Result.bind
 
-let enter st =
-  st.calls <- st.calls + 1;
+let enter () =
   Engine.delay call_ns
 
 let fresh st =
@@ -47,16 +44,15 @@ let create ncs =
       next_handle = 500;
       devices = Hashtbl.create 4;
       graphs = Hashtbl.create 8;
-      calls = 0;
     }
   in
   let module M = struct
     let mvncGetDeviceName ~index =
-      enter st;
+      enter ();
       if index = 0 then Ok stick_name else Error Device_not_found
 
     let mvncOpenDevice ~name =
-      enter st;
+      enter ();
       if not (String.equal name stick_name) then Error Device_not_found
       else begin
         let h = fresh st in
@@ -65,7 +61,7 @@ let create ncs =
       end
 
     let mvncCloseDevice d =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.devices d) then Error Invalid_parameters
       else begin
         Hashtbl.remove st.devices d;
@@ -73,7 +69,7 @@ let create ncs =
       end
 
     let mvncAllocateGraph d ~graph_data =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.devices d) then Error Invalid_parameters
       else
         match Graphdef.decode graph_data with
@@ -89,7 +85,6 @@ let create ncs =
                 let h = fresh st in
                 Hashtbl.replace st.graphs h
                   {
-                    g_dev = d;
                     g_graph = g;
                     g_output_bytes = def.Graphdef.output_bytes;
                     pending = Queue.create ();
@@ -98,7 +93,7 @@ let create ncs =
                 Ok h)
 
     let mvncDeallocateGraph g =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.graphs g with
       | None -> Error Invalid_parameters
       | Some gs ->
@@ -113,7 +108,7 @@ let create ncs =
           Ok ()
 
     let mvncLoadTensor g ~tensor =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.graphs g with
       | None -> Error Invalid_parameters
       | Some gs ->
@@ -136,7 +131,7 @@ let create ncs =
           Ok ()
 
     let mvncGetResult g =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.graphs g with
       | None -> Error Invalid_parameters
       | Some gs ->
@@ -147,7 +142,7 @@ let create ncs =
           end
 
     let mvncGetGraphOption g opt =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.graphs g with
       | None -> Error Invalid_parameters
       | Some gs -> (
@@ -156,7 +151,7 @@ let create ncs =
           | Graph_executors -> Ok 12)
 
     let mvncSetGraphOption g opt _v =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.graphs g with
       | None -> Error Invalid_parameters
       | Some _ -> (
@@ -165,7 +160,7 @@ let create ncs =
           | Graph_time_taken_us -> Error Invalid_parameters)
 
     let mvncGetDeviceOption d opt =
-      enter st;
+      enter ();
       let* () =
         if Hashtbl.mem st.devices d then Ok () else Error Invalid_parameters
       in
@@ -176,5 +171,4 @@ let create ncs =
   end in
   ((module M : Api.S), st)
 
-let calls st = st.calls
 let live_graphs st = Hashtbl.length st.graphs

@@ -6,5 +6,4 @@ type st
 
 val create : Ava_device.Ncs.t -> (module Api.S) * st
 
-val calls : st -> int
 val live_graphs : st -> int

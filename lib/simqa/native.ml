@@ -6,7 +6,7 @@ open Types
 
 let call_ns = Time.ns 300
 
-type session = { s_inst : instance_handle; s_direction : direction }
+type session = { s_direction : direction }
 
 type st = {
   engine : Engine.t;
@@ -14,11 +14,9 @@ type st = {
   mutable next_handle : int;
   instances : (instance_handle, unit) Hashtbl.t;
   sessions : (session_handle, session) Hashtbl.t;
-  mutable calls : int;
 }
 
-let enter st =
-  st.calls <- st.calls + 1;
+let enter () =
   Engine.delay call_ns
 
 let fresh st =
@@ -33,16 +31,15 @@ let create qat =
       next_handle = 700;
       instances = Hashtbl.create 4;
       sessions = Hashtbl.create 8;
-      calls = 0;
     }
   in
   let module M = struct
     let qaGetNumInstances () =
-      enter st;
+      enter ();
       Ok 1
 
     let qaStartInstance ~index =
-      enter st;
+      enter ();
       if index <> 0 then Error Qa_invalid_param
       else begin
         let h = fresh st in
@@ -51,7 +48,7 @@ let create qat =
       end
 
     let qaStopInstance inst =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.instances inst) then Error Qa_invalid_param
       else begin
         Hashtbl.remove st.instances inst;
@@ -59,17 +56,17 @@ let create qat =
       end
 
     let qaCreateSession inst direction ~level =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.instances inst) then Error Qa_invalid_param
       else if level < 1 || level > 9 then Error Qa_invalid_param
       else begin
         let h = fresh st in
-        Hashtbl.replace st.sessions h { s_inst = inst; s_direction = direction };
+        Hashtbl.replace st.sessions h { s_direction = direction };
         Ok h
       end
 
     let qaRemoveSession sess =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.sessions sess) then Error Qa_invalid_param
       else begin
         Hashtbl.remove st.sessions sess;
@@ -77,7 +74,7 @@ let create qat =
       end
 
     let qaCompress sess ~src =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.sessions sess with
       | None -> Error Qa_invalid_param
       | Some { s_direction = Dir_decompress; _ } -> Error Qa_unsupported
@@ -87,7 +84,7 @@ let create qat =
           | Error `Corrupt -> Error Qa_fail)
 
     let qaDecompress sess ~src =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.sessions sess with
       | None -> Error Qa_invalid_param
       | Some { s_direction = Dir_compress; _ } -> Error Qa_unsupported
@@ -97,7 +94,7 @@ let create qat =
           | Error `Corrupt -> Error Qa_fail)
 
     let qaSubmitCompress sess ~src ~tag ~callback =
-      enter st;
+      enter ();
       match Hashtbl.find_opt st.sessions sess with
       | None -> Error Qa_invalid_param
       | Some { s_direction = Dir_decompress; _ } -> Error Qa_unsupported
@@ -110,12 +107,12 @@ let create qat =
           Ok ()
 
     let qaGetStats inst =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.instances inst) then Error Qa_invalid_param
       else Ok (Device.ops st.qat, Device.bytes_in st.qat)
 
     let qaGetStatsEx inst =
-      enter st;
+      enter ();
       if not (Hashtbl.mem st.instances inst) then Error Qa_invalid_param
       else
         Ok
@@ -127,5 +124,4 @@ let create qat =
   end in
   ((module M : Api.S), st)
 
-let calls st = st.calls
 let live_sessions st = Hashtbl.length st.sessions

@@ -6,5 +6,4 @@ type st
 
 val create : Device.t -> (module Api.S) * st
 
-val calls : st -> int
 val live_sessions : st -> int

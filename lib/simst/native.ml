@@ -11,18 +11,15 @@ open Types
 let call_ns = Time.ns 250
 
 type st = {
-  engine : Engine.t;
   dev : Device.t;
   mutable next_handle : int;
   streams : (stream_handle, Device.stream) Hashtbl.t;
   events : (event_handle, Device.event) Hashtbl.t;
   mems : (mem_handle, int) Hashtbl.t;  (* api handle -> device mem id *)
   tickets : (int, (bytes, status) Stdlib.result Ivar.t) Hashtbl.t;
-  mutable calls : int;
 }
 
-let enter st =
-  st.calls <- st.calls + 1;
+let enter () =
   Engine.delay call_ns
 
 let fresh st =
@@ -48,14 +45,12 @@ let kernel_known = function "vadd" | "scale" -> true | _ -> false
 let create dev =
   let st =
     {
-      engine = Device.engine_of dev;
       dev;
       next_handle = 900;
       streams = Hashtbl.create 8;
       events = Hashtbl.create 8;
       mems = Hashtbl.create 16;
       tickets = Hashtbl.create 8;
-      calls = 0;
     }
   in
   let stream h = Hashtbl.find_opt st.streams h in
@@ -69,18 +64,18 @@ let create dev =
   in
   let module M = struct
     let stDeviceGetCount () =
-      enter st;
+      enter ();
       guard (fun () -> Ok 1)
 
     let stStreamCreate () =
-      enter st;
+      enter ();
       guard (fun () ->
           let h = fresh st in
           Hashtbl.replace st.streams h (Device.stream_create st.dev);
           Ok h)
 
     let stStreamDestroy h =
-      enter st;
+      enter ();
       guard (fun () ->
           match stream h with
           | None -> Error St_invalid_value
@@ -91,7 +86,7 @@ let create dev =
               Ok ())
 
     let stStreamSynchronize h =
-      enter st;
+      enter ();
       guard (fun () ->
           match stream h with
           | None -> Error St_invalid_value
@@ -100,14 +95,14 @@ let create dev =
               Ok ())
 
     let stEventCreate () =
-      enter st;
+      enter ();
       guard (fun () ->
           let h = fresh st in
           Hashtbl.replace st.events h (Device.event_create ());
           Ok h)
 
     let stEventDestroy h =
-      enter st;
+      enter ();
       guard (fun () ->
           if Hashtbl.mem st.events h then begin
             Hashtbl.remove st.events h;
@@ -116,7 +111,7 @@ let create dev =
           else Error St_invalid_value)
 
     let stEventRecord eh sh =
-      enter st;
+      enter ();
       guard (fun () ->
           match (Hashtbl.find_opt st.events eh, stream sh) with
           | Some ev, Some s ->
@@ -125,7 +120,7 @@ let create dev =
           | _ -> Error St_invalid_value)
 
     let stEventSynchronize eh =
-      enter st;
+      enter ();
       guard (fun () ->
           match Hashtbl.find_opt st.events eh with
           | None -> Error St_invalid_value
@@ -134,7 +129,7 @@ let create dev =
               Ok ())
 
     let stStreamWaitEvent sh eh =
-      enter st;
+      enter ();
       guard (fun () ->
           match (stream sh, Hashtbl.find_opt st.events eh) with
           | Some s, Some ev ->
@@ -143,7 +138,7 @@ let create dev =
           | _ -> Error St_invalid_value)
 
     let stMemAlloc ~size =
-      enter st;
+      enter ();
       guard (fun () ->
           match Device.alloc st.dev ~size with
           | Error `Invalid -> Error St_invalid_value
@@ -154,7 +149,7 @@ let create dev =
               Ok h)
 
     let stMemFree h =
-      enter st;
+      enter ();
       guard (fun () ->
           match Hashtbl.find_opt st.mems h with
           | None -> Error St_invalid_value
@@ -164,7 +159,7 @@ let create dev =
               Ok ())
 
     let stMemcpyHtoDAsync dst ~src sh =
-      enter st;
+      enter ();
       guard (fun () ->
           match (mem dst, stream sh) with
           | Some storage, Some s when Bytes.length src <= Bytes.length storage
@@ -179,7 +174,7 @@ let create dev =
           | _ -> Error St_invalid_value)
 
     let stMemcpyDtoH ~size h =
-      enter st;
+      enter ();
       guard (fun () ->
           match mem h with
           | Some storage when size >= 0 && size <= Bytes.length storage ->
@@ -192,7 +187,7 @@ let create dev =
           | _ -> Error St_invalid_value)
 
     let stLaunchKernel sh ~name ~a ~b ~out ~n =
-      enter st;
+      enter ();
       guard (fun () ->
           match (stream sh, mem a, mem b, mem out) with
           | Some s, Some ba, Some bb, Some bout
@@ -208,7 +203,7 @@ let create dev =
           | _ -> Error St_invalid_value)
 
     let stBatchSubmit sh ~batch ~item_size =
-      enter st;
+      enter ();
       guard (fun () ->
           let len = Bytes.length batch in
           if item_size <= 0 || len = 0 || len mod item_size <> 0 then
@@ -234,7 +229,7 @@ let create dev =
                   Ok ticket)
 
     let stBatchCollect sh ~ticket ~size =
-      enter st;
+      enter ();
       guard (fun () ->
           match (stream sh, Hashtbl.find_opt st.tickets ticket) with
           | Some _, Some result -> (
@@ -250,8 +245,6 @@ let create dev =
   end in
   ((module M : Api.S), st)
 
-let calls st = st.calls
-let device st = st.dev
 let live_streams st = Hashtbl.length st.streams
 let live_mems st = Hashtbl.length st.mems
 

@@ -6,8 +6,6 @@ type st
 
 val create : Device.t -> (module Api.S) * st
 
-val calls : st -> int
-val device : st -> Device.t
 val live_streams : st -> int
 val live_mems : st -> int
 

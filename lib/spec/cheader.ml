@@ -43,18 +43,6 @@ let base_types =
     ("int64_t", Int { signed = true; bits = 64 });
   ]
 
-(* Resolve a typedef chain to its underlying type. *)
-let resolve t name =
-  match List.assoc_opt name base_types with
-  | Some ty -> Some ty
-  | None -> (
-      match List.assoc_opt name t.h_typedefs with
-      | Some ty -> Some ty
-      | None ->
-          if List.mem name t.h_handles then
-            Some (Ptr { const = false; pointee = Void })
-          else None)
-
 let is_integer_type t ty =
   let rec probe = function
     | Int _ | Bool | Char -> true

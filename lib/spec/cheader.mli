@@ -24,9 +24,6 @@ type t = {
 
 val empty : t
 
-val resolve : t -> string -> ctype option
-(** Resolve a type name through base types, typedefs and handles. *)
-
 val is_integer_type : t -> ctype -> bool
 val is_handle : t -> ctype -> bool
 val find_struct : t -> string -> (string * ctype) list option

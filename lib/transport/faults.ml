@@ -53,7 +53,6 @@ let create ~seed config =
   }
 
 let stats t = t.stats
-let config t = t.config
 
 (* Flip the fault profile live.  The RNG stream and the checksum
    envelope are untouched — only the probabilities the next draws are

@@ -42,7 +42,6 @@ type t
 
 val create : seed:int64 -> config -> t
 val stats : t -> stats
-val config : t -> config
 
 val set_config : t -> config -> unit
 (** Flip the fault profile live (scenario campaigns).  The seeded RNG

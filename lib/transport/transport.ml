@@ -287,7 +287,6 @@ let rec try_recv ep =
           | None -> try_recv ep))
   | None -> None
 
-let pending ep = Channel.length ep.inbox
 let stats ep = ep.stats
 
 (* Build a bidirectional link; returns the two ends. *)

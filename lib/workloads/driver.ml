@@ -200,20 +200,6 @@ type ablation_row = {
   ab_sync_ns : Time.t;
 }
 
-let async_ablation ?(technique = Host.Ava Transport.Shm_ring) () =
-  List.map
-    (fun (b : Rodinia.benchmark) ->
-      let native = time_cl b.Rodinia.run in
-      let as_async = time_cl ~technique b.Rodinia.run in
-      let as_sync = time_cl ~technique ~sync_only:true b.Rodinia.run in
-      {
-        ab_name = b.Rodinia.name;
-        ab_native_ns = native;
-        ab_async_ns = as_async;
-        ab_sync_ns = as_sync;
-      })
-    Rodinia.all
-
 let pp_ablation_row ppf r =
   Fmt.pf ppf
     "%-12s native=%-10s async=%-10s (%.3fx) all-sync=%-10s (%.3fx) speedup=%.1f%%"
@@ -227,7 +213,6 @@ let pp_ablation_row ppf r =
     *. (float_of_int (r.ab_sync_ns - r.ab_async_ns)
        /. float_of_int r.ab_sync_ns))
 
-let geomean rows = Stats.geomean (List.map (fun r -> r.relative) rows)
 let mean rows = Stats.mean (List.map (fun r -> r.relative) rows)
 
 let pp_row ppf r =

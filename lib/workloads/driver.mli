@@ -95,9 +95,7 @@ type ablation_row = {
   ab_sync_ns : Time.t;  (** unoptimized all-sync spec *)
 }
 
-val async_ablation : ?technique:Host.technique -> unit -> ablation_row list
 val pp_ablation_row : Format.formatter -> ablation_row -> unit
 
-val geomean : row list -> float
 val mean : row list -> float
 val pp_row : Format.formatter -> row -> unit

@@ -8,7 +8,6 @@
 exception Api_failure of string
 
 val layer_flops : float list
-val graph_bytes : int
 val output_bytes : int
 
 val graph_data : unit -> bytes

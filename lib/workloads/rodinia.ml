@@ -330,4 +330,3 @@ let all =
   ]
 
 let find name = List.find_opt (fun b -> String.equal b.name name) all
-let names = List.map (fun b -> b.name) all

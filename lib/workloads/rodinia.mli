@@ -21,4 +21,3 @@ val all : benchmark list
     pathfinder, srad. *)
 
 val find : string -> benchmark option
-val names : string list

@@ -21,8 +21,7 @@ let vm_tests =
 let hypervisor_tests =
   [
     Alcotest.test_case "vm registry" `Quick (fun () ->
-        let e = Engine.create () in
-        let hv = Hypervisor.create e in
+        let hv = Hypervisor.create () in
         let a = Hypervisor.create_vm hv ~name:"a" in
         let b = Hypervisor.create_vm hv ~name:"b" in
         Alcotest.(check int) "distinct ids" 1 (Vm.id b - Vm.id a);
@@ -34,7 +33,7 @@ let hypervisor_tests =
     Alcotest.test_case "full-virt attachment counts traps" `Quick (fun () ->
         let e = Engine.create () in
         let gpu = Ava_device.Gpu.create e in
-        let hv = Hypervisor.create e in
+        let hv = Hypervisor.create () in
         let kd = Hypervisor.attach_fullvirt hv gpu in
         Engine.spawn e (fun () ->
             let work =
@@ -54,7 +53,7 @@ let hypervisor_tests =
     Alcotest.test_case "passthrough never traps" `Quick (fun () ->
         let e = Engine.create () in
         let gpu = Ava_device.Gpu.create e in
-        let hv = Hypervisor.create e in
+        let hv = Hypervisor.create () in
         let kd = Hypervisor.attach_passthrough hv gpu in
         Engine.spawn e (fun () ->
             let work =
@@ -75,7 +74,7 @@ let hypervisor_tests =
         let submit_time attach =
           let e = Engine.create () in
           let gpu = Ava_device.Gpu.create e in
-          let hv = Hypervisor.create e in
+          let hv = Hypervisor.create () in
           let kd = attach hv gpu in
           let elapsed = ref 0 in
           Engine.spawn e (fun () ->

@@ -50,11 +50,9 @@ let vec_add_ok api n = Clutil.vec_add api ~n ~launches:1 ~release:false
 
 (* --- WFQ weight changes (satellite: live re-tagging) ---------------------- *)
 
-(* The scheduler as it was before pops tracked backlogged flows: every
-   pop visits every flow in [Hashtbl.iter] order, and the first flow
-   holding the smallest head tag wins.  Its flow table sees the same
-   insertions and removals as [Policy.Wfq]'s, so the two iterate in the
-   same order. *)
+(* The scheduler as a specification: every pop visits every flow, and
+   the flow holding the smallest head tag wins, the lowest flow id
+   among equal tags. *)
 module Ref_wfq = struct
   type flow = {
     mutable weight : float;
@@ -102,7 +100,9 @@ module Ref_wfq = struct
       (fun id f ->
         match (f.items, !best) with
         | [], _ -> ()
-        | (tag, _, _) :: _, Some (_, _, best_tag) when not (tag < best_tag) -> ()
+        | (tag, _, _) :: _, Some (best_id, _, best_tag)
+          when not (tag < best_tag || (tag = best_tag && id < best_id)) ->
+            ()
         | (tag, _, _) :: _, _ -> best := Some (id, f, tag))
       t.flows;
     Option.map
@@ -144,40 +144,37 @@ let wfq_op =
         ])
 
 (* Run the ops on both schedulers, then drain both: every pop and every
-   removed flow's backlog must agree.  Ops naming an unknown flow are
-   skipped; re-adding a live flow must raise and change nothing. *)
+   removed flow's backlog must agree.  The flow handles live in [flows],
+   as a router keeps them; ops naming an unknown flow, and adds of a
+   live one, are skipped. *)
 let wfq_matches_reference ops =
   let q = Policy.Wfq.create () and r = Ref_wfq.create () in
-  let next = ref 0 in
-  let known i = Hashtbl.mem r.Ref_wfq.flows i in
+  let flows = Hashtbl.create 8 and next = ref 0 in
   let pop () =
     if Policy.Wfq.backlog q = 0 then Ref_wfq.pop r = None
     else Some (Policy.Wfq.pop_payload q) = Ref_wfq.pop r
   in
+  let live i = Hashtbl.mem flows i in
   let step = function
-    | W_add (i, w) when known i -> (
-        match Policy.Wfq.add_flow q ~flow_id:i ~weight:w with
-        | () -> false
-        | exception Invalid_argument _ -> true)
-    | W_add (i, w) ->
-        Policy.Wfq.add_flow q ~flow_id:i ~weight:w;
+    | W_add (i, w) when not (live i) ->
+        Hashtbl.replace flows i (Policy.Wfq.add_flow q ~flow_id:i ~weight:w);
         Ref_wfq.add_flow r i w;
         true
-    | W_push (i, c) when known i ->
+    | W_push (i, c) when live i ->
         incr next;
-        Policy.Wfq.push q ~flow_id:i ~cost:c (i, !next);
+        Policy.Wfq.push q (Hashtbl.find flows i) ~cost:c (i, !next);
         Ref_wfq.push r i c !next;
         true
-    | W_weight (i, w) when known i ->
-        Policy.Wfq.set_weight q ~flow_id:i ~weight:w;
+    | W_weight (i, w) when live i ->
+        Policy.Wfq.set_weight q (Hashtbl.find flows i) ~weight:w;
         Ref_wfq.set_weight r i w;
         true
-    | W_remove i when known i ->
-        List.map
-          (fun ((_, p), c) -> (p, c))
-          (Policy.Wfq.remove_flow q ~flow_id:i)
+    | W_remove i when live i ->
+        let f = Hashtbl.find flows i in
+        Hashtbl.remove flows i;
+        List.map (fun ((_, p), c) -> (p, c)) (Policy.Wfq.remove_flow q f)
         = Ref_wfq.remove_flow r i
-    | W_push _ | W_weight _ | W_remove _ -> true
+    | W_add _ | W_push _ | W_weight _ | W_remove _ -> true
     | W_pop -> pop ()
   in
   let rec drain () =
@@ -190,20 +187,20 @@ let wfq_tests =
   [
     Alcotest.test_case "set_weight re-tags a backlogged flow" `Quick (fun () ->
         let q = Policy.Wfq.create () in
-        Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
-        Policy.Wfq.add_flow q ~flow_id:2 ~weight:1.0;
+        let f1 = Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0 in
+        let f2 = Policy.Wfq.add_flow q ~flow_id:2 ~weight:1.0 in
         for i = 1 to 4 do
-          Policy.Wfq.push q ~flow_id:1 ~cost:1.0 (Printf.sprintf "a%d" i)
+          Policy.Wfq.push q f1 ~cost:1.0 (Printf.sprintf "a%d" i)
         done;
         for i = 1 to 3 do
-          Policy.Wfq.push q ~flow_id:2 ~cost:1.0 (Printf.sprintf "b%d" i)
+          Policy.Wfq.push q f2 ~cost:1.0 (Printf.sprintf "b%d" i)
         done;
         (* Both flows carry finish tags 1,2,3(,4).  Quadrupling flow 2's
            weight must re-tag its backlog (0.25, 0.5, 0.75), not let it
            drain at the old rate: the next three pops are all flow 2. *)
-        Policy.Wfq.set_weight q ~flow_id:2 ~weight:4.0;
+        Policy.Wfq.set_weight q f2 ~weight:4.0;
         Alcotest.(check (float 0.0)) "weight visible" 4.0
-          (Policy.Wfq.flow_weight q ~flow_id:2);
+          (Policy.Wfq.flow_weight f2);
         let order = List.init 7 (fun _ -> Policy.Wfq.pop_payload q) in
         Alcotest.(check (list string)) "re-tagged flow served first"
           [ "b1"; "b2"; "b3"; "a1"; "a2"; "a3"; "a4" ] order;
@@ -211,28 +208,23 @@ let wfq_tests =
     Alcotest.test_case "set_weight preserves FIFO within the flow" `Quick
       (fun () ->
         let q = Policy.Wfq.create () in
-        Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
+        let f = Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0 in
         List.iter
-          (fun p -> Policy.Wfq.push q ~flow_id:1 ~cost:2.0 p)
+          (fun p -> Policy.Wfq.push q f ~cost:2.0 p)
           [ "first"; "second"; "third" ];
-        Policy.Wfq.set_weight q ~flow_id:1 ~weight:0.5;
+        Policy.Wfq.set_weight q f ~weight:0.5;
         let order = List.init 3 (fun _ -> Policy.Wfq.pop_payload q) in
         Alcotest.(check (list string)) "order kept"
           [ "first"; "second"; "third" ] order);
-    Alcotest.test_case "set_weight on an unknown flow raises" `Quick (fun () ->
-        let q : unit Policy.Wfq.t = Policy.Wfq.create () in
-        Alcotest.check_raises "invalid"
-          (Invalid_argument "Wfq.set_weight: unknown flow") (fun () ->
-            Policy.Wfq.set_weight q ~flow_id:9 ~weight:2.0));
     Alcotest.test_case "remove_flow hands back the backlog in order" `Quick
       (fun () ->
         let q = Policy.Wfq.create () in
-        Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
-        Policy.Wfq.add_flow q ~flow_id:2 ~weight:1.0;
-        Policy.Wfq.push q ~flow_id:1 ~cost:3.0 "x";
-        Policy.Wfq.push q ~flow_id:1 ~cost:5.0 "y";
-        Policy.Wfq.push q ~flow_id:2 ~cost:1.0 "z";
-        let drained = Policy.Wfq.remove_flow q ~flow_id:1 in
+        let f1 = Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0 in
+        let f2 = Policy.Wfq.add_flow q ~flow_id:2 ~weight:1.0 in
+        Policy.Wfq.push q f1 ~cost:3.0 "x";
+        Policy.Wfq.push q f1 ~cost:5.0 "y";
+        Policy.Wfq.push q f2 ~cost:1.0 "z";
+        let drained = Policy.Wfq.remove_flow q f1 in
         Alcotest.(check (list (pair string (float 0.0))))
           "payloads and costs, FIFO"
           [ ("x", 3.0); ("y", 5.0) ]
@@ -241,20 +233,81 @@ let wfq_tests =
           (Policy.Wfq.backlog q);
         Alcotest.(check string) "other flow unaffected" "z"
           (Policy.Wfq.pop_payload q));
-    Alcotest.test_case "add_flow on an existing flow raises" `Quick (fun () ->
+    Alcotest.test_case "equal tags pop the lowest flow id first" `Quick
+      (fun () ->
         let q = Policy.Wfq.create () in
-        Policy.Wfq.add_flow q ~flow_id:1 ~weight:1.0;
-        Policy.Wfq.push q ~flow_id:1 ~cost:1.0 "kept";
-        Alcotest.check_raises "invalid"
-          (Invalid_argument "Wfq.add_flow: flow exists") (fun () ->
-            Policy.Wfq.add_flow q ~flow_id:1 ~weight:2.0);
-        Alcotest.(check int) "backlog kept" 1 (Policy.Wfq.backlog q);
-        Alcotest.(check string) "item kept" "kept" (Policy.Wfq.pop_payload q));
+        (* Added in descending id order, so neither the order of
+           addition nor of backlogging decides the tie. *)
+        let flows =
+          List.map (fun id -> (id, Policy.Wfq.add_flow q ~flow_id:id ~weight:1.0))
+            [ 5; 3; 2; 1 ]
+        in
+        List.iter (fun (id, f) -> Policy.Wfq.push q f ~cost:1.0 id) flows;
+        Alcotest.(check (list int)) "ascending ids" [ 1; 2; 3; 5 ]
+          (List.init 4 (fun _ -> Policy.Wfq.pop_payload q)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"pops match a scheduler that scans every flow" ~count:300
          QCheck.(list_of_size Gen.(int_range 1 150) wfq_op)
          wfq_matches_reference);
+  ]
+
+(* --- router attach and detach --------------------------------------------- *)
+
+let router_tests =
+  [
+    Alcotest.test_case "attaching an attached vm raises, changes nothing"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let host = Host.create_cl_host e in
+        let guest = Host.add_cl_vm host ~name:"twice" in
+        let vm = guest.Host.g_vm and router = host.Host.router in
+        let _, guest_side = Transport.direct e
+        and server_side, _ = Transport.direct e in
+        Alcotest.check_raises "invalid"
+          (Invalid_argument
+             (Printf.sprintf "Router.attach_vm: vm %d is attached"
+                (Ava_hv.Vm.id vm)))
+          (fun () ->
+            ignore (Router.attach_vm ~weight:2.0 router vm ~guest_side ~server_side));
+        (* The conn the router holds is still the one the guest talks
+           through: its seq window sees the calls. *)
+        Engine.run_process e (fun () ->
+            Alcotest.(check bool) "vec-add" true (vec_add_ok guest.Host.g_api 256));
+        Alcotest.(check bool) "window tracks the guest" true
+          (Router.window router ~vm_id:(Ava_hv.Vm.id vm) > 0));
+    Alcotest.test_case "retire detaches the router conn" `Quick (fun () ->
+        let e = Engine.create () in
+        let host = Host.create_cl_host e in
+        let guest = Host.add_cl_vm host ~name:"leaver" in
+        let vm_id = Ava_hv.Vm.id guest.Host.g_vm and router = host.Host.router in
+        let module CL = (val guest.Host.g_api) in
+        Engine.run_process e (fun () ->
+            let s = Clutil.open_session guest.Host.g_api in
+            Alcotest.(check bool) "attached" true (Router.attached router ~vm_id);
+            Alcotest.(check bool) "retired" true (Host.retire_cl_vm host ~vm_id);
+            Alcotest.(check bool) "no conn" false (Router.attached router ~vm_id);
+            let unknown fn f =
+              Alcotest.check_raises fn
+                (Invalid_argument ("Router." ^ fn ^ ": unknown vm")) f
+            in
+            unknown "set_weight" (fun () -> Router.set_weight router ~vm_id ~weight:2.0);
+            unknown "breaker_info" (fun () -> ignore (Router.breaker_info router ~vm_id));
+            unknown "requeue_in_flight" (fun () ->
+                ignore (Router.requeue_in_flight router ~vm_id));
+            unknown "detach_vm" (fun () -> Router.detach_vm router ~vm_id);
+            (* A late frame on the retired VM's link is dropped
+               unpoliced; its call still counts as one the guest
+               issued. *)
+            let forwarded = Router.forwarded router
+            and calls = Ava_hv.Vm.api_calls guest.Host.g_vm in
+            ignore (CL.clFlush s.Clutil.queue);
+            Engine.delay (Time.ms 1);
+            Alcotest.(check int) "late frame dropped" 1 (Router.dropped router);
+            Alcotest.(check int) "nothing forwarded" forwarded
+              (Router.forwarded router);
+            Alcotest.(check int) "call counted" (calls + 1)
+              (Ava_hv.Vm.api_calls guest.Host.g_vm)));
   ]
 
 (* --- placement ------------------------------------------------------------ *)
@@ -486,7 +539,7 @@ let mini_pool ?(guest_link = Transport.free_cost) ~handler () =
   let e = Engine.create () in
   let plan = mini_plan () in
   let virt = Timing.default_virt in
-  let hv = Ava_hv.Hypervisor.create ~virt e in
+  let hv = Ava_hv.Hypervisor.create ~virt () in
   let router = Router.create e ~virt ~plan in
   let runs = Array.init 2 (fun _ -> Hashtbl.create 4) in
   let server dev =
@@ -1344,6 +1397,7 @@ let () =
   Alcotest.run "ava_pool"
     [
       ("wfq", wfq_tests);
+      ("router", router_tests);
       ("placement", placement_tests);
       ("identity", identity_tests);
       ("migration", migration_tests);

@@ -841,12 +841,13 @@ let policy_tests =
          QCheck.(list_of_size Gen.(1 -- 40) (pair (int_range 0 3) (int_range 1 50)))
          (fun pushes ->
            let wfq = Policy.Wfq.create () in
-           for f = 0 to 3 do
-             Policy.Wfq.add_flow wfq ~flow_id:f ~weight:(float_of_int (f + 1))
-           done;
+           let flows =
+             Array.init 4 (fun f ->
+                 Policy.Wfq.add_flow wfq ~flow_id:f ~weight:(float_of_int (f + 1)))
+           in
            List.iteri
              (fun i (flow, cost) ->
-               Policy.Wfq.push wfq ~flow_id:flow ~cost:(float_of_int cost)
+               Policy.Wfq.push wfq flows.(flow) ~cost:(float_of_int cost)
                  (flow, i))
              pushes;
            let popped = ref [] in
@@ -874,11 +875,11 @@ let policy_tests =
     Alcotest.test_case "wfq weighted order under equal demand" `Quick
       (fun () ->
         let wfq = Policy.Wfq.create () in
-        Policy.Wfq.add_flow wfq ~flow_id:1 ~weight:1.0;
-        Policy.Wfq.add_flow wfq ~flow_id:4 ~weight:4.0;
+        let f1 = Policy.Wfq.add_flow wfq ~flow_id:1 ~weight:1.0 in
+        let f4 = Policy.Wfq.add_flow wfq ~flow_id:4 ~weight:4.0 in
         for _ = 0 to 7 do
-          Policy.Wfq.push wfq ~flow_id:1 ~cost:100.0 1;
-          Policy.Wfq.push wfq ~flow_id:4 ~cost:100.0 4
+          Policy.Wfq.push wfq f1 ~cost:100.0 1;
+          Policy.Wfq.push wfq f4 ~cost:100.0 4
         done;
         let order = ref [] in
         let e = Engine.create () in
@@ -1200,7 +1201,7 @@ let cache_tests =
    resolves them back through the same IOMMU before dispatch. *)
 let sva_pair e plan =
   let guest_end, server_end = Transport.direct e in
-  let iommu = Ava_device.Iommu.create e in
+  let iommu = Ava_device.Iommu.create () in
   let dma = Ava_device.Dma.of_gpu_timing Ava_device.Timing.gtx1080 in
   let server = Server.create e ~plan ~make_state:(fun ~vm_id -> ref vm_id) in
   ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
@@ -1282,7 +1283,7 @@ let sva_tests =
    can inject hand-built frames the stub would never produce. *)
 let router_stack e plan =
   let virt = Ava_device.Timing.default_virt in
-  let hv = Ava_hv.Hypervisor.create ~virt e in
+  let hv = Ava_hv.Hypervisor.create ~virt () in
   let vm = Ava_hv.Hypervisor.create_vm hv ~name:"guest" in
   let vm_id = Ava_hv.Vm.id vm in
   let guest_end, router_guest_end = Transport.direct e in
@@ -1495,6 +1496,26 @@ let router_tests =
         Alcotest.(check int) "each seq executed once" 2 (Server.executed server);
         Alcotest.(check int) "no replies owed" 0
           (Router.in_flight_calls router ~vm_id));
+    Alcotest.test_case "a batch stalled in policing across a detach is dropped"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
+        (* One token: the batch's second call waits a second for the
+           next, and the VM is detached meanwhile. *)
+        Router.set_rate_limit router ~vm_id ~rate_per_s:1.0 ~burst:1.0;
+        let ping seq =
+          { Message.call_seq = seq; call_vm = vm_id; call_fn = "ping";
+            call_args = [ Wire.int seq ] }
+        in
+        Engine.run_process e (fun () ->
+            Transport.send guest_end
+              (Message.encode (Message.Batch [ ping 0; ping 1; ping 2 ]));
+            Engine.delay (Time.ms 1);
+            Router.detach_vm router ~vm_id;
+            Engine.delay (Time.s 3));
+        Alcotest.(check int) "batch dropped" 1 (Router.dropped router);
+        Alcotest.(check int) "nothing forwarded" 0 (Router.forwarded router);
+        Alcotest.(check int) "nothing executed" 0 (Server.executed server));
     Alcotest.test_case "admin interface is safe under a backlogged WFQ"
       `Quick (fun () ->
         (* Two VMs flood the router with async calls while an
@@ -1504,7 +1525,7 @@ let router_tests =
         let e = Engine.create () in
         let plan = mini_plan () in
         let virt = Ava_device.Timing.default_virt in
-        let hv = Ava_hv.Hypervisor.create ~virt e in
+        let hv = Ava_hv.Hypervisor.create ~virt () in
         let server =
           Server.create e ~plan ~make_state:(fun ~vm_id -> ref vm_id)
         in
