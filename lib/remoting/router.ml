@@ -59,11 +59,7 @@ and vm_conn = {
   rc_cursor : Message.cursor;  (** ingress's frame cursor, reused *)
   mutable rc_costs : float array;
       (** ingress scratch: each batch member's admission verdict *)
-  mutable rc_cells : cell array;
-      (** the seq window: seq [s] of [\[rc_base, rc_top)] at
-          [s land (length - 1)]; every other cell is [Unseen] *)
-  mutable rc_base : int;  (** lowest seq the window still knows *)
-  mutable rc_top : int;  (** one past the newest seq seen *)
+  rc_window : cell Seqwin.t;  (** the VM's seqs; [Unseen] outside it *)
   mutable bucket : Policy.Token_bucket.t option;
   mutable quota : Policy.Quota.t option;
   mutable breaker : Policy.Breaker.t option;
@@ -151,59 +147,20 @@ let attached t ~vm_id = Hashtbl.mem t.conns vm_id
 
 (* --- seq window --------------------------------------------------------------- *)
 
-(* The base passes a cell only once it is answered or rejected and
-   [Server.replay_cache_cap] behind the newest seq, when the server's
-   reply log no longer holds it either.  The ring doubles when a seq
-   lands a full capacity past the base. *)
-
-let initial_cells = 16
-
-(* A seq this far past the base is no stub's: dropping it keeps a bogus
-   frame from growing the ring without bound. *)
-let max_span = 1 lsl 20
-
-let cell conn seq =
-  if seq < conn.rc_base || seq >= conn.rc_top then Unseen
-  else conn.rc_cells.(seq land (Array.length conn.rc_cells - 1))
-
-let set_cell conn seq c =
-  conn.rc_cells.(seq land (Array.length conn.rc_cells - 1)) <- c
-
-let resolved = function Answered | Rejected _ -> true | _ -> false
-
-let advance_base conn ~newest =
-  while
-    newest - conn.rc_base >= Server.replay_cache_cap
-    && resolved (cell conn conn.rc_base)
-  do
-    set_cell conn conn.rc_base Unseen;
-    conn.rc_base <- conn.rc_base + 1
-  done
-
-let grow conn ~span =
-  let old = conn.rc_cells in
-  let rec fit cap = if cap >= span then cap else fit (2 * cap) in
-  let cells = Array.make (fit (Array.length old)) Unseen in
-  for s = conn.rc_base to conn.rc_top - 1 do
-    cells.(s land (Array.length cells - 1)) <- old.(s land (Array.length old - 1))
-  done;
-  conn.rc_cells <- cells
-
-(* A new seq at or above the base goes to policing. *)
-let open_seq conn seq =
-  if seq >= conn.rc_top then begin
-    advance_base conn ~newest:seq;
-    let span = seq - conn.rc_base + 1 in
-    if span > Array.length conn.rc_cells then grow conn ~span;
-    conn.rc_top <- seq + 1
-  end;
-  set_cell conn seq Policing
+let resolved = function
+  | Answered | Rejected _ -> true
+  | Unseen | Policing | Admitted _ -> false
+let cell conn seq = Seqwin.get conn.rc_window seq
+let set_cell conn seq c = Seqwin.set conn.rc_window seq c
 
 (* A reply flowed back: its seq is answered, however many copies of it
-   are still on their way. *)
+   are still on their way, and the base may pass it now (see
+   {!Seqwin}). *)
 let mark_replied conn seq =
   match cell conn seq with
-  | Policing | Admitted _ -> set_cell conn seq Answered
+  | Policing | Admitted _ ->
+      set_cell conn seq Answered;
+      Seqwin.advance conn.rc_window
   | Unseen | Answered | Rejected _ -> ()
 
 (* --- hops --------------------------------------------------------------------- *)
@@ -372,11 +329,13 @@ let police t conn cu i =
    - below the window base: dropped, as no reply log holds it. *)
 let admit t conn cu i =
   let seq = Message.seq cu i in
-  if seq < conn.rc_base || seq - conn.rc_base >= max_span then drop t
+  let w = conn.rc_window in
+  if seq < Seqwin.base w || seq - Seqwin.base w >= Seqwin.max_span then drop t
   else
     match cell conn seq with
     | Unseen -> (
-        open_seq conn seq;
+        Seqwin.extend w seq;
+        set_cell conn seq Policing;
         match conn.breaker with
         | Some b when not (Policy.Breaker.admit b) ->
             t.quarantined <- t.quarantined + 1;
@@ -520,9 +479,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       rc_obs = obs_handle t vm;
       rc_cursor = Message.cursor ();
       rc_costs = [||];
-      rc_cells = Array.make initial_cells Unseen;
-      rc_base = 0;
-      rc_top = 0;
+      rc_window = Seqwin.create ~empty:Unseen ~resolved;
       bucket;
       quota;
       breaker;
@@ -610,7 +567,7 @@ let paced_ns t = t.paced_ns
    so wholesale requeue is safe. *)
 let requeue_conn t conn =
   let n = ref 0 in
-  for seq = conn.rc_base to conn.rc_top - 1 do
+  for seq = Seqwin.base conn.rc_window to Seqwin.top conn.rc_window - 1 do
     match cell conn seq with
     | Admitted fw when fw.fw_sent ->
         fw.fw_sent <- false;
@@ -626,11 +583,7 @@ let requeue_in_flight t ~vm_id =
 
 (* The window's seqs in state [p], ascending. *)
 let window_seqs conn p =
-  let seqs = ref [] in
-  for seq = conn.rc_top - 1 downto conn.rc_base do
-    if p (cell conn seq) then seqs := seq :: !seqs
-  done;
-  !seqs
+  Seqwin.fold conn.rc_window (fun seq c seqs -> if p c then seq :: seqs else seqs) []
 
 let is_in_flight = function Admitted fw -> fw.fw_sent | _ -> false
 let is_rejected_cell = function Rejected _ -> true | _ -> false
@@ -645,7 +598,7 @@ let in_flight_calls t ~vm_id = List.length (in_flight_seqs t ~vm_id)
 let window t ~vm_id =
   match find_conn t vm_id with
   | None -> 0
-  | Some conn -> conn.rc_top - conn.rc_base
+  | Some conn -> Seqwin.top conn.rc_window - Seqwin.base conn.rc_window
 
 (* {1 Multi-backend steering (device pool)} *)
 
@@ -703,11 +656,9 @@ let detach_vm t ~vm_id =
   Hashtbl.remove t.conns vm_id;
   conn.rc_detached <- true;
   conn.rc_obs <- None;
-  (* An empty window, still one cell wide: a frame stalled in policing
-     across the detach resumes through [admit] and is dropped at the
-     push. *)
-  conn.rc_cells <- [| Unseen |];
-  conn.rc_top <- conn.rc_base;
+  (* A frame stalled in policing across the detach resumes through
+     [admit] and is dropped at the push. *)
+  Seqwin.clear conn.rc_window;
   conn.bucket <- None;
   conn.quota <- None;
   conn.breaker <- None

@@ -149,7 +149,8 @@ val in_flight_seqs : t -> vm_id:int -> int list
 val window : t -> vm_id:int -> int
 (** Seqs the VM's seq window tracks, base through newest.  The base
     passes a seq once it is answered or rejected and
-    {!Server.replay_cache_cap} behind the newest. *)
+    {!Server.replay_cache_cap} behind the newest: the horizon rule of
+    {!Seqwin}, which the server's reply log follows too. *)
 
 (** {1 Multi-backend steering (device pool)}
 

@@ -170,9 +170,14 @@ type cache_stats = {
    (status, return-value, out-values). *)
 type 'st handler = Ctx.t -> 'st -> Wire.value list -> int * Wire.value * Wire.value list
 
-(* Bounds the per-VM reply log used for idempotent replay of duplicate
-   seqs; far above any realistic in-flight window. *)
-let replay_cache_cap = 4096
+let replay_cache_cap = Seqwin.horizon
+
+(* What the server knows about one seq of a VM: parked until the gap
+   before it fills, policed away by the router, or answered (the reply
+   log).  Every cell below the cursor is [Replied] or [Skipped]. *)
+type cell = Empty | Held of Message.call | Skipped | Replied of Message.reply
+
+let resolved = function Skipped | Replied _ -> true | Empty | Held _ -> false
 
 type 'st vm_entry = {
   ve_ctx : Ctx.t;
@@ -186,12 +191,7 @@ type 'st vm_entry = {
           worker exits at its next wakeup instead of racing the
           replacement for inbox messages *)
   mutable ve_expected : int;  (** next seq to execute, in order *)
-  ve_hold : (int, Message.call) Hashtbl.t;
-      (** future seqs parked until the gap before them fills *)
-  ve_skipped : (int, unit) Hashtbl.t;
-      (** future seqs the router policed away (Skip notices) *)
-  ve_replay : (int, Message.reply) Hashtbl.t;  (** seq -> sent reply *)
-  ve_replay_order : int Queue.t;  (** eviction order for [ve_replay] *)
+  ve_window : cell Seqwin.t;  (** the VM's seqs around the cursor *)
   ve_store : Store.t;  (** per-VM content store (transfer cache) *)
   ve_obs : Obs.vm option;  (** this VM's spans, when obs is armed *)
   mutable ve_log : Migrate.t option;
@@ -226,7 +226,7 @@ type 'st t = {
   plan : Plan.t;
   handlers : (string, 'st handler) Hashtbl.t;
   make_state : vm_id:int -> 'st;
-  mutable vm_entries : (int * 'st vm_entry) list;
+  vm_entries : (int, 'st vm_entry) Hashtbl.t;
   mutable executed : int;
   mutable rejected : int;
   mutable replayed : int;
@@ -286,7 +286,7 @@ let create ?(cache_capacity = 0) ?tdr ?obs
     plan;
     handlers = Hashtbl.create 64;
     make_state;
-    vm_entries = [];
+    vm_entries = Hashtbl.create 16;
     executed = 0;
     rejected = 0;
     replayed = 0;
@@ -325,7 +325,7 @@ let tdr_resets t = t.tdr_resets
 let device_lost t = t.device_lost
 let unexpected_exns t = t.unexpected_exns
 
-let find_vm t vm_id = List.assoc_opt vm_id t.vm_entries
+let find_vm t vm_id = Hashtbl.find_opt t.vm_entries vm_id
 
 let entry_exn t fn vm_id =
   match find_vm t vm_id with
@@ -371,9 +371,9 @@ let sum_cache_stats = List.fold_left add_cache_stats no_cache_stats
 
 (* Aggregate content-store counters across all attached VMs. *)
 let cache_totals t =
-  List.fold_left
-    (fun acc (_, e) -> add_cache_stats acc (stats_of_store e.ve_store))
-    no_cache_stats t.vm_entries
+  Hashtbl.fold
+    (fun _ e acc -> add_cache_stats acc (stats_of_store e.ve_store))
+    t.vm_entries no_cache_stats
 
 (* Empty a VM's content store (migration: the destination silo starts
    with no resident payloads; the guest's stale refs heal via NAK). *)
@@ -511,13 +511,15 @@ let execute_call t entry (c : Message.call) =
   | None -> ());
   result
 
-(* Cache a sent reply for idempotent replay of duplicate seqs (stub
-   retransmissions, router requeues after a restart). *)
-let cache_reply entry seq reply =
-  Hashtbl.replace entry.ve_replay seq reply;
-  Queue.push seq entry.ve_replay_order;
-  if Queue.length entry.ve_replay_order > replay_cache_cap then
-    Hashtbl.remove entry.ve_replay (Queue.pop entry.ve_replay_order)
+(* Log a reply in the window, for idempotent replay of duplicate seqs
+   (stub retransmissions, router requeues after a restart), and send
+   it. *)
+let send_reply entry seq (status, ret, outs) =
+  let reply =
+    { Message.reply_seq = seq; reply_status = status; reply_ret = ret; reply_outs = outs }
+  in
+  Seqwin.set entry.ve_window seq (Replied reply);
+  Transport.send entry.ve_ep (Message.encode (Message.Reply reply))
 
 (* Record a successful live call in the VM's migration log, with the
    virtual id an allocating call minted (which argument inspection
@@ -535,18 +537,9 @@ let record_call t entry (c : Message.call) =
           | _ -> Migrate.observe log plan c))
 
 let run_call t entry (c : Message.call) =
-  let status, ret, outs = execute_call t entry c in
+  let ((status, _, _) as result) = execute_call t entry c in
   if status = status_ok then record_call t entry c;
-  let reply =
-    {
-      Message.reply_seq = c.Message.call_seq;
-      reply_status = status;
-      reply_ret = ret;
-      reply_outs = outs;
-    }
-  in
-  cache_reply entry c.Message.call_seq reply;
-  Transport.send entry.ve_ep (Message.encode (Message.Reply reply))
+  send_reply entry c.Message.call_seq result
 
 (* --- transfer-cache resolution ----------------------------------------- *)
 
@@ -672,17 +665,8 @@ let try_run t entry (c : Message.call) =
   | exception Bad_mapped_ref ->
       t.sva_rejected <- t.sva_rejected + 1;
       t.rejected <- t.rejected + 1;
-      let reply =
-        {
-          Message.reply_seq = c.Message.call_seq;
-          reply_status = status_bad_arguments;
-          reply_ret = Wire.Unit;
-          reply_outs = [];
-        }
-      in
-      cache_reply entry c.Message.call_seq reply;
       entry.ve_expected <- c.Message.call_seq + 1;
-      Transport.send entry.ve_ep (Message.encode (Message.Reply reply));
+      send_reply entry c.Message.call_seq (status_bad_arguments, Wire.Unit, []);
       true
   | exception Cache_miss missing ->
       t.naks_sent <- t.naks_sent + 1;
@@ -701,48 +685,59 @@ let try_run t entry (c : Message.call) =
    resend re-delivers it at [ve_expected]. *)
 let rec advance t entry =
   let seq = entry.ve_expected in
-  match Hashtbl.find_opt entry.ve_hold seq with
-  | Some c ->
-      Hashtbl.remove entry.ve_hold seq;
+  match Seqwin.get entry.ve_window seq with
+  | Held c ->
+      Seqwin.set entry.ve_window seq Empty;
       if try_run t entry c then advance t entry
-  | None ->
-      if Hashtbl.mem entry.ve_skipped seq then begin
-        Hashtbl.remove entry.ve_skipped seq;
-        entry.ve_expected <- seq + 1;
-        advance t entry
-      end
+  | Skipped ->
+      entry.ve_expected <- seq + 1;
+      advance t entry
+  | Empty | Replied _ -> ()
+
+(* A seq no stub sends: negative, or so far past the cursor that parking
+   it would grow the window without bound.  Dropped and counted. *)
+let out_of_window entry seq = seq < 0 || seq - entry.ve_expected >= Seqwin.max_span
 
 (* Per-VM calls execute strictly in seq order.  Under fault injection a
    call can arrive late (retransmission) or twice (duplicate delivery);
    executing out of order would reorder argument updates against
-   launches, so future seqs park in [ve_hold] until the gap fills, and
-   seqs already executed replay their cached reply without touching the
+   launches, so future seqs park in the window until the gap fills, and
+   seqs already executed replay their logged reply without touching the
    silo. *)
 let handle_call t entry (c : Message.call) =
   let seq = c.Message.call_seq in
-  if seq < entry.ve_expected then (
+  if out_of_window entry seq then t.rejected <- t.rejected + 1
+  else if seq < entry.ve_expected then (
     (* Duplicate of an executed (or skipped) call: idempotent replay. *)
-    match Hashtbl.find_opt entry.ve_replay seq with
-    | Some r ->
+    match Seqwin.get entry.ve_window seq with
+    | Replied r ->
         t.replayed <- t.replayed + 1;
         Transport.send entry.ve_ep (Message.encode (Message.Reply r))
-    | None ->
+    | Empty | Held _ | Skipped ->
         (* A router-skipped seq (the guest already holds its rejection
-           reply) or an evicted cache entry: nothing to say. *)
+           reply) or one the window base passed: nothing to say. *)
         ())
-  else if seq = entry.ve_expected then begin
-    if try_run t entry c then advance t entry
+  else begin
+    Seqwin.extend entry.ve_window seq;
+    if seq = entry.ve_expected then (if try_run t entry c then advance t entry)
+    else Seqwin.set entry.ve_window seq (Held c)
   end
-  else Hashtbl.replace entry.ve_hold seq c
 
+(* A parked call outranks a skip notice for its seq. *)
 let handle_skip t entry seqs =
   List.iter
     (fun s ->
-      if s >= entry.ve_expected then Hashtbl.replace entry.ve_skipped s ())
+      if out_of_window entry s then t.rejected <- t.rejected + 1
+      else if s >= entry.ve_expected then begin
+        Seqwin.extend entry.ve_window s;
+        match Seqwin.get entry.ve_window s with
+        | Empty -> Seqwin.set entry.ve_window s Skipped
+        | Held _ | Skipped | Replied _ -> ()
+      end)
     seqs;
   advance t entry
 
-(* Detach a VM: drop its entry — context, silo, reply log, content
+(* Detach a VM: drop its entry — context, silo, seq window, content
    store, record log and SVA pairing — and tell its worker to exit at
    the next wakeup.  Migration away from this server must detach, or a
    later migration *back* would leave two workers racing for the same
@@ -750,6 +745,9 @@ let handle_skip t entry seqs =
 let detach_vm t ~vm_id =
   let e = entry_exn t "detach_vm" vm_id in
   e.ve_detached <- true;
+  (* The worker keeps the entry until its next wakeup: empty the window
+     now. *)
+  Seqwin.clear e.ve_window;
   (* Unblock a worker parked in the paused-state await so it can
      observe the detach flag and exit. *)
   (match e.ve_resume with
@@ -757,13 +755,13 @@ let detach_vm t ~vm_id =
       e.ve_resume <- None;
       resume ()
   | None -> ());
-  t.vm_entries <- List.remove_assoc vm_id t.vm_entries
+  Hashtbl.remove t.vm_entries vm_id
 
 (* Attach a VM: spawn its worker process draining its endpoint.  A
    leftover entry for the same VM (a previous residency the pool never
    detached) is superseded, never raced. *)
 let attach_vm t ~vm_id ~ep =
-  if List.mem_assoc vm_id t.vm_entries then detach_vm t ~vm_id;
+  if Hashtbl.mem t.vm_entries vm_id then detach_vm t ~vm_id;
   let entry =
     {
       ve_ctx = Ctx.create ~vm_id;
@@ -774,17 +772,14 @@ let attach_vm t ~vm_id ~ep =
       ve_crashed = false;
       ve_detached = false;
       ve_expected = 0;
-      ve_hold = Hashtbl.create 16;
-      ve_skipped = Hashtbl.create 16;
-      ve_replay = Hashtbl.create 64;
-      ve_replay_order = Queue.create ();
+      ve_window = Seqwin.create ~empty:Empty ~resolved;
       ve_store = Store.create ~capacity:t.cache_capacity;
       ve_log = (if t.device_id >= 0 then Some (Migrate.create ()) else None);
       ve_sva = None;
       ve_obs = Option.map (fun o -> Obs.vm o ~vm:vm_id) t.obs;
     }
   in
-  t.vm_entries <- (vm_id, entry) :: t.vm_entries;
+  Hashtbl.replace t.vm_entries vm_id entry;
   Engine.spawn t.engine ~name:(Printf.sprintf "ava-server-vm%d" vm_id)
     (fun () ->
       let rec loop () =
@@ -828,35 +823,25 @@ let attach_vm t ~vm_id ~ep =
    log survive (device state outlives a front-end process bounce);
    in-flight calls are the losses, recovered by stub retransmission and
    {!Router.requeue_in_flight}. *)
-let crash t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.crash: unknown vm"
-  | Some e -> e.ve_crashed <- true
+let crash t ~vm_id = (entry_exn t "crash" vm_id).ve_crashed <- true
 
 let restart t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.restart: unknown vm"
-  | Some e ->
-      if e.ve_crashed then begin
-        e.ve_crashed <- false;
-        t.restarts <- t.restarts + 1;
-        (* The content store is front-end process memory: a restart loses
-           it.  Stale refs from the guest then miss and NAK. *)
-        Store.clear e.ve_store
-      end
+  let e = entry_exn t "restart" vm_id in
+  if e.ve_crashed then begin
+    e.ve_crashed <- false;
+    t.restarts <- t.restarts + 1;
+    (* The content store is front-end process memory: a restart loses
+       it.  Stale refs from the guest then miss and NAK. *)
+    Store.clear e.ve_store
+  end
 
-let is_crashed t ~vm_id =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.is_crashed: unknown vm"
-  | Some e -> e.ve_crashed
+let is_crashed t ~vm_id = (entry_exn t "is_crashed" vm_id).ve_crashed
 
-(* The VM's reply log, seq-sorted. *)
+(* The VM's reply log: the window's replied cells, in seq order. *)
 let export_replies t ~vm_id =
-  List.sort
-    (fun (a, _) (b, _) -> Stdlib.compare a b)
-    (Hashtbl.fold
-       (fun seq reply acc -> (seq, reply) :: acc)
-       (entry_exn t "export_replies" vm_id).ve_replay [])
+  Seqwin.fold (entry_exn t "export_replies" vm_id).ve_window
+    (fun seq c acc -> match c with Replied r -> (seq, r) :: acc | _ -> acc)
+    []
 
 let recorder t ~vm_id = Option.bind (find_vm t vm_id) (fun e -> e.ve_log)
 
@@ -872,22 +857,26 @@ let hand_over_log t ~into ~vm_id =
       (entry_exn into "hand_over_log" vm_id).ve_log <- log
 
 (* The rest of a migration's server-side state: resume the destination's
-   in-order cursor at the source's and carry the reply log over.
+   in-order cursor at the source's and carry the replied cells over.
    Replayed log entries run with seq 0 (outside the live window), so the
    destination must be told where the guest's live seq stream resumes
    or every steered call would park as a future seq.  The source's
    cursor is the first seq it has not answered ([try_run]), so every
    seq below it is a duplicate only the reply log can answer: without
    it, a reply lost on the guest link just before the move is
-   unhealable.  Seqs the destination already answered keep their
-   reply. *)
+   unhealable.  The destination's window becomes the source's, base to
+   cursor: a seq the destination already answered keeps its reply, and
+   one neither answered is [Skipped] (nothing to replay). *)
 let hand_over t ~into ~vm_id =
-  let dst = entry_exn into "hand_over" vm_id in
-  dst.ve_expected <- (entry_exn t "hand_over" vm_id).ve_expected;
-  List.iter
-    (fun (seq, reply) ->
-      if not (Hashtbl.mem dst.ve_replay seq) then cache_reply dst seq reply)
-    (export_replies t ~vm_id)
+  let src = entry_exn t "hand_over" vm_id and dst = entry_exn into "hand_over" vm_id in
+  let cursor = src.ve_expected in
+  let carried seq =
+    match (Seqwin.get dst.ve_window seq, Seqwin.get src.ve_window seq) with
+    | (Replied _ as c), _ | _, (Replied _ as c) -> c
+    | _ -> Skipped
+  in
+  Seqwin.rebuild dst.ve_window ~base:(Seqwin.base src.ve_window) ~top:cursor carried;
+  dst.ve_expected <- cursor
 
 (* Suspend/resume a VM's worker (used by migration §4.3). *)
 let pause_vm t ~vm_id = (entry_exn t "pause_vm" vm_id).ve_paused <- true
@@ -907,12 +896,8 @@ let vm_state t ~vm_id = Option.map (fun e -> e.ve_state) (find_vm t vm_id)
 (* Invoke a guest callback: send an upcall message back over the VM's
    endpoint (spec [callback] parameters). *)
 let upcall t ~vm_id ~cb ~args =
-  match find_vm t vm_id with
-  | None -> invalid_arg "Server.upcall: unknown vm"
-  | Some entry ->
-      Transport.send entry.ve_ep
-        (Message.encode
-           (Message.Upcall { up_vm = vm_id; up_cb = cb; up_args = args }))
+  Transport.send (entry_exn t "upcall" vm_id).ve_ep
+    (Message.encode (Message.Upcall { up_vm = vm_id; up_cb = cb; up_args = args }))
 
 (* Execute a call directly against a VM's state, bypassing transport and
    the record log — used by migration replay.  Must run inside a

@@ -145,9 +145,15 @@ val executed : 'st t -> int
 val rejected : 'st t -> int
 
 val replay_cache_cap : int
-(** Depth of the per-VM reply log, the one bound on how long a seq can
-    still be answered: the router's seq window keeps a seq until it is
-    this far behind the newest. *)
+(** Depth of the per-VM reply log: {!Seqwin.horizon}.  Each VM's entry
+    keeps its parked calls, skip notices and sent replies in one seq
+    window around its in-order cursor, and a replied seq stays
+    answerable until the window's base passes it, this far behind the
+    newest seq the entry has seen — the same rule, on the same depth, as
+    the router's window, so a copy the router forwards finds its reply
+    (see {!Seqwin}).  A call with a negative seq, or one at least
+    {!Seqwin.max_span} past the cursor, is dropped and counted in
+    {!rejected}. *)
 
 val replayed : 'st t -> int
 (** Duplicate seqs answered from the per-VM reply log without
@@ -237,7 +243,8 @@ val restart : 'st t -> vm_id:int -> unit
 val is_crashed : 'st t -> vm_id:int -> bool
 
 val export_replies : 'st t -> vm_id:int -> (int * Message.reply) list
-(** Snapshot the VM's reply log, seq-sorted. *)
+(** Snapshot the VM's reply log — the replied cells of its seq window,
+    at most {!replay_cache_cap} of them — seq-sorted. *)
 
 val recorder : 'st t -> vm_id:int -> Migrate.t option
 (** The VM's migration record log: every successful live call, filed by
@@ -260,10 +267,12 @@ val hand_over : 'st t -> into:'st t -> vm_id:int -> unit
     call only once its reply is logged, so it resumes at the first seq
     this server has not answered; a call still executing here runs
     again at the destination (at-least-once only for calls this server
-    had not answered).  Carry the reply log over (seqs [into] already
-    answered keep their reply): every seq below the cursor can only be
-    answered from this log — a reply lost on the guest link just
-    before the move is otherwise unhealable at the destination. *)
+    had not answered).  Carry the replied cells over: every seq below
+    the cursor can only be answered from this log — a reply lost on the
+    guest link just before the move is otherwise unhealable at the
+    destination.  [into]'s seq window becomes this server's, from its
+    base up to the cursor: seqs [into] already answered keep their
+    reply, and nothing [into] parked survives. *)
 
 val pause_vm : 'st t -> vm_id:int -> unit
 (** Stall the worker before its next call (migration §4.3). *)

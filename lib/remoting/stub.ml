@@ -90,7 +90,7 @@ type t = {
   pending : (int, pending) Hashtbl.t;
   no_wait : Message.reply Ivar.t;  (** [p_ivar] of every async call *)
   sync_scalars : Plan.scalars;  (** [plan_sync]'s scratch view *)
-  mutable deferred_errors : (string * int) list;  (** newest first *)
+  deferred_errors : (string * int) Queue.t;  (** oldest first *)
   batch_limit : int;  (** max async calls buffered; 1 disables batching *)
   batch_bytes_limit : int;
   mutable batch : (int * bytes) list;
@@ -144,7 +144,7 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
       pending = Hashtbl.create 32;
       no_wait = Ivar.create ();
       sync_scalars = Plan.scalars ();
-      deferred_errors = [];
+      deferred_errors = Queue.create ();
       batch_limit = Stdlib.max 1 batch_limit;
       batch_bytes_limit = 32 * 1024;
       batch = [];
@@ -194,8 +194,7 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
                 ack_digests t p.p_announced;
                 (match p.p_on_reply with Some f -> f r | None -> ());
                 if (not p.p_sync) && r.Message.reply_status <> 0 then
-                  t.deferred_errors <-
-                    (p.p_fn, r.Message.reply_status) :: t.deferred_errors;
+                  Queue.push (p.p_fn, r.Message.reply_status) t.deferred_errors;
                 if p.p_sync then Ivar.fill p.p_ivar r)
         | Ok (Message.Nak n) -> (
             (* Cache miss: forget the rejected digests, then resend the
@@ -261,15 +260,8 @@ let fresh_handle t =
 
 (* The deferred-error channel of §4.2: async calls cannot fail at their
    call site; the error surfaces here, at the next synchronous call. *)
-let take_deferred_error t =
-  match List.rev t.deferred_errors with
-  | [] -> None
-  | oldest :: _ ->
-      t.deferred_errors <-
-        List.rev (List.tl (List.rev t.deferred_errors));
-      Some oldest
-
-let pending_errors t = List.length t.deferred_errors
+let take_deferred_error t = Queue.take_opt t.deferred_errors
+let pending_errors t = Queue.length t.deferred_errors
 
 (* Charge the CPU cost of marshalling: descriptor build plus pinning of
    bulk payloads (zero-copy transport; no payload memcpy). *)
@@ -427,7 +419,7 @@ let give_up t seq p =
   (match p.p_on_reply with Some f -> f reply | None -> ());
   if p.p_sync then Ivar.fill p.p_ivar reply
   else
-    t.deferred_errors <- (p.p_fn, Server.status_timeout) :: t.deferred_errors
+    Queue.push (p.p_fn, Server.status_timeout) t.deferred_errors
 
 (* Scatter one watchdog sleep by the policy's jitter factor.  Zero
    jitter draws nothing from the RNG, keeping the schedule (and the

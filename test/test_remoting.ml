@@ -980,19 +980,29 @@ let stub_tests =
         let plan = mini_plan () in
         let stub, server = stub_server_pair e plan in
         Server.register server "ping" (fun _ _ _ -> (0, Wire.Unit, []));
-        Server.register server "fire" (fun _ _ _ ->
-            (-77, Wire.Unit, []));
+        Server.register server "fire" (fun _ _ args ->
+            match args with
+            | [ Wire.I64 v ] -> (-Int64.to_int v, Wire.Unit, [])
+            | _ -> (Server.status_bad_arguments, Wire.Unit, []));
         Engine.run_process e (fun () ->
-            (match Stub.invoke stub ~fn:"fire" ~args:[ Wire.int 1 ] with
-            | Ok None -> ()
-            | _ -> Alcotest.fail "fire should be async");
+            List.iter
+              (fun status ->
+                match Stub.invoke stub ~fn:"fire" ~args:[ Wire.int status ] with
+                | Ok None -> ()
+                | _ -> Alcotest.fail "fire should be async")
+              [ 77; 78 ];
             let _ =
               Result.get_ok
                 (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ])
             in
+            Alcotest.(check int) "both pending" 2 (Stub.pending_errors stub);
             Alcotest.(check (option (pair string int)))
-              "deferred error"
+              "oldest error first"
               (Some ("fire", -77))
+              (Stub.take_deferred_error stub);
+            Alcotest.(check (option (pair string int)))
+              "then the next"
+              (Some ("fire", -78))
               (Stub.take_deferred_error stub);
             Alcotest.(check int) "drained" 0 (Stub.pending_errors stub)));
     Alcotest.test_case "unknown function fails locally" `Quick (fun () ->
@@ -1475,6 +1485,47 @@ let router_tests =
           (Router.forwarded router);
         Alcotest.(check int) "each good call executed once" (n - 1)
           (Server.executed server));
+    (* Router and server windows follow one horizon rule, and the router
+       applies it as replies flow back too: after a burst whose replies
+       all returned late, the router's base has caught up with the
+       server's, so the lowest seq it still forwards is answered. *)
+    Alcotest.test_case "a copy the router forwards finds its reply" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
+        (* A slow device: the router opens every seq long before most
+           replies are back. *)
+        Server.register server "fire" (fun _ _ _ ->
+            Engine.delay (Time.us 10);
+            (0, Wire.Unit, []));
+        let fire seq =
+          Message.encode
+            (Message.Call
+               { Message.call_seq = seq; call_vm = vm_id; call_fn = "fire";
+                 call_args = [ Wire.int seq ] })
+        in
+        let n = 6000 in
+        Engine.run_process e (fun () ->
+            for seq = 0 to n - 1 do
+              Transport.send guest_end (fire seq)
+            done;
+            for _ = 1 to n do
+              ignore (Transport.recv guest_end)
+            done;
+            let base = n - Router.window router ~vm_id in
+            Alcotest.(check int)
+              "router base at the horizon" (n - Server.replay_cache_cap) base;
+            Transport.send guest_end (fire base);
+            (match Message.decode (Transport.recv guest_end) with
+            | Ok (Message.Reply r) ->
+                Alcotest.(check int)
+                  "lowest forwarded seq answered" base r.Message.reply_seq
+            | _ -> Alcotest.fail "expected a reply frame");
+            Transport.send guest_end (fire (base - 1));
+            Engine.delay (Time.ms 1));
+        Alcotest.(check int) "replayed, not executed" 1 (Server.replayed server);
+        Alcotest.(check int) "each seq executed once" n (Server.executed server);
+        Alcotest.(check int) "below the base: dropped" 1 (Router.dropped router));
     Alcotest.test_case "a seq repeated within one batch is admitted once"
       `Quick (fun () ->
         let e = Engine.create () in
@@ -1608,6 +1659,105 @@ let router_tests =
           (Router.in_flight_calls router ~vm_id:vm1);
         Alcotest.(check int) "vm2 ledger drained" 0
           (Router.in_flight_calls router ~vm_id:vm2));
+  ]
+
+(* A bare API server, no router in front (as [User_rpc] deploys it):
+   tests send its endpoint frames no router would pass. *)
+let ping_server e =
+  let server =
+    Server.create e ~plan:(mini_plan ()) ~make_state:(fun ~vm_id -> ref vm_id)
+  in
+  Server.register server "ping" (fun _ _ _ -> (0, Wire.Unit, []));
+  server
+
+let attach_bare e server =
+  let guest_end, server_end = Transport.direct e in
+  ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
+  guest_end
+
+let ping_frame seq =
+  Message.encode
+    (Message.Call
+       { Message.call_seq = seq; call_vm = 1; call_fn = "ping";
+         call_args = [ Wire.int seq ] })
+
+let skip_frame seqs =
+  Message.encode (Message.Skip { Message.skip_vm = 1; skip_seqs = seqs })
+
+let reply_seq ep =
+  match Message.decode (Transport.recv ep) with
+  | Ok (Message.Reply r) -> r.Message.reply_seq
+  | _ -> Alcotest.fail "expected a reply frame"
+
+let server_tests =
+  [
+    (* The server's per-VM seq window: parked calls, skip notices and the
+       reply log in one ring, bounded by the same horizon as the
+       router's. *)
+    Alcotest.test_case "seq window stays bounded, replays inside the horizon"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let server = ping_server e in
+        let guest = attach_bare e server in
+        let n = 20_000 and h = Server.replay_cache_cap in
+        Engine.run_process e (fun () ->
+            for seq = 0 to n - 1 do
+              Transport.send guest (ping_frame seq);
+              Alcotest.(check int) "reply in order" seq (reply_seq guest);
+              let logged = List.length (Server.export_replies server ~vm_id:1) in
+              if seq mod 1000 = 0 && logged > h then
+                Alcotest.failf "%d replies logged at seq %d" logged seq
+            done;
+            (* The base sits [h] behind the newest seq: a duplicate just
+               inside replays its reply, one just outside gets none. *)
+            Transport.send guest (ping_frame (n - h));
+            Alcotest.(check int) "inside the horizon: replayed" (n - h) (reply_seq guest);
+            Transport.send guest (ping_frame (n - h - 1));
+            (* Skip notices for future seqs, and a call parked past them:
+               nothing runs until the gap before them fills. *)
+            Transport.send guest (skip_frame [ n + 1; n + 2 ]);
+            Transport.send guest (ping_frame (n + 3));
+            Engine.delay (Time.ms 1);
+            Alcotest.(check int) "parked behind the gap" n (Server.executed server);
+            Transport.send guest (ping_frame n);
+            (* No reply for the seq outside the horizon comes first. *)
+            Alcotest.(check int) "gap filled" n (reply_seq guest);
+            Alcotest.(check int)
+              "skips passed, parked call ran" (n + 3) (reply_seq guest));
+        Alcotest.(check int) "one replay" 1 (Server.replayed server);
+        Alcotest.(check int) "each call executed once" (n + 2) (Server.executed server);
+        (* Migration: the destination resumes at the source's cursor and
+           answers a retransmit of a pre-cursor seq from the carried
+           window, without executing it. *)
+        let dst = ping_server e in
+        let guest' = attach_bare e dst in
+        Server.hand_over server ~into:dst ~vm_id:1;
+        Alcotest.(check (list int))
+          "replied cells carried"
+          (List.map fst (Server.export_replies server ~vm_id:1))
+          (List.map fst (Server.export_replies dst ~vm_id:1));
+        Engine.run_process e (fun () ->
+            Transport.send guest' (ping_frame (n + 3));
+            Alcotest.(check int) "retransmit answered" (n + 3) (reply_seq guest');
+            Transport.send guest' (ping_frame (n + 4));
+            Alcotest.(check int) "next seq runs" (n + 4) (reply_seq guest'));
+        Alcotest.(check int) "replayed at the destination" 1 (Server.replayed dst);
+        Alcotest.(check int) "only the new seq executed" 1 (Server.executed dst));
+    (* Regression: a guest with no router in front could park a seq far
+       past the cursor, and the parked-call table grew without bound. *)
+    Alcotest.test_case "out-of-window seqs are dropped and counted" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let server = ping_server e in
+        let guest = attach_bare e server in
+        Engine.run_process e (fun () ->
+            Transport.send guest (ping_frame (1 lsl 20));
+            Transport.send guest (ping_frame (-1));
+            Transport.send guest (skip_frame [ 1 lsl 21 ]);
+            Transport.send guest (ping_frame 0);
+            Alcotest.(check int) "in-window call answered" 0 (reply_seq guest));
+        Alcotest.(check int) "three seqs rejected" 3 (Server.rejected server);
+        Alcotest.(check int) "one call executed" 1 (Server.executed server));
   ]
 
 let ctx_tests =
@@ -2118,6 +2268,7 @@ let () =
       ("transfer-cache", cache_tests);
       ("sva", sva_tests);
       ("router", router_tests);
+      ("server", server_tests);
       ("ctx", ctx_tests);
       ("migrate", migrate_tests);
       ("swap", swap_tests);
