@@ -50,7 +50,7 @@ type t = {
   fault : Devfault.t option;
   mutable wedged : (kernel_work * completion) option;
   mutable dead : bool;  (** board lost: every command fails instantly *)
-  mutable cp_resume : (unit -> unit) option;
+  cp_resume : unit Engine.waitq;
   mutable resets : int;
   mutable next_buf_id : int;
   mutable busy_ns : Time.t;
@@ -78,7 +78,7 @@ let create ?(timing = Timing.gtx1080) ?devfault engine =
       fault = devfault;
       wedged = None;
       dead = false;
-      cp_resume = None;
+      cp_resume = Engine.waitq ();
       resets = 0;
       next_buf_id = 1;
       busy_ns = 0;
@@ -104,7 +104,7 @@ let create ?(timing = Timing.gtx1080) ?devfault engine =
         | Some f when Devfault.gpu_hangs f ~client:completion.client ->
             completion.started_at <- Engine.now engine;
             t.wedged <- Some (work, completion);
-            Engine.await (fun resume -> t.cp_resume <- Some resume)
+            Engine.park t.cp_resume
         | Some f when Devfault.gpu_launch_fails f ~client:completion.client
           ->
             completion.started_at <- Engine.now engine;
@@ -152,11 +152,7 @@ let kill t =
         Ivar.fill completion.done_ ();
         t.wedged <- None
     | None -> ());
-    match t.cp_resume with
-    | Some resume ->
-        t.cp_resume <- None;
-        resume ()
-    | None -> ()
+    if Engine.parked t.cp_resume then Engine.wake t.cp_resume ()
   end
 
 (* The client whose command wedged the CP (TDR blame). *)
@@ -221,11 +217,7 @@ let reset ?(policy = `Preserve) t =
         (fun _ buf -> Bytes.fill buf.data 0 (Bytes.length buf.data) '\xA5')
         t.buffers
   | `Preserve -> ());
-  match t.cp_resume with
-  | Some resume ->
-      t.cp_resume <- None;
-      resume ()
-  | None -> ()
+  if Engine.parked t.cp_resume then Engine.wake t.cp_resume ()
 
 (* Host <-> device data movement; blocks for the DMA duration.
    [per_page_ns] lets full virtualization charge shadow-paging costs. *)

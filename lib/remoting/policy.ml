@@ -85,12 +85,10 @@ module Wfq = struct
     mutable backlogged : 'a flow array;
         (** the flows with queued items: the first [n_backlogged] cells *)
     mutable n_backlogged : int;
-    mutable waiting : bool;  (** the popper is parked on [waiter] *)
-    mutable waiter : unit -> unit;
+    popper : unit Engine.waitq;  (** the blocked popper, if any *)
     mutable enqueued : int;
     mutable dequeued : int;
     none : 'a flow;  (** stands for "no flow" *)
-    mutable park : (unit -> unit) -> unit;
   }
 
   let ring_at f i = (f.head + i) land (Array.length f.tags - 1)
@@ -110,8 +108,6 @@ module Wfq = struct
       slot = -1;
     }
 
-  let ignore_unit () = ()
-
   let create () =
     let none = make_flow (-1) 1.0 in
     let t =
@@ -119,22 +115,12 @@ module Wfq = struct
         clock = { vtime = 0.0; best_tag = 0.0 };
         backlogged = Array.make 4 none;
         n_backlogged = 0;
-        waiting = false;
-        waiter = ignore_unit;
+        popper = Engine.waitq ();
         enqueued = 0;
         dequeued = 0;
         none;
-        park = (fun _ -> ());
       }
     in
-    (* One closure for the scheduler's lifetime, so a pop's wait builds
-       none: [park] registers the blocked popper. *)
-    t.park <-
-      (fun resume ->
-        if t.waiting then
-          invalid_arg "Wfq.pop_payload: concurrent poppers unsupported";
-        t.waiting <- true;
-        t.waiter <- resume);
     t
 
   let add_flow (_ : 'a t) ~flow_id ~weight =
@@ -210,12 +196,7 @@ module Wfq = struct
     if f.slot < 0 then backlog_flow t f;
     Queue.push payload f.payloads;
     t.enqueued <- t.enqueued + 1;
-    if t.waiting then begin
-      let resume = t.waiter in
-      t.waiting <- false;
-      t.waiter <- ignore_unit;
-      resume ()
-    end
+    if Engine.parked t.popper then Engine.wake t.popper ()
 
   (* The backlogged flow whose head has the smallest finish tag, the
      lowest flow id among equal tags, or [none]. *)
@@ -243,7 +224,9 @@ module Wfq = struct
     let f = min_flow t in
     if f != t.none then f
     else begin
-      Engine.await t.park;
+      if Engine.parked t.popper then
+        invalid_arg "Wfq.pop_payload: concurrent poppers unsupported";
+      Engine.park t.popper;
       next t
     end
 

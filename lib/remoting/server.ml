@@ -184,7 +184,7 @@ type 'st vm_entry = {
   ve_state : 'st;
   ve_ep : Transport.endpoint;
   mutable ve_paused : bool;
-  mutable ve_resume : (unit -> unit) option;
+  ve_resume : unit Engine.waitq;
   mutable ve_crashed : bool;  (** down: incoming messages are lost *)
   mutable ve_detached : bool;
       (** superseded (migration away, or re-attach of the same VM): the
@@ -438,16 +438,11 @@ let run_handler t entry handler (c : Message.call) =
       | exception e -> classify_exn t e)
   | Some tdr -> (
       let iv = Ivar.create () in
-      Engine.spawn t.engine
-        ~name:
-          (Printf.sprintf "ava-server-exec-vm%d" entry.ve_ctx.Ctx.ctx_vm)
-        (fun () ->
+      Engine.spawn t.engine (fun () ->
           match handler entry.ve_ctx entry.ve_state c.Message.call_args with
           | r -> Ivar.fill_if_empty iv (`Returned r)
           | exception e -> Ivar.fill_if_empty iv (`Raised e));
-      Engine.spawn t.engine
-        ~name:(Printf.sprintf "ava-server-tdr-vm%d" entry.ve_ctx.Ctx.ctx_vm)
-        (fun () ->
+      Engine.spawn t.engine (fun () ->
           Engine.delay (tdr_budget t tdr c);
           if not (Ivar.is_filled iv) then begin
             let self = entry.ve_ctx.Ctx.ctx_vm in
@@ -748,13 +743,9 @@ let detach_vm t ~vm_id =
   (* The worker keeps the entry until its next wakeup: empty the window
      now. *)
   Seqwin.clear e.ve_window;
-  (* Unblock a worker parked in the paused-state await so it can
-     observe the detach flag and exit. *)
-  (match e.ve_resume with
-  | Some resume ->
-      e.ve_resume <- None;
-      resume ()
-  | None -> ());
+  (* Unblock a worker parked while paused so it can observe the detach
+     flag and exit. *)
+  if Engine.parked e.ve_resume then Engine.wake e.ve_resume ();
   Hashtbl.remove t.vm_entries vm_id
 
 (* Attach a VM: spawn its worker process draining its endpoint.  A
@@ -768,7 +759,7 @@ let attach_vm t ~vm_id ~ep =
       ve_state = t.make_state ~vm_id;
       ve_ep = ep;
       ve_paused = false;
-      ve_resume = None;
+      ve_resume = Engine.waitq ();
       ve_crashed = false;
       ve_detached = false;
       ve_expected = 0;
@@ -788,7 +779,7 @@ let attach_vm t ~vm_id ~ep =
           let data = Transport.recv ep in
           if entry.ve_paused && not entry.ve_detached then
             (* Migration in progress: stall new work until resumed. *)
-            Engine.await (fun resume -> entry.ve_resume <- Some resume);
+            Engine.park entry.ve_resume;
           if entry.ve_detached then
             (* Superseded while blocked: anything still arriving on the
                old endpoint belongs to a flow the router already
@@ -884,11 +875,7 @@ let pause_vm t ~vm_id = (entry_exn t "pause_vm" vm_id).ve_paused <- true
 let resume_vm t ~vm_id =
   let e = entry_exn t "resume_vm" vm_id in
   e.ve_paused <- false;
-  match e.ve_resume with
-  | Some resume ->
-      e.ve_resume <- None;
-      resume ()
-  | None -> ()
+  if Engine.parked e.ve_resume then Engine.wake e.ve_resume ()
 
 let vm_ctx t ~vm_id = Option.map (fun e -> e.ve_ctx) (find_vm t vm_id)
 let vm_state t ~vm_id = Option.map (fun e -> e.ve_state) (find_vm t vm_id)

@@ -3,17 +3,14 @@
    [recv] blocks while empty; [send] blocks while a bounded channel is
    full, giving natural backpressure for command queues and rings.
 
-   Parked senders and receivers sit in real FIFO queues: waking the
-   oldest waiter is O(1), where the previous reversed-list encoding
-   paid two [List.rev] per wake (quadratic once many processes pile up
-   on one endpoint).  Wake order is unchanged — oldest parked waiter
-   first — so schedules stay bit-identical. *)
+   Parked senders and receivers sit in engine wait queues: waking the
+   oldest is O(1) and parking allocates no closure or queue cell. *)
 
 type 'a t = {
   capacity : int option;
   items : 'a Queue.t;
-  recv_waiters : ('a -> unit) Queue.t;
-  send_waiters : (unit -> unit) Queue.t;
+  recv_waiters : 'a Engine.waitq;
+  send_waiters : unit Engine.waitq;
   mutable closed : bool;
 }
 
@@ -26,8 +23,8 @@ let create ?capacity () =
   {
     capacity;
     items = Queue.create ();
-    recv_waiters = Queue.create ();
-    send_waiters = Queue.create ();
+    recv_waiters = Engine.waitq ();
+    send_waiters = Engine.waitq ();
     closed = false;
   }
 
@@ -36,20 +33,20 @@ let is_full t =
 
 let rec send t v =
   if t.closed then raise Closed;
-  if not (Queue.is_empty t.recv_waiters) then
+  if Engine.parked t.recv_waiters then
     (* Direct handoff: the value goes straight to the oldest parked
        receiver without touching the item queue. *)
-    (Queue.pop t.recv_waiters) v
+    Engine.wake t.recv_waiters v
   else if is_full t then begin
-    Engine.await (fun resume -> Queue.push resume t.send_waiters);
+    Engine.park t.send_waiters;
     send t v
   end
   else Queue.push v t.items
 
 let try_send t v =
   if t.closed then raise Closed;
-  if not (Queue.is_empty t.recv_waiters) then begin
-    (Queue.pop t.recv_waiters) v;
+  if Engine.parked t.recv_waiters then begin
+    Engine.wake t.recv_waiters v;
     true
   end
   else if is_full t then false
@@ -61,17 +58,17 @@ let try_send t v =
 let recv t =
   if not (Queue.is_empty t.items) then begin
     let v = Queue.pop t.items in
-    if not (Queue.is_empty t.send_waiters) then (Queue.pop t.send_waiters) ();
+    if Engine.parked t.send_waiters then Engine.wake t.send_waiters ();
     v
   end
   else if t.closed then raise Closed
-  else Engine.await (fun resume -> Queue.push resume t.recv_waiters)
+  else Engine.park t.recv_waiters
 
 let try_recv t =
   if Queue.is_empty t.items then None
   else begin
     let v = Queue.pop t.items in
-    if not (Queue.is_empty t.send_waiters) then (Queue.pop t.send_waiters) ();
+    if Engine.parked t.send_waiters then Engine.wake t.send_waiters ();
     Some v
   end
 

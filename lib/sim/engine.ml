@@ -3,16 +3,16 @@
    The engine drains a min-heap of (virtual-time, task) events.  A process
    is an OCaml function run under an effect handler: performing [Delay]
    suspends it and re-schedules its continuation [d] nanoseconds later;
-   [Await register] suspends it until some other event invokes the resume
-   callback handed to [register].  Everything runs on one OS thread, so no
+   [Park] suspends it at the tail of a wait queue until some other event
+   [wake]s it with a value.  Everything runs on one OS thread, so no
    locking is needed and runs are fully deterministic.
 
    Four hot-path refinements keep the loop allocation-free without
    touching the determinism contract (events fire in strict (time, seq)
    order):
 
-   - Tasks scheduled at the *current* instant — [delay 0], [yield], and
-     every [await] resume — go to a flat ring buffer instead of the heap,
+   - Tasks scheduled at the *current* instant — [delay 0] and every
+     [wake] — go to a flat ring buffer instead of the heap,
      turning the dominant immediate-resume traffic from O(log n) sifts
      into O(1) pushes.
 
@@ -23,16 +23,19 @@
      O(1) pushes and pops instead of O(log n) sifts.  Only far-future
      events (watchdogs, long kernels) reach the heap.
 
-   - A task is an untagged [Obj.t] — either a [unit -> unit] closure or
-     a parked [(unit, unit)] continuation — discriminated by the low bit
-     of its sequence number (seq is shifted left one bit; bit 0 set
-     means continuation).  The shift preserves (time, seq) ordering and
-     saves a 2-word variant box per scheduled event.  The coercions are
-     confined to [schedule_raw]/[schedule]/[schedule_cont]/[exec].
+   - A task is an untagged [Obj.t] — a [unit -> unit] closure, a
+     [(unit, unit)] continuation suspended by [delay], or a woken
+     [waiter] — discriminated by the low two bits of its sequence
+     number (seq is shifted left two bits).  The shift preserves (time,
+     seq) ordering and saves a 2-word variant box per scheduled event.
+     The coercions are confined to [schedule_raw]/[schedule]/
+     [schedule_cont]/[wake]/[exec].
 
-   - A [Delay] suspension reuses a preallocated effect value, handler
-     acceptor and [Some] cell, so a timer event allocates nothing
-     beyond what the effects runtime itself needs.
+   - A [Delay] or [Park] suspension reuses a preallocated effect value,
+     handler acceptor and [Some] cell, and a park links the process's
+     own waiter record (made once, at [spawn]) into its wait queue, so
+     neither allocates anything beyond what the effects runtime itself
+     needs.
 
    Why draining heap-then-bucket-then-ring at an instant [T] is exactly
    (time, seq) order: heap entries for [T] were scheduled when [T] was
@@ -49,12 +52,13 @@
    nearer events ([at - now < wheel_window]). *)
 
 exception Stalled of string
-(** Raised by [await] helpers when a process would block forever. *)
 
-(* Low bit of a stored sequence number: 0 = [unit -> unit] closure,
-   1 = parked [(unit, unit) Effect.Deep.continuation]. *)
+(* Low two bits of a stored sequence number: 0 = [unit -> unit] closure,
+   1 = [(unit, unit) Effect.Deep.continuation] suspended by [delay],
+   2 = woken [waiter]. *)
 let tag_fn = 0
 let tag_cont = 1
+let tag_wake = 2
 
 (* Calendar-wheel geometry: events scheduled less than [wheel_window] ns
    ahead take the O(1) bucket path; the rest go to the overflow heap.
@@ -92,10 +96,36 @@ type t = {
      handler returns this shared closure (and shared [Some]), so a timer
      suspension allocates no per-perform closure or option. *)
   mutable delay_k : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  (* The same for [Park]: it stores the continuation in the waiter the
+     handler has just linked at the tail of [pending_queue]. *)
+  mutable park_k : ((Obj.t, unit) Effect.Deep.continuation -> unit) option;
+  (* Every process's return and exception handlers, shared so a spawn
+     allocates only what is its own (waiter, [effc], handler record). *)
+  mutable retc : unit -> unit;
+  mutable exnc : exn -> unit;
   mutable live_processes : int;
   mutable spawned : int;
   mutable executed : int;
 }
+
+(* One per process: its continuation while parked, the value a [wake]
+   hands it, and its link in a wait queue (a process parks in one queue
+   at a time).  Untyped slots, because one queue type serves every
+   ['a waitq]; the mli's phantom parameter keeps [park] and [wake] of
+   one queue agreeing on ['a].  [v] is cleared on resume so a woken
+   value is not kept past its use; a stale [k] holds nothing, because
+   resuming a continuation detaches its stack from it.  The waiter has
+   usually been promoted by the time it parks, so every slot written per
+   park or wake costs a write barrier; it has no slot they do not need. *)
+and waiter = {
+  engine : t;
+  mutable k : Obj.t;  (* (Obj.t, unit) Effect.Deep.continuation *)
+  mutable v : Obj.t;
+  mutable next : waiter;
+}
+
+type queue = { mutable head : waiter; mutable tail : waiter }
+type 'a waitq = queue
 
 (* [Delay] is a *constant* constructor: the delay amount travels through
    [pending_delay] below rather than inside the effect value, so a timer
@@ -103,13 +133,20 @@ type t = {
    fresh [Delay d] cell per event.  Safe because [perform] transfers
    control synchronously to the innermost handler on this single thread:
    nothing can run between the store and the handler reading it back. *)
-type _ Effect.t +=
-  | Delay : unit Effect.t
-  | Await : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Delay : unit Effect.t | Park : Obj.t Effect.t
 
 let pending_delay = ref 0
 
 let nop : Obj.t = Obj.repr (ignore : unit -> unit)
+
+(* End of every wait queue.  It is never woken, so its engine is never
+   read. *)
+let rec nil = { engine = Obj.magic (); k = nop; v = nop; next = nil }
+
+(* The queue a [Park] joins, passed like [pending_delay].  The acceptor
+   resets it, so no finished engine stays reachable from the global. *)
+let no_queue = { head = nil; tail = nil }
+let pending_queue = ref no_queue
 let now t = t.now
 
 (* {2 Immediate ring} *)
@@ -201,7 +238,7 @@ let wheel_next t =
 
 let schedule_raw t ~at repr tag =
   t.seq <- t.seq + 1;
-  let sq = (t.seq lsl 1) lor tag in
+  let sq = (t.seq lsl 2) lor tag in
   let dist = at - t.now in
   if dist <= 0 then ring_push t repr sq
   else if dist < wheel_window then wheel_push t (at land wheel_mask) sq repr
@@ -233,6 +270,9 @@ let create () =
       bitmap = Array.make bitmap_words 0;
       wheel_len = 0;
       delay_k = None;
+      park_k = None;
+      retc = ignore;
+      exnc = raise;
       live_processes = 0;
       spawned = 0;
       executed = 0;
@@ -246,6 +286,17 @@ let create () =
       (fun k ->
         let d = !pending_delay in
         schedule_cont t ~at:(if d > 0 then t.now + d else t.now) k);
+  t.park_k <-
+    Some
+      (fun k ->
+        let q = !pending_queue in
+        pending_queue := no_queue;
+        q.tail.k <- Obj.repr k);
+  t.retc <- (fun () -> t.live_processes <- t.live_processes - 1);
+  t.exnc <-
+    (fun e ->
+      t.live_processes <- t.live_processes - 1;
+      raise e);
   t
 
 (* Effects performed inside a process. *)
@@ -254,19 +305,36 @@ let delay d =
   pending_delay := d;
   Effect.perform Delay
 
-let await register = Effect.perform (Await register)
+(* {2 Wait queues} *)
+
+let waitq () = { head = nil; tail = nil }
+let parked q = q.head != nil
+
+let park (q : 'a waitq) : 'a =
+  pending_queue := q;
+  Obj.obj (Effect.perform Park)
+
+(* Unlink the oldest waiter and put it on the ring: one seq number, taken
+   now, as any same-instant [schedule] would. *)
+let wake (q : 'a waitq) (v : 'a) =
+  let w = q.head in
+  if w == nil then invalid_arg "Engine.wake: no process is parked";
+  let n = w.next in
+  q.head <- n;
+  if n != nil then w.next <- nil;
+  w.v <- Obj.repr v;
+  let t = w.engine in
+  schedule_raw t ~at:t.now (Obj.repr w) tag_wake
 
 let spawn t ?name body =
   ignore name;
   t.spawned <- t.spawned + 1;
   t.live_processes <- t.live_processes + 1;
+  let w = { engine = t; k = nop; v = nop; next = nil } in
   let handler =
     {
-      Effect.Deep.retc = (fun () -> t.live_processes <- t.live_processes - 1);
-      exnc =
-        (fun e ->
-          t.live_processes <- t.live_processes - 1;
-          raise e);
+      Effect.Deep.retc = t.retc;
+      exnc = t.exnc;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -276,16 +344,13 @@ let spawn t ?name body =
                  continuation itself is the task, so the whole suspension
                  allocates only what the effects runtime needs. *)
               (t.delay_k : ((a, unit) Effect.Deep.continuation -> unit) option)
-          | Await register ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let resumed = ref false in
-                  register (fun v ->
-                      if !resumed then
-                        invalid_arg "Engine.await: resumed twice";
-                      resumed := true;
-                      schedule t ~at:t.now (fun () ->
-                          Effect.Deep.continue k v)))
+          | Park ->
+              (* Link this process's waiter; the shared acceptor then
+                 finds it at the tail. *)
+              let q = !pending_queue in
+              if q.head == nil then q.head <- w else q.tail.next <- w;
+              q.tail <- w;
+              t.park_k
           | _ -> None);
     }
   in
@@ -293,15 +358,21 @@ let spawn t ?name body =
 
 (* {2 Running} *)
 
-(* Run one task given its tagged sequence number.  The coercion mirrors
-   the invariant maintained by [schedule]/[schedule_cont]. *)
+(* Run one task given its tagged sequence number.  The coercions mirror
+   the invariants maintained by [schedule]/[schedule_cont]/[wake]. *)
 let[@inline] exec t sq repr =
   t.executed <- t.executed + 1;
-  if sq land 1 = tag_fn then (Obj.obj repr : unit -> unit) ()
-  else
+  let tag = sq land 3 in
+  if tag = tag_fn then (Obj.obj repr : unit -> unit) ()
+  else if tag = tag_cont then
     Effect.Deep.continue
       (Obj.obj repr : (unit, unit) Effect.Deep.continuation)
       ()
+  else
+    let w : waiter = Obj.obj repr in
+    let k = w.k and v = w.v in
+    w.v <- nop;
+    Effect.Deep.continue (Obj.obj k : (Obj.t, unit) Effect.Deep.continuation) v
 
 (* Drain the wheel bucket [p] in FIFO order.  Callable only once the
    clock sits at the bucket's instant (see [drain_instant]): no new

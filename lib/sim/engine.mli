@@ -3,9 +3,10 @@
     The engine is a min-heap of (virtual-time, callback) events.  A
     process is an OCaml function run under an effect handler: performing
     {!delay} suspends it and re-schedules its continuation later;
-    {!await} suspends it until another event invokes the resume callback
-    handed to its registration function.  Everything runs on one OS
-    thread; runs are fully deterministic. *)
+    {!park} suspends it in a wait queue until another event {!wake}s it
+    with a value.  Every blocking primitive ([Channel], [Ivar],
+    [Semaphore], the router's WFQ) is a wait queue underneath.
+    Everything runs on one OS thread; runs are fully deterministic. *)
 
 type t
 
@@ -29,8 +30,8 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 
 (** {1 Processes}
 
-    [delay], [await] and [yield] must be performed from inside a process
-    body started with {!spawn} or {!run_process}. *)
+    [delay] and [park] must be performed from inside a process body
+    started with {!spawn} or {!run_process}. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a new process at the current instant. *)
@@ -38,10 +39,32 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 val delay : Time.t -> unit
 (** Suspend the calling process for a virtual duration. *)
 
-val await : (('a -> unit) -> unit) -> 'a
-(** [await register] suspends the calling process; [register] receives a
-    resume callback that, when invoked (exactly once, at any later
-    virtual time), resumes the process with the given value. *)
+(** {1 Park and wake}
+
+    A parked process waits in a FIFO wait queue.  {!wake} unlinks the
+    oldest one, so each park is woken exactly once, and resumes it with
+    a value at the current instant through the same-instant ring: the
+    wake takes the next sequence number, as {!schedule}[ ~at:(now t)]
+    would, so the process runs after every event already scheduled for
+    this instant and before any scheduled after the wake.  Parking and
+    waking allocate nothing: each process owns one waiter record, made
+    by {!spawn}, that the queue links. *)
+
+type 'a waitq
+(** A FIFO of processes parked until a {!wake} hands each an ['a]. *)
+
+val waitq : unit -> 'a waitq
+
+val park : 'a waitq -> 'a
+(** Suspend the calling process at the tail of the queue and return the
+    value its {!wake} hands over. *)
+
+val wake : 'a waitq -> 'a -> unit
+(** Resume the oldest parked process with a value.
+    @raise Invalid_argument if no process is parked in the queue. *)
+
+val parked : 'a waitq -> bool
+(** Whether a process is parked in the queue. *)
 
 (** {1 Running} *)
 

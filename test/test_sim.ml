@@ -268,8 +268,8 @@ let engine_tests =
           (fun () ->
             ignore
               (Engine.run_process e (fun () ->
-                   (* Await something nobody ever resumes. *)
-                   Engine.await (fun _resume -> ())))));
+                   (* Park where nobody ever wakes it. *)
+                   Engine.park (Engine.waitq ())))));
     Alcotest.test_case "negative delay clamps to zero" `Quick (fun () ->
         let e = Engine.create () in
         Engine.run_process e (fun () -> Engine.delay (-5));
@@ -292,6 +292,142 @@ let engine_tests =
         Engine.run e;
         Alcotest.(check int) "spawned" 2 (Engine.spawned e);
         Alcotest.(check int) "live" 0 (Engine.live_processes e));
+  ]
+
+(* Minor-heap words per round of a two-process loop, counted inside
+   the first process after [warm] rounds, so spawns and ring growth fall
+   outside the window.  [first] and [second] run one round each. *)
+let words_per_round ?(warm = 100) ?(rounds = 1000) first second =
+  let e = Engine.create () in
+  let before = ref 0.0 and after = ref 0.0 in
+  Engine.spawn e (fun () ->
+      for i = 1 to warm + rounds do
+        if i = warm + 1 then before := Gc.minor_words ();
+        first i
+      done;
+      after := Gc.minor_words ());
+  Engine.spawn e (fun () ->
+      for i = 1 to warm + rounds do
+        second i
+      done);
+  Engine.run e;
+  (!after -. !before) /. float_of_int rounds
+
+(* What the effects runtime allocates to suspend a process (its
+   continuation), measured on a [delay 0] loop; the wait budgets below
+   are stated beyond it, so they hold whatever the compiler version
+   allocates there. *)
+let continuation_words () =
+  words_per_round (fun _ -> Engine.delay 0) (fun _ -> Engine.delay 0) /. 2.0
+
+let check_wait_budget what ~waits words ~beyond =
+  let per_wait = (words /. waits) -. continuation_words () in
+  if per_wait > beyond then
+    Alcotest.failf
+      "%s: %.2f words per wait beyond the continuation, budget %.1f" what
+      per_wait beyond
+
+(* Processes that stay parked on a channel, an ivar and a semaphore, each
+   holding a 1 MiB buffer the [held] weak array watches. *)
+let[@inline never] park_forever held =
+  let e = Engine.create () in
+  let c = Channel.create () and iv = Ivar.create () in
+  let sem = Semaphore.create 1 in
+  let hold i wait =
+    Engine.spawn e (fun () ->
+        let buf = Bytes.create (1 lsl 20) in
+        Weak.set held i (Some buf);
+        wait ();
+        ignore (Sys.opaque_identity buf))
+  in
+  hold 0 (fun () -> ignore (Channel.recv c));
+  hold 1 (fun () -> ignore (Ivar.read iv));
+  Engine.spawn e (fun () ->
+      Semaphore.with_acquired sem (fun () -> ignore (Channel.recv c)));
+  hold 2 (fun () -> Semaphore.with_acquired sem ignore);
+  Engine.run e;
+  Alcotest.(check int) "all parked" 4 (Engine.live_processes e)
+
+let wait_tests =
+  [
+    Alcotest.test_case "waking a process that is not parked raises" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let q = Engine.waitq () in
+        let got = ref 0 in
+        Engine.spawn e (fun () -> got := Engine.park q);
+        Engine.run e;
+        Alcotest.(check bool) "parked" true (Engine.parked q);
+        Engine.wake q 7;
+        (* The woken process is no longer parked: a second wake finds
+           nobody, before or after the first one resumes it. *)
+        let not_parked () = Engine.wake q 8 in
+        Alcotest.check_raises "woken twice"
+          (Invalid_argument "Engine.wake: no process is parked") not_parked;
+        Engine.run e;
+        Alcotest.(check int) "value handed over" 7 !got;
+        Alcotest.check_raises "after resuming"
+          (Invalid_argument "Engine.wake: no process is parked") not_parked);
+    Alcotest.test_case "a wake takes its place in same-instant order" `Quick
+      (fun () ->
+        (* The woken process goes through the ring with the next seq, so
+           it runs after what was already scheduled for this instant and
+           before what is scheduled after the wake. *)
+        let e = Engine.create () in
+        let q = Engine.waitq () in
+        let log = ref [] in
+        Engine.spawn e (fun () ->
+            Engine.park q;
+            log := "woken" :: !log);
+        Engine.schedule e ~at:5 (fun () ->
+            Engine.schedule e ~at:5 (fun () -> log := "before" :: !log);
+            Engine.wake q ();
+            Engine.schedule e ~at:5 (fun () -> log := "after" :: !log));
+        Engine.run e;
+        Alcotest.(check (list string))
+          "order" [ "before"; "woken"; "after" ] (List.rev !log));
+    Alcotest.test_case "allocation budget: channel ping-pong" `Quick
+      (fun () ->
+        let req = Channel.create ~capacity:1 ()
+        and resp = Channel.create ~capacity:1 () in
+        let words =
+          words_per_round
+            (fun i ->
+              Channel.send req i;
+              ignore (Channel.recv resp))
+            (fun _ -> Channel.send resp (Channel.recv req))
+        in
+        (* Two waits per round.  The budget catches a closure chain per
+           wait (registration and resume closures, effect box, acceptor,
+           queue cell), which costs about 30 words. *)
+        check_wait_budget "channel ping-pong" ~waits:2.0 words ~beyond:2.0);
+    Alcotest.test_case "allocation budget: ivar read then fill" `Quick
+      (fun () ->
+        let n = 1100 in
+        let a = Array.init n (fun _ -> Ivar.create ())
+        and b = Array.init n (fun _ -> Ivar.create ()) in
+        let words =
+          words_per_round
+            (fun i ->
+              Ivar.fill a.(i - 1) ();
+              Ivar.read b.(i - 1))
+            (fun i ->
+              Ivar.read a.(i - 1);
+              Ivar.fill b.(i - 1) ())
+        in
+        (* Two waits per round; the budget holds each fill's [Full]
+           cell. *)
+        check_wait_budget "ivar read then fill" ~waits:2.0 words ~beyond:4.0);
+    Alcotest.test_case "a finished simulation can be collected" `Quick
+      (fun () ->
+        let held = Weak.create 3 in
+        park_forever held;
+        Gc.full_major ();
+        for i = 0 to 2 do
+          Alcotest.(check bool)
+            (Printf.sprintf "buffer %d collected" i)
+            false (Weak.check held i)
+        done);
   ]
 
 let ivar_tests =
@@ -333,6 +469,19 @@ let ivar_tests =
             Ivar.fill iv 10);
         Engine.run e;
         Alcotest.(check int) "sum" 40 !sum);
+    Alcotest.test_case "parked readers wake oldest-first" `Quick (fun () ->
+        let e = Engine.create () in
+        let iv = Ivar.create () in
+        let log = ref [] in
+        for i = 1 to 4 do
+          Engine.spawn e (fun () ->
+              ignore (Ivar.read iv);
+              log := i :: !log)
+        done;
+        Engine.spawn e (fun () -> Ivar.fill iv ());
+        Engine.run e;
+        Alcotest.(check (list int)) "fifo wake order" [ 1; 2; 3; 4 ]
+          (List.rev !log));
   ]
 
 let channel_tests =
@@ -491,6 +640,20 @@ let semaphore_tests =
             with Failure _ -> ());
         Engine.run e;
         Alcotest.(check int) "released" 1 (Semaphore.available sem));
+    Alcotest.test_case "parked acquirers get the slot oldest-first" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let sem = Semaphore.create 1 in
+        let log = ref [] in
+        for i = 0 to 4 do
+          Engine.spawn e (fun () ->
+              Semaphore.with_acquired sem (fun () ->
+                  log := i :: !log;
+                  Engine.delay 10))
+        done;
+        Engine.run e;
+        Alcotest.(check (list int)) "fifo wake order" [ 0; 1; 2; 3; 4 ]
+          (List.rev !log));
   ]
 
 let rng_tests =
@@ -610,6 +773,7 @@ let () =
       ("time", time_tests);
       ("heap", heap_tests);
       ("engine", engine_tests);
+      ("wait", wait_tests);
       ("ivar", ivar_tests);
       ("channel", channel_tests);
       ("semaphore", semaphore_tests);
