@@ -1104,9 +1104,7 @@ let cluster_bare_run events =
   List.iter
     (fun id ->
       let evs = List.rev (Hashtbl.find groups id) in
-      Engine.spawn e
-        ~name:(Printf.sprintf "ava-cluster-tenant-%d" id)
-        (fun () ->
+      Engine.spawn e (fun () ->
           let api = ref None and vm = ref 0 in
           List.iter
             (fun ev ->

@@ -57,7 +57,7 @@ let () =
   let victim_id = Ava_hv.Vm.id victim.Host.g_vm in
 
   let v_ok = ref 0 and v_lost = ref 0 in
-  Engine.spawn e ~name:"victim-app" (fun () ->
+  Engine.spawn e (fun () ->
       let module CL = (val victim.Host.g_api) in
       let s = Clutil.open_session victim.Host.g_api in
       let k = List.hd (Clutil.build_kernels s [ ("chaos", 1e5, 8.0) ]) in
@@ -75,7 +75,7 @@ let () =
         | Error err -> failwith (error_to_string err)
       done);
   let clean_done_at = ref None in
-  Engine.spawn e ~name:"clean-app" (fun () ->
+  Engine.spawn e (fun () ->
       b.Rodinia.run clean.Host.g_api;
       clean_done_at := Some (Engine.now e));
   Engine.run e;

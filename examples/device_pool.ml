@@ -38,9 +38,7 @@ let () =
   let lost = ref 0 in
   List.iteri
     (fun i g ->
-      Engine.spawn e
-        ~name:(Printf.sprintf "app-%s" (Ava_hv.Vm.name g.Host.g_vm))
-        (fun () ->
+      Engine.spawn e (fun () ->
           let module CL = (val g.Host.g_api) in
           let s = Clutil.open_session g.Host.g_api in
           let k =
@@ -63,7 +61,7 @@ let () =
     guests;
 
   (* Operator actions mid-run: one live migration, then device 0 dies. *)
-  Engine.spawn e ~name:"operator" (fun () ->
+  Engine.spawn e (fun () ->
       Engine.delay (Time.us 400);
       let a_id = Ava_hv.Vm.id (List.hd guests).Host.g_vm in
       let moved = Pool.migrate_vm pool ~vm_id:a_id ~dest:1 in

@@ -85,7 +85,7 @@ let () =
         (Pool.capability_to_string (Pool.capability pool dev)))
     [ vec; vec2; infer ];
 
-  Engine.spawn e ~name:"operator" (fun () ->
+  Engine.spawn e (fun () ->
       List.iter
         (fun g ->
           Fmt.pr "%-5s scaled = %a@."

@@ -233,9 +233,7 @@ let admit st =
 
 let submit st tn w =
   tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine
-    ~name:(Printf.sprintf "campaign-sub-vm%d" tn.tn_vm_id)
-    (fun () ->
+  Engine.spawn st.st_engine (fun () ->
       (try
          match w with
          | Op.Vec_add n ->
@@ -337,9 +335,7 @@ else
 
 let swap_pressure st tn n =
 tn.tn_pending <- tn.tn_pending + 1;
-Engine.spawn st.st_engine
-  ~name:(Printf.sprintf "campaign-churn-vm%d" tn.tn_vm_id)
-  (fun () ->
+Engine.spawn st.st_engine (fun () ->
     (try
        if not (buffer_churn tn.tn_guest.Host.g_api n) then
          tn.tn_bad_result <- true
@@ -439,9 +435,7 @@ let qa_session st tn =
    wait for the result, check the declared output size. *)
 let submit_nc st tn bytes =
   tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine
-    ~name:(Printf.sprintf "campaign-nc-vm%d" tn.tn_vm_id)
-    (fun () ->
+  Engine.spawn st.st_engine (fun () ->
       (try
          let s = nc_session st tn in
          let module NC = (val s.ns_api) in
@@ -463,9 +457,7 @@ let submit_nc st tn bytes =
    byte-identical to the original. *)
 let submit_qa st tn kib =
   tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine
-    ~name:(Printf.sprintf "campaign-qa-vm%d" tn.tn_vm_id)
-    (fun () ->
+  Engine.spawn st.st_engine (fun () ->
       (try
          let s = qa_session st tn in
          let module QA = (val s.qs_api) in
@@ -741,7 +733,7 @@ let run ?(obs = debug_trace ()) ?sabotage config trace =
     }
   in
   let verdict = ref Pass in
-  Engine.spawn e ~name:"campaign-driver" (fun () ->
+  Engine.spawn e (fun () ->
       (try
          List.iter
            (fun op ->

@@ -127,9 +127,9 @@ let gossip_tick t h ~fanout =
   done
 
 (* A background process: [f] every [interval] until {!stop}. *)
-let spawn_bg t ~name ~interval f =
+let spawn_bg t ~interval f =
   t.bg <- t.bg + 1;
-  Pool.every t.engine ~name ~interval ~stopped:(fun () -> t.stopped) f
+  Pool.every t.engine ~interval ~stopped:(fun () -> t.stopped) f
 
 let stop t = t.stopped <- true
 
@@ -186,9 +186,7 @@ let create ?(policy = Global_least_loaded) ?(devices_per_host = 2)
   | Gossip { g_fanout; g_interval_ns } when hosts > 1 ->
       Array.iter
         (fun h ->
-          spawn_bg t
-            ~name:(Printf.sprintf "ava-cluster-gossip-h%d" h.h_id)
-            ~interval:g_interval_ns
+          spawn_bg t ~interval:g_interval_ns
             (fun () -> gossip_tick t h ~fanout:g_fanout))
         t.hosts
   | _ -> ());
@@ -311,7 +309,7 @@ let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
       | None -> false)
 
 let start_rebalancer ?(interval = Time.ms 1) ?skew t =
-  spawn_bg t ~name:"ava-cluster-rebalancer" ~interval (fun () ->
+  spawn_bg t ~interval (fun () ->
       ignore (rebalance_now ?skew t))
 
 (* {1 Trace-driven load} *)
@@ -359,9 +357,7 @@ let run_trace t events =
   List.iter
     (fun id ->
       let evs = List.rev (Hashtbl.find groups id) in
-      Engine.spawn t.engine
-        ~name:(Printf.sprintf "ava-cluster-tenant-%d" id)
-        (fun () ->
+      Engine.spawn t.engine (fun () ->
           let tn = ref None in
           List.iter
             (fun ev ->
@@ -394,8 +390,7 @@ let run_trace t events =
      also stops the fleet's background processes. *)
   let all_done () = Hashtbl.length done_at >= total && (stop t; true) in
   if t.bg > 0 then
-    Pool.every t.engine ~name:"ava-cluster-trace-watch"
-      ~interval:(Time.us 100) ~stopped:all_done ignore;
+    Pool.every t.engine ~interval:(Time.us 100) ~stopped:all_done ignore;
   Engine.run t.engine;
   let makespan = Hashtbl.fold (fun _ at acc -> Stdlib.max at acc) done_at 0 in
   {

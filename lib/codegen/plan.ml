@@ -292,3 +292,8 @@ let call_cost plan sv =
       match find_resource "bus_bytes" plan.cp_resources with
       | e -> float_of_int (Stdlib.max 1 (eval_len view_lookup plan sv e / 64))
       | exception Not_found -> 1.0)
+
+(* Estimated device nanoseconds per cost unit, for the router's pacing
+   and the server's TDR budget: deliberately an under-estimate, so
+   pacing never outruns the device. *)
+let ns_per_cost = 0.02

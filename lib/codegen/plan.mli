@@ -116,3 +116,8 @@ val call_cost : call_plan -> scalars -> float
 (** Cost units of one invocation, reading each [Pass_scalar] parameter
     from its position in the view: the [device_time] estimate, else
     [bus_bytes / 64], else 1 (each floored at 1). *)
+
+val ns_per_cost : float
+(** Estimated device nanoseconds per {!call_cost} unit, the one factor
+    behind the router's pacing and the server's TDR budget.  A
+    deliberate under-estimate, so pacing never outruns the device. *)

@@ -30,119 +30,116 @@ end)
 
 let bool_int b = if b then 1 else 0
 
-type t = { stub : Stub.t }
-
 (* A blob out-parameter read as a string. *)
 let to_str v = Bytes.to_string (to_b v)
 
 let create stub =
-  let t = { stub } in
   let module M = struct
     (* --- platform / device ------------------------------------------- *)
 
     let clGetPlatformIDs () =
-      sync t.stub ~fn:"clGetPlatformIDs" ~args:[ i 16; u; u ] (ret_out to_l 0)
+      sync stub ~fn:"clGetPlatformIDs" ~args:[ i 16; u; u ] (ret_out to_l 0)
 
     let clGetPlatformInfo p info =
-      sync t.stub ~fn:"clGetPlatformInfo"
+      sync stub ~fn:"clGetPlatformInfo"
         ~args:[ h p; i (platform_info_to_int info); i 256; u ]
         (ret_out to_str 0)
 
     let clGetDeviceIDs p ty =
-      sync t.stub ~fn:"clGetDeviceIDs"
+      sync stub ~fn:"clGetDeviceIDs"
         ~args:[ h p; i (device_type_to_int ty); i 16; u; u ]
         (ret_out to_l 0)
 
     let clGetDeviceInfo d info =
-      sync t.stub ~fn:"clGetDeviceInfo"
+      sync stub ~fn:"clGetDeviceInfo"
         ~args:[ h d; i (device_info_to_int info); i 256; u ]
         (ret_out (fun v -> decode_info (to_b v)) 0)
 
     (* --- contexts ------------------------------------------------------ *)
 
     let clCreateContext devices =
-      sync t.stub ~fn:"clCreateContext"
+      sync stub ~fn:"clCreateContext"
         ~args:[ l devices; i (List.length devices); u ]
         ret_handle
 
-    let clRetainContext c = fire t.stub ~fn:"clRetainContext" ~args:[ h c ] ()
-    let clReleaseContext c = fire t.stub ~fn:"clReleaseContext" ~args:[ h c ] ()
+    let clRetainContext c = fire stub ~fn:"clRetainContext" ~args:[ h c ] ()
+    let clReleaseContext c = fire stub ~fn:"clReleaseContext" ~args:[ h c ] ()
 
     let clGetContextInfo c =
-      sync t.stub ~fn:"clGetContextInfo" ~args:[ h c; u ] (ret_out to_i 0)
+      sync stub ~fn:"clGetContextInfo" ~args:[ h c; u ] (ret_out to_i 0)
 
     (* --- command queues ------------------------------------------------ *)
 
     let clCreateCommandQueue c d ~profiling =
       let props = if profiling then 2 else 0 in
-      sync t.stub ~fn:"clCreateCommandQueue" ~args:[ h c; h d; i props; u ]
+      sync stub ~fn:"clCreateCommandQueue" ~args:[ h c; h d; i props; u ]
         ret_handle
 
     let clRetainCommandQueue q =
-      fire t.stub ~fn:"clRetainCommandQueue" ~args:[ h q ] ()
+      fire stub ~fn:"clRetainCommandQueue" ~args:[ h q ] ()
 
     let clReleaseCommandQueue q =
-      fire t.stub ~fn:"clReleaseCommandQueue" ~args:[ h q ] ()
+      fire stub ~fn:"clReleaseCommandQueue" ~args:[ h q ] ()
 
     let clGetCommandQueueInfo q =
-      sync t.stub ~fn:"clGetCommandQueueInfo" ~args:[ h q; u ] (ret_out to_i 0)
+      sync stub ~fn:"clGetCommandQueueInfo" ~args:[ h q; u ] (ret_out to_i 0)
 
     (* --- memory objects ------------------------------------------------ *)
 
     let clCreateBuffer c ~size =
-      sync t.stub ~fn:"clCreateBuffer" ~args:[ h c; i 0; i size; u ] ret_handle
+      sync stub ~fn:"clCreateBuffer" ~args:[ h c; i 0; i size; u ] ret_handle
 
     let clRetainMemObject m =
-      fire t.stub ~fn:"clRetainMemObject" ~args:[ h m ] ()
+      fire stub ~fn:"clRetainMemObject" ~args:[ h m ] ()
 
     let clReleaseMemObject m =
-      fire t.stub ~fn:"clReleaseMemObject" ~args:[ h m ] ()
+      fire stub ~fn:"clReleaseMemObject" ~args:[ h m ] ()
 
     let clGetMemObjectInfo m =
-      sync t.stub ~fn:"clGetMemObjectInfo" ~args:[ h m; u ] (ret_out to_i 0)
+      sync stub ~fn:"clGetMemObjectInfo" ~args:[ h m; u ] (ret_out to_i 0)
 
     (* --- programs ------------------------------------------------------ *)
 
     let clCreateProgramWithSource c ~source =
-      sync t.stub ~fn:"clCreateProgramWithSource"
+      sync stub ~fn:"clCreateProgramWithSource"
         ~args:[ h c; b (Bytes.of_string source); i (String.length source); u ]
         ret_handle
 
     let clBuildProgram p ~options =
-      sync t.stub ~fn:"clBuildProgram"
+      sync stub ~fn:"clBuildProgram"
         ~args:[ h p; b (Bytes.of_string options); i (String.length options) ]
         ret_unit
 
     let clGetProgramBuildInfo p =
-      sync t.stub ~fn:"clGetProgramBuildInfo" ~args:[ h p; i 4096; u ]
+      sync stub ~fn:"clGetProgramBuildInfo" ~args:[ h p; i 4096; u ]
         (ret_out to_str 0)
 
-    let clRetainProgram p = fire t.stub ~fn:"clRetainProgram" ~args:[ h p ] ()
-    let clReleaseProgram p = fire t.stub ~fn:"clReleaseProgram" ~args:[ h p ] ()
+    let clRetainProgram p = fire stub ~fn:"clRetainProgram" ~args:[ h p ] ()
+    let clReleaseProgram p = fire stub ~fn:"clReleaseProgram" ~args:[ h p ] ()
 
     (* --- kernels -------------------------------------------------------- *)
 
     let clCreateKernel p ~name =
-      sync t.stub ~fn:"clCreateKernel"
+      sync stub ~fn:"clCreateKernel"
         ~args:[ h p; b (Bytes.of_string name); i (String.length name); u ]
         ret_handle
 
-    let clRetainKernel k = fire t.stub ~fn:"clRetainKernel" ~args:[ h k ] ()
-    let clReleaseKernel k = fire t.stub ~fn:"clReleaseKernel" ~args:[ h k ] ()
+    let clRetainKernel k = fire stub ~fn:"clRetainKernel" ~args:[ h k ] ()
+    let clReleaseKernel k = fire stub ~fn:"clReleaseKernel" ~args:[ h k ] ()
 
     (* The paper's flagship async example: forwarded without waiting. *)
     let clSetKernelArg k ~index arg =
       let payload = encode_kernel_arg arg in
-      fire t.stub ~fn:"clSetKernelArg"
+      fire stub ~fn:"clSetKernelArg"
         ~args:[ h k; i index; i (Bytes.length payload); b payload ]
         ()
 
     let clGetKernelInfo k =
-      sync t.stub ~fn:"clGetKernelInfo" ~args:[ h k; i 256; u ]
+      sync stub ~fn:"clGetKernelInfo" ~args:[ h k; i 256; u ]
         (ret_out to_str 0)
 
     let clGetKernelWorkGroupInfo k d =
-      sync t.stub ~fn:"clGetKernelWorkGroupInfo" ~args:[ h k; h d; u ]
+      sync stub ~fn:"clGetKernelWorkGroupInfo" ~args:[ h k; h d; u ]
         (ret_out to_i 0)
 
     (* --- enqueue operations --------------------------------------------- *)
@@ -151,14 +148,14 @@ let create stub =
        an event, so even async forwards return a usable handle. *)
     let event_arg ~want_event =
       if want_event then
-        let gid = Stub.fresh_handle t.stub in
+        let gid = Stub.fresh_handle stub in
         (h gid, Some gid)
       else (u, None)
 
     let clEnqueueNDRangeKernel q k ~global_work_size ~local_work_size
         ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
-      fire t.stub ~fn:"clEnqueueNDRangeKernel"
+      fire stub ~fn:"clEnqueueNDRangeKernel"
         ~args:
           [
             h q; h k; i global_work_size; i local_work_size;
@@ -168,7 +165,7 @@ let create stub =
 
     let clEnqueueTask q k ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
-      fire t.stub ~fn:"clEnqueueTask"
+      fire stub ~fn:"clEnqueueTask"
         ~args:[ h q; h k; i (List.length wait_list); l wait_list; ev ]
         gid
 
@@ -192,7 +189,7 @@ let create stub =
       if blocking then
         (* The reply blob was decoded for this call alone: hand it over
            when it is exactly [size] bytes instead of copying it. *)
-        sync t.stub ~fn:"clEnqueueReadBuffer" ~args (fun reply ->
+        sync stub ~fn:"clEnqueueReadBuffer" ~args (fun reply ->
             match reply.Message.reply_outs with
             | Wire.Blob data :: _ when Bytes.length data = size ->
                 Ok (data, gid)
@@ -204,7 +201,7 @@ let create stub =
         (* Asynchronously forwarded: the data lands in [dst] when the
            reply arrives; callers must wait on the event or clFinish. *)
         let dst = fresh () in
-        fire t.stub ~on_reply:(blit dst) ~fn:"clEnqueueReadBuffer" ~args
+        fire stub ~on_reply:(blit dst) ~fn:"clEnqueueReadBuffer" ~args
           (dst, gid)
 
     let clEnqueueWriteBuffer q m ~blocking ~offset ~src ~wait_list ~want_event
@@ -217,13 +214,13 @@ let create stub =
         ]
       in
       if blocking then
-        sync t.stub ~fn:"clEnqueueWriteBuffer" ~args (fun _ -> Ok gid)
-      else fire t.stub ~fn:"clEnqueueWriteBuffer" ~args gid
+        sync stub ~fn:"clEnqueueWriteBuffer" ~args (fun _ -> Ok gid)
+      else fire stub ~fn:"clEnqueueWriteBuffer" ~args gid
 
     let clEnqueueCopyBuffer q ~src ~dst ~src_offset ~dst_offset ~size
         ~wait_list ~want_event =
       let ev, gid = event_arg ~want_event in
-      fire t.stub ~fn:"clEnqueueCopyBuffer"
+      fire stub ~fn:"clEnqueueCopyBuffer"
         ~args:
           [
             h q; h src; h dst; i src_offset; i dst_offset; i size;
@@ -234,7 +231,7 @@ let create stub =
     let clEnqueueFillBuffer q m ~pattern ~offset ~size ~wait_list ~want_event
         =
       let ev, gid = event_arg ~want_event in
-      fire t.stub ~fn:"clEnqueueFillBuffer"
+      fire stub ~fn:"clEnqueueFillBuffer"
         ~args:
           [
             h q; h m; i (Char.code pattern); i offset; i size;
@@ -244,26 +241,26 @@ let create stub =
 
     (* --- synchronization ------------------------------------------------ *)
 
-    let clFlush q = fire t.stub ~fn:"clFlush" ~args:[ h q ] ()
-    let clFinish q = sync t.stub ~fn:"clFinish" ~args:[ h q ] ret_unit
+    let clFlush q = fire stub ~fn:"clFlush" ~args:[ h q ] ()
+    let clFinish q = sync stub ~fn:"clFinish" ~args:[ h q ] ret_unit
 
     let clWaitForEvents events =
-      sync t.stub ~fn:"clWaitForEvents"
+      sync stub ~fn:"clWaitForEvents"
         ~args:[ i (List.length events); l events ]
         ret_unit
 
     (* --- events ---------------------------------------------------------- *)
 
     let clGetEventInfo ev =
-      sync t.stub ~fn:"clGetEventInfo" ~args:[ h ev; u ]
+      sync stub ~fn:"clGetEventInfo" ~args:[ h ev; u ]
         (ret_out (fun v -> event_status_of_int (to_i v)) 0)
 
     let clGetEventProfilingInfo ev info =
-      sync t.stub ~fn:"clGetEventProfilingInfo"
+      sync stub ~fn:"clGetEventProfilingInfo"
         ~args:[ h ev; i (profiling_info_to_int info); u ]
         (ret_out to_i 0)
 
-    let clReleaseEvent ev = fire t.stub ~fn:"clReleaseEvent" ~args:[ h ev ] ()
+    let clReleaseEvent ev = fire stub ~fn:"clReleaseEvent" ~args:[ h ev ] ()
   end in
-  ((module M : Ava_simcl.Api.S), t)
+  (module M : Ava_simcl.Api.S)
 

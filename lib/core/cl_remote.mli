@@ -12,6 +12,4 @@
     surface via the stub's deferred-error channel at the next
     synchronous call (§4.2). *)
 
-type t
-
-val create : Ava_remoting.Stub.t -> (module Ava_simcl.Api.S) * t
+val create : Ava_remoting.Stub.t -> (module Ava_simcl.Api.S)

@@ -324,7 +324,7 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
       attach (fun d ->
           Option.map (fun i -> (i, Gpu.dma (Pool.gpu t.cl_pool d))) iommu)
     in
-    let api, _ = Cl_remote.create stub in
+    let api = Cl_remote.create stub in
     { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
   in
   match technique with
@@ -464,7 +464,7 @@ let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
       ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
       ~kind:Transport.Shm_ring vm
   in
-  let api, _ = Nc_remote.create stub in
+  let api = Nc_remote.create stub in
   { ng_vm = vm; ng_api = api; ng_stub = Some stub }
 
 let native_nc engine =
@@ -516,7 +516,7 @@ let add_qa_vm ?rate_per_s ?weight t ~name =
       ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan
       ~kind:Transport.Shm_ring vm
   in
-  let api, _ = Qa_remote.create stub in
+  let api = Qa_remote.create stub in
   { qg_vm = vm; qg_api = api; qg_stub = Some stub }
 
 let native_qa engine =
@@ -629,7 +629,7 @@ let add_st_vm ?rate_per_s ?weight ?breaker ?requires ?footprint ?device t
       ~hv:t.st_hv ~router:t.st_router ~server:(Pool.server t.st_pool backend)
       ~plan:t.st_plan ~kind:Transport.Shm_ring vm
   in
-  let api, _ = St_remote.create stub in
+  let api = St_remote.create stub in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
 
 let retire_st_vm t ~vm_id =

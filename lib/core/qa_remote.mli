@@ -2,6 +2,4 @@
     future-work API, virtualized with a few dozen lines of plan-driven
     glue.  See {!Cl_remote} for the shared conventions. *)
 
-type t
-
-val create : Ava_remoting.Stub.t -> (module Ava_simqa.Api.S) * t
+val create : Ava_remoting.Stub.t -> (module Ava_simqa.Api.S)

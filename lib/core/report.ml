@@ -288,5 +288,3 @@ let pp ppf r =
               else "");
            ]))
     r.r_guests
-
-let to_string r = Fmt.str "%a" pp r

@@ -89,4 +89,3 @@ type t = {
 val guest_stats : Host.cl_guest -> guest_stats
 val snapshot : Host.cl_host -> Host.cl_guest list -> t
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

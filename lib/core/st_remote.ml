@@ -19,54 +19,51 @@ include Silo.Guest (struct
   let failure _ = St_fail
 end)
 
-type t = { stub : Stub.t }
-
 let create stub =
-  let t = { stub } in
   let module M = struct
     let stDeviceGetCount () =
-      sync t.stub ~fn:"stDeviceGetCount" ~args:[ u ] (ret_out to_i 0)
+      sync stub ~fn:"stDeviceGetCount" ~args:[ u ] (ret_out to_i 0)
 
     let stStreamCreate () =
-      sync t.stub ~fn:"stStreamCreate" ~args:[ u ] ret_handle
+      sync stub ~fn:"stStreamCreate" ~args:[ u ] ret_handle
 
     let stStreamDestroy s =
-      sync t.stub ~fn:"stStreamDestroy" ~args:[ h s ] ret_unit
+      sync stub ~fn:"stStreamDestroy" ~args:[ h s ] ret_unit
 
     let stStreamSynchronize s =
-      sync t.stub ~fn:"stStreamSynchronize" ~args:[ h s ] ret_unit
+      sync stub ~fn:"stStreamSynchronize" ~args:[ h s ] ret_unit
 
     let stEventCreate () =
-      sync t.stub ~fn:"stEventCreate" ~args:[ u ] ret_handle
+      sync stub ~fn:"stEventCreate" ~args:[ u ] ret_handle
 
     let stEventDestroy ev =
-      sync t.stub ~fn:"stEventDestroy" ~args:[ h ev ] ret_unit
+      sync stub ~fn:"stEventDestroy" ~args:[ h ev ] ret_unit
 
     let stEventRecord ev s =
-      fire t.stub ~fn:"stEventRecord" ~args:[ h ev; h s ] ()
+      fire stub ~fn:"stEventRecord" ~args:[ h ev; h s ] ()
 
     let stEventSynchronize ev =
-      sync t.stub ~fn:"stEventSynchronize" ~args:[ h ev ] ret_unit
+      sync stub ~fn:"stEventSynchronize" ~args:[ h ev ] ret_unit
 
     let stStreamWaitEvent s ev =
-      fire t.stub ~fn:"stStreamWaitEvent" ~args:[ h s; h ev ] ()
+      fire stub ~fn:"stStreamWaitEvent" ~args:[ h s; h ev ] ()
 
     let stMemAlloc ~size =
-      sync t.stub ~fn:"stMemAlloc" ~args:[ u; i size ] ret_handle
-    let stMemFree m = sync t.stub ~fn:"stMemFree" ~args:[ h m ] ret_unit
+      sync stub ~fn:"stMemAlloc" ~args:[ u; i size ] ret_handle
+    let stMemFree m = sync stub ~fn:"stMemFree" ~args:[ h m ] ret_unit
 
     (* The guest may reuse [src] the moment the call returns; the stub
        owns the snapshot (see [Stub.send_call]). *)
     let stMemcpyHtoDAsync dst ~src s =
-      fire t.stub ~fn:"stMemcpyHtoDAsync"
+      fire stub ~fn:"stMemcpyHtoDAsync"
         ~args:[ h dst; b src; i (Bytes.length src); h s ]
         ()
 
     let stMemcpyDtoH ~size src =
-      sync t.stub ~fn:"stMemcpyDtoH" ~args:[ u; i size; h src ] (ret_out to_b 0)
+      sync stub ~fn:"stMemcpyDtoH" ~args:[ u; i size; h src ] (ret_out to_b 0)
 
     let stLaunchKernel s ~name ~a ~b:bm ~out ~n =
-      fire t.stub ~fn:"stLaunchKernel"
+      fire stub ~fn:"stLaunchKernel"
         ~args:
           [
             h s; b (Bytes.of_string name); i (String.length name); h a; h bm;
@@ -75,15 +72,13 @@ let create stub =
         ()
 
     let stBatchSubmit s ~batch ~item_size =
-      sync t.stub ~fn:"stBatchSubmit"
+      sync stub ~fn:"stBatchSubmit"
         ~args:
           [ h s; b batch; i (Bytes.length batch); i item_size; u ]
         (ret_out to_i 0)
 
     let stBatchCollect s ~ticket ~size =
-      sync t.stub ~fn:"stBatchCollect" ~args:[ h s; i ticket; u; i size ]
+      sync stub ~fn:"stBatchCollect" ~args:[ h s; i ticket; u; i size ]
         (ret_out to_b 0)
   end in
-  ((module M : Ava_simst.Api.S), t)
-
-let stub t = t.stub
+  (module M : Ava_simst.Api.S)

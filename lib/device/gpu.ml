@@ -89,7 +89,7 @@ let create ?(timing = Timing.gtx1080) ?devfault engine =
      launch before the roofline path: a hang parks the CP (until
      [reset] resumes it); a transient launch failure charges only the
      launch overhead and completes the command as failed. *)
-  Engine.spawn engine ~name:"gpu-cp" (fun () ->
+  Engine.spawn engine (fun () ->
       let rec loop () =
         let work, completion = Channel.recv t.ring in
         (if t.dead then begin

@@ -69,7 +69,7 @@ let usb_transfer t ~bytes =
       t.plugged <- false;
       Hashtbl.reset t.graphs;
       let reenum = (Devfault.ncs_config f).ncs_reenum_ns in
-      Engine.spawn t.engine ~name:"ncs-reenum" (fun () ->
+      Engine.spawn t.engine (fun () ->
           Engine.delay reenum;
           replug t);
       raise Device_lost

@@ -117,12 +117,6 @@ let prometheus t =
   header "ava_spans_in_flight" "gauge" "Spans currently open.";
   Buffer.add_string b
     (Printf.sprintf "ava_spans_in_flight %d\n" (Obs.in_flight t));
-  List.iter
-    (fun (name, v) ->
-      let metric = Printf.sprintf "ava_%s_total" name in
-      header metric "counter" (Printf.sprintf "Registry counter %s." name);
-      Buffer.add_string b (Printf.sprintf "%s %d\n" metric v))
-    (Obs.counters t);
   Buffer.contents b
 
 (* {1 Chrome trace-event JSON} *)
@@ -317,7 +311,4 @@ let snapshot t =
                     | Json.Obj fields -> fields
                     | _ -> [])))
              (Obs.series t)) );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.counters t))
-      );
     ]

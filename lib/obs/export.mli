@@ -6,10 +6,9 @@
 val prometheus : Obs.t -> string
 (** Prometheus text exposition: [ava_call_phase_ns] and
     [ava_call_total_ns] histogram families (cumulative [le] buckets,
-    [_sum], [_count]), span counters, the in-flight gauge, and every
-    named registry counter as [ava_<name>_total].  When spans carry a
-    pool device stamp, an [ava_device_exec_ns] family labelled
-    [device="<id>"] is appended; without one the exposition is
+    [_sum], [_count]), span counters and the in-flight gauge.  When
+    spans carry a pool device stamp, an [ava_device_exec_ns] family
+    labelled [device="<id>"] is appended; without one the exposition is
     byte-identical to the pre-pool output. *)
 
 val chrome_trace_string : Obs.t -> string
@@ -28,4 +27,4 @@ val json_of_summary : Hist.summary -> Json.t
 
 val snapshot : Obs.t -> Json.t
 (** Machine-readable registry snapshot: span counts, end-to-end total,
-    per-phase breakdown, full per-(vm, api, phase) series, counters. *)
+    per-phase breakdown, full per-(vm, api, phase) series. *)

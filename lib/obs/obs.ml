@@ -130,7 +130,6 @@ let chunk_slots = 512
 
 type t = {
   vms : vm Itbl.t;
-  counters : (string, int ref) Hashtbl.t;
   retain : int;
   ring : int array array; (* chunks; [||] until first reached *)
   ring_fn : string array array;
@@ -171,7 +170,6 @@ let create ?(retain = default_retain) () =
   let chunks = (retain + chunk_slots - 1) / chunk_slots in
   {
     vms = Itbl.create 64;
-    counters = Hashtbl.create 32;
     retain;
     ring = Array.make chunks [||];
     ring_fn = Array.make chunks [||];
@@ -182,16 +180,7 @@ let create ?(retain = default_retain) () =
     failed = 0;
   }
 
-(* {1 Counters and gauges} *)
-
-let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
-
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* {1 Gauges} *)
 
 let in_flight t = t.live_n
 

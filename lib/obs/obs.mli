@@ -92,12 +92,7 @@ val forget_vm : t -> vm:int -> unit
     spans never close.  Its closed spans and histograms stay, and its
     handle stays usable. *)
 
-(** {1 Counters and gauges} *)
-
-val incr : ?by:int -> t -> string -> unit
-
-val counters : t -> (string * int) list
-(** Sorted by name. *)
+(** {1 Gauges} *)
 
 val in_flight : t -> int
 (** Number of currently-open spans. *)

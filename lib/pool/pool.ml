@@ -302,14 +302,14 @@ let skew_pick ~skew bins ~candidates =
                 sm_cold = cold; sm_victim = victim }
 
 (* The one periodic loop behind the skew monitors and gossip. *)
-let every engine ~name ~interval ~stopped f =
+let every engine ~interval ~stopped f =
   let rec loop () =
     if not (stopped ()) then begin
       Engine.delay interval;
       if not (stopped ()) then (f (); loop ())
     end
   in
-  Engine.spawn engine ~name loop
+  Engine.spawn engine loop
 
 (* {1 Placement} *)
 
@@ -593,7 +593,7 @@ let rebalance_now ?(skew = default_rebalance.rb_skew) t =
    stopped explicitly ([stop]) or [Engine.run] would never drain its
    event queue. *)
 let start_rebalancer ?(config = default_rebalance) t =
-  every t.engine ~name:"ava-pool-rebalance" ~interval:config.rb_interval
+  every t.engine ~interval:config.rb_interval
     ~stopped:(fun () -> t.stopped)
     (fun () -> ignore (rebalance_now ~skew:config.rb_skew t))
 

@@ -188,14 +188,13 @@ val skew_pick :
 
 val every :
   Engine.t ->
-  name:string ->
   interval:Time.t ->
   stopped:(unit -> bool) ->
   (unit -> unit) ->
   unit
-(** [every engine ~name ~interval ~stopped f] spawns the process [name]
-    running [f] every [interval] until [stopped ()] holds.  It keeps the
-    event queue non-empty until then. *)
+(** [every engine ~interval ~stopped f] spawns a process running [f]
+    every [interval] until [stopped ()] holds.  It keeps the event queue
+    non-empty until then. *)
 
 (** {1 Placement} *)
 

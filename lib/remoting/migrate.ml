@@ -154,11 +154,3 @@ let live_objects t =
       | Object_alloc, Some h -> Some h
       | _ -> None)
     (replay_log t)
-
-(* Replay all recorded calls through [execute] (typically a fresh API
-   server on the destination host).  Returns the number of replayed
-   calls. *)
-let replay t ~execute =
-  let l = replay_log t in
-  List.iter (fun r -> execute ~fn:r.rc_fn ~args:r.rc_args) l;
-  List.length l

@@ -33,7 +33,3 @@ val pruned_count : t -> int
 
 val live_objects : t -> int list
 (** Tracked ids whose allocation is still in the log. *)
-
-val replay : t -> execute:(fn:string -> args:Wire.value list -> unit) -> int
-(** Re-issue every recorded call in order (typically against a fresh API
-    server on the destination); returns the count. *)

@@ -72,7 +72,6 @@ and vm_conn = {
    pacing dispatcher, so a pool of devices schedules independently
    (lifting the single-popper limit of [Policy.Wfq.pop_payload]). *)
 and backend = {
-  bs_id : int;
   bs_wfq : fwd Policy.Wfq.t;
   mutable bs_started : bool;  (** dispatcher process spawned *)
 }
@@ -96,18 +95,16 @@ and t = {
   obs : Obs.t option;
 }
 
-(* Conservative conversion from abstract cost units (work items / bytes)
-   to estimated device nanoseconds: deliberately an under-estimate so
-   pacing never outruns the real device. *)
+(* Cost units to estimated device nanoseconds, capped at 500 us. *)
 let pacing_ns_of_cost cost =
-  Stdlib.min (Time.us 500) (int_of_float (cost *. 0.02))
+  Stdlib.min (Time.us 500) (int_of_float (cost *. Plan.ns_per_cost))
 
-let make_backend id = { bs_id = id; bs_wfq = Policy.Wfq.create (); bs_started = false }
+let make_backend () = { bs_wfq = Policy.Wfq.create (); bs_started = false }
 
 let create ?obs engine ~virt ~plan =
   Wire.intern_plan plan;
   let backends = Hashtbl.create 4 in
-  Hashtbl.replace backends 0 (make_backend 0);
+  Hashtbl.replace backends 0 (make_backend ());
   {
     engine;
     virt;
@@ -133,7 +130,7 @@ let backend_exn t id =
 let add_backend t ~id =
   if Hashtbl.mem t.backends id then
     invalid_arg (Printf.sprintf "Router.add_backend: backend %d exists" id);
-  Hashtbl.replace t.backends id (make_backend id)
+  Hashtbl.replace t.backends id (make_backend ())
 
 let forwarded t = t.forwarded
 let rejected t = t.rejected
@@ -182,10 +179,6 @@ let send_skip conn seqs =
       (Message.encode
          (Message.Skip { skip_vm = Vm.id conn.rc_vm; skip_seqs = seqs }))
 
-let dispatcher_name b =
-  if b.bs_id = 0 then "ava-router-dispatch"
-  else Printf.sprintf "ava-router-dispatch-b%d" b.bs_id
-
 (* Stamp dispatch on the seqs the frame admitted and still holds. *)
 let mark_dispatched o now conn fw =
   for seq = fw.fw_lo to fw.fw_hi do
@@ -197,7 +190,7 @@ let mark_dispatched o now conn fw =
 let start_dispatcher t b =
   if not b.bs_started then begin
     b.bs_started <- true;
-    Engine.spawn t.engine ~name:(dispatcher_name b) (fun () ->
+    Engine.spawn t.engine (fun () ->
         let rec loop () =
           let fw = Policy.Wfq.pop_payload b.bs_wfq in
           let conn = fw.fw_conn in
@@ -230,8 +223,7 @@ let start_dispatcher t b =
 let spawn_egress t conn ep =
   let vm = conn.rc_vm in
   let cu = Message.cursor () in
-  Engine.spawn t.engine ~name:(Printf.sprintf "ava-router-out-vm%d" (Vm.id vm))
-    (fun () ->
+  Engine.spawn t.engine (fun () ->
       let rec loop () =
         let data = Transport.recv ep in
         Vm.charge_bytes vm (Bytes.length data);
@@ -489,8 +481,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
   in
   Hashtbl.replace t.conns vm_id conn;
   start_dispatcher t b;
-  Engine.spawn t.engine ~name:(Printf.sprintf "ava-router-in-vm%d" vm_id)
-    (fun () ->
+  Engine.spawn t.engine (fun () ->
       let rec loop () =
         ingress conn (Transport.recv guest_side);
         loop ()

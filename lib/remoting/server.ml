@@ -421,7 +421,8 @@ let tdr_budget t (tdr : tdr) (c : Message.call) =
         Wire.load_scalars t.tdr_scalars c.Message.call_args;
         Plan.call_cost plan t.tdr_scalars
   in
-  Time.max tdr.tdr_min_ns (int_of_float (cost *. 0.02 *. tdr.tdr_factor))
+  Time.max tdr.tdr_min_ns
+    (int_of_float (cost *. Plan.ns_per_cost *. tdr.tdr_factor))
 
 (* Dispatch one handler.  Without a watchdog this is a plain call.  With
    one, the handler runs in a child process raced against a timer: if
@@ -771,8 +772,7 @@ let attach_vm t ~vm_id ~ep =
     }
   in
   Hashtbl.replace t.vm_entries vm_id entry;
-  Engine.spawn t.engine ~name:(Printf.sprintf "ava-server-vm%d" vm_id)
-    (fun () ->
+  Engine.spawn t.engine (fun () ->
       let rec loop () =
         if entry.ve_detached then ()
         else begin

@@ -172,7 +172,7 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
   in
   (* Reply receiver: dispatches replies to waiting callers and runs
      completion callbacks of async calls. *)
-  Engine.spawn engine ~name:"ava-stub-rx" (fun () ->
+  Engine.spawn engine (fun () ->
       let rec loop () =
         let data = Transport.recv ep in
         (match Message.decode data with
@@ -437,8 +437,7 @@ let jittered t r base_ns =
    replays the cached reply for duplicates; a lost reply is recovered
    the same way. *)
 let start_watchdog t r seq =
-  Engine.spawn t.engine ~name:(Printf.sprintf "ava-stub-retry-%d" seq)
-    (fun () ->
+  Engine.spawn t.engine (fun () ->
       let rec watch base_ns =
         Engine.delay (jittered t r base_ns);
         match Hashtbl.find_opt t.pending seq with

@@ -12,7 +12,6 @@ type entry = {
   e_bytes : int;
   mutable e_resident : bool;
   mutable e_last_use : int;
-  mutable e_pinned : bool;
 }
 
 type t = {
@@ -51,7 +50,7 @@ let tracked t = Hashtbl.length t.entries
 let lru_victim t =
   Hashtbl.fold
     (fun _ e best ->
-      if (not e.e_resident) || e.e_pinned then best
+      if not e.e_resident then best
       else
         match best with
         | Some b when b.e_last_use <= e.e_last_use -> best
@@ -80,8 +79,7 @@ let add t ~key ~bytes =
     | Error `Cannot_make_room -> Error `Too_big
     | Ok () ->
         let e =
-          { e_key = key; e_bytes = bytes; e_resident = true; e_last_use = 0;
-            e_pinned = false }
+          { e_key = key; e_bytes = bytes; e_resident = true; e_last_use = 0 }
         in
         touch_tick t e;
         Hashtbl.replace t.entries key e;
@@ -105,18 +103,6 @@ let touch t ~key =
             t.restore ~key ~bytes:e.e_bytes;
             Ok ()
       end
-
-(* Pin/unpin around kernel execution so active working sets never evict
-   under themselves. *)
-let pin t ~key =
-  match Hashtbl.find_opt t.entries key with
-  | None -> ()
-  | Some e -> e.e_pinned <- true
-
-let unpin t ~key =
-  match Hashtbl.find_opt t.entries key with
-  | None -> ()
-  | Some e -> e.e_pinned <- false
 
 let remove t ~key =
   match Hashtbl.find_opt t.entries key with

@@ -27,10 +27,6 @@ val touch : t -> key:int -> (unit, [ `Unknown | `Cannot_make_room ]) result
 (** Mark use and ensure residency, restoring (and evicting others) if
     needed. *)
 
-val pin : t -> key:int -> unit
-(** Exclude from eviction (active working sets during kernel runs). *)
-
-val unpin : t -> key:int -> unit
 val remove : t -> key:int -> unit
 
 val remove_if : t -> (int -> bool) -> unit

@@ -11,10 +11,7 @@ type 'a t = {
   items : 'a Queue.t;
   recv_waiters : 'a Engine.waitq;
   send_waiters : unit Engine.waitq;
-  mutable closed : bool;
 }
-
-exception Closed
 
 let create ?capacity () =
   (match capacity with
@@ -25,14 +22,12 @@ let create ?capacity () =
     items = Queue.create ();
     recv_waiters = Engine.waitq ();
     send_waiters = Engine.waitq ();
-    closed = false;
   }
 
 let is_full t =
   match t.capacity with None -> false | Some c -> Queue.length t.items >= c
 
 let rec send t v =
-  if t.closed then raise Closed;
   if Engine.parked t.recv_waiters then
     (* Direct handoff: the value goes straight to the oldest parked
        receiver without touching the item queue. *)
@@ -43,25 +38,12 @@ let rec send t v =
   end
   else Queue.push v t.items
 
-let try_send t v =
-  if t.closed then raise Closed;
-  if Engine.parked t.recv_waiters then begin
-    Engine.wake t.recv_waiters v;
-    true
-  end
-  else if is_full t then false
-  else begin
-    Queue.push v t.items;
-    true
-  end
-
 let recv t =
   if not (Queue.is_empty t.items) then begin
     let v = Queue.pop t.items in
     if Engine.parked t.send_waiters then Engine.wake t.send_waiters ();
     v
   end
-  else if t.closed then raise Closed
   else Engine.park t.recv_waiters
 
 let try_recv t =
@@ -71,7 +53,3 @@ let try_recv t =
     if Engine.parked t.send_waiters then Engine.wake t.send_waiters ();
     Some v
   end
-
-(* Close the channel: subsequent sends raise; blocked receivers stay
-   blocked on purpose (a closed command stream simply stops). *)
-let close t = t.closed <- true

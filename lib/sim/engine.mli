@@ -34,7 +34,10 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> unit
     started with {!spawn} or {!run_process}. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
-(** Start a new process at the current instant. *)
+(** Start a new process at the current instant.  [name] is ignored: a
+    process has no name.  The parameter stays only because the host
+    benchmark (hostbench/work.ml) passes [~name:"hostbench"]; the next
+    change to the benchmark deletes it. *)
 
 val delay : Time.t -> unit
 (** Suspend the calling process for a virtual duration. *)

@@ -26,8 +26,6 @@
    buffer it captured) alive — see the liveness regression test in
    test_sim. *)
 
-type 'a entry = { key : int; seq : int; payload : 'a }
-
 type 'a t = {
   mutable keys : int array;
   mutable seqs : int array;
@@ -176,10 +174,3 @@ let unsafe_pop t =
   t.nfree <- t.nfree + 1;
   remove_min t;
   payload
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let key = t.keys.(0) and seq = t.seqs.(0) in
-    let payload = unsafe_pop t in
-    Some { key; seq; payload }

@@ -6,11 +6,9 @@
     stored in parallel [int array]s and payloads in a stable slot table,
     so {!add} allocates nothing, sifts move only ints (no write
     barrier), and the [unsafe_] accessors let the engine drain events
-    without materialising options or entry records.  Payload
-    slots are cleared on pop, so a drained heap retains none of the
-    popped closures. *)
-
-type 'a entry = { key : int; seq : int; payload : 'a }
+    without materialising options or records.  Payload slots are
+    cleared on pop, so a drained heap retains none of the popped
+    closures. *)
 
 type 'a t
 
@@ -31,6 +29,3 @@ val unsafe_pop : 'a t -> 'a
     allocation-free, for drain loops that have already established
     non-emptiness.  Calling any of them on an empty heap is undefined
     behaviour. *)
-
-val pop : 'a t -> 'a entry option
-(** Remove and return the smallest entry (allocating convenience API). *)

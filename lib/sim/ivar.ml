@@ -1,29 +1,47 @@
 (* Write-once cell: readers block until the value is set.
 
    This is the basic completion primitive: device interrupts, RPC replies
-   and OpenCL events are all ivars underneath. *)
+   and OpenCL events are all ivars underneath.
 
-type 'a state = Empty of 'a Engine.waitq | Full of 'a
+   Most ivars are filled before anyone reads them, so an ivar is two
+   fields and nothing else: the value, stored in place once filled, and
+   the wait queue, which the first read that has to block makes.  Until
+   then [waiters] is the shared [unread] placeholder; once filled it is
+   the shared [filled] one.  Neither is ever parked in. *)
 
-type 'a t = { mutable state : 'a state }
+type 'a t = { mutable value : 'a; mutable waiters : 'a Engine.waitq }
 
-let create () = { state = Empty (Engine.waitq ()) }
+(* The placeholders are typed [unit] once and cast: a wait queue's type
+   parameter only ties [park] to [wake], and nothing parks in these. *)
+let unread_q : unit Engine.waitq = Engine.waitq ()
+let filled_q : unit Engine.waitq = Engine.waitq ()
+let[@inline] unread () : 'a Engine.waitq = Obj.magic unread_q
+let[@inline] filled () : 'a Engine.waitq = Obj.magic filled_q
 
-let is_filled t = match t.state with Full _ -> true | Empty _ -> false
+(* An unfilled ivar's [value] is an immediate that is never read, as
+   for the heap's empty slots. *)
+let create () = { value = Obj.magic 0; waiters = unread () }
+
+let is_filled t = t.waiters == filled ()
 
 let fill t v =
-  match t.state with
-  | Full _ -> invalid_arg "Ivar.fill: already filled"
-  | Empty waiters ->
-      t.state <- Full v;
-      (* Waiters resume at the current instant, in registration order. *)
-      while Engine.parked waiters do
-        Engine.wake waiters v
-      done
+  let waiters = t.waiters in
+  if waiters == filled () then invalid_arg "Ivar.fill: already filled";
+  t.value <- v;
+  t.waiters <- filled ();
+  (* Waiters resume at the current instant, in registration order. *)
+  while Engine.parked waiters do
+    Engine.wake waiters v
+  done
 
-let fill_if_empty t v = match t.state with Full _ -> () | Empty _ -> fill t v
-
-let peek t = match t.state with Full v -> Some v | Empty _ -> None
+let fill_if_empty t v = if not (is_filled t) then fill t v
 
 let read t =
-  match t.state with Full v -> v | Empty waiters -> Engine.park waiters
+  let waiters = t.waiters in
+  if waiters == filled () then t.value
+  else if waiters == unread () then begin
+    let waiters = Engine.waitq () in
+    t.waiters <- waiters;
+    Engine.park waiters
+  end
+  else Engine.park waiters

@@ -17,8 +17,6 @@ val fill : 'a t -> 'a -> unit
 val fill_if_empty : 'a t -> 'a -> unit
 (** Like {!fill} but a no-op when already filled. *)
 
-val peek : 'a t -> 'a option
-
 val read : 'a t -> 'a
 (** Return the value, blocking the calling process until filled.  Must
     run inside a process when the ivar is still empty. *)

@@ -20,12 +20,10 @@ val of_float_ns : float -> t
     [of_float_*] constructors. *)
 
 val of_float_us : float -> t
-val of_float_ms : float -> t
 val of_float_s : float -> t
 
 (** {1 Conversions} *)
 
-val to_float_ns : t -> float
 val to_float_us : t -> float
 val to_float_s : t -> float
 

@@ -125,7 +125,7 @@ let enqueue ?(kernels = 0) t s ~cost action =
   let prev = s.st_tail in
   let fin = Ivar.create () in
   s.st_tail <- fin;
-  Engine.spawn t.engine ~name:"simst-op" (fun () ->
+  Engine.spawn t.engine (fun () ->
       Ivar.read prev;
       let ok = not t.killed in
       if ok then begin

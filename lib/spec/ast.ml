@@ -86,16 +86,6 @@ let env_lookup env () p =
   | Some v -> v
   | None -> raise_notrace Unbound_param
 
-(* The first unbound parameter in [expr_params] order is the one [eval]
-   reached first. *)
-let eval_expr env e =
-  match eval env_lookup env () e with
-  | v -> Ok v
-  | exception Unbound_param ->
-      let p = List.find (fun p -> not (List.mem_assoc p env)) (expr_params e) in
-      Error (Printf.sprintf "unbound parameter %s" p)
-  | exception Zero_divisor -> Error "division by zero"
-
 type direction = In | Out | In_out
 
 let direction_to_string = function

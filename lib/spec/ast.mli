@@ -45,10 +45,6 @@ val eval : ('a -> 'b -> string -> int) -> 'a -> 'b -> expr -> int
 val env_lookup : (string * int) list -> unit -> string -> int
 (** The lookup for {!eval} over a named env. *)
 
-val eval_expr : (string * int) list -> expr -> (int, string) result
-(** {!eval} against a named env; [Error] on an unbound parameter or a
-    zero divisor. *)
-
 type direction = In | Out | In_out
 
 val direction_to_string : direction -> string

@@ -43,17 +43,6 @@ let base_types =
     ("int64_t", Int { signed = true; bits = 64 });
   ]
 
-let is_integer_type t ty =
-  let rec probe = function
-    | Int _ | Bool | Char -> true
-    | Named n -> (
-        match List.assoc_opt n t.h_typedefs with
-        | Some u -> probe u
-        | None -> false)
-    | Void | Float _ | Ptr _ -> false
-  in
-  probe ty
-
 let is_handle t = function
   | Named n -> List.mem n t.h_handles
   | _ -> false

@@ -24,7 +24,6 @@ type t = {
 
 val empty : t
 
-val is_integer_type : t -> ctype -> bool
 val is_handle : t -> ctype -> bool
 val find_struct : t -> string -> (string * ctype) list option
 val is_struct : t -> ctype -> bool

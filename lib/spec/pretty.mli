@@ -5,7 +5,6 @@
 open Ast
 
 val pp_spec : Format.formatter -> api_spec -> unit
-val spec_to_string : api_spec -> string
 
 val pp_guidance : Format.formatter -> api_spec -> unit
 (** The developer-facing report of open questions. *)

@@ -7,8 +7,9 @@
     The [*_header] values are the {e unmodified} vendor headers fed to
     inference; the [*_spec] values are the developer-refined CAvA specs
     (the Figure 2 workflow's output) from which the remoting stacks are
-    generated.  SimST's pair is embedded at build time from
-    [specs/simst.h] and [specs/simst.cava]. *)
+    generated.  Each is embedded at build time from its file under
+    [specs/]: the header under its include name ({!resolve_builtin_include}),
+    the spec as [<api>.cava]. *)
 
 val simcl_header : string
 val simcl_spec : string

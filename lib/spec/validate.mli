@@ -15,8 +15,6 @@ val check : api_spec -> issue list
 (** All problems: unresolved parameter kinds, malformed buffer-length or
     resource expressions, bad synchrony conditions. *)
 
-val is_complete : api_spec -> bool
-
 val guidance : api_spec -> (string * string list) list
 (** Per-function open questions from inference — the interactive part of
     the Figure 2 workflow. *)

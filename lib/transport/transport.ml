@@ -272,21 +272,6 @@ let rec recv ep =
           msg
       | None -> recv ep (* discarded (e.g. failed checksum): keep waiting *))
 
-let rec try_recv ep =
-  match Channel.try_recv ep.inbox with
-  | Some msg -> (
-      match ep.recv_hook with
-      | None ->
-          ep.stats.recv_msgs <- ep.stats.recv_msgs + 1;
-          Some msg
-      | Some hook -> (
-          match hook msg with
-          | Some msg ->
-              ep.stats.recv_msgs <- ep.stats.recv_msgs + 1;
-              Some msg
-          | None -> try_recv ep))
-  | None -> None
-
 let stats ep = ep.stats
 
 (* Build a bidirectional link; returns the two ends. *)

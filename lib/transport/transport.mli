@@ -104,7 +104,6 @@ val send :
 val recv : endpoint -> bytes
 (** Blocking receive; must run inside a process. *)
 
-val try_recv : endpoint -> bytes option
 val stats : endpoint -> stats
 
 val duplex : Engine.t -> a_to_b:cost -> b_to_a:cost -> endpoint * endpoint

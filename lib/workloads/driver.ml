@@ -166,20 +166,6 @@ type row = {
 let relative_runtime ~native ~subject =
   float_of_int subject /. float_of_int native
 
-(* Figure 5 (OpenCL side): one row per Rodinia benchmark. *)
-let fig5_opencl ?(technique = Host.Ava Transport.Shm_ring) () =
-  List.map
-    (fun (b : Rodinia.benchmark) ->
-      let native = time_cl b.Rodinia.run in
-      let subject = time_cl ~technique b.Rodinia.run in
-      {
-        row_name = b.Rodinia.name;
-        native_ns = native;
-        subject_ns = subject;
-        relative = relative_runtime ~native ~subject;
-      })
-    Rodinia.all
-
 (* Figure 5 (NCS side): Inception v3. *)
 let fig5_ncs ?(inferences = 20) () =
   let native = time_nc (Inception.run ~inferences) in

@@ -81,9 +81,6 @@ type row = {
 
 val relative_runtime : native:Time.t -> subject:Time.t -> float
 
-val fig5_opencl : ?technique:Host.technique -> unit -> row list
-(** Figure 5 (OpenCL side): one row per Rodinia benchmark. *)
-
 val fig5_ncs : ?inferences:int -> unit -> row
 (** Figure 5 (NCS side): Inception v3. *)
 

@@ -145,9 +145,8 @@ let tracegen_tests =
 (* --- hosts:1 identity ------------------------------------------------------ *)
 
 (* The same per-tenant schedule driven straight at a bare pooled host;
-   mirrors Cluster.run_trace exactly (same process names, same
-   admission order) so a 1-host cluster can be compared makespan to
-   makespan. *)
+   mirrors Cluster.run_trace exactly (same processes, same admission
+   order) so a 1-host cluster can be compared makespan to makespan. *)
 let bare_run events =
   let e = Engine.create () in
   let host =
@@ -174,9 +173,7 @@ let bare_run events =
   List.iter
     (fun id ->
       let evs = List.rev (Hashtbl.find groups id) in
-      Engine.spawn e
-        ~name:(Printf.sprintf "ava-cluster-tenant-%d" id)
-        (fun () ->
+      Engine.spawn e (fun () ->
           let api = ref None and vm = ref 0 in
           List.iter
             (fun ev ->

@@ -680,7 +680,7 @@ let conformance_tests =
             Alcotest.(check bool) "kernel ran" true (r.Report.r_kernels >= 1);
             Alcotest.(check int) "nothing pending" 0 g.Report.gs_in_flight;
             Alcotest.(check bool) "render works" true
-              (String.length (Report.to_string r) > 100)));
+              (String.length (Fmt.str "%a" Report.pp r) > 100)));
   ]
 
 let migration_tests =

@@ -431,7 +431,7 @@ let chaos_gpu_run ?(inspect_admin = false) ~kind ~seed () =
   Alcotest.(check int) "victim is the fault target" 1 victim_id;
   let v_ok = ref 0 and v_lost = ref 0 in
   let v_done = ref false and clean_done_at = ref None in
-  Engine.spawn e ~name:"victim-app" (fun () ->
+  Engine.spawn e (fun () ->
       let module CL = (val victim.Host.g_api) in
       let s = Clutil.open_session victim.Host.g_api in
       let k = List.hd (Clutil.build_kernels s [ ("chaos", 1e5, 8.0) ]) in
@@ -451,7 +451,7 @@ let chaos_gpu_run ?(inspect_admin = false) ~kind ~seed () =
             Alcotest.failf "victim finish: %s" (error_to_string err)
       done;
       v_done := true);
-  Engine.spawn e ~name:"clean-app" (fun () ->
+  Engine.spawn e (fun () ->
       (bench "bfs").Rodinia.run clean.Host.g_api;
       clean_done_at := Some (Engine.now e));
   Engine.run e;
@@ -511,7 +511,7 @@ let chaos_gate kind =
       (* The clean neighbour is unperturbed: within 5% of its solo
          fault-free run. *)
       let ratio =
-        Time.to_float_ns o.co_clean_done_at /. Time.to_float_ns solo
+        float_of_int o.co_clean_done_at /. float_of_int solo
       in
       if ratio > 1.05 then
         Alcotest.failf "clean VM degraded by %.1f%% (solo=%d shared=%d)"
@@ -627,7 +627,7 @@ let giveup_time ~vm_id ~jitter =
     Result.get_ok (Ava_codegen.Plan.compile (Ava_spec.Specs.load_simcl ()))
   in
   let stub_end, hole_end = Transport.direct e in
-  Engine.spawn e ~name:"blackhole" (fun () ->
+  Engine.spawn e (fun () ->
       let rec drop () =
         ignore (Transport.recv hole_end);
         drop ()
@@ -665,7 +665,7 @@ let jitter_tests =
         let j2 = giveup_time ~vm_id:2 ~jitter:0.25 in
         Alcotest.(check bool) "jitter decorrelates the VMs" true (j1 <> j2);
         let band t =
-          let r = Time.to_float_ns t /. Time.to_float_ns base1 in
+          let r = float_of_int t /. float_of_int base1 in
           r > 0.7 && r < 1.3
         in
         Alcotest.(check bool) "vm1 within the jitter band" true (band j1);

@@ -83,13 +83,6 @@ let mmio_tests =
         Alcotest.(check int64) "value" 42L (Mmio.read m ~addr:0x10);
         Alcotest.(check int64) "unwritten reads 0" 0L (Mmio.read m ~addr:0x20);
         Alcotest.(check int) "accesses" 3 (Mmio.access_count m));
-    Alcotest.test_case "write hook fires" `Quick (fun () ->
-        let m = Mmio.create () in
-        let got = ref 0L in
-        Mmio.on_write m ~addr:0x10 (fun v -> got := v);
-        Mmio.write m ~addr:0x10 7L;
-        Mmio.write m ~addr:0x14 9L;
-        Alcotest.(check int64) "hook saw doorbell only" 7L !got);
     Alcotest.test_case "native vs trapped port cost" `Quick (fun () ->
         let e = Engine.create () in
         let m = Mmio.create () in
@@ -161,7 +154,7 @@ let gpu_tests =
         let d2 = Gpu.kernel_duration timing memory_bound in
         (* 1e9 bytes / 320e9 = ~3.1ms *)
         Alcotest.(check bool) "memory bound" true
-          (d2 > Time.ms 3 && d2 < Time.of_float_ms 3.3));
+          (d2 > Time.ms 3 && d2 < Time.us 3_300));
     Alcotest.test_case "submit executes in order" `Quick (fun () ->
         let e = Engine.create () in
         let gpu = Gpu.create e in

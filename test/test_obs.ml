@@ -278,7 +278,6 @@ let golden_registry () =
   Obs.vm_mark v ~seq:7 Obs.M_exec_end ~at:1300;
   Obs.vm_mark v ~seq:7 Obs.M_reply_recv ~at:1400;
   Obs.vm_span_close v ~seq:7 ~status:0 ~at:1450;
-  Obs.incr o "batches";
   o
 
 let phase_block phase le sum =
@@ -334,9 +333,6 @@ let golden_exposition =
       "# HELP ava_spans_in_flight Spans currently open.\n";
       "# TYPE ava_spans_in_flight gauge\n";
       "ava_spans_in_flight 0\n";
-      "# HELP ava_batches_total Registry counter batches.\n";
-      "# TYPE ava_batches_total counter\n";
-      "ava_batches_total 1\n";
     ]
 
 let export_tests =
@@ -406,9 +402,10 @@ let export_tests =
         let total = Option.get (Json.member "total" doc) in
         Alcotest.(check bool) "total count" true
           (Json.member "count" total = Some (Json.Int 1));
-        let counters = Option.get (Json.member "counters" doc) in
-        Alcotest.(check bool) "counter" true
-          (Json.member "batches" counters = Some (Json.Int 1)));
+        let spans = Option.get (Json.member "spans" doc) in
+        Alcotest.(check bool) "span counters" true
+          (Json.member "opened" spans = Some (Json.Int 1)
+          && Json.member "closed" spans = Some (Json.Int 1)));
   ]
 
 (* ------------------------------------------------------- perf gate -- *)

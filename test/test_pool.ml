@@ -336,7 +336,6 @@ let placement_tests =
         List.iteri
           (fun i g ->
             Engine.spawn e
-              ~name:(Printf.sprintf "app%d" i)
               (fun () -> results.(i) <- vec_add_ok g.Host.g_api 1024))
           guests;
         Engine.run e;
@@ -484,7 +483,6 @@ let identity_tests =
           List.iteri
             (fun i g ->
               Engine.spawn e
-                ~name:(Printf.sprintf "app%d" i)
                 (fun () -> ignore (vec_add_ok g.Host.g_api (256 * (i + 1)))))
             guests;
           Engine.run e;
@@ -642,7 +640,7 @@ let migration_tests =
               (Router.resteered host.Host.router)));
     Alcotest.test_case "replay onto a second device with live swap state"
       `Quick (fun () ->
-        (* Satellite: Migrate.replay against a different destination
+        (* Silo.transfer's replay onto a different destination
            device while the source silo has live swap state — evicted
            buffers must be snapshot/restored and the primary objects
            (context, queue, kernel, buffers) remapped to their original
@@ -855,7 +853,7 @@ let migration_tests =
         let guest = Host.add_cl_vm ~device:0 host ~name:"mover" in
         let vm_id = Ava_hv.Vm.id guest.Host.g_vm in
         Engine.run_process e (fun () ->
-            Engine.spawn e ~name:"killer" (fun () ->
+            Engine.spawn e (fun () ->
                 Engine.delay (Time.us 50);
                 Pool.kill_device pool ~device:2);
             Alcotest.(check int) "no bytes moved" 0
@@ -913,7 +911,7 @@ let migration_tests =
                  stall. *)
               Router.set_rate_limit router ~vm_id ~rate_per_s:100.0 ~burst:2.0;
               let finished = ref false in
-              Engine.spawn e ~name:"migrator" (fun () ->
+              Engine.spawn e (fun () ->
                   let rec watch () =
                     if Router.throttle_ns router ~vm_id > 0 then
                       ignore (Pool.migrate_vm pool ~vm_id ~dest:1)
@@ -966,7 +964,7 @@ let migration_tests =
         in
         let vm_id = m.mn_vm_id in
         Engine.run_process m.mn_engine (fun () ->
-            Engine.spawn m.mn_engine ~name:"migrator" (fun () ->
+            Engine.spawn m.mn_engine (fun () ->
                 Engine.delay (Time.us 50);
                 ignore (Pool.migrate_vm m.mn_pool ~vm_id ~dest:1));
             (match Stub.invoke_sync m.mn_stub ~fn:"call" ~args:[ Wire.int 0 ] with
@@ -1055,11 +1053,9 @@ let evac_run ~seed () =
   let clean = Host.add_cl_vm host ~device:1 ~name:"clean" in
   let v_ok = ref 0 and v_lost = ref 0 and v_done = ref 0 in
   let clean_done_at = ref None in
-  List.iteri
-    (fun i v ->
-      Engine.spawn e
-        ~name:(Printf.sprintf "victim-app%d" i)
-        (fun () ->
+  List.iter
+    (fun v ->
+      Engine.spawn e (fun () ->
           let module CL = (val v.Host.g_api) in
           let s = Clutil.open_session v.Host.g_api in
           let k = List.hd (Clutil.build_kernels s [ ("evac", 1e5, 8.0) ]) in
@@ -1081,10 +1077,10 @@ let evac_run ~seed () =
           done;
           incr v_done))
     victims;
-  Engine.spawn e ~name:"clean-app" (fun () ->
+  Engine.spawn e (fun () ->
       (bench "bfs").Rodinia.run clean.Host.g_api;
       clean_done_at := Some (Engine.now e));
-  Engine.spawn e ~name:"killer" (fun () ->
+  Engine.spawn e (fun () ->
       Engine.delay (Time.us (800 + (100 * (seed mod 7))));
       Pool.kill_device pool ~device:0);
   Engine.run e;
@@ -1124,7 +1120,7 @@ let evac_tests =
            shares with the tiny evacuated loops after: within 5% of a
            solo fault-free run. *)
         let ratio =
-          Time.to_float_ns o.eo_clean_done_at /. Time.to_float_ns solo
+          float_of_int o.eo_clean_done_at /. float_of_int solo
         in
         if ratio > 1.05 then
           Alcotest.failf "clean VM degraded by %.1f%% (solo=%d shared=%d)"
@@ -1175,7 +1171,7 @@ let evac_tests =
               (CL.clFinish s.Clutil.queue = Error Device_not_available);
             Alcotest.(check bool) "breaker open" true
               (breaker_state () = Some Policy.Breaker.Open);
-            Engine.spawn e ~name:"killer" (fun () ->
+            Engine.spawn e (fun () ->
                 Engine.delay (Time.us 50);
                 Pool.kill_device pool ~device:0);
             ignore (Pool.migrate_vm pool ~vm_id ~dest:2));
@@ -1209,14 +1205,12 @@ let skew_run ?rebalance () =
   let done_at = Array.make 3 0 in
   List.iteri
     (fun i g ->
-      Engine.spawn e
-        ~name:(Printf.sprintf "heavy-app%d" i)
-        (fun () ->
+      Engine.spawn e (fun () ->
           (bench "bfs").Rodinia.run g.Host.g_api;
           done_at.(i) <- Engine.now e))
     guests;
   if rebalance <> None then
-    Engine.spawn e ~name:"master" (fun () ->
+    Engine.spawn e (fun () ->
         let rec wait () =
           if Array.exists (fun t -> t = 0) done_at then begin
             Engine.delay (Time.us 100);
@@ -1318,7 +1312,7 @@ let rebalance_tests =
         let x_id = Ava_hv.Vm.id x.Host.g_vm in
         Engine.run_process e (fun () ->
             Alcotest.(check bool) "x computed" true (vec_add_ok x.Host.g_api 512);
-            Engine.spawn e ~name:"mover" (fun () ->
+            Engine.spawn e (fun () ->
                 ignore (Pool.migrate_vm pool ~vm_id:x_id ~dest:1));
             Engine.delay (Time.us 50);
             Alcotest.(check bool) "no rebalance reported" false
@@ -1371,7 +1365,7 @@ let report_tests =
              (fun acc d -> acc + d.Report.dv_executed)
              0 r.Report.r_devices)
           r.Report.r_executed;
-        let rendered = Report.to_string r in
+        let rendered = Fmt.str "%a" Report.pp r in
         let contains s sub =
           let n = String.length s and m = String.length sub in
           let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

@@ -28,8 +28,15 @@ let time_tests =
         Alcotest.(check string) "us" "12.000us" (Time.to_string (Time.us 12));
         Alcotest.(check string)
           "ms" "3.500ms"
-          (Time.to_string (Time.of_float_ms 3.5)));
+          (Time.to_string (Time.us 3_500)));
   ]
+
+(* The engine's drain: read the root's key and seq, then pop it. *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let key = Heap.unsafe_min_key h and seq = Heap.unsafe_min_seq h in
+    Some (key, seq, Heap.unsafe_pop h)
 
 let heap_tests =
   [
@@ -41,10 +48,10 @@ let heap_tests =
         Heap.add h ~key:1 ~seq:9 "d";
         let order = ref [] in
         let rec drain () =
-          match Heap.pop h with
+          match pop h with
           | None -> ()
-          | Some e ->
-              order := e.Heap.payload :: !order;
+          | Some (_, _, payload) ->
+              order := payload :: !order;
               drain ()
         in
         drain ();
@@ -52,7 +59,7 @@ let heap_tests =
           "order" [ "d"; "b"; "c"; "a" ] (List.rev !order));
     Alcotest.test_case "empty pop" `Quick (fun () ->
         let h : int Heap.t = Heap.create () in
-        Alcotest.(check bool) "none" true (Heap.pop h = None);
+        Alcotest.(check bool) "none" true (pop h = None);
         Alcotest.(check int) "size" 0 (Heap.size h));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"heap sorts any key sequence" ~count:200
@@ -61,9 +68,9 @@ let heap_tests =
            let h = Heap.create () in
            List.iteri (fun i k -> Heap.add h ~key:k ~seq:i k) keys;
            let rec drain acc =
-             match Heap.pop h with
+             match pop h with
              | None -> List.rev acc
-             | Some e -> drain (e.Heap.key :: acc)
+             | Some (key, _, _) -> drain (key :: acc)
            in
            drain [] = List.sort compare keys));
     QCheck_alcotest.to_alcotest
@@ -87,11 +94,11 @@ let heap_tests =
              model := go !model
            in
            let pop_matches () =
-             match (Heap.pop h, !model) with
+             match (pop h, !model) with
              | None, [] -> true
-             | Some e, (k', s') :: rest ->
+             | Some (key, seq, payload), (k', s') :: rest ->
                  model := rest;
-                 e.Heap.key = k' && e.Heap.seq = s' && e.Heap.payload = s'
+                 key = k' && seq = s' && payload = s'
              | _ -> false
            in
            List.for_all
@@ -112,7 +119,7 @@ let heap_tests =
            in
            drain ()));
     Alcotest.test_case "popped payloads are not retained" `Quick (fun () ->
-        (* Regression: the old [pop] left the payload behind in the
+        (* Regression: an old pop left the payload behind in the
            backing array, pinning every popped closure (and whatever it
            captured) until the slot was overwritten. *)
         let h : bytes Heap.t = Heap.create () in
@@ -122,7 +129,7 @@ let heap_tests =
           Weak.set w i (Some payload);
           Heap.add h ~key:(i * 3 mod 7) ~seq:i payload
         done;
-        while Heap.pop h <> None do
+        while pop h <> None do
           ()
         done;
         Gc.full_major ();
@@ -140,7 +147,7 @@ let heap_tests =
         for i = 0 to 63 do
           Heap.add h ~key:(i * 7 mod 13) ~seq:i (Bytes.make 4096 'x')
         done;
-        while Heap.pop h <> None do
+        while pop h <> None do
           ()
         done;
         Gc.full_major ();
@@ -418,6 +425,22 @@ let wait_tests =
         (* Two waits per round; the budget holds each fill's [Full]
            cell. *)
         check_wait_budget "ivar read then fill" ~waits:2.0 words ~beyond:4.0);
+    Alcotest.test_case "allocation budget: ivar filled before it is read"
+      `Quick (fun () ->
+        (* Nothing blocks, so an ivar costs its own two-field record
+           (3 words): no wait queue and no box around the value.  The
+           half word of slack covers the window's boxed counter read. *)
+        let words =
+          words_per_round
+            (fun i ->
+              let iv = Sys.opaque_identity (Ivar.create ()) in
+              Ivar.fill iv i;
+              ignore (Sys.opaque_identity (Ivar.read iv)))
+            (fun _ -> ())
+        in
+        if words > 3.5 then
+          Alcotest.failf
+            "ivar filled then read: %.2f words per ivar, budget 3.5" words);
     Alcotest.test_case "a finished simulation can be collected" `Quick
       (fun () ->
         let held = Weak.create 3 in
@@ -456,7 +479,9 @@ let ivar_tests =
           (Invalid_argument "Ivar.fill: already filled") (fun () ->
             Ivar.fill iv 2);
         Ivar.fill_if_empty iv 3;
-        Alcotest.(check (option int)) "unchanged" (Some 1) (Ivar.peek iv));
+        let e = Engine.create () in
+        Alcotest.(check int) "unchanged" 1
+          (Engine.run_process e (fun () -> Ivar.read iv)));
     Alcotest.test_case "multiple waiters all resume" `Quick (fun () ->
         let e = Engine.create () in
         let iv = Ivar.create () in
@@ -538,9 +563,9 @@ let channel_tests =
     Alcotest.test_case "try operations" `Quick (fun () ->
         let c = Channel.create ~capacity:1 () in
         Alcotest.(check (option int)) "empty" None (Channel.try_recv c);
-        Alcotest.(check bool) "send ok" true (Channel.try_send c 1);
-        Alcotest.(check bool) "send full" false (Channel.try_send c 2);
-        Alcotest.(check (option int)) "recv" (Some 1) (Channel.try_recv c));
+        Channel.send c 1;
+        Alcotest.(check (option int)) "recv" (Some 1) (Channel.try_recv c);
+        Alcotest.(check (option int)) "drained" None (Channel.try_recv c));
     Alcotest.test_case "parked receivers wake oldest-first" `Quick (fun () ->
         (* Five receivers park before any send; each send must hand its
            value to the longest-waiting receiver (FIFO), so receiver i
@@ -585,11 +610,6 @@ let channel_tests =
         Alcotest.(check (list int))
           "senders complete oldest-first" [ 1; 2; 3; 4; 5 ]
           (List.rev !completed));
-    Alcotest.test_case "closed channel raises on send" `Quick (fun () ->
-        let c = Channel.create () in
-        Channel.close c;
-        Alcotest.check_raises "closed" Channel.Closed (fun () ->
-            Channel.try_send c 1 |> ignore));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"channel preserves any message sequence"
          ~count:100
@@ -694,77 +714,10 @@ let rng_tests =
 
 let stats_tests =
   [
-    Alcotest.test_case "online mean/std" `Quick (fun () ->
-        let o = Stats.Online.create () in
-        List.iter (Stats.Online.add o)
-          [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-        Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.Online.mean o);
-        Alcotest.(check (float 1e-4)) "std" 2.13809 (Stats.Online.stddev o);
-        Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.Online.min o);
-        Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.Online.max o));
-    Alcotest.test_case "percentiles" `Quick (fun () ->
-        let s = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-        Alcotest.(check (float 1e-9)) "p50" 3.0 (Stats.percentile s 50.0);
-        Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile s 0.0);
-        Alcotest.(check (float 1e-9)) "p100" 5.0 (Stats.percentile s 100.0);
-        Alcotest.(check (float 1e-9)) "p25" 2.0 (Stats.percentile s 25.0));
-    Alcotest.test_case "percentile edge cases" `Quick (fun () ->
-        (* Single element: every percentile is that element. *)
-        Alcotest.(check (float 1e-9)) "1-elt p0" 7.0
-          (Stats.percentile [ 7.0 ] 0.0);
-        Alcotest.(check (float 1e-9)) "1-elt p50" 7.0
-          (Stats.percentile [ 7.0 ] 50.0);
-        Alcotest.(check (float 1e-9)) "1-elt p100" 7.0
-          (Stats.percentile [ 7.0 ] 100.0);
-        (* Two elements: p0/p100 hit the ends, p50 interpolates. *)
-        Alcotest.(check (float 1e-9)) "2-elt p0" 1.0
-          (Stats.percentile [ 1.0; 3.0 ] 0.0);
-        Alcotest.(check (float 1e-9)) "2-elt p100" 3.0
-          (Stats.percentile [ 1.0; 3.0 ] 100.0);
-        Alcotest.(check (float 1e-9)) "2-elt p50" 2.0
-          (Stats.percentile [ 1.0; 3.0 ] 50.0);
-        (* A rank whose floor differs from float-truncation-of-float
-           (the old double-truncation bug collapsed p90 onto p75 for
-           some sizes): 9 elements, p90 -> rank 7.2 -> 8.2. *)
-        Alcotest.(check (float 1e-9)) "9-elt p90" 8.2
-          (Stats.percentile
-             [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0 ]
-             90.0));
-    Alcotest.test_case "geomean" `Quick (fun () ->
-        Alcotest.(check (float 1e-9)) "gm" 4.0 (Stats.geomean [ 2.0; 8.0 ]));
-    Alcotest.test_case "summarize golden values" `Quick (fun () ->
-        (* Golden check that the single-sort [summarize] matches the
-           values the sort-per-percentile version produced. *)
-        let s =
-          Stats.summarize [ 5.0; 1.0; 4.0; 1.0; 3.0; 9.0; 2.0; 6.0; 5.0; 3.0 ]
-        in
-        Alcotest.(check int) "count" 10 s.Stats.count;
-        Alcotest.(check (float 1e-9)) "sum" 39.0 s.Stats.sum;
-        Alcotest.(check (float 1e-9)) "avg" 3.9 s.Stats.avg;
-        Alcotest.(check (float 1e-6)) "std" 2.469817807 s.Stats.std;
-        Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.minimum;
-        Alcotest.(check (float 1e-9)) "max" 9.0 s.Stats.maximum;
-        Alcotest.(check (float 1e-9)) "p50" 3.5 s.Stats.p50;
-        Alcotest.(check (float 1e-9)) "p95" 7.65 s.Stats.p95;
-        Alcotest.(check (float 1e-9)) "p99" 8.73 s.Stats.p99);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"percentile lies within sample range" ~count:200
-         QCheck.(
-           pair
-             (list_of_size Gen.(1 -- 50) (float_range 0. 1000.))
-             (float_range 0. 100.))
-         (fun (samples, p) ->
-           let v = Stats.percentile samples p in
-           let lo = List.fold_left Float.min infinity samples in
-           let hi = List.fold_left Float.max neg_infinity samples in
-           v >= lo -. 1e-9 && v <= hi +. 1e-9));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"online mean matches batch mean" ~count:200
-         QCheck.(list_of_size Gen.(1 -- 100) (float_range (-1000.) 1000.))
-         (fun samples ->
-           let o = Stats.Online.create () in
-           List.iter (Stats.Online.add o) samples;
-           Float.abs (Stats.Online.mean o -. Stats.mean samples) < 1e-6));
+    Alcotest.test_case "mean" `Quick (fun () ->
+        Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.mean [ 1.0; 2.0; 6.0 ]);
+        Alcotest.(check bool) "empty is nan" true
+          (Float.is_nan (Stats.mean [])));
   ]
 
 let () =

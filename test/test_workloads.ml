@@ -74,7 +74,23 @@ let determinism_tests =
 let fig5_tests =
   [
     Alcotest.test_case "figure 5 bands hold" `Slow (fun () ->
-        let rows = Driver.fig5_opencl () in
+        (* bench's E1 rows: native against AvA over the shm ring. *)
+        let rows =
+          List.map
+            (fun (b : Rodinia.benchmark) ->
+              let native = Driver.time_cl b.Rodinia.run in
+              let subject =
+                Driver.time_cl ~technique:(Host.Ava Transport.Shm_ring)
+                  b.Rodinia.run
+              in
+              {
+                Driver.row_name = b.Rodinia.name;
+                native_ns = native;
+                subject_ns = subject;
+                relative = Driver.relative_runtime ~native ~subject;
+              })
+            Rodinia.all
+        in
         let mean = Driver.mean rows in
         let max_rel =
           List.fold_left (fun acc r -> Float.max acc r.Driver.relative) 0.0 rows

@@ -13,7 +13,11 @@ so any whole-word mention counts for it.
 Run from the repository root:
 
     python3 tools/check_exports.py          # exit 1 on an unlisted unused value
-    python3 tools/check_exports.py --list   # print every unused value, allowed or not
+    python3 tools/check_exports.py --list   # print every unused value, allowed or not,
+                                            # and every value only test/ uses
+
+`--list` tags a value whose every user lies under test/ as `tests-only`;
+the gate counts a test as a user, so such values pass it.
 
 A value kept on purpose goes in ALLOWED below with a one-line reason.
 """
@@ -110,6 +114,7 @@ def main(argv):
         with open(f, errors="replace") as fh:
             uses[f] = Uses(fh.read())
     unused = []
+    tests_only = []
     n_vals = 0
     for mli in files:
         rel = os.path.relpath(mli, ROOT)
@@ -118,14 +123,21 @@ def main(argv):
         own = {mli, mli[:-1]}
         for qual, module, name, in_type in exported(mli):
             n_vals += 1
-            if not any(u.uses(module, name, in_type)
-                       for f, u in uses.items() if f not in own):
+            users = [f for f, u in uses.items()
+                     if f not in own and u.uses(module, name, in_type)]
+            if not users:
                 unused.append((rel, qual))
+            elif all(os.path.relpath(f, ROOT).startswith("test" + os.sep)
+                     for f in users):
+                tests_only.append((rel, qual))
     failures = [(rel, q) for rel, q in unused if q not in ALLOWED]
     if "--list" in argv:
         for rel, q in unused:
             tag = "allowed" if q in ALLOWED else "UNUSED"
-            print(f"{tag:8} {q:45} {rel}")
+            print(f"{tag:10} {q:45} {rel}")
+        for rel, q in tests_only:
+            print(f"{'tests-only':10} {q:45} {rel}")
+        print(f"{len(unused)} unused, {len(tests_only)} tests-only")
     stale = sorted(set(ALLOWED) - {q for _, q in unused})
     for q in stale:
         print(f"stale allowlist entry (now used or gone): {q}")
