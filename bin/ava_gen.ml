@@ -18,7 +18,15 @@ let read_file path =
   close_in ic;
   s
 
+(* Make [dir] and any missing parents. *)
+let rec make_dir dir =
+  if not (Sys.file_exists dir) then begin
+    make_dir (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let write_file path contents =
+  make_dir (Filename.dirname path);
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc;

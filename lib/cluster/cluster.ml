@@ -35,7 +35,7 @@ let policy_to_string = function
 type host = {
   h_id : int;
   h_host : Host.cl_host;
-  h_pool : Ava_core.Cl_handlers.state Pool.t;
+  h_pool : Ava_core.Cl_silo.state Pool.t;
   h_rng : Rng.t;  (** gossip peer selection *)
   h_view : (Time.t * int) array;
       (** per-host load digest: [(as-of virtual time, load)];

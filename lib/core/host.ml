@@ -93,10 +93,9 @@ let server_tdr ?wedged_by ~reset tdr =
    travel in the VM's server entry; with SVA armed, resolution re-points
    at the destination GPU's DMA engine. *)
 let pool_transfer live ~vm_id ~(src : _ Pool.device) ~(dst : _ Pool.device) =
-  (Silo.transfer
-     ?dma:(Option.map Gpu.dma dst.Pool.dev_phys.Pool.ph_gpu)
-     live ~vm_id ~src:src.Pool.dev_server ~dst:dst.Pool.dev_server)
-    .Silo.bytes
+  Silo.transfer
+    ?dma:(Option.map Gpu.dma dst.Pool.dev_phys.Pool.ph_gpu)
+    live ~vm_id ~src:src.Pool.dev_server ~dst:dst.Pool.dev_server
 
 (* The server end of a guest attach plus the guest's stub.  [sva] arms
    resolution through the VM's IOMMU, charged to the fronted device's
@@ -178,11 +177,11 @@ type cl_host = {
   plan : Plan.t;
   spec : Ava_spec.Ast.api_spec;
   router : Router.t;
-  server : Cl_handlers.state Server.t;  (** device 0's server *)
+  server : Cl_silo.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;  (** one per pool device; empty when swap is off *)
   obs : Obs.t option;
-  cl_pool : Cl_handlers.state Pool.t;
-  pool : Cl_handlers.state Pool.t option;
+  cl_pool : Cl_silo.state Pool.t;
+  pool : Cl_silo.state Pool.t option;
       (** always [Some cl_pool]; read only by hostbench/work.ml *)
   sva : bool;  (** zero-copy data path: per-VM IOMMUs + mapped refs *)
   doorbell : Transport.doorbell_cfg option;
@@ -248,21 +247,21 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
                  gpu))
         ?obs ~device_id:i engine ~plan
         ~make_state:
-          (Cl_handlers.make_state
+          (Cl_silo.make_state
              ?swap:(if Array.length swaps = 0 then None else Some swaps.(i))
              (Ava_simcl.Kdriver.create gpu))
     in
-    Cl_handlers.register server;
+    Cl_silo.register server;
     server
   in
   let servers = Array.init devices make_server in
   let router = Router.create ?obs engine ~virt ~plan in
   let iommus = Hashtbl.create 8 in
   let transfer ~vm_id ~src ~dst =
-    let bytes = pool_transfer Cl_handlers.live ~vm_id ~src ~dst in
+    let bytes = pool_transfer Cl_silo.live ~vm_id ~src ~dst in
     (* The VM's swap entries leave the source device with it. *)
     if Array.length swaps > 0 then
-      Cl_handlers.forget_swap swaps.(src.Pool.dev_id) ~vm_id;
+      Cl_silo.forget_swap swaps.(src.Pool.dev_id) ~vm_id;
     bytes
   in
   let pool =
@@ -324,7 +323,7 @@ let add_cl_vm ?(technique = Ava Transport.Shm_ring) ?(batching = false)
       attach (fun d ->
           Option.map (fun i -> (i, Gpu.dma (Pool.gpu t.cl_pool d))) iommu)
     in
-    let api = Cl_remote.create stub in
+    let api = Cl_silo.create stub in
     { g_vm = vm; g_api = api; g_stub = Some stub; g_technique = technique }
   in
   match technique with
@@ -377,7 +376,7 @@ let recorder t ~vm_id =
 let retire_cl_vm t ~vm_id =
   retire ~pool:t.cl_pool ~server:t.server ~obs:t.obs vm_id
     ~release:(fun () ->
-      Array.iter (fun sw -> Cl_handlers.forget_swap sw ~vm_id) t.swaps;
+      Array.iter (fun sw -> Cl_silo.forget_swap sw ~vm_id) t.swaps;
       match Hashtbl.find_opt t.iommus vm_id with
       | Some iommu ->
           Iommu.release_all iommu;
@@ -392,7 +391,7 @@ type nc_host = {
   nc_hv : Ava_hv.Hypervisor.t;
   nc_plan : Plan.t;
   nc_router : Router.t;
-  nc_server : Nc_handlers.state Server.t;
+  nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
   nc_sva : bool;
   nc_doorbell : Transport.doorbell_cfg option;
@@ -419,9 +418,9 @@ let create_nc_host ?(virt = Timing.default_virt) ?(transfer_cache = 0)
   let server =
     Server.create ~cache_capacity:transfer_cache
       ?tdr:(server_tdr tdr ~reset:(fun _ -> Ncs.reset dev))
-      ?obs engine ~plan ~make_state:(Nc_handlers.make_state dev)
+      ?obs engine ~plan ~make_state:(Nc_silo.make_state dev)
   in
-  Nc_handlers.register server;
+  Nc_silo.register server;
   let router = Router.create ?obs engine ~virt ~plan in
   {
     nc_engine = engine;
@@ -464,7 +463,7 @@ let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
       ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
       ~kind:Transport.Shm_ring vm
   in
-  let api = Nc_remote.create stub in
+  let api = Nc_silo.create stub in
   { ng_vm = vm; ng_api = api; ng_stub = Some stub }
 
 let native_nc engine =
@@ -480,7 +479,7 @@ type qa_host = {
   qa_hv : Ava_hv.Hypervisor.t;
   qa_plan : Plan.t;
   qa_router : Router.t;
-  qa_server : Qa_handlers.state Server.t;
+  qa_server : Qa_silo.state Server.t;
   qa_obs : Obs.t option;
 }
 
@@ -495,9 +494,9 @@ let create_qa_host ?(virt = Timing.default_virt) ?obs engine =
   let hv = Ava_hv.Hypervisor.create ~virt () in
   let _spec, plan = load_qa_plan () in
   let server =
-    Server.create ?obs engine ~plan ~make_state:(Qa_handlers.make_state dev)
+    Server.create ?obs engine ~plan ~make_state:(Qa_silo.make_state dev)
   in
-  Qa_handlers.register server;
+  Qa_silo.register server;
   let router = Router.create ?obs engine ~virt ~plan in
   {
     qa_engine = engine;
@@ -516,7 +515,7 @@ let add_qa_vm ?rate_per_s ?weight t ~name =
       ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan
       ~kind:Transport.Shm_ring vm
   in
-  let api = Qa_remote.create stub in
+  let api = Qa_silo.create stub in
   { qg_vm = vm; qg_api = api; qg_stub = Some stub }
 
 let native_qa engine =
@@ -532,10 +531,10 @@ type st_host = {
   st_plan : Plan.t;
   st_spec : Ava_spec.Ast.api_spec;
   st_router : Router.t;
-  st_server : St_handlers.state Server.t;  (** device 0's server *)
+  st_server : St_silo.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
   st_obs : Obs.t option;
-  st_pool : St_handlers.state Pool.t;
+  st_pool : St_silo.state Pool.t;
 }
 
 type st_guest = {
@@ -582,16 +581,16 @@ let create_st_host ?(virt = Timing.default_virt) ?obs
   let make_server i =
     let server =
       Server.create ?obs ~device_id:i engine ~plan
-        ~make_state:(St_handlers.make_state devs.(i))
+        ~make_state:(St_silo.make_state devs.(i))
     in
-    St_handlers.register server;
+    St_silo.register server;
     server
   in
   let router = Router.create ?obs engine ~virt ~plan in
   let servers = Array.init (Array.length devs) make_server in
   let pool =
     Pool.create engine ~router ~placement
-      ~transfer:(pool_transfer St_handlers.live)
+      ~transfer:(pool_transfer St_silo.live)
       (Array.to_list
          (Array.mapi (fun i cap -> (st_phys cap devs.(i), servers.(i))) caps))
   in
@@ -629,7 +628,7 @@ let add_st_vm ?rate_per_s ?weight ?breaker ?requires ?footprint ?device t
       ~hv:t.st_hv ~router:t.st_router ~server:(Pool.server t.st_pool backend)
       ~plan:t.st_plan ~kind:Transport.Shm_ring vm
   in
-  let api = St_remote.create stub in
+  let api = St_silo.create stub in
   { sg_vm = vm; sg_api = api; sg_stub = Some stub }
 
 let retire_st_vm t ~vm_id =

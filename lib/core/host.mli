@@ -55,13 +55,13 @@ type cl_host = {
   plan : Plan.t;
   spec : Ava_spec.Ast.api_spec;
   router : Router.t;
-  server : Cl_handlers.state Server.t;  (** device 0's server *)
+  server : Cl_silo.state Server.t;  (** device 0's server *)
   swaps : Swap.t array;
       (** one swap manager per pool device; empty when swap is off *)
   obs : Obs.t option;
       (** latency-attribution registry (armed with [~obs]) *)
-  cl_pool : Cl_handlers.state Pool.t;  (** the device pool *)
-  pool : Cl_handlers.state Pool.t option;
+  cl_pool : Cl_silo.state Pool.t;  (** the device pool *)
+  pool : Cl_silo.state Pool.t option;
       (** always [Some cl_pool].  Its only reader is the host benchmark
           (hostbench/work.ml); the next change to the benchmark deletes
           it.  Use [cl_pool]. *)
@@ -204,7 +204,7 @@ type nc_host = {
   nc_hv : Ava_hv.Hypervisor.t;
   nc_plan : Plan.t;
   nc_router : Router.t;
-  nc_server : Nc_handlers.state Server.t;
+  nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
   nc_sva : bool;
   nc_doorbell : Transport.doorbell_cfg option;
@@ -256,7 +256,7 @@ type qa_host = {
   qa_hv : Ava_hv.Hypervisor.t;
   qa_plan : Plan.t;
   qa_router : Router.t;
-  qa_server : Qa_handlers.state Server.t;
+  qa_server : Qa_silo.state Server.t;
   qa_obs : Obs.t option;
 }
 
@@ -299,10 +299,10 @@ type st_host = {
   st_plan : Plan.t;
   st_spec : Ava_spec.Ast.api_spec;
   st_router : Router.t;
-  st_server : St_handlers.state Server.t;  (** device 0's server *)
+  st_server : St_silo.state Server.t;  (** device 0's server *)
   st_devs : Ava_simst.Device.t array;  (** one per pool device *)
   st_obs : Obs.t option;
-  st_pool : St_handlers.state Pool.t;  (** the device pool *)
+  st_pool : St_silo.state Pool.t;  (** the device pool *)
 }
 
 type st_guest = {

@@ -1,101 +1,174 @@
 (** The silo kit: everything an AvA-generated silo does that does not
     depend on which API it virtualizes.
 
-    A silo plugs in three things — its per-function table (guest
-    wrappers and server handlers), its status <-> error mapping, and its
-    live-object accessors ({!live}) — and gets guest-call finishing
-    ({!Guest}), the handler prelude ({!Handler}) and the
-    replay-and-rebind procedure behind every migration ({!transfer}). *)
+    A silo declares each API function once ([fn0] ... [fn6] of {!Make}):
+    its name, mode, the wire form of each parameter in order, its reply
+    shape and the silo function it runs.  The kit derives the guest
+    wrapper ([call0] ...) and the server handler ({!Make.register}) from
+    that declaration.  A function no declaration can state is written by
+    hand beside the table ({!Make.by_hand}).  The silo also brings its
+    status <-> error mapping and its live-object accessors ({!live}). *)
 
 module Stub = Ava_remoting.Stub
 module Server = Ava_remoting.Server
 module Message = Ava_remoting.Message
-module Migrate = Ava_remoting.Migrate
 module Wire = Ava_remoting.Wire
 
-(** {1 Guest side} *)
+(** {1 Wire values} *)
 
-module type GUEST_STATUS = sig
+(** [h] is a handle (a virtual id), [u] an out-parameter's placeholder,
+    [l] a list of handles. *)
+
+val i : int -> Wire.value
+val h : int -> Wire.value
+val u : Wire.value
+val b : bytes -> Wire.value
+val l : int list -> Wire.value
+
+val to_i : Wire.value -> int
+(** Range-checked: raises {!Server.Bad_args} outside the native range. *)
+
+val to_b : Wire.value -> bytes
+val to_l : Wire.value -> int list
+
+val out : Message.reply -> int -> Wire.value
+(** A reply's [n]th out-value; raises {!Server.Bad_args} (the silo's
+    failure at a synchronous call) when the reply is short. *)
+
+(** {1 Declarations} *)
+
+type 'a enum = ('a * int) list
+(** An enum's wire codes.  A code not in the table is {!Server.Bad_args}
+    wherever it is read: a rejected request at the server, a malformed
+    reply at the guest. *)
+
+(** How one parameter crosses the wire. *)
+type _ form =
+  | Handle : int form  (** a virtual id, resolved by the server *)
+  | Raw : int form  (** an id that crosses unresolved *)
+  | Int : int form
+  | Flag : int -> bool form  (** these bits when true, 0 when false *)
+  | Enum : 'a enum -> 'a form
+  | Blob : bytes form
+  | Str : string form  (** a string carried as a blob *)
+  | Handles : int list form  (** a list of virtual ids *)
+  | Coded : ('a -> bytes) * (bytes -> 'a) -> 'a form
+      (** a blob through a codec; the decoder raises {!Server.Bad_args} *)
+  | Sized : 'a form -> 'a form  (** the value, then its length *)
+  | Counted : 'a form -> 'a form  (** the length, then the value *)
+
+(** One wire slot: the function's first to sixth parameter, an
+    out-parameter's placeholder, or a constant. *)
+type ('a, 'b, 'c, 'd, 'e, 'f) slot =
+  | A of 'a form | B of 'b form | C of 'c form
+  | D of 'd form | E of 'e form | F of 'f form
+  | Out
+  | Const of Wire.value
+
+(** What a successful call answers. *)
+type _ returns =
+  | Done : unit returns
+  | Fresh : Wire.value list -> int returns
+      (** a new object: its fresh virtual id, then these out-values *)
+  | Ret : 'r form -> 'r returns  (** the result, as the out-values *)
+
+type mode = Sync | Fire  (** [Fire]: forwarded as the plan says; answers [Done] *)
+
+type ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn
+(** One API function's declaration. *)
+
+type 'r fn0 = (unit, unit, unit, unit, unit, unit, 'r) fn
+type ('a, 'r) fn1 = ('a, unit, unit, unit, unit, unit, 'r) fn
+type ('a, 'b, 'r) fn2 = ('a, 'b, unit, unit, unit, unit, 'r) fn
+type ('a, 'b, 'c, 'r) fn3 = ('a, 'b, 'c, unit, unit, unit, 'r) fn
+
+val name : ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn -> string
+
+(** {1 A silo's table} *)
+
+(** A silo's table, over its status <-> error mapping ([failure]: a
+    local failure, no plan for the call or an unreadable reply) and the
+    silo functions ([api]) a handler finds in its per-VM state. *)
+module Make (S : sig
   type error
+  type state
+  type api
 
   val of_code : int -> error
-  (** The error a non-zero reply status (or deferred status) denotes. *)
-
-  val failure : string -> error
-  (** A local failure: no plan for the call, or a reply the guest cannot
-      read. *)
-end
-
-module Guest (S : GUEST_STATUS) : sig
-  val sync :
-    Stub.t ->
-    fn:string ->
-    args:Wire.value list ->
-    (Message.reply -> ('a, S.error) result) ->
-    ('a, S.error) result
-  (** Forward synchronously and parse the reply.  A pending deferred
-      async error outranks the call's own result; a parse that raises
-      {!Server.Bad_args} (see {!out}) yields [S.failure]. *)
-
-  val fire :
-    ?on_reply:(Message.reply -> unit) ->
-    Stub.t ->
-    fn:string ->
-    args:Wire.value list ->
-    'a ->
-    ('a, S.error) result
-  (** Forward as the plan says; an asynchronous forward returns the
-      given value at once and reports failure through the deferred-error
-      channel (§4.2). *)
-
-  val out : Message.reply -> int -> Wire.value
-  (** The [n]th out-parameter; raises {!Server.Bad_args} (turned into
-      [S.failure] by {!sync}) when the reply is short. *)
-
-  val ret_unit : Message.reply -> (unit, S.error) result
-
-  val ret_out :
-    (Wire.value -> 'a) -> int -> Message.reply -> ('a, S.error) result
-  (** [ret_out conv n]: the [n]th out-parameter decoded by [conv]. *)
-
-  val ret_handle : Message.reply -> (int, S.error) result
-  (** The returned handle, range-checked: a value outside the native int
-      range is [S.failure], never a wrapped id. *)
-end
-
-(** {1 Handler side} *)
-
-type reply = int * Wire.value * Wire.value list
-(** A handler's (status, return value, out-values). *)
-
-module Handler (S : sig
-  type error
-
   val to_code : error -> int
+  val failure : string -> error
+  val api : state -> api
 end) : sig
-  val ok_unit : reply
-  val ok_ret : Wire.value -> Wire.value list -> reply
+  (** Each [fn] declares one function, in wire order, with the silo
+      function its handler applies fully.  A handler rejects a frame of
+      the wrong width with {!Server.Bad_args} before it decodes anything;
+      the reply parser is made once per declaration. *)
 
-  val of_result : ('a, S.error) result -> ('a -> reply) -> reply
+  type 'e res := ('e, S.error) result
+
+  val fn0 : string -> mode -> (unit, unit, unit, unit, unit, unit) slot list ->
+    'r returns -> (S.api -> 'r res) -> 'r fn0
+
+  val fn1 : string -> mode -> ('a, unit, unit, unit, unit, unit) slot list ->
+    'r returns -> (S.api -> 'a -> 'r res) -> ('a, 'r) fn1
+
+  val fn2 : string -> mode -> ('a, 'b, unit, unit, unit, unit) slot list ->
+    'r returns -> (S.api -> 'a -> 'b -> 'r res) -> ('a, 'b, 'r) fn2
+
+  val fn3 : string -> mode -> ('a, 'b, 'c, unit, unit, unit) slot list ->
+    'r returns -> (S.api -> 'a -> 'b -> 'c -> 'r res) -> ('a, 'b, 'c, 'r) fn3
+
+  val fn6 : string -> mode -> ('a, 'b, 'c, 'd, 'e, 'f) slot list ->
+    'r returns -> (S.api -> 'a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'r res) ->
+    ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn
+
+  val by_hand :
+    string -> (S.state Server.t -> S.state Server.handler) -> string
+  (** A hand-written function: its name, and its handler given the
+      server; returns the name. *)
+
+  val functions : unit -> (string * int option) list
+  (** The table so far, in order, with each declaration's wire width. *)
+
+  val register : S.state Server.t -> unit
+  (** Install every function's handler. *)
+
+  (** {2 Guest wrappers}
+
+      Each builds its argument list and finishes the call: a pending
+      deferred async error outranks a synchronous call's own result,
+      and a reply it cannot read is [S.failure]. *)
+
+  val call0 : Stub.t -> 'r fn0 -> unit -> 'r res
+  val call1 : Stub.t -> ('a, 'r) fn1 -> 'a -> 'r res
+  val call2 : Stub.t -> ('a, 'b, 'r) fn2 -> 'a -> 'b -> 'r res
+  val call3 : Stub.t -> ('a, 'b, 'c, 'r) fn3 -> 'a -> 'b -> 'c -> 'r res
+
+  val call6 : Stub.t -> ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn ->
+    'a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'r res
+
+  (** {2 For hand-written functions} *)
+
+  val sync : Stub.t -> fn:string -> args:Wire.value list ->
+    (Message.reply -> 'a res) -> 'a res
+
+  val fire : ?on_reply:(Message.reply -> unit) -> Stub.t -> fn:string ->
+    args:Wire.value list -> 'a res -> 'a res
+  (** An asynchronous forward answers the given result at once and
+      reports failure through the deferred-error channel (§4.2). *)
+
+  val ok_unit : int * Wire.value * Wire.value list
+  val ok_ret : Wire.value -> Wire.value list -> int * Wire.value * Wire.value list
+
+  val of_result :
+    'a res -> ('a -> int * Wire.value * Wire.value list) ->
+    int * Wire.value * Wire.value list
   (** Continue with the value, or reply with the error's status. *)
 
   val resolve : Server.Ctx.t -> int -> int
-  (** Virtual id -> host handle; raises {!Server.Unknown_handle}, which
-      the server turns into a counted rejection. *)
+  (** Virtual id -> host handle; raises {!Server.Unknown_handle}. *)
 
   val resolve_list : Server.Ctx.t -> int list -> int list
-
-  val on_handle :
-    ('st -> int -> (unit, S.error) result) ->
-    Server.Ctx.t ->
-    'st ->
-    Wire.value list ->
-    reply
-  (** The commonest handler: one handle argument, resolved and passed to
-      the call; a unit reply. *)
-
-  val bind_fresh : Server.Ctx.t -> host:int -> int
-  (** Bind a freshly created host object to a new virtual id. *)
 end
 
 (** {1 Live-state transfer} *)
@@ -112,20 +185,15 @@ type 'st live = {
   write : 'st -> host:int -> bytes -> int option;
 }
 
-type moved = {
-  replayed : int;  (** record-log entries re-executed *)
-  restored : int;  (** objects whose bytes were written back *)
-  bytes : int;  (** snapshot + restore volume *)
-}
-
 val transfer :
   ?dma:Ava_device.Dma.t ->
   'st live ->
   vm_id:int ->
   src:'st Server.t ->
   dst:'st Server.t ->
-  moved
-(** Move a VM's silo state from [src] to [dst]: flush the source's
+  int
+(** Move a VM's silo state from [src] to [dst] and return the snapshot
+    and restore volume in bytes: flush the source's
     content store, re-point SVA (a VM with SVA armed on [src] resolves
     through the same IOMMU on [dst], charged to [dma], the destination
     device's DMA engine), quiesce the source silo, snapshot its live

@@ -60,6 +60,11 @@ module Ctx = struct
     if guest < first_virtual_id then Some guest
     else Hashtbl.find_opt t.handles guest
 
+  (* [resolve] for the per-call path, where an option would cost an
+     allocation: raises [Not_found] for an unbound id. *)
+  let find t guest =
+    if guest < first_virtual_id then guest else Hashtbl.find t.handles guest
+
   (* Reverse lookup: host handle -> virtual id (linear; tables are small
      and this only serves info queries). *)
   let reverse t ~host =

@@ -42,6 +42,11 @@ module Ctx : sig
 
   val bind : t -> guest:int -> host:int -> unit
   val resolve : t -> int -> int option
+
+  val find : t -> int -> int
+  (** {!resolve} without the option; raises [Not_found] for an unbound
+      id. *)
+
   val reverse : t -> host:int -> int option
   val forget : t -> int -> unit
 end

@@ -133,48 +133,3 @@ module type S = sig
   val clGetEventProfilingInfo : event -> profiling_info -> int result
   val clReleaseEvent : event -> unit result
 end
-
-(* Names of all 39 entry points, in declaration order: used by the CAvA
-   spec, the automation metrics and coverage tests. *)
-let function_names =
-  [
-    "clGetPlatformIDs";
-    "clGetPlatformInfo";
-    "clGetDeviceIDs";
-    "clGetDeviceInfo";
-    "clCreateContext";
-    "clRetainContext";
-    "clReleaseContext";
-    "clGetContextInfo";
-    "clCreateCommandQueue";
-    "clRetainCommandQueue";
-    "clReleaseCommandQueue";
-    "clGetCommandQueueInfo";
-    "clCreateBuffer";
-    "clRetainMemObject";
-    "clReleaseMemObject";
-    "clGetMemObjectInfo";
-    "clCreateProgramWithSource";
-    "clBuildProgram";
-    "clGetProgramBuildInfo";
-    "clRetainProgram";
-    "clReleaseProgram";
-    "clCreateKernel";
-    "clRetainKernel";
-    "clReleaseKernel";
-    "clSetKernelArg";
-    "clGetKernelInfo";
-    "clGetKernelWorkGroupInfo";
-    "clEnqueueNDRangeKernel";
-    "clEnqueueTask";
-    "clEnqueueReadBuffer";
-    "clEnqueueWriteBuffer";
-    "clEnqueueCopyBuffer";
-    "clEnqueueFillBuffer";
-    "clFlush";
-    "clFinish";
-    "clWaitForEvents";
-    "clGetEventInfo";
-    "clGetEventProfilingInfo";
-    "clReleaseEvent";
-  ]

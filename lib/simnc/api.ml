@@ -23,17 +23,3 @@ module type S = sig
   val mvncSetGraphOption : graph_handle -> graph_option -> int -> unit result
   val mvncGetDeviceOption : device_handle -> device_option -> int result
 end
-
-let function_names =
-  [
-    "mvncGetDeviceName";
-    "mvncOpenDevice";
-    "mvncCloseDevice";
-    "mvncAllocateGraph";
-    "mvncDeallocateGraph";
-    "mvncLoadTensor";
-    "mvncGetResult";
-    "mvncGetGraphOption";
-    "mvncSetGraphOption";
-    "mvncGetDeviceOption";
-  ]

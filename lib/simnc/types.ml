@@ -53,4 +53,3 @@ type graph_option =
 
 type device_option = Device_thermal_throttle | Device_memory_used
 
-let pp_status ppf s = Fmt.string ppf (status_to_string s)

@@ -39,17 +39,3 @@ module type S = sig
   (** Extended statistics, returned as a by-value struct (exercises the
       spec language's structure support). *)
 end
-
-let function_names =
-  [
-    "qaGetNumInstances";
-    "qaStartInstance";
-    "qaStopInstance";
-    "qaCreateSession";
-    "qaRemoveSession";
-    "qaCompress";
-    "qaDecompress";
-    "qaSubmitCompress";
-    "qaGetStats";
-    "qaGetStatsEx";
-  ]

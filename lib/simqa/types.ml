@@ -32,11 +32,6 @@ type 'a result = ('a, status) Stdlib.result
 
 type direction = Dir_compress | Dir_decompress
 
-let direction_to_int = function Dir_compress -> 0 | Dir_decompress -> 1
-let direction_of_int = function 0 -> Dir_compress | _ -> Dir_decompress
-
-let pp_status ppf s = Fmt.string ppf (status_to_string s)
-
 (** The extended statistics structure of [qaGetStatsEx] — marshalled
     field-wise through the remoting stack (spec-language structs). *)
 type stats_ex = { se_ops : int; se_bytes_in : int; se_bytes_out : int }

@@ -67,23 +67,3 @@ module type S = sig
   (** Wait for the ticket's batch and return its scores (4 bytes per
       item); a completion point in the sense of [sync_on]. *)
 end
-
-let function_names =
-  [
-    "stDeviceGetCount";
-    "stStreamCreate";
-    "stStreamDestroy";
-    "stStreamSynchronize";
-    "stEventCreate";
-    "stEventDestroy";
-    "stEventRecord";
-    "stEventSynchronize";
-    "stStreamWaitEvent";
-    "stMemAlloc";
-    "stMemFree";
-    "stMemcpyHtoDAsync";
-    "stMemcpyDtoH";
-    "stLaunchKernel";
-    "stBatchSubmit";
-    "stBatchCollect";
-  ]

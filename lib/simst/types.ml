@@ -40,4 +40,3 @@ let status_of_code = function
 
 type 'a result = ('a, status) Stdlib.result
 
-let pp_status ppf s = Fmt.string ppf (status_to_string s)

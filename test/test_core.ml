@@ -412,7 +412,7 @@ let isolation_tests =
             (* clFinish takes exactly one argument. *)
             (match
                Stub.invoke ~force_sync:true stub ~fn:"clFinish"
-                 ~args:[ Codec.i 1; Codec.i 2 ]
+                 ~args:[ Silo.i 1; Silo.i 2 ]
              with
             | Ok (Some reply) ->
                 Alcotest.(check bool)

@@ -1974,8 +1974,8 @@ let silo_kit_tests =
           canned_pair e (plan_of Host.load_st_plan) ~fn:"stStreamCreate"
             huge_handle
         in
-        let (module QA) = Ava_core.Qa_remote.create qa in
-        let (module ST) = Ava_core.St_remote.create st in
+        let (module QA) = Ava_core.Qa_silo.create qa in
+        let (module ST) = Ava_core.St_silo.create st in
         Engine.run_process e (fun () ->
             Alcotest.(check bool) "qaStartInstance -> Qa_fail" true
               (QA.qaStartInstance ~index:0 = Error Ava_simqa.Types.Qa_fail);
@@ -1986,16 +1986,16 @@ let silo_kit_tests =
         let e = Engine.create () in
         let pair load fn = canned_pair e (plan_of load) ~fn ok_no_outs in
         let (module CL) =
-          Ava_core.Cl_remote.create (pair Host.load_cl_plan "clGetContextInfo")
+          Ava_core.Cl_silo.create (pair Host.load_cl_plan "clGetContextInfo")
         in
         let (module NC) =
-          Ava_core.Nc_remote.create (pair Host.load_nc_plan "mvncGetResult")
+          Ava_core.Nc_silo.create (pair Host.load_nc_plan "mvncGetResult")
         in
         let (module QA) =
-          Ava_core.Qa_remote.create (pair Host.load_qa_plan "qaGetNumInstances")
+          Ava_core.Qa_silo.create (pair Host.load_qa_plan "qaGetNumInstances")
         in
         let (module ST) =
-          Ava_core.St_remote.create (pair Host.load_st_plan "stMemcpyDtoH")
+          Ava_core.St_silo.create (pair Host.load_st_plan "stMemcpyDtoH")
         in
         Engine.run_process e (fun () ->
             Alcotest.(check bool) "clGetContextInfo" true
@@ -2038,7 +2038,7 @@ let silo_kit_tests =
           canned_pair e plan ~fn:"clEnqueueReadBuffer"
             (0, Wire.Unit, [ Wire.Blob (Bytes.make 16 'x') ])
         in
-        let (module CL) = Ava_core.Cl_remote.create stub in
+        let (module CL) = Ava_core.Cl_silo.create stub in
         let read ~blocking =
           ignore
             (CL.clEnqueueReadBuffer 0x1000 0x1001 ~blocking ~offset:0 ~size:16
@@ -2242,6 +2242,377 @@ let hash_tests =
           (Option.is_none (Faults.unseal framed)));
   ]
 
+(* --- golden request frames: every silo function's wire layout --------
+
+   One fixed argument set per API function of the four silos, sent
+   through the guest library to a server that records what arrives.
+   Each entry is the XXH64 of the encoded argument list and its length:
+   any change to a function's layout (slot order, placeholder, constant,
+   enum code, blob length) changes its entry. *)
+
+let frame_digest args =
+  let frame = Wire.encode args in
+  Printf.sprintf "%016Lx/%d" (Wire.digest frame) (Bytes.length frame)
+
+(* A stub over a server with a recording handler for every function of
+   the plan; [calls] drives the guest library built on the stub. *)
+let record_frames load create calls =
+  let e = Engine.create () in
+  let plan = plan_of load in
+  let stub, server = stub_server_pair e plan in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun fn ->
+      Server.register server fn (fun _ _ args ->
+          Hashtbl.replace seen fn (frame_digest args);
+          (0, Wire.Unit, [])))
+    (Plan.function_names plan);
+  let api = create stub in
+  Engine.run_process e (fun () -> List.iter (fun call -> call ()) (calls api));
+  Hashtbl.fold (fun fn d acc -> (fn, d) :: acc) seen []
+  |> List.sort compare
+
+let src = Bytes.of_string "golden-bytes"
+
+let cl_frame_calls (module CL : Ava_simcl.Api.S) =
+  let open Ava_simcl.Types in
+  let q = 0x1001 and k = 0x1002 and m = 0x1003 and c = 0x1004 in
+  let i x = ignore (Sys.opaque_identity x) in
+  [
+    (fun () -> i (CL.clGetPlatformIDs ()));
+    (fun () -> i (CL.clGetPlatformInfo 1 Platform_vendor));
+    (fun () -> i (CL.clGetDeviceIDs 1 Device_accelerator));
+    (fun () -> i (CL.clGetDeviceInfo 2 Device_max_compute_units));
+    (fun () -> i (CL.clCreateContext [ 2; 3 ]));
+    (fun () -> i (CL.clRetainContext c));
+    (fun () -> i (CL.clReleaseContext c));
+    (fun () -> i (CL.clGetContextInfo c));
+    (fun () -> i (CL.clCreateCommandQueue c 2 ~profiling:true));
+    (fun () -> i (CL.clRetainCommandQueue q));
+    (fun () -> i (CL.clReleaseCommandQueue q));
+    (fun () -> i (CL.clGetCommandQueueInfo q));
+    (fun () -> i (CL.clCreateBuffer c ~size:4096));
+    (fun () -> i (CL.clRetainMemObject m));
+    (fun () -> i (CL.clReleaseMemObject m));
+    (fun () -> i (CL.clGetMemObjectInfo m));
+    (fun () -> i (CL.clCreateProgramWithSource c ~source:"kernel void f(){}"));
+    (fun () -> i (CL.clBuildProgram 0x1005 ~options:"-O2"));
+    (fun () -> i (CL.clGetProgramBuildInfo 0x1005));
+    (fun () -> i (CL.clRetainProgram 0x1005));
+    (fun () -> i (CL.clReleaseProgram 0x1005));
+    (fun () -> i (CL.clCreateKernel 0x1005 ~name:"f"));
+    (fun () -> i (CL.clRetainKernel k));
+    (fun () -> i (CL.clReleaseKernel k));
+    (fun () -> i (CL.clSetKernelArg k ~index:2 (Arg_float 1.5)));
+    (fun () -> i (CL.clGetKernelInfo k));
+    (fun () -> i (CL.clGetKernelWorkGroupInfo k 2));
+    (fun () ->
+      i
+        (CL.clEnqueueNDRangeKernel q k ~global_work_size:1024
+           ~local_work_size:64 ~wait_list:[ 0x2001 ] ~want_event:true));
+    (fun () -> i (CL.clEnqueueTask q k ~wait_list:[] ~want_event:false));
+    (fun () ->
+      i
+        (CL.clEnqueueReadBuffer q m ~blocking:true ~offset:8 ~size:16
+           ~wait_list:[] ~want_event:true));
+    (fun () ->
+      i
+        (CL.clEnqueueWriteBuffer q m ~blocking:false ~offset:4 ~src
+           ~wait_list:[ 0x2001; 0x2002 ] ~want_event:false));
+    (fun () ->
+      i
+        (CL.clEnqueueCopyBuffer q ~src:m ~dst:0x1006 ~src_offset:1
+           ~dst_offset:2 ~size:3 ~wait_list:[] ~want_event:true));
+    (fun () ->
+      i
+        (CL.clEnqueueFillBuffer q m ~pattern:'z' ~offset:0 ~size:32
+           ~wait_list:[] ~want_event:false));
+    (fun () -> i (CL.clFlush q));
+    (fun () -> i (CL.clFinish q));
+    (fun () -> i (CL.clWaitForEvents [ 0x2001; 0x2002 ]));
+    (fun () -> i (CL.clGetEventInfo 0x2001));
+    (fun () -> i (CL.clGetEventProfilingInfo 0x2001 Profiling_start));
+    (fun () -> i (CL.clReleaseEvent 0x2001));
+  ]
+
+let nc_frame_calls (module NC : Ava_simnc.Api.S) =
+  let open Ava_simnc.Types in
+  let d = 0x1001 and g = 0x1002 in
+  let i x = ignore (Sys.opaque_identity x) in
+  [
+    (fun () -> i (NC.mvncGetDeviceName ~index:1));
+    (fun () -> i (NC.mvncOpenDevice ~name:"ncs0"));
+    (fun () -> i (NC.mvncCloseDevice d));
+    (fun () -> i (NC.mvncAllocateGraph d ~graph_data:src));
+    (fun () -> i (NC.mvncDeallocateGraph g));
+    (fun () -> i (NC.mvncLoadTensor g ~tensor:src));
+    (fun () -> i (NC.mvncGetResult g));
+    (fun () -> i (NC.mvncGetGraphOption g Graph_executors));
+    (fun () -> i (NC.mvncSetGraphOption g Graph_time_taken_us 7));
+    (fun () -> i (NC.mvncGetDeviceOption d Device_memory_used));
+  ]
+
+let qa_frame_calls (module QA : Ava_simqa.Api.S) =
+  let open Ava_simqa.Types in
+  let inst = 0x1001 and sess = 0x1002 in
+  let i x = ignore (Sys.opaque_identity x) in
+  [
+    (fun () -> i (QA.qaGetNumInstances ()));
+    (fun () -> i (QA.qaStartInstance ~index:1));
+    (fun () -> i (QA.qaStopInstance inst));
+    (fun () -> i (QA.qaCreateSession inst Dir_decompress ~level:6));
+    (fun () -> i (QA.qaRemoveSession sess));
+    (fun () -> i (QA.qaCompress sess ~src));
+    (fun () -> i (QA.qaDecompress sess ~src));
+    (fun () ->
+      i (QA.qaSubmitCompress sess ~src ~tag:9 ~callback:(fun ~tag:_ _ -> ())));
+    (fun () -> i (QA.qaGetStats inst));
+    (fun () -> i (QA.qaGetStatsEx inst));
+  ]
+
+let st_frame_calls (module ST : Ava_simst.Api.S) =
+  let s = 0x1001 and ev = 0x1002 and m = 0x1003 in
+  let i x = ignore (Sys.opaque_identity x) in
+  [
+    (fun () -> i (ST.stDeviceGetCount ()));
+    (fun () -> i (ST.stStreamCreate ()));
+    (fun () -> i (ST.stStreamDestroy s));
+    (fun () -> i (ST.stStreamSynchronize s));
+    (fun () -> i (ST.stEventCreate ()));
+    (fun () -> i (ST.stEventDestroy ev));
+    (fun () -> i (ST.stEventRecord ev s));
+    (fun () -> i (ST.stEventSynchronize ev));
+    (fun () -> i (ST.stStreamWaitEvent s ev));
+    (fun () -> i (ST.stMemAlloc ~size:4096));
+    (fun () -> i (ST.stMemFree m));
+    (fun () -> i (ST.stMemcpyHtoDAsync m ~src s));
+    (fun () -> i (ST.stMemcpyDtoH ~size:64 m));
+    (fun () ->
+      i (ST.stLaunchKernel s ~name:"vadd" ~a:m ~b:0x1004 ~out:0x1005 ~n:16));
+    (fun () -> i (ST.stBatchSubmit s ~batch:src ~item_size:4));
+    (fun () -> i (ST.stBatchCollect s ~ticket:3 ~size:12));
+  ]
+
+let golden_frames =
+  [
+    ("clBuildProgram", "018850eb9a6f3595/30");
+    ("clCreateBuffer", "44544634994abc63/32");
+    ("clCreateCommandQueue", "7dd13b661775f37d/32");
+    ("clCreateContext", "9e6d3567c56a7ff6/37");
+    ("clCreateKernel", "11cbcef3c61c279f/29");
+    ("clCreateProgramWithSource", "6a79d0c5e5f91224/45");
+    ("clEnqueueCopyBuffer", "c34f9150667c9158/81");
+    ("clEnqueueFillBuffer", "a1245b01da2569a8/64");
+    ("clEnqueueNDRangeKernel", "1a06429b2d1e5311/72");
+    ("clEnqueueReadBuffer", "54234f1bec07617e/73");
+    ("clEnqueueTask", "5c9dd8f4ceb83e1e/37");
+    ("clEnqueueWriteBuffer", "db85bd5d568c9b59/99");
+    ("clFinish", "fb49fba94c4b9dba/13");
+    ("clFlush", "fb49fba94c4b9dba/13");
+    ("clGetCommandQueueInfo", "05ac86977c789ce7/14");
+    ("clGetContextInfo", "6a7c23bdd8f9e91e/14");
+    ("clGetDeviceIDs", "74fc54f6eed352ad/33");
+    ("clGetDeviceInfo", "af397fc5aa17068f/32");
+    ("clGetEventInfo", "d53cb9a2eea14653/14");
+    ("clGetEventProfilingInfo", "cc8c21e4118ca893/23");
+    ("clGetKernelInfo", "43f7c5914c15f793/23");
+    ("clGetKernelWorkGroupInfo", "4b388b1fd789f2c2/23");
+    ("clGetMemObjectInfo", "438f6fdaf9462b4d/14");
+    ("clGetPlatformIDs", "6c40b011360cd72f/15");
+    ("clGetPlatformInfo", "475c973a7bba23ad/32");
+    ("clGetProgramBuildInfo", "723b400e94b5811c/23");
+    ("clReleaseCommandQueue", "fb49fba94c4b9dba/13");
+    ("clReleaseContext", "d7d9d4b82db5b059/13");
+    ("clReleaseEvent", "fc0f448f437e29d2/13");
+    ("clReleaseKernel", "c7485d4d11592c09/13");
+    ("clReleaseMemObject", "87609a5f31dca3f1/13");
+    ("clReleaseProgram", "180f7e01695d5df4/13");
+    ("clRetainCommandQueue", "fb49fba94c4b9dba/13");
+    ("clRetainContext", "d7d9d4b82db5b059/13");
+    ("clRetainKernel", "c7485d4d11592c09/13");
+    ("clRetainMemObject", "87609a5f31dca3f1/13");
+    ("clRetainProgram", "180f7e01695d5df4/13");
+    ("clSetKernelArg", "3f36c2e864617713/45");
+    ("clWaitForEvents", "baff164157064a78/36");
+    ("mvncAllocateGraph", "8b4c05111a5dd710/40");
+    ("mvncCloseDevice", "fb49fba94c4b9dba/13");
+    ("mvncDeallocateGraph", "c7485d4d11592c09/13");
+    ("mvncGetDeviceName", "f253bead5e538ef1/23");
+    ("mvncGetDeviceOption", "ef56799aa8b02e02/23");
+    ("mvncGetGraphOption", "2abf05cdecc98268/23");
+    ("mvncGetResult", "ca62b1d5350cd912/23");
+    ("mvncLoadTensor", "a47713e8836c9e02/39");
+    ("mvncOpenDevice", "96b8b817acccbb02/23");
+    ("mvncSetGraphOption", "8a10912fa6b0849b/31");
+    ("qaCompress", "34fa2a7efe99648b/49");
+    ("qaCreateSession", "e8301abc22cae436/32");
+    ("qaDecompress", "34fa2a7efe99648b/49");
+    ("qaGetNumInstances", "f3e5687af1878726/5");
+    ("qaGetStats", "9ebdd10a33d9014a/15");
+    ("qaGetStatsEx", "05ac86977c789ce7/14");
+    ("qaRemoveSession", "c7485d4d11592c09/13");
+    ("qaStartInstance", "c839138fca66a665/14");
+    ("qaStopInstance", "fb49fba94c4b9dba/13");
+    ("qaSubmitCompress", "940b2e6917637d8c/57");
+    ("stBatchCollect", "4d3f8b4701cb7f43/32");
+    ("stBatchSubmit", "f3ae26e15bcf5291/49");
+    ("stDeviceGetCount", "f3e5687af1878726/5");
+    ("stEventCreate", "f3e5687af1878726/5");
+    ("stEventDestroy", "c7485d4d11592c09/13");
+    ("stEventRecord", "e9cd020c5895f9d6/22");
+    ("stEventSynchronize", "c7485d4d11592c09/13");
+    ("stLaunchKernel", "2baf8d697de79bd6/67");
+    ("stMemAlloc", "037a40db1633bb6d/14");
+    ("stMemFree", "87609a5f31dca3f1/13");
+    ("stMemcpyDtoH", "6804dda6f990112f/23");
+    ("stMemcpyHtoDAsync", "c2696d2a02ec8efa/48");
+    ("stStreamCreate", "f3e5687af1878726/5");
+    ("stStreamDestroy", "fb49fba94c4b9dba/13");
+    ("stStreamSynchronize", "fb49fba94c4b9dba/13");
+    ("stStreamWaitEvent", "df90eb652e2f7362/22");
+  ]
+
+(* Each silo's table against its spec: one entry per spec function,
+   a declaration as wide as the plan's arity, and a handler for every
+   function reachable through the guest's stub. *)
+let check_table ~name plan functions ~invoke =
+  let spec = List.sort compare (Plan.function_names plan) in
+  let table = List.sort compare (List.map fst functions) in
+  Alcotest.(check (list string)) (name ^ ": one entry per spec function")
+    spec table;
+  List.iter
+    (fun (fn, width) ->
+      let arity = (Plan.find_exn plan fn).Plan.cp_arity in
+      Option.iter
+        (fun w -> Alcotest.(check int) (fn ^ " width = plan arity") arity w)
+        width;
+      let status = invoke fn (List.init arity (fun _ -> Wire.Unit)) in
+      if status = Server.status_unknown_function then
+        Alcotest.failf "%s has no handler" fn)
+    functions
+
+(* A raw call through a guest's stub: its reply status. *)
+let raw_status stub fn args =
+  (Result.get_ok (Stub.invoke_sync stub ~fn ~args)).Message.reply_status
+
+let silo_table_tests =
+  let check name got =
+    Alcotest.(check (list (pair string string))) name golden_frames got
+  in
+  [
+    Alcotest.test_case "every silo function sends its golden frame" `Quick
+      (fun () ->
+        check "request frames"
+          (List.concat
+             [
+               record_frames Host.load_cl_plan Ava_core.Cl_silo.create
+                 cl_frame_calls;
+               record_frames Host.load_nc_plan Ava_core.Nc_silo.create
+                 nc_frame_calls;
+               record_frames Host.load_qa_plan Ava_core.Qa_silo.create
+                 qa_frame_calls;
+               record_frames Host.load_st_plan Ava_core.St_silo.create
+                 st_frame_calls;
+             ]));
+    Alcotest.test_case "every spec function has one declared layout and handler"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let cl = Host.create_cl_host e and nc = Host.create_nc_host e in
+        let qa = Host.create_qa_host e and st = Host.create_st_host e in
+        let cg = Host.add_cl_vm cl ~name:"cl" and ng = Host.add_nc_vm nc ~name:"nc" in
+        let qg = Host.add_qa_vm qa ~name:"qa" and sg = Host.add_st_vm st ~name:"st" in
+        let declared =
+          List.length
+            (List.filter
+               (fun (_, w) -> Option.is_some w)
+               (List.concat
+                  Ava_core.
+                    [
+                      Cl_silo.functions (); Nc_silo.functions ();
+                      Qa_silo.functions (); St_silo.functions ();
+                    ]))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d of 75 functions declared" declared)
+          true (declared >= 60);
+        Engine.run_process e (fun () ->
+            check_table ~name:"SimCL" (plan_of Host.load_cl_plan)
+              (Ava_core.Cl_silo.functions ())
+              ~invoke:(raw_status (Option.get cg.Host.g_stub));
+            check_table ~name:"MVNC" (plan_of Host.load_nc_plan)
+              (Ava_core.Nc_silo.functions ())
+              ~invoke:(raw_status (Option.get ng.Host.ng_stub));
+            check_table ~name:"SimQA" (plan_of Host.load_qa_plan)
+              (Ava_core.Qa_silo.functions ())
+              ~invoke:(raw_status (Option.get qg.Host.qg_stub));
+            check_table ~name:"SimST" (plan_of Host.load_st_plan)
+              (Ava_core.St_silo.functions ())
+              ~invoke:(raw_status (Option.get sg.Host.sg_stub))));
+    Alcotest.test_case "a wrong-width frame is refused before the silo runs"
+      `Quick (fun () ->
+        (* A [User_rpc] guest reaches the server with no router to check
+           arity: the handler's own width check must hold. *)
+        let e = Engine.create () in
+        let cl = Host.create_cl_host e in
+        let g = Host.add_cl_vm cl ~technique:Host.User_rpc ~name:"rpc" in
+        let (module CL) = g.Host.g_api in
+        let stub = Option.get g.Host.g_stub in
+        Engine.run_process e (fun () ->
+            let platform = List.hd (Result.get_ok (CL.clGetPlatformIDs ())) in
+            let devices =
+              Result.get_ok (CL.clGetDeviceIDs platform Ava_simcl.Types.Device_gpu)
+            in
+            let rejected = Server.rejected cl.Host.server in
+            Alcotest.(check int) "clCreateContext with a stray argument"
+              Server.status_bad_arguments
+              (raw_status stub "clCreateContext"
+                 [ Wire.List (List.map (fun d -> Wire.Handle (Int64.of_int d)) devices);
+                   Wire.int (List.length devices); Wire.Unit; Wire.Unit ]);
+            Alcotest.(check int) "counted as a rejection" (rejected + 1)
+              (Server.rejected cl.Host.server);
+            (* No context was made: the next one gets the first virtual id. *)
+            Alcotest.(check (result int reject)) "first context" (Ok 0x1000)
+              (Result.map_error ignore (CL.clCreateContext devices))));
+    Alcotest.test_case "an unknown enum code is a bad argument, not a case"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let cl = Host.create_cl_host e and qa = Host.create_qa_host e in
+        let cg = Host.add_cl_vm cl ~name:"cl" and qg = Host.add_qa_vm qa ~name:"qa" in
+        let (module CL) = cg.Host.g_api and (module QA) = qg.Host.qg_api in
+        Engine.run_process e (fun () ->
+            let platform = List.hd (Result.get_ok (CL.clGetPlatformIDs ())) in
+            let device_ids ty =
+              raw_status (Option.get cg.Host.g_stub) "clGetDeviceIDs"
+                [ Wire.Handle (Int64.of_int platform); Wire.int ty; Wire.int 16; Wire.Unit; Wire.Unit ]
+            in
+            Alcotest.(check int) "device type 4 (GPU)" 0 (device_ids 4);
+            List.iter
+              (fun ty ->
+                Alcotest.(check int) (Printf.sprintf "device type %d" ty)
+                  Server.status_bad_arguments (device_ids ty))
+              [ 5; 12345 ];
+            let inst = Result.get_ok (QA.qaStartInstance ~index:0) in
+            let session dir =
+              raw_status (Option.get qg.Host.qg_stub) "qaCreateSession"
+                [ Wire.Handle (Int64.of_int inst); Wire.int dir; Wire.int 1; Wire.Unit ]
+            in
+            Alcotest.(check int) "direction 1" 0 (session 1);
+            Alcotest.(check int) "direction 7" Server.status_bad_arguments
+              (session 7)));
+    Alcotest.test_case "an unknown enum code in a reply is a malformed reply"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let stub =
+          canned_pair e (plan_of Host.load_cl_plan) ~fn:"clGetEventInfo"
+            (0, Wire.int 0, [ Wire.int 9 ])
+        in
+        let (module CL) = Ava_core.Cl_silo.create stub in
+        Engine.run_process e (fun () ->
+            Alcotest.(check bool) "Remoting_failure" true
+              (CL.clGetEventInfo 0x1000
+              = Error (Ava_simcl.Types.Remoting_failure "malformed reply"))));
+  ]
+
 let () =
   Alcotest.run "ava_remoting"
     [
@@ -2260,4 +2631,5 @@ let () =
       ("swap", swap_tests);
       ("silo-kit", silo_kit_tests);
       ("hash64", hash_tests);
+      ("silo-table", silo_table_tests);
     ]

@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Flag exported values in lib/**/*.mli that nothing outside their module uses.
+"""Flag exported values in lib/ that nothing outside their module uses.
+
+The exported values of a module are the `val`s of its lib/**/*.mli, or,
+for a lib/**/*.ml with no .mli, its top-level `let`s (everything such a
+module defines is visible to other modules).
 
 A value `v` of module `M` counts as used when an OCaml source file (.ml or
 .mli) of the repository other than its own module's .ml and .mli, comments
@@ -52,6 +56,22 @@ def sources():
         for f in filenames:
             if f.endswith((".ml", ".mli")):
                 yield os.path.join(dirpath, f)
+
+
+TOP_LET = re.compile(r"^let\s+(?:rec\s+)?([a-z][A-Za-z0-9_']*)")
+
+
+def exported_lets(ml):
+    """(qualified name, module, value name, False) for each top-level
+    `let` of an [ml] that has no .mli."""
+    top = os.path.basename(ml)[:-3].capitalize()
+    out = []
+    with open(ml) as fh:
+        for line in fh:
+            m = TOP_LET.match(line)
+            if m:
+                out.append((f"{top}.{m.group(1)}", top, m.group(1), False))
+    return out
 
 
 def exported(mli):
@@ -116,12 +136,19 @@ def main(argv):
     unused = []
     tests_only = []
     n_vals = 0
-    for mli in files:
-        rel = os.path.relpath(mli, ROOT)
-        if not (rel.startswith("lib" + os.sep) and mli.endswith(".mli")):
+    for src in files:
+        rel = os.path.relpath(src, ROOT)
+        if not rel.startswith("lib" + os.sep):
             continue
-        own = {mli, mli[:-1]}
-        for qual, module, name, in_type in exported(mli):
+        if src.endswith(".mli"):
+            own = {src, src[:-1]}
+            values = exported(src)
+        elif not os.path.exists(src + "i"):
+            own = {src}
+            values = exported_lets(src)
+        else:
+            continue
+        for qual, module, name, in_type in values:
             n_vals += 1
             users = [f for f, u in uses.items()
                      if f not in own and u.uses(module, name, in_type)]
