@@ -231,33 +231,38 @@ let admit st =
     true
   end
 
-let submit st tn w =
+(* Run [work] as one tenant submission in its own process, counted in
+   [tn_pending] until it finishes.  An API failure lands in the
+   tenant's failures; any other exception is the run's crash. *)
+let tenant_work st tn work =
   tn.tn_pending <- tn.tn_pending + 1;
   Engine.spawn st.st_engine (fun () ->
-      (try
-         match w with
-         | Op.Vec_add n ->
-             (* The one workload in the mix whose device-computed output
-                is checked bit-for-bit: data corruption anywhere in the
-                remoting path surfaces here as [false], not just as an
-                error status. *)
-             if
-               not
-                 (Clutil.vec_add tn.tn_guest.Host.g_api ~n ~launches:1
-                    ~release:false)
-             then
-               tn.tn_bad_result <- true
-         | Op.Bench b -> (
-             match Rodinia.find b with
-             | Some bench -> bench.Rodinia.run tn.tn_guest.Host.g_api
-             | None -> ())
-       with
+      (try work () with
       | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
       | exn ->
           if st.st_crash_exn = None then
             st.st_crash_exn <- Some (Printexc.to_string exn));
       tn.tn_pending <- tn.tn_pending - 1);
   true
+
+let submit st tn w =
+  tenant_work st tn (fun () ->
+      match w with
+      | Op.Vec_add n ->
+          (* The one workload in the mix whose device-computed output
+             is checked bit-for-bit: data corruption anywhere in the
+             remoting path surfaces here as [false], not just as an
+             error status. *)
+          if
+            not
+              (Clutil.vec_add tn.tn_guest.Host.g_api ~n ~launches:1
+                 ~release:false)
+          then
+            tn.tn_bad_result <- true
+      | Op.Bench b -> (
+          match Rodinia.find b with
+          | Some bench -> bench.Rodinia.run tn.tn_guest.Host.g_api
+          | None -> ()))
 
 let retire st tn =
   if
@@ -334,18 +339,9 @@ else
   | _ -> false
 
 let swap_pressure st tn n =
-tn.tn_pending <- tn.tn_pending + 1;
-Engine.spawn st.st_engine (fun () ->
-    (try
-       if not (buffer_churn tn.tn_guest.Host.g_api n) then
-         tn.tn_bad_result <- true
-     with
-    | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
-    | exn ->
-        if st.st_crash_exn = None then
-          st.st_crash_exn <- Some (Printexc.to_string exn));
-    tn.tn_pending <- tn.tn_pending - 1);
-true
+  tenant_work st tn (fun () ->
+      if not (buffer_churn tn.tn_guest.Host.g_api n) then
+        tn.tn_bad_result <- true)
 
 (* Clamp the tenant's device-time quota to a near-zero budget and push
    the reference workload through it: quota enforcement defers at
@@ -434,46 +430,28 @@ let qa_session st tn =
 (* One MVNC inference on the tenant's side-silo guest: queue a tensor,
    wait for the result, check the declared output size. *)
 let submit_nc st tn bytes =
-  tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine (fun () ->
-      (try
-         let s = nc_session st tn in
-         let module NC = (val s.ns_api) in
-         let tensor =
-           Bytes.init (max 1 bytes) (fun i -> Char.chr (i land 0xff))
-         in
-         nc_ok (NC.mvncLoadTensor s.ns_graph ~tensor);
-         let out = nc_ok (NC.mvncGetResult s.ns_graph) in
-         if Bytes.length out <> nc_output_bytes then tn.tn_bad_result <- true
-       with
-      | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
-      | exn ->
-          if st.st_crash_exn = None then
-            st.st_crash_exn <- Some (Printexc.to_string exn));
-      tn.tn_pending <- tn.tn_pending - 1);
-  true
+  tenant_work st tn (fun () ->
+      let s = nc_session st tn in
+      let module NC = (val s.ns_api) in
+      let tensor =
+        Bytes.init (max 1 bytes) (fun i -> Char.chr (i land 0xff))
+      in
+      nc_ok (NC.mvncLoadTensor s.ns_graph ~tensor);
+      let out = nc_ok (NC.mvncGetResult s.ns_graph) in
+      if Bytes.length out <> nc_output_bytes then tn.tn_bad_result <- true)
 
 (* One compress/decompress roundtrip; the decompressed payload must be
    byte-identical to the original. *)
 let submit_qa st tn kib =
-  tn.tn_pending <- tn.tn_pending + 1;
-  Engine.spawn st.st_engine (fun () ->
-      (try
-         let s = qa_session st tn in
-         let module QA = (val s.qs_api) in
-         let payload =
-           Bytes.init (1024 * max 1 kib) (fun i -> Char.chr (i * 7 land 0xff))
-         in
-         let packed = qa_ok (QA.qaCompress s.qs_cs ~src:payload) in
-         let back = qa_ok (QA.qaDecompress s.qs_ds ~src:packed) in
-         if not (Bytes.equal back payload) then tn.tn_bad_result <- true
-       with
-      | Clutil.Api_failure m -> tn.tn_failures <- m :: tn.tn_failures
-      | exn ->
-          if st.st_crash_exn = None then
-            st.st_crash_exn <- Some (Printexc.to_string exn));
-      tn.tn_pending <- tn.tn_pending - 1);
-  true
+  tenant_work st tn (fun () ->
+      let s = qa_session st tn in
+      let module QA = (val s.qs_api) in
+      let payload =
+        Bytes.init (1024 * max 1 kib) (fun i -> Char.chr (i * 7 land 0xff))
+      in
+      let packed = qa_ok (QA.qaCompress s.qs_cs ~src:payload) in
+      let back = qa_ok (QA.qaDecompress s.qs_ds ~src:packed) in
+      if not (Bytes.equal back payload) then tn.tn_bad_result <- true)
 
 let flip st profile =
   st.st_profile <- profile;

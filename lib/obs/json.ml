@@ -1,10 +1,9 @@
 (* Minimal JSON tree, printer and recursive-descent parser.
 
-   The switch has no JSON library, and the perf gate must read bench
-   output and baselines back in, so we keep a small self-contained
-   implementation here.  Printing is deterministic (object members in
-   insertion order, floats via %.17g trimmed) which the golden tests
-   rely on. *)
+   The switch has no JSON library, so we keep a small self-contained
+   implementation here; the parser lets the tests read exports back
+   in.  Printing is deterministic (object members in insertion order,
+   floats via %.17g trimmed) which the golden tests rely on. *)
 
 type t =
   | Null

@@ -1,8 +1,8 @@
 (** Minimal JSON tree, printer and parser.
 
     Self-contained replacement for a JSON library (the build has none):
-    just enough for the bench snapshots, the Chrome trace export and
-    the perf gate's baseline comparison.  Printing is deterministic —
+    just enough for the bench snapshots and the Chrome trace export,
+    and for the tests to read them back.  Printing is deterministic —
     object members keep insertion order — so exports can be golden-
     tested as exact strings. *)
 

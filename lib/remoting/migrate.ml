@@ -71,25 +71,6 @@ let primary_handle (plan : Plan.call_plan) (args : Wire.value list) =
       | Some _ as h -> h
       | None -> find_arg handle_arg params args)
 
-(* The replay log must hold self-contained payloads: replay runs against
-   a fresh destination silo whose content store is empty, so a recorded
-   transfer-cache value would be unresolvable there.  The server resolves
-   cache values before it records a call, so on the normal path there is
-   nothing to rewrite and the arguments are kept as they are; this
-   guards direct-execution callers. *)
-let rec has_cached = function
-  | Wire.Blob_cached _ -> true
-  | Wire.List vs -> List.exists has_cached vs
-  | _ -> false
-
-let rec sanitize_value = function
-  | Wire.Blob_cached { bc_data; _ } -> Wire.Blob bc_data
-  | Wire.List vs -> Wire.List (List.map sanitize_value vs)
-  | v -> v
-
-let sanitize args =
-  if List.exists has_cached args then List.map sanitize_value args else args
-
 let tracks h r =
   match (r.rc_class, r.rc_primary) with
   | (Object_alloc | Object_modify), Some h' -> h' = h
@@ -121,7 +102,7 @@ let observe ?allocated t (plan : Plan.call_plan) (c : Message.call) =
     t.log <-
       {
         rc_fn = c.Message.call_fn;
-        rc_args = sanitize c.Message.call_args;
+        rc_args = c.Message.call_args;
         rc_class = cls;
         rc_primary = primary;
       }

@@ -22,7 +22,10 @@ val create : unit -> t
 val observe : ?allocated:int -> t -> Plan.call_plan -> Message.call -> unit
 (** Record one successfully executed call.  [allocated] is the virtual
     id the server assigned when the call created an object (its return
-    handle), which argument inspection cannot recover. *)
+    handle), which argument inspection cannot recover.  The arguments
+    are kept as they are: the server records only calls whose
+    transfer-cache values it has already resolved to plain blobs, so
+    the log replays against a destination with an empty content store. *)
 
 val replay_log : t -> recorded list
 (** In execution order. *)

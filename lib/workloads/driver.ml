@@ -77,25 +77,23 @@ let obs_phases = function
           else Some (Ava_obs.Obs.phase_name p, s))
         (Ava_obs.Obs.phase_summaries o)
 
-(* Run a SimCL program remoted (AvA over the shm ring by default) with
-   the given transfer-cache capacity, measuring wire bytes and content
-   store counters alongside end-to-end time.  [devfaults]/[tdr]/[breaker]
-   arm the fault-domain machinery for chaos profiling; [obs] arms
-   per-call latency attribution (passive: end-to-end times are
-   bit-identical either way); [sync_only] deploys the unoptimized
-   all-sync spec. *)
-let profile_cl ?(technique = Host.Ava Transport.Shm_ring)
-    ?(transfer_cache = 0) ?(sync_only = false) ?(obs = false) ?sva ?doorbell
-    ?devfaults ?tdr ?breaker program =
+(* Run a SimCL program remoted (AvA over the shm ring) with the given
+   transfer-cache capacity, measuring wire bytes and content store
+   counters alongside end-to-end time.  [tdr]/[breaker] arm the
+   watchdog and the circuit breaker; [obs] arms per-call latency
+   attribution (passive: end-to-end times are bit-identical either
+   way); [sync_only] deploys the unoptimized all-sync spec. *)
+let profile_cl ?(transfer_cache = 0) ?(sync_only = false) ?(obs = false) ?sva
+    ?doorbell ?tdr ?breaker program =
   let e = Engine.create () in
   let registry = if obs then Some (Ava_obs.Obs.create ()) else None in
   let result = ref None in
   Engine.spawn e (fun () ->
       let host =
-        Host.create_cl_host ~transfer_cache ~sync_only ?sva ?doorbell
-          ?devfaults ?tdr ?obs:registry e
+        Host.create_cl_host ~transfer_cache ~sync_only ?sva ?doorbell ?tdr
+          ?obs:registry e
       in
-      let guest = Host.add_cl_vm host ~technique ?breaker ~name:"guest" in
+      let guest = Host.add_cl_vm host ?breaker ~name:"guest" in
       program guest.Host.g_api;
       let c = Ava_remoting.Server.cache_totals host.Host.server in
       result :=
@@ -120,17 +118,13 @@ let profile_cl ?(technique = Host.Ava Transport.Shm_ring)
   | None -> failwith "workload stalled"
 
 (* MVNC counterpart of [profile_cl]. *)
-let profile_nc ?(transfer_cache = 0) ?(obs = false) ?sva ?doorbell ?devfaults
-    ?tdr ?breaker program =
+let profile_nc ?(transfer_cache = 0) ?(obs = false) program =
   let e = Engine.create () in
   let registry = if obs then Some (Ava_obs.Obs.create ()) else None in
   let result = ref None in
   Engine.spawn e (fun () ->
-      let host =
-        Host.create_nc_host ~transfer_cache ?sva ?doorbell ?devfaults ?tdr
-          ?obs:registry e
-      in
-      let guest = Host.add_nc_vm host ?breaker ~name:"guest" in
+      let host = Host.create_nc_host ~transfer_cache ?obs:registry e in
+      let guest = Host.add_nc_vm host ~name:"guest" in
       program guest.Host.ng_api;
       let c = Ava_remoting.Server.cache_totals host.Host.nc_server in
       result :=

@@ -40,34 +40,27 @@ type profile = {
 }
 
 val profile_cl :
-  ?technique:Host.technique ->
   ?transfer_cache:int ->
   ?sync_only:bool ->
   ?obs:bool ->
   ?sva:bool ->
   ?doorbell:Transport.doorbell_cfg ->
-  ?devfaults:Ava_device.Devfault.t ->
   ?tdr:Host.tdr_policy ->
   ?breaker:Ava_remoting.Policy.Breaker.config ->
   ((module Ava_simcl.Api.S) -> unit) ->
   profile
-(** Run a SimCL program remoted (AvA over the shm ring by default) with
-    the given transfer-cache capacity in bytes (0 = cache off).
+(** Run a SimCL program remoted (AvA over the shm ring) with the given
+    transfer-cache capacity in bytes (0 = cache off).
     [sync_only] deploys the unoptimized all-sync spec.  [obs] arms
     per-call latency attribution (passive: [pr_ns] is bit-identical
     either way).  [sva] arms shared virtual addressing and [doorbell]
     arms doorbell coalescing, as in {!Host.create_cl_host}.
-    [devfaults]/[tdr]/[breaker] arm the fault-domain machinery for
-    chaos profiling (all off by default). *)
+    [tdr]/[breaker] arm the watchdog and the circuit breaker (both off
+    by default). *)
 
 val profile_nc :
   ?transfer_cache:int ->
   ?obs:bool ->
-  ?sva:bool ->
-  ?doorbell:Transport.doorbell_cfg ->
-  ?devfaults:Ava_device.Devfault.t ->
-  ?tdr:Host.tdr_policy ->
-  ?breaker:Ava_remoting.Policy.Breaker.config ->
   ((module Ava_simnc.Api.S) -> unit) ->
   profile
 (** MVNC counterpart of {!profile_cl}. *)

@@ -1,13 +1,12 @@
 (* Tests for the observability layer: histogram bucketing properties,
    JSON printer/parser, the exporters (Prometheus golden, Chrome trace
-   structure), the perf gate, and the armed-vs-disarmed identity on all
-   three remoted stacks (obs must never perturb virtual time). *)
+   structure), and the armed-vs-disarmed identity on all three remoted
+   stacks (obs must never perturb virtual time). *)
 
 module Hist = Ava_obs.Hist
 module Obs = Ava_obs.Obs
 module Json = Ava_obs.Json
 module Export = Ava_obs.Export
-module Gate = Ava_obs.Gate
 module Transport = Ava_transport.Transport
 
 open Ava_sim
@@ -408,100 +407,6 @@ let export_tests =
           && Json.member "closed" spans = Some (Json.Int 1)));
   ]
 
-(* ------------------------------------------------------- perf gate -- *)
-
-let gate_doc () =
-  Json.Obj
-    [
-      ( "fig5",
-        Json.Obj
-          [
-            ( "rows",
-              Json.List
-                [
-                  Json.Obj
-                    [
-                      ("name", Json.String "bfs");
-                      ("native_ns", Json.Int 1000);
-                      ("relative", Json.Float 1.10);
-                      ( "phases",
-                        Json.List
-                          [
-                            Json.Obj
-                              [
-                                ("phase", Json.String "execute");
-                                ("p50_ns", Json.Float 500.0);
-                                ("p95_ns", Json.Float 900.0);
-                                ("mean_ns", Json.Float 550.0);
-                              ];
-                          ] );
-                    ];
-                ] );
-            ("mean_relative", Json.Float 1.08);
-          ] );
-    ]
-
-let gate_tests =
-  [
-    Alcotest.test_case "identical results pass" `Quick (fun () ->
-        let doc = gate_doc () in
-        let v =
-          Gate.compare_metrics ~tolerance_pct:10.0 ~baseline:doc ~current:doc
-        in
-        Alcotest.(check bool) "passed" true (Gate.passed v);
-        Alcotest.(check int) "no regressions" 0 v.Gate.v_regressions;
-        (* relative, mean_relative, p50_ns, p95_ns gate; native_ns and
-           mean_ns do not. *)
-        Alcotest.(check int) "gated metric count" 4 v.Gate.v_compared);
-    Alcotest.test_case "inflated results fail" `Quick (fun () ->
-        let doc = gate_doc () in
-        let v =
-          Gate.compare_metrics ~tolerance_pct:10.0 ~baseline:doc
-            ~current:(Gate.inflate ~pct:25.0 doc)
-        in
-        Alcotest.(check bool) "failed" false (Gate.passed v);
-        Alcotest.(check bool) "regressions found" true
-          (v.Gate.v_regressions > 0);
-        let md = Gate.to_markdown ~tolerance_pct:10.0 v in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        Alcotest.(check bool) "markdown says FAIL" true (contains md "FAIL"));
-    Alcotest.test_case "within-tolerance drift passes" `Quick (fun () ->
-        let base = gate_doc () in
-        (* +5% on a gated ratio stays under the 10% tolerance. *)
-        let current =
-          Json.Obj
-            [
-              ( "fig5",
-                Json.Obj
-                  [
-                    ("rows", Json.List []);
-                    ("mean_relative", Json.Float (1.08 *. 1.05));
-                  ] );
-            ]
-        in
-        let v =
-          Gate.compare_metrics ~tolerance_pct:10.0 ~baseline:base ~current
-        in
-        Alcotest.(check bool) "passed" true (Gate.passed v));
-    Alcotest.test_case "untracked metrics never gate" `Quick (fun () ->
-        Alcotest.(check bool) "native_ns" false (Gate.is_gated "a/native_ns");
-        Alcotest.(check bool) "count" false (Gate.is_gated "a/count");
-        Alcotest.(check bool) "p95" true (Gate.is_gated "a/b/p95_ns");
-        Alcotest.(check bool) "relative" true (Gate.is_gated "rows/x/relative");
-        Alcotest.(check bool) "ns/event" true
-          (Gate.is_gated "simcore/loads/pure-timer/ns_per_event");
-        Alcotest.(check bool) "allocB/event" true
-          (Gate.is_gated "simcore/loads/pure-timer/alloc_bytes_per_event");
-        Alcotest.(check bool) "events/s never gates" false
-          (Gate.is_gated "simcore/loads/pure-timer/events_per_s"));
-  ]
-
 (* ---------------------------------------- armed == disarmed timing -- *)
 
 let qa_program (module QA : Ava_simqa.Api.S) =
@@ -784,7 +689,6 @@ let () =
       ("hist", hist_tests);
       ("json", json_tests);
       ("export", export_tests);
-      ("gate", gate_tests);
       ("identity", identity_tests);
       ("spans", span_tests);
     ]

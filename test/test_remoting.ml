@@ -926,15 +926,17 @@ let policy_tests =
   ]
 
 (* A miniature spec for stub/server plumbing tests. *)
-let mini_plan () =
+let mini_plan ?(ping_record = "no_record") () =
   let src =
-    {|
+    Printf.sprintf
+      {|
 api("mini");
 #include "mini.h"
 type(st) { success(OK); }
-st ping(int value) { sync; record(no_record); }
+st ping(int value) { sync; record(%s); }
 st fire(int value) { async; record(no_record); }
 |}
+      ping_record
   in
   let header = "#define OK 0\ntypedef int st;\nst ping(int value);\nst fire(int value);" in
   let resolve = function "mini.h" -> Some header | _ -> None in
@@ -1062,11 +1064,12 @@ let stub_tests =
         Alcotest.(check int) "worker survived" 0 reply.Message.reply_status);
   ]
 
-(* Stub/server pair with the transfer cache armed on both halves. *)
-let cached_pair e plan ~capacity =
+(* Stub/server pair with the transfer cache armed on both halves;
+   [device_id] makes the server a pooled one, with a record log. *)
+let cached_pair ?device_id e plan ~capacity =
   let guest_end, server_end = Transport.direct e in
   let server =
-    Server.create e ~cache_capacity:capacity ~plan
+    Server.create e ~cache_capacity:capacity ?device_id ~plan
       ~make_state:(fun ~vm_id -> ref vm_id)
   in
   ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
@@ -1858,6 +1861,26 @@ let migrate_tests =
         in
         Alcotest.(check int) "count" 5 (List.length log);
         Alcotest.(check (list int)) "order" [ 1; 2; 3; 4; 5 ] seen);
+    Alcotest.test_case "a cached payload is recorded as a plain blob" `Quick
+      (fun () ->
+        (* Replay runs against a destination whose content store is
+           empty, so the record log must hold the payload itself: the
+           server records a call only after resolving its cache values. *)
+        let e = Engine.create () in
+        let plan = mini_plan ~ping_record:"global_config" () in
+        let stub, server =
+          cached_pair ~device_id:0 e plan ~capacity:(1024 * 1024)
+        in
+        payload_recorder server (ref []);
+        let payload = Bytes.make 4096 'm' in
+        Engine.run_process e (fun () -> send_payload stub payload);
+        Alcotest.(check int) "sent as Blob_cached" 1
+          (Stub.cache_announces stub);
+        match Option.map Migrate.replay_log (Server.recorder server ~vm_id:1) with
+        | Some [ { Migrate.rc_args = [ Wire.Blob b ]; _ } ] ->
+            Alcotest.(check bytes) "payload recorded" payload b
+        | Some _ -> Alcotest.fail "recorded args are not one plain Blob"
+        | None -> Alcotest.fail "a pooled server keeps a record log");
   ]
 
 let swap_tests =
