@@ -103,4 +103,4 @@ let () =
   | Some { Router.bi_state = Policy.Breaker.Closed; _ } ->
       Fmt.pr "admin clear:          breaker closed, victim re-admitted@."
   | _ -> failwith "breaker should be closed after clear");
-  Fmt.pr "@.%a" Report.pp (Report.snapshot host [ victim; clean ])
+  Fmt.pr "@.%a" (Report.pp host) [ victim; clean ]

@@ -82,4 +82,4 @@ let () =
       Fmt.pr "%-4s now on device %d@." (Ava_hv.Vm.name g.Host.g_vm)
         (Option.get (Pool.device_of pool ~vm_id)))
     guests;
-  Fmt.pr "@.%a" Report.pp (Report.snapshot host guests)
+  Fmt.pr "@.%a" (Report.pp host) guests

@@ -66,4 +66,4 @@ let () =
     s.Faults.sealed_msgs;
   Fmt.pr "caught on receive:    %d checksum rejects@."
     s.Faults.checksum_rejects;
-  Fmt.pr "@.%a" Report.pp (Report.snapshot host [ guest ])
+  Fmt.pr "@.%a" (Report.pp host) [ guest ]

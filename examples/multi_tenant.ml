@@ -50,5 +50,4 @@ let () =
         (Ava_hv.Vm.api_calls vm)
         (Ava_hv.Vm.bytes_transferred vm))
     tenants;
-  Fmt.pr "@.%a" Ava_core.Report.pp
-    (Ava_core.Report.snapshot host (List.map snd tenants))
+  Fmt.pr "@.%a" (Ava_core.Report.pp host) (List.map snd tenants)

@@ -45,19 +45,17 @@ let () =
   Fmt.pr "attribution is passive: end times bit-identical@.@.";
 
   (* 1. The admin report grows latency lines when obs is armed. *)
-  Fmt.pr "%a@." Report.pp (Report.snapshot host [ guest ]);
+  Fmt.pr "%a@." (Report.pp host) [ guest ];
 
   (* 2. Per-phase breakdown: where a forwarded call's time went. *)
   let total = Obs.total_summary obs in
   Fmt.pr "attributed %d calls, %.1f ms total@." total.Hist.h_count
     (total.Hist.h_sum_ns /. 1e6);
   List.iter
-    (fun (phase, s) ->
-      if s.Hist.h_count > 0 then
-        Fmt.pr "  %-16s share %5.1f%%  p50 %8.0fns  p95 %8.0fns@."
-          (Obs.phase_name phase)
-          (100.0 *. s.Hist.h_sum_ns /. total.Hist.h_sum_ns)
-          s.Hist.h_p50_ns s.Hist.h_p95_ns)
+    (fun (name, s) ->
+      Fmt.pr "  %-16s share %5.1f%%  p50 %8.0fns  p95 %8.0fns@." name
+        (100.0 *. s.Hist.h_sum_ns /. total.Hist.h_sum_ns)
+        s.Hist.h_p50_ns s.Hist.h_p95_ns)
     (Obs.phase_summaries obs);
 
   (* 3. Prometheus text exposition (first family only, for brevity). *)

@@ -90,4 +90,4 @@ let () =
     Time.pp healed
     (Server.naks_sent host.Host.server)
     (Stub.cache_nak_resends stub) (Stub.timeouts stub);
-  Fmt.pr "@.%a" Report.pp (Report.snapshot host [ guest ])
+  Fmt.pr "@.%a" (Report.pp host) [ guest ]

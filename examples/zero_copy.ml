@@ -32,10 +32,8 @@ let run ?sva ?doorbell b =
   in
   let wire_p50 =
     List.fold_left
-      (fun acc (phase, s) ->
-        if List.mem (Obs.phase_name phase) wire_phases then
-          acc +. s.Hist.h_p50_ns
-        else acc)
+      (fun acc (name, s) ->
+        if List.mem name wire_phases then acc +. s.Hist.h_p50_ns else acc)
       0.0
       (Obs.phase_summaries obs)
   in

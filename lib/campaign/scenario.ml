@@ -13,7 +13,6 @@
 
 module Pool = Ava_pool.Pool
 module Host = Ava_core.Host
-module Report = Ava_core.Report
 module Server = Ava_remoting.Server
 module Router = Ava_remoting.Router
 module Policy = Ava_remoting.Policy
@@ -572,6 +571,9 @@ let check_residency_retired st =
         leak)
     (List.filter (fun t -> not t.tn_live) st.st_tenants)
 
+(* A stub counter of [tn]'s guest library; 0 for a guest without one. *)
+let stub_count tn f = Option.fold ~none:0 ~some:f tn.tn_guest.Host.g_stub
+
 let check_seq_ledger st =
   List.find_map
     (fun tn ->
@@ -589,13 +591,13 @@ let check_seq_ledger st =
                        (Router.in_flight_seqs st.st_host.Host.router
                           ~vm_id:tn.tn_vm_id))) ))
       else
-        let gs = Report.guest_stats tn.tn_guest in
-        if gs.Report.gs_timeouts > 0 then
+        let timeouts = stub_count tn Stub.timeouts in
+        if timeouts > 0 then
           Some
             (Violation
                ( Seq_ledger,
                  Printf.sprintf "vm%d lost %d calls to retry exhaustion"
-                   tn.tn_vm_id gs.Report.gs_timeouts ))
+                   tn.tn_vm_id timeouts ))
         else None)
     (live_tenants st)
 
@@ -604,30 +606,21 @@ let check_seq_ledger st =
 let check_accounting st =
   List.find_map
     (fun tn ->
-      let gs = Report.guest_stats tn.tn_guest in
-      let issued = gs.Report.gs_sync_calls + gs.Report.gs_async_calls in
-      if gs.Report.gs_api_calls > issued then
+      let issued =
+        stub_count tn Stub.sync_calls + stub_count tn Stub.async_calls
+      in
+      let charged = Ava_hv.Vm.api_calls tn.tn_guest.Host.g_vm in
+      if charged > issued then
         Some
           (Violation
              ( Accounting,
                Printf.sprintf "vm%d charged for %d calls, its guest issued %d"
-                 tn.tn_vm_id gs.Report.gs_api_calls issued ))
+                 tn.tn_vm_id charged issued ))
       else None)
     (live_tenants st)
 
 let check_conservation st =
-  let guests = List.map (fun t -> t.tn_guest) (live_tenants st) in
-  let r = Report.snapshot st.st_host guests in
-  let dev_sum =
-    List.fold_left (fun a d -> a + d.Report.dv_executed) 0 r.Report.r_devices
-  in
-  if dev_sum <> r.Report.r_executed then
-    Some
-      (Violation
-         ( Conservation,
-           Printf.sprintf "executed %d != per-device sum %d"
-             r.Report.r_executed dev_sum ))
-  else if Pool.retires (the_pool st) <> st.st_retired then
+  if Pool.retires (the_pool st) <> st.st_retired then
     Some
       (Violation
          ( Conservation,

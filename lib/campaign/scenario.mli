@@ -41,8 +41,9 @@ type invariant =
   | Accounting  (** the router charged no tenant for more calls than
                     its guest issued: retransmissions and resends are
                     charged once *)
-  | Conservation  (** executed-call and residency counters conserve
-                      across the {!Ava_core.Report} rollup *)
+  | Conservation  (** the pool counts as many retires as the scenario
+                      made, and every live tenant is resident on
+                      exactly the one device the pool's index names *)
   | Residency  (** retired tenants leave nothing behind: no pool
                    residency, server entry, router conn, IOMMU pin or
                    recorder *)

@@ -394,7 +394,6 @@ type nc_host = {
   nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
   nc_sva : bool;
-  nc_doorbell : Transport.doorbell_cfg option;
   nc_dma : Dma.t option;
       (* standalone DMA model for SVA scatter-gather charges: Ncs moves
          data over USB and exposes no Dma.t of its own *)
@@ -407,18 +406,15 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-let create_nc_host ?(virt = Timing.default_virt) ?(transfer_cache = 0)
-    ?(sva = false) ?doorbell ?devfaults ?tdr ?obs engine =
+let create_nc_host ?(transfer_cache = 0) ?(sva = false) ?devfaults ?obs
+    engine =
+  let virt = Timing.default_virt in
   let dev = Ncs.create ~timing:Timing.movidius ?devfault:devfaults engine in
   let hv = Ava_hv.Hypervisor.create ~virt () in
   let _spec, plan = load_nc_plan () in
-  (* NCS recovery = re-enumerate the stick: loaded graphs are gone, the
-     guest re-allocates through the normal API path.  Single-owner USB
-     device: no cross-VM wedge to blame. *)
   let server =
-    Server.create ~cache_capacity:transfer_cache
-      ?tdr:(server_tdr tdr ~reset:(fun _ -> Ncs.reset dev))
-      ?obs engine ~plan ~make_state:(Nc_silo.make_state dev)
+    Server.create ~cache_capacity:transfer_cache ?obs engine ~plan
+      ~make_state:(Nc_silo.make_state dev)
   in
   Nc_silo.register server;
   let router = Router.create ?obs engine ~virt ~plan in
@@ -431,7 +427,6 @@ let create_nc_host ?(virt = Timing.default_virt) ?(transfer_cache = 0)
     nc_server = server;
     nc_obs = obs;
     nc_sva = sva;
-    nc_doorbell = doorbell;
     (* SVA resolution never streams through this engine (stream:false),
        so only the descriptor-setup cost matters; GPU PCIe numbers are a
        fine stand-in for the host-side DMA block. *)
@@ -458,7 +453,7 @@ let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
     | _ -> None
   in
   let stub =
-    attach_ava ?doorbell:t.nc_doorbell ?rate_per_s ?weight ?breaker
+    attach_ava ?rate_per_s ?weight ?breaker
       ~breaker_statuses:nc_fault_statuses ?sva ?obs:t.nc_obs t.nc_engine
       ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
       ~kind:Transport.Shm_ring vm

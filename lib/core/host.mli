@@ -207,7 +207,6 @@ type nc_host = {
   nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
   nc_sva : bool;
-  nc_doorbell : Transport.doorbell_cfg option;
   nc_dma : Dma.t option;
       (** standalone DMA block backing SVA scatter-gather charges (the
           stick itself moves data over USB) *)
@@ -223,18 +222,14 @@ type nc_guest = {
 val load_nc_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_nc_host :
-  ?virt:Timing.virt ->
   ?transfer_cache:int ->
   ?sva:bool ->
-  ?doorbell:Transport.doorbell_cfg ->
   ?devfaults:Devfault.t ->
-  ?tdr:tdr_policy ->
   ?obs:Obs.t ->
   Engine.t ->
   nc_host
-(** [transfer_cache], [sva], [doorbell], [devfaults], [tdr] and [obs]
-    as in {!create_cl_host} ([tdr]'s reset re-enumerates the stick;
-    [tp_poison] is meaningless for the NCS and ignored). *)
+(** [transfer_cache], [sva], [devfaults] and [obs] as in
+    {!create_cl_host}. *)
 
 val add_nc_vm :
   ?rate_per_s:float ->

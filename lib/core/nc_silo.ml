@@ -47,8 +47,10 @@ let mvncGetResult =
 let mvncGetGraphOption =
   fn2 "mvncGetGraphOption" Sync [ A Handle; B (Enum graph_option); Out ]
     (Ret Int) (fun (module NC) -> NC.mvncGetGraphOption)
+(* Async in the spec: a refused option surfaces at the next
+   synchronous call. *)
 let mvncSetGraphOption =
-  fn3 "mvncSetGraphOption" Sync [ A Handle; B (Enum graph_option); C Int ]
+  fn3 "mvncSetGraphOption" Fire [ A Handle; B (Enum graph_option); C Int ]
     Done (fun (module NC) -> NC.mvncSetGraphOption)
 let mvncGetDeviceOption =
   fn2 "mvncGetDeviceOption" Sync [ A Handle; B (Enum device_option); Out ]

@@ -54,10 +54,6 @@ let replug t =
     match t.fault with Some f -> Devfault.record_replug f | None -> ()
   end
 
-(* Forced re-enumeration (the TDR reset path): plug the stick straight
-   back in without waiting out the natural re-enumeration delay. *)
-let reset t = replug t
-
 (* Occupy the USB pipe for one transaction; blocks, and raises
    [Device_lost] if the stick is (or becomes) unplugged. *)
 let usb_transfer t ~bytes =

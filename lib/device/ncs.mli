@@ -34,10 +34,6 @@ val live_graphs : t -> int
 val plugged : t -> bool
 (** Whether the stick is currently enumerated. *)
 
-val reset : t -> unit
-(** Force immediate re-enumeration (the TDR reset path).  Loaded graphs
-    are already gone; this just brings the device back. *)
-
 val load_graph : t -> graph_bytes:int -> layer_flops:float list -> graph
 (** Upload and compile a graph; blocks for transfer + parse time.
     @raise Device_lost if the stick is (or becomes) unplugged. *)

@@ -273,16 +273,13 @@ let json_of_summary (s : Hist.summary) =
 (* Merged per-phase breakdown — the piece bench JSON embeds. *)
 let phases_json t =
   Json.List
-    (List.filter_map
-       (fun (p, s) ->
-         if s.Hist.h_count = 0 then None
-         else
-           Some
-             (Json.Obj
-                (("phase", Json.String (Obs.phase_name p))
-                :: (match json_of_summary s with
-                   | Json.Obj fields -> fields
-                   | _ -> []))))
+    (List.map
+       (fun (name, s) ->
+         Json.Obj
+           (("phase", Json.String name)
+           :: (match json_of_summary s with
+              | Json.Obj fields -> fields
+              | _ -> [])))
        (Obs.phase_summaries t))
 
 let snapshot t =

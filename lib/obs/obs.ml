@@ -410,13 +410,15 @@ let totals t = List.map (fun (k, h) -> (k, Hist.summary h)) (raw_totals t)
 let iter_rows t f =
   Itbl.iter (fun _ v -> Hashtbl.iter (fun _ r -> f r) v.v_rows) t.vms
 
-(* Merged across VMs and APIs: one summary per phase, in pipeline
-   order — the shape the bench JSON and the report table want. *)
+(* Merged across VMs and APIs: one named summary per phase with
+   samples, in pipeline order — the shape the bench JSON and the report
+   table want. *)
 let phase_summaries t =
   let merged = Array.init n_phases (fun _ -> Hist.create ()) in
   iter_rows t (fun r ->
       Array.iteri (fun i h -> Hist.merge ~into:merged.(i) h) r.r_phases);
-  List.mapi (fun i p -> (p, Hist.summary merged.(i))) phases
+  List.mapi (fun i p -> (phase_name p, Hist.summary merged.(i))) phases
+  |> List.filter (fun (_, s) -> s.Hist.h_count > 0)
 
 let total_summary t =
   let merged = Hist.create () in

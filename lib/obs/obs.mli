@@ -124,9 +124,9 @@ val totals : t -> ((int * string) * Hist.summary) list
 
 val raw_totals : t -> ((int * string) * Hist.t) list
 
-val phase_summaries : t -> (phase * Hist.summary) list
-(** Summaries merged across VMs and APIs, one per phase, in pipeline
-    order.  Phases with no samples report {!Hist.empty_summary}. *)
+val phase_summaries : t -> (string * Hist.summary) list
+(** Summaries merged across VMs and APIs, one per phase with samples,
+    named by {!phase_name}, in pipeline order. *)
 
 val total_summary : t -> Hist.summary
 (** End-to-end summary merged across VMs and APIs. *)

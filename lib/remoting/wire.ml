@@ -422,13 +422,17 @@ let decode data =
   | exception Decode_error msg -> Error msg
 
 (* The scalar view of an argument list: every position holding an int
-   ({!to_int} would give [Some]) is bound, the rest are not. *)
-let load_scalars sv args =
-  Ava_codegen.Plan.clear_scalars sv;
-  List.iteri
-    (fun i v ->
-      match v with
+   ({!to_int} would give [Some]) is bound, the rest are not.  A loop
+   rather than [List.iteri], whose closure would allocate per call. *)
+let rec bind_scalars sv i = function
+  | [] -> ()
+  | v :: rest ->
+      (match v with
       | (I64 n | Handle n) when fits_int n ->
           Ava_codegen.Plan.bind_scalar sv i (Int64.to_int n)
-      | _ -> ())
-    args
+      | _ -> ());
+      bind_scalars sv (i + 1) rest
+
+let load_scalars sv args =
+  Ava_codegen.Plan.clear_scalars sv;
+  bind_scalars sv 0 args

@@ -178,25 +178,30 @@ let fidelity_report spec =
           fmt
       in
       (* 1. Asynchronously forwarded calls cannot report errors at their
-         call site (§4.2's caveat). *)
+         call site (§4.2's caveat); a conditional call is async whenever
+         its condition fails. *)
+      let async unless =
+        note
+          "forwarded asynchronously%s: failures surface at a later \
+           synchronous call"
+          unless;
+        (* 2. Async calls with observable outputs need special cases
+           (deferred delivery or guest-assigned ids). *)
+        List.iter
+          (fun p ->
+            match (p.p_kind, p.p_direction) with
+            | Element { allocates = true }, Out ->
+                note "async output %S handled by guest-assigned id" p.p_name
+            | (Buffer _ | Element _), (Out | In_out) ->
+                note "async output %S delivered by a deferred reply" p.p_name
+            | _ -> ())
+          fn.f_params
+      in
       (match fn.f_sync with
-      | Async ->
-          note
-            "forwarded asynchronously: failures surface at a later synchronous call";
-          (* 2. Async calls with observable outputs need special cases
-             (deferred delivery or guest-assigned ids). *)
-          List.iter
-            (fun p ->
-              match (p.p_kind, p.p_direction) with
-              | Element { allocates = true }, Out ->
-                  note
-                    "async output %S handled by guest-assigned id" p.p_name
-              | (Buffer _ | Element _), (Out | In_out) ->
-                  note
-                    "async output %S delivered by a deferred reply" p.p_name
-              | _ -> ())
-            fn.f_params
-      | Sync | Sync_if _ -> ()
+      | Async -> async ""
+      | Sync_if { cond_param; cond_const } ->
+          async (Printf.sprintf " unless %s == %s" cond_param cond_const)
+      | Sync -> ()
       | Sync_on { sync_param } ->
           note
             "completion point: reply withheld until work ordered before %S drains"

@@ -1,6 +1,7 @@
 (* Measurement driver: runs workloads on fresh simulated deployments and
    reports end-to-end virtual times and ratios. *)
 
+module Server = Ava_remoting.Server
 module Transport = Ava_transport.Transport
 
 open Ava_sim
@@ -11,8 +12,7 @@ open Ava_core
 let time_cl ?(technique : Host.technique option) ?(sync_only = false)
     ?(batching = false) program =
   let e = Engine.create () in
-  let finished = ref None in
-  Engine.spawn e (fun () ->
+  Engine.run_process e (fun () ->
       (match technique with
       | None ->
           let api, _ = Host.native_cl e in
@@ -23,16 +23,11 @@ let time_cl ?(technique : Host.technique option) ?(sync_only = false)
             Host.add_cl_vm host ~technique:tech ~batching ~name:"guest"
           in
           program guest.Host.g_api);
-      finished := Some (Engine.now e));
-  Engine.run e;
-  match !finished with
-  | Some t -> t
-  | None -> failwith "workload stalled"
+      Engine.now e)
 
 let time_nc ?(virtualized = false) program =
   let e = Engine.create () in
-  let finished = ref None in
-  Engine.spawn e (fun () ->
+  Engine.run_process e (fun () ->
       (if virtualized then begin
          let host = Host.create_nc_host e in
          let guest = Host.add_nc_vm host ~name:"guest" in
@@ -42,11 +37,7 @@ let time_nc ?(virtualized = false) program =
          let api, _ = Host.native_nc e in
          program api
        end);
-      finished := Some (Engine.now e));
-  Engine.run e;
-  match !finished with
-  | Some t -> t
-  | None -> failwith "workload stalled"
+      Engine.now e)
 
 (* Remoted-run profile: end-to-end time plus the wire/cache measurements
    the transfer-cache evaluation needs, and (with [~obs:true]) the
@@ -68,87 +59,53 @@ type profile = {
       (** end-to-end per-call latency; [None] when obs was off *)
 }
 
-let obs_phases = function
-  | None -> []
-  | Some o ->
-      List.filter_map
-        (fun (p, s) ->
-          if s.Ava_obs.Hist.h_count = 0 then None
-          else Some (Ava_obs.Obs.phase_name p, s))
-        (Ava_obs.Obs.phase_summaries o)
-
-(* Run a SimCL program remoted (AvA over the shm ring) with the given
-   transfer-cache capacity, measuring wire bytes and content store
-   counters alongside end-to-end time.  [tdr]/[breaker] arm the
-   watchdog and the circuit breaker; [obs] arms per-call latency
-   attribution (passive: end-to-end times are bit-identical either
-   way); [sync_only] deploys the unoptimized all-sync spec. *)
-let profile_cl ?(transfer_cache = 0) ?(sync_only = false) ?(obs = false) ?sva
-    ?doorbell ?tdr ?breaker program =
+(* [run e obs] builds a host on [e] (with [obs] armed when given), runs
+   the program on one guest and returns the server, router and VM the
+   profile reads. *)
+let profile ~obs run =
   let e = Engine.create () in
   let registry = if obs then Some (Ava_obs.Obs.create ()) else None in
-  let result = ref None in
-  Engine.spawn e (fun () ->
+  Engine.run_process e (fun () ->
+      let server, router, vm = run e registry in
+      let c = Server.cache_totals server in
+      {
+        pr_ns = Engine.now e;
+        pr_wire_bytes = Ava_hv.Vm.bytes_transferred vm;
+        pr_cache_hits = c.Server.cs_hits;
+        pr_cache_misses = c.Server.cs_misses;
+        pr_cache_saved_bytes = c.Server.cs_saved_bytes;
+        pr_cache_evictions = c.Server.cs_evictions;
+        pr_device_lost = Server.device_lost server;
+        pr_tdr_resets = Server.tdr_resets server;
+        pr_quarantined = Ava_remoting.Router.quarantined router;
+        pr_phases =
+          Option.fold ~none:[] ~some:Ava_obs.Obs.phase_summaries registry;
+        pr_call_latency = Option.map Ava_obs.Obs.total_summary registry;
+      })
+
+(* Run a SimCL program remoted (AvA over the shm ring) with the given
+   transfer-cache capacity.  [tdr]/[breaker] arm the watchdog and the
+   circuit breaker; [obs] arms per-call latency attribution (passive:
+   end-to-end times are bit-identical either way); [sync_only] deploys
+   the unoptimized all-sync spec. *)
+let profile_cl ?(transfer_cache = 0) ?(sync_only = false) ?(obs = false) ?sva
+    ?doorbell ?tdr ?breaker program =
+  profile ~obs (fun e obs ->
       let host =
-        Host.create_cl_host ~transfer_cache ~sync_only ?sva ?doorbell ?tdr
-          ?obs:registry e
+        Host.create_cl_host ~transfer_cache ~sync_only ?sva ?doorbell ?tdr ?obs
+          e
       in
       let guest = Host.add_cl_vm host ?breaker ~name:"guest" in
       program guest.Host.g_api;
-      let c = Ava_remoting.Server.cache_totals host.Host.server in
-      result :=
-        Some
-          {
-            pr_ns = Engine.now e;
-            pr_wire_bytes = Ava_hv.Vm.bytes_transferred guest.Host.g_vm;
-            pr_cache_hits = c.Ava_remoting.Server.cs_hits;
-            pr_cache_misses = c.Ava_remoting.Server.cs_misses;
-            pr_cache_saved_bytes = c.Ava_remoting.Server.cs_saved_bytes;
-            pr_cache_evictions = c.Ava_remoting.Server.cs_evictions;
-            pr_device_lost = Ava_remoting.Server.device_lost host.Host.server;
-            pr_tdr_resets = Ava_remoting.Server.tdr_resets host.Host.server;
-            pr_quarantined = Ava_remoting.Router.quarantined host.Host.router;
-            pr_phases = obs_phases registry;
-            pr_call_latency =
-              Option.map Ava_obs.Obs.total_summary registry;
-          });
-  Engine.run e;
-  match !result with
-  | Some p -> p
-  | None -> failwith "workload stalled"
+      (host.Host.server, host.Host.router, guest.Host.g_vm))
 
 (* MVNC counterpart of [profile_cl]. *)
 let profile_nc ?(transfer_cache = 0) ?(obs = false) program =
-  let e = Engine.create () in
-  let registry = if obs then Some (Ava_obs.Obs.create ()) else None in
-  let result = ref None in
-  Engine.spawn e (fun () ->
-      let host = Host.create_nc_host ~transfer_cache ?obs:registry e in
+  profile ~obs (fun e obs ->
+      let host = Host.create_nc_host ~transfer_cache ?obs e in
       let guest = Host.add_nc_vm host ~name:"guest" in
       program guest.Host.ng_api;
-      let c = Ava_remoting.Server.cache_totals host.Host.nc_server in
-      result :=
-        Some
-          {
-            pr_ns = Engine.now e;
-            pr_wire_bytes = Ava_hv.Vm.bytes_transferred guest.Host.ng_vm;
-            pr_cache_hits = c.Ava_remoting.Server.cs_hits;
-            pr_cache_misses = c.Ava_remoting.Server.cs_misses;
-            pr_cache_saved_bytes = c.Ava_remoting.Server.cs_saved_bytes;
-            pr_cache_evictions = c.Ava_remoting.Server.cs_evictions;
-            pr_device_lost =
-              Ava_remoting.Server.device_lost host.Host.nc_server;
-            pr_tdr_resets = Ava_remoting.Server.tdr_resets host.Host.nc_server;
-            pr_quarantined =
-              Ava_remoting.Router.quarantined host.Host.nc_router;
-            pr_phases = obs_phases registry;
-            pr_call_latency =
-              Option.map Ava_obs.Obs.total_summary registry;
-          });
-  Engine.run e;
-  match !result with
-  | Some p -> p
-  | None -> failwith "workload stalled"
+      (host.Host.nc_server, host.Host.nc_router, guest.Host.ng_vm))
 
 type row = {
   row_name : string;

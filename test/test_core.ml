@@ -667,20 +667,31 @@ let conformance_tests =
             let host = Host.create_cl_host e in
             let guest = Host.add_cl_vm host ~batching:true ~name:"reported" in
             let _ = vec_add_program guest.Host.g_api 1024 in
-            let r = Report.snapshot host [ guest ] in
-            let g = List.hd r.Report.r_guests in
-            Alcotest.(check string) "name" "reported" g.Report.gs_name;
-            Alcotest.(check bool) "calls counted" true
-              (g.Report.gs_api_calls > 10);
+            let stub = Option.get guest.Host.g_stub in
+            let calls = Ava_hv.Vm.api_calls guest.Host.g_vm in
+            let forwarded = Router.forwarded host.Host.router in
+            Alcotest.(check bool) "calls counted" true (calls > 10);
             (* Batching coalesces calls into fewer transport messages:
                forwarded counts messages, api_calls counts calls. *)
             Alcotest.(check bool) "router forwarded all messages" true
-              (r.Report.r_forwarded <= g.Report.gs_api_calls
-              && r.Report.r_forwarded >= g.Report.gs_sync_calls);
-            Alcotest.(check bool) "kernel ran" true (r.Report.r_kernels >= 1);
-            Alcotest.(check int) "nothing pending" 0 g.Report.gs_in_flight;
-            Alcotest.(check bool) "render works" true
-              (String.length (Fmt.str "%a" Report.pp r) > 100)));
+              (forwarded <= calls && forwarded >= Stub.sync_calls stub);
+            Alcotest.(check bool) "kernel ran" true
+              (Ava_device.Gpu.kernels_executed host.Host.gpu >= 1);
+            Alcotest.(check int) "nothing pending" 0 (Stub.in_flight stub);
+            (* The guest's line carries the same counters. *)
+            let guest_line =
+              Printf.sprintf
+                "  vm%-3d %-10s %-16s calls=%-6d sync=%-5d async=%-5d"
+                (Ava_hv.Vm.id guest.Host.g_vm) "reported"
+                (Host.technique_to_string guest.Host.g_technique)
+                calls (Stub.sync_calls stub) (Stub.async_calls stub)
+            in
+            Alcotest.(check bool) "render names the guest and its counters"
+              true
+              (List.exists
+                 (String.starts_with ~prefix:guest_line)
+                 (String.split_on_char '\n'
+                    (Fmt.str "%a" (Report.pp host) [ guest ])))));
   ]
 
 let migration_tests =

@@ -2518,6 +2518,54 @@ let check_table ~name plan functions ~invoke =
 let raw_status stub fn args =
   (Result.get_ok (Stub.invoke_sync stub ~fn ~args)).Message.reply_status
 
+(* Drive [calls] through the guest library over a stub whose server
+   answers every function of the plan.  For each call: the function it
+   sent, whether the guest waited for the reply (its stub's sync count
+   grew), and whether the compiled plan judges that invocation sync. *)
+let sync_verdicts load create calls =
+  let e = Engine.create () in
+  let plan = plan_of load in
+  let stub, server = stub_server_pair e plan in
+  let sent = ref None in
+  List.iter
+    (fun fn ->
+      Server.register server fn (fun _ _ args ->
+          sent := Some (fn, args);
+          (0, Wire.Unit, [])))
+    (Plan.function_names plan);
+  let api = create stub in
+  let sv = Plan.scalars () in
+  Engine.run_process e (fun () ->
+      List.map
+        (fun call ->
+          sent := None;
+          let before = Stub.sync_calls stub in
+          call ();
+          let waited = Stub.sync_calls stub > before in
+          (* A fired call reaches the server after the guest returns. *)
+          Engine.delay (Time.ms 1);
+          match !sent with
+          | None -> Alcotest.fail "a call reached no handler"
+          | Some (fn, args) ->
+              Wire.load_scalars sv args;
+              (fn, waited, Plan.sync_of_scalars (Plan.find_exn plan fn) sv))
+        (calls api))
+
+(* The non-blocking read and the blocking write: with the frame calls'
+   blocking read and non-blocking write, both values of [blocking]. *)
+let cl_other_blocking (module CL : Ava_simcl.Api.S) =
+  let q = 0x1001 and m = 0x1003 in
+  [
+    (fun () ->
+      ignore
+        (CL.clEnqueueReadBuffer q m ~blocking:false ~offset:0 ~size:16
+           ~wait_list:[] ~want_event:false));
+    (fun () ->
+      ignore
+        (CL.clEnqueueWriteBuffer q m ~blocking:true ~offset:0 ~src
+           ~wait_list:[] ~want_event:false));
+  ]
+
 let silo_table_tests =
   let check name got =
     Alcotest.(check (list (pair string string))) name golden_frames got
@@ -2571,6 +2619,41 @@ let silo_table_tests =
             check_table ~name:"SimST" (plan_of Host.load_st_plan)
               (Ava_core.St_silo.functions ())
               ~invoke:(raw_status (Option.get sg.Host.sg_stub))));
+    Alcotest.test_case "each guest waits exactly when its plan says sync"
+      `Quick (fun () ->
+        let verdicts =
+          List.concat
+            [
+              sync_verdicts Host.load_cl_plan Ava_core.Cl_silo.create
+                (fun api -> cl_frame_calls api @ cl_other_blocking api);
+              sync_verdicts Host.load_nc_plan Ava_core.Nc_silo.create
+                nc_frame_calls;
+              sync_verdicts Host.load_qa_plan Ava_core.Qa_silo.create
+                qa_frame_calls;
+              sync_verdicts Host.load_st_plan Ava_core.St_silo.create
+                st_frame_calls;
+            ]
+        in
+        let every_function =
+          List.concat_map Plan.function_names
+            [
+              plan_of Host.load_cl_plan; plan_of Host.load_nc_plan;
+              plan_of Host.load_qa_plan; plan_of Host.load_st_plan;
+            ]
+        in
+        Alcotest.(check (list string)) "every function driven"
+          (List.sort_uniq compare every_function)
+          (List.sort_uniq compare (List.map (fun (fn, _, _) -> fn) verdicts));
+        Alcotest.(check (list string)) "guest and plan disagree" []
+          (List.filter_map
+             (fun (fn, waited, planned) ->
+               if waited = planned then None
+               else
+                 Some
+                   (Printf.sprintf "%s: guest %s, plan says %s" fn
+                      (if waited then "waited" else "did not wait")
+                      (if planned then "sync" else "async")))
+             verdicts));
     Alcotest.test_case "a wrong-width frame is refused before the silo runs"
       `Quick (fun () ->
         (* A [User_rpc] guest reaches the server with no router to check
