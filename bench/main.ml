@@ -1664,7 +1664,7 @@ let microbench () =
   let encoded = Ava_remoting.Wire.encode wire_values in
   (* The router's view of the same frame: headers and scalars only. *)
   let call_frame =
-    Ava_remoting.Message.encode
+    Ava_remoting.Message.iovec ~copy:false
       (Ava_remoting.Message.Call
          {
            call_seq = 1;

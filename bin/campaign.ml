@@ -3,8 +3,11 @@
 
      campaign --seed 42 --budget 500                # PR smoke
      campaign --seed 42 --budget 20000 --corpus-dir test/corpus
-     campaign --replay test/corpus/shrunk-*.trace   # regression replay
      campaign --self-test                           # prove checks fire
+
+   Replay the regression corpus, one --replay per file:
+
+     for f in test/corpus/*.trace; do campaign --replay "$f"; done
 
    Same seed, same budget => same op traces, same verdicts: every
    stochastic choice derives from --seed (default: AVA_CHAOS_SEED, so

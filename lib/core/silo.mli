@@ -88,7 +88,17 @@ val name : ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn -> string
 
 (** A silo's table, over its status <-> error mapping ([failure]: a
     local failure, no plan for the call or an unreadable reply) and the
-    silo functions ([api]) a handler finds in its per-VM state. *)
+    silo functions ([api]) a handler finds in its per-VM state.
+
+    A silo function keeps {!Server.handler}'s ownership rules: it never
+    mutates a [Blob] argument (a page-sized one is the request's own
+    segment), and each [Blob] it returns is a fresh buffer it never
+    writes again (the reply refers to it and the reply log keeps it).
+    The four silos keep both: CL reads, [mvncGetResult], the QA
+    outputs, [stMemcpyDtoH] and [stBatchCollect] each return a buffer
+    made for that call, and every argument payload a native call keeps
+    past its return (a write, a tensor, a batch, a submitted source) is
+    copied first. *)
 module Make (S : sig
   type error
   type state

@@ -40,48 +40,51 @@ type t =
 
 (* Call and Reply frames are the per-call traffic: their headers (kind,
    seq, vm or status, fn or return value) are written straight into the
-   presized frame, with no value list built around the arguments.  The
-   bytes are exactly [Wire.encode] of that list. *)
+   frame's first segment, with no value list built around the
+   arguments.  The bytes are exactly [Wire.encode] of that list. *)
 
 let kind_size = 6 (* a one-character [Str] *)
 let int_size = 9
 
-let encode_call c =
-  let b =
-    Bytes.create
-      (4 + kind_size + (2 * int_size) + 5
-      + String.length c.call_fn
-      + Wire.values_size c.call_args)
-  in
+let call_frame ~cut ~copy c =
+  let head = 4 + kind_size + (2 * int_size) + 5 + String.length c.call_fn in
+  let segs = Wire.frame ~cut ~copy ~head c.call_args in
+  let b = segs.(0) in
   let pos = Wire.write_count b 0 (4 + List.length c.call_args) in
   let pos = Wire.write_str b pos "C" in
   let pos = Wire.write_int b pos c.call_seq in
   let pos = Wire.write_int b pos c.call_vm in
-  let pos = Wire.write_str b pos c.call_fn in
-  ignore (Wire.write_values b pos c.call_args);
-  b
+  ignore (Wire.write_str b pos c.call_fn);
+  segs
 
-let encode_reply r =
-  let b =
-    Bytes.create
-      (4 + kind_size + (2 * int_size)
-      + Wire.encoded_size r.reply_ret
-      + Wire.values_size r.reply_outs)
+(* The return value goes in the header unless it has a payload to cut,
+   which no handler returns. *)
+let reply_frame ~cut ~copy r =
+  let in_head = not (cut && Wire.cuts r.reply_ret > 0) in
+  let head = 4 + kind_size + (2 * int_size) in
+  let segs =
+    if in_head then
+      Wire.frame ~cut ~copy ~head:(head + Wire.encoded_size r.reply_ret) r.reply_outs
+    else Wire.frame ~cut ~copy ~head (r.reply_ret :: r.reply_outs)
   in
+  let b = segs.(0) in
   let pos = Wire.write_count b 0 (4 + List.length r.reply_outs) in
   let pos = Wire.write_str b pos "R" in
   let pos = Wire.write_int b pos r.reply_seq in
   let pos = Wire.write_int b pos r.reply_status in
-  ignore (Wire.write_values b (Wire.write_value b pos r.reply_ret) r.reply_outs);
-  b
+  if in_head then ignore (Wire.write_value b pos r.reply_ret);
+  segs
 
 (* rCUDA-style API batching: several asynchronously forwarded calls in
    one transport message, each a [Call] frame inside a [Blob].  The stub
    batches frames it has already encoded, so the batch header and each
-   member's blob header are written around copies of them. *)
+   member's blob header are written around copies of their segments.  A
+   batch is flat: one segment. *)
 let batch_of_frames frames =
   let size =
-    List.fold_left (fun acc f -> acc + 5 + Bytes.length f) (4 + kind_size) frames
+    List.fold_left
+      (fun acc f -> acc + 5 + Ava_transport.Transport.length f)
+      (4 + kind_size) frames
   in
   let b = Bytes.create size in
   let pos = Wire.write_count b 0 (1 + List.length frames) in
@@ -89,28 +92,35 @@ let batch_of_frames frames =
   ignore
     (List.fold_left
        (fun pos f ->
-         let n = Bytes.length f in
-         Bytes.blit f 0 b (Wire.write_blob_header b pos n) n;
-         pos + 5 + n)
+         Array.fold_left
+           (fun pos seg ->
+             let n = Bytes.length seg in
+             Bytes.blit seg 0 b pos n;
+             pos + n)
+           (Wire.write_blob_header b pos (Ava_transport.Transport.length f))
+           f)
        pos frames);
-  b
+  [| b |]
 
-let encode = function
-  | Call c -> encode_call c
-  | Reply r -> encode_reply r
-  | Batch calls -> batch_of_frames (List.map encode_call calls)
+let frame ~cut ~copy = function
+  | Call c -> call_frame ~cut ~copy c
+  | Reply r -> reply_frame ~cut ~copy r
+  | Batch calls ->
+      batch_of_frames (List.map (call_frame ~cut:false ~copy:false) calls)
   | Upcall u ->
       (* Server-to-guest callback invocation. *)
-      Wire.encode
-        (Wire.Str "U" :: Wire.int u.up_vm :: Wire.int u.up_cb :: u.up_args)
+      [| Wire.encode
+           (Wire.Str "U" :: Wire.int u.up_vm :: Wire.int u.up_cb :: u.up_args) |]
   | Skip s ->
-      Wire.encode
-        (Wire.Str "S" :: Wire.int s.skip_vm
-        :: List.map Wire.int s.skip_seqs)
+      [| Wire.encode
+           (Wire.Str "S" :: Wire.int s.skip_vm :: List.map Wire.int s.skip_seqs) |]
   | Nak n ->
-      Wire.encode
-        (Wire.Str "N" :: Wire.int n.nak_vm :: Wire.int n.nak_seq
-        :: List.map (fun d -> Wire.I64 d) n.nak_digests)
+      [| Wire.encode
+           (Wire.Str "N" :: Wire.int n.nak_vm :: Wire.int n.nak_seq
+           :: List.map (fun d -> Wire.I64 d) n.nak_digests) |]
+
+let iovec ~copy m = frame ~cut:true ~copy m
+let encode m = (frame ~cut:false ~copy:false m).(0)
 
 (* --- decoding ------------------------------------------------------------ *)
 
@@ -130,13 +140,14 @@ let read_head r =
   at_least n 1 "message";
   n
 
-let check_arity n = function
+(* A batch is one segment, so its members are in line. *)
+let check_arity segs n = function
   | 'C' -> at_least n 4 "call"
   | 'R' -> at_least n 4 "reply"
   | 'U' -> at_least n 3 "upcall"
   | 'S' -> at_least n 2 "skip"
   | 'N' -> at_least n 3 "nak"
-  | 'G' -> ()
+  | 'G' -> if Array.length segs <> 1 then malformed "batch"
   | _ -> malformed "message"
 
 let not_a_call () = raise (Wire.Decode_error "batch frame is not a call")
@@ -153,29 +164,52 @@ let[@tail_mod_cons] rec read_i64s r n =
     let d = Wire.read_i64 r in
     d :: read_i64s r (n - 1)
 
-(* A member must be a [Call] frame, so batches never nest.  Members are
-   parsed in place, never copied into a blob first. *)
-let rec parse ~member data ~off ~len =
-  let r = Wire.reader data ~off ~len in
+(* One receiver's readers: the frame's, and one its batch members are
+   parsed with, in place, never copied into a blob first. *)
+type decoder = { d_frame : Wire.reader; d_member : Wire.reader }
+
+let decoder ~share = { d_frame = Wire.reader ~share; d_member = Wire.reader ~share }
+
+let read_call r n =
+  let call_seq = Wire.read_int r in
+  let call_vm = Wire.read_int r in
+  let call_fn = Wire.read_name r in
+  let call_args = Wire.read_values r (n - 4) in
+  { call_seq; call_vm; call_fn; call_args }
+
+(* A member must be a [Call] frame, so batches never nest. *)
+let parse_member r =
+  let n = read_head r in
+  if Wire.read_kind r <> 'C' then not_a_call ();
+  at_least n 4 "call";
+  let c = read_call r n in
+  Wire.read_end r;
+  c
+
+let[@tail_mod_cons] rec read_members d data r n =
+  if n = 0 then []
+  else
+    let len = Wire.read_blob r in
+    Wire.reset_range d.d_member data ~off:(Wire.value_off r) ~len;
+    let c = parse_member d.d_member in
+    c :: read_members d data r (n - 1)
+
+let parse d segs =
+  let r = d.d_frame in
+  Wire.reset r segs;
   let n = read_head r in
   let kind = Wire.read_kind r in
-  if member && kind <> 'C' then not_a_call ();
-  check_arity n kind;
+  check_arity segs n kind;
   let msg =
     match kind with
-    | 'C' ->
-        let call_seq = Wire.read_int r in
-        let call_vm = Wire.read_int r in
-        let call_fn = Wire.read_name r in
-        let call_args = Wire.read_values r (n - 4) in
-        Call { call_seq; call_vm; call_fn; call_args }
+    | 'C' -> Call (read_call r n)
     | 'R' ->
         let reply_seq = Wire.read_int r in
         let reply_status = Wire.read_int r in
         let reply_ret = Wire.read_value r in
         let reply_outs = Wire.read_values r (n - 4) in
         Reply { reply_seq; reply_status; reply_ret; reply_outs }
-    | 'G' -> Batch (read_members data r (n - 1))
+    | 'G' -> Batch (read_members d segs.(0) r (n - 1))
     | 'U' ->
         let up_vm = Wire.read_int r in
         let up_cb = Wire.read_int r in
@@ -192,21 +226,17 @@ let rec parse ~member data ~off ~len =
   Wire.read_end r;
   msg
 
-and[@tail_mod_cons] read_members data r n =
-  if n = 0 then []
-  else
-    let len = Wire.read_blob r in
-    let c =
-      match parse ~member:true data ~off:(Wire.value_off r) ~len with
-      | Call c -> c
-      | _ -> malformed "batch"
-    in
-    c :: read_members data r (n - 1)
+let read_message d segs =
+  let result =
+    match parse d segs with
+    | msg -> Ok msg
+    | exception Wire.Decode_error msg -> Error msg
+  in
+  Wire.release d.d_frame;
+  Wire.release d.d_member;
+  result
 
-let decode data =
-  match parse ~member:false data ~off:0 ~len:(Bytes.length data) with
-  | msg -> Ok msg
-  | exception Wire.Decode_error msg -> Error msg
+let decode data = read_message (decoder ~share:false) [| data |]
 
 (* --- frame cursor -------------------------------------------------------- *)
 
@@ -231,8 +261,8 @@ type cursor = {
 
 let cursor () =
   {
-    cu_frame = Wire.reader Bytes.empty ~off:0 ~len:0;
-    cu_member = Wire.reader Bytes.empty ~off:0 ~len:0;
+    cu_frame = Wire.reader ~share:false;
+    cu_member = Wire.reader ~share:false;
     cu_members = 0;
     cu_seq = [||];
     cu_vm = [||];
@@ -280,7 +310,7 @@ let skip_values r n =
 
 let scan_member cu i data ~off ~len =
   let r = cu.cu_member in
-  Wire.reset r data ~off ~len;
+  Wire.reset_range r data ~off ~len;
   let n = read_head r in
   if Wire.read_kind r <> 'C' then not_a_call ();
   at_least n 4 "call";
@@ -290,21 +320,20 @@ let scan_member cu i data ~off ~len =
   cu.cu_len.(i) <- len
 
 (* Every check [parse] makes, in the same order, building nothing. *)
-let scan_frame cu data =
+let scan_frame cu segs =
   let r = cu.cu_frame in
-  let len = Bytes.length data in
-  Wire.reset r data ~off:0 ~len;
+  Wire.reset r segs;
   cu.cu_members <- 0;
   let n = read_head r in
   let kind = Wire.read_kind r in
-  check_arity n kind;
+  check_arity segs n kind;
   let k =
     match kind with
     | 'C' ->
         ensure_members cu 1;
         scan_call cu 0 r n;
         cu.cu_off.(0) <- 0;
-        cu.cu_len.(0) <- len;
+        cu.cu_len.(0) <- Ava_transport.Transport.length segs;
         cu.cu_members <- 1;
         K_call
     | 'R' ->
@@ -319,7 +348,7 @@ let scan_frame cu data =
         for i = 0 to n - 2 do
           ensure_members cu (i + 1);
           let len = Wire.read_blob r in
-          scan_member cu i data ~off:(Wire.value_off r) ~len
+          scan_member cu i segs.(0) ~off:(Wire.value_off r) ~len
         done;
         cu.cu_members <- n - 1;
         K_batch
@@ -344,17 +373,22 @@ let scan_frame cu data =
   Wire.read_end r;
   k
 
-let read cu data =
-  match scan_frame cu data with
-  | K_call -> Ok K_call
-  | K_reply -> Ok K_reply
-  | K_batch -> Ok K_batch
-  | K_upcall -> Ok K_upcall
-  | K_skip -> Ok K_skip
-  | K_nak -> Ok K_nak
-  | exception Wire.Decode_error msg ->
-      cu.cu_members <- 0;
-      Error msg
+let read cu segs =
+  let result =
+    match scan_frame cu segs with
+    | K_call -> Ok K_call
+    | K_reply -> Ok K_reply
+    | K_batch -> Ok K_batch
+    | K_upcall -> Ok K_upcall
+    | K_skip -> Ok K_skip
+    | K_nak -> Ok K_nak
+    | exception Wire.Decode_error msg ->
+        cu.cu_members <- 0;
+        Error msg
+  in
+  Wire.release cu.cu_frame;
+  Wire.release cu.cu_member;
+  result
 
 let members cu = cu.cu_members
 let seq cu i = cu.cu_seq.(i)

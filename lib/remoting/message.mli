@@ -39,21 +39,46 @@ type t =
           were not in the content store — the stub must re-send the full
           payload under the same seq *)
 
-val encode : t -> bytes
-(** One presized allocation per [Call] or [Reply] frame, its header
-    written straight into it, with no value list built around the
-    arguments; a [Batch] is {!batch_of_frames} of its members' [Call]
-    frames.  The bytes are always [Wire.encode] of the frame's generic
-    value list. *)
+val iovec : copy:bool -> t -> bytes array
+(** The frame as the segments a transport carries: a [Call] or [Reply]
+    frame ends a segment right after the header of each [Blob] or
+    [Blob_cached] payload of at least [Dma.page_size] bytes, and that
+    payload is the next segment ({!Wire.frame}): a copy of it when
+    [copy], the payload itself otherwise.  Other frames, batches
+    included, are one segment.  The concatenation of the segments is
+    {!encode}[ m].  Headers are written in place, with no value list
+    built around the arguments. *)
 
-val batch_of_frames : bytes list -> bytes
-(** The [Batch] frame whose members are the given, already encoded,
-    [Call] frames: [batch_of_frames (List.map (fun c -> encode (Call c)) cs)]
-    equals [encode (Batch cs)]. *)
+val encode : t -> bytes
+(** The flat frame: [Wire.encode] of the frame's generic value list.  A
+    [Batch] is {!batch_of_frames} of its members' [Call] frames. *)
+
+val batch_of_frames : bytes array list -> bytes array
+(** The one-segment [Batch] frame whose members are the given, already
+    encoded, [Call] frames: [batch_of_frames (List.map (fun c -> iovec
+    ~copy (Call c)) cs)] is [[| encode (Batch cs) |]]. *)
+
+(** {1 Decoding} *)
+
+type decoder
+(** A receiver's reusable readers. *)
+
+val decoder : share:bool -> decoder
+(** A sharing decoder returns each payload that arrived as a segment of
+    its own as that segment, uncopied (the API server: nothing mutates
+    a request's payloads).  A non-sharing one copies every payload out
+    (the guest stub: a reply's payloads become the guest's own). *)
+
+val read_message : decoder -> bytes array -> (t, string) result
+(** Total: corrupt or truncated input, segments that disagree with the
+    headers, a batch of more than one segment, or a seq, vm, status or
+    callback id outside the native [int] range, yields [Error], never
+    an exception.  The segments decode to the same message as their
+    concatenation. *)
 
 val decode : bytes -> (t, string) result
-(** Total: corrupt or truncated input, or a seq, vm, status or callback id
-    outside the native [int] range, yields [Error], never an exception. *)
+(** {!read_message} of a one-segment frame, with a fresh non-sharing
+    decoder. *)
 
 (** {1 Frame cursor}
 
@@ -71,8 +96,9 @@ type cursor
 
 val cursor : unit -> cursor
 
-val read : cursor -> bytes -> (kind, string) result
-(** Read a frame; the accessors below describe the last frame read. *)
+val read : cursor -> bytes array -> (kind, string) result
+(** Read a frame's segments; the accessors below describe the last frame
+    read. *)
 
 val members : cursor -> int
 (** Member calls: 1 for a [Call] frame, the member count of a [Batch],
@@ -96,8 +122,9 @@ val scalars : cursor -> int -> Ava_codegen.Plan.scalars
 
 val member_off : cursor -> int -> int
 val member_len : cursor -> int -> int
-(** Member [i]'s [Call] sub-frame within the bytes read: the whole
-    frame for a [Call], the member's blob payload for a [Batch]. *)
+(** Member [i]'s [Call] sub-frame: the whole frame (all its segments)
+    for a [Call], the member's blob payload within the one segment of a
+    [Batch]. *)
 
 val reply_seq : cursor -> int
 val reply_status : cursor -> int

@@ -25,7 +25,7 @@ open Ava_hv
    it admitted point at it; a copy forwarded uncharged is held by none. *)
 type fwd = {
   fw_conn : vm_conn;
-  fw_data : bytes;
+  fw_data : bytes array;
   fw_cost : float;
   fw_lo : int;
   fw_hi : int;  (** seqs this frame admitted lie in [fw_lo, fw_hi] *)
@@ -167,7 +167,7 @@ let reply_rejection conn seq status =
     Message.Reply
       { reply_seq = seq; reply_status = status; reply_ret = Wire.Unit; reply_outs = [] }
   in
-  Transport.send conn.guest_side (Message.encode reply)
+  Transport.send conn.guest_side (Message.iovec ~copy:false reply)
 
 (* Tell the server the named seqs were policed away and will never
    arrive, so its in-order execution can advance past them.  Their
@@ -176,7 +176,7 @@ let reply_rejection conn seq status =
 let send_skip conn seqs =
   if seqs <> [] then
     Transport.send conn.server_side
-      (Message.encode
+      (Message.iovec ~copy:false
          (Message.Skip { skip_vm = Vm.id conn.rc_vm; skip_seqs = seqs }))
 
 (* Stamp dispatch on the seqs the frame admitted and still holds. *)
@@ -226,7 +226,7 @@ let spawn_egress t conn ep =
   Engine.spawn t.engine (fun () ->
       let rec loop () =
         let data = Transport.recv ep in
-        Vm.charge_bytes vm (Bytes.length data);
+        Vm.charge_bytes vm (Transport.length data);
         (match Message.read cu data with
         | Ok Message.K_reply ->
             mark_replied conn (Message.reply_seq cu);
@@ -393,12 +393,14 @@ let ingress_frame t conn data =
       if !accepted = n then data
       else
         (* Re-frame the accepted members from their original sub-frame
-           bytes. *)
+           bytes, in the batch's one segment. *)
         let frames =
           List.filter_map
             (fun i ->
               if is_accepted conn.rc_costs.(i) then
-                Some (Bytes.sub data (Message.member_off cu i) (Message.member_len cu i))
+                Some
+                  [| Bytes.sub data.(0) (Message.member_off cu i)
+                       (Message.member_len cu i) |]
               else None)
             (List.init n Fun.id)
         in
@@ -420,8 +422,8 @@ let drop_detached t conn =
    for every message: a cross-host migration re-points [rc_owner], and
    from then on this VM's ingress verifies, polices and enqueues against
    the destination router without respawning the process.  Policing
-   reads headers and scalars only, through the cursor; the payload
-   bytes are forwarded as they arrived. *)
+   reads headers and scalars only, through the cursor; the segments are
+   forwarded as they arrived. *)
 let ingress conn data =
   let t = conn.rc_owner in
   Engine.delay t.virt.Ava_device.Timing.router_check_ns;
@@ -430,7 +432,7 @@ let ingress conn data =
       (* Nak is server-to-guest only; a guest sending one is bogus. *)
       t.rejected <- t.rejected + 1
   | Ok (Message.K_call | Message.K_batch) ->
-      Vm.charge_bytes conn.rc_vm (Bytes.length data);
+      Vm.charge_bytes conn.rc_vm (Transport.length data);
       if conn.rc_detached then drop_detached t conn else ingress_frame t conn data
 
 let obs_handle t vm = Option.map (fun o -> Obs.vm o ~vm:(Vm.id vm)) t.obs

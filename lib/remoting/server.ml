@@ -520,7 +520,7 @@ let send_reply entry seq (status, ret, outs) =
     { Message.reply_seq = seq; reply_status = status; reply_ret = ret; reply_outs = outs }
   in
   Seqwin.set entry.ve_window seq (Replied reply);
-  Transport.send entry.ve_ep (Message.encode (Message.Reply reply))
+  Transport.send entry.ve_ep (Message.iovec ~copy:false (Message.Reply reply))
 
 (* Record a successful live call in the VM's migration log, with the
    virtual id an allocating call minted (which argument inspection
@@ -672,7 +672,7 @@ let try_run t entry (c : Message.call) =
   | exception Cache_miss missing ->
       t.naks_sent <- t.naks_sent + 1;
       Transport.send entry.ve_ep
-        (Message.encode
+        (Message.iovec ~copy:false
            (Message.Nak
               {
                 nak_vm = entry.ve_ctx.Ctx.ctx_vm;
@@ -713,7 +713,7 @@ let handle_call t entry (c : Message.call) =
     match Seqwin.get entry.ve_window seq with
     | Replied r ->
         t.replayed <- t.replayed + 1;
-        Transport.send entry.ve_ep (Message.encode (Message.Reply r))
+        Transport.send entry.ve_ep (Message.iovec ~copy:false (Message.Reply r))
     | Empty | Held _ | Skipped ->
         (* A router-skipped seq (the guest already holds its rejection
            reply) or one the window base passed: nothing to say. *)
@@ -777,6 +777,7 @@ let attach_vm t ~vm_id ~ep =
     }
   in
   Hashtbl.replace t.vm_entries vm_id entry;
+  let dec = Message.decoder ~share:true in
   Engine.spawn t.engine (fun () ->
       let rec loop () =
         if entry.ve_detached then ()
@@ -797,7 +798,7 @@ let attach_vm t ~vm_id ~ep =
                  recovers it. *)
               t.lost_while_down <- t.lost_while_down + 1
             else
-              (match Message.decode data with
+              (match Message.read_message dec data with
               | Ok (Message.Call c) -> handle_call t entry c
               | Ok (Message.Batch calls) ->
                   List.iter (handle_call t entry) calls
@@ -889,7 +890,7 @@ let vm_state t ~vm_id = Option.map (fun e -> e.ve_state) (find_vm t vm_id)
    endpoint (spec [callback] parameters). *)
 let upcall t ~vm_id ~cb ~args =
   Transport.send (entry_exn t "upcall" vm_id).ve_ep
-    (Message.encode (Message.Upcall { up_vm = vm_id; up_cb = cb; up_args = args }))
+    (Message.iovec ~copy:false (Message.Upcall { up_vm = vm_id; up_cb = cb; up_args = args }))
 
 (* Execute a call directly against a VM's state, bypassing transport and
    the record log — used by migration replay.  Must run inside a

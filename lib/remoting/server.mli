@@ -54,7 +54,15 @@ end
 type 'st handler =
   Ctx.t -> 'st -> Wire.value list -> int * Wire.value * Wire.value list
 (** A handler executes one API function against the per-VM context and
-    silo state, returning (status, return-value, out-values). *)
+    silo state, returning (status, return-value, out-values).
+
+    Payload ownership, both ways by reference:
+    - A page-sized argument payload is the request's own segment, which
+      the record log, the content store and a replayed copy of the
+      frame share: a handler never mutates an argument payload.
+    - The reply refers to each payload a handler returns without
+      copying it, and the reply log keeps it for replays: each must be
+      a fresh buffer that nothing writes again. *)
 
 type cache_stats = {
   cs_hits : int;  (** refs resolved from the store *)

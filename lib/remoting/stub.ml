@@ -26,15 +26,16 @@ type pending = {
       (** filled with the reply of a synchronous call; an asynchronous
           call shares the stub's never-filled [no_wait] *)
   p_on_reply : (Message.reply -> unit) option;
-  mutable p_data : bytes;
+  mutable p_data : bytes array;
       (** encoded [Call] frame, for seq-based resend; switched to
           [p_full] after a cache-miss NAK so watchdog resends carry the
           full payload too *)
-  p_full : bytes Lazy.t;
+  p_full : bytes array Lazy.t;
       (** encoded [Call] frame with every cacheable blob sent in full
           ([Blob_cached], never [Blob_ref]) — the resend after a NAK.
           [p_data] itself when no blob went as a ref; otherwise encoded
-          only if a NAK asks for it *)
+          when a NAK asks for it (a synchronous call) or at once (an
+          asynchronous one) *)
   p_announced : int64 list;
       (** digests of cacheable payloads in this call; acknowledged as
           server-resident once the reply arrives *)
@@ -93,7 +94,7 @@ type t = {
   deferred_errors : (string * int) Queue.t;  (** oldest first *)
   batch_limit : int;  (** max async calls buffered; 1 disables batching *)
   batch_bytes_limit : int;
-  mutable batch : (int * bytes) list;
+  mutable batch : (int * bytes array) list;
       (** held calls as (seq, encoded [Call] frame), newest first *)
   mutable batch_bytes : int;
   mutable batches_sent : int;
@@ -172,10 +173,10 @@ let create ?(batch_limit = 1) ?retry ?cache ?sva ?obs engine ~vm_id ~plan ~ep
   in
   (* Reply receiver: dispatches replies to waiting callers and runs
      completion callbacks of async calls. *)
+  let dec = Message.decoder ~share:false in
   Engine.spawn engine (fun () ->
       let rec loop () =
-        let data = Transport.recv ep in
-        (match Message.decode data with
+        (match Message.read_message dec (Transport.recv ep) with
         | Ok (Message.Reply r) -> (
             match Hashtbl.find t.pending r.Message.reply_seq with
             | exception Not_found -> () (* late reply for a cancelled call: drop *)
@@ -271,26 +272,12 @@ let marshal_cost_ns bytes = Time.ns (400 + (bytes / 64))
    is armed so the disabled stack stays bit-identical. *)
 let hash_cost_ns bytes = Time.ns (bytes / 32)
 
-(* Payload ownership.  Guest libraries hand the stub the caller's own
-   buffers, uncopied: [send_call] encodes the frame before its first
-   yield, so the encode is the snapshot and the caller may reuse a
-   buffer as soon as the call returns.  The stub copies only the
-   payloads it keeps past [send_call]: blobs pinned for SVA (the server
-   reads them through the IOMMU later) and the arguments of a NAK-resend
-   frame, which is encoded only when a NAK asks for it. *)
-let rec snapshot = function
-  | Wire.Blob b -> Wire.Blob (Bytes.copy b)
-  | Wire.Blob_cached c ->
-      Wire.Blob_cached { c with bc_data = Bytes.copy c.bc_data }
-  | Wire.List vs -> Wire.List (List.map snapshot vs)
-  | v -> v
-
 (* Walk the argument values, replacing each cacheable [Blob]: by a
    [Blob_ref] when its digest is server-acknowledged, by a [Blob_cached]
    (digest announce) otherwise.  Returns the substituted args, the args
-   with every cacheable blob in full (the NAK-resend form, snapshotted)
-   when any blob went as a ref and [None] when the two forms are the
-   same, the digests carried, and the payload bytes hashed. *)
+   with every cacheable blob in full (the NAK-resend form) when any blob
+   went as a ref and [None] when the two forms are the same, the digests
+   carried, and the payload bytes hashed. *)
 let cache_substitute t c args =
   let digests = ref [] and hashed = ref 0 and refs = ref false in
   let cacheable b =
@@ -321,8 +308,7 @@ let cache_substitute t c args =
   in
   let pairs = List.map subst args in
   ( List.map fst pairs,
-    (if !refs then Some (List.map (fun (_, v) -> snapshot v) pairs)
-     else None),
+    (if !refs then Some (List.map snd pairs) else None),
     List.rev !digests,
     !hashed )
 
@@ -460,9 +446,10 @@ let start_watchdog t r seq =
    synchronous call departs immediately, carrying the held calls with it
    (piggybacking), so batching never delays the accelerator. *)
 let send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data =
-  t.marshalled_bytes <- t.marshalled_bytes + Bytes.length data;
+  let len = Transport.length data in
+  t.marshalled_bytes <- t.marshalled_bytes + len;
   if hashed > 0 then Engine.delay (hash_cost_ns hashed);
-  Engine.delay (marshal_cost_ns (Bytes.length data));
+  Engine.delay (marshal_cost_ns len);
   (match t.obs with
   | Some o ->
       Obs.vm_mark o ~seq Obs.M_marshal_done
@@ -488,18 +475,33 @@ let send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data 
   else if not holdable then begin
     (* Device work departs now, taking the held calls along. *)
     t.batch <- (seq, data) :: t.batch;
-    t.batch_bytes <- t.batch_bytes + Bytes.length data;
+    t.batch_bytes <- t.batch_bytes + len;
     flush_batch t
   end
   else begin
     t.batch <- (seq, data) :: t.batch;
-    t.batch_bytes <- t.batch_bytes + Bytes.length data;
+    t.batch_bytes <- t.batch_bytes + len;
     if
       List.length t.batch >= t.batch_limit
       || t.batch_bytes >= t.batch_bytes_limit
     then flush_batch t
   end;
   p
+
+(* Payload ownership.  Guest libraries hand the stub the caller's own
+   buffers, uncopied.  [send_call] encodes the frame before its first
+   yield, and the encode copies every payload (a page-sized one into a
+   segment of its own), so the encode is the snapshot and the caller may
+   reuse a buffer as soon as the call returns.  A NAK-resend frame is
+   encoded the same way: a synchronous caller is blocked until its
+   reply, so its buffers still hold the call's bytes when a NAK comes,
+   and the frame is encoded only then; an asynchronous call's is encoded
+   at once.  Blobs pinned for SVA are copied when they are pinned (the
+   server reads them through the IOMMU later).  A reply's payloads are
+   copied out of its frame by the receiver: those copies are the
+   guest's own. *)
+let encode_call call args =
+  Message.iovec ~copy:true (Message.Call { call with Message.call_args = args })
 
 let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   let seq = t.next_seq in
@@ -516,21 +518,20 @@ let send_call t ~fn ~args ~sync ~holdable ~on_reply =
   in
   match t.cache with
   | None ->
-      let data = Message.encode (Message.Call call) in
+      let data = Message.iovec ~copy:true (Message.Call call) in
       send_frame t seq fn ~sync ~holdable ~on_reply ~full:(Lazy.from_val data)
         ~announced:[] ~hashed:0 data
   | Some c ->
       let sent_args, full_args, announced, hashed = cache_substitute t c args in
-      let data =
-        Message.encode (Message.Call { call with Message.call_args = sent_args })
-      in
+      let data = encode_call call sent_args in
       (* Announces travel in full already, so the NAK-resend frame differs
-         from [data] only when a blob went as a ref. *)
+         from [data] only when a blob went as a ref.  Only an
+         asynchronous caller may reuse its buffers before a NAK. *)
       let full =
         match full_args with
         | None -> Lazy.from_val data
-        | Some args ->
-            lazy (Message.encode (Message.Call { call with Message.call_args = args }))
+        | Some args when sync -> lazy (encode_call call args)
+        | Some args -> Lazy.from_val (encode_call call args)
       in
       send_frame t seq fn ~sync ~holdable ~on_reply ~full ~announced ~hashed data
 

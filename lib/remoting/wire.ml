@@ -163,10 +163,103 @@ and write_values b pos = function
   | [] -> pos
   | v :: vs -> write_values b (write_value b pos v) vs
 
-let encode values =
-  let b = Bytes.create (4 + values_size values) in
-  ignore (write_values b (write_count b 0 (List.length values)) values);
+(* A frame whose values, [size] bytes of them, start at [head], the
+   bytes before them left to the caller. *)
+let flat ~head size values =
+  let b = Bytes.create (head + size) in
+  ignore (write_values b head values);
   b
+
+let encode values =
+  let b = flat ~head:4 (values_size values) values in
+  ignore (write_count b 0 (List.length values));
+  b
+
+(* --- segments ----------------------------------------------------------- *)
+
+(* A [Blob] or [Blob_cached] payload of at least a page crosses by
+   reference: its frame's segment ends right after the payload's header,
+   and the payload is the next segment.  SVA pins blobs from the same
+   size on. *)
+let by_ref n = n >= Ava_device.Dma.page_size
+
+let rec cuts = function
+  | Blob b -> if by_ref (Bytes.length b) then 1 else 0
+  | Blob_cached { bc_data; _ } -> if by_ref (Bytes.length bc_data) then 1 else 0
+  | List vs -> list_cuts vs
+  | Unit | I64 _ | F64 _ | Str _ | Handle _ | Blob_ref _ | Mapped_ref _ -> 0
+
+and list_cuts = function [] -> 0 | v :: vs -> cuts v + list_cuts vs
+
+(* A frame with cuts is written in two walks: the first sizes each head
+   segment (the bytes between two payloads), the second writes them.
+   Head segments sit at even indices, payloads at odd ones. *)
+let rec size_values sizes i = function
+  | [] -> i
+  | v :: vs -> size_values sizes (size_value sizes i v) vs
+
+and size_value sizes i v =
+  let grow n = sizes.(i) <- sizes.(i) + n in
+  match v with
+  | Blob b when by_ref (Bytes.length b) ->
+      grow 5;
+      i + 1
+  | Blob_cached { bc_data; _ } when by_ref (Bytes.length bc_data) ->
+      grow 13;
+      i + 1
+  | List vs when list_cuts vs > 0 ->
+      grow 5;
+      size_values sizes i vs
+  | v ->
+      grow (encoded_size v);
+      i
+
+type seg_writer = {
+  segs : bytes array;
+  copy : bool;
+  mutable seg : int;  (** the head segment being written *)
+  mutable pos : int;
+}
+
+let rec write_segs w = function
+  | [] -> ()
+  | v :: vs ->
+      write_seg w v;
+      write_segs w vs
+
+and write_seg w v =
+  let b = w.segs.(w.seg) in
+  match v with
+  | Blob p when by_ref (Bytes.length p) ->
+      ignore (write_blob_header b w.pos (Bytes.length p));
+      payload_seg w p
+  | Blob_cached { bc_digest; bc_data } when by_ref (Bytes.length bc_data) ->
+      ignore (write_pair b w.pos '\008' bc_digest (Bytes.length bc_data));
+      payload_seg w bc_data
+  | List vs when list_cuts vs > 0 ->
+      w.pos <- write_len b w.pos '\006' (List.length vs);
+      write_segs w vs
+  | v -> w.pos <- write_value b w.pos v
+
+and payload_seg w p =
+  w.segs.(w.seg + 1) <- (if w.copy then Bytes.copy p else p);
+  w.seg <- w.seg + 2;
+  w.pos <- 0
+
+(* Only values of at least a page can hold a payload to cut. *)
+let frame ~cut ~copy ~head values =
+  let size = values_size values in
+  let k = if cut && by_ref size then list_cuts values else 0 in
+  if k = 0 then [| flat ~head size values |]
+  else begin
+    let sizes = Array.make (k + 1) 0 in
+    sizes.(0) <- head;
+    ignore (size_values sizes 0 values);
+    let segs = Array.make ((2 * k) + 1) Bytes.empty in
+    Array.iteri (fun i n -> if n > 0 then segs.(2 * i) <- Bytes.create n) sizes;
+    write_segs { segs; copy; seg = 0; pos = head } values;
+    segs
+  end
 
 (* Reader: the one set of checks behind [decode], [Message.decode] and
    the router's frame cursor.  [scan] checks one value's tag and fixed
@@ -177,25 +270,78 @@ let encode values =
 exception Decode_error of string
 
 type reader = {
+  share : bool;
+      (** a payload that is a whole segment is returned as it is, not
+          copied *)
+  mutable segs : bytes array;
+  mutable seg : int;  (** index of [data] in [segs]; -1 for a range *)
   mutable data : bytes;
   mutable pos : int;
   mutable limit : int;
+  mutable v_data : bytes;
+      (** the bytes holding the last scanned blob's payload: [data], or
+          the segment of a payload that crossed by reference *)
   mutable v_at : int;
       (** offset of the last scanned value's payload: the 8 bytes of an
           [I64]/[F64]/[Handle], the digest or IOVA of a ref, the bytes
-          of a [Str]/[Blob]/[Blob_cached] *)
+          of a [Str] in [data], those of a [Blob]/[Blob_cached] in
+          [v_data] *)
   mutable v_len : int;
       (** its length, list length or ref size *)
-  mutable v_int : int;  (** its value, after [scan_value] returned [true] *)
+  mutable v_int : int;
+      (** its value, after [scan_value] returned [true]; a
+          [Blob_cached]'s digest offset in [v_head] *)
+  mutable v_head : bytes;  (** the segment holding a [Blob_cached]'s digest *)
 }
 
-let reader data ~off ~len =
-  { data; pos = off; limit = off + len; v_at = 0; v_len = 0; v_int = 0 }
+let no_segs : bytes array = [||]
 
-let reset r data ~off ~len =
+let reader ~share =
+  {
+    share;
+    segs = no_segs;
+    seg = -1;
+    data = Bytes.empty;
+    pos = 0;
+    limit = 0;
+    v_data = Bytes.empty;
+    v_at = 0;
+    v_len = 0;
+    v_int = 0;
+    v_head = Bytes.empty;
+  }
+
+(* A reader outlives the frames it reads, so each pointer it stores
+   pays the write barrier: a one-segment frame, the common case, is
+   read as a range and stores only its bytes. *)
+let reset_range r data ~off ~len =
+  if r.segs != no_segs then r.segs <- no_segs;
+  r.seg <- -1;
   r.data <- data;
   r.pos <- off;
   r.limit <- off + len
+
+(* Holding on to the last frame would keep it, and each payload the
+   reader handed out, alive past the next minor collection, which then
+   promotes them: a reader lets go as soon as a frame is read. *)
+let release r =
+  if r.segs != no_segs then r.segs <- no_segs;
+  if r.data != Bytes.empty then r.data <- Bytes.empty;
+  if r.v_data != Bytes.empty then r.v_data <- Bytes.empty;
+  if r.v_head != Bytes.empty then r.v_head <- Bytes.empty
+
+let reset r segs =
+  match Array.length segs with
+  | 0 -> reset_range r Bytes.empty ~off:0 ~len:0
+  | 1 ->
+      let data = Array.unsafe_get segs 0 in
+      reset_range r data ~off:0 ~len:(Bytes.length data)
+  | _ ->
+      r.segs <- segs;
+      r.seg <- 0;
+      r.data <- segs.(0);
+      r.pos <- 0;
+      r.limit <- Bytes.length segs.(0)
 
 let value_off r = r.v_at
 let fail msg = raise (Decode_error msg)
@@ -220,14 +366,40 @@ let[@inline] skip8 r =
   r.v_at <- r.pos;
   r.pos <- r.pos + 8
 
-(* A length-prefixed payload: checks it fits and steps over it. *)
-let[@inline] span r what =
-  let n = i32 r in
-  if n < 0 then fail ("negative " ^ what ^ " length");
+(* A length-prefixed payload in line: checks it fits and steps over
+   it. *)
+let[@inline] in_line r n =
   need r n;
   r.v_at <- r.pos;
   r.v_len <- n;
   r.pos <- r.pos + n
+
+let[@inline] span_length r what =
+  let n = i32 r in
+  if n < 0 then fail ("negative " ^ what ^ " length");
+  n
+
+(* A blob's payload.  A header that ends its segment, with a segment
+   after it, is the header of that next segment, which must be exactly
+   as long; reading resumes at the segment after the payload. *)
+let blob_span r what =
+  let n = span_length r what in
+  if r.pos = r.limit && r.seg + 1 < Array.length r.segs then begin
+    let p = r.segs.(r.seg + 1) in
+    if Bytes.length p <> n then fail (what ^ " segment of the wrong length");
+    if r.seg + 2 = Array.length r.segs then fail "missing segment";
+    r.v_data <- p;
+    r.v_at <- 0;
+    r.v_len <- n;
+    r.seg <- r.seg + 2;
+    r.data <- r.segs.(r.seg);
+    r.pos <- 0;
+    r.limit <- Bytes.length r.data
+  end
+  else begin
+    in_line r n;
+    r.v_data <- r.data
+  end
 
 let count r what =
   let n = i32 r in
@@ -253,13 +425,15 @@ let scan r =
   (match tag with
   | 0 -> ()
   | 1 | 2 | 5 -> skip8 r
-  | 3 -> span r "string"
-  | 4 -> span r "blob"
+  | 3 -> in_line r (span_length r "string")
+  | 4 -> blob_span r "blob"
   | 6 -> r.v_len <- count r "list length"
   | 7 -> ref_pair r "blob-ref"
   | 8 ->
       skip8 r;
-      span r "cached-blob"
+      r.v_head <- r.data;
+      r.v_int <- r.v_at;
+      blob_span r "cached-blob"
   | 9 ->
       ref_pair r "mapped-ref";
       (* Range-check at the trust boundary: a reference outside the
@@ -272,7 +446,12 @@ let scan r =
   | tag -> fail (Printf.sprintf "unknown tag %d" tag));
   tag
 
-let payload r = Bytes.sub r.data r.v_at r.v_len
+(* A payload that is a whole segment is shared by a sharing reader;
+   any other is copied out (an in-line payload never starts at 0: its
+   header precedes it). *)
+let payload r =
+  if r.share && r.v_at = 0 && r.v_len = Bytes.length r.v_data then r.v_data
+  else Bytes.sub r.v_data r.v_at r.v_len
 
 (* Lists are built in order as they are read, left to right: [List.init]
    must not be used here, since the order in which it applies its
@@ -300,7 +479,7 @@ and read_value r =
   | 8 ->
       let data = payload r in
       Blob_cached
-        { bc_digest = Bytes.get_int64_le r.data (r.v_at - 12); bc_data = data }
+        { bc_digest = Bytes.get_int64_le r.v_head r.v_int; bc_data = data }
   | _ -> Mapped_ref { mr_iova = get64 r; mr_size = r.v_len }
 
 let rec skip_elements r n =
@@ -409,10 +588,13 @@ let read_blob r =
   if scan r <> 4 then fail "expected a blob";
   r.v_len
 
-let read_end r = if r.pos <> r.limit then fail "trailing bytes"
+let read_end r =
+  if r.pos <> r.limit then fail "trailing bytes";
+  if r.seg + 1 <> Array.length r.segs then fail "trailing segments"
 
 let decode data =
-  let r = reader data ~off:0 ~len:(Bytes.length data) in
+  let r = reader ~share:false in
+  reset_range r data ~off:0 ~len:(Bytes.length data);
   match
     let vs = read_values r (read_count r) in
     read_end r;

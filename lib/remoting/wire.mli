@@ -53,14 +53,29 @@ val decode : bytes -> (value list, string) result
 (** Total: corrupt or truncated input yields [Error], never an
     exception. *)
 
+(** {2 Segments}
+
+    A frame may cross as an iovec ([Ava_transport.Transport]): a
+    [Blob] or [Blob_cached] payload of at least [Dma.page_size] bytes
+    then travels as a segment of its own, right after the head segment
+    its header ends.  The concatenation of the segments is the flat
+    frame, byte for byte. *)
+
+val cuts : value -> int
+(** Payloads in the value that cross as segments of their own. *)
+
+val frame : cut:bool -> copy:bool -> head:int -> value list -> bytes array
+(** The values written from offset [head] of the first segment, whose
+    first [head] bytes are left to the caller.  With [cut], each
+    page-sized payload is its own segment, a copy of it when [copy],
+    the payload itself otherwise; head segments sit at even indices.
+    Without [cut], one flat segment. *)
+
 (** {2 In-place writers}
 
-    The pieces {!encode} is made of, for frames whose header fields are
-    written straight into the presized buffer ([Message.encode]).  Each
+    The pieces {!frame} is made of, for frames whose header fields are
+    written straight into the first segment ([Message.iovec]).  Each
     writes at a position and returns the position after what it wrote. *)
-
-val values_size : value list -> int
-(** [Σ encoded_size]. *)
 
 val write_count : bytes -> int -> int -> int
 (** A frame's 4-byte value count. *)
@@ -75,32 +90,45 @@ val write_blob_header : bytes -> int -> int -> int
 (** The tag and length of a [Blob] of [n] bytes; its payload follows. *)
 
 val write_value : bytes -> int -> value -> int
-val write_values : bytes -> int -> value list -> int
 
 (** {2 Validating reader}
 
     The one set of checks behind {!decode}, [Message.decode] and the
-    router's frame cursor: tags, lengths, list bounds, the IOVA window
-    and trailing bytes.  Building a value and skipping it share them, so
-    both accept exactly the same frames.  Reading functions raise
-    {!Decode_error}. *)
+    router's frame cursor: tags, lengths, list bounds, the IOVA window,
+    segment lengths and trailing bytes or segments.  Building a value
+    and skipping it share them, so both accept exactly the same frames.
+    A blob header that ends its segment, with a segment after it, is
+    the header of that next segment, which must be exactly as long.
+    Reading functions raise {!Decode_error}. *)
 
 exception Decode_error of string
 
 type reader
 
-val reader : bytes -> off:int -> len:int -> reader
-(** Reads the frame occupying [len] bytes at [off]. *)
+val reader : share:bool -> reader
+(** A reader at no frame yet.  A sharing reader returns a payload that
+    is a whole segment as that segment, uncopied; every other payload,
+    and every payload of a non-sharing reader, is copied out. *)
 
-val reset : reader -> bytes -> off:int -> len:int -> unit
-(** Re-point a reader at another frame, so one reader serves many. *)
+val reset : reader -> bytes array -> unit
+(** Point the reader at a frame's segments, so one reader serves
+    many. *)
+
+val reset_range : reader -> bytes -> off:int -> len:int -> unit
+(** Point the reader at the one-segment frame occupying [len] bytes at
+    [off]. *)
+
+val release : reader -> unit
+(** Let go of the frame last read, so that a long-lived reader keeps no
+    frame or payload alive. *)
 
 val read_count : reader -> int
 (** The frame's value count. *)
 
 val read_value : reader -> value
-(** The next value; payloads are copied out of the frame.  Small [I64]s
-    are the shared values {!int} returns. *)
+(** The next value; payloads are copied out of the frame unless the
+    reader shares them.  Small [I64]s are the shared values {!int}
+    returns. *)
 
 val read_values : reader -> int -> value list
 (** The next [n] values, in order, read as by {!read_value}. *)
@@ -137,7 +165,8 @@ val read_kind : reader -> char
 
 val read_blob : reader -> int
 (** The next value must be a [Blob]: its payload's length.  The payload
-    stays in place, at {!value_off} in the underlying bytes. *)
+    of a blob in line stays in place, at {!value_off} in the segment
+    being read. *)
 
 val value_off : reader -> int
 (** Where the payload of the value just read starts. *)

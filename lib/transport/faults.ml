@@ -62,11 +62,19 @@ let set_config t config = t.config <- config
 
 (* --- checksum envelope -------------------------------------------------- *)
 
-let seal payload =
-  let len = Bytes.length payload in
+(* The envelope is flat: the message's segments are copied in behind
+   the checksum, which covers their concatenation.  That copy is the
+   one a sealed message makes. *)
+let seal segs =
+  let len = Transport.length segs in
   let framed = Bytes.create (8 + len) in
-  Bytes.set_int64_be framed 0 (Hash64.bytes payload);
-  Bytes.blit payload 0 framed 8 len;
+  ignore
+    (Array.fold_left
+       (fun pos seg ->
+         Bytes.blit seg 0 framed pos (Bytes.length seg);
+         pos + Bytes.length seg)
+       8 segs);
+  Bytes.set_int64_be framed 0 (Hash64.sub framed ~pos:8 ~len);
   framed
 
 (* Verify in place; only a frame that checks out is copied out. *)
@@ -115,17 +123,18 @@ let send_hook t msg =
       end
       else 0
     in
-    let first = { Transport.d_payload = framed; d_extra_ns = extra } in
+    let first = { Transport.d_payload = [| framed |]; d_extra_ns = extra } in
     if Rng.float t.rng < c.duplicate_p then begin
       s.duplicated <- s.duplicated + 1;
-      [ first; { Transport.d_payload = framed; d_extra_ns = extra } ]
+      [ first; first ]
     end
     else [ first ]
   end
 
+(* A sealed message is one segment; anything else fails the check. *)
 let recv_hook t msg =
-  match unseal msg with
-  | Some payload -> Some payload
+  match if Array.length msg = 1 then unseal msg.(0) else None with
+  | Some payload -> Some [| payload |]
   | None ->
       t.stats.checksum_rejects <- t.stats.checksum_rejects + 1;
       None

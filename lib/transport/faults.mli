@@ -55,6 +55,10 @@ val wrap : t -> Transport.endpoint * Transport.endpoint -> unit
 
 (**/**)
 
-val seal : bytes -> bytes
+val seal : bytes array -> bytes
+(** The flat envelope: the checksum of the segments' concatenation,
+    then that concatenation. *)
+
 val unseal : bytes -> bytes option
-(** Exposed for tests. *)
+(** The payload of an envelope that checks out, as one fresh segment.
+    Exposed for tests. *)

@@ -28,7 +28,7 @@ type stats = {
 
 (* One outgoing message may fan out into zero (dropped), one, or several
    (duplicated) deliveries, each optionally carrying extra latency. *)
-type delivery = { d_payload : bytes; d_extra_ns : Time.t }
+type delivery = { d_payload : bytes array; d_extra_ns : Time.t }
 
 (* Doorbell coalescing (virtio event-suppression style): on a ring
    transport the dominant per-message cost is the notify —
@@ -63,7 +63,7 @@ let default_doorbell =
 
 type doorbell = {
   db_cfg : doorbell_cfg;
-  mutable db_pending : (bytes * (Time.t -> unit) option) list;
+  mutable db_pending : (bytes array * (Time.t -> unit) option) list;
       (** newest first; flushed oldest first *)
   mutable db_drain_until : Time.t;
       (** last scheduled slot delivery; the peer keeps polling for
@@ -77,11 +77,11 @@ type doorbell = {
 type endpoint = {
   engine : Engine.t;
   out_cost : cost;
-  peer : bytes Channel.t;  (** peer's inbox *)
-  inbox : bytes Channel.t;
+  peer : bytes array Channel.t;  (** peer's inbox *)
+  inbox : bytes array Channel.t;
   stats : stats;
-  mutable send_hook : (bytes -> delivery list) option;
-  mutable recv_hook : (bytes -> bytes option) option;
+  mutable send_hook : (bytes array -> delivery list) option;
+  mutable recv_hook : (bytes array -> bytes array option) option;
   mutable last_delivery_at : Time.t;
       (** FIFO clamp for hooked sends: extra fault delays never reorder
           messages on a link (as on TCP-like in-order transports) *)
@@ -90,7 +90,7 @@ type endpoint = {
       (** the other end of the duplex link; a send on this end counts
           as peer-worker activity, refreshing the poll window of any
           doorbell armed over there *)
-  mutable transit : bytes array;
+  mutable transit : bytes array array;
   mutable transit_head : int;
   mutable transit_len : int;
       (** plain (hook- and doorbell-free) sends still in flight, oldest
@@ -106,7 +106,7 @@ type endpoint = {
 let transit_push ep msg =
   let cap = Array.length ep.transit in
   if ep.transit_len = cap then begin
-    let ring = Array.make (Stdlib.max 4 (2 * cap)) Bytes.empty in
+    let ring = Array.make (Stdlib.max 4 (2 * cap)) [||] in
     for i = 0 to ep.transit_len - 1 do
       ring.(i) <- ep.transit.((ep.transit_head + i) land (cap - 1))
     done;
@@ -119,7 +119,7 @@ let transit_push ep msg =
 
 let transit_pop ep =
   let msg = ep.transit.(ep.transit_head) in
-  ep.transit.(ep.transit_head) <- Bytes.empty;
+  ep.transit.(ep.transit_head) <- [||];
   ep.transit_head <- (ep.transit_head + 1) land (Array.length ep.transit - 1);
   ep.transit_len <- ep.transit_len - 1;
   msg
@@ -212,8 +212,16 @@ let db_enqueue ep db ~kick ~on_scheduled msg =
     end
   end
 
+(* A message is an iovec: its bytes are the concatenation of its
+   segments, and every cost and counter reads the summed length. *)
+let rec iov_length msg i acc =
+  if i = Array.length msg then acc
+  else iov_length msg (i + 1) (acc + Bytes.length (Array.unsafe_get msg i))
+
+let length msg = iov_length msg 0 0
+
 let send ?(kick = false) ?on_scheduled ep msg =
-  let len = Bytes.length msg in
+  let len = length msg in
   Engine.delay ep.out_cost.per_msg_ns;
   if Float.is_finite ep.out_cost.bytes_per_s then
     Engine.delay

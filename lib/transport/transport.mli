@@ -1,7 +1,12 @@
 (** Pluggable message transports.
 
     A transport moves opaque byte messages between two parties under a
-    configurable cost model; AvA's guest library, router and API server
+    configurable cost model.  A message is an iovec, a [bytes array]
+    whose concatenation is its bytes: a sender hands over segments it
+    already holds (a frame's head and its page-sized payloads) and the
+    receiver gets the same segments, uncopied.  Costs, counters and
+    doorbells read the summed length, so how a message is cut never
+    changes its timing.  AvA's guest library, router and API server
     are connected by pairs of endpoints.  Endpoints are symmetric values,
     so topologies are free: guest↔router↔server for hypervisor-interposed
     remoting, guest↔server for vCUDA-style user-space RPC, or
@@ -30,9 +35,9 @@ type endpoint
 
 (** One outgoing message may fan out into zero (dropped), one, or several
     (duplicated) deliveries, each optionally delayed further. *)
-type delivery = { d_payload : bytes; d_extra_ns : Time.t }
+type delivery = { d_payload : bytes array; d_extra_ns : Time.t }
 
-val set_send_hook : endpoint -> (bytes -> delivery list) option -> unit
+val set_send_hook : endpoint -> (bytes array -> delivery list) option -> unit
 (** Interpose on this endpoint's send path: the hook maps each outgoing
     message to the deliveries that actually reach the peer ([[]] drops
     it).  Sender-side costs are charged exactly as without a hook; extra
@@ -40,7 +45,7 @@ val set_send_hook : endpoint -> (bytes -> delivery list) option -> unit
     (the default) restores the bit-identical hook-free path.  Used by
     {!Faults}. *)
 
-val set_recv_hook : endpoint -> (bytes -> bytes option) option -> unit
+val set_recv_hook : endpoint -> (bytes array -> bytes array option) option -> unit
 (** Interpose on this endpoint's receive path; returning [None] discards
     the message (e.g. a failed checksum) and keeps waiting. *)
 
@@ -90,8 +95,11 @@ val db_forced_flushes : endpoint -> int
 val db_pending : endpoint -> int
 (** Slots currently waiting behind the armed horizon. *)
 
+val length : bytes array -> int
+(** A message's length: the sum of its segments'. *)
+
 val send :
-  ?kick:bool -> ?on_scheduled:(Time.t -> unit) -> endpoint -> bytes -> unit
+  ?kick:bool -> ?on_scheduled:(Time.t -> unit) -> endpoint -> bytes array -> unit
 (** Blocking send toward the peer; must run inside a process.
     [kick] (doorbell-armed endpoints only) flushes every pending slot
     plus this one behind a single immediate notify — synchronous calls
@@ -101,7 +109,7 @@ val send :
     or the suppressed ride-along decision) — the stub uses it to stamp
     the doorbell-wait phase boundary. *)
 
-val recv : endpoint -> bytes
+val recv : endpoint -> bytes array
 (** Blocking receive; must run inside a process. *)
 
 val stats : endpoint -> stats

@@ -38,13 +38,13 @@ let seal_tests =
   [
     Alcotest.test_case "seal/unseal roundtrip" `Quick (fun () ->
         let payload = Bytes.of_string "the quick brown fox" in
-        match Faults.unseal (Faults.seal payload) with
+        match Faults.unseal (Faults.seal [| payload |]) with
         | Some back ->
             Alcotest.(check string) "payload survives"
               (Bytes.to_string payload) (Bytes.to_string back)
         | None -> Alcotest.fail "sealed frame rejected");
     Alcotest.test_case "any single bit flip is detected" `Quick (fun () ->
-        let sealed = Faults.seal (Bytes.of_string "payload under test") in
+        let sealed = Faults.seal [| Bytes.of_string "payload under test" |] in
         for i = 0 to Bytes.length sealed - 1 do
           for bit = 0 to 7 do
             let mangled = Bytes.copy sealed in
@@ -75,7 +75,7 @@ let injection_tests =
         Faults.wrap f (a, b);
         Engine.spawn e (fun () ->
             for _ = 1 to 10 do
-              Transport.send a (Bytes.of_string "x")
+              Transport.send a [| Bytes.of_string "x" |]
             done);
         Engine.run e;
         Alcotest.(check int) "all dropped" 10 (Faults.stats f).Faults.dropped;
@@ -88,7 +88,7 @@ let injection_tests =
         Faults.wrap f (a, b);
         Engine.spawn e (fun () ->
             for _ = 1 to 10 do
-              Transport.send a (Bytes.of_string "precious payload")
+              Transport.send a [| Bytes.of_string "precious payload" |]
             done);
         Engine.run e;
         Alcotest.(check int) "corruption surfaces as loss" 0 (received e b);
@@ -103,12 +103,12 @@ let injection_tests =
           Faults.create ~seed:11L { Faults.none with duplicate_p = 1.0 }
         in
         Faults.wrap f (a, b);
-        Engine.spawn e (fun () -> Transport.send a (Bytes.of_string "once"));
+        Engine.spawn e (fun () -> Transport.send a [| Bytes.of_string "once" |]);
         let got =
           Engine.run_process e (fun () ->
               let x = Transport.recv b in
               let y = Transport.recv b in
-              (Bytes.to_string x, Bytes.to_string y))
+              (Bytes.to_string x.(0), Bytes.to_string y.(0)))
         in
         Alcotest.(check (pair string string)) "same frame twice"
           ("once", "once") got;
@@ -128,11 +128,11 @@ let injection_tests =
         let n = 20 in
         Engine.spawn e (fun () ->
             for i = 1 to n do
-              Transport.send a (Bytes.of_string (string_of_int i))
+              Transport.send a [| Bytes.of_string (string_of_int i) |]
             done);
         let got =
           Engine.run_process e (fun () ->
-              List.init n (fun _ -> int_of_string (Bytes.to_string (Transport.recv b))))
+              List.init n (fun _ -> int_of_string (Bytes.to_string (Transport.recv b).(0))))
         in
         Alcotest.(check (list int)) "FIFO preserved" (List.init n (fun i -> i + 1)) got;
         Alcotest.(check int) "all delayed" n (Faults.stats f).Faults.delayed);
@@ -285,7 +285,7 @@ let doorbell_tests =
             let e = Engine.create () in
             let a, _b = Transport.direct e in
             Transport.set_doorbell ~cfg:(db_cfg ~horizon ()) a;
-            Engine.spawn e (fun () -> Transport.send a (Bytes.of_string "m"));
+            Engine.spawn e (fun () -> Transport.send a [| Bytes.of_string "m" |]);
             Engine.run e ~until:(horizon - 1);
             Alcotest.(check int) "still pending inside the horizon" 1
               (Transport.db_pending a);
@@ -303,9 +303,9 @@ let doorbell_tests =
         let a, b = Transport.shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ()) a;
         Engine.spawn e (fun () ->
-            Transport.send a (Bytes.of_string "q1");
-            Transport.send a (Bytes.of_string "q2");
-            Transport.send ~kick:true a (Bytes.of_string "sync"));
+            Transport.send a [| Bytes.of_string "q1" |];
+            Transport.send a [| Bytes.of_string "q2" |];
+            Transport.send ~kick:true a [| Bytes.of_string "sync" |]);
         Engine.run e;
         Alcotest.(check int) "single notify covers the batch" 1
           (Transport.db_notifies a);
@@ -317,7 +317,7 @@ let doorbell_tests =
         Transport.set_doorbell ~cfg:(db_cfg ~batch:3 ~poll:0 ()) a;
         Engine.spawn e (fun () ->
             for i = 1 to 3 do
-              Transport.send a (Bytes.of_string (string_of_int i))
+              Transport.send a [| Bytes.of_string (string_of_int i) |]
             done);
         Engine.run e;
         Alcotest.(check int) "one forced flush" 1
@@ -331,10 +331,10 @@ let doorbell_tests =
         Engine.spawn e (fun () ->
             (* First send pays the notify; the drain plus the 25 us poll
                grace then covers the rest of the burst. *)
-            Transport.send ~kick:true a (Bytes.of_string "head");
+            Transport.send ~kick:true a [| Bytes.of_string "head" |];
             for _ = 1 to 5 do
               Engine.delay (Time.us 2);
-              Transport.send a (Bytes.of_string "tail")
+              Transport.send a [| Bytes.of_string "tail" |]
             done);
         Engine.run e;
         Alcotest.(check int) "one notify for the burst" 1
@@ -346,11 +346,11 @@ let doorbell_tests =
         let a, _b = Transport.shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ~poll:(Time.us 25) ()) a;
         Engine.spawn e (fun () ->
-            Transport.send ~kick:true a (Bytes.of_string "head");
+            Transport.send ~kick:true a [| Bytes.of_string "head" |];
             (* Far past drain + poll grace: the peer went back to sleep
                and the next send must ring the doorbell again. *)
             Engine.delay (Time.us 200);
-            Transport.send ~kick:true a (Bytes.of_string "late"));
+            Transport.send ~kick:true a [| Bytes.of_string "late" |]);
         Engine.run e;
         Alcotest.(check int) "two notifies" 2 (Transport.db_notifies a);
         Alcotest.(check int) "nothing suppressed" 0
@@ -361,15 +361,15 @@ let doorbell_tests =
         let a, b = Transport.shm_ring e ~virt in
         Transport.set_doorbell ~cfg:(db_cfg ~poll:(Time.us 25) ()) a;
         Engine.spawn e (fun () ->
-            Transport.send ~kick:true a (Bytes.of_string "req");
+            Transport.send ~kick:true a [| Bytes.of_string "req" |];
             (* Long gap — but the peer posts a reply meanwhile, so its
                worker is awake and polling when the next request
                lands. *)
             Engine.delay (Time.us 200);
-            Transport.send a (Bytes.of_string "follow-up"));
+            Transport.send a [| Bytes.of_string "follow-up" |]);
         Engine.spawn e (fun () ->
             Engine.delay (Time.us 190);
-            Transport.send b (Bytes.of_string "reply"));
+            Transport.send b [| Bytes.of_string "reply" |]);
         Engine.run e;
         Alcotest.(check int) "follow-up needed no notify" 1
           (Transport.db_notifies a);
@@ -386,7 +386,7 @@ let doorbell_tests =
           let finished = ref 0 in
           Engine.spawn e (fun () ->
               for _ = 1 to 20 do
-                Transport.send a (Bytes.of_string "payload");
+                Transport.send a [| Bytes.of_string "payload" |];
                 Engine.delay (Time.us 1)
               done;
               finished := Engine.now e);
@@ -494,7 +494,7 @@ let crash_tests =
             (0, Ava_remoting.Wire.int 1, []));
         ignore (Server.attach_vm server ~vm_id:1 ~ep:server_end);
         let call =
-          Ava_remoting.Message.encode
+          Ava_remoting.Message.iovec ~copy:false
             (Ava_remoting.Message.Call
                {
                  call_seq = 0;
@@ -512,7 +512,7 @@ let crash_tests =
               (r1, r2))
         in
         Alcotest.(check string) "identical replies"
-          (Bytes.to_string r1) (Bytes.to_string r2);
+          (Bytes.to_string r1.(0)) (Bytes.to_string r2.(0));
         Alcotest.(check int) "executed once" 1 (Server.executed server);
         Alcotest.(check int) "replayed once" 1 (Server.replayed server));
   ]
@@ -560,12 +560,13 @@ let raw_cached_server e =
   (client_end, server)
 
 let call_frame seq args =
-  Message.encode
+  Message.iovec ~copy:false
     (Message.Call
        { call_seq = seq; call_vm = 1; call_fn = "clEnqueueWriteBuffer";
          call_args = args })
 
-let recv_msg ep = Result.get_ok (Message.decode (Transport.recv ep))
+let recv_msg ep =
+  Result.get_ok (Message.read_message (Message.decoder ~share:false) (Transport.recv ep))
 
 let cache_chaos_tests =
   [

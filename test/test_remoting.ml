@@ -452,7 +452,7 @@ let cursor_agrees data =
          (Bytes.sub data (Message.member_off cu i) (Message.member_len cu i))
          (Message.encode (Message.Call c))
   in
-  match (Message.decode data, Message.read cu data) with
+  match (Message.decode data, Message.read cu [| data |]) with
   | Error _, Error _ -> Message.members cu = 0
   | Ok (Message.Call c), Ok Message.K_call ->
       Message.members cu = 1 && member_agrees 0 c
@@ -564,7 +564,7 @@ let message_tests =
               "batch from frames" (List.assoc "batch" golden_hex)
               (hex
                  (Message.batch_of_frames
-                    (List.map (fun c -> Message.encode (Message.Call c)) calls)))
+                    (List.map (fun c -> Message.iovec ~copy:true (Message.Call c)) calls)).(0))
         | _ -> assert false);
     (* Regression: seqs went through an unchecked [Int64.to_int], so a
        forged [Int64.min_int] seq decoded as seq 0 and aliased a live
@@ -577,7 +577,7 @@ let message_tests =
             (match Message.decode frame with
             | Ok m -> Alcotest.failf "decode accepted %s as %a" what Message.pp m
             | Error _ -> ());
-            match Message.read (Message.cursor ()) frame with
+            match Message.read (Message.cursor ()) [| frame |] with
             | Ok _ -> Alcotest.failf "cursor accepted %s" what
             | Error _ -> ())
           [
@@ -614,7 +614,7 @@ let message_tests =
         Wire.intern_plan plans;
         let plan = Plan.find_exn plans "clEnqueueNDRangeKernel" in
         let frame =
-          Message.encode
+          Message.iovec ~copy:false
             (Message.Call
                { call_seq = 7; call_vm = 2; call_fn = "clEnqueueNDRangeKernel";
                  call_args =
@@ -640,7 +640,7 @@ let message_tests =
         in
         Wire.intern_plan plans;
         let call fn =
-          Message.encode
+          Message.iovec ~copy:false
             (Message.Call
                { call_seq = 1; call_vm = 1; call_fn = fn; call_args = [] })
         in
@@ -668,7 +668,7 @@ let message_tests =
     Alcotest.test_case "allocation budget: the egress reply check" `Quick
       (fun () ->
         let frame =
-          Message.encode
+          Message.iovec ~copy:false
             (Message.Reply
                { reply_seq = 9; reply_status = 0; reply_ret = Wire.Handle 4098L;
                  reply_outs = [ Wire.int 3; Wire.Blob (Bytes.make 64 'x') ] })
@@ -714,11 +714,11 @@ let transport_tests =
         let got = ref [] in
         Engine.spawn e (fun () ->
             for i = 1 to 5 do
-              Transport.send a (Bytes.make i 'm')
+              Transport.send a [| Bytes.make i 'm' |]
             done);
         Engine.spawn e (fun () ->
             for _ = 1 to 5 do
-              got := Bytes.length (Transport.recv b) :: !got
+              got := Transport.length (Transport.recv b) :: !got
             done);
         Engine.run e;
         Alcotest.(check (list int)) "order" [ 1; 2; 3; 4; 5 ] (List.rev !got);
@@ -732,7 +732,7 @@ let transport_tests =
           let e = Engine.create () in
           let virt = Ava_device.Timing.default_virt in
           let a, b = Transport.network e ~virt in
-          Engine.spawn e (fun () -> Transport.send a (Bytes.create bytes));
+          Engine.spawn e (fun () -> Transport.send a [| Bytes.create bytes |]);
           Engine.spawn e (fun () -> ignore (Transport.recv b));
           Engine.run e;
           Engine.now e
@@ -744,13 +744,13 @@ let transport_tests =
         let e = Engine.create () in
         let a, b = Transport.direct e in
         Engine.spawn e (fun () ->
-            Transport.send a (Bytes.of_string "ping");
+            Transport.send a [| Bytes.of_string "ping" |];
             let pong = Transport.recv a in
-            Alcotest.(check string) "pong" "pong" (Bytes.to_string pong));
+            Alcotest.(check string) "pong" "pong" (Bytes.to_string pong.(0)));
         Engine.spawn e (fun () ->
             let ping = Transport.recv b in
-            Alcotest.(check string) "ping" "ping" (Bytes.to_string ping);
-            Transport.send b (Bytes.of_string "pong"));
+            Alcotest.(check string) "ping" "ping" (Bytes.to_string ping.(0));
+            Transport.send b [| Bytes.of_string "pong" |]);
         Engine.run e);
   ]
 
@@ -776,10 +776,10 @@ let transport_property_tests =
            let a, b = Transport.make kind e ~virt in
            let got = ref [] in
            Engine.spawn e (fun () ->
-               List.iter (fun m -> Transport.send a (Bytes.of_string m)) msgs);
+               List.iter (fun m -> Transport.send a [| Bytes.of_string m |]) msgs);
            Engine.spawn e (fun () ->
                for _ = 1 to List.length msgs do
-                 got := Bytes.to_string (Transport.recv b) :: !got
+                 got := Bytes.to_string (Transport.recv b).(0) :: !got
                done);
            Engine.run e;
            List.rev !got = msgs));
@@ -794,7 +794,7 @@ let transport_property_tests =
            let a_got = ref 0 and b_got = ref 0 in
            Engine.spawn e (fun () ->
                for i = 1 to n do
-                 Transport.send a (Bytes.make i 'a')
+                 Transport.send a [| Bytes.make i 'a' |]
                done;
                for _ = 1 to n do
                  ignore (Transport.recv a);
@@ -802,7 +802,7 @@ let transport_property_tests =
                done);
            Engine.spawn e (fun () ->
                for i = 1 to n do
-                 Transport.send b (Bytes.make i 'b')
+                 Transport.send b [| Bytes.make i 'b' |]
                done;
                for _ = 1 to n do
                  ignore (Transport.recv b);
@@ -1144,7 +1144,9 @@ let cache_tests =
         let c = Server.cache_totals server in
         Alcotest.(check int) "store untouched" 0 c.Server.cs_insertions);
     (* Eviction then a stale ref: the server NAKs, the stub resends the
-       full payload under the same seq, and the call still succeeds. *)
+       full payload under the same seq, and the call still succeeds.
+       Every call is synchronous, so the stub encodes the resend frame
+       from the caller's buffer only when the NAK comes. *)
     Alcotest.test_case "stale ref heals through nak and resend" `Quick
       (fun () ->
         let e = Engine.create () in
@@ -1160,6 +1162,7 @@ let cache_tests =
             send_payload stub (mk 'c');
             (* The stub still believes 'a' is resident: ref -> miss. *)
             send_payload stub (mk 'a'));
+        Alcotest.(check int) "all synchronous" 4 (Stub.sync_calls stub);
         Alcotest.(check bool) "evicted" true
           ((Server.cache_totals server).Server.cs_evictions >= 1);
         Alcotest.(check int) "one nak" 1 (Server.naks_sent server);
@@ -1168,6 +1171,45 @@ let cache_tests =
         Alcotest.(check int) "four executions" 4 (List.length !seen);
         Alcotest.(check bytes) "last payload correct" (mk 'a')
           (List.hd !seen));
+    (* An asynchronous caller may reuse its buffer as soon as the call
+       returns, before any NAK: its resend frame is encoded at the call,
+       so the resend still carries the bytes the call was made with. *)
+    Alcotest.test_case "async stale ref resends the original bytes" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let plan = mini_plan () in
+        let stub, server = cached_pair e plan ~capacity:8192 in
+        let seen = ref [] in
+        Server.register server "fire" (fun _ _ args ->
+            match args with
+            | [ Wire.Blob b ] ->
+                seen := Bytes.copy b :: !seen;
+                (0, Wire.Unit, [])
+            | _ -> (Server.status_bad_arguments, Wire.Unit, []));
+        let mk c = Bytes.make 4096 c in
+        let fire buf =
+          (match Stub.invoke stub ~fn:"fire" ~args:[ Wire.Blob buf ] with
+          | Ok None -> ()
+          | _ -> Alcotest.fail "fire is asynchronous");
+          (* The caller reuses its buffer at once. *)
+          Bytes.fill buf 0 (Bytes.length buf) 'z';
+          (* Let the reply land, so the digest is acknowledged. *)
+          Engine.delay (Time.us 50)
+        in
+        Engine.run_process e (fun () ->
+            fire (mk 'a');
+            fire (mk 'b');
+            (* 'c' evicts 'a'; the stub's ref to 'a' then misses. *)
+            fire (mk 'c');
+            fire (mk 'a'));
+        Alcotest.(check int) "the last call went as a ref" 1 (Stub.cache_refs stub);
+        Alcotest.(check int) "one nak" 1 (Server.naks_sent server);
+        Alcotest.(check int) "one full resend" 1 (Stub.cache_nak_resends stub);
+        Alcotest.(check int) "no announce rejected" 0
+          (Server.cache_totals server).Server.cs_rejected;
+        Alcotest.(check (list bytes)) "each call's own bytes"
+          [ mk 'a'; mk 'c'; mk 'b'; mk 'a' ] !seen;
+        Alcotest.(check int) "no deferred error" 0 (Stub.pending_errors stub));
     Alcotest.test_case "flush_cache empties the store, refs heal" `Quick
       (fun () ->
         let e = Engine.create () in
@@ -1334,11 +1376,11 @@ let router_tests =
         let batch = Message.Batch [ mk 0 "fire"; mk 1 "nope"; mk 2 "ping" ] in
         let replies = Hashtbl.create 4 in
         Engine.run_process e (fun () ->
-            Transport.send guest_end (Message.encode batch);
+            Transport.send guest_end (Message.iovec ~copy:false batch);
             (* Three members, three replies: before the fix this recv
                loop stalled the engine. *)
             for _ = 1 to 3 do
-              match Message.decode (Transport.recv guest_end) with
+              match Message.read_message (Message.decoder ~share:false) (Transport.recv guest_end) with
               | Ok (Message.Reply r) ->
                   Hashtbl.replace replies r.Message.reply_seq
                     r.Message.reply_status
@@ -1378,7 +1420,7 @@ let router_tests =
               members
           in
           Engine.run_process e (fun () ->
-              Transport.send guest_end (Message.encode (Message.Batch calls));
+              Transport.send guest_end (Message.iovec ~copy:false (Message.Batch calls));
               List.iter (fun _ -> ignore (Transport.recv guest_end)) calls);
           Alcotest.(check int) "one member rejected" 1 (Router.rejected router);
           List.iteri
@@ -1418,9 +1460,9 @@ let router_tests =
         let batch = Message.Batch [ mk 0 "nope"; mk 1 "nope2" ] in
         let statuses = ref [] in
         Engine.run_process e (fun () ->
-            Transport.send guest_end (Message.encode batch);
+            Transport.send guest_end (Message.iovec ~copy:false batch);
             for _ = 1 to 2 do
-              match Message.decode (Transport.recv guest_end) with
+              match Message.read_message (Message.decoder ~share:false) (Transport.recv guest_end) with
               | Ok (Message.Reply r) ->
                   statuses := r.Message.reply_status :: !statuses
               | _ -> Alcotest.fail "expected a reply frame"
@@ -1440,14 +1482,14 @@ let router_tests =
         let e = Engine.create () in
         let guest_end, router, server, vm_id = router_stack e (mini_plan ()) in
         let call seq fn =
-          Message.encode
+          Message.iovec ~copy:false
             (Message.Call
                { Message.call_seq = seq; call_vm = vm_id; call_fn = fn;
                  call_args = [ Wire.int seq ] })
         in
         let round_trip frame =
           Transport.send guest_end frame;
-          match Message.decode (Transport.recv guest_end) with
+          match Message.read_message (Message.decoder ~share:false) (Transport.recv guest_end) with
           | Ok (Message.Reply r) -> r
           | _ -> Alcotest.fail "expected a reply frame"
         in
@@ -1502,7 +1544,7 @@ let router_tests =
             Engine.delay (Time.us 10);
             (0, Wire.Unit, []));
         let fire seq =
-          Message.encode
+          Message.iovec ~copy:false
             (Message.Call
                { Message.call_seq = seq; call_vm = vm_id; call_fn = "fire";
                  call_args = [ Wire.int seq ] })
@@ -1519,7 +1561,7 @@ let router_tests =
             Alcotest.(check int)
               "router base at the horizon" (n - Server.replay_cache_cap) base;
             Transport.send guest_end (fire base);
-            (match Message.decode (Transport.recv guest_end) with
+            (match Message.read_message (Message.decoder ~share:false) (Transport.recv guest_end) with
             | Ok (Message.Reply r) ->
                 Alcotest.(check int)
                   "lowest forwarded seq answered" base r.Message.reply_seq
@@ -1539,9 +1581,9 @@ let router_tests =
         in
         Engine.run_process e (fun () ->
             Transport.send guest_end
-              (Message.encode (Message.Batch [ ping 0; ping 0; ping 1 ]));
+              (Message.iovec ~copy:false (Message.Batch [ ping 0; ping 0; ping 1 ]));
             for seq = 0 to 1 do
-              match Message.decode (Transport.recv guest_end) with
+              match Message.read_message (Message.decoder ~share:false) (Transport.recv guest_end) with
               | Ok (Message.Reply r) ->
                   Alcotest.(check int) "one reply per seq" seq r.Message.reply_seq
               | _ -> Alcotest.fail "expected a reply frame"
@@ -1563,7 +1605,7 @@ let router_tests =
         in
         Engine.run_process e (fun () ->
             Transport.send guest_end
-              (Message.encode (Message.Batch [ ping 0; ping 1; ping 2 ]));
+              (Message.iovec ~copy:false (Message.Batch [ ping 0; ping 1; ping 2 ]));
             Engine.delay (Time.ms 1);
             Router.detach_vm router ~vm_id;
             Engine.delay (Time.s 3));
@@ -1604,7 +1646,7 @@ let router_tests =
         let burst ep vm_id =
           for seq = 0 to n - 1 do
             Transport.send ep
-              (Message.encode
+              (Message.iovec ~copy:false
                  (Message.Call
                     {
                       Message.call_seq = seq;
@@ -1618,7 +1660,7 @@ let router_tests =
           let done_ = Ivar.create () in
           Engine.spawn e (fun () ->
               for _ = 1 to n do
-                match Message.decode (Transport.recv ep) with
+                match Message.read_message (Message.decoder ~share:false) (Transport.recv ep) with
                 | Ok (Message.Reply r) ->
                     if r.Message.reply_status = 0 then incr got
                 | _ -> Alcotest.fail "expected a reply frame"
@@ -1679,16 +1721,16 @@ let attach_bare e server =
   guest_end
 
 let ping_frame seq =
-  Message.encode
+  Message.iovec ~copy:false
     (Message.Call
        { Message.call_seq = seq; call_vm = 1; call_fn = "ping";
          call_args = [ Wire.int seq ] })
 
 let skip_frame seqs =
-  Message.encode (Message.Skip { Message.skip_vm = 1; skip_seqs = seqs })
+  Message.iovec ~copy:false (Message.Skip { Message.skip_vm = 1; skip_seqs = seqs })
 
 let reply_seq ep =
-  match Message.decode (Transport.recv ep) with
+  match Message.read_message (Message.decoder ~share:false) (Transport.recv ep) with
   | Ok (Message.Reply r) -> r.Message.reply_seq
   | _ -> Alcotest.fail "expected a reply frame"
 
@@ -2241,7 +2283,7 @@ let hash_tests =
       `Quick (fun () ->
         let mib = 1 lsl 20 in
         let payload = Bytes.init mib (fun i -> Char.chr ((i * 31) land 255)) in
-        let framed = Faults.seal payload in
+        let framed = Faults.seal [| payload |] in
         Alcotest.(check bool) "payload survives" true
           (match Faults.unseal framed with
           | Some p -> Bytes.equal p payload
@@ -2263,6 +2305,248 @@ let hash_tests =
         Bytes.set framed ((mib / 2) + 1) '\xff';
         Alcotest.(check bool) "a corrupted frame is rejected" true
           (Option.is_none (Faults.unseal framed)));
+  ]
+
+(* --- iovec frames: page-sized payloads as segments of their own ------- *)
+
+let page = Ava_device.Dma.page_size
+
+(* A payload around the cut: below, at and past one page, or empty. *)
+let payload_gen =
+  let open QCheck.Gen in
+  map2
+    (fun n c -> Bytes.make n c)
+    (oneofl [ 0; page - 1; page; page + 1; 3 * page ])
+    (map Char.chr (int_bound 255))
+
+(* Arguments that mix small values with several payloads at the cut, as
+   plain blobs, announces and list members. *)
+let iov_value_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, value_gen);
+      (3, map (fun b -> Wire.Blob b) payload_gen);
+      ( 1,
+        map
+          (fun b -> Wire.Blob_cached { bc_digest = Wire.digest b; bc_data = b })
+          payload_gen );
+      (1, map (fun bs -> Wire.List (List.map (fun b -> Wire.Blob b) bs))
+            (list_size (0 -- 3) payload_gen));
+    ]
+
+let iov_message_gen =
+  let open QCheck.Gen in
+  let values = list_size (0 -- 6) iov_value_gen in
+  oneof
+    [
+      oneofl (List.map snd golden_messages);
+      map
+        (fun (seq, fn, args) ->
+          Message.Call { call_seq = seq; call_vm = 1; call_fn = fn; call_args = args })
+        (triple nat (string_size (0 -- 16)) values);
+      map
+        (fun (seq, status, ret, outs) ->
+          Message.Reply
+            { reply_seq = seq; reply_status = status; reply_ret = ret;
+              reply_outs = outs })
+        (quad nat int iov_value_gen values);
+    ]
+
+let iov_message_arb =
+  QCheck.make ~print:(Fmt.str "%a" Message.pp) iov_message_gen
+
+let flat segs = Bytes.concat Bytes.empty (Array.to_list segs)
+
+(* What the router reads of a frame: its kind, each member's header
+   and scalar view, a reply's seq and status. *)
+let cursor_view cu segs =
+  match Message.read cu segs with
+  | Error _ -> None
+  | Ok k ->
+      Some
+        ( k,
+          List.init (Message.members cu) (fun i ->
+              ( Message.seq cu i,
+                Message.vm cu i,
+                Message.fn cu i,
+                Message.arity cu i,
+                List.init (Message.arity cu i) (fun j ->
+                    Plan.scalar_at (Message.scalars cu i) j) )),
+          if k = Message.K_reply then (Message.reply_seq cu, Message.reply_status cu)
+          else (0, 0) )
+
+let share_decoder = Message.decoder ~share:true
+let copy_decoder = Message.decoder ~share:false
+
+let rec message_payloads = function
+  | Message.Call c -> List.concat_map value_payloads c.Message.call_args
+  | Message.Reply r ->
+      List.concat_map value_payloads (r.Message.reply_ret :: r.Message.reply_outs)
+  | Message.Batch _ | Message.Upcall _ | Message.Skip _ | Message.Nak _ -> []
+
+and value_payloads = function
+  | Wire.Blob b | Wire.Blob_cached { bc_data = b; _ } -> [ b ]
+  | Wire.List vs -> List.concat_map value_payloads vs
+  | _ -> []
+
+(* The segments are the flat frame cut after each page-sized payload's
+   header; they decode to the flat frame's message, with a sharing
+   decoder handing back the payload segments themselves, and the
+   cursor reads the same headers from both. *)
+let iovec_agrees m =
+  let data = Message.encode m in
+  let cuts =
+    List.length
+      (List.filter (fun b -> Bytes.length b >= page) (message_payloads m))
+  in
+  let cuts = match m with Message.Call _ | Message.Reply _ -> cuts | _ -> 0 in
+  List.for_all
+    (fun copy ->
+      let segs = Message.iovec ~copy m in
+      let same_message = function
+        | Ok m' -> Bytes.equal (Message.encode m') data
+        | Error _ -> false
+      in
+      let shared =
+        match Message.read_message share_decoder segs with
+        | Ok m' ->
+            List.for_all
+              (fun b ->
+                Bytes.length b < page
+                || Array.exists (fun seg -> seg == b) segs)
+              (message_payloads m')
+        | Error _ -> false
+      in
+      Bytes.equal (flat segs) data
+      && Array.length segs = (2 * cuts) + 1
+      && same_message (Message.read_message share_decoder segs)
+      && same_message (Message.read_message copy_decoder segs)
+      && same_message (Message.decode data)
+      && shared
+      && cursor_view shared_cursor segs = cursor_view shared_cursor [| data |]
+      && cursor_view shared_cursor segs <> None)
+    [ true; false ]
+
+(* One mutation of a frame's segments. *)
+let mutate_iov segs (kind, i, x) =
+  let n = Array.length segs in
+  let i = i mod n in
+  match kind mod 5 with
+  | 0 ->
+      let s = Bytes.copy segs.(i) in
+      if Bytes.length s > 0 then begin
+        let j = x mod Bytes.length s in
+        Bytes.set s j (Char.chr (Char.code (Bytes.get s j) lxor (1 + (x mod 255))))
+      end;
+      Array.mapi (fun k seg -> if k = i then s else seg) segs
+  | 1 ->
+      Array.mapi
+        (fun k seg ->
+          if k = i && Bytes.length seg > 0 then Bytes.sub seg 0 (Bytes.length seg - 1)
+          else seg)
+        segs
+  | 2 -> Array.mapi (fun k seg -> if k = i then Bytes.cat seg (Bytes.make 1 'x') else seg) segs
+  | 3 -> Array.of_list (List.filteri (fun k _ -> k <> i) (Array.to_list segs))
+  | _ -> Array.append segs [| Bytes.make (x mod 3) 'e' |]
+
+let verdict = function Ok _ -> true | Error _ -> false
+
+let iovec_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"segments are the flat frame; decode and cursor agree" ~count:300
+         iov_message_arb iovec_agrees);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"mutated segments: decode and cursor agree, never raise"
+         ~count:1000
+         QCheck.(pair iov_message_arb (triple small_nat small_nat small_nat))
+         (fun (m, mutation) ->
+           let segs = mutate_iov (Message.iovec ~copy:false m) mutation in
+           let decoded = Message.read_message share_decoder segs in
+           verdict decoded = verdict (Message.read_message copy_decoder segs)
+           && verdict decoded = (cursor_view shared_cursor segs <> None)));
+    Alcotest.test_case "each broken iovec is an error, never an exception"
+      `Quick (fun () ->
+        let m =
+          Message.Call
+            { call_seq = 3; call_vm = 1; call_fn = "clEnqueueWriteBuffer";
+              call_args =
+                [ Wire.Handle 4097L; Wire.Blob (Bytes.make (2 * page) 'a');
+                  Wire.int 7; Wire.Blob (Bytes.make page 'b'); Wire.int 9 ] }
+        in
+        let segs = Message.iovec ~copy:true m in
+        Alcotest.(check int) "two payloads, three heads" 5 (Array.length segs);
+        let with_seg i seg = Array.mapi (fun k s -> if k = i then seg else s) segs in
+        let without i = Array.of_list (List.filteri (fun k _ -> k <> i) (Array.to_list segs)) in
+        let head = Bytes.copy segs.(0) in
+        (* The first payload's length field ends the head segment. *)
+        let at = Bytes.length head - 4 in
+        Bytes.set head at (Char.chr (Char.code (Bytes.get head at) lxor 1));
+        List.iter
+          (fun (what, segs) ->
+            (match Message.read_message share_decoder segs with
+            | Ok _ -> Alcotest.failf "decode accepted %s" what
+            | Error _ -> ());
+            match Message.read (Message.cursor ()) segs with
+            | Ok _ -> Alcotest.failf "cursor accepted %s" what
+            | Error _ -> ())
+          [
+            ("a payload one byte short", with_seg 1 (Bytes.make ((2 * page) - 1) 'a'));
+            ("a payload one byte long", with_seg 3 (Bytes.make (page + 1) 'b'));
+            ("a missing payload", without 1);
+            ("a missing last head", without 4);
+            ("an extra segment", Array.append segs [| Bytes.of_string "x" |]);
+            ("an extra empty segment", Array.append segs [| Bytes.empty |]);
+            ("a flipped length byte in a head", with_seg 0 head);
+            ("no segments", [||]);
+            ("a segmented batch", [| Message.encode (Message.Batch []); Bytes.empty |]);
+          ]);
+    Alcotest.test_case "allocation budget: the server decodes a 1 MiB call"
+      `Quick (fun () ->
+        let mib = Bytes.make (1 lsl 20) 'w' in
+        let segs =
+          Message.iovec ~copy:true
+            (Message.Call
+               { call_seq = 70000; call_vm = 1; call_fn = "clEnqueueWriteBuffer";
+                 call_args = [ Wire.Handle 4097L; Wire.int 0; Wire.Blob mib; Wire.int 1 ] })
+        in
+        let dec = Message.decoder ~share:true in
+        (match Message.read_message dec segs with
+        | Ok (Message.Call { call_args = [ _; _; Wire.Blob b; _ ]; _ }) ->
+            Alcotest.(check bool) "the payload is its segment" true (b == segs.(1));
+            Alcotest.(check bool) "the stub's encode copied it" false (b == mib)
+        | _ -> Alcotest.fail "not the call");
+        let words = allocated_words (fun () -> Message.read_message dec segs) in
+        check_budget "words per 1 MiB call decode" words 128.0);
+    Alcotest.test_case "allocation budget: encoding a reply with a 1 MiB output"
+      `Quick (fun () ->
+        let out = Bytes.make (1 lsl 20) 'r' in
+        let reply =
+          Message.Reply
+            { reply_seq = 70000; reply_status = 0; reply_ret = Wire.int 0;
+              reply_outs = [ Wire.Blob out; Wire.int 1 ] }
+        in
+        Alcotest.(check bool) "the output is referenced" true
+          ((Message.iovec ~copy:false reply).(1) == out);
+        let words = allocated_words (fun () -> Message.iovec ~copy:false reply) in
+        check_budget "words per 1 MiB reply encode" words 128.0);
+    Alcotest.test_case "the stub copies a reply's payload segment out once"
+      `Quick (fun () ->
+        let out = Bytes.make (2 * page) 'o' in
+        let segs =
+          Message.iovec ~copy:false
+            (Message.Reply
+               { reply_seq = 1; reply_status = 0; reply_ret = Wire.Unit;
+                 reply_outs = [ Wire.Blob out ] })
+        in
+        match Message.read_message copy_decoder segs with
+        | Ok (Message.Reply { reply_outs = [ Wire.Blob b ]; _ }) ->
+            Alcotest.(check bool) "a private copy" false (b == out);
+            Alcotest.(check bytes) "same bytes" out b
+        | _ -> Alcotest.fail "not the reply");
   ]
 
 (* --- golden request frames: every silo function's wire layout --------
@@ -2737,5 +3021,6 @@ let () =
       ("swap", swap_tests);
       ("silo-kit", silo_kit_tests);
       ("hash64", hash_tests);
+      ("iovec", iovec_tests);
       ("silo-table", silo_table_tests);
     ]
