@@ -56,9 +56,11 @@ type state = {
 }
 
 (* Thread the VM id down to the device layer as the submitting client, so
-   per-client fault targeting (and TDR blame) can tell tenants apart. *)
+   per-client fault targeting (and TDR blame) can tell tenants apart.
+   Like every silo's, a server-side instance owns its inputs (see
+   {!Silo.Make}). *)
 let make_state ?swap kd ~vm_id =
-  let api, native = Ava_simcl.Native.create ~client:vm_id kd in
+  let api, native = Ava_simcl.Native.create ~client:vm_id ~owned:true kd in
   let api = match swap with Some sw -> swapped sw ~vm_id api | None -> api in
   { api; native; swap; vm_id }
 
@@ -388,7 +390,9 @@ let live =
       (fun st ~host ~size ->
         Option.map
           (fun buf ->
-            Ava_simcl.Kdriver.read_buffer (kd st) ~buf ~offset:0 ~len:size)
+            let dst = Bytes.create size in
+            Ava_simcl.Kdriver.read_into (kd st) ~buf ~offset:0 ~dst;
+            dst)
           (find st host));
     write =
       (fun st ~host data ->

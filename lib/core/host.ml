@@ -67,12 +67,21 @@ let load_plan ?(sync_only = false) name load =
   | Ok plan -> (spec, plan)
   | Error e -> failwith (name ^ " plan compilation failed: " ^ e)
 
-let load_cl_plan ?sync_only () =
-  load_plan ?sync_only "simcl" Ava_spec.Specs.load_simcl
+(* Each plan is parsed and compiled once per process: spec and plan are
+   immutable, and parsing would otherwise be nearly all of a host's
+   construction. *)
+let cl_plan = lazy (load_plan "simcl" Ava_spec.Specs.load_simcl)
+let cl_sync_plan = lazy (load_plan ~sync_only:true "simcl" Ava_spec.Specs.load_simcl)
 
-let load_nc_plan () = load_plan "mvnc" Ava_spec.Specs.load_mvnc
-let load_qa_plan () = load_plan "qat" Ava_spec.Specs.load_qat
-let load_st_plan () = load_plan "simst" Ava_spec.Specs.load_simst
+let load_cl_plan ?(sync_only = false) () =
+  Lazy.force (if sync_only then cl_sync_plan else cl_plan)
+
+let nc_plan = lazy (load_plan "mvnc" Ava_spec.Specs.load_mvnc)
+let qa_plan = lazy (load_plan "qat" Ava_spec.Specs.load_qat)
+let st_plan = lazy (load_plan "simst" Ava_spec.Specs.load_simst)
+let load_nc_plan () = Lazy.force nc_plan
+let load_qa_plan () = Lazy.force qa_plan
+let load_st_plan () = Lazy.force st_plan
 
 (* The server half of a TDR policy: [reset] recovers the device the
    server fronts; [wedged_by] (when the device can tell) names the

@@ -82,6 +82,10 @@ type cl_guest = {
 
 val load_cl_plan :
   ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The embedded spec and its compiled plan ([sync_only]: every call
+    made synchronous).  Each silo's pair is built once per process and
+    shared, as both are immutable; so are [load_nc_plan],
+    [load_qa_plan] and [load_st_plan]'s. *)
 
 val create_cl_host :
   ?virt:Timing.virt ->

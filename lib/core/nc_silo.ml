@@ -7,7 +7,7 @@ open Silo
 
 type state = (module S)
 
-let make_state ncs ~vm_id:_ = fst (Ava_simnc.Native.create ncs)
+let make_state ncs ~vm_id:_ = fst (Ava_simnc.Native.create ~owned:true ncs)
 
 include Make (struct
   type error = status

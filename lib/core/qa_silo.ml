@@ -13,7 +13,7 @@ open Silo
 
 type state = (module S)
 
-let make_state qat ~vm_id:_ = fst (Ava_simqa.Native.create qat)
+let make_state qat ~vm_id:_ = fst (Ava_simqa.Native.create ~owned:true qat)
 
 include Make (struct
   type error = status

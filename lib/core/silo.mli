@@ -96,9 +96,13 @@ val name : ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn -> string
     writes again (the reply refers to it and the reply log keeps it).
     The four silos keep both: CL reads, [mvncGetResult], the QA
     outputs, [stMemcpyDtoH] and [stBatchCollect] each return a buffer
-    made for that call, and every argument payload a native call keeps
-    past its return (a write, a tensor, a batch, a submitted source) is
-    copied first. *)
+    made for that call (a CL read's device DMA writes straight into
+    it).  An argument payload a call keeps past its return (a write, a
+    tensor, a batch, a submitted source) is copied only for a native
+    caller, who may overwrite its source at once.  Each silo's
+    [make_state] builds its instance as the owner of its inputs, so the
+    device op keeps the request's payload uncopied: nothing writes a
+    request segment again. *)
 module Make (S : sig
   type error
   type state

@@ -16,7 +16,7 @@ open Silo
 type state = { api : (module S); native : Ava_simst.Native.st }
 
 let make_state dev ~vm_id:_ =
-  let api, native = Ava_simst.Native.create dev in
+  let api, native = Ava_simst.Native.create ~owned:true dev in
   { api; native }
 
 include Make (struct

@@ -244,14 +244,13 @@ let write_buffer ?(per_page_ns = 0) ?(client = 0) t ~buf ~offset ~src =
     | Some f -> flip_byte buf.data (offset + Devfault.corrupt_pos f ~len)
     | None -> ()
 
-let read_buffer ?(per_page_ns = 0) ?(client = 0) t ~buf ~offset ~len =
+let read_into ?(per_page_ns = 0) ?(client = 0) t ~buf ~offset ~dst =
+  let len = Bytes.length dst in
   if offset < 0 || offset + len > buf.size then
-    invalid_arg "Gpu.read_buffer: out of range";
+    invalid_arg "Gpu.read_into: out of range";
   Dma.transfer ~per_page_ns t.dma ~bytes:len;
-  let out = Bytes.sub buf.data offset len in
-  if dma_corrupts t ~client ~len then (
+  Bytes.blit buf.data offset dst 0 len;
+  if dma_corrupts t ~client ~len then
     match t.fault with
-    | Some f -> flip_byte out (Devfault.corrupt_pos f ~len)
-    | None -> ());
-  out
-
+    | Some f -> flip_byte dst (Devfault.corrupt_pos f ~len)
+    | None -> ()

@@ -109,13 +109,14 @@ val write_buffer :
   unit
 (** Host-to-device DMA; blocks for the transfer duration. *)
 
-val read_buffer :
+val read_into :
   ?per_page_ns:Time.t ->
   ?client:int ->
   t ->
   buf:buffer ->
   offset:int ->
-  len:int ->
-  bytes
-(** Device-to-host DMA; blocks and returns a copy of the data. *)
+  dst:bytes ->
+  unit
+(** Device-to-host DMA of [Bytes.length dst] bytes from [offset] into
+    [dst]; blocks for the transfer duration. *)
 

@@ -60,6 +60,8 @@ type 'st handler =
     - A page-sized argument payload is the request's own segment, which
       the record log, the content store and a replayed copy of the
       frame share: a handler never mutates an argument payload.
+      Nothing else writes it either, so the silo may keep it past the
+      call uncopied (a device write reads it when its DMA runs).
     - The reply refers to each payload a handler returns without
       copying it, and the reply log keeps it for replays: each must be
       a fresh buffer that nothing writes again. *)

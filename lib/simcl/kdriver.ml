@@ -72,10 +72,10 @@ let write_buffer ?client t ~buf ~offset ~src =
       Gpu.write_buffer ~per_page_ns:t.per_page_ns ?client t.gpu ~buf ~offset
         ~src)
 
-let read_buffer ?client t ~buf ~offset ~len =
+let read_into ?client t ~buf ~offset ~dst =
   ioctl t (fun () ->
-      Gpu.read_buffer ~per_page_ns:t.per_page_ns ?client t.gpu ~buf ~offset
-        ~len)
+      Gpu.read_into ~per_page_ns:t.per_page_ns ?client t.gpu ~buf ~offset
+        ~dst)
 
 (* Device-to-device copy and fill ride the command ring so they order
    with kernels naturally. *)

@@ -34,8 +34,9 @@ val wait : t -> Gpu.completion -> unit
 val write_buffer :
   ?client:int -> t -> buf:Gpu.buffer -> offset:int -> src:bytes -> unit
 
-val read_buffer :
-  ?client:int -> t -> buf:Gpu.buffer -> offset:int -> len:int -> bytes
+val read_into :
+  ?client:int -> t -> buf:Gpu.buffer -> offset:int -> dst:bytes -> unit
+(** Read [Bytes.length dst] bytes from [offset] straight into [dst]. *)
 
 val copy_work :
   src:Gpu.buffer ->

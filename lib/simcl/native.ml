@@ -213,7 +213,7 @@ let resolve_args st k =
   in
   if !missing then Error Invalid_arg_value else Ok args
 
-let create ?(client = 0) kd =
+let create ?(client = 0) ?(owned = false) kd =
   let st =
     {
       engine = Kdriver.engine kd;
@@ -518,11 +518,7 @@ let create ?(client = 0) kd =
       else begin
         let dst = Bytes.make size '\000' in
         let op () =
-          let data =
-            Kdriver.read_buffer ~client:st.client st.kd ~buf:mo.m_buf ~offset
-              ~len:size
-          in
-          Bytes.blit data 0 dst 0 size
+          Kdriver.read_into ~client:st.client st.kd ~buf:mo.m_buf ~offset ~dst
         in
         let* ev = enqueue_op st queue ~wait_list ~want_event ~blocking op in
         Ok (dst, ev)
@@ -537,8 +533,8 @@ let create ?(client = 0) kd =
       if offset < 0 || offset + size > mo.m_size then Error Invalid_value
       else
         (* Snapshot the host buffer, as a non-blocking write may refer to
-           it after the caller has moved on. *)
-        let src = Bytes.copy src in
+           it after the caller has moved on; an owned input is frozen. *)
+        let src = if owned then src else Bytes.copy src in
         enqueue_op st queue ~wait_list ~want_event ~blocking (fun () ->
             Kdriver.write_buffer ~client:st.client st.kd ~buf:mo.m_buf ~offset
               ~src)

@@ -14,9 +14,14 @@
 type st
 (** Instance state (opaque; exposed for introspection and migration). *)
 
-val create : ?client:int -> Kdriver.t -> (module Api.S) * st
+val create : ?client:int -> ?owned:bool -> Kdriver.t -> (module Api.S) * st
 (** [client] attributes this instance's device commands to a VM for
-    targeted fault injection (defaults to 0). *)
+    targeted fault injection (defaults to 0).
+    [owned] (default [false]): the caller never writes an input
+    payload again, so one a call keeps past its return is used in place
+    instead of snapshotted.  Only an API server's silo instance owns
+    its inputs (its request segments are frozen); a native caller may
+    overwrite a non-blocking call's source at once. *)
 
 (** {1 Introspection} *)
 

@@ -36,7 +36,7 @@ let fresh st =
   st.next_handle <- st.next_handle + 1;
   st.next_handle
 
-let create ncs =
+let create ?(owned = false) ncs =
   let st =
     {
       engine = Ava_device.Ncs.engine ncs;
@@ -114,7 +114,7 @@ let create ncs =
       | Some gs ->
           let iv = Ivar.create () in
           Queue.push iv gs.pending;
-          let input = Bytes.copy tensor in
+          let input = if owned then tensor else Bytes.copy tensor in
           Engine.spawn st.engine (fun () ->
               let t0 = Engine.now st.engine in
               match

@@ -23,7 +23,7 @@ let fresh st =
   st.next_handle <- st.next_handle + 1;
   st.next_handle
 
-let create qat =
+let create ?(owned = false) qat =
   let st =
     {
       engine = Device.engine_of qat;
@@ -99,7 +99,7 @@ let create qat =
       | None -> Error Qa_invalid_param
       | Some { s_direction = Dir_decompress; _ } -> Error Qa_unsupported
       | Some _ ->
-          let input = Bytes.copy src in
+          let input = if owned then src else Bytes.copy src in
           Engine.spawn st.engine (fun () ->
               match Device.compress st.qat ~input with
               | Ok out -> callback ~tag out

@@ -42,7 +42,7 @@ let run_kernel ~name ~a ~b ~out ~n =
 
 let kernel_known = function "vadd" | "scale" -> true | _ -> false
 
-let create dev =
+let create ?(owned = false) dev =
   let st =
     {
       dev;
@@ -164,7 +164,7 @@ let create dev =
           match (mem dst, stream sh) with
           | Some storage, Some s when Bytes.length src <= Bytes.length storage
             ->
-              let src = Bytes.copy src in
+              let src = if owned then src else Bytes.copy src in
               Device.enqueue st.dev s
                 ~cost:(Device.copy_cost st.dev ~bytes:(Bytes.length src))
                 (fun ~ok ->
@@ -216,7 +216,7 @@ let create dev =
               match stream sh with
               | None -> Error St_invalid_value
               | Some s ->
-                  let batch = Bytes.copy batch in
+                  let batch = if owned then batch else Bytes.copy batch in
                   let ticket = fresh st in
                   let result = Ivar.create () in
                   Hashtbl.replace st.tickets ticket result;

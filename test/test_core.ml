@@ -948,7 +948,8 @@ let nc_tests =
 
 (* Guest libraries pass the caller's buffers to the stub uncopied; the
    stub's frame encode is the snapshot, and it copies what it keeps past
-   the call (SVA pins, the NAK-resend frame). *)
+   the call (SVA pins, the NAK-resend frame).  A native stack has no
+   stub: there the silo snapshots what a non-blocking call keeps. *)
 
 let scribble b = Bytes.fill b 0 (Bytes.length b) '\xee'
 
@@ -992,18 +993,21 @@ let cl_read (module CL : Ava_simcl.Api.S) q m ~size =
        (CL.clEnqueueReadBuffer q m ~blocking:true ~offset:0 ~size
           ~wait_list:[] ~want_event:false))
 
-(* One non-blocking write on a CL host built by [create]. *)
-let cl_upload create e ~src ~after =
-  let host = create e in
-  let guest = Host.add_cl_vm host ~name:"g0" in
-  let api = guest.Host.g_api in
-  let module CL = (val api) in
+(* One non-blocking write through [api]. *)
+let cl_upload_on api ~src ~after =
+  let module CL = (val api : Ava_simcl.Api.S) in
   let ctx, q = cl_queue api in
   let size = Bytes.length src in
   let m = ok (CL.clCreateBuffer ctx ~size) in
   cl_write api q m src;
   after src;
   cl_read api q m ~size
+
+(* The same on a CL host built by [create]. *)
+let cl_upload create e ~src ~after =
+  let host = create e in
+  let guest = Host.add_cl_vm host ~name:"g0" in
+  cl_upload_on guest.Host.g_api ~src ~after
 
 (* The second write of the same payload goes as a [Blob_ref]; the
    content store is flushed before the server sees it, so the server
@@ -1030,12 +1034,12 @@ let cl_upload_ref e ~src ~after =
     (Stub.cache_nak_resends stub);
   seen
 
-(* NC: the tensor goes in with mvncLoadTensor (forwarded
-   asynchronously); the device's view is the inference over it. *)
-let nc_upload ?(cached = false) create e ~src ~after =
-  let host = create e in
-  let guest = Host.add_nc_vm host ~name:"g0" in
-  let module NC = (val guest.Host.ng_api) in
+(* NC: the tensor goes in with mvncLoadTensor (forwarded asynchronously
+   when remoted); the device's view is the inference over it.  [warm]
+   loads the same tensor once first; [settle] runs between [after] and
+   the result. *)
+let nc_infer ?(warm = false) ?(settle = ignore) api ~src ~after =
+  let module NC = (val api : Ava_simnc.Api.S) in
   let graph =
     Ava_simnc.Graphdef.encode ~total_bytes:(mib 1)
       {
@@ -1046,26 +1050,33 @@ let nc_upload ?(cached = false) create e ~src ~after =
   let name = Result.get_ok (NC.mvncGetDeviceName ~index:0) in
   let d = Result.get_ok (NC.mvncOpenDevice ~name) in
   let g = Result.get_ok (NC.mvncAllocateGraph d ~graph_data:graph) in
-  if cached then begin
+  if warm then begin
     Result.get_ok (NC.mvncLoadTensor g ~tensor:src);
     ignore (Result.get_ok (NC.mvncGetResult g))
   end;
   Result.get_ok (NC.mvncLoadTensor g ~tensor:src);
   after src;
-  if cached then
-    Ava_remoting.Server.flush_cache host.Host.nc_server
-      ~vm_id:(Ava_hv.Vm.id guest.Host.ng_vm);
-  let out = Result.get_ok (NC.mvncGetResult g) in
+  settle ();
+  Result.get_ok (NC.mvncGetResult g)
+
+let nc_upload ?(cached = false) create e ~src ~after =
+  let host = create e in
+  let guest = Host.add_nc_vm host ~name:"g0" in
+  let settle () =
+    if cached then
+      Ava_remoting.Server.flush_cache host.Host.nc_server
+        ~vm_id:(Ava_hv.Vm.id guest.Host.ng_vm)
+  in
+  let out = nc_infer ~warm:cached ~settle guest.Host.ng_api ~src ~after in
   (if cached then
      let stub = Option.get guest.Host.ng_stub in
      Alcotest.(check int) "resent in full after a NAK" 1
        (Stub.cache_nak_resends stub));
   out
 
-let st_upload e ~src ~after =
-  let host = Host.create_st_host e in
-  let guest = Host.add_st_vm host ~name:"g0" in
-  let module ST = (val guest.Host.sg_api) in
+(* ST: an async host-to-device copy, read back synchronously. *)
+let st_copy api ~src ~after =
+  let module ST = (val api : Ava_simst.Api.S) in
   let size = Bytes.length src in
   let s = Result.get_ok (ST.stStreamCreate ()) in
   let m = Result.get_ok (ST.stMemAlloc ~size) in
@@ -1073,13 +1084,26 @@ let st_upload e ~src ~after =
   after src;
   Result.get_ok (ST.stMemcpyDtoH ~size m)
 
-(* QA: qaSubmitCompress is forwarded asynchronously and completes by
-   upcall; the device's view is the compressed output, expanded again. *)
-let qa_upload e ~src ~after =
+(* ST: a batch of 1 KiB items, scored on the device when the stream
+   reaches it; the device's view is the scores. *)
+let st_batch api ~src ~after =
+  let module ST = (val api : Ava_simst.Api.S) in
+  let item_size = 1024 in
+  let s = Result.get_ok (ST.stStreamCreate ()) in
+  let ticket = Result.get_ok (ST.stBatchSubmit s ~batch:src ~item_size) in
+  after src;
+  Result.get_ok
+    (ST.stBatchCollect s ~ticket ~size:(4 * (Bytes.length src / item_size)))
+
+let st_remoted run e ~src ~after =
+  let host = Host.create_st_host e in
+  run (Host.add_st_vm host ~name:"g0").Host.sg_api ~src ~after
+
+(* QA: qaSubmitCompress completes by callback (an upcall when remoted);
+   the device's view is the compressed output, expanded again. *)
+let qa_roundtrip api ~src ~after =
   let module T = Ava_simqa.Types in
-  let host = Host.create_qa_host e in
-  let guest = Host.add_qa_vm host ~name:"g0" in
-  let module QA = (val guest.Host.qg_api) in
+  let module QA = (val api : Ava_simqa.Api.S) in
   let inst = Result.get_ok (QA.qaStartInstance ~index:0) in
   let cs = Result.get_ok (QA.qaCreateSession inst T.Dir_compress ~level:6) in
   let ds = Result.get_ok (QA.qaCreateSession inst T.Dir_decompress ~level:6) in
@@ -1098,6 +1122,13 @@ let qa_upload e ~src ~after =
   in
   Result.get_ok (QA.qaDecompress ds ~src:(wait 10_000))
 
+let qa_upload e ~src ~after =
+  let host = Host.create_qa_host e in
+  qa_roundtrip (Host.add_qa_vm host ~name:"g0").Host.qg_api ~src ~after
+
+(* The same calls on a native stack ([Host.native_*]). *)
+let native stack run e ~src ~after = run (fst (stack e)) ~src ~after
+
 let ownership_tests =
   [
     snapshot_case "cl: non-blocking write snapshots its source"
@@ -1114,8 +1145,19 @@ let ownership_tests =
       (nc_upload ~cached:true (fun e ->
            Host.create_nc_host ~transfer_cache:(mib 4) e));
     snapshot_case "st: async host-to-device copy snapshots its source"
-      st_upload;
+      (st_remoted st_copy);
+    snapshot_case "st: batch submit snapshots its batch" (st_remoted st_batch);
     snapshot_case "qa: submitted compression snapshots its source" qa_upload;
+    snapshot_case "native cl: non-blocking write snapshots its source"
+      (native Host.native_cl cl_upload_on);
+    snapshot_case "native nc: load tensor snapshots its source"
+      (native Host.native_nc (fun api -> nc_infer api));
+    snapshot_case "native qa: submitted compression snapshots its source"
+      (native Host.native_qa qa_roundtrip);
+    snapshot_case "native st: async host-to-device copy snapshots its source"
+      (native Host.native_st st_copy);
+    snapshot_case "native st: batch submit snapshots its batch"
+      (native Host.native_st st_batch);
     Alcotest.test_case "cl: blocking reads return size bytes, each its own"
       `Quick (fun () ->
         run_in_engine (fun e ->

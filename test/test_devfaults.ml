@@ -120,7 +120,8 @@ let device_tests =
             Gpu.write_buffer ~client:1 gpu ~buf ~offset:0 ~src;
             (* Read back as an untargeted client so only the write drew
                a corruption. *)
-            let back = Gpu.read_buffer ~client:2 gpu ~buf ~offset:0 ~len:256 in
+            let back = Bytes.create 256 in
+            Gpu.read_into ~client:2 gpu ~buf ~offset:0 ~dst:back;
             let diffs = ref [] in
             Bytes.iteri
               (fun i c -> if c <> 'x' then diffs := (i, c) :: !diffs)

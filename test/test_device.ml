@@ -209,7 +209,8 @@ let gpu_tests =
             in
             let src = Bytes.init 512 (fun i -> Char.chr (i land 0xff)) in
             Gpu.write_buffer gpu ~buf ~offset:100 ~src;
-            let back = Gpu.read_buffer gpu ~buf ~offset:100 ~len:512 in
+            let back = Bytes.create 512 in
+            Gpu.read_into gpu ~buf ~offset:100 ~dst:back;
             Alcotest.(check bytes) "roundtrip" src back;
             Gpu.destroy_buffer gpu buf.Gpu.buf_id;
             Alcotest.(check int) "no live buffers" 0 (Gpu.live_buffers gpu));

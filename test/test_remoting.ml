@@ -3003,6 +3003,184 @@ let silo_table_tests =
               = Error (Ava_simcl.Types.Remoting_failure "malformed reply"))));
   ]
 
+(* --- frozen payloads ----------------------------------------------------
+
+   A handler gets each page-sized argument payload as the request's own
+   segment, and a server-side silo keeps it past the call uncopied (a
+   write's DMA, a queued batch or tensor): nothing may write one.  The
+   checker notes every page-sized [Blob] argument of every executed call
+   ([Server.set_call_hook]); once the calls have drained, each must
+   still digest as one of the payloads the guest sent. *)
+
+let page = Ava_device.Dma.page_size
+let payload = Bytes.init (2 * page) (fun i -> Char.chr (((i * 13) + 5) land 255))
+let text = Bytes.to_string payload
+
+(* Arm the checker on [server]; the returned function reads, once the
+   calls have drained, the functions that held a page-sized payload and
+   those whose payload no longer digests as any of [sent]. *)
+let watch_payloads server ~sent =
+  let sent = List.map Wire.digest sent in
+  let held = ref [] in
+  Server.set_call_hook server (fun ~vm_id:_ ~status:_ c ->
+      List.iter
+        (function
+          | Wire.Blob p when Bytes.length p >= page ->
+              held := (c.Message.call_fn, p) :: !held
+          | _ -> ())
+        c.Message.call_args);
+  fun () ->
+    let fns l = List.sort_uniq compare (List.map fst l) in
+    ( fns !held,
+      fns (List.filter (fun (_, p) -> not (List.mem (Wire.digest p) sent)) !held)
+    )
+
+(* The functions whose spec takes a byte buffer in. *)
+let takes_payload plan =
+  List.filter
+    (fun fn ->
+      List.exists
+        (function
+          | _, (Plan.Copy_in_buffer { elem_size = 1; _ }
+               | Plan.Copy_in_out_buffer { elem_size = 1; _ }) -> true
+          | _ -> false)
+        (Plan.find_exn plan fn).Plan.cp_params)
+    (Plan.function_names plan)
+  |> List.sort compare
+
+(* Each silo's page-sized calls on a fresh host, checker armed on the
+   guest's server; [sabotage e server] may re-register handlers first.
+   Calls that fail (an 8 KiB kernel name) still hand the server their
+   payload. *)
+let frozen_cl ?(sabotage = fun _ _ -> ()) () =
+  let open Ava_simcl.Types in
+  let e = Engine.create () in
+  let host = Host.create_cl_host e in
+  let g = Host.add_cl_vm host ~name:"cl" in
+  sabotage e host.Host.server;
+  let check = watch_payloads host.Host.server ~sent:[ payload ] in
+  let (module CL) = g.Host.g_api in
+  Engine.run_process e (fun () ->
+      let p = List.hd (Result.get_ok (CL.clGetPlatformIDs ())) in
+      let d = List.hd (Result.get_ok (CL.clGetDeviceIDs p Device_gpu)) in
+      let ctx = Result.get_ok (CL.clCreateContext [ d ]) in
+      let q = Result.get_ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
+      let m = Result.get_ok (CL.clCreateBuffer ctx ~size:(Bytes.length payload)) in
+      List.iter
+        (fun blocking ->
+          ignore
+            (CL.clEnqueueWriteBuffer q m ~blocking ~offset:0 ~src:payload
+               ~wait_list:[] ~want_event:false))
+        [ false; true ];
+      ignore (CL.clFinish q);
+      let prog = Result.get_ok (CL.clCreateProgramWithSource ctx ~source:text) in
+      ignore (CL.clBuildProgram prog ~options:text);
+      ignore (CL.clCreateKernel prog ~name:text);
+      (* The guest library sends a 9-byte argument; a raw call sends a
+         page. *)
+      ignore
+        (Stub.invoke_sync (Option.get g.Host.g_stub) ~fn:"clSetKernelArg"
+           ~args:[ Wire.Handle 0x1000L; Wire.int 0; Wire.int (2 * page);
+                   Wire.Blob payload ]));
+  check ()
+
+let frozen_nc () =
+  let e = Engine.create () in
+  let host = Host.create_nc_host e in
+  let g = Host.add_nc_vm host ~name:"nc" in
+  let graph =
+    Ava_simnc.Graphdef.encode ~total_bytes:(4 * page)
+      { Ava_simnc.Graphdef.layer_flops = [ 1e6 ]; output_bytes = page }
+  in
+  let check = watch_payloads host.Host.nc_server ~sent:[ payload; graph ] in
+  let (module NC) = g.Host.ng_api in
+  Engine.run_process e (fun () ->
+      ignore (NC.mvncOpenDevice ~name:text);
+      let name = Result.get_ok (NC.mvncGetDeviceName ~index:0) in
+      let d = Result.get_ok (NC.mvncOpenDevice ~name) in
+      let gr = Result.get_ok (NC.mvncAllocateGraph d ~graph_data:graph) in
+      ignore (NC.mvncLoadTensor gr ~tensor:payload);
+      ignore (NC.mvncGetResult gr));
+  check ()
+
+let frozen_qa () =
+  let open Ava_simqa.Types in
+  let e = Engine.create () in
+  let host = Host.create_qa_host e in
+  let g = Host.add_qa_vm host ~name:"qa" in
+  let check = watch_payloads host.Host.qa_server ~sent:[ payload ] in
+  let (module QA) = g.Host.qg_api in
+  Engine.run_process e (fun () ->
+      let inst = Result.get_ok (QA.qaStartInstance ~index:0) in
+      let cs = Result.get_ok (QA.qaCreateSession inst Dir_compress ~level:6) in
+      let ds = Result.get_ok (QA.qaCreateSession inst Dir_decompress ~level:6) in
+      ignore (QA.qaCompress cs ~src:payload);
+      ignore (QA.qaDecompress ds ~src:payload);
+      ignore
+        (QA.qaSubmitCompress cs ~src:payload ~tag:1 ~callback:(fun ~tag:_ _ -> ()));
+      ignore (QA.qaGetStats inst));
+  check ()
+
+let frozen_st () =
+  let e = Engine.create () in
+  let host = Host.create_st_host e in
+  let g = Host.add_st_vm host ~name:"st" in
+  let check = watch_payloads host.Host.st_server ~sent:[ payload ] in
+  let (module ST) = g.Host.sg_api in
+  Engine.run_process e (fun () ->
+      let s = Result.get_ok (ST.stStreamCreate ()) in
+      let m = Result.get_ok (ST.stMemAlloc ~size:(Bytes.length payload)) in
+      ignore (ST.stMemcpyHtoDAsync m ~src:payload s);
+      let ticket = ST.stBatchSubmit s ~batch:payload ~item_size:1024 in
+      ignore (Result.map (fun ticket -> ST.stBatchCollect s ~ticket ~size:64) ticket);
+      ignore (ST.stLaunchKernel s ~name:text ~a:m ~b:m ~out:m ~n:1);
+      ignore (ST.stStreamSynchronize s));
+  check ()
+
+let scribble p = Bytes.fill p 0 (Bytes.length p) '\xee'
+
+(* A [clEnqueueWriteBuffer] that writes over its payload, [now] or
+   after it has replied. *)
+let scribbling ~now e server =
+  Server.register server "clEnqueueWriteBuffer" (fun _ _ args ->
+      List.iter
+        (function
+          | Wire.Blob p when now -> scribble p
+          | Wire.Blob p ->
+              Engine.spawn e (fun () ->
+                  Engine.delay (Time.us 5);
+                  scribble p)
+          | _ -> ())
+        args;
+      (0, Wire.Unit, []))
+
+let frozen_payload_tests =
+  [
+    Alcotest.test_case "every page-sized argument payload stays frozen" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, plan, run) ->
+            let held, changed = run () in
+            Alcotest.(check (list string)) (name ^ ": every payload function held one")
+              (takes_payload plan) held;
+            Alcotest.(check (list string)) (name ^ ": payloads written") [] changed)
+          [
+            ("SimCL", plan_of Host.load_cl_plan, fun () -> frozen_cl ());
+            ("MVNC", plan_of Host.load_nc_plan, frozen_nc);
+            ("SimQA", plan_of Host.load_qa_plan, frozen_qa);
+            ("SimST", plan_of Host.load_st_plan, frozen_st);
+          ]);
+    Alcotest.test_case "the check fires on a handler that scribbles its input"
+      `Quick (fun () ->
+        List.iter
+          (fun now ->
+            let _, changed = frozen_cl ~sabotage:(scribbling ~now) () in
+            Alcotest.(check (list string))
+              (if now then "scribbled in the handler" else "scribbled after the reply")
+              [ "clEnqueueWriteBuffer" ] changed)
+          [ true; false ]);
+  ]
+
 let () =
   Alcotest.run "ava_remoting"
     [
@@ -3023,4 +3201,5 @@ let () =
       ("hash64", hash_tests);
       ("iovec", iovec_tests);
       ("silo-table", silo_table_tests);
+      ("frozen-payload", frozen_payload_tests);
     ]
