@@ -218,9 +218,9 @@ let pick_host t ?affinity ~name () =
       in
       probe 0
 
-let admit ?footprint ?affinity t ~name =
+let admit ?affinity t ~name =
   let hid = pick_host t ?affinity ~name () in
-  let guest = Host.add_cl_vm ?footprint t.hosts.(hid).h_host ~name in
+  let guest = Host.add_cl_vm t.hosts.(hid).h_host ~name in
   let vm_id = Vm.id guest.Host.g_vm in
   let tn =
     { t_guest = guest; t_vm_id = vm_id; t_host = hid }
@@ -288,7 +288,7 @@ let migrate_tenant t ~vm_id ~dest =
    accumulated device time.  Returns whether the victim now runs on the
    cold host. *)
 
-let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
+let rebalance_now t =
   let bins = List.map (fun i -> (i, host_load t i)) (healthy_hosts t) in
   let candidates ~hot ~cold:_ =
     List.filter_map
@@ -300,6 +300,7 @@ let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
           | None -> None)
       t.tenants
   in
+  let skew = Pool.default_rebalance.rb_skew in
   match Pool.skew_pick ~skew bins ~candidates with
   | None -> false
   | Some { Pool.sm_victim = id; sm_cold = cold; _ } -> (
@@ -308,9 +309,8 @@ let rebalance_now ?(skew = Pool.default_rebalance.rb_skew) t =
       | Some tn -> tn.t_host = cold
       | None -> false)
 
-let start_rebalancer ?(interval = Time.ms 1) ?skew t =
-  spawn_bg t ~interval (fun () ->
-      ignore (rebalance_now ?skew t))
+let start_rebalancer ?(interval = Time.ms 1) t =
+  spawn_bg t ~interval (fun () -> ignore (rebalance_now t))
 
 (* {1 Trace-driven load} *)
 

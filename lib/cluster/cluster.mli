@@ -80,7 +80,7 @@ val unquarantine_host : t -> int -> unit
 
 (** {1 Tenants} *)
 
-val admit : ?footprint:int -> ?affinity:string -> t -> name:string -> tenant
+val admit : ?affinity:string -> t -> name:string -> tenant
 (** Place a new tenant on a host chosen by the policy and attach it
     over the AvA remoting stack.  [affinity] is the locality key under
     {!Affinity} (defaults to [name]).
@@ -114,11 +114,11 @@ val migrate_tenant : t -> vm_id:int -> dest:int -> int
     @raise Invalid_argument when [dest] is out of range or
     quarantined. *)
 
-val start_rebalancer : ?interval:Time.t -> ?skew:float -> t -> unit
+val start_rebalancer : ?interval:Time.t -> t -> unit
 (** Every [interval] (default 1 ms), one fleet-level {!Pool.skew_pick}
     step over the healthy hosts in id order: when the hottest host's
-    load exceeds [skew] (default [Pool.default_rebalance.rb_skew], 1.5)
-    times the healthy average, migrate the resident tenant whose load
+    load exceeds [Pool.default_rebalance.rb_skew] (1.5) times the
+    healthy average, migrate the resident tenant whose load
     best halves the hot-cold gap onto the coldest host; among equally
     good tenants the newest admission wins.  Stopped by {!stop}. *)
 

@@ -154,44 +154,44 @@ let decode_kernel_arg payload =
 
 (* A creating call's errcode_ret out-parameter comes back as success. *)
 let created = Fresh [ i 0 ]
-let fire1 name run = fn1 name Fire [ A Handle ] Done run
 
 (* Platforms and devices: their ids cross unresolved. *)
 let clGetPlatformIDs =
-  fn0 "clGetPlatformIDs" Sync [ Const (i 16); Out; Out ] (Ret (Sized Handles))
+  fn0 "clGetPlatformIDs" [ Const (i 16); Out; Out ] (Ret (Sized Handles))
     (fun (module CL) -> CL.clGetPlatformIDs ())
 let clGetPlatformInfo =
-  fn2 "clGetPlatformInfo" Sync
+  fn2 "clGetPlatformInfo"
     [ A Raw; B (Enum platform_info); Const (i 256); Out ] (Ret Str)
     (fun (module CL) -> CL.clGetPlatformInfo)
 let clGetDeviceIDs =
-  fn2 "clGetDeviceIDs" Sync
+  fn2 "clGetDeviceIDs"
     [ A Raw; B (Enum device_type); Const (i 16); Out; Out ] (Ret (Sized Handles))
     (fun (module CL) -> CL.clGetDeviceIDs)
 let clGetDeviceInfo =
-  fn2 "clGetDeviceInfo" Sync
+  fn2 "clGetDeviceInfo"
     [ A Raw; B (Enum device_info); Const (i 256); Out ]
     (Ret (Coded (encode_info, decode_info)))
     (fun (module CL) -> CL.clGetDeviceInfo)
 
 (* Contexts and command queues. *)
 let clCreateContext =
-  fn1 "clCreateContext" Sync [ A (Sized Handles); Out ] created
+  fn1 "clCreateContext" [ A (Sized Handles); Out ] created
     (fun (module CL) -> CL.clCreateContext)
 let clRetainContext =
-  fire1 "clRetainContext" (fun (module CL) -> CL.clRetainContext)
+  on_handle "clRetainContext" (fun (module CL) -> CL.clRetainContext)
 let clReleaseContext =
-  fire1 "clReleaseContext" (fun (module CL) -> CL.clReleaseContext)
+  on_handle "clReleaseContext" (fun (module CL) -> CL.clReleaseContext)
 let clGetContextInfo =
-  fn1 "clGetContextInfo" Sync [ A Handle; Out ] (Ret Int)
+  fn1 "clGetContextInfo" [ A Handle; Out ] (Ret Int)
     (fun (module CL) -> CL.clGetContextInfo)
 let clCreateCommandQueue =
-  fn3 "clCreateCommandQueue" Sync [ A Handle; B Handle; C (Flag 2); Out ] created
+  fn3 "clCreateCommandQueue" [ A Handle; B Handle; C (Flag 2); Out ] created
     (fun (module CL) c d profiling -> CL.clCreateCommandQueue c d ~profiling)
 let clRetainCommandQueue =
-  fire1 "clRetainCommandQueue" (fun (module CL) -> CL.clRetainCommandQueue)
+  on_handle "clRetainCommandQueue" (fun (module CL) -> CL.clRetainCommandQueue)
 let clReleaseCommandQueue =
-  fire1 "clReleaseCommandQueue" (fun (module CL) -> CL.clReleaseCommandQueue)
+  on_handle "clReleaseCommandQueue" (fun (module CL) ->
+      CL.clReleaseCommandQueue)
 
 (* By hand: the reply maps the host context back to its virtual id. *)
 let get_queue_info =
@@ -207,39 +207,40 @@ let get_queue_info =
 
 (* Memory objects, programs and kernels. *)
 let clCreateBuffer =
-  fn2 "clCreateBuffer" Sync [ A Handle; Const (i 0); B Int; Out ] created
+  fn2 "clCreateBuffer" [ A Handle; Const (i 0); B Int; Out ] created
     (fun (module CL) c size -> CL.clCreateBuffer c ~size)
 let clRetainMemObject =
-  fire1 "clRetainMemObject" (fun (module CL) -> CL.clRetainMemObject)
+  on_handle "clRetainMemObject" (fun (module CL) -> CL.clRetainMemObject)
 let clReleaseMemObject =
-  fire1 "clReleaseMemObject" (fun (module CL) -> CL.clReleaseMemObject)
+  on_handle "clReleaseMemObject" (fun (module CL) -> CL.clReleaseMemObject)
 let clGetMemObjectInfo =
-  fn1 "clGetMemObjectInfo" Sync [ A Handle; Out ] (Ret Int)
+  fn1 "clGetMemObjectInfo" [ A Handle; Out ] (Ret Int)
     (fun (module CL) -> CL.clGetMemObjectInfo)
 let clCreateProgramWithSource =
-  fn2 "clCreateProgramWithSource" Sync [ A Handle; B (Sized Str); Out ] created
+  fn2 "clCreateProgramWithSource" [ A Handle; B (Sized Str); Out ] created
     (fun (module CL) c source -> CL.clCreateProgramWithSource c ~source)
 let clBuildProgram =
-  fn2 "clBuildProgram" Sync [ A Handle; B (Sized Str) ] Done
+  fn2 "clBuildProgram" [ A Handle; B (Sized Str) ] Done
     (fun (module CL) p options -> CL.clBuildProgram p ~options)
 let clGetProgramBuildInfo =
-  fn1 "clGetProgramBuildInfo" Sync [ A Handle; Const (i 4096); Out ] (Ret Str)
+  fn1 "clGetProgramBuildInfo" [ A Handle; Const (i 4096); Out ] (Ret Str)
     (fun (module CL) -> CL.clGetProgramBuildInfo)
 let clRetainProgram =
-  fire1 "clRetainProgram" (fun (module CL) -> CL.clRetainProgram)
+  on_handle "clRetainProgram" (fun (module CL) -> CL.clRetainProgram)
 let clReleaseProgram =
-  fire1 "clReleaseProgram" (fun (module CL) -> CL.clReleaseProgram)
+  on_handle "clReleaseProgram" (fun (module CL) -> CL.clReleaseProgram)
 let clCreateKernel =
-  fn2 "clCreateKernel" Sync [ A Handle; B (Sized Str); Out ] created
+  fn2 "clCreateKernel" [ A Handle; B (Sized Str); Out ] created
     (fun (module CL) p name -> CL.clCreateKernel p ~name)
-let clRetainKernel = fire1 "clRetainKernel" (fun (module CL) -> CL.clRetainKernel)
+let clRetainKernel =
+  on_handle "clRetainKernel" (fun (module CL) -> CL.clRetainKernel)
 let clReleaseKernel =
-  fire1 "clReleaseKernel" (fun (module CL) -> CL.clReleaseKernel)
+  on_handle "clReleaseKernel" (fun (module CL) -> CL.clReleaseKernel)
 let clGetKernelInfo =
-  fn1 "clGetKernelInfo" Sync [ A Handle; Const (i 256); Out ] (Ret Str)
+  fn1 "clGetKernelInfo" [ A Handle; Const (i 256); Out ] (Ret Str)
     (fun (module CL) -> CL.clGetKernelInfo)
 let clGetKernelWorkGroupInfo =
-  fn2 "clGetKernelWorkGroupInfo" Sync [ A Handle; B Handle; Out ] (Ret Int)
+  fn2 "clGetKernelWorkGroupInfo" [ A Handle; B Handle; Out ] (Ret Int)
     (fun (module CL) -> CL.clGetKernelWorkGroupInfo)
 
 (* By hand: a mem argument inside the payload is resolved, and touched
@@ -364,18 +365,19 @@ let enqueue_fill =
       | _ -> raise Server.Bad_args)
 
 (* Synchronization and events. *)
-let clFlush = fire1 "clFlush" (fun (module CL) -> CL.clFlush)
-let clFinish = fn1 "clFinish" Sync [ A Handle ] Done (fun (module CL) -> CL.clFinish)
+let clFlush = on_handle "clFlush" (fun (module CL) -> CL.clFlush)
+let clFinish = on_handle "clFinish" (fun (module CL) -> CL.clFinish)
 let clWaitForEvents =
-  fn1 "clWaitForEvents" Sync [ A (Counted Handles) ] Done
+  fn1 "clWaitForEvents" [ A (Counted Handles) ] Done
     (fun (module CL) -> CL.clWaitForEvents)
 let clGetEventInfo =
-  fn1 "clGetEventInfo" Sync [ A Handle; Out ] (Ret (Enum event_status))
+  fn1 "clGetEventInfo" [ A Handle; Out ] (Ret (Enum event_status))
     (fun (module CL) -> CL.clGetEventInfo)
 let clGetEventProfilingInfo =
-  fn2 "clGetEventProfilingInfo" Sync [ A Handle; B (Enum profiling_info); Out ]
+  fn2 "clGetEventProfilingInfo" [ A Handle; B (Enum profiling_info); Out ]
     (Ret Int) (fun (module CL) -> CL.clGetEventProfilingInfo)
-let clReleaseEvent = fire1 "clReleaseEvent" (fun (module CL) -> CL.clReleaseEvent)
+let clReleaseEvent =
+  on_handle "clReleaseEvent" (fun (module CL) -> CL.clReleaseEvent)
 
 (* Live-object accessors for migration: device buffers, moved over the
    owning device's DMA path. *)
@@ -425,8 +427,8 @@ let create stub =
     let clReleaseCommandQueue q = call1 stub clReleaseCommandQueue q
 
     let clGetCommandQueueInfo q =
-      sync stub ~fn:get_queue_info ~args:[ h q; u ] (fun reply ->
-          Ok (to_i (out reply 0)))
+      call stub ~fn:get_queue_info ~args:[ h q; u ] cannot_forward
+        (fun _ reply -> Ok (to_i (out reply 0)))
 
     let clCreateBuffer c ~size = call2 stub clCreateBuffer c size
     let clRetainMemObject m = call1 stub clRetainMemObject m
@@ -446,34 +448,39 @@ let create stub =
 
     let clSetKernelArg k ~index arg =
       let payload = encode_kernel_arg arg in
-      fire stub ~fn:set_kernel_arg
+      call stub ~fn:set_kernel_arg
         ~args:[ h k; i index; i (Bytes.length payload); b payload ]
-        (Ok ())
+        (Ok ()) keep
 
     let clGetKernelInfo k = call1 stub clGetKernelInfo k
     let clGetKernelWorkGroupInfo k d = call2 stub clGetKernelWorkGroupInfo k d
 
     (* An enqueue ends with its wait list and its event out-parameter: a
-       guest id assigned here when the caller wants an event, so even an
-       async forward returns a usable handle. *)
+       guest id assigned here when the caller wants an event, so even a
+       forwarded enqueue answers a usable handle. *)
     let event want_event =
       if want_event then Some (Stub.fresh_handle stub) else None
 
     let waits wait_list gid =
       [ i (List.length wait_list); l wait_list; Option.fold ~none:u ~some:h gid ]
 
+    let enqueue fn gid args = call stub ~fn ~args (Ok gid) keep
+
     let clEnqueueNDRangeKernel q k ~global_work_size ~local_work_size
         ~wait_list ~want_event =
       let gid = event want_event in
-      fire stub ~fn:enqueue_nd_range (Ok gid)
-        ~args:
-          (h q :: h k :: i global_work_size :: i local_work_size
-          :: waits wait_list gid)
+      enqueue enqueue_nd_range gid
+        (h q :: h k :: i global_work_size :: i local_work_size
+        :: waits wait_list gid)
 
     let clEnqueueTask q k ~wait_list ~want_event =
       let gid = event want_event in
-      fire stub ~fn:enqueue_task ~args:(h q :: h k :: waits wait_list gid) (Ok gid)
+      enqueue enqueue_task gid (h q :: h k :: waits wait_list gid)
 
+    (* The read also answers its data, in a buffer chosen by [blocking]:
+       a waited read hands over the reply's blob, a forwarded one
+       answers a buffer its reply fills later (the caller waits on the
+       event or clFinish). *)
     let clEnqueueReadBuffer q m ~blocking ~offset ~size ~wait_list ~want_event
         =
       let gid = event want_event in
@@ -492,7 +499,7 @@ let create stub =
       if blocking then
         (* The reply blob was decoded for this call alone: hand it over
            when it is exactly [size] bytes instead of copying it. *)
-        sync stub ~fn:enqueue_read ~args (fun reply ->
+        call stub ~fn:enqueue_read ~args cannot_forward (fun _ reply ->
             match reply.Message.reply_outs with
             | Wire.Blob data :: _ when Bytes.length data = size ->
                 Ok (data, gid)
@@ -501,36 +508,30 @@ let create stub =
                 blit dst reply;
                 Ok (dst, gid))
       else
-        (* Asynchronously forwarded: the data lands in [dst] when the
-           reply arrives; callers must wait on the event or clFinish. *)
         let dst = fresh () in
-        fire stub ~on_reply:(blit dst) ~fn:enqueue_read ~args (Ok (dst, gid))
+        call ~on_reply:(blit dst) stub ~fn:enqueue_read ~args (Ok (dst, gid))
+          keep
 
     let clEnqueueWriteBuffer q m ~blocking ~offset ~src ~wait_list ~want_event
         =
       let gid = event want_event in
-      let args =
-        h q :: h m :: i (bool_int blocking) :: i offset :: i (Bytes.length src)
-        :: b src :: waits wait_list gid
-      in
-      if blocking then sync stub ~fn:enqueue_write ~args (fun _ -> Ok gid)
-      else fire stub ~fn:enqueue_write ~args (Ok gid)
+      enqueue enqueue_write gid
+        (h q :: h m :: i (bool_int blocking) :: i offset :: i (Bytes.length src)
+        :: b src :: waits wait_list gid)
 
     let clEnqueueCopyBuffer q ~src ~dst ~src_offset ~dst_offset ~size
         ~wait_list ~want_event =
       let gid = event want_event in
-      fire stub ~fn:enqueue_copy (Ok gid)
-        ~args:
-          (h q :: h src :: h dst :: i src_offset :: i dst_offset :: i size
-          :: waits wait_list gid)
+      enqueue enqueue_copy gid
+        (h q :: h src :: h dst :: i src_offset :: i dst_offset :: i size
+        :: waits wait_list gid)
 
     let clEnqueueFillBuffer q m ~pattern ~offset ~size ~wait_list ~want_event
         =
       let gid = event want_event in
-      fire stub ~fn:enqueue_fill (Ok gid)
-        ~args:
-          (h q :: h m :: i (Char.code pattern) :: i offset :: i size
-          :: waits wait_list gid)
+      enqueue enqueue_fill gid
+        (h q :: h m :: i (Char.code pattern) :: i offset :: i size
+        :: waits wait_list gid)
 
     let clFlush q = call1 stub clFlush q
     let clFinish q = call1 stub clFinish q

@@ -60,9 +60,7 @@ let sync_everything (spec : Ava_spec.Ast.api_spec) =
         spec.Ava_spec.Ast.fns;
   }
 
-let load_plan ?(sync_only = false) name load =
-  let spec = load () in
-  let spec = if sync_only then sync_everything spec else spec in
+let compile name spec =
   match Plan.compile spec with
   | Ok plan -> (spec, plan)
   | Error e -> failwith (name ^ " plan compilation failed: " ^ e)
@@ -70,15 +68,13 @@ let load_plan ?(sync_only = false) name load =
 (* Each plan is parsed and compiled once per process: spec and plan are
    immutable, and parsing would otherwise be nearly all of a host's
    construction. *)
-let cl_plan = lazy (load_plan "simcl" Ava_spec.Specs.load_simcl)
-let cl_sync_plan = lazy (load_plan ~sync_only:true "simcl" Ava_spec.Specs.load_simcl)
-
-let load_cl_plan ?(sync_only = false) () =
-  Lazy.force (if sync_only then cl_sync_plan else cl_plan)
-
-let nc_plan = lazy (load_plan "mvnc" Ava_spec.Specs.load_mvnc)
-let qa_plan = lazy (load_plan "qat" Ava_spec.Specs.load_qat)
-let st_plan = lazy (load_plan "simst" Ava_spec.Specs.load_simst)
+let cl_plan = lazy (compile "simcl" (Ava_spec.Specs.load_simcl ()))
+let cl_sync_plan =
+  lazy (compile "simcl" (sync_everything (Ava_spec.Specs.load_simcl ())))
+let nc_plan = lazy (compile "mvnc" (Ava_spec.Specs.load_mvnc ()))
+let qa_plan = lazy (compile "qat" (Ava_spec.Specs.load_qat ()))
+let st_plan = lazy (compile "simst" (Ava_spec.Specs.load_simst ()))
+let load_cl_plan () = Lazy.force cl_plan
 let load_nc_plan () = Lazy.force nc_plan
 let load_qa_plan () = Lazy.force qa_plan
 let load_st_plan () = Lazy.force st_plan
@@ -220,7 +216,7 @@ let create_cl_host ?(virt = Timing.default_virt) ?swap_capacity
         Gpu.create ~timing:Timing.gtx1080 ?devfault:devfaults engine)
   in
   let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base () in
-  let spec, plan = load_cl_plan ~sync_only () in
+  let spec, plan = Lazy.force (if sync_only then cl_sync_plan else cl_plan) in
   let swap_on gpu capacity =
     let dma_move ~key:_ ~bytes =
       if swap_page_granularity then begin
@@ -402,11 +398,6 @@ type nc_host = {
   nc_router : Router.t;
   nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
-  nc_sva : bool;
-  nc_dma : Dma.t option;
-      (* standalone DMA model for SVA scatter-gather charges: Ncs moves
-         data over USB and exposes no Dma.t of its own *)
-  nc_iommus : (int, Iommu.t) Hashtbl.t;
 }
 
 type nc_guest = {
@@ -415,8 +406,7 @@ type nc_guest = {
   ng_stub : Stub.t option;
 }
 
-let create_nc_host ?(transfer_cache = 0) ?(sva = false) ?devfaults ?obs
-    engine =
+let create_nc_host ?(transfer_cache = 0) ?devfaults ?obs engine =
   let virt = Timing.default_virt in
   let dev = Ncs.create ~timing:Timing.movidius ?devfault:devfaults engine in
   let hv = Ava_hv.Hypervisor.create ~virt () in
@@ -435,37 +425,13 @@ let create_nc_host ?(transfer_cache = 0) ?(sva = false) ?devfaults ?obs
     nc_router = router;
     nc_server = server;
     nc_obs = obs;
-    nc_sva = sva;
-    (* SVA resolution never streams through this engine (stream:false),
-       so only the descriptor-setup cost matters; GPU PCIe numbers are a
-       fine stand-in for the host-side DMA block. *)
-    nc_dma = (if sva then Some (Dma.of_gpu_timing Timing.gtx1080) else None);
-    nc_iommus = Hashtbl.create 8;
   }
 
-(* NCS fault budget: server device-lost plus the MVNC-level GONE status
-   an unplugged/reset stick reports. *)
-let nc_fault_statuses =
-  [
-    Server.status_device_lost;
-    Ava_simnc.Types.status_to_code Ava_simnc.Types.Gone;
-  ]
-
-let add_nc_vm ?rate_per_s ?weight ?breaker t ~name =
+let add_nc_vm t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.nc_hv ~name in
-  let sva =
-    match (t.nc_sva, t.nc_dma) with
-    | true, Some dma ->
-        let iommu = Iommu.create () in
-        Hashtbl.replace t.nc_iommus (Ava_hv.Vm.id vm) iommu;
-        Some (iommu, dma)
-    | _ -> None
-  in
   let stub =
-    attach_ava ?rate_per_s ?weight ?breaker
-      ~breaker_statuses:nc_fault_statuses ?sva ?obs:t.nc_obs t.nc_engine
-      ~hv:t.nc_hv ~router:t.nc_router ~server:t.nc_server ~plan:t.nc_plan
-      ~kind:Transport.Shm_ring vm
+    attach_ava ?obs:t.nc_obs t.nc_engine ~hv:t.nc_hv ~router:t.nc_router
+      ~server:t.nc_server ~plan:t.nc_plan ~kind:Transport.Shm_ring vm
   in
   let api = Nc_silo.create stub in
   { ng_vm = vm; ng_api = api; ng_stub = Some stub }
@@ -493,7 +459,8 @@ type qa_guest = {
   qg_stub : Stub.t option;
 }
 
-let create_qa_host ?(virt = Timing.default_virt) ?obs engine =
+let create_qa_host ?obs engine =
+  let virt = Timing.default_virt in
   let dev = Ava_simqa.Device.create ~timing:Ava_simqa.Device.dh895xcc engine in
   let hv = Ava_hv.Hypervisor.create ~virt () in
   let _spec, plan = load_qa_plan () in
@@ -512,12 +479,11 @@ let create_qa_host ?(virt = Timing.default_virt) ?obs engine =
     qa_obs = obs;
   }
 
-let add_qa_vm ?rate_per_s ?weight t ~name =
+let add_qa_vm t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.qa_hv ~name in
   let stub =
-    attach_ava ?rate_per_s ?weight ?obs:t.qa_obs t.qa_engine ~hv:t.qa_hv
-      ~router:t.qa_router ~server:t.qa_server ~plan:t.qa_plan
-      ~kind:Transport.Shm_ring vm
+    attach_ava ?obs:t.qa_obs t.qa_engine ~hv:t.qa_hv ~router:t.qa_router
+      ~server:t.qa_server ~plan:t.qa_plan ~kind:Transport.Shm_ring vm
   in
   let api = Qa_silo.create stub in
   { qg_vm = vm; qg_api = api; qg_stub = Some stub }
@@ -561,7 +527,7 @@ let st_phys cap dev =
     ph_busy_ns = (fun () -> Ava_simst.Device.busy_ns dev);
     ph_kernels = (fun () -> Ava_simst.Device.kernels_executed dev);
     ph_capacity = Ava_simst.Device.capacity dev;
-    ph_wedged_by = (fun () -> Ava_simst.Device.wedged_by dev);
+    ph_wedged_by = (fun () -> None);
     ph_kill = (fun () -> Ava_simst.Device.kill dev);
     ph_gpu = None;
   }
@@ -569,11 +535,11 @@ let st_phys cap dev =
 (* [fleet] is the capability tag per pool device (default one
    [Cap_stream] device); each class runs its own timing preset — that
    contrast is the point of a mixed fleet. *)
-let create_st_host ?(virt = Timing.default_virt) ?obs
-    ?(fleet = [ Pool.Cap_stream ]) ?(placement = Pool.Round_robin) ?rebalance
-    ?vm_id_base engine =
+let create_st_host ?obs ?(fleet = [ Pool.Cap_stream ])
+    ?(placement = Pool.Round_robin) ?rebalance engine =
   if fleet = [] then invalid_arg "create_st_host: fleet must be non-empty";
-  let hv = Ava_hv.Hypervisor.create ~virt ?vm_id_base () in
+  let virt = Timing.default_virt in
+  let hv = Ava_hv.Hypervisor.create ~virt () in
   let spec, plan = load_st_plan () in
   let caps = Array.of_list fleet in
   let devs =
@@ -611,25 +577,15 @@ let create_st_host ?(virt = Timing.default_virt) ?obs
     st_pool = pool;
   }
 
-(* SimST fault budget: server device-lost plus the ST-level device-lost
-   a killed accelerator reports. *)
-let st_fault_statuses =
-  [
-    Server.status_device_lost;
-    Ava_simst.Types.status_to_code Ava_simst.Types.St_device_lost;
-  ]
-
 (* [requires] declares the VM's capability requirement: placement only
    considers matching devices and migration refuses cross-capability
    destinations; portable VMs ([None]) go wherever the policy points. *)
-let add_st_vm ?rate_per_s ?weight ?breaker ?requires ?footprint ?device t
-    ~name =
+let add_st_vm ?requires ?device t ~name =
   let vm = Ava_hv.Hypervisor.create_vm t.st_hv ~name in
-  let backend = Pool.place ?footprint ?requires ?device t.st_pool ~vm in
+  let backend = Pool.place ?requires ?device t.st_pool ~vm in
   let stub =
-    attach_ava ?rate_per_s ?weight ?breaker
-      ~breaker_statuses:st_fault_statuses ~backend ?obs:t.st_obs t.st_engine
-      ~hv:t.st_hv ~router:t.st_router ~server:(Pool.server t.st_pool backend)
+    attach_ava ~backend ?obs:t.st_obs t.st_engine ~hv:t.st_hv
+      ~router:t.st_router ~server:(Pool.server t.st_pool backend)
       ~plan:t.st_plan ~kind:Transport.Shm_ring vm
   in
   let api = St_silo.create stub in

@@ -80,12 +80,11 @@ type cl_guest = {
   g_technique : technique;
 }
 
-val load_cl_plan :
-  ?sync_only:bool -> unit -> Ava_spec.Ast.api_spec * Plan.t
-(** The embedded spec and its compiled plan ([sync_only]: every call
-    made synchronous).  Each silo's pair is built once per process and
-    shared, as both are immutable; so are [load_nc_plan],
-    [load_qa_plan] and [load_st_plan]'s. *)
+val load_cl_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
+(** The embedded spec and its compiled plan.  Each silo's pair is built
+    once per process and shared, as both are immutable; so are
+    [load_nc_plan], [load_qa_plan] and [load_st_plan]'s, and
+    {!create_cl_host}'s [sync_only] pair. *)
 
 val create_cl_host :
   ?virt:Timing.virt ->
@@ -210,11 +209,6 @@ type nc_host = {
   nc_router : Router.t;
   nc_server : Nc_silo.state Server.t;
   nc_obs : Obs.t option;
-  nc_sva : bool;
-  nc_dma : Dma.t option;
-      (** standalone DMA block backing SVA scatter-gather charges (the
-          stick itself moves data over USB) *)
-  nc_iommus : (int, Iommu.t) Hashtbl.t;
 }
 
 type nc_guest = {
@@ -227,23 +221,13 @@ val load_nc_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_nc_host :
   ?transfer_cache:int ->
-  ?sva:bool ->
   ?devfaults:Devfault.t ->
   ?obs:Obs.t ->
   Engine.t ->
   nc_host
-(** [transfer_cache], [sva], [devfaults] and [obs] as in
-    {!create_cl_host}. *)
+(** [transfer_cache], [devfaults] and [obs] as in {!create_cl_host}. *)
 
-val add_nc_vm :
-  ?rate_per_s:float ->
-  ?weight:float ->
-  ?breaker:Ava_remoting.Policy.Breaker.config ->
-  nc_host ->
-  name:string ->
-  nc_guest
-(** [breaker] as in {!add_cl_vm}; the NCS fault budget counts
-    device-lost and MVNC GONE replies. *)
+val add_nc_vm : nc_host -> name:string -> nc_guest
 
 val native_nc : Engine.t -> (module Ava_simnc.Api.S) * Ncs.t
 
@@ -268,18 +252,12 @@ type qa_guest = {
 val load_qa_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_qa_host :
-  ?virt:Timing.virt ->
   ?obs:Obs.t ->
   Engine.t ->
   qa_host
 (** [obs] as in {!create_cl_host}. *)
 
-val add_qa_vm :
-  ?rate_per_s:float ->
-  ?weight:float ->
-  qa_host ->
-  name:string ->
-  qa_guest
+val add_qa_vm : qa_host -> name:string -> qa_guest
 
 val native_qa : Engine.t -> (module Ava_simqa.Api.S) * Ava_simqa.Device.t
 
@@ -313,12 +291,10 @@ type st_guest = {
 val load_st_plan : unit -> Ava_spec.Ast.api_spec * Plan.t
 
 val create_st_host :
-  ?virt:Timing.virt ->
   ?obs:Obs.t ->
   ?fleet:Pool.capability list ->
   ?placement:Pool.placement ->
   ?rebalance:Pool.rebalance ->
-  ?vm_id_base:int ->
   Engine.t ->
   st_host
 (** [fleet] tags one pool device per element (default a single
@@ -328,11 +304,7 @@ val create_st_host :
     {!create_cl_host}. *)
 
 val add_st_vm :
-  ?rate_per_s:float ->
-  ?weight:float ->
-  ?breaker:Ava_remoting.Policy.Breaker.config ->
   ?requires:Pool.capability ->
-  ?footprint:int ->
   ?device:int ->
   st_host ->
   name:string ->

@@ -23,37 +23,35 @@ let graph_option = [ (Graph_time_taken_us, 0); (Graph_executors, 1) ]
 let device_option = [ (Device_thermal_throttle, 0); (Device_memory_used, 1) ]
 
 let mvncGetDeviceName =
-  fn1 "mvncGetDeviceName" Sync [ A Int; Out; Const (i 64) ] (Ret Str)
+  fn1 "mvncGetDeviceName" [ A Int; Out; Const (i 64) ] (Ret Str)
     (fun (module NC) index -> NC.mvncGetDeviceName ~index)
 let mvncOpenDevice =
-  fn1 "mvncOpenDevice" Sync [ A (Sized Str); Out ] (Fresh [])
+  fn1 "mvncOpenDevice" [ A (Sized Str); Out ] (Fresh [])
     (fun (module NC) name -> NC.mvncOpenDevice ~name)
 let mvncCloseDevice =
-  fn1 "mvncCloseDevice" Sync [ A Handle ] Done
-    (fun (module NC) -> NC.mvncCloseDevice)
+  on_handle "mvncCloseDevice" (fun (module NC) -> NC.mvncCloseDevice)
 let mvncAllocateGraph =
-  fn2 "mvncAllocateGraph" Sync [ A Handle; Out; B (Sized Blob) ] (Fresh [])
+  fn2 "mvncAllocateGraph" [ A Handle; Out; B (Sized Blob) ] (Fresh [])
     (fun (module NC) d graph_data -> NC.mvncAllocateGraph d ~graph_data)
 let mvncDeallocateGraph =
-  fn1 "mvncDeallocateGraph" Sync [ A Handle ] Done
-    (fun (module NC) -> NC.mvncDeallocateGraph)
+  on_handle "mvncDeallocateGraph" (fun (module NC) -> NC.mvncDeallocateGraph)
 (* The NCSDK's own pipelining call: forwarded asynchronously. *)
 let mvncLoadTensor =
-  fn2 "mvncLoadTensor" Fire [ A Handle; B (Sized Blob) ] Done
+  fn2 "mvncLoadTensor" [ A Handle; B (Sized Blob) ] Done
     (fun (module NC) g tensor -> NC.mvncLoadTensor g ~tensor)
 let mvncGetResult =
-  fn1 "mvncGetResult" Sync [ A Handle; Out; Const (i (1 lsl 20)) ]
+  fn1 "mvncGetResult" [ A Handle; Out; Const (i (1 lsl 20)) ]
     (Ret (Sized Blob)) (fun (module NC) -> NC.mvncGetResult)
 let mvncGetGraphOption =
-  fn2 "mvncGetGraphOption" Sync [ A Handle; B (Enum graph_option); Out ]
+  fn2 "mvncGetGraphOption" [ A Handle; B (Enum graph_option); Out ]
     (Ret Int) (fun (module NC) -> NC.mvncGetGraphOption)
 (* Async in the spec: a refused option surfaces at the next
    synchronous call. *)
 let mvncSetGraphOption =
-  fn3 "mvncSetGraphOption" Fire [ A Handle; B (Enum graph_option); C Int ]
+  fn3 "mvncSetGraphOption" [ A Handle; B (Enum graph_option); C Int ]
     Done (fun (module NC) -> NC.mvncSetGraphOption)
 let mvncGetDeviceOption =
-  fn2 "mvncGetDeviceOption" Sync [ A Handle; B (Enum device_option); Out ]
+  fn2 "mvncGetDeviceOption" [ A Handle; B (Enum device_option); Out ]
     (Ret Int) (fun (module NC) -> NC.mvncGetDeviceOption)
 
 let create stub =

@@ -28,25 +28,23 @@ end)
 let direction = [ (Dir_compress, 0); (Dir_decompress, 1) ]
 
 let qaGetNumInstances =
-  fn0 "qaGetNumInstances" Sync [ Out ] (Ret Int)
+  fn0 "qaGetNumInstances" [ Out ] (Ret Int)
     (fun (module QA) -> QA.qaGetNumInstances ())
 let qaStartInstance =
-  fn1 "qaStartInstance" Sync [ A Int; Out ] (Fresh [])
+  fn1 "qaStartInstance" [ A Int; Out ] (Fresh [])
     (fun (module QA) index -> QA.qaStartInstance ~index)
 let qaStopInstance =
-  fn1 "qaStopInstance" Sync [ A Handle ] Done
-    (fun (module QA) -> QA.qaStopInstance)
+  on_handle "qaStopInstance" (fun (module QA) -> QA.qaStopInstance)
 let qaCreateSession =
-  fn3 "qaCreateSession" Sync [ A Handle; B (Enum direction); C Int; Out ]
+  fn3 "qaCreateSession" [ A Handle; B (Enum direction); C Int; Out ]
     (Fresh []) (fun (module QA) inst dir level ->
       QA.qaCreateSession inst dir ~level)
 let qaRemoveSession =
-  fn1 "qaRemoveSession" Sync [ A Handle ] Done
-    (fun (module QA) -> QA.qaRemoveSession)
+  on_handle "qaRemoveSession" (fun (module QA) -> QA.qaRemoveSession)
 
 (* The destination is an out-parameter bounded by its capacity. *)
 let xfer name run =
-  fn2 name Sync [ A Handle; B (Sized Blob); Out; Const (i (16 * 1024 * 1024)) ]
+  fn2 name [ A Handle; B (Sized Blob); Out; Const (i (16 * 1024 * 1024)) ]
     (Ret (Sized Blob)) run
 
 let qaCompress = xfer "qaCompress" (fun (module QA) s src -> QA.qaCompress s ~src)
@@ -107,16 +105,17 @@ let create stub =
                 callback ~tag:(Int64.to_int tag) out
             | _ -> ())
       in
-      fire stub ~fn:submit_compress
+      call stub ~fn:submit_compress
         ~args:[ h sess; b src; i (Bytes.length src); i cb; i tag ]
-        (Ok ())
+        (Ok ()) keep
 
     let qaGetStats inst =
-      sync stub ~fn:get_stats ~args:[ h inst; u; u ] (fun reply ->
-          Ok (to_i (out reply 0), to_i (out reply 1)))
+      call stub ~fn:get_stats ~args:[ h inst; u; u ] cannot_forward
+        (fun _ reply -> Ok (to_i (out reply 0), to_i (out reply 1)))
 
     let qaGetStatsEx inst =
-      sync stub ~fn:get_stats_ex ~args:[ h inst; u ] (fun reply ->
+      call stub ~fn:get_stats_ex ~args:[ h inst; u ] cannot_forward
+        (fun _ reply ->
           match to_l (out reply 0) with
           | [ ops; bytes_in; bytes_out ] ->
               Ok

@@ -75,15 +75,12 @@ type _ returns =
   | Fresh : Wire.value list -> int returns
   | Ret : 'r form -> 'r returns
 
-type mode = Sync | Fire
-
 type ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn = {
   name : string;
-  mode : mode;
   slots : ('a, 'b, 'c, 'd, 'e, 'f) slot list;
   returns : 'r returns;
   width : int;
-  parse : 'err. Message.reply -> ('r, 'err) result;
+  parse : 'err. ('r, 'err) result -> Message.reply -> ('r, 'err) result;
       (** made once per declaration, so a guest call makes no parser *)
 }
 
@@ -187,10 +184,10 @@ let parse_returns : type r e. r returns -> Message.reply -> (r, e) result =
       | _ -> raise (Malformed "expected handle return"))
   | Ret f -> Ok (read f (out reply (value_at f)))
 
-let declare name mode slots returns =
+let declare name slots returns =
   let width = List.fold_left (fun n s -> n + slot_width s) 0 slots in
-  let parse reply = parse_returns returns reply in
-  { name; mode; slots; returns; width; parse }
+  let parse _ reply = parse_returns returns reply in
+  { name; slots; returns; width; parse }
 
 (* Where a parameter's value sits in the frame, and its form. *)
 let locate pick slots =
@@ -228,44 +225,44 @@ struct
   (* A reply the parse cannot read (short out list, mistyped value,
      unknown enum code) is the silo's failure, never an exception
      escaping into the guest. *)
-  let parse_reply parse reply =
-    match parse reply with
+  let parse_reply parse ok reply =
+    match parse ok reply with
     | r -> r
     | exception Server.Bad_args -> Error (S.failure "malformed reply")
     | exception Malformed msg -> Error (S.failure msg)
 
-  (* Deferred async errors outrank the current call's result. *)
-  let sync stub ~fn ~args parse =
-    match Stub.invoke_sync stub ~fn ~args with
-    | Error msg -> Error (S.failure msg)
-    | Ok reply -> (
+  (* The plan decides whether the call waits.  A forwarded call answers
+     [ok] at once, and its failure surfaces at the next waited call
+     (§4.2).  A waited call answers a pending deferred error first,
+     then its own status, then [parse ok reply].  [ok] comes in as a
+     result so a constant one costs no allocation per call. *)
+  let call ?on_reply stub ~fn ~args ok parse =
+    match Stub.invoke ?on_reply stub ~fn ~args with
+    | Stub.Forwarded -> ok
+    | Stub.No_plan msg -> Error (S.failure msg)
+    | Stub.Replied reply -> (
         match Stub.take_deferred_error stub with
         | Some (_fn, code) -> Error (S.of_code code)
         | None ->
             if reply.Message.reply_status <> 0 then
               Error (S.of_code reply.Message.reply_status)
-            else parse_reply parse reply)
+            else parse_reply parse ok reply)
 
-  (* An asynchronously forwarded call answers [ok] at once (§4.2); its
-     failure surfaces at the next synchronous call.  [ok] comes in as a
-     result so a constant one costs no allocation per call. *)
-  let fire ?on_reply stub ~fn ~args ok =
-    match Stub.invoke ?on_reply stub ~fn ~args with
-    | Error msg -> Error (S.failure msg)
-    | Ok None -> ok
-    | Ok (Some reply) ->
-        (* The plan judged this invocation synchronous after all. *)
-        if reply.Message.reply_status <> 0 then
-          Error (S.of_code reply.Message.reply_status)
-        else ok
+  let keep ok _ = ok
+
+  (* An async function's outputs reach the guest only by a deferred
+     reply or a guest-assigned id (§4.2), which no declaration states,
+     so a declared function with outputs that the plan forwards has
+     nothing to answer. *)
+  let cannot_forward = Error (S.failure "forwarded call has outputs")
 
   let run : type a b c d e f r.
       Stub.t -> (a, b, c, d, e, f, r) fn -> Wire.value list -> (r, S.error) result =
    fun stub d args ->
-    match (d.mode, d.returns) with
-    | Sync, _ -> sync stub ~fn:d.name ~args d.parse
-    | Fire, Done -> fire stub ~fn:d.name ~args (Ok ())
-    | Fire, _ -> invalid_arg "Silo: a fired call answers Done"
+    let ok : (r, S.error) result =
+      match d.returns with Done -> Ok () | _ -> cannot_forward
+    in
+    call stub ~fn:d.name ~args ok d.parse
 
   let call0 stub d () = run stub d (build d.slots () () () () () ())
   let call1 stub d a = run stub d (build d.slots a () () () () ())
@@ -335,29 +332,31 @@ struct
     installs := (fun server -> Server.register server d.name handler) :: !installs;
     d
 
-  let fn0 name mode slots returns f =
-    let d = declare name mode slots returns in
+  let fn0 name slots returns f =
+    let d = declare name slots returns in
     serve d (fun _ st _ -> f (S.api st))
 
-  let fn1 name mode slots returns f =
-    let d = declare name mode slots returns in
+  let fn1 name slots returns f =
+    let d = declare name slots returns in
     let pa = locate pick_a slots in
     serve d (fun ctx st args -> f (S.api st) (arg ctx pa args))
 
-  let fn2 name mode slots returns f =
-    let d = declare name mode slots returns in
+  let on_handle name f = fn1 name [ A Handle ] Done f
+
+  let fn2 name slots returns f =
+    let d = declare name slots returns in
     let pa = locate pick_a slots and pb = locate pick_b slots in
     serve d (fun ctx st args -> f (S.api st) (arg ctx pa args) (arg ctx pb args))
 
-  let fn3 name mode slots returns f =
-    let d = declare name mode slots returns in
+  let fn3 name slots returns f =
+    let d = declare name slots returns in
     let pa = locate pick_a slots and pb = locate pick_b slots in
     let pc = locate pick_c slots in
     serve d (fun ctx st args ->
         f (S.api st) (arg ctx pa args) (arg ctx pb args) (arg ctx pc args))
 
-  let fn6 name mode slots returns f =
-    let d = declare name mode slots returns in
+  let fn6 name slots returns f =
+    let d = declare name slots returns in
     let pa = locate pick_a slots and pb = locate pick_b slots in
     let pc = locate pick_c slots and pd = locate pick_d slots in
     let pe = locate pick_e slots and pf = locate pick_f slots in

@@ -2,10 +2,12 @@
     depend on which API it virtualizes.
 
     A silo declares each API function once ([fn0] ... [fn6] of {!Make}):
-    its name, mode, the wire form of each parameter in order, its reply
-    shape and the silo function it runs.  The kit derives the guest
-    wrapper ([call0] ...) and the server handler ({!Make.register}) from
-    that declaration.  A function no declaration can state is written by
+    its name, the wire form of each parameter in order, its reply shape
+    and the silo function it runs.  The kit derives the guest wrapper
+    ([call0] ...) and the server handler ({!Make.register}) from that
+    declaration.  Whether a call waits for its reply is the compiled
+    plan's to say, never the silo's: every guest call goes through
+    {!Make.call}.  A function no declaration can state is written by
     hand beside the table ({!Make.by_hand}).  The silo also brings its
     status <-> error mapping and its live-object accessors ({!live}). *)
 
@@ -72,8 +74,6 @@ type _ returns =
       (** a new object: its fresh virtual id, then these out-values *)
   | Ret : 'r form -> 'r returns  (** the result, as the out-values *)
 
-type mode = Sync | Fire  (** [Fire]: forwarded as the plan says; answers [Done] *)
-
 type ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn
 (** One API function's declaration. *)
 
@@ -120,19 +120,22 @@ end) : sig
 
   type 'e res := ('e, S.error) result
 
-  val fn0 : string -> mode -> (unit, unit, unit, unit, unit, unit) slot list ->
+  val fn0 : string -> (unit, unit, unit, unit, unit, unit) slot list ->
     'r returns -> (S.api -> 'r res) -> 'r fn0
 
-  val fn1 : string -> mode -> ('a, unit, unit, unit, unit, unit) slot list ->
+  val fn1 : string -> ('a, unit, unit, unit, unit, unit) slot list ->
     'r returns -> (S.api -> 'a -> 'r res) -> ('a, 'r) fn1
 
-  val fn2 : string -> mode -> ('a, 'b, unit, unit, unit, unit) slot list ->
+  val on_handle : string -> (S.api -> int -> unit res) -> (int, unit) fn1
+  (** A function of one handle that answers [Done]. *)
+
+  val fn2 : string -> ('a, 'b, unit, unit, unit, unit) slot list ->
     'r returns -> (S.api -> 'a -> 'b -> 'r res) -> ('a, 'b, 'r) fn2
 
-  val fn3 : string -> mode -> ('a, 'b, 'c, unit, unit, unit) slot list ->
+  val fn3 : string -> ('a, 'b, 'c, unit, unit, unit) slot list ->
     'r returns -> (S.api -> 'a -> 'b -> 'c -> 'r res) -> ('a, 'b, 'c, 'r) fn3
 
-  val fn6 : string -> mode -> ('a, 'b, 'c, 'd, 'e, 'f) slot list ->
+  val fn6 : string -> ('a, 'b, 'c, 'd, 'e, 'f) slot list ->
     'r returns -> (S.api -> 'a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'r res) ->
     ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn
 
@@ -149,9 +152,11 @@ end) : sig
 
   (** {2 Guest wrappers}
 
-      Each builds its argument list and finishes the call: a pending
-      deferred async error outranks a synchronous call's own result,
-      and a reply it cannot read is [S.failure]. *)
+      Each builds its argument list and finishes the call with {!call}.
+      A forwarded declared function answers [Ok ()] when it returns
+      [Done], and [S.failure] when it has outputs: an async function's
+      outputs need a deferred reply or a guest-assigned id, which only a
+      hand-written function can give. *)
 
   val call0 : Stub.t -> 'r fn0 -> unit -> 'r res
   val call1 : Stub.t -> ('a, 'r) fn1 -> 'a -> 'r res
@@ -161,15 +166,25 @@ end) : sig
   val call6 : Stub.t -> ('a, 'b, 'c, 'd, 'e, 'f, 'r) fn ->
     'a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'r res
 
-  (** {2 For hand-written functions} *)
+  (** {2 The call path} *)
 
-  val sync : Stub.t -> fn:string -> args:Wire.value list ->
-    (Message.reply -> 'a res) -> 'a res
+  val call : ?on_reply:(Message.reply -> unit) -> Stub.t -> fn:string ->
+    args:Wire.value list -> 'a res -> ('a res -> Message.reply -> 'a res) ->
+    'a res
+  (** [call stub ~fn ~args ok parse] invokes [fn] ({!Stub.invoke}), which
+      waits exactly when the plan says.  A forwarded call answers [ok] at
+      once and reports failure through the deferred-error channel
+      (§4.2).  A waited call answers a pending deferred error first,
+      then its reply's status, then [parse ok reply]; a reply [parse]
+      cannot read is [S.failure].  [on_reply] sees the reply either
+      way. *)
 
-  val fire : ?on_reply:(Message.reply -> unit) -> Stub.t -> fn:string ->
-    args:Wire.value list -> 'a res -> 'a res
-  (** An asynchronous forward answers the given result at once and
-      reports failure through the deferred-error channel (§4.2). *)
+  val keep : 'a res -> Message.reply -> 'a res
+  (** The parser of a call that answers [ok] whether or not it waits. *)
+
+  val cannot_forward : 'a res
+  (** [S.failure]: the [ok] of a call with outputs, which has nothing to
+      answer if the plan forwards it. *)
 
   val ok_unit : int * Wire.value * Wire.value list
   val ok_ret : Wire.value -> Wire.value list -> int * Wire.value * Wire.value list

@@ -29,52 +29,51 @@ include Make (struct
   let api st = st.api
 end)
 
-let sync1 name run = fn1 name Sync [ A Handle ] Done run
-let create0 name run = fn0 name Sync [ Out ] (Fresh []) run
+let create0 name run = fn0 name [ Out ] (Fresh []) run
 
 let stDeviceGetCount =
-  fn0 "stDeviceGetCount" Sync [ Out ] (Ret Int)
+  fn0 "stDeviceGetCount" [ Out ] (Ret Int)
     (fun (module ST) -> ST.stDeviceGetCount ())
 let stStreamCreate =
   create0 "stStreamCreate" (fun (module ST) -> ST.stStreamCreate ())
 let stStreamDestroy =
-  sync1 "stStreamDestroy" (fun (module ST) -> ST.stStreamDestroy)
+  on_handle "stStreamDestroy" (fun (module ST) -> ST.stStreamDestroy)
 let stStreamSynchronize =
-  sync1 "stStreamSynchronize" (fun (module ST) -> ST.stStreamSynchronize)
+  on_handle "stStreamSynchronize" (fun (module ST) -> ST.stStreamSynchronize)
 let stEventCreate =
   create0 "stEventCreate" (fun (module ST) -> ST.stEventCreate ())
 let stEventDestroy =
-  sync1 "stEventDestroy" (fun (module ST) -> ST.stEventDestroy)
+  on_handle "stEventDestroy" (fun (module ST) -> ST.stEventDestroy)
 let stEventRecord =
-  fn2 "stEventRecord" Fire [ A Handle; B Handle ] Done
+  fn2 "stEventRecord" [ A Handle; B Handle ] Done
     (fun (module ST) -> ST.stEventRecord)
 let stEventSynchronize =
-  sync1 "stEventSynchronize" (fun (module ST) -> ST.stEventSynchronize)
+  on_handle "stEventSynchronize" (fun (module ST) -> ST.stEventSynchronize)
 let stStreamWaitEvent =
-  fn2 "stStreamWaitEvent" Fire [ A Handle; B Handle ] Done
+  fn2 "stStreamWaitEvent" [ A Handle; B Handle ] Done
     (fun (module ST) -> ST.stStreamWaitEvent)
 let stMemAlloc =
-  fn1 "stMemAlloc" Sync [ Out; A Int ] (Fresh [])
+  fn1 "stMemAlloc" [ Out; A Int ] (Fresh [])
     (fun (module ST) size -> ST.stMemAlloc ~size)
-let stMemFree = sync1 "stMemFree" (fun (module ST) -> ST.stMemFree)
+let stMemFree = on_handle "stMemFree" (fun (module ST) -> ST.stMemFree)
 (* The guest may reuse [src] the moment the call returns; the stub owns
    the snapshot (see [Stub.send_call]). *)
 let stMemcpyHtoDAsync =
-  fn3 "stMemcpyHtoDAsync" Fire [ A Handle; B (Sized Blob); C Handle ] Done
+  fn3 "stMemcpyHtoDAsync" [ A Handle; B (Sized Blob); C Handle ] Done
     (fun (module ST) dst src s -> ST.stMemcpyHtoDAsync dst ~src s)
 let stMemcpyDtoH =
-  fn2 "stMemcpyDtoH" Sync [ Out; A Int; B Handle ] (Ret Blob)
+  fn2 "stMemcpyDtoH" [ Out; A Int; B Handle ] (Ret Blob)
     (fun (module ST) size src -> ST.stMemcpyDtoH ~size src)
 let stLaunchKernel =
-  fn6 "stLaunchKernel" Fire
+  fn6 "stLaunchKernel"
     [ A Handle; B (Sized Str); C Handle; D Handle; E Handle; F Int ] Done
     (fun (module ST) s name a b out n ->
       ST.stLaunchKernel s ~name ~a ~b ~out ~n)
 let stBatchSubmit =
-  fn3 "stBatchSubmit" Sync [ A Handle; B (Sized Blob); C Int; Out ] (Ret Int)
+  fn3 "stBatchSubmit" [ A Handle; B (Sized Blob); C Int; Out ] (Ret Int)
     (fun (module ST) s batch item_size -> ST.stBatchSubmit s ~batch ~item_size)
 let stBatchCollect =
-  fn3 "stBatchCollect" Sync [ A Handle; B Int; Out; C Int ] (Ret Blob)
+  fn3 "stBatchCollect" [ A Handle; B Int; Out; C Int ] (Ret Blob)
     (fun (module ST) s ticket size -> ST.stBatchCollect s ~ticket ~size)
 
 (* Live-object accessors for migration: device memory, copied directly

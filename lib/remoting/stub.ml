@@ -543,23 +543,21 @@ let plan_sync t (plan : Plan.call_plan) args =
   | Plan.Always_sync | Plan.Always_async | Plan.Sync_on_completion _ -> ());
   Plan.sync_of_scalars plan t.sync_scalars
 
-let call_sync t ~fn ~args ~on_reply =
-  t.sync_calls <- t.sync_calls + 1;
-  let p = send_call t ~fn ~args ~sync:true ~holdable:false ~on_reply in
-  Ivar.read p.p_ivar
+type answer = Forwarded | Replied of Message.reply | No_plan of string
 
-let no_plan fn = Error (Printf.sprintf "no plan for function %S" fn)
-
-(* Invoke [fn].  [force_sync] overrides the plan when the caller needs
-   outputs immediately (e.g. an event handle it must return).  Returns
-   the reply for sync calls; async calls return [Ok None] immediately
-   and deliver their reply through [on_reply]. *)
-let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
+(* Invoke [fn] as its plan says: a waited call answers its reply; a
+   forwarded one answers at once and delivers its reply through
+   [on_reply]. *)
+let invoke ?on_reply t ~fn ~args =
   match Plan.find_exn t.plan fn with
-  | exception Not_found -> no_plan fn
+  | exception Not_found ->
+      No_plan (Printf.sprintf "no plan for function %S" fn)
   | plan ->
-      if force_sync || plan_sync t plan args then
-        Ok (Some (call_sync t ~fn ~args ~on_reply))
+      if plan_sync t plan args then begin
+        t.sync_calls <- t.sync_calls + 1;
+        let p = send_call t ~fn ~args ~sync:true ~holdable:false ~on_reply in
+        Replied (Ivar.read p.p_ivar)
+      end
       else begin
         t.async_calls <- t.async_calls + 1;
         (* Holdable: produces nothing and consumes no device resource. *)
@@ -567,11 +565,5 @@ let invoke ?(force_sync = false) ?on_reply t ~fn ~args =
           (not (Plan.has_outputs plan)) && plan.Plan.cp_resources = []
         in
         let _ = send_call t ~fn ~args ~sync:false ~holdable ~on_reply in
-        Ok None
+        Forwarded
       end
-
-(* Convenience for callers that always need the reply. *)
-let invoke_sync t ~fn ~args =
-  match Plan.find_exn t.plan fn with
-  | exception Not_found -> no_plan fn
-  | _ -> Ok (call_sync t ~fn ~args ~on_reply:None)

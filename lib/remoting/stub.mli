@@ -6,7 +6,8 @@
     from the compiled {!Ava_codegen.Plan}, reply matching, and the
     paper's deferred-error semantics: an asynchronously forwarded call's
     failure is reported by the next synchronous call on the same stub
-    (§4.2). *)
+    (§4.2).  The plan is the only judge of whether a call waits: no
+    caller overrides it. *)
 
 open Ava_sim
 
@@ -132,24 +133,19 @@ val take_deferred_error : t -> (string * int) option
 
 val pending_errors : t -> int
 
+(** What {!invoke} answers. *)
+type answer =
+  | Forwarded  (** the plan forwarded the call; its reply goes to [on_reply] *)
+  | Replied of Message.reply  (** the plan waited: the call's reply *)
+  | No_plan of string
+      (** the function has no plan: a local failure, nothing was sent *)
+
 val invoke :
-  ?force_sync:bool ->
   ?on_reply:(Message.reply -> unit) ->
   t ->
   fn:string ->
   args:Wire.value list ->
-  (Message.reply option, string) result
-(** Invoke [fn].  The plan decides synchrony; a conditional plan
+  answer
+(** Invoke [fn].  The plan alone decides synchrony; a conditional plan
     ([Sync_when_eq]) reads its condition from the scalar arguments
-    ({!Plan.scalars}).  [force_sync] overrides the plan when the
-    caller needs outputs immediately.  Synchronous calls return
-    [Ok (Some reply)]; asynchronous calls return [Ok None] at once and
-    deliver their reply through [on_reply].  [Error] means the function
-    has no plan (a local failure; nothing was sent). *)
-
-val invoke_sync :
-  t ->
-  fn:string ->
-  args:Wire.value list ->
-  (Message.reply, string) result
-(** {!invoke} with [force_sync:true]. *)
+    ({!Plan.scalars}).  [on_reply] sees the reply either way. *)

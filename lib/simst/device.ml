@@ -72,7 +72,6 @@ type t = {
           would deadlock the device. *)
   mutable kernels : int;
   mutable killed : bool;
-  mutable wedged_by : int option;
 }
 
 let filled () =
@@ -92,7 +91,6 @@ let create ?(timing = sm_stream) engine =
     exec_tail = filled ();
     kernels = 0;
     killed = false;
-    wedged_by = None;
   }
 
 let engine_of t = t.engine
@@ -101,11 +99,7 @@ let busy_ns t = t.busy
 let kernels_executed t = t.kernels
 let capacity t = t.timing.mem_bytes
 let killed t = t.killed
-let wedged_by t = t.wedged_by
-
-let kill ?by t =
-  t.killed <- true;
-  if t.wedged_by = None then t.wedged_by <- by
+let kill t = t.killed <- true
 
 (* --- streams ------------------------------------------------------------ *)
 

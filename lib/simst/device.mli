@@ -81,9 +81,8 @@ val batch_cost : t -> items:int -> bytes:int -> Time.t
 
 val busy_ns : t -> Time.t
 val kernels_executed : t -> int
-val kill : ?by:int -> t -> unit
+val kill : t -> unit
 val killed : t -> bool
-val wedged_by : t -> int option
 
 (** {1 Reference semantics} *)
 

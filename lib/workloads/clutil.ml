@@ -15,11 +15,11 @@ type session = {
   queue : command_queue;
 }
 
-let open_session ?(profiling = false) (module CL : Ava_simcl.Api.S) =
+let open_session (module CL : Ava_simcl.Api.S) =
   let platform = List.hd (ok (CL.clGetPlatformIDs ())) in
   let device = List.hd (ok (CL.clGetDeviceIDs platform Device_gpu)) in
   let context = ok (CL.clCreateContext [ device ]) in
-  let queue = ok (CL.clCreateCommandQueue context device ~profiling) in
+  let queue = ok (CL.clCreateCommandQueue context device ~profiling:false) in
   { cl = (module CL); device; context; queue }
 
 let close_session s =

@@ -15,7 +15,7 @@ type session = {
   queue : command_queue;
 }
 
-val open_session : ?profiling:bool -> (module Ava_simcl.Api.S) -> session
+val open_session : (module Ava_simcl.Api.S) -> session
 val close_session : session -> unit
 
 val build_kernels : session -> (string * float * float) list -> kernel list

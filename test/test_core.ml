@@ -230,6 +230,75 @@ let async_tests =
             in
             ok (CL.clFinish q);
             Alcotest.(check bytes) "data arrived" (Bytes.make 64 'w') dst));
+    Alcotest.test_case "sync-only plan: a non-blocking read returns its bytes"
+      `Quick (fun () ->
+        (* The unoptimized plan waits on every call, so a non-blocking
+           read's reply has filled its buffer before the read returns,
+           and every enqueue still answers a usable event. *)
+        run_in_engine (fun e ->
+            let host = Host.create_cl_host ~sync_only:true e in
+            let guest = Host.add_cl_vm host ~name:"g0" in
+            let module CL = (val guest.Host.g_api) in
+            let p = List.hd (ok (CL.clGetPlatformIDs ())) in
+            let d = List.hd (ok (CL.clGetDeviceIDs p Device_gpu)) in
+            let ctx = ok (CL.clCreateContext [ d ]) in
+            let q = ok (CL.clCreateCommandQueue ctx d ~profiling:false) in
+            let n = 64 in
+            let size = 4 * n in
+            let buffer () = ok (CL.clCreateBuffer ctx ~size) in
+            let a = buffer () and b = buffer () in
+            let out = buffer () and c = buffer () in
+            let event r = Option.get (ok r) in
+            let av = List.init n (fun i -> i) in
+            let bv = List.init n (fun i -> 3 * i) in
+            let write m v =
+              event
+                (CL.clEnqueueWriteBuffer q m ~blocking:false ~offset:0
+                   ~src:(i32_bytes v) ~wait_list:[] ~want_event:true)
+            in
+            let wa = write a av and wb = write b bv in
+            let prog =
+              ok (CL.clCreateProgramWithSource ctx ~source:"builtin vec_add")
+            in
+            ok (CL.clBuildProgram prog ~options:"");
+            let k = ok (CL.clCreateKernel prog ~name:"vec_add") in
+            List.iteri
+              (fun index m -> ok (CL.clSetKernelArg k ~index (Arg_mem m)))
+              [ a; b; out ];
+            let run =
+              event
+                (CL.clEnqueueNDRangeKernel q k ~global_work_size:n
+                   ~local_work_size:n ~wait_list:[ wa; wb ] ~want_event:true)
+            in
+            let task =
+              event (CL.clEnqueueTask q k ~wait_list:[ run ] ~want_event:true)
+            in
+            let copy =
+              event
+                (CL.clEnqueueCopyBuffer q ~src:out ~dst:c ~src_offset:0
+                   ~dst_offset:0 ~size ~wait_list:[ task ] ~want_event:true)
+            in
+            let fill =
+              event
+                (CL.clEnqueueFillBuffer q a ~pattern:'z' ~offset:0 ~size
+                   ~wait_list:[ copy ] ~want_event:true)
+            in
+            let data, read =
+              ok
+                (CL.clEnqueueReadBuffer q c ~blocking:false ~offset:0 ~size
+                   ~wait_list:[ fill ] ~want_event:true)
+            in
+            Alcotest.(check (list int)) "the read returned the sums"
+              (List.map2 ( + ) av bv) (bytes_i32 data);
+            let events = [ wa; wb; run; task; copy; fill; Option.get read ] in
+            ok (CL.clWaitForEvents events);
+            List.iter
+              (fun ev ->
+                Alcotest.(check bool) "event complete" true
+                  (ok (CL.clGetEventInfo ev) = Complete))
+              events;
+            Alcotest.(check int) "nothing forwarded" 0
+              (Stub.async_calls (Option.get guest.Host.g_stub))));
     Alcotest.test_case "event from async enqueue is waitable" `Quick
       (fun () ->
         run_in_engine (fun e ->
@@ -401,8 +470,8 @@ let isolation_tests =
             let guest = Host.add_cl_vm host ~name:"g0" in
             let stub = Option.get guest.Host.g_stub in
             match Stub.invoke stub ~fn:"clEvilFunction" ~args:[] with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.fail "stub accepted unspecified function"));
+            | Stub.No_plan _ -> ()
+            | _ -> Alcotest.fail "stub accepted unspecified function"));
     Alcotest.test_case "router rejects malformed argument counts" `Quick
       (fun () ->
         run_in_engine (fun e ->
@@ -411,10 +480,9 @@ let isolation_tests =
             let stub = Option.get guest.Host.g_stub in
             (* clFinish takes exactly one argument. *)
             (match
-               Stub.invoke ~force_sync:true stub ~fn:"clFinish"
-                 ~args:[ Silo.i 1; Silo.i 2 ]
+               Stub.invoke stub ~fn:"clFinish" ~args:[ Silo.i 1; Silo.i 2 ]
              with
-            | Ok (Some reply) ->
+            | Stub.Replied reply ->
                 Alcotest.(check bool)
                   "rejected" true
                   (reply.Ava_remoting.Message.reply_status < -9000)
@@ -1139,8 +1207,6 @@ let ownership_tests =
       cl_upload_ref;
     snapshot_case "nc: load tensor snapshots its source"
       (nc_upload (fun e -> Host.create_nc_host e));
-    snapshot_case "nc: SVA-pinned load tensor snapshots its source"
-      (nc_upload (fun e -> Host.create_nc_host ~sva:true e));
     snapshot_case "nc: NAK resend of a cached tensor carries the snapshot"
       (nc_upload ~cached:true (fun e ->
            Host.create_nc_host ~transfer_cache:(mib 4) e));

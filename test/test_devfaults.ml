@@ -640,11 +640,8 @@ let giveup_time ~vm_id ~jitter =
   let stub = Stub.create ~retry e ~vm_id ~plan ~ep:stub_end in
   Engine.run_process e (fun () ->
       let t0 = Engine.now e in
-      (match
-         Stub.invoke ~force_sync:true stub ~fn:"clGetPlatformIDs"
-           ~args:[]
-       with
-      | Ok (Some reply) ->
+      (match Stub.invoke stub ~fn:"clGetPlatformIDs" ~args:[] with
+      | Stub.Replied reply ->
           Alcotest.(check int) "synthesized timeout"
             Server.status_timeout reply.Message.reply_status
       | _ -> Alcotest.fail "expected a synthesized timeout reply");

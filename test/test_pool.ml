@@ -980,9 +980,10 @@ let migration_tests =
             Engine.spawn m.mn_engine (fun () ->
                 Engine.delay (Time.us 50);
                 ignore (Pool.migrate_vm m.mn_pool ~vm_id ~dest:1));
-            (match Stub.invoke_sync m.mn_stub ~fn:"call" ~args:[ Wire.int 0 ] with
-            | Ok r -> Alcotest.(check int) "answered" 0 r.Message.reply_status
-            | Error err -> Alcotest.failf "call failed: %s" err);
+            (match Stub.invoke m.mn_stub ~fn:"call" ~args:[ Wire.int 0 ] with
+            | Stub.Replied r ->
+                Alcotest.(check int) "answered" 0 r.Message.reply_status
+            | _ -> Alcotest.fail "call not waited");
             Engine.delay (Time.ms 2));
         Alcotest.(check int) "moved" 1 (Pool.migrations m.mn_pool);
         Alcotest.(check int) "ran at the source" 1 (runs m ~dev:0 0);
@@ -1016,7 +1017,7 @@ let migration_tests =
         Engine.run_process m.mn_engine (fun () ->
             let fire v =
               match Stub.invoke m.mn_stub ~fn:"fire" ~args:[ Wire.int v ] with
-              | Ok None -> ()
+              | Stub.Forwarded -> ()
               | _ -> Alcotest.fail "fire should be async"
             in
             fire 0;
@@ -1025,9 +1026,10 @@ let migration_tests =
             Alcotest.(check int) "call 1 answered, reply still owed" 1
               (Router.in_flight_calls m.mn_router ~vm_id);
             ignore (Pool.migrate_vm m.mn_pool ~vm_id ~dest:1);
-            (match Stub.invoke_sync m.mn_stub ~fn:"call" ~args:[ Wire.int 2 ] with
-            | Ok r -> Alcotest.(check int) "answered" 0 r.Message.reply_status
-            | Error err -> Alcotest.failf "call failed: %s" err));
+            (match Stub.invoke m.mn_stub ~fn:"call" ~args:[ Wire.int 2 ] with
+            | Stub.Replied r ->
+                Alcotest.(check int) "answered" 0 r.Message.reply_status
+            | _ -> Alcotest.fail "call not waited"));
         Alcotest.(check int) "moved" 1 (Pool.migrations m.mn_pool);
         Alcotest.(check int) "call 1 ran at the source" 1 (runs m ~dev:0 1);
         Alcotest.(check int) "call 1 not run at the destination" 0

@@ -956,6 +956,20 @@ let stub_server_pair e plan =
   let stub = Stub.create e ~vm_id:1 ~plan ~ep:guest_end in
   (stub, server)
 
+(* A raw call through a stub, waited for whatever its plan says: a
+   forwarded call's reply comes through [on_reply], and the deferred
+   error a failed one queued is drained. *)
+let raw_reply stub ~fn ~args =
+  let got = Ivar.create () in
+  match Stub.invoke ~on_reply:(Ivar.fill got) stub ~fn ~args with
+  | Stub.Replied reply -> reply
+  | Stub.No_plan msg -> Alcotest.fail msg
+  | Stub.Forwarded ->
+      let reply = Ivar.read got in
+      if reply.Message.reply_status <> 0 then
+        ignore (Stub.take_deferred_error stub);
+      reply
+
 let stub_tests =
   [
     Alcotest.test_case "sync call gets its reply" `Quick (fun () ->
@@ -969,9 +983,7 @@ let stub_tests =
             | _ -> (Server.status_bad_arguments, Wire.Unit, []));
         let reply =
           Engine.run_process e (fun () ->
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping"
-                   ~args:[ Wire.int 21 ]))
+              raw_reply stub ~fn:"ping" ~args:[ Wire.int 21 ])
         in
         Alcotest.(check bool) "doubled" true
           (Wire.equal reply.Message.reply_ret (Wire.int 42));
@@ -990,13 +1002,10 @@ let stub_tests =
             List.iter
               (fun status ->
                 match Stub.invoke stub ~fn:"fire" ~args:[ Wire.int status ] with
-                | Ok None -> ()
+                | Stub.Forwarded -> ()
                 | _ -> Alcotest.fail "fire should be async")
               [ 77; 78 ];
-            let _ =
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ])
-            in
+            let _ = raw_reply stub ~fn:"ping" ~args:[ Wire.int 1 ] in
             Alcotest.(check int) "both pending" 2 (Stub.pending_errors stub);
             Alcotest.(check (option (pair string int)))
               "oldest error first"
@@ -1013,8 +1022,8 @@ let stub_tests =
         let stub, _server = stub_server_pair e plan in
         Engine.run_process e (fun () ->
             match Stub.invoke stub ~fn:"nope" ~args:[] with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.fail "accepted unplanned function"));
+            | Stub.No_plan _ -> ()
+            | _ -> Alcotest.fail "accepted unplanned function"));
     Alcotest.test_case "unregistered handler is rejected by server" `Quick
       (fun () ->
         let e = Engine.create () in
@@ -1022,8 +1031,7 @@ let stub_tests =
         let stub, server = stub_server_pair e plan in
         let reply =
           Engine.run_process e (fun () ->
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
+              raw_reply stub ~fn:"ping" ~args:[ Wire.int 1 ])
         in
         Alcotest.(check int) "unknown function status"
           Server.status_unknown_function reply.Message.reply_status;
@@ -1048,8 +1056,7 @@ let stub_tests =
         Server.register server "ping" (fun _ _ _ -> failwith "handler bug");
         let reply =
           Engine.run_process e (fun () ->
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 1 ]))
+              raw_reply stub ~fn:"ping" ~args:[ Wire.int 1 ])
         in
         Alcotest.(check int) "call failed"
           Server.status_bad_arguments reply.Message.reply_status;
@@ -1058,8 +1065,7 @@ let stub_tests =
         Server.register server "ping" (fun _ _ _ -> (0, Wire.Unit, []));
         let reply =
           Engine.run_process e (fun () ->
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping" ~args:[ Wire.int 2 ]))
+              raw_reply stub ~fn:"ping" ~args:[ Wire.int 2 ])
         in
         Alcotest.(check int) "worker survived" 0 reply.Message.reply_status);
   ]
@@ -1093,9 +1099,7 @@ let payload_recorder server seen =
 
 let send_payload stub payload =
   let reply =
-    Result.get_ok
-      (Stub.invoke_sync stub ~fn:"ping"
-         ~args:[ Wire.Blob (Bytes.copy payload) ])
+    raw_reply stub ~fn:"ping" ~args:[ Wire.Blob (Bytes.copy payload) ]
   in
   Alcotest.(check int) "status" 0 reply.Message.reply_status;
   Alcotest.(check (option int))
@@ -1189,7 +1193,7 @@ let cache_tests =
         let mk c = Bytes.make 4096 c in
         let fire buf =
           (match Stub.invoke stub ~fn:"fire" ~args:[ Wire.Blob buf ] with
-          | Ok None -> ()
+          | Stub.Forwarded -> ()
           | _ -> Alcotest.fail "fire is asynchronous");
           (* The caller reuses its buffer at once. *)
           Bytes.fill buf 0 (Bytes.length buf) 'z';
@@ -1312,17 +1316,16 @@ let sva_tests =
                server must fail this call — never NAK, never raise — and
                keep serving. *)
             let reply =
-              Result.get_ok
-                (Stub.invoke_sync stub ~fn:"ping"
-                   ~args:
-                     [
-                       Wire.Mapped_ref
-                         {
-                           mr_iova =
-                             Int64.add Ava_device.Iommu.iova_base 0x10_0000L;
-                           mr_size = 4096;
-                         };
-                     ])
+              raw_reply stub ~fn:"ping"
+                ~args:
+                  [
+                    Wire.Mapped_ref
+                      {
+                        mr_iova =
+                          Int64.add Ava_device.Iommu.iova_base 0x10_0000L;
+                        mr_size = 4096;
+                      };
+                  ]
             in
             Alcotest.(check int) "bad-arguments status"
               Server.status_bad_arguments reply.Message.reply_status;
@@ -2013,7 +2016,7 @@ let huge_handle = (0, Wire.Handle Int64.max_int, [])
    never minted; return (status, rejected delta, executed delta). *)
 let stale_call stub server ~fn ~args =
   let rejected = Server.rejected server and executed = Server.executed server in
-  let reply = Result.get_ok (Stub.invoke_sync stub ~fn ~args) in
+  let reply = raw_reply stub ~fn ~args in
   ( reply.Message.reply_status,
     Server.rejected server - rejected,
     Server.executed server - executed )
@@ -2116,7 +2119,7 @@ let silo_kit_tests =
             read ~blocking:true;
             Alcotest.(check (pair int int)) "blocking goes sync" (1, 1)
               (Stub.sync_calls stub, Stub.async_calls stub);
-            (* The plan alone, without the guest library forcing it. *)
+            (* The plan alone, through the stub. *)
             let args blocking =
               [
                 Wire.int 0x1000; Wire.int 0x1001; Wire.int blocking;
@@ -2124,14 +2127,17 @@ let silo_kit_tests =
                 Wire.List []; Wire.Unit;
               ]
             in
+            let waited blocking =
+              match
+                Stub.invoke stub ~fn:"clEnqueueReadBuffer" ~args:(args blocking)
+              with
+              | Stub.Replied _ -> true
+              | Stub.Forwarded | Stub.No_plan _ -> false
+            in
             Alcotest.(check bool) "plan: blocking_read=1 is sync" true
-              (Option.is_some
-                 (Result.get_ok
-                    (Stub.invoke stub ~fn:"clEnqueueReadBuffer" ~args:(args 1))));
-            Alcotest.(check bool) "plan: blocking_read=0 is async" true
-              (Option.is_none
-                 (Result.get_ok
-                    (Stub.invoke stub ~fn:"clEnqueueReadBuffer" ~args:(args 0))))));
+              (waited 1);
+            Alcotest.(check bool) "plan: blocking_read=0 is async" false
+              (waited 0)));
     Alcotest.test_case "scalar env is total on an arity mismatch" `Quick
       (fun () ->
         let plan =
@@ -2800,7 +2806,7 @@ let check_table ~name plan functions ~invoke =
 
 (* A raw call through a guest's stub: its reply status. *)
 let raw_status stub fn args =
-  (Result.get_ok (Stub.invoke_sync stub ~fn ~args)).Message.reply_status
+  (raw_reply stub ~fn ~args).Message.reply_status
 
 (* Drive [calls] through the guest library over a stub whose server
    answers every function of the plan.  For each call: the function it
@@ -3079,7 +3085,7 @@ let frozen_cl ?(sabotage = fun _ _ -> ()) () =
       (* The guest library sends a 9-byte argument; a raw call sends a
          page. *)
       ignore
-        (Stub.invoke_sync (Option.get g.Host.g_stub) ~fn:"clSetKernelArg"
+        (raw_reply (Option.get g.Host.g_stub) ~fn:"clSetKernelArg"
            ~args:[ Wire.Handle 0x1000L; Wire.int 0; Wire.int (2 * page);
                    Wire.Blob payload ]));
   check ()

@@ -24,6 +24,11 @@ Run from the repository root:
 the gate counts a test as a user, so such values pass it.
 
 A value kept on purpose goes in ALLOWED below with a one-line reason.
+
+The same goes for each optional argument of an exported `val f : ... ?opt:
+...`: it counts as used when a file that uses `f` by the rules above also
+writes `~opt` or `?opt`.  An option nothing passes is a knob with no
+caller.  One kept on purpose goes in ALLOWED_OPTIONS, keyed `M.f ?opt`.
 """
 
 import os
@@ -37,6 +42,13 @@ SKIP_DIRS = {"_build", ".bench_build", ".git", "_opam"}
 ALLOWED = {
     "Server.status_ok": "the status-code set is documented whole; 0 is its success code",
     "Stub.sva_min_bytes": "the documented threshold above which SVA pins a blob",
+}
+
+# Optional arguments of exported values nothing passes, kept on purpose.
+ALLOWED_OPTIONS = {
+    "Scenario.run ?obs": "check_twin, beside it, runs each trace disarmed "
+                         "and armed; other callers take the "
+                         "AVA_CAMPAIGN_TRACE default",
 }
 
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)")
@@ -70,18 +82,50 @@ def exported_lets(ml):
         for line in fh:
             m = TOP_LET.match(line)
             if m:
-                out.append((f"{top}.{m.group(1)}", top, m.group(1), False))
+                out.append((f"{top}.{m.group(1)}", top, m.group(1), False, []))
     return out
 
 
+OPTION = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
+LABEL = re.compile(r"[~?]([a-z_][A-Za-z0-9_']*)")
+ITEM = re.compile(
+    r"^\s*(?:val|type|module|end|exception|include|open|external)\b|^\s*$")
+
+
+def strip_comments(text):
+    """[text] without its (possibly nested) OCaml comments."""
+    out, depth, i = [], 0, 0
+    while i < len(text):
+        two = text[i:i + 2]
+        if two == "(*":
+            depth += 1
+            i += 2
+        elif two == "*)" and depth:
+            depth -= 1
+            i += 2
+        else:
+            if not depth:
+                out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
 def exported(mli):
-    """(qualified name, module, value name, in a module type) for each
-    `val` of [mli]; [module] is the innermost module the value sits in."""
+    """(qualified name, module, value name, in a module type, optional
+    arguments) for each `val` of [mli]; [module] is the innermost module
+    the value sits in."""
     top = os.path.basename(mli)[:-4].capitalize()
     path = [(top, False)]
     out = []
+    sig = None  # the lines of the val being read
     with open(mli) as fh:
         for line in fh:
+            if sig is not None:
+                if ITEM.match(line):
+                    out[-1] += (OPTION.findall(strip_comments("".join(sig))),)
+                    sig = None
+                else:
+                    sig.append(line)
             m = OPEN_SIG.match(line)
             if m:
                 path.append((m.group(2), bool(m.group(1))))
@@ -99,6 +143,9 @@ def exported(mli):
                 qual = ".".join([p for p, _ in path] + [m.group(1)])
                 in_type = any(t for _, t in path)
                 out.append((qual, path[-1][0], m.group(1), in_type))
+                sig = [line]
+    if sig is not None:
+        out[-1] += (OPTION.findall(strip_comments("".join(sig))),)
     return out
 
 
@@ -108,6 +155,7 @@ class Uses:
 
     def __init__(self, body):
         self.words = set(WORD.findall(body))
+        self.labels = set(LABEL.findall(body))
         aliases = {x: m for x, m in ALIAS.findall(body)}
         self.qualified = set()
         for m, v in QUALIFIED.findall(body):
@@ -135,7 +183,8 @@ def main(argv):
             uses[f] = Uses(fh.read())
     unused = []
     tests_only = []
-    n_vals = 0
+    unpassed = []
+    n_vals = n_options = 0
     for src in files:
         rel = os.path.relpath(src, ROOT)
         if not rel.startswith("lib" + os.sep):
@@ -148,32 +197,46 @@ def main(argv):
             values = exported_lets(src)
         else:
             continue
-        for qual, module, name, in_type in values:
+        for qual, module, name, in_type, options in values:
             n_vals += 1
             users = [f for f, u in uses.items()
                      if f not in own and u.uses(module, name, in_type)]
+            for opt in options:
+                n_options += 1
+                if not any(opt in uses[f].labels for f in users):
+                    unpassed.append((rel, f"{qual} ?{opt}"))
             if not users:
                 unused.append((rel, qual))
             elif all(os.path.relpath(f, ROOT).startswith("test" + os.sep)
                      for f in users):
                 tests_only.append((rel, qual))
     failures = [(rel, q) for rel, q in unused if q not in ALLOWED]
+    option_failures = [(rel, q) for rel, q in unpassed
+                       if q not in ALLOWED_OPTIONS]
     if "--list" in argv:
         for rel, q in unused:
             tag = "allowed" if q in ALLOWED else "UNUSED"
+            print(f"{tag:10} {q:45} {rel}")
+        for rel, q in unpassed:
+            tag = "allowed" if q in ALLOWED_OPTIONS else "UNPASSED"
             print(f"{tag:10} {q:45} {rel}")
         for rel, q in tests_only:
             print(f"{'tests-only':10} {q:45} {rel}")
         print(f"{len(unused)} unused, {len(tests_only)} tests-only")
     stale = sorted(set(ALLOWED) - {q for _, q in unused})
+    stale += sorted(set(ALLOWED_OPTIONS) - {q for _, q in unpassed})
     for q in stale:
         print(f"stale allowlist entry (now used or gone): {q}")
     for rel, q in failures:
         print(f"{rel}: {q} is exported but nothing outside its module uses it")
-    if failures or stale:
+    for rel, q in option_failures:
+        print(f"{rel}: {q} is exported but nothing outside its module "
+              f"passes it")
+    if failures or option_failures or stale:
         return 1
     print(f"ok: every exported value in lib/ has a user "
-          f"({n_vals} values, {len(unused)} allowed)")
+          f"({n_vals} values, {len(unused)} allowed), and every optional "
+          f"argument a caller ({n_options} options, {len(unpassed)} allowed)")
     return 0
 
 
