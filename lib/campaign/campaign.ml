@@ -333,17 +333,20 @@ let summary_json s =
 
 (* Whether a sabotaged run's verdict proves the checks fired: a crashed
    worker may surface through any invariant, an overcharge only
-   through accounting. *)
+   through accounting, a swallowed failure only through the
+   deferred-errors check. *)
 let caught sabotage verdict =
   match (sabotage, verdict) with
   | _, Scenario.Pass -> false
   | Scenario.Crash_worker, _ -> true
   | Scenario.Overcharge, Scenario.Violation (i, _) -> i = Scenario.Accounting
   | Scenario.Overcharge, Scenario.Hang _ -> false
+  | Scenario.Lose_failures, Scenario.Violation (i, _) -> i = Scenario.Deferred_errors
+  | Scenario.Lose_failures, Scenario.Hang _ -> false
 
 (* A small healthy trace, then each sabotage in turn: Scenario kills a
-   worker under an in-flight workload and never restarts it, or charges
-   one call the guest never issued.  A verdict that is not [caught]
+   worker under an in-flight workload and never restarts it, charges
+   one call the guest never issued, or swallows an async failure.  A verdict that is not [caught]
    means the invariant checks have gone blind. *)
 let self_test ?(seed = 7L) () =
   let config =
@@ -359,4 +362,4 @@ let self_test ?(seed = 7L) () =
   in
   List.map
     (fun sabotage -> (sabotage, Scenario.run ~sabotage config trace))
-    [ Scenario.Crash_worker; Scenario.Overcharge ]
+    [ Scenario.Crash_worker; Scenario.Overcharge; Scenario.Lose_failures ]

@@ -94,11 +94,12 @@ val self_test :
   ?seed:int64 -> unit -> (Scenario.sabotage * Scenario.outcome) list
 (** Run a small healthy trace once per sabotage ({!Scenario.sabotage}:
     a worker crashed mid-workload and never restarted; one call
-    charged twice).  Each verdict must be {!caught}; one that is not
+    charged twice; a server that acknowledges failed async calls as
+    successes).  Each verdict must be {!caught}; one that is not
     means the harness is blind and its green campaigns are
     worthless. *)
 
 val caught : Scenario.sabotage -> Scenario.verdict -> bool
 (** Whether the verdict shows the sabotage was detected: any non-[Pass]
     verdict for [Crash_worker], an [Accounting] violation for
-    [Overcharge]. *)
+    [Overcharge], a [Deferred_errors] violation for [Lose_failures]. *)

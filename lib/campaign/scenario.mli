@@ -36,8 +36,12 @@ val random_config : Rng.t -> config
     continuously, between ops). *)
 type invariant =
   | No_crash  (** no unexpected exception escaped the stack *)
+  | Deferred_errors
+      (** each async failure a server executed is reported once, by the
+          tenant's stub, no later than its next synchronous call *)
   | Seq_ledger  (** no lost or duplicated replies: every forwarded
-                    call answered, no retry budget exhausted *)
+                    call answered or acknowledged, no retry budget
+                    exhausted *)
   | Accounting  (** the router charged no tenant for more calls than
                     its guest issued: retransmissions and resends are
                     charged once *)
@@ -67,6 +71,10 @@ type sabotage =
       (** a tenant's server worker is crashed mid-workload and never
           restarted *)
   | Overcharge  (** after the trace, one extra call is charged by hand *)
+  | Lose_failures
+      (** after the trace, a fresh tenant's server acknowledges its
+          failed async calls as successes ({!Ava_remoting.Server.lose_failure_replies})
+          while the tenant releases a buffer that does not exist *)
 
 type outcome = {
   oc_verdict : verdict;

@@ -301,7 +301,7 @@ let vm_set_device v ~seq ~device =
    ends phase [m]; [last] carries the end of the previous present
    phase, so absent marks contribute their time to the next phase that
    was actually stamped. *)
-let record_phases v i l close =
+let record_phases ~tail v i l close =
   let phases = l.l_row.r_phases in
   let last = ref l.l_open in
   for m = 0 to n_marks - 1 do
@@ -311,7 +311,7 @@ let record_phases v i l close =
       last := ts
     end
   done;
-  Hist.add phases.(n_marks) (close - !last);
+  if tail then Hist.add phases.(n_marks) (close - !last);
   Hist.add l.l_row.r_total (close - l.l_open)
 
 let retain_span t v i l ~status ~close =
@@ -333,18 +333,28 @@ let retain_span t v i l ~status ~close =
   Array.blit v.v_stamps (i * n_marks) r (base + 6) n_marks;
   t.ring_fn.(c).(off) <- l.l_fn
 
+let close_slot ~tail v i ~status ~at =
+  let t = v.v_reg and l = v.v_spans.(i) in
+  t.live_n <- t.live_n - 1;
+  t.closed <- t.closed + 1;
+  if status <> 0 then t.failed <- t.failed + 1;
+  record_phases ~tail v i l at;
+  if t.retain > 0 then retain_span t v i l ~status ~close:at;
+  v.v_seqs.(i) <- no_seq;
+  v.v_n <- v.v_n - 1
+
 let vm_span_close v ~seq ~status ~at =
   let i = slot_of v seq in
-  if i >= 0 then begin
-    let t = v.v_reg and l = v.v_spans.(i) in
-    t.live_n <- t.live_n - 1;
-    t.closed <- t.closed + 1;
-    if status <> 0 then t.failed <- t.failed + 1;
-    record_phases v i l at;
-    if t.retain > 0 then retain_span t v i l ~status ~close:at;
-    v.v_seqs.(i) <- no_seq;
-    v.v_n <- v.v_n - 1
-  end
+  if i >= 0 then close_slot ~tail:true v i ~status ~at
+
+(* An acknowledged call ends at its execution end: no reply travels
+   back, so no reply or unmarshal phase is recorded. *)
+let vm_span_ack v ~seq ~at =
+  let i = slot_of v seq in
+  if i >= 0 then
+    let ex = v.v_stamps.((i * n_marks) + mark_index M_exec_end) in
+    if ex >= 0 then close_slot ~tail:false v i ~status:0 ~at:ex
+    else close_slot ~tail:true v i ~status:0 ~at
 
 (* A retired VM's open spans will never close: drop them (its closed
    spans and histograms stay). *)

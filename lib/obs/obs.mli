@@ -87,6 +87,12 @@ val vm_span_close : vm -> seq:int -> status:int -> at:Time.t -> unit
 (** Records phase durations and the end-to-end total, then retains the
     span.  No-op on unknown spans. *)
 
+val vm_span_ack : vm -> seq:int -> at:Time.t -> unit
+(** Close an acknowledged call's span, a success: at its [M_exec_end]
+    stamp when it has one, recording no reply or unmarshal phase (no
+    reply travels back, and the acknowledgement's delay is not the
+    call's); at [at], as {!vm_span_close} does, otherwise. *)
+
 val forget_vm : t -> vm:int -> unit
 (** Drop the VM's open spans without closing them: a retired VM's
     spans never close.  Its closed spans and histograms stay, and its

@@ -268,9 +268,9 @@ module Breaker = struct
      (restarting the cooldown).
 
      The budget is windowed, not consecutive: a faulting guest's error
-     replies are interleaved with successful async acknowledgements
-     (every forwarded enqueue replies OK), so a consecutive count would
-     never trip on real traffic shapes. *)
+     replies are interleaved with successful replies and async
+     acknowledgements, each recorded as a success, so a consecutive
+     count would never trip on real traffic shapes. *)
 
   type state = Closed | Open | Half_open
 

@@ -60,6 +60,9 @@ and vm_conn = {
   mutable rc_costs : float array;
       (** ingress scratch: each batch member's admission verdict *)
   rc_window : cell Seqwin.t;  (** the VM's seqs; [Unseen] outside it *)
+  mutable rc_mark : int;
+      (** the server's acknowledgement mark: every seq below it is
+          answered *)
   mutable bucket : Policy.Token_bucket.t option;
   mutable quota : Policy.Quota.t option;
   mutable breaker : Policy.Breaker.t option;
@@ -151,21 +154,32 @@ let cell conn seq = Seqwin.get conn.rc_window seq
 let set_cell conn seq c = Seqwin.set conn.rc_window seq c
 
 (* A reply flowed back: its seq is answered, however many copies of it
-   are still on their way, and the base may pass it now (see
-   {!Seqwin}). *)
-let mark_replied conn seq =
+   are still on their way. *)
+let answer conn seq =
   match cell conn seq with
-  | Policing | Admitted _ ->
-      set_cell conn seq Answered;
-      Seqwin.advance conn.rc_window
+  | Policing | Admitted _ -> set_cell conn seq Answered
   | Unseen | Answered | Rejected _ -> ()
+
+(* An acknowledgement mark flowed back: every seq below it executed, so
+   each is answered (its failure, if any, went back as a reply of its
+   own).  The router never forwarded a seq at or past its window's top,
+   so the mark is capped there. *)
+let answer_through conn mark =
+  let mark = Stdlib.min mark (Seqwin.top conn.rc_window) in
+  if mark > conn.rc_mark then begin
+    for seq = Stdlib.max conn.rc_mark (Seqwin.base conn.rc_window) to mark - 1 do
+      answer conn seq
+    done;
+    conn.rc_mark <- mark
+  end
 
 (* --- hops --------------------------------------------------------------------- *)
 
 let reply_rejection conn seq status =
   let reply =
     Message.Reply
-      { reply_seq = seq; reply_status = status; reply_ret = Wire.Unit; reply_outs = [] }
+      { reply_seq = seq; reply_status = status; reply_mark = 0; reply_failed = [];
+        reply_ret = Wire.Unit; reply_outs = [] }
   in
   Transport.send conn.guest_side (Message.iovec ~copy:false reply)
 
@@ -214,12 +228,14 @@ let start_dispatcher t b =
   end
 
 (* Egress: server -> guest for one (conn, endpoint) pair, with byte
-   accounting; a reply marks its seq answered in the window.  Factored
-   out of [attach_vm] because a re-steer spawns a fresh egress on the
-   new backend's endpoint; the old one keeps draining residual replies
-   from the previous server, which [mark_replied] dedups harmlessly.
-   Each egress reads replies with its own cursor: only the seq and
-   status, the rest checked in place and forwarded untouched. *)
+   accounting; a reply marks its seq answered in the window, and a reply
+   or acknowledgement every seq below its mark; the base may then pass
+   them (see {!Seqwin}).  Factored out of [attach_vm] because a re-steer
+   spawns a fresh egress on the new backend's endpoint; the old one
+   keeps draining residual frames from the previous server, which
+   [answer] dedups harmlessly.  Each egress reads frames with its own
+   cursor: only the seq, status and mark, the rest checked in place and
+   forwarded untouched. *)
 let spawn_egress t conn ep =
   let vm = conn.rc_vm in
   let cu = Message.cursor () in
@@ -229,7 +245,9 @@ let spawn_egress t conn ep =
         Vm.charge_bytes vm (Transport.length data);
         (match Message.read cu data with
         | Ok Message.K_reply ->
-            mark_replied conn (Message.reply_seq cu);
+            answer conn (Message.reply_seq cu);
+            answer_through conn (Message.mark cu);
+            Seqwin.advance conn.rc_window;
             (* Feed the reply into this VM's error budget: fault
                statuses count against it; any other reply proves the
                service path healthy. *)
@@ -240,6 +258,10 @@ let spawn_egress t conn ep =
                 if faulty then Policy.Breaker.record_failure b
                 else Policy.Breaker.record_success b
             | None -> ())
+        | Ok Message.K_ack ->
+            answer_through conn (Message.mark cu);
+            Seqwin.advance conn.rc_window;
+            Option.iter Policy.Breaker.record_success conn.breaker
         | _ -> ());
         Transport.send conn.guest_side data;
         loop ()
@@ -428,8 +450,11 @@ let ingress conn data =
   let t = conn.rc_owner in
   Engine.delay t.virt.Ava_device.Timing.router_check_ns;
   match Message.read conn.rc_cursor data with
-  | Error _ | Ok (Message.K_reply | Message.K_upcall | Message.K_skip | Message.K_nak) ->
-      (* Nak is server-to-guest only; a guest sending one is bogus. *)
+  | Error _
+  | Ok (Message.K_reply | Message.K_upcall | Message.K_skip | Message.K_nak | Message.K_ack)
+    ->
+      (* Nak and Ack are server-to-guest only; a guest sending one is
+         bogus. *)
       t.rejected <- t.rejected + 1
   | Ok (Message.K_call | Message.K_batch) ->
       Vm.charge_bytes conn.rc_vm (Transport.length data);
@@ -474,6 +499,7 @@ let attach_vm ?rate_per_s ?(burst = 32.0) ?(weight = 1.0) ?quota_cost
       rc_cursor = Message.cursor ();
       rc_costs = [||];
       rc_window = Seqwin.create ~empty:Unseen ~resolved;
+      rc_mark = 0;
       bucket;
       quota;
       breaker;

@@ -139,8 +139,8 @@ val requeue_in_flight : t -> vm_id:int -> int
     messages requeued. *)
 
 val in_flight_calls : t -> vm_id:int -> int
-(** Calls forwarded to the server whose replies have not yet flowed
-    back. *)
+(** Calls forwarded to the server whose reply or acknowledgement mark
+    has not yet flowed back. *)
 
 val in_flight_seqs : t -> vm_id:int -> int list
 (** The seqs behind {!in_flight_calls}, sorted — for diagnostics (a

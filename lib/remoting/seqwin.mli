@@ -4,21 +4,23 @@
     window's [empty] cell.
 
     The router keeps one per VM (queued, in flight, answered or
-    rejected), and so does the API server (parked, skipped or replied:
-    its reply log).  Both free cells by the one horizon rule of this
-    module: the base passes a resolved cell once it is {!horizon} behind
-    the newest seq the window has seen, and waits at an unresolved one
-    (a hole).  The server applies the rule when it sees a new seq; the
-    router also applies it when a reply flows back.
+    rejected), and so does the API server (parked, skipped,
+    acknowledged or replied: its reply log).  Both free cells by the
+    one horizon rule of this module: the base passes a resolved cell
+    once it is {!horizon} behind the newest seq the window has seen,
+    and waits at an unresolved one (a hole).  The server applies the
+    rule when it sees a new seq; the router also applies it when a
+    reply or an acknowledgement flows back.
 
     Invariant: a seq below the server's base is below the router's base
-    too, unless its reply is still on its way to the router.  The server
-    sees only seqs the router forwarded or skipped, so its newest never
-    passes the router's; it resolves a seq only after the router has
-    rejected it or before its reply reaches the router, which then
-    resolves it and passes it.  So every copy the router forwards (at
-    or above its base) still finds its reply in the server's window, or
-    its reply is already in flight to answer it. *)
+    too, unless its answer (a reply, or an acknowledgement mark past it)
+    is still on its way to the router.  The server sees only seqs the
+    router forwarded or skipped, so its newest never passes the
+    router's; it resolves a seq only after the router has rejected it
+    or before its answer reaches the router, which then resolves it and
+    passes it.  So every copy the router forwards (at or above its
+    base) still finds its answer in the server's window, or its answer
+    is already in flight. *)
 
 type 'a t
 

@@ -106,6 +106,15 @@ let self_test_tests =
           ->
             ()
         | o -> Alcotest.fail (verdict_str o.Scenario.oc_verdict));
+    Alcotest.test_case "a swallowed async failure is a deferred-errors violation"
+      `Quick (fun () ->
+        match
+          List.assoc Scenario.Lose_failures (Campaign.self_test ~seed:chaos_seed ())
+        with
+        | { Scenario.oc_verdict = Scenario.Violation (Scenario.Deferred_errors, _); _ }
+          ->
+            ()
+        | o -> Alcotest.fail (verdict_str o.Scenario.oc_verdict));
     Alcotest.test_case "sabotage verdict is deterministic" `Quick (fun () ->
         let verdicts () =
           List.map
